@@ -52,6 +52,7 @@ from .potentials import (
     PerturbedPotential,
     QuadraticPotential,
     SmoothField,
+    Stack,
     SymplecticPotential,
     gradient_by_line_integral,
     guillemin,
@@ -83,6 +84,7 @@ from .operators import (
     soliton_residual,
 )
 from .eigenbasis import (
+    RootCheck,
     RootFunction,
     SolitonDecomposition,
     affine_block,
@@ -91,6 +93,7 @@ from .eigenbasis import (
     assemble_decomposition,
     boundary_product_form,
     build_root_function,
+    check_root,
     eigen_residual,
     select_mode_sign,
 )

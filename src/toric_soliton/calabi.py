@@ -169,14 +169,20 @@ class CalabiSoliton:
         return np.array([self.a1, 0.0])
 
 
-def profile_A(s: CalabiSoliton, x: float) -> tuple[float, float, float]:
-    """Radial profile A with first and second derivatives, on [alpha1, alpha2]."""
-    if not (s.params.alpha1 - 1e-12 <= x <= s.params.alpha2 + 1e-12):
-        raise BoundaryEvaluationError(f"x = {x} outside [{s.params.alpha1}, {s.params.alpha2}]")
+def _require_between(name: str, t, lo: float, hi: float) -> None:
+    t = np.asarray(t)
+    outside = ~((lo - 1e-12 <= t) & (t <= hi + 1e-12))
+    if outside.any():
+        raise BoundaryEvaluationError(f"{name} = {t[outside].flat[0]} outside [{lo}, {hi}]")
+
+
+def profile_A(s: CalabiSoliton, x):
+    """Radial profile A with first and second derivatives on [alpha1, alpha2]; x may be an array."""
+    _require_between("x", x, s.params.alpha1, s.params.alpha2)
     a = s.a1
     if a == 0.0:
         raise MalformedInputError("profile requires a nonzero soliton coefficient")
-    e = math.exp(-2.0 * a * (x - 1.0))
+    e = np.exp(-2.0 * a * (x - 1.0))
     c = a * a - 0.5
     scale = -1.0 / a**3
     value = scale * (c * e + a * a * x * x - (2.0 * a * a + a) * x + (a + 0.5))
@@ -185,11 +191,10 @@ def profile_A(s: CalabiSoliton, x: float) -> tuple[float, float, float]:
     return value, first, second
 
 
-def profile_B(s: CalabiSoliton, y: float) -> tuple[float, float, float]:
-    """Radial profile B(y) = -2 y^2 + 2 y with derivatives, on [beta1, beta2]."""
-    if not (s.params.beta1 - 1e-12 <= y <= s.params.beta2 + 1e-12):
-        raise BoundaryEvaluationError(f"y = {y} outside [{s.params.beta1}, {s.params.beta2}]")
-    return -2.0 * y * y + 2.0 * y, -4.0 * y + 2.0, -4.0
+def profile_B(s: CalabiSoliton, y):
+    """Radial profile B(y) = -2 y^2 + 2 y with derivatives on [beta1, beta2]; y may be an array."""
+    _require_between("y", y, s.params.beta1, s.params.beta2)
+    return -2.0 * y * y + 2.0 * y, -4.0 * y + 2.0, 0.0 * y - 4.0
 
 
 def ode_residual(s: CalabiSoliton, x: float, scal_mean: float | None = None) -> float:
@@ -229,7 +234,7 @@ def from_algebraic_coordinates(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricMatrices:
-    """H with its first and second derivative tensors at one point."""
+    """H with its first and second derivative tensors, at one point or on a batch."""
 
     h: np.ndarray
     dh: np.ndarray
@@ -237,8 +242,9 @@ class MetricMatrices:
 
 
 def _entry_partials(s: CalabiSoliton, mu: np.ndarray) -> MetricMatrices:
-    x = float(mu[0])
-    y = float(mu[1]) / x
+    """H, dH and d2H on an (m, 2) batch of points of tau."""
+    x = mu[:, 0]
+    y = mu[:, 1] / x
     a_val, a1d, a2d = profile_A(s, x)
     b_val, b1d, b2d = profile_B(s, y)
 
@@ -258,9 +264,10 @@ def _entry_partials(s: CalabiSoliton, mu: np.ndarray) -> MetricMatrices:
         ),
     }
 
-    h = np.zeros((2, 2))
-    dh = np.zeros((2, 2, 2))
-    d2h = np.zeros((2, 2, 2, 2))
+    m = len(mu)
+    h = np.zeros((m, 2, 2))
+    dh = np.zeros((m, 2, 2, 2))
+    d2h = np.zeros((m, 2, 2, 2, 2))
     for (i, j), (f, fx, fy, fxx, fxy, fyy) in entries.items():
         # chain rule through y = mu2 / mu1
         d1 = fx - (y / x) * fy
@@ -269,15 +276,15 @@ def _entry_partials(s: CalabiSoliton, mu: np.ndarray) -> MetricMatrices:
         d12 = -fy / x**2 + fxy / x - y * fyy / x**2
         d22 = fyy / x**2
         for (r, c) in {(i, j), (j, i)}:
-            h[r, c] = f
-            dh[r, c, 0], dh[r, c, 1] = d1, d2
-            d2h[r, c, 0, 0] = d11
-            d2h[r, c, 0, 1] = d2h[r, c, 1, 0] = d12
-            d2h[r, c, 1, 1] = d22
+            h[:, r, c] = f
+            dh[:, r, c, 0], dh[:, r, c, 1] = d1, d2
+            d2h[:, r, c, 0, 0] = d11
+            d2h[:, r, c, 0, 1] = d2h[:, r, c, 1, 0] = d12
+            d2h[:, r, c, 1, 1] = d22
     return MetricMatrices(h=h, dh=dh, d2h=d2h)
 
 
-def _require_in_tau(s: CalabiSoliton, mu: np.ndarray) -> np.ndarray:
+def _require_in_tau(s: CalabiSoliton, mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     x = mu[0]
     if not (s.params.alpha1 < x < s.params.alpha2):
@@ -290,8 +297,8 @@ def _require_in_tau(s: CalabiSoliton, mu: np.ndarray) -> np.ndarray:
 
 def h_matrix(s: CalabiSoliton, mu) -> MetricMatrices:
     """The metric matrix H and its derivatives at an interior point of tau."""
-    mu = _require_in_tau(s, mu)
-    return _entry_partials(s, mu)
+    batch = _entry_partials(s, _require_in_tau(s, mu)[None])
+    return MetricMatrices(h=batch.h[0], dh=batch.dh[0], d2h=batch.d2h[0])
 
 
 def g_matrix(s: CalabiSoliton, mu) -> np.ndarray:
@@ -312,54 +319,44 @@ class CalabiPotential(HSidePotential):
 
     The stack lives in algebraic coordinates (the trapezoid translated so
     the privileged center is the origin); the metric data is evaluated at
-    the translated point.  The gradient is recovered by a line integral
-    from the origin with gauge zero there, which rescales root profiles
-    by harmless positive constants.
+    the translated point.  The gradient has gauge zero at the origin, which
+    rescales root profiles by harmless positive constants.
     """
 
     def __init__(self, soliton: CalabiSoliton | None = None):
         self.soliton = soliton or CalabiSoliton.solve()
         self.polytope = blowup_trapezoid()
         self.base_point = np.zeros(2)
+        # t / A(t) has simple poles at the ends of [alpha1, alpha2], residue t / A'(t)
+        p = self.soliton.params
+        self._poles = tuple((end, end / profile_A(self.soliton, end)[1]) for end in (p.alpha1, p.alpha2))
+        self._f_rule = np.polynomial.legendre.leggauss(48)
 
-    def inv_hessian(self, x) -> np.ndarray:
-        x = self.require_interior(x)
-        return h_matrix(self.soliton, from_algebraic_coordinates(x)).h
+    def _h_derivatives(self, points):
+        mu = from_algebraic_coordinates(points)
+        metric = _entry_partials(self.soliton, mu)
+        return self._gradient(mu), metric.h, metric.dh, metric.d2h
 
-    def inv_hessian_derivative(self, x) -> np.ndarray:
-        x = self.require_interior(x)
-        return h_matrix(self.soliton, from_algebraic_coordinates(x)).dh
-
-    def inv_hessian_second(self, x) -> np.ndarray:
-        x = self.require_interior(x)
-        return h_matrix(self.soliton, from_algebraic_coordinates(x)).d2h
-
-    def semi_closed_gradient(self, x) -> np.ndarray:
-        """Independent gradient formula used to cross-check the line integral.
+    def _gradient(self, mu: np.ndarray) -> np.ndarray:
+        """Closed-form gradient on an (m, 2) batch of points of tau.
 
         Integrating the rows of G in closed form gives
         grad_2 = (1/2) log(y / (1 - y)) + c2 and
-        grad_1 = F(mu1) + (1/2) log(1 - y) + c1 with F' (t) = t / A(t);
-        only F needs one scalar quadrature.  Constants are fixed by the
-        gauge grad(base) = 0.
+        grad_1 = F(mu1) + (1/2) log(1 - y) + c1 with F'(t) = t / A(t).
+        The poles of t / A at alpha1 and alpha2 integrate to logarithms;
+        the smooth rest of F, from the base point to every mu1, is one
+        array of 48-node Gauss-Legendre sums, accurate up to the boundary.
+        Constants are fixed by the gauge grad(base) = 0.
         """
-        x = self.require_interior(x)
-        mu = from_algebraic_coordinates(x)
-        base_mu = from_algebraic_coordinates(self.base_point)
-
-        def f_scalar(t0: float, t1: float) -> float:
-            nodes, weights = np.polynomial.legendre.leggauss(48)
-            mid, half = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-            ts = mid + half * nodes
-            vals = np.array([t / profile_A(self.soliton, t)[0] for t in ts])
-            return half * float(weights @ vals)
-
-        def raw(mu_pt: np.ndarray) -> np.ndarray:
-            t = float(mu_pt[0])
-            y = float(mu_pt[1]) / t
-            return np.array([
-                f_scalar(base_mu[0], t) + 0.5 * math.log(1.0 - y),
-                0.5 * math.log(y / (1.0 - y)),
-            ])
-
-        return raw(mu) - raw(base_mu)
+        base = from_algebraic_coordinates(self.base_point)
+        t0, y0 = base[0], base[1] / base[0]
+        t, y = mu[:, 0], mu[:, 1] / mu[:, 0]
+        mid, half = 0.5 * (t0 + t), 0.5 * (t - t0)
+        nodes, weights = self._f_rule
+        ts = mid[:, None] + half[:, None] * nodes
+        smooth = ts / profile_A(self.soliton, ts)[0] - sum(c / (ts - end) for end, c in self._poles)
+        f = half * (smooth @ weights) + sum(c * np.log((t - end) / (t0 - end)) for end, c in self._poles)
+        return np.stack([
+            f + 0.5 * np.log(1.0 - y) - 0.5 * np.log(1.0 - y0),
+            0.5 * np.log(y / (1.0 - y)) - 0.5 * np.log(y0 / (1.0 - y0)),
+        ], axis=1)

@@ -47,6 +47,14 @@ def _load_polytope(path: str) -> DelzantPolytope:
     return p
 
 
+def _check_arguments(args: argparse.Namespace) -> None:
+    """Reject flag values the pipeline cannot use, naming the value."""
+    if getattr(args, "order", 1) < 1:
+        raise MalformedInputError(f"--order must be at least 1, got {args.order}")
+    if args.command in ("verify", "calabi") and args.grid < 1:
+        raise MalformedInputError(f"--grid must be at least 1, got {args.grid}")
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(to_json(report) + "\n")
@@ -101,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_arguments(args)
         if args.command == "roots":
             report = roots_report(_load_polytope(args.polytope))
         elif args.command == "soliton":

@@ -5,9 +5,12 @@ profile ``(<x, b> + 1) exp(-<alpha, grad phi>)``; together with a torus
 mode ``+alpha`` or ``-alpha`` it is an eigenfunction of the complex
 weighted Laplacian with eigenvalue two.  Which mode sign realizes the
 eigenvalue depends on conventions that differ between sources, so the
-sign is selected operationally: both are tried and the operator itself is
-the arbiter (for roots with <alpha, a> = 0 both work and the positive
-sign is kept).
+sign is selected operationally.  Both signs share the profile and the
+sign-independent part of the operator; mode sign s and orientation o only
+add ``-2 o s <a, alpha> u``.  One operator pass per root therefore gives
+the sign, the eigenvalue-two residual and the orientation-reversed fit.
+For roots with |<alpha, a>| <= GAMMA_TOL both signs work and +1 is kept,
+so the choice never follows round-off in ``a``.
 
 The eigenspace decomposition clusters roots by gamma = 2 <alpha, a>; the
 affine block (complex dimension n) joins the gamma = 0 cluster.  With the
@@ -24,11 +27,14 @@ import numpy as np
 from .errors import MalformedInputError, NonConvergenceError
 from .operators import (
     EquivariantFunction,
+    Jet,
     OperatorContext,
-    apply_complex_weighted_laplacian,
-    apply_weighted_laplacian,
+    batched_profile,
+    complex_weighted_laplacian,
     profile_coordinate,
+    weighted_laplacian,
 )
+from .potentials import Stack
 from .polytope import DelzantPolytope
 from .roots import DemazureRoot, RootSet
 
@@ -55,37 +61,22 @@ def build_root_function(ctx: OperatorContext, root: DemazureRoot, mode_sign: int
         raise MalformedInputError(f"mode_sign must be +1 or -1, got {mode_sign}")
     alpha = np.array(root.alpha, dtype=float)
     normal = np.array(ctx.polytope.facets[root.distinguished_facet].normal, dtype=float)
-    potential = ctx.potential
 
-    def exponential(x: np.ndarray) -> float:
-        return float(np.exp(-alpha @ potential.gradient(x)))
-
-    def value(x) -> float:
-        x = np.asarray(x, dtype=float)
-        return (float(normal @ x) + 1.0) * exponential(x)
-
-    def grad(x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        w = float(normal @ x) + 1.0
-        galpha = potential.hessian(x) @ alpha
-        return (normal - w * galpha) * exponential(x)
-
-    def hess(x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        w = float(normal @ x) + 1.0
-        galpha = potential.hessian(x) @ alpha
-        dgalpha = np.einsum("jlk,l->jk", potential.hessian_derivative(x), alpha)
+    def jet(s: Stack) -> Jet:
+        e = np.exp(-(s.grad @ alpha))
+        w = s.points @ normal + 1.0
+        galpha = s.G @ alpha
+        dgalpha = np.einsum("mjlk,l->mjk", s.dG, alpha)
         matrix = (
-            -np.outer(normal, galpha)
-            - np.outer(galpha, normal)
-            - w * dgalpha
-            + w * np.outer(galpha, galpha)
+            -np.einsum("i,mj->mij", normal, galpha)
+            - np.einsum("mi,j->mij", galpha, normal)
+            - w[:, None, None] * dgalpha
+            + w[:, None, None] * np.einsum("mi,mj->mij", galpha, galpha)
         )
-        return matrix * exponential(x)
+        return w * e, (normal - w[:, None] * galpha) * e[:, None], matrix * e[:, None, None]
 
     mode = tuple(int(mode_sign * c) for c in root.alpha)
-    profile = EquivariantFunction(mode=mode, value=value, grad=grad, hess=hess)
-    return RootFunction(root=root, mode_sign=mode_sign, profile=profile)
+    return RootFunction(root=root, mode_sign=mode_sign, profile=batched_profile(mode, jet, ctx.potential))
 
 
 @dataclass(frozen=True)
@@ -132,43 +123,81 @@ def boundary_product_form(p: DelzantPolytope, root: DemazureRoot) -> BoundaryPro
     return BoundaryProductForm(polytope=p, root=root, prefactor=prefactor, exponents=tuple(exponents))
 
 
-def eigen_residual(ctx: OperatorContext, rf: RootFunction, grid: np.ndarray) -> dict[str, float]:
-    """Pointwise defect of the eigenvalue-two equation plus a least-squares fit."""
-    values = np.array([rf.profile.value(x) for x in grid])
-    applied = np.array([apply_complex_weighted_laplacian(ctx, rf.profile, x, orientation=1).real for x in grid])
+def _eigen_stats(values: np.ndarray, applied: np.ndarray) -> dict[str, float]:
     scale = float(np.max(np.abs(values)))
-    residual = applied - 2.0 * values
-    fitted = float(values @ applied / (values @ values))
     return {
-        "max_rel_residual": float(np.max(np.abs(residual))) / scale,
-        "fitted_eigenvalue": fitted,
+        "max_rel_residual": float(np.max(np.abs(applied - 2.0 * values))) / scale,
+        "fitted_eigenvalue": float(values @ applied / (values @ values)),
         "scale": scale,
     }
 
 
-def select_mode_sign(ctx: OperatorContext, root: DemazureRoot, grid: np.ndarray) -> RootFunction:
-    """Try both mode signs and keep the one the operator accepts (ties keep +1)."""
-    candidates = [build_root_function(ctx, root, sign) for sign in (1, -1)]
-    defects = [abs(eigen_residual(ctx, rf, grid)["fitted_eigenvalue"] - 2.0) for rf in candidates]
-    return candidates[0] if defects[0] <= defects[1] else candidates[1]
-
-
-def anti_holomorphic_fit(ctx: OperatorContext, rf: RootFunction, grid: np.ndarray) -> tuple[float, float]:
-    """Least-squares eigenvalue of the orientation-reversed operator minus two.
-
-    Returns (gamma, fit_residual); no tolerance is enforced here.
-    """
-    values = np.array([rf.profile.value(x) for x in grid])
-    applied = np.array([
-        apply_complex_weighted_laplacian(ctx, rf.profile, x, orientation=-1).real for x in grid
-    ])
+def _reversed_fit(values: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
     shifted = applied - 2.0 * values
     gamma = float(values @ shifted / (values @ values))
     fit_residual = float(np.max(np.abs(shifted - gamma * values))) / float(np.max(np.abs(values)))
     return gamma, fit_residual
 
 
-def anti_holomorphic_eigenvalue(ctx: OperatorContext, rf: RootFunction, grid: np.ndarray,
+def eigen_residual(ctx: OperatorContext, rf: RootFunction, grid: np.ndarray | Stack) -> dict[str, float]:
+    """Pointwise defect of the eigenvalue-two equation plus a least-squares fit.
+
+    ``grid`` is an (m, n) array of interior points or a stack on them.
+    """
+    s = ctx.stack(grid)
+    return _eigen_stats(rf.profile.jet(s)[0], complex_weighted_laplacian(ctx, rf.profile, s, orientation=1))
+
+
+def anti_holomorphic_fit(ctx: OperatorContext, rf: RootFunction, grid: np.ndarray | Stack) -> tuple[float, float]:
+    """Least-squares eigenvalue of the orientation-reversed operator minus two.
+
+    Returns (gamma, fit_residual); no tolerance is enforced here.
+    """
+    s = ctx.stack(grid)
+    return _reversed_fit(rf.profile.jet(s)[0], complex_weighted_laplacian(ctx, rf.profile, s, orientation=-1))
+
+
+@dataclass(frozen=True)
+class RootCheck:
+    """Selected root function with its eigenvalue-two statistics and reversed fit."""
+
+    function: RootFunction
+    stats: dict[str, float]
+    gamma_hat: float
+    gamma_fit: float
+
+
+def check_root(ctx: OperatorContext, root: DemazureRoot, grid: np.ndarray | Stack) -> RootCheck:
+    """Mode sign, eigenvalue-two residual and orientation-reversed fit from one operator pass.
+
+    The sign-independent part W u (the weighted Laplacian on mode alpha,
+    including alpha^T G alpha u) is applied once; mode sign s and
+    orientation o add -2 o s <a, alpha> u.  The sign whose fitted
+    eigenvalue lies closer to two is kept, and +1 whenever
+    |<alpha, a>| <= GAMMA_TOL, where both signs are eigenfunctions.
+    """
+    s = ctx.stack(grid)
+    positive = build_root_function(ctx, root, 1)
+    values = positive.profile.jet(s)[0]
+    sign_free = weighted_laplacian(ctx, positive.profile, s)
+    pairing = float(np.array(root.alpha, dtype=float) @ ctx.a)
+    sign = 1
+    if abs(pairing) > GAMMA_TOL:
+        fitted = float(values @ sign_free / (values @ values))
+        sign = 1 if abs(fitted - 2.0 * pairing - 2.0) <= abs(fitted + 2.0 * pairing - 2.0) else -1
+    rf = positive if sign == 1 else build_root_function(ctx, root, sign)
+    term = 2.0 * sign * pairing * values
+    gamma_hat, gamma_fit = _reversed_fit(values, sign_free + term)
+    return RootCheck(function=rf, stats=_eigen_stats(values, sign_free - term),
+                     gamma_hat=gamma_hat, gamma_fit=gamma_fit)
+
+
+def select_mode_sign(ctx: OperatorContext, root: DemazureRoot, grid: np.ndarray | Stack) -> RootFunction:
+    """The root function with the mode sign the operator accepts (see :func:`check_root`)."""
+    return check_root(ctx, root, grid).function
+
+
+def anti_holomorphic_eigenvalue(ctx: OperatorContext, rf: RootFunction, grid: np.ndarray | Stack,
                                 fit_tol: float = 1e-6) -> float:
     """Fitted eigenvalue of the orientation-reversed operator minus two.
 
@@ -251,25 +280,23 @@ def assemble_decomposition(ctx: OperatorContext, rootset: RootSet, tol: float = 
     )
 
 
-def affine_block(ctx: OperatorContext, grid: np.ndarray) -> list[dict]:
+def affine_block(ctx: OperatorContext, grid: np.ndarray | Stack) -> list[dict]:
     """Verify the 2n real affine basis functions are eigenfunctions of eigenvalue two.
 
     The block consists of <x, b1> + i <x, b2>; its basis profiles are the
     coordinates with torus mode zero, so the real and imaginary parts
     satisfy the same radial equation.
     """
+    s = ctx.stack(grid)
     n = ctx.polytope.dim
     records = []
     for i in range(n):
         f = profile_coordinate(i, n)
-        values = np.array([f.value(x) for x in grid])
-        applied = np.array([apply_weighted_laplacian(ctx, f, x).real for x in grid])
-        scale = float(np.max(np.abs(values)))
-        fitted = float(values @ applied / (values @ values))
+        stats = _eigen_stats(f.jet(s)[0], weighted_laplacian(ctx, f, s))
         records.append({
             "basis": f"x_{i + 1}",
             "mode": (0,) * n,
-            "fitted_eigenvalue": fitted,
-            "max_rel_residual": float(np.max(np.abs(applied - 2.0 * values))) / scale,
+            "fitted_eigenvalue": stats["fitted_eigenvalue"],
+            "max_rel_residual": stats["max_rel_residual"],
         })
     return records

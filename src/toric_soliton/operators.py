@@ -7,6 +7,16 @@ sector acts diagonally on modes, contributing ``k^T G k`` from the second
 angular derivatives and ``-2 orientation <a, k>`` from the first-order
 imaginary term, so every evaluation reduces to x-space.
 
+Evaluation surface.  Operators read the potential only through a
+:class:`~toric_soliton.potentials.Stack` and evaluate on all of its points
+at once: profiles give ``(u, du, d2u)`` arrays of shapes ``(m,)``,
+``(m, n)`` and ``(m, n, n)`` on a stack, and the batched operators
+(``laplacian``, ``weighted_laplacian``, ``complex_weighted_laplacian``,
+``scalar_curvature`` ...) return ``(m,)`` arrays.  The ``apply_*`` and
+other pointwise entry points are batch-of-one wrappers of them.  Only the
+finite-difference oracle is pointwise by construction: it reads potential
+and profile values alone.
+
 Sign conventions.  The plain Laplacian is the positive-spectrum operator
 ``-sum_ij d_i(H_ij d_j u)`` (constants are harmonic, ``x^2`` on the flat
 model maps to ``-2``).  The context stores the fan-side soliton vector
@@ -22,37 +32,88 @@ a soliton and keeps the solitonic spectrum 2 <alpha, a> non-negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BoundaryEvaluationError, MalformedInputError
 from .polytope import DelzantPolytope
-from .potentials import SymplecticPotential
+from .potentials import PhiSidePotential, Stack, SymplecticPotential
+
+#: (u, du, d2u) on a batch, shapes (m,), (m, n), (m, n, n)
+Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class _Points(NamedTuple):
+    """A batch of points alone, for profiles that do not read the potential."""
+
+    points: np.ndarray
 
 
 @dataclass(frozen=True)
 class EquivariantFunction:
-    """Torus mode k plus a radial profile with analytic derivatives."""
+    """Torus mode k plus a radial profile with analytic derivatives.
+
+    ``jet`` evaluates the profile on a whole stack.  The profiles built in
+    this package define it and read the stack of ``potential`` (None when
+    they read only the points); their pointwise ``value``, ``grad`` and
+    ``hess`` are batch-of-one views of it.  A profile given only by
+    pointwise callables is evaluated point by point.
+    """
 
     mode: tuple[int, ...]
     value: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
+    jet: Callable[[Stack], Jet] | None = None
+    potential: SymplecticPotential | None = None
+
+    def __post_init__(self) -> None:
+        if self.jet is None:
+            object.__setattr__(self, "jet", _pointwise_jet(self.value, self.grad, self.hess))
 
     @property
     def mode_array(self) -> np.ndarray:
         return np.array(self.mode, dtype=float)
 
 
-def profile_constant(c: float, n: int, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
-    mode = mode if mode is not None else (0,) * n
+def _pointwise_jet(value, grad, hess) -> Callable[[Stack], Jet]:
+    def jet(s) -> Jet:
+        return (
+            np.array([float(value(x)) for x in s.points]),
+            np.array([grad(x) for x in s.points], dtype=float),
+            np.array([hess(x) for x in s.points], dtype=float),
+        )
+
+    return jet
+
+
+def batched_profile(mode: tuple[int, ...], jet: Callable[[Stack], Jet],
+                    potential: SymplecticPotential | None = None) -> EquivariantFunction:
+    """Profile given by its jet on a stack; the pointwise callables are views of it."""
+
+    def at(x) -> Jet:
+        x = np.asarray(x, dtype=float)
+        return jet(potential.stack(x) if potential is not None else _Points(x[None]))
+
     return EquivariantFunction(
         mode=mode,
-        value=lambda x: c,
-        grad=lambda x: np.zeros(n),
-        hess=lambda x: np.zeros((n, n)),
+        value=lambda x: float(at(x)[0][0]),
+        grad=lambda x: at(x)[1][0],
+        hess=lambda x: at(x)[2][0],
+        jet=jet,
+        potential=potential,
     )
+
+
+def profile_constant(c: float, n: int, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
+    mode = mode if mode is not None else (0,) * n
+
+    def jet(s) -> Jet:
+        m = len(s.points)
+        return np.full(m, float(c)), np.zeros((m, n)), np.zeros((m, n, n))
+
+    return batched_profile(mode, jet)
 
 
 def profile_linear(b, constant: float = 0.0, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
@@ -60,12 +121,12 @@ def profile_linear(b, constant: float = 0.0, mode: tuple[int, ...] | None = None
     b = np.asarray(b, dtype=float)
     n = len(b)
     mode = mode if mode is not None else (0,) * n
-    return EquivariantFunction(
-        mode=mode,
-        value=lambda x: float(b @ x) + constant,
-        grad=lambda x: b.copy(),
-        hess=lambda x: np.zeros((n, n)),
-    )
+
+    def jet(s) -> Jet:
+        m = len(s.points)
+        return s.points @ b + constant, np.broadcast_to(b, (m, n)).copy(), np.zeros((m, n, n))
+
+    return batched_profile(mode, jet)
 
 
 def profile_coordinate(i: int, n: int) -> EquivariantFunction:
@@ -78,17 +139,19 @@ def profile_product(u: EquivariantFunction, v: EquivariantFunction) -> Equivaria
     """Product of two torus-invariant profiles."""
     if any(u.mode) or any(v.mode):
         raise MalformedInputError("profile products are defined for torus-invariant factors")
-    return EquivariantFunction(
-        mode=u.mode,
-        value=lambda x: u.value(x) * v.value(x),
-        grad=lambda x: u.grad(x) * v.value(x) + u.value(x) * v.grad(x),
-        hess=lambda x: (
-            u.hess(x) * v.value(x)
-            + u.value(x) * v.hess(x)
-            + np.outer(u.grad(x), v.grad(x))
-            + np.outer(v.grad(x), u.grad(x))
-        ),
-    )
+    if u.potential is not None and v.potential is not None and u.potential is not v.potential:
+        raise MalformedInputError("profile factors read different potentials")
+
+    def jet(s) -> Jet:
+        (fu, du, d2u), (fv, dv, d2v) = u.jet(s), v.jet(s)
+        return (
+            fu * fv,
+            du * fv[:, None] + fu[:, None] * dv,
+            d2u * fv[:, None, None] + fu[:, None, None] * d2v
+            + np.einsum("mi,mj->mij", du, dv) + np.einsum("mi,mj->mij", dv, du),
+        )
+
+    return batched_profile(u.mode, jet, u.potential or v.potential)
 
 
 def profile_exp_pairing(potential: SymplecticPotential, alpha, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
@@ -97,19 +160,14 @@ def profile_exp_pairing(potential: SymplecticPotential, alpha, mode: tuple[int, 
     n = len(alpha)
     mode = mode if mode is not None else (0,) * n
 
-    def value(x):
-        return float(np.exp(-alpha @ potential.gradient(x)))
+    def jet(s: Stack) -> Jet:
+        e = np.exp(-(s.grad @ alpha))
+        galpha = s.G @ alpha
+        dgalpha = np.einsum("mjlk,l->mjk", s.dG, alpha)
+        outer = np.einsum("mi,mj->mij", galpha, galpha)
+        return e, -galpha * e[:, None], (outer - dgalpha) * e[:, None, None]
 
-    def grad(x):
-        galpha = potential.hessian(x) @ alpha
-        return -galpha * value(x)
-
-    def hess(x):
-        galpha = potential.hessian(x) @ alpha
-        dgalpha = np.einsum("jlk,l->jk", potential.hessian_derivative(x), alpha)
-        return (np.outer(galpha, galpha) - dgalpha) * value(x)
-
-    return EquivariantFunction(mode=mode, value=value, grad=grad, hess=hess)
+    return batched_profile(mode, jet, potential)
 
 
 @dataclass(frozen=True)
@@ -133,92 +191,117 @@ class OperatorContext:
         if not same:
             raise MalformedInputError("potential and context polytopes disagree")
 
-    def require_interior(self, x) -> np.ndarray:
-        return self.potential.require_interior(x)
+    def stack(self, grid: np.ndarray | Stack) -> Stack:
+        """The potential's stack on a grid; a stack passes through unchanged."""
+        return grid if isinstance(grid, Stack) else self.potential.stack(grid)
 
 
-def _divergence_term(ctx: OperatorContext, f: EquivariantFunction, x: np.ndarray) -> float:
-    """sum_ij d_i(H_ij d_j u) = sum_j (sum_i dH[i,j,i]) d_j u + sum_ij H_ij d_i d_j u."""
-    h = ctx.potential.inv_hessian(x)
-    dh = ctx.potential.inv_hessian_derivative(x)
-    du = f.grad(x)
-    d2u = f.hess(x)
-    return float(np.einsum("iji->j", dh) @ du + np.sum(h * d2u))
+def _point(ctx: OperatorContext, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (ctx.polytope.dim,):
+        raise MalformedInputError(f"point has shape {x.shape}, expected ({ctx.polytope.dim},)")
+    return x
 
 
-def apply_laplacian(ctx: OperatorContext, f: EquivariantFunction, x) -> complex:
-    """Plain Laplacian on the mode: -div(H grad u) + (k^T G k) u."""
-    x = ctx.require_interior(x)
+def _point_stack(ctx: OperatorContext, x) -> Stack:
+    return ctx.potential.stack(_point(ctx, x))
+
+
+# -- batched operators ---------------------------------------------------------
+
+
+def laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> np.ndarray:
+    """Plain Laplacian on the mode, -div(H grad u) + (k^T G k) u, on every stack point."""
+    u, du, d2u = f.jet(s)
     k = f.mode_array
-    result = -_divergence_term(ctx, f, x)
-    if k.any():
-        g = ctx.potential.hessian(x)
-        result += float(k @ g @ k) * f.value(x)
-    return complex(result)
+    # sum_ij d_i(H_ij d_j u) = sum_j (sum_i dH[i,j,i]) d_j u + sum_ij H_ij d_i d_j u
+    divergence = np.einsum("miji,mj->m", s.dH, du) + np.einsum("mij,mij->m", s.H, d2u)
+    return -divergence + np.einsum("i,mij,j->m", k, s.G, k) * u
 
 
-def apply_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, x) -> complex:
+def weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> np.ndarray:
     """Weighted Laplacian: plain plus the moment-image drift -2 a^T H grad u."""
-    x = ctx.require_interior(x)
-    h = ctx.potential.inv_hessian(x)
-    drift = -2.0 * float(ctx.a @ h @ f.grad(x))
-    return apply_laplacian(ctx, f, x) + drift
+    drift = -2.0 * np.einsum("i,mij,mj->m", ctx.a, s.H, f.jet(s)[1])
+    return laplacian(ctx, f, s) + drift
 
 
-def apply_complex_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, x, orientation: int = 1) -> complex:
-    """Complex weighted Laplacian; orientation -1 realizes the conjugate structure.
+def complex_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack,
+                               orientation: int = 1) -> np.ndarray:
+    """Complex weighted Laplacian (real part); orientation -1 realizes the conjugate structure.
 
     On mode k the angular sector contributes
     (k^T G k - 2 orientation <a, k>) u in total.
     """
     if orientation not in (1, -1):
         raise MalformedInputError(f"orientation must be +1 or -1, got {orientation}")
-    x = ctx.require_interior(x)
-    k = f.mode_array
-    result = apply_weighted_laplacian(ctx, f, x)
-    if k.any():
-        result += -2.0 * orientation * float(ctx.a @ k) * f.value(x)
-    return result
+    shift = -2.0 * orientation * float(ctx.a @ f.mode_array)
+    return weighted_laplacian(ctx, f, s) + shift * f.jet(s)[0]
+
+
+def product_rule_defects(ctx: OperatorContext, u: EquivariantFunction, v: EquivariantFunction,
+                         s: Stack) -> np.ndarray:
+    """Delta(uv) - v Delta u - u Delta v + 2 grad u^T H grad v for torus-invariant profiles."""
+    fu, du, _ = u.jet(s)
+    fv, dv, _ = v.jet(s)
+    lhs = weighted_laplacian(ctx, profile_product(u, v), s)
+    rhs = (
+        fv * weighted_laplacian(ctx, u, s)
+        + fu * weighted_laplacian(ctx, v, s)
+        - 2.0 * np.einsum("mi,mij,mj->m", du, s.H, dv)
+    )
+    return lhs - rhs
+
+
+def scalar_curvature(s: Stack) -> np.ndarray:
+    """Abreu scalar curvature -sum_ij d^2 H_ij / dx_i dx_j on every stack point."""
+    return -np.einsum("mijij->m", s.d2H)
+
+
+def soliton_residuals(ctx: OperatorContext, s: Stack, scal_mean: float) -> np.ndarray:
+    """Defect Scal(x) - scal_mean + 2 Delta^g <x, a> of the soliton equation on every stack point."""
+    laplacian_linear = -(np.einsum("miji->mj", s.dH) @ ctx.a)
+    return scalar_curvature(s) - scal_mean + 2.0 * laplacian_linear
+
+
+# -- pointwise entry points ------------------------------------------------------
+
+
+def apply_laplacian(ctx: OperatorContext, f: EquivariantFunction, x) -> complex:
+    """Plain Laplacian on the mode at one point."""
+    return complex(laplacian(ctx, f, _point_stack(ctx, x))[0])
+
+
+def apply_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, x) -> complex:
+    """Weighted Laplacian at one point."""
+    return complex(weighted_laplacian(ctx, f, _point_stack(ctx, x))[0])
+
+
+def apply_complex_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, x, orientation: int = 1) -> complex:
+    """Complex weighted Laplacian at one point."""
+    return complex(complex_weighted_laplacian(ctx, f, _point_stack(ctx, x), orientation)[0])
 
 
 def product_rule_check(ctx: OperatorContext, u: EquivariantFunction, v: EquivariantFunction, x) -> float:
-    """Defect of the weighted product rule for torus-invariant profiles.
-
-    Returns Delta(uv) - v Delta u - u Delta v + 2 grad u^T H grad v,
-    which vanishes identically.
-    """
-    x = ctx.require_interior(x)
-    product = profile_product(u, v)
-    h = ctx.potential.inv_hessian(x)
-    lhs = apply_weighted_laplacian(ctx, product, x)
-    rhs = (
-        v.value(x) * apply_weighted_laplacian(ctx, u, x)
-        + u.value(x) * apply_weighted_laplacian(ctx, v, x)
-        - 2.0 * float(u.grad(x) @ h @ v.grad(x))
-    )
-    return float((lhs - rhs).real)
+    """Defect of the weighted product rule at one point; it vanishes identically."""
+    return float(product_rule_defects(ctx, u, v, _point_stack(ctx, x))[0])
 
 
 def gradients(ctx: OperatorContext, f: EquivariantFunction, x) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Riemannian and symplectic gradients as (x-components, t-components)."""
-    x = ctx.require_interior(x)
+    s = _point_stack(ctx, x)
     k = f.mode_array
-    du = f.grad(x)
-    u = f.value(x)
-    h = ctx.potential.inv_hessian(x)
-    g = ctx.potential.hessian(x)
+    u, du, _ = (part[0] for part in f.jet(s))
     dt = 1j * k * u  # angular derivatives with the phase factor set to one
     return {
-        "riemannian": (h @ du, g @ dt),
+        "riemannian": (s.H[0] @ du, s.G[0] @ dt),
         "symplectic": (-dt, du.astype(complex)),
     }
 
 
-def abreu_scalar_curvature(ctx: OperatorContext, x) -> float:
-    """Scalar curvature -sum_ij d^2 H_ij / dx_i dx_j."""
-    x = ctx.require_interior(x)
-    d2h = ctx.potential.inv_hessian_second(x)
-    return float(-np.einsum("ijij->", d2h))
+def abreu_scalar_curvature(ctx: OperatorContext, x):
+    """Scalar curvature at one point, or an (m,) array at the rows of an (m, n) array."""
+    values = scalar_curvature(ctx.potential.stack(x))
+    return float(values[0]) if np.ndim(x) == 1 else values
 
 
 def ricci_and_lie_components(ctx: OperatorContext, x) -> tuple[np.ndarray, np.ndarray]:
@@ -228,20 +311,15 @@ def ricci_and_lie_components(ctx: OperatorContext, x) -> tuple[np.ndarray, np.nd
     the moment-image drift covector (-a), which makes the soliton identity
     Ric - Lie = identity hold with the fan-side vector stored in the context.
     """
-    x = ctx.require_interior(x)
-    dh = ctx.potential.inv_hessian_derivative(x)
-    d2h = ctx.potential.inv_hessian_second(x)
-    ric = -0.5 * np.einsum("liik->kl", d2h)
-    lie = np.einsum("i,ilk->kl", ctx.a, dh)
+    s = _point_stack(ctx, x)
+    ric = -0.5 * np.einsum("liik->kl", s.d2H[0])
+    lie = np.einsum("i,ilk->kl", ctx.a, s.dH[0])
     return ric, lie
 
 
 def soliton_residual(ctx: OperatorContext, x, scal_mean: float) -> float:
     """Pointwise defect Scal(x) - scal_mean + 2 Delta^g <x, a> of the soliton equation."""
-    x = ctx.require_interior(x)
-    dh = ctx.potential.inv_hessian_derivative(x)
-    laplacian_linear = -float(np.einsum("iji->j", dh) @ ctx.a)
-    return abreu_scalar_curvature(ctx, x) - scal_mean + 2.0 * laplacian_linear
+    return float(soliton_residuals(ctx, _point_stack(ctx, x), scal_mean)[0])
 
 
 # -- finite-difference oracle ------------------------------------------------
@@ -281,9 +359,13 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, op
     Independent of the analytic derivative stack: the metric comes from
     nested central differences of phi, the profile derivatives from central
     differences of u.  Supported operators: ``laplacian``, ``weighted``,
-    ``complex+``, ``complex-``, ``abreu`` (which ignores f).
+    ``complex+``, ``complex-``, ``abreu`` (which ignores f).  The potential
+    must have closed-form values (the convex-function side).
     """
-    x = ctx.require_interior(np.asarray(x, dtype=float))
+    if not isinstance(ctx.potential, PhiSidePotential):
+        raise MalformedInputError("the finite-difference oracle needs a potential with closed-form values")
+    x = _point(ctx, x)
+    ctx.potential.require_interior(x[None])
     n = len(x)
 
     if operator == "abreu":

@@ -45,7 +45,7 @@ class Facet:
     offset: Fraction
 
     def __post_init__(self) -> None:
-        if not self.normal or any(not isinstance(c, int) for c in self.normal):
+        if not self.normal or any(isinstance(c, bool) or not isinstance(c, int) for c in self.normal):
             raise MalformedInputError(f"facet normal must be an integer vector, got {self.normal!r}")
         if all(c == 0 for c in self.normal):
             raise MalformedInputError("facet normal must be nonzero")
@@ -93,6 +93,8 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise MalformedInputError(f"offset must be finite, got {value!r}")
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -153,7 +155,7 @@ class DelzantPolytope:
     """
 
     def __init__(self, dim: int, facets: Iterable[Facet]):
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise MalformedInputError(f"dim must be a positive integer, got {dim!r}")
         facets = tuple(facets)
         if len(facets) <= dim:
@@ -337,7 +339,7 @@ def parse_polytope(source: str | bytes | dict) -> DelzantPolytope:
     if not isinstance(doc, dict) or "dim" not in doc or "facets" not in doc:
         raise MalformedInputError("document must be an object with 'dim' and 'facets'")
     dim = doc["dim"]
-    if not isinstance(dim, int):
+    if isinstance(dim, bool) or not isinstance(dim, int):
         raise MalformedInputError(f"'dim' must be an integer, got {dim!r}")
     raw_facets = doc["facets"]
     if not isinstance(raw_facets, list) or not raw_facets:

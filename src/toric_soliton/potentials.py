@@ -1,36 +1,78 @@
 """Symplectic potentials and their derivative stacks.
 
 Every differential operator in this package consumes a potential only
-through one verification surface: the gradient, the Hessian ``G``, its
-inverse ``H``, and the first and second derivatives of ``H``.  Two
-families implement it:
+through one evaluation surface, the :class:`Stack`: on a batch of ``m``
+interior points it holds the gradient, the Hessian ``G``, its inverse
+``H``, ``dG``, ``dH`` and ``d2H`` as arrays with a leading batch axis.
+:meth:`SymplecticPotential.stack` runs one interior check and one batched
+2x2 inverse per batch.  The scalar methods (``gradient``, ``hessian``,
+``inv_hessian`` ...) are batch-of-one views of the same stack, so each
+formula exists once.  Two families implement it:
 
 * potentials given on the convex-function side (Guillemin, smooth
-  perturbations, quadratic models) supply ``G`` and its derivatives
-  analytically and derive the ``H`` stack by matrix calculus;
+  perturbations, quadratic models) supply the gradient, ``G`` and its
+  derivatives analytically and derive the ``H`` stack by matrix calculus;
+  they also expose the value ``phi`` itself, which only the
+  finite-difference oracle reads;
 * metrics given on the inverse side (the one-point blow-up family in
-  :mod:`toric_soliton.calabi`) supply ``H`` analytically and recover the
-  gradient by a line integral of ``G``, with the gauge fixed to zero at a
-  chosen interior base point.  The gauge shifts affine data only and is
-  harmless to every verification performed here.
+  :mod:`toric_soliton.calabi`) supply the gradient, ``H`` and its
+  derivatives analytically and derive the ``G`` stack.
 
-Index conventions: ``dG[i, j, k] = d G_ij / d x_k`` and
-``d2H[i, j, k, l] = d^2 H_ij / d x_k d x_l``.
+:func:`gradient_by_line_integral` recovers a gradient from the Hessian
+field alone; it is kept as the independent oracle for closed-form
+gradients.
+
+Index conventions, after the batch axis: ``dG[i, j, k] = d G_ij / d x_k``
+and ``d2H[i, j, k, l] = d^2 H_ij / d x_k d x_l``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .errors import BoundaryEvaluationError, LossOfConvexityError
+from .errors import (
+    BoundaryEvaluationError,
+    LossOfConvexityError,
+    MalformedInputError,
+    UnsupportedDimensionError,
+)
 from .polytope import DelzantPolytope
 
 #: points with any facet value at or below this are treated as boundary
 BOUNDARY_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class Stack:
+    """Derivative stack of a potential on a batch of m interior points."""
+
+    points: np.ndarray  # (m, n)
+    grad: np.ndarray  # (m, n)
+    G: np.ndarray  # (m, n, n)
+    H: np.ndarray  # (m, n, n)
+    dG: np.ndarray  # (m, n, n, n)
+    dH: np.ndarray  # (m, n, n, n)
+    d2H: np.ndarray  # (m, n, n, n, n)
+
+    def select(self, index) -> "Stack":
+        """The stack on a subset of its points (any numpy index of the batch axis)."""
+        return Stack(*(getattr(self, f.name)[index] for f in fields(self)))
+
+
+def _inverse_2x2(m: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of a batch of 2x2 matrices, shape (m, 2, 2)."""
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    adjugate = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+    return adjugate / (a * d - b * c)[:, None, None]
+
+
+def _congruence_derivative(inverse: np.ndarray, d_matrix: np.ndarray) -> np.ndarray:
+    """d(M^-1) = -M^-1 dM M^-1 over the batch."""
+    return -np.einsum("mia,mabk,mbj->mijk", inverse, d_matrix, inverse)
 
 
 class SymplecticPotential(ABC):
@@ -38,59 +80,80 @@ class SymplecticPotential(ABC):
 
     polytope: DelzantPolytope
 
-    def require_interior(self, x: np.ndarray) -> np.ndarray:
+    def require_interior(self, points: np.ndarray) -> np.ndarray:
+        """Facet values (m, d) of a batch of points, all of which must be interior."""
+        values = self.polytope.facet_values_many(points)
+        lowest = values.min(axis=1)
+        worst = int(np.argmin(lowest))
+        if not lowest[worst] > BOUNDARY_TOL:
+            raise BoundaryEvaluationError(
+                f"point {tuple(points[worst].tolist())} is not interior (min facet value {lowest[worst]:.3e})"
+            )
+        return values
+
+    def stack(self, points) -> Stack:
+        """The derivative stack on an (m, n) batch of interior points; a single point is a batch of one."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim == 1:
+            points = points[None]
+        if points.ndim != 2 or points.shape[1] != self.polytope.dim:
+            raise MalformedInputError(f"points have shape {points.shape}, expected (m, {self.polytope.dim})")
+        if self.polytope.dim != 2:
+            raise UnsupportedDimensionError(f"derivative stacks are implemented for dim 2 only, got dim {self.polytope.dim}")
+        return self._stack(points, self.require_interior(points))
+
+    @abstractmethod
+    def _stack(self, points: np.ndarray, facet_values: np.ndarray) -> Stack: ...
+
+    def _point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        values = self.polytope.facet_values(x)
-        if float(values.min()) <= BOUNDARY_TOL:
-            raise BoundaryEvaluationError(f"point {tuple(x)} is not interior (min facet value {values.min():.3e})")
+        if x.shape != (self.polytope.dim,):
+            raise MalformedInputError(f"point has shape {x.shape}, expected ({self.polytope.dim},)")
         return x
 
-    @abstractmethod
-    def value(self, x) -> float: ...
+    def _at(self, x) -> Stack:
+        return self.stack(self._point(x))
 
-    @abstractmethod
-    def gradient(self, x) -> np.ndarray: ...
+    def gradient(self, x) -> np.ndarray:
+        return self._at(x).grad[0]
 
-    @abstractmethod
-    def hessian(self, x) -> np.ndarray: ...
+    def hessian(self, x) -> np.ndarray:
+        return self._at(x).G[0]
 
-    @abstractmethod
-    def hessian_derivative(self, x) -> np.ndarray: ...
+    def hessian_derivative(self, x) -> np.ndarray:
+        return self._at(x).dG[0]
 
-    @abstractmethod
-    def inv_hessian(self, x) -> np.ndarray: ...
+    def inv_hessian(self, x) -> np.ndarray:
+        return self._at(x).H[0]
 
-    @abstractmethod
-    def inv_hessian_derivative(self, x) -> np.ndarray: ...
+    def inv_hessian_derivative(self, x) -> np.ndarray:
+        return self._at(x).dH[0]
 
-    @abstractmethod
-    def inv_hessian_second(self, x) -> np.ndarray: ...
+    def inv_hessian_second(self, x) -> np.ndarray:
+        return self._at(x).d2H[0]
 
 
 class PhiSidePotential(SymplecticPotential):
-    """Stack driven by analytic G, dG, d2G; the H side is derived."""
+    """Stack driven by analytic grad, G, dG, d2G; the H side is derived."""
 
     @abstractmethod
-    def hessian_second(self, x) -> np.ndarray:
-        """Second derivatives of G entries, shape (n, n, n, n)."""
+    def value(self, x) -> float:
+        """phi at one interior point."""
 
-    def inv_hessian(self, x) -> np.ndarray:
-        return np.linalg.inv(self.hessian(x))
+    @abstractmethod
+    def _phi_derivatives(self, points: np.ndarray, facet_values: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(grad, G, dG, d2G) on the batch, shapes (m, n) ... (m, n, n, n, n)."""
 
-    def inv_hessian_derivative(self, x) -> np.ndarray:
-        h = self.inv_hessian(x)
-        dg = self.hessian_derivative(x)
-        return -np.einsum("ia,abk,bj->ijk", h, dg, h)
-
-    def inv_hessian_second(self, x) -> np.ndarray:
-        h = self.inv_hessian(x)
-        dg = self.hessian_derivative(x)
-        d2g = self.hessian_second(x)
-        dh = -np.einsum("ia,abk,bj->ijk", h, dg, h)
-        term1 = np.einsum("ial,abk,bj->ijkl", dh, dg, h)
-        term2 = np.einsum("ia,abkl,bj->ijkl", h, d2g, h)
-        term3 = np.einsum("ia,abk,bjl->ijkl", h, dg, dh)
-        return -(term1 + term2 + term3)
+    def _stack(self, points: np.ndarray, facet_values: np.ndarray) -> Stack:
+        grad, g, dg, d2g = self._phi_derivatives(points, facet_values)
+        h = _inverse_2x2(g)
+        dh = _congruence_derivative(h, dg)
+        d2h = -(
+            np.einsum("mial,mabk,mbj->mijkl", dh, dg, h)
+            + np.einsum("mia,mabkl,mbj->mijkl", h, d2g, h)
+            + np.einsum("mia,mabk,mbjl->mijkl", h, dg, dh)
+        )
+        return Stack(points, grad, g, h, dg, dh, d2h)
 
 
 class GuilleminPotential(PhiSidePotential):
@@ -100,29 +163,17 @@ class GuilleminPotential(PhiSidePotential):
         self.polytope = polytope
         self._normals = polytope.normal_matrix  # (d, n)
 
-    def _facet_values(self, x: np.ndarray) -> np.ndarray:
-        x = self.require_interior(x)
-        return self.polytope.facet_values(x)
-
     def value(self, x) -> float:
-        ell = self._facet_values(x)
+        ell = self.require_interior(self._point(x)[None])[0]
         return 0.5 * float(np.sum(ell * np.log(ell)))
 
-    def gradient(self, x) -> np.ndarray:
-        ell = self._facet_values(x)
-        return 0.5 * ((1.0 + np.log(ell)) @ self._normals)
-
-    def hessian(self, x) -> np.ndarray:
-        ell = self._facet_values(x)
-        return 0.5 * np.einsum("ri,rj,r->ij", self._normals, self._normals, 1.0 / ell)
-
-    def hessian_derivative(self, x) -> np.ndarray:
-        ell = self._facet_values(x)
-        return -0.5 * np.einsum("ri,rj,rk,r->ijk", self._normals, self._normals, self._normals, ell**-2)
-
-    def hessian_second(self, x) -> np.ndarray:
-        ell = self._facet_values(x)
-        return np.einsum("ri,rj,rk,rl,r->ijkl", self._normals, self._normals, self._normals, self._normals, ell**-3)
+    def _phi_derivatives(self, points, ell):
+        nu = self._normals
+        grad = 0.5 * ((1.0 + np.log(ell)) @ nu)
+        g = 0.5 * np.einsum("ri,rj,mr->mij", nu, nu, 1.0 / ell)
+        dg = -0.5 * np.einsum("ri,rj,rk,mr->mijk", nu, nu, nu, ell**-2)
+        d2g = np.einsum("ri,rj,rk,rl,mr->mijkl", nu, nu, nu, nu, ell**-3)
+        return grad, g, dg, d2g
 
 
 def _zeros_third(x: np.ndarray) -> np.ndarray:
@@ -137,7 +188,10 @@ def _zeros_fourth(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothField:
-    """Smooth scalar field with derivatives, restriction of a function smooth near P."""
+    """Smooth scalar field with derivatives, restriction of a function smooth near P.
+
+    The callables take one point; a perturbed stack evaluates them point by point.
+    """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -173,30 +227,24 @@ class PerturbedPotential(PhiSidePotential):
         self.polytope = base.polytope
         self.base = base
         self.h = h
-        for pt in self.polytope.interior_grid(convexity_samples, margin_fraction=0.05):
-            g = base.hessian(pt) + h.hessian(np.asarray(pt))
-            if np.linalg.eigvalsh(g)[0] <= 0.0:
-                raise LossOfConvexityError(f"perturbed Hessian not positive definite at {tuple(pt)}")
+        samples = self.polytope.interior_grid(convexity_samples, margin_fraction=0.05)
+        _, g, _, _ = self._phi_derivatives(samples, self.require_interior(samples))
+        lowest = np.linalg.eigvalsh(g)[:, 0]
+        if np.any(lowest <= 0.0):
+            bad = samples[int(np.argmax(lowest <= 0.0))]
+            raise LossOfConvexityError(f"perturbed Hessian not positive definite at {tuple(bad)}")
 
     def value(self, x) -> float:
-        x = self.require_interior(x)
+        x = self._point(x)
         return self.base.value(x) + float(self.h.value(x))
 
-    def gradient(self, x) -> np.ndarray:
-        x = self.require_interior(x)
-        return self.base.gradient(x) + np.asarray(self.h.gradient(x), dtype=float)
-
-    def hessian(self, x) -> np.ndarray:
-        x = self.require_interior(x)
-        return self.base.hessian(x) + np.asarray(self.h.hessian(x), dtype=float)
-
-    def hessian_derivative(self, x) -> np.ndarray:
-        x = self.require_interior(x)
-        return self.base.hessian_derivative(x) + np.asarray(self.h.third(x), dtype=float)
-
-    def hessian_second(self, x) -> np.ndarray:
-        x = self.require_interior(x)
-        return self.base.hessian_second(x) + np.asarray(self.h.fourth(x), dtype=float)
+    def _phi_derivatives(self, points, facet_values):
+        base = self.base._phi_derivatives(points, facet_values)
+        field = (self.h.gradient, self.h.hessian, self.h.third, self.h.fourth)
+        return tuple(
+            b + np.array([np.asarray(f(x), dtype=float) for x in points])
+            for b, f in zip(base, field)
+        )
 
 
 class QuadraticPotential(PhiSidePotential):
@@ -211,76 +259,31 @@ class QuadraticPotential(PhiSidePotential):
         self._matrix = 0.5 * (m + m.T)
 
     def value(self, x) -> float:
-        x = self.require_interior(x)
+        x = self._point(x)
+        self.require_interior(x[None])
         return 0.5 * float(x @ self._matrix @ x)
 
-    def gradient(self, x) -> np.ndarray:
-        x = self.require_interior(x)
-        return self._matrix @ x
-
-    def hessian(self, x) -> np.ndarray:
-        self.require_interior(x)
-        return self._matrix.copy()
-
-    def hessian_derivative(self, x) -> np.ndarray:
-        self.require_interior(x)
-        n = self.polytope.dim
-        return np.zeros((n, n, n))
-
-    def hessian_second(self, x) -> np.ndarray:
-        self.require_interior(x)
-        n = self.polytope.dim
-        return np.zeros((n, n, n, n))
+    def _phi_derivatives(self, points, facet_values):
+        m, n = points.shape
+        return (
+            points @ self._matrix,
+            np.broadcast_to(self._matrix, (m, n, n)).copy(),
+            np.zeros((m, n, n, n)),
+            np.zeros((m, n, n, n, n)),
+        )
 
 
 class HSidePotential(SymplecticPotential):
-    """Stack driven by analytic H, dH, d2H; gradient recovered by line integral."""
-
-    #: base point for the gradient gauge; subclasses set it to an interior point
-    base_point: np.ndarray
+    """Stack driven by analytic grad, H, dH, d2H; the G side is derived."""
 
     @abstractmethod
-    def inv_hessian(self, x) -> np.ndarray: ...
+    def _h_derivatives(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(grad, H, dH, d2H) on the batch, shapes (m, n) ... (m, n, n, n, n)."""
 
-    @abstractmethod
-    def inv_hessian_derivative(self, x) -> np.ndarray: ...
-
-    @abstractmethod
-    def inv_hessian_second(self, x) -> np.ndarray: ...
-
-    def hessian(self, x) -> np.ndarray:
-        return np.linalg.inv(self.inv_hessian(x))
-
-    def hessian_derivative(self, x) -> np.ndarray:
-        g = self.hessian(x)
-        dh = self.inv_hessian_derivative(x)
-        return -np.einsum("ia,abk,bj->ijk", g, dh, g)
-
-    def __init_cache(self) -> dict:
-        cache = getattr(self, "_gradient_cache", None)
-        if cache is None:
-            cache = {}
-            self._gradient_cache = cache
-        return cache
-
-    def gradient(self, x) -> np.ndarray:
-        x = self.require_interior(x)
-        cache = self.__init_cache()
-        key = x.tobytes()
-        if key not in cache:
-            cache[key] = gradient_by_line_integral(self.hessian, x, self.base_point, polytope=self.polytope)
-        return cache[key].copy()
-
-    def value(self, x) -> float:
-        # Gauge phi(base) = 0; nested line integral of the recovered gradient.
-        x = self.require_interior(x)
-        x0 = np.asarray(self.base_point, dtype=float)
-        direction = x - x0
-
-        def directional(s: float) -> float:
-            return float(self.gradient(x0 + s * direction) @ direction)
-
-        return _adaptive_scalar_integral(directional)
+    def _stack(self, points: np.ndarray, facet_values: np.ndarray) -> Stack:
+        grad, h, dh, d2h = self._h_derivatives(points)
+        g = _inverse_2x2(h)
+        return Stack(points, grad, g, h, _congruence_derivative(g, dh), dh, d2h)
 
 
 def _gauss_panels(fun: Callable[[np.ndarray], np.ndarray], panels: int, nodes: int = 16):
@@ -294,16 +297,6 @@ def _gauss_panels(fun: Callable[[np.ndarray], np.ndarray], panels: int, nodes: i
             contribution = (wi * half) * np.asarray(fun(mid + half * xi))
             total = contribution if total is None else total + contribution
     return total
-
-
-def _adaptive_scalar_integral(fun: Callable[[float], float], rtol: float = 1e-12) -> float:
-    previous = _gauss_panels(lambda s: np.array([fun(float(s))]), 1)
-    for level in range(1, 8):
-        current = _gauss_panels(lambda s: np.array([fun(float(s))]), 2**level)
-        if np.max(np.abs(current - previous)) <= rtol * (1.0 + np.max(np.abs(current))):
-            return float(current[0])
-        previous = current
-    return float(previous[0])
 
 
 def gradient_by_line_integral(

@@ -111,22 +111,12 @@ def triangulate(p: DelzantPolytope) -> Triangulation:
     return tiling
 
 
-def _evaluate_field(f: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar field on (m, 2) points, vectorized when possible."""
-    try:
-        out = np.asarray(f(pts), dtype=float)
-        if out.shape == (len(pts),):
-            return out
-    except Exception:
-        pass
-    return np.array([float(f(pt)) for pt in pts])
-
-
 def integrate(p: DelzantPolytope, f: Callable, order: int = 10) -> float:
     """Integrate a smooth scalar field over the polytope.
 
     Exact for polynomials of total degree up to ``order`` on each triangle.
-    ``f`` may accept an (m, 2) array of points or a single point.
+    ``f`` is called once per triangle with the (m, 2) array of its nodes
+    and returns m values, or one value that holds at every node.
     """
     tiling = triangulate(p)
     rule = reference_rule(order)
@@ -134,7 +124,8 @@ def integrate(p: DelzantPolytope, f: Callable, order: int = 10) -> float:
     for tri in tiling.simplices:
         pts = rule.barycentric @ tri
         jac = 2.0 * _triangle_area(tri)
-        total += jac * float(np.dot(rule.weights, _evaluate_field(f, pts)))
+        values = np.broadcast_to(np.asarray(f(pts), dtype=float), (len(pts),))
+        total += jac * float(np.dot(rule.weights, values))
     return total
 
 

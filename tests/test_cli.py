@@ -95,6 +95,44 @@ def test_verify_blowup_guillemin_fails(capsys):
     assert "soliton_pde_max_residual" in failed
 
 
+def test_verify_bl3_without_roots(capsys):
+    # Bl3P2 has no Demazure roots; the FD oracle runs on the coordinate profile x_1
+    code, out = run(capsys, "verify", str(DATA / "bl3.json"), "--format", "json")
+    assert code == 4
+    report = json.loads(out)
+    assert report["roots"] == []
+    assert report["first_failed"] == "affine_eigenfunctions_max_rel_residual"
+    oracle = [c for c in report["checks"] if c["name"].startswith("fd_oracle_")]
+    assert [c["name"] for c in oracle] == ["fd_oracle_weighted_rel", "fd_oracle_abreu_rel"]
+    assert all(c["passed"] for c in oracle)
+
+
+CP2_TEXT = (DATA / "cp2.json").read_text()
+
+
+@pytest.mark.parametrize("argv, document, needle", [
+    (("verify", "--grid", "1"), CP2_TEXT, "grid 1 "),
+    (("verify", "--grid", "2"), CP2_TEXT, "grid 2 "),
+    (("verify", "--margin", "0.9"), CP2_TEXT, "margin 0.9 "),
+    (("soliton", "--order", "0"), CP2_TEXT, "--order must be at least 1, got 0"),
+    (("verify", "--order", "0"), CP2_TEXT, "--order must be at least 1, got 0"),
+    (("decompose", "--order", "0"), CP2_TEXT, "--order must be at least 1, got 0"),
+    (("soliton",), CP2_TEXT.replace('"offset": 1}', '"offset": NaN}', 1), "got nan"),
+    (("soliton",), CP2_TEXT.replace('"offset": 1}', '"offset": Infinity}', 1), "got inf"),
+    (("soliton",), CP2_TEXT.replace('"dim": 2', '"dim": true'), "got True"),
+], ids=["grid-1", "grid-2", "margin-0.9", "soliton-order-0", "verify-order-0", "decompose-order-0",
+        "offset-nan", "offset-infinity", "dim-true"])
+def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, document, needle):
+    path = tmp_path / "polytope.json"
+    path.write_text(document)
+    command, *flags = argv
+    code = main([command, str(path), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert needle in err
+
+
 def test_calabi_requires_blowup_polytope(capsys):
     code, _ = run(capsys, "verify", str(DATA / "cp2.json"), "--potential", "calabi")
     assert code == 2
@@ -183,6 +221,8 @@ def first_difference(actual, expected, abs_tol: float, path: str = "$") -> str |
     ("blowup_roots", ("roots", "blowup.json")),
     ("cp2_decompose", ("decompose", "cp2.json")),
     ("blowup_decompose", ("decompose", "blowup.json", "--potential", "calabi")),
+    ("cp2_verify", ("verify", "cp2.json")),
+    ("blowup_calabi_verify", ("verify", "blowup.json", "--potential", "calabi")),
 ])
 def test_golden_reports(capsys, name, argv):
     command, data, *extra = argv

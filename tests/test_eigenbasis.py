@@ -285,6 +285,21 @@ def test_decomposition_independent_of_round_off_in_a(example, shift, cp2_ctx, cp
     assert perturbed.gamma_values == pytest.approx(base.gamma_values, abs=1e-12)
 
 
+@pytest.mark.parametrize("example", ["cp2", "blowup"])
+@settings(max_examples=40, deadline=None)
+@given(shift=st.lists(st.floats(min_value=-1e-14, max_value=1e-14), min_size=2, max_size=2))
+def test_mode_sign_independent_of_round_off_in_a(example, shift, cp2_ctx, cp2_roots,
+                                                 blowup_ctx, blowup_roots):
+    # for <alpha, a> = 0 both mode signs are eigenfunctions and their fitted
+    # eigenvalues differ only by noise; the choice may not follow its sign
+    ctx, rootset = {"cp2": (cp2_ctx, cp2_roots), "blowup": (blowup_ctx, blowup_roots)}[example]
+    grid = ctx.potential.stack(ctx.polytope.interior_grid(15, 0.05))
+    shifted = dataclasses.replace(ctx, a=ctx.a + np.array(shift))
+    for root in rootset.roots:
+        assert select_mode_sign(shifted, root, grid).mode_sign == 1
+        assert select_mode_sign(ctx, root, grid).mode_sign == 1
+
+
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_affine_block_eigenvalue_two(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
