@@ -51,7 +51,7 @@ def _check_arguments(args: argparse.Namespace) -> None:
     """Reject flag values the pipeline cannot use, naming the value."""
     if getattr(args, "order", 1) < 1:
         raise MalformedInputError(f"--order must be at least 1, got {args.order}")
-    if args.command in ("verify", "calabi") and args.grid < 1:
+    if args.command in ("verify", "decompose", "calabi") and args.grid < 1:
         raise MalformedInputError(f"--grid must be at least 1, got {args.grid}")
 
 

@@ -2,10 +2,13 @@
 
 A polytope is stored by its facet data ``{x : <nu_r, x> + lambda_r >= 0}``
 with primitive integer normals ``nu_r`` and rational offsets ``lambda_r``.
-Offsets are kept as exact ``Fraction`` values so that vertices, the
-privileged center and the algebraic normalization are exact for lattice
-examples; floats appear only at the analysis boundary (quadrature, metric
-evaluation, reports).
+Offsets are kept as exact ``Fraction`` values, and validation is exact
+integer and rational geometry in dimension one or two: boundedness from
+the recession cone, the interior from the pairwise facet intersections,
+and vertices, the privileged center and the algebraic normalization from
+exact solves.  Floats appear only at the analysis boundary (quadrature,
+metric evaluation, reports), so an offset or vertex coordinate outside
+the float range is rejected at construction.
 """
 
 from __future__ import annotations
@@ -14,11 +17,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import (
     DegenerateVertexError,
@@ -28,9 +31,10 @@ from .errors import (
     NotFanoError,
     RedundantFacetError,
     UnboundedPolytopeError,
+    UnsupportedDimensionError,
 )
 
-#: tolerance used when deciding whether a facet is active at a point
+#: tolerance of :meth:`DelzantPolytope.contains` on float points
 ACTIVE_TOL = 1e-9
 
 #: tolerance for the privileged-center residual
@@ -104,6 +108,19 @@ def _as_fraction(value) -> Fraction:
     raise MalformedInputError(f"offset must be a number or 'p/q' string, got {value!r}")
 
 
+def _magnitude(value: Fraction) -> str:
+    """Scientific notation of a rational that may not fit in a float."""
+    return f"{Decimal(value.numerator) / Decimal(value.denominator):.3e}"
+
+
+def _to_float(value: Fraction, what: str) -> float:
+    """Float of an exact value, rejecting one beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise MalformedInputError(f"{what} (about {_magnitude(value)}) is beyond the float range") from None
+
+
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """Solve a square rational system by Gaussian elimination; None if singular."""
     n = len(rows)
@@ -123,33 +140,47 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 
 
 def _int_det(matrix: list[tuple[int, ...]]) -> int:
-    """Exact determinant of a small integer matrix (fraction-free elimination)."""
-    n = len(matrix)
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] * inv
-            rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-    assert det.denominator == 1
-    return int(det)
+    """Determinant of a 1x1 or 2x2 integer matrix."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    (a, b), (c, d) = matrix
+    return a * d - b * c
+
+
+def _recession_directions(normals: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Integer candidates for a nonzero direction of ``{v : <nu_r, v> >= 0}``.
+
+    That cone, when nonzero, has a boundary ray on some line
+    ``<nu_i, v> = 0``, so in 2-D the ``±perp(nu_i)`` suffice.
+    """
+    if len(normals[0]) == 1:
+        return [(1,), (-1,)]
+    return [(-s * b, s * a) for a, b in normals for s in (1, -1)]
+
+
+def _spans_full_dimension(points: list[tuple[Fraction, ...]]) -> bool:
+    """True when the points are not all on one point (dim 1) or line (dim 2)."""
+    base = points[0]
+    diffs = [tuple(c - b for c, b in zip(q, base)) for q in points[1:]]
+    diffs = [d for d in diffs if any(d)]
+    if not diffs or len(base) == 1:
+        return bool(diffs)
+    u = diffs[0]
+    return any(u[0] * w[1] - u[1] * w[0] != 0 for w in diffs)
 
 
 class DelzantPolytope:
-    """Bounded simple polytope with primitive integer facet normals.
+    """Bounded simple polygon (or interval) with primitive integer facet normals.
 
-    Construction validates the facet data: primitivity, boundedness,
-    nonempty interior, simplicity (exactly n facets through each vertex)
-    and non-redundancy.  Unimodularity of vertex normal bases is *not*
-    enforced here; :func:`delzant_check` reports it.
+    Construction validates the facet data exactly, in this order:
+    dimension (1 or 2; higher raises :class:`UnsupportedDimensionError`),
+    boundedness (a nonzero recession direction is rejected, even when the
+    system is also infeasible), nonempty interior (some feasible facet
+    intersection, and not all of them on one line), float range of offsets
+    and vertex coordinates, simplicity (exactly n facets through each
+    vertex) and non-redundancy.  Primitivity is checked by :class:`Facet`.
+    Unimodularity of vertex normal bases is *not* enforced here;
+    :func:`delzant_check` reports it.
 
     Instances are immutable after construction and safe to share.
     """
@@ -157,6 +188,8 @@ class DelzantPolytope:
     def __init__(self, dim: int, facets: Iterable[Facet]):
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise MalformedInputError(f"dim must be a positive integer, got {dim!r}")
+        if dim > 2:
+            raise UnsupportedDimensionError(f"polytopes of dim 1 or 2 only, got dim {dim}")
         facets = tuple(facets)
         if len(facets) <= dim:
             raise MalformedInputError(f"need more than {dim} facets, got {len(facets)}")
@@ -165,60 +198,52 @@ class DelzantPolytope:
                 raise MalformedInputError(f"facet normal {f.normal} has wrong dimension (expected {dim})")
         self.dim = dim
         self.facets = facets
-        self._normal_matrix = np.array([f.normal for f in facets], dtype=float)
-        self._offset_vector = np.array([float(f.offset) for f in facets])
-        self._check_bounded_full()
+        self._check_bounded()
         self._vertex_data = self._enumerate_vertices()
+        self._offset_vector = np.array([_to_float(f.offset, f"offset of facet {i}") for i, f in enumerate(facets)])
+        self._vertex_array = np.array([[_to_float(c, "vertex coordinate") for c in pt] for pt, _ in self._vertex_data])
+        self._normal_matrix = np.array([f.normal for f in facets], dtype=float)
+        self._check_simple()
         self._check_facets_supported()
         self._center: PrivilegedCenter | None = None
         self._center_error: NotFanoError | None = None
 
     # -- construction checks ------------------------------------------------
 
-    def _check_bounded_full(self) -> None:
-        # Constraints in linprog form: -nu_r . x <= lambda_r.
-        a_ub = -self._normal_matrix
-        b_ub = self._offset_vector
-        for i in range(self.dim):
-            for sense in (1.0, -1.0):
-                c = np.zeros(self.dim)
-                c[i] = sense
-                res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * self.dim, method="highs")
-                if res.status == 3:
-                    raise UnboundedPolytopeError(f"region unbounded in coordinate {i}")
-                if res.status == 2:
-                    raise EmptyInteriorError("facet inequalities are infeasible")
-        # Chebyshev-style LP: maximize t with nu_r . x + lambda_r >= t |nu_r|.
-        norms = np.linalg.norm(self._normal_matrix, axis=1)
-        a_cheb = np.hstack([-self._normal_matrix, norms[:, None]])
-        c = np.zeros(self.dim + 1)
-        c[-1] = -1.0
-        res = linprog(c, A_ub=a_cheb, b_ub=b_ub, bounds=[(None, None)] * self.dim + [(0, None)], method="highs")
-        if res.status != 0 or res.x[-1] <= ACTIVE_TOL:
-            raise EmptyInteriorError("polytope has empty interior")
+    def _check_bounded(self) -> None:
+        normals = [f.normal for f in self.facets]
+        for v in _recession_directions(normals):
+            if all(sum(a * b for a, b in zip(nu, v)) >= 0 for nu in normals):
+                raise UnboundedPolytopeError(f"region unbounded in direction {v}")
 
     def _enumerate_vertices(self) -> tuple[tuple[tuple[Fraction, ...], frozenset[int]], ...]:
-        # All n-subsets of facets; d is small at desk scale so the scan is cheap.
+        """Exact points where n facets meet inside the region, with their active sets.
+
+        In a bounded region these are exactly the vertices.  Raises
+        :class:`EmptyInteriorError` when there is none (infeasible) or when
+        they all lie on one point or line (empty interior).
+        """
         found: dict[tuple[Fraction, ...], frozenset[int]] = {}
         for subset in itertools.combinations(range(len(self.facets)), self.dim):
             rows = [[Fraction(c) for c in self.facets[i].normal] for i in subset]
-            rhs = [-self.facets[i].offset for i in subset]
-            point = _solve_exact(rows, rhs)
+            point = _solve_exact(rows, [-self.facets[i].offset for i in subset])
             if point is None:
                 continue
             values = [f.value(point) for f in self.facets]
-            if any(v < 0 for v in values):
-                continue
-            active = frozenset(i for i, v in enumerate(values) if v == 0)
+            if all(v >= 0 for v in values):
+                found[tuple(point)] = frozenset(i for i, v in enumerate(values) if v == 0)
+        if not found:
+            raise EmptyInteriorError("facet inequalities are infeasible")
+        if not _spans_full_dimension(list(found)):
+            raise EmptyInteriorError("polytope has empty interior")
+        return tuple(sorted(found.items()))
+
+    def _check_simple(self) -> None:
+        for (_, active), point in zip(self._vertex_data, self._vertex_array):
             if len(active) > self.dim:
                 raise DegenerateVertexError(
-                    f"{len(active)} facets meet at vertex {tuple(float(c) for c in point)}; polytope is not simple"
+                    f"{len(active)} facets meet at vertex {tuple(point.tolist())}; polytope is not simple"
                 )
-            found[tuple(point)] = active
-        if not found:
-            raise EmptyInteriorError("no vertices found")
-        ordered = sorted(found.items())
-        return tuple((pt, act) for pt, act in ordered)
 
     def _check_facets_supported(self) -> None:
         counts = [0] * len(self.facets)
@@ -234,7 +259,7 @@ class DelzantPolytope:
     @property
     def vertices(self) -> np.ndarray:
         """Vertex coordinates as a float array of shape (v, n), sorted lexicographically."""
-        return np.array([[float(c) for c in pt] for pt, _ in self._vertex_data])
+        return self._vertex_array.copy()
 
     @property
     def vertex_data(self) -> tuple[tuple[tuple[Fraction, ...], frozenset[int]], ...]:
@@ -399,20 +424,20 @@ def privileged_center(p: DelzantPolytope) -> PrivilegedCenter:
         error = NotFanoError("facet system is rank deficient; no unique center")
     else:
         point, value = tuple(solution[:n]), solution[n]
-        residual = max(abs(float(f.value(point) - value)) for f in p.facets)
+        residual = max(abs(f.value(point) - value) for f in p.facets)
         if residual > CENTER_TOL:
-            error = NotFanoError(f"no common facet value (residual {residual:.3e})")
+            error = NotFanoError(f"no common facet value (residual {_magnitude(residual)})")
         elif value <= 0:
             error = NotFanoError(f"common facet value {float(value):.6g} is not positive")
     if error is not None:
         p._center_error = error
         raise error
     center = PrivilegedCenter(
-        point=tuple(float(c) for c in point),
-        common_value=float(value),
+        point=tuple(_to_float(c, "privileged center coordinate") for c in point),
+        common_value=_to_float(value, "privileged center value"),
         exact_point=point,
         exact_value=value,
-        residual=residual,
+        residual=float(residual),
     )
     p._center = center
     return center

@@ -2,8 +2,10 @@
 
 A lattice covector ``alpha`` is a root when it pairs to exactly one with a
 single distinguished facet normal and non-positively with every other.
-Enumeration is exhaustive: each facet's feasible region is boxed by linear
-programs before the integer scan, so no root can be missed.
+Enumeration is exact and exhaustive: the lattice points of the line
+``<alpha, nu_rho> = 1`` are ``alpha_0 + k perp(nu_rho)`` for integer ``k``,
+and every other facet bounds ``k`` from one side by an exact floor or
+ceiling, so the roots of each facet are one integer interval of ``k``.
 """
 
 from __future__ import annotations
@@ -13,13 +15,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import MalformedInputError, UnboundedRootRegionError
 from .polytope import DelzantPolytope
-
-#: slack added around LP bounds before rounding to the integer box
-BOX_SLACK = 1e-7
 
 
 @dataclass(frozen=True)
@@ -55,39 +53,43 @@ class AutomorphismDimensions:
     dim_unipotent: int
 
 
-def _facet_box(p: DelzantPolytope, rho: int) -> list[tuple[int, int]]:
-    """Integer bounding box of {alpha : <alpha, nu_rho> = 1, <alpha, nu_rho'> <= 0}."""
-    n = p.dim
-    normals = p.normal_matrix
-    a_eq = normals[rho][None, :]
-    b_eq = np.array([1.0])
-    others = [i for i in range(len(p.facets)) if i != rho]
-    a_ub = normals[others]
-    b_ub = np.zeros(len(others))
-    box = []
-    for i in range(n):
-        bounds_i = []
-        for sense in (1.0, -1.0):
-            c = np.zeros(n)
-            c[i] = sense
-            res = linprog(
-                c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                bounds=[(None, None)] * n, method="highs",
-            )
-            if res.status == 3:
-                raise UnboundedRootRegionError(
-                    f"root region of facet {rho} is unbounded; normals do not positively span"
-                )
-            if res.status != 0:
-                # infeasible region: no roots for this facet
-                return []
-            bounds_i.append(res.fun if sense == 1.0 else -res.fun)
-        lo = math.ceil(bounds_i[0] - BOX_SLACK)
-        hi = math.floor(bounds_i[1] + BOX_SLACK)
-        if lo > hi:
+def _line_point(nu: tuple[int, int]) -> tuple[int, int]:
+    """An integer point alpha_0 with <alpha_0, nu> = 1, by the extended gcd."""
+    a, b = nu
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    # a = ±gcd = ±1 for a primitive normal
+    return (a * x0, a * y0)
+
+
+def _facet_roots(normals: list[tuple[int, ...]], rho: int) -> list[tuple[int, ...]]:
+    """Lattice points of {alpha : <alpha, nu_rho> = 1, <alpha, nu_r> <= 0 for r != rho}."""
+    nu = normals[rho]
+    others = [m for r, m in enumerate(normals) if r != rho]
+    if len(nu) == 1:
+        # the line is the single point nu (normals are ±1 in dimension one)
+        return [nu] if all(m[0] * nu[0] <= 0 for m in others) else []
+    base, step = _line_point(nu), (-nu[1], nu[0])
+    lo = hi = None
+    for m in others:
+        # <m, base + k step> <= 0, i.e. k * s <= -c
+        c = m[0] * base[0] + m[1] * base[1]
+        s = m[0] * step[0] + m[1] * step[1]
+        if s > 0:
+            hi = -c // s if hi is None else min(hi, -c // s)
+        elif s < 0:
+            bound = -(-c // -s)
+            lo = bound if lo is None else max(lo, bound)
+        elif c > 0:
             return []
-        box.append((lo, hi))
-    return box
+    if lo is None or hi is None:
+        raise UnboundedRootRegionError(
+            f"root region of facet {rho} is unbounded; normals do not positively span"
+        )
+    return [(base[0] + k * step[0], base[1] + k * step[1]) for k in range(lo, hi + 1)]
 
 
 def enumerate_roots(p: DelzantPolytope) -> RootSet:
@@ -101,18 +103,9 @@ def enumerate_roots(p: DelzantPolytope) -> RootSet:
         raise MalformedInputError("root enumeration requires an algebraic polytope (all offsets 1)")
     normals = [f.normal for f in p.facets]
     roots: dict[tuple[int, ...], DemazureRoot] = {}
-    for rho in range(len(p.facets)):
-        box = _facet_box(p, rho)
-        if not box:
-            continue
-        for alpha in itertools.product(*(range(lo, hi + 1) for lo, hi in box)):
+    for rho in range(len(normals)):
+        for alpha in _facet_roots(normals, rho):
             pairings = tuple(sum(a * c for a, c in zip(alpha, nu)) for nu in normals)
-            if pairings[rho] != 1:
-                continue
-            if any(v > 0 for i, v in enumerate(pairings) if i != rho):
-                continue
-            if alpha in roots:
-                raise MalformedInputError(f"root {alpha} pairs to one with two facets")
             roots[alpha] = DemazureRoot(alpha=alpha, distinguished_facet=rho, pairings=pairings)
     ordered = tuple(roots[a] for a in sorted(roots))
     return _split(ordered)
@@ -143,7 +136,7 @@ def brute_force_roots(p: DelzantPolytope, radius: int | None = None) -> list[tup
     """Independent oracle: scan the integer box [-B, B]^n against the definition.
 
     Default B = 1 + max vertex coordinate magnitude.  Used by the test
-    suite to confirm the LP-boxed enumeration misses nothing.
+    suite to confirm the exact line enumeration misses nothing.
     """
     if radius is None:
         radius = 1 + int(math.ceil(np.max(np.abs(p.vertices))))

@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,6 +110,14 @@ def test_verify_bl3_without_roots(capsys):
 
 
 CP2_TEXT = (DATA / "cp2.json").read_text()
+SIMPLEX_3D_TEXT = json.dumps({"dim": 3, "facets": [
+    {"normal": [1, 0, 0], "offset": 1}, {"normal": [0, 1, 0], "offset": 1},
+    {"normal": [0, 0, 1], "offset": 1}, {"normal": [-1, -1, -1], "offset": 1},
+]})
+
+
+def cp2_with_offsets(offset: str) -> str:
+    return CP2_TEXT.replace('"offset": 1', f'"offset": {offset}')
 
 
 @pytest.mark.parametrize("argv, document, needle", [
@@ -120,8 +130,14 @@ CP2_TEXT = (DATA / "cp2.json").read_text()
     (("soliton",), CP2_TEXT.replace('"offset": 1}', '"offset": NaN}', 1), "got nan"),
     (("soliton",), CP2_TEXT.replace('"offset": 1}', '"offset": Infinity}', 1), "got inf"),
     (("soliton",), CP2_TEXT.replace('"dim": 2', '"dim": true'), "got True"),
+    (("decompose", "--grid", "-5"), CP2_TEXT, "--grid must be at least 1, got -5"),
+    (("soliton",), CP2_TEXT.replace('"offset": 1}', '"offset": 1e400}', 1),
+     "offset of facet 0 (about 1.000e+400) is beyond the float range"),
+    (("roots",), cp2_with_offsets("1e308"), "vertex coordinate (about 2.000e+308) is beyond the float range"),
+    (("roots",), SIMPLEX_3D_TEXT, "got dim 3"),
 ], ids=["grid-1", "grid-2", "margin-0.9", "soliton-order-0", "verify-order-0", "decompose-order-0",
-        "offset-nan", "offset-infinity", "dim-true"])
+        "offset-nan", "offset-infinity", "dim-true", "decompose-grid-negative", "offset-1e400",
+        "vertex-2e308", "dim-3"])
 def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, document, needle):
     path = tmp_path / "polytope.json"
     path.write_text(document)
@@ -131,6 +147,30 @@ def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, docum
     assert code == 2
     assert "Traceback" not in err
     assert needle in err
+
+
+@pytest.mark.parametrize("offset", ["1e20", "1e300"])
+def test_large_offsets_are_bounded(capsys, tmp_path, offset):
+    # only the float range bounds the scale of an accepted polygon
+    path = tmp_path / "polytope.json"
+    path.write_text(cp2_with_offsets(offset))
+    lam = float(offset)
+    assert {tuple(v) for v in parse_polytope(path.read_text()).vertices.tolist()} == {
+        (-lam, -lam), (-lam, 2 * lam), (2 * lam, -lam),
+    }
+    code, out = run(capsys, "roots", str(path), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert sorted(tuple(r["alpha"]) for r in report["roots"]) == [(-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0)]
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, toric_soliton.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_calabi_requires_blowup_polytope(capsys):

@@ -1,0 +1,207 @@
+"""Exact 2-D polygon kernel: LP oracle, lattice metamorphisms, dimension and range limits."""
+
+from __future__ import annotations
+
+import itertools
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from toric_soliton import (
+    DegenerateVertexError,
+    DelzantPolytope,
+    EmptyInteriorError,
+    Facet,
+    RedundantFacetError,
+    UnboundedPolytopeError,
+    UnboundedRootRegionError,
+    UnsupportedDimensionError,
+    automorphism_dimensions,
+    enumerate_roots,
+    normalize_algebraic,
+    parse_polytope,
+    privileged_center,
+)
+from toric_soliton.roots import _facet_roots, brute_force_roots
+
+DATA = Path(__file__).parent / "data"
+SURFACES = {name: parse_polytope((DATA / f"{name}.json").read_text()) for name in ("cp2", "blowup", "bl3", "square")}
+UNIMODULAR = [
+    ((a, b), (c, d)) for a, b, c, d in itertools.product(range(-2, 3), repeat=4) if abs(a * d - b * c) == 1
+]
+
+
+@pytest.fixture(scope="module")
+def linprog():
+    return pytest.importorskip("scipy.optimize").linprog
+
+
+def exact_verdict(facets: list[Facet]) -> str:
+    try:
+        DelzantPolytope(2, facets)
+    except UnboundedPolytopeError:
+        return "unbounded"
+    except EmptyInteriorError:
+        return "empty"
+    except (DegenerateVertexError, RedundantFacetError):
+        # raised only after boundedness and a nonempty interior are established
+        pass
+    return "bounded"
+
+
+def lp_verdict(linprog, facets: list[Facet]) -> str:
+    normals = np.array([f.normal for f in facets], dtype=float)
+    offsets = np.array([float(f.offset) for f in facets])
+    # a nonzero recession direction {v : <nu_r, v> >= 0} reaches the unit box boundary
+    for i, sense in itertools.product(range(2), (1.0, -1.0)):
+        c = np.zeros(2)
+        c[i] = -sense
+        res = linprog(c, A_ub=-normals, b_ub=np.zeros(len(facets)), bounds=[(-1, 1)] * 2, method="highs")
+        assert res.status == 0
+        if -res.fun > 1e-9:
+            return "unbounded"
+    # Chebyshev radius: maximize t with <nu_r, x> + lambda_r >= t |nu_r|, t <= 1
+    norms = np.linalg.norm(normals, axis=1)
+    res = linprog([0.0, 0.0, -1.0], A_ub=np.hstack([-normals, norms[:, None]]), b_ub=offsets,
+                  bounds=[(None, None)] * 2 + [(None, 1)], method="highs")
+    assert res.status == 0
+    return "bounded" if -res.fun > 1e-9 else "empty"
+
+
+PRIMITIVE = [v for v in itertools.product(range(-3, 4), repeat=2) if math.gcd(*v) == 1]
+offsets = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+facet_systems = st.lists(st.builds(lambda nu, lam: Facet(normal=nu, offset=lam), st.sampled_from(PRIMITIVE), offsets),
+                         min_size=3, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(facets=facet_systems)
+def test_verdicts_match_linear_programming(linprog, facets):
+    assert exact_verdict(facets) == lp_verdict(linprog, facets)
+
+
+#: PRIMITIVE split by the quarter turn [k pi/2, (k+1) pi/2) holding the
+#: angle; one normal from each quarter makes the normals positively span
+QUARTERS = [
+    [v for v in PRIMITIVE if v[0] > 0 and v[1] >= 0],
+    [v for v in PRIMITIVE if v[0] <= 0 and v[1] > 0],
+    [v for v in PRIMITIVE if v[0] < 0 and v[1] <= 0],
+    [v for v in PRIMITIVE if v[0] >= 0 and v[1] < 0],
+]
+spanning_normals = st.tuples(*(st.sampled_from(q) for q in QUARTERS)).flatmap(
+    lambda base: st.lists(st.sampled_from(PRIMITIVE), max_size=3).map(lambda extra: list(base) + extra)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(normals=spanning_normals)
+def test_facet_roots_match_a_lattice_scan(normals):
+    # every -alpha lies in {<nu_r, x> + 1 >= 0}, whose vertices have coordinates
+    # of at most 6 for entries of at most 3; non-unimodular normals give line
+    # bounds that are not integers, which the Delzant examples never exercise
+    for rho, nu in enumerate(normals):
+        scan = [
+            alpha for alpha in itertools.product(range(-7, 8), repeat=2)
+            if alpha[0] * nu[0] + alpha[1] * nu[1] == 1
+            and all(alpha[0] * m[0] + alpha[1] * m[1] <= 0 for r, m in enumerate(normals) if r != rho)
+        ]
+        assert sorted(_facet_roots(normals, rho)) == scan
+
+
+def transformed(p: DelzantPolytope, g, perm, shift, scale) -> DelzantPolytope:
+    """Image of p under x -> scale * g x + shift, facets listed in the order perm."""
+    (a, b), (c, d) = g
+    det = a * d - b * c
+    inv_t = ((det * d, -det * c), (-det * b, det * a))
+    facets = []
+    for i in perm:
+        f = p.facets[i]
+        nu = tuple(row[0] * f.normal[0] + row[1] * f.normal[1] for row in inv_t)
+        facets.append(Facet(normal=nu, offset=scale * f.offset - nu[0] * shift[0] - nu[1] * shift[1]))
+    return DelzantPolytope(2, facets)
+
+
+def apply(g, v):
+    return tuple(row[0] * v[0] + row[1] * v[1] for row in g)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SURFACES)),
+    g=st.sampled_from(UNIMODULAR),
+    data=st.data(),
+    shift=st.tuples(small_fractions, small_fractions),
+    scale=st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=5),
+)
+def test_lattice_images_transform_covariantly(name, g, data, shift, scale):
+    base = SURFACES[name]
+    perm = data.draw(st.permutations(range(len(base.facets))))
+    image = transformed(base, g, perm, shift, scale)
+
+    expected_vertices = {
+        tuple(scale * c + t for c, t in zip(apply(g, v), shift)): frozenset(perm.index(i) for i in active)
+        for v, active in base.vertex_data
+    }
+    assert dict(image.vertex_data) == expected_vertices
+    center = privileged_center(image)
+    assert center.exact_point == shift and center.exact_value == scale
+
+    roots = enumerate_roots(normalize_algebraic(image))
+    assert sorted(roots.alphas()) == brute_force_roots(normalize_algebraic(image))
+    base_roots = enumerate_roots(base)
+    assert {(r.alpha, r.distinguished_facet) for r in roots.roots} == {
+        (apply(g, r.alpha), perm.index(r.distinguished_facet)) for r in base_roots.roots
+    }
+    assert {r.alpha for r in roots.unipotent} == {apply(g, r.alpha) for r in base_roots.unipotent}
+    assert automorphism_dimensions(roots, 2) == automorphism_dimensions(base_roots, 2)
+
+
+def test_unbounded_rejection_names_the_direction():
+    with pytest.raises(UnboundedPolytopeError, match=r"direction \(1, 0\)"):
+        DelzantPolytope(2, [Facet((1, 0), 1), Facet((0, 1), 1), Facet((0, -1), 1)])
+
+
+def test_infeasible_and_flat_systems_have_empty_interior():
+    with pytest.raises(EmptyInteriorError, match="infeasible"):
+        DelzantPolytope(2, [Facet((1, 0), -1), Facet((0, 1), 0), Facet((-1, -1), 0)])
+    with pytest.raises(EmptyInteriorError, match="empty interior"):
+        DelzantPolytope(2, [Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -1), 0)])
+
+
+def test_tiny_polygon_is_accepted():
+    # only zero area is rejected; an inradius far below any float tolerance is kept
+    p = parse_polytope(json.dumps({"dim": 2, "facets": [
+        {"normal": [1, 0], "offset": "1/1000000000000"},
+        {"normal": [0, 1], "offset": "1/1000000000000"},
+        {"normal": [-1, -1], "offset": "1/1000000000000"},
+    ]}))
+    assert len(enumerate_roots(normalize_algebraic(p)).roots) == 6
+
+
+def test_interval_is_exact_in_dimension_one():
+    p = DelzantPolytope(1, [Facet((1,), Fraction(1, 3)), Facet((-1,), 2)])
+    assert [pt for pt, _ in p.vertex_data] == [(Fraction(-1, 3),), (Fraction(2),)]
+    assert sorted(normalize_algebraic(p).vertices.ravel().tolist()) == [-1.0, 1.0]
+    assert enumerate_roots(normalize_algebraic(p)).alphas() == [(-1,), (1,)]
+    with pytest.raises(UnboundedPolytopeError):
+        DelzantPolytope(1, [Facet((1,), 1), Facet((1,), 2)])
+
+
+def test_dimension_three_is_unsupported():
+    with pytest.raises(UnsupportedDimensionError, match="got dim 3"):
+        DelzantPolytope(3, [Facet((1, 0, 0), 1), Facet((0, 1, 0), 1), Facet((0, 0, 1), 1), Facet((-1, -1, -1), 1)])
+
+
+def test_root_region_without_a_bound_is_unbounded():
+    # two normals do not positively span, so the line of facet 0 is cut on one side only
+    with pytest.raises(UnboundedRootRegionError):
+        _facet_roots([(1, 0), (0, 1)], 0)
