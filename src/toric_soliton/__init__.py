@@ -73,27 +73,23 @@ from .calabi import (
 from .operators import (
     EquivariantFunction,
     OperatorContext,
-    abreu_scalar_curvature,
-    apply_complex_weighted_laplacian,
-    apply_laplacian,
-    apply_weighted_laplacian,
+    complex_weighted_laplacian,
     finite_difference_oracle,
     gradients,
-    product_rule_check,
+    laplacian,
+    product_rule_defects,
     ricci_and_lie_components,
-    soliton_residual,
+    scalar_curvature,
+    soliton_residuals,
+    weighted_laplacian,
 )
 from .eigenbasis import (
     RootCheck,
     RootFunction,
     SolitonDecomposition,
     affine_block,
-    anti_holomorphic_eigenvalue,
-    anti_holomorphic_fit,
     assemble_decomposition,
     boundary_product_form,
     build_root_function,
     check_root,
-    eigen_residual,
-    select_mode_sign,
 )

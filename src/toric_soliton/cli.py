@@ -8,6 +8,7 @@ rejection, 3 solver failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -51,6 +52,9 @@ def _check_arguments(args: argparse.Namespace) -> None:
     """Reject flag values the pipeline cannot use, naming the value."""
     if getattr(args, "order", 1) < 1:
         raise MalformedInputError(f"--order must be at least 1, got {args.order}")
+    tol = getattr(args, "tol", 1.0)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise MalformedInputError(f"--tol must be finite and positive, got {tol}")
     if args.command in ("verify", "decompose", "calabi") and args.grid < 1:
         raise MalformedInputError(f"--grid must be at least 1, got {args.grid}")
 
@@ -62,16 +66,14 @@ def _emit(report: dict, fmt: str) -> None:
         sys.stdout.write(render_text(report))
 
 
-def _add_common(parser: argparse.ArgumentParser, with_verify_flags: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, with_potential_flags: bool = False) -> None:
     parser.add_argument("polytope", help="path to the polytope JSON document")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--tol", type=float, default=1e-10, help="solver tolerance (default 1e-10)")
     parser.add_argument("--order", type=int, default=10, help="quadrature exactness order (default 10)")
-    if with_verify_flags:
+    if with_potential_flags:
         parser.add_argument("--potential", choices=("guillemin", "calabi"), default="guillemin")
         parser.add_argument("--grid", type=int, default=21, help="interior grid resolution (default 21)")
-        parser.add_argument("--margin", type=float, default=0.05,
-                            help="interior margin as a fraction of the coordinate spread (default 0.05)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,10 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_soliton)
 
     p_verify = sub.add_parser("verify", help="full verification report for a potential")
-    _add_common(p_verify, with_verify_flags=True)
+    _add_common(p_verify, with_potential_flags=True)
+    p_verify.add_argument("--margin", type=float, default=0.05,
+                          help="interior margin as a fraction of the coordinate spread (default 0.05)")
 
     p_dec = sub.add_parser("decompose", help="eigenvalue clustering of the solitonic decomposition")
-    _add_common(p_dec, with_verify_flags=True)
+    _add_common(p_dec, with_potential_flags=True)
 
     p_cal = sub.add_parser("calabi", help="closed-form blow-up soliton profiles and residuals")
     p_cal.add_argument("--format", choices=("text", "json"), default="text")
@@ -122,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "decompose":
             report = decompose_report(
                 _load_polytope(args.polytope), potential_kind=args.potential,
-                tol=args.tol, grid_n=args.grid, margin=args.margin, order=args.order,
+                tol=args.tol, grid_n=args.grid, order=args.order,
             )
         elif args.command == "calabi":
             params = CalabiParameters(

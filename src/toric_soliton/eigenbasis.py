@@ -24,13 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MalformedInputError, NonConvergenceError
+from .errors import MalformedInputError
 from .operators import (
     EquivariantFunction,
     Jet,
     OperatorContext,
-    batched_profile,
-    complex_weighted_laplacian,
     profile_coordinate,
     weighted_laplacian,
 )
@@ -76,7 +74,7 @@ def build_root_function(ctx: OperatorContext, root: DemazureRoot, mode_sign: int
         return w * e, (normal - w[:, None] * galpha) * e[:, None], matrix * e[:, None, None]
 
     mode = tuple(int(mode_sign * c) for c in root.alpha)
-    return RootFunction(root=root, mode_sign=mode_sign, profile=batched_profile(mode, jet, ctx.potential))
+    return RootFunction(root=root, mode_sign=mode_sign, profile=EquivariantFunction(mode, jet, ctx.potential))
 
 
 @dataclass(frozen=True)
@@ -139,24 +137,6 @@ def _reversed_fit(values: np.ndarray, applied: np.ndarray) -> tuple[float, float
     return gamma, fit_residual
 
 
-def eigen_residual(ctx: OperatorContext, rf: RootFunction, grid: np.ndarray | Stack) -> dict[str, float]:
-    """Pointwise defect of the eigenvalue-two equation plus a least-squares fit.
-
-    ``grid`` is an (m, n) array of interior points or a stack on them.
-    """
-    s = ctx.stack(grid)
-    return _eigen_stats(rf.profile.jet(s)[0], complex_weighted_laplacian(ctx, rf.profile, s, orientation=1))
-
-
-def anti_holomorphic_fit(ctx: OperatorContext, rf: RootFunction, grid: np.ndarray | Stack) -> tuple[float, float]:
-    """Least-squares eigenvalue of the orientation-reversed operator minus two.
-
-    Returns (gamma, fit_residual); no tolerance is enforced here.
-    """
-    s = ctx.stack(grid)
-    return _reversed_fit(rf.profile.jet(s)[0], complex_weighted_laplacian(ctx, rf.profile, s, orientation=-1))
-
-
 @dataclass(frozen=True)
 class RootCheck:
     """Selected root function with its eigenvalue-two statistics and reversed fit."""
@@ -167,7 +147,7 @@ class RootCheck:
     gamma_fit: float
 
 
-def check_root(ctx: OperatorContext, root: DemazureRoot, grid: np.ndarray | Stack) -> RootCheck:
+def check_root(ctx: OperatorContext, root: DemazureRoot, s: Stack) -> RootCheck:
     """Mode sign, eigenvalue-two residual and orientation-reversed fit from one operator pass.
 
     The sign-independent part W u (the weighted Laplacian on mode alpha,
@@ -175,8 +155,10 @@ def check_root(ctx: OperatorContext, root: DemazureRoot, grid: np.ndarray | Stac
     orientation o add -2 o s <a, alpha> u.  The sign whose fitted
     eigenvalue lies closer to two is kept, and +1 whenever
     |<alpha, a>| <= GAMMA_TOL, where both signs are eigenfunctions.
+    ``gamma_hat`` is the least-squares eigenvalue of the orientation-reversed
+    operator minus two, with magnitude 4 |<alpha, a>|, and ``gamma_fit`` the
+    relative residual of that fit.
     """
-    s = ctx.stack(grid)
     positive = build_root_function(ctx, root, 1)
     values = positive.profile.jet(s)[0]
     sign_free = weighted_laplacian(ctx, positive.profile, s)
@@ -190,29 +172,6 @@ def check_root(ctx: OperatorContext, root: DemazureRoot, grid: np.ndarray | Stac
     gamma_hat, gamma_fit = _reversed_fit(values, sign_free + term)
     return RootCheck(function=rf, stats=_eigen_stats(values, sign_free - term),
                      gamma_hat=gamma_hat, gamma_fit=gamma_fit)
-
-
-def select_mode_sign(ctx: OperatorContext, root: DemazureRoot, grid: np.ndarray | Stack) -> RootFunction:
-    """The root function with the mode sign the operator accepts (see :func:`check_root`)."""
-    return check_root(ctx, root, grid).function
-
-
-def anti_holomorphic_eigenvalue(ctx: OperatorContext, rf: RootFunction, grid: np.ndarray | Stack,
-                                fit_tol: float = 1e-6) -> float:
-    """Fitted eigenvalue of the orientation-reversed operator minus two.
-
-    The magnitude must equal 4 |<alpha, a>|; the realized sign depends on
-    the mode sign and is recorded by the caller.
-    """
-    gamma, fit_residual = anti_holomorphic_fit(ctx, rf, grid)
-    if fit_residual > fit_tol:
-        raise NonConvergenceError(f"orientation-reversed eigenvalue fit residual {fit_residual:.3e} above {fit_tol:.1e}")
-    expected = 4.0 * abs(float(rf.alpha @ ctx.a))
-    if abs(abs(gamma) - expected) > max(10.0 * fit_tol, 1e-6):
-        raise NonConvergenceError(
-            f"|gamma| = {abs(gamma):.12g} does not match 4|<alpha,a>| = {expected:.12g}"
-        )
-    return gamma
 
 
 @dataclass(frozen=True)
@@ -280,14 +239,13 @@ def assemble_decomposition(ctx: OperatorContext, rootset: RootSet, tol: float = 
     )
 
 
-def affine_block(ctx: OperatorContext, grid: np.ndarray | Stack) -> list[dict]:
+def affine_block(ctx: OperatorContext, s: Stack) -> list[dict]:
     """Verify the 2n real affine basis functions are eigenfunctions of eigenvalue two.
 
     The block consists of <x, b1> + i <x, b2>; its basis profiles are the
     coordinates with torus mode zero, so the real and imaginary parts
     satisfy the same radial equation.
     """
-    s = ctx.stack(grid)
     n = ctx.polytope.dim
     records = []
     for i in range(n):

@@ -9,13 +9,13 @@ imaginary term, so every evaluation reduces to x-space.
 
 Evaluation surface.  Operators read the potential only through a
 :class:`~toric_soliton.potentials.Stack` and evaluate on all of its points
-at once: profiles give ``(u, du, d2u)`` arrays of shapes ``(m,)``,
-``(m, n)`` and ``(m, n, n)`` on a stack, and the batched operators
+at once: a profile's ``jet`` gives ``(u, du, d2u)`` arrays of shapes
+``(m,)``, ``(m, n)`` and ``(m, n, n)`` on a stack, and every operator
 (``laplacian``, ``weighted_laplacian``, ``complex_weighted_laplacian``,
-``scalar_curvature`` ...) return ``(m,)`` arrays.  The ``apply_*`` and
-other pointwise entry points are batch-of-one wrappers of them.  Only the
-finite-difference oracle is pointwise by construction: it reads potential
-and profile values alone.
+``scalar_curvature``, ``gradients`` ...) returns arrays with the same
+leading batch axis; one point is a stack of one.  The finite-difference
+oracle is the one pointwise routine: it reads potential values and
+profile values alone, point by point on its stencils.
 
 Sign conventions.  The plain Laplacian is the positive-spectrum operator
 ``-sum_ij d_i(H_ij d_j u)`` (constants are harmonic, ``x^2`` on the flat
@@ -54,56 +54,22 @@ class _Points(NamedTuple):
 class EquivariantFunction:
     """Torus mode k plus a radial profile with analytic derivatives.
 
-    ``jet`` evaluates the profile on a whole stack.  The profiles built in
-    this package define it and read the stack of ``potential`` (None when
-    they read only the points); their pointwise ``value``, ``grad`` and
-    ``hess`` are batch-of-one views of it.  A profile given only by
-    pointwise callables is evaluated point by point.
+    ``jet`` evaluates the profile on a whole stack; it reads the stack of
+    ``potential``, or only the points when ``potential`` is None.
     """
 
     mode: tuple[int, ...]
-    value: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
-    hess: Callable[[np.ndarray], np.ndarray]
-    jet: Callable[[Stack], Jet] | None = None
+    jet: Callable[[Stack], Jet]
     potential: SymplecticPotential | None = None
-
-    def __post_init__(self) -> None:
-        if self.jet is None:
-            object.__setattr__(self, "jet", _pointwise_jet(self.value, self.grad, self.hess))
 
     @property
     def mode_array(self) -> np.ndarray:
         return np.array(self.mode, dtype=float)
 
-
-def _pointwise_jet(value, grad, hess) -> Callable[[Stack], Jet]:
-    def jet(s) -> Jet:
-        return (
-            np.array([float(value(x)) for x in s.points]),
-            np.array([grad(x) for x in s.points], dtype=float),
-            np.array([hess(x) for x in s.points], dtype=float),
-        )
-
-    return jet
-
-
-def batched_profile(mode: tuple[int, ...], jet: Callable[[Stack], Jet],
-                    potential: SymplecticPotential | None = None) -> EquivariantFunction:
-    """Profile given by its jet on a stack; the pointwise callables are views of it."""
-
-    def at(x) -> Jet:
-        x = np.asarray(x, dtype=float)
-        return jet(potential.stack(x) if potential is not None else _Points(x[None]))
-
-    return EquivariantFunction(
-        mode=mode,
-        value=lambda x: float(at(x)[0][0]),
-        grad=lambda x: at(x)[1][0],
-        hess=lambda x: at(x)[2][0],
-        jet=jet,
-        potential=potential,
-    )
+    def values(self, points) -> np.ndarray:
+        """Profile values (m,) on an (m, n) batch of interior points."""
+        points = np.asarray(points, dtype=float)
+        return self.jet(self.potential.stack(points) if self.potential is not None else _Points(points))[0]
 
 
 def profile_constant(c: float, n: int, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
@@ -113,7 +79,7 @@ def profile_constant(c: float, n: int, mode: tuple[int, ...] | None = None) -> E
         m = len(s.points)
         return np.full(m, float(c)), np.zeros((m, n)), np.zeros((m, n, n))
 
-    return batched_profile(mode, jet)
+    return EquivariantFunction(mode, jet)
 
 
 def profile_linear(b, constant: float = 0.0, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
@@ -126,7 +92,7 @@ def profile_linear(b, constant: float = 0.0, mode: tuple[int, ...] | None = None
         m = len(s.points)
         return s.points @ b + constant, np.broadcast_to(b, (m, n)).copy(), np.zeros((m, n, n))
 
-    return batched_profile(mode, jet)
+    return EquivariantFunction(mode, jet)
 
 
 def profile_coordinate(i: int, n: int) -> EquivariantFunction:
@@ -151,7 +117,7 @@ def profile_product(u: EquivariantFunction, v: EquivariantFunction) -> Equivaria
             + np.einsum("mi,mj->mij", du, dv) + np.einsum("mi,mj->mij", dv, du),
         )
 
-    return batched_profile(u.mode, jet, u.potential or v.potential)
+    return EquivariantFunction(u.mode, jet, u.potential or v.potential)
 
 
 def profile_exp_pairing(potential: SymplecticPotential, alpha, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
@@ -167,7 +133,7 @@ def profile_exp_pairing(potential: SymplecticPotential, alpha, mode: tuple[int, 
         outer = np.einsum("mi,mj->mij", galpha, galpha)
         return e, -galpha * e[:, None], (outer - dgalpha) * e[:, None, None]
 
-    return batched_profile(mode, jet, potential)
+    return EquivariantFunction(mode, jet, potential)
 
 
 @dataclass(frozen=True)
@@ -191,10 +157,6 @@ class OperatorContext:
         if not same:
             raise MalformedInputError("potential and context polytopes disagree")
 
-    def stack(self, grid: np.ndarray | Stack) -> Stack:
-        """The potential's stack on a grid; a stack passes through unchanged."""
-        return grid if isinstance(grid, Stack) else self.potential.stack(grid)
-
 
 def _point(ctx: OperatorContext, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
@@ -203,11 +165,7 @@ def _point(ctx: OperatorContext, x) -> np.ndarray:
     return x
 
 
-def _point_stack(ctx: OperatorContext, x) -> Stack:
-    return ctx.potential.stack(_point(ctx, x))
-
-
-# -- batched operators ---------------------------------------------------------
+# -- operators -------------------------------------------------------------------
 
 
 def laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> np.ndarray:
@@ -263,63 +221,26 @@ def soliton_residuals(ctx: OperatorContext, s: Stack, scal_mean: float) -> np.nd
     return scalar_curvature(s) - scal_mean + 2.0 * laplacian_linear
 
 
-# -- pointwise entry points ------------------------------------------------------
-
-
-def apply_laplacian(ctx: OperatorContext, f: EquivariantFunction, x) -> complex:
-    """Plain Laplacian on the mode at one point."""
-    return complex(laplacian(ctx, f, _point_stack(ctx, x))[0])
-
-
-def apply_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, x) -> complex:
-    """Weighted Laplacian at one point."""
-    return complex(weighted_laplacian(ctx, f, _point_stack(ctx, x))[0])
-
-
-def apply_complex_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, x, orientation: int = 1) -> complex:
-    """Complex weighted Laplacian at one point."""
-    return complex(complex_weighted_laplacian(ctx, f, _point_stack(ctx, x), orientation)[0])
-
-
-def product_rule_check(ctx: OperatorContext, u: EquivariantFunction, v: EquivariantFunction, x) -> float:
-    """Defect of the weighted product rule at one point; it vanishes identically."""
-    return float(product_rule_defects(ctx, u, v, _point_stack(ctx, x))[0])
-
-
-def gradients(ctx: OperatorContext, f: EquivariantFunction, x) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Riemannian and symplectic gradients as (x-components, t-components)."""
-    s = _point_stack(ctx, x)
-    k = f.mode_array
-    u, du, _ = (part[0] for part in f.jet(s))
-    dt = 1j * k * u  # angular derivatives with the phase factor set to one
+def gradients(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Riemannian and symplectic gradients as (x-components, t-components), each (m, n)."""
+    u, du, _ = f.jet(s)
+    dt = 1j * u[:, None] * f.mode_array  # angular derivatives with the phase factor set to one
     return {
-        "riemannian": (s.H[0] @ du, s.G[0] @ dt),
+        "riemannian": (np.einsum("mij,mj->mi", s.H, du), np.einsum("mij,mj->mi", s.G, dt)),
         "symplectic": (-dt, du.astype(complex)),
     }
 
 
-def abreu_scalar_curvature(ctx: OperatorContext, x):
-    """Scalar curvature at one point, or an (m,) array at the rows of an (m, n) array."""
-    values = scalar_curvature(ctx.potential.stack(x))
-    return float(values[0]) if np.ndim(x) == 1 else values
-
-
-def ricci_and_lie_components(ctx: OperatorContext, x) -> tuple[np.ndarray, np.ndarray]:
-    """Ricci components and the Lie-derivative components of the soliton field.
+def ricci_and_lie_components(ctx: OperatorContext, s: Stack) -> tuple[np.ndarray, np.ndarray]:
+    """Ricci components and the Lie-derivative components of the soliton field, each (m, n, n).
 
     Ric[k, l] = -(1/2) sum_i d^2 H_li / dx_i dx_k; the Lie components use
     the moment-image drift covector (-a), which makes the soliton identity
     Ric - Lie = identity hold with the fan-side vector stored in the context.
     """
-    s = _point_stack(ctx, x)
-    ric = -0.5 * np.einsum("liik->kl", s.d2H[0])
-    lie = np.einsum("i,ilk->kl", ctx.a, s.dH[0])
+    ric = -0.5 * np.einsum("mliik->mkl", s.d2H)
+    lie = np.einsum("i,milk->mkl", ctx.a, s.dH)
     return ric, lie
-
-
-def soliton_residual(ctx: OperatorContext, x, scal_mean: float) -> float:
-    """Pointwise defect Scal(x) - scal_mean + 2 Delta^g <x, a> of the soliton equation."""
-    return float(soliton_residuals(ctx, _point_stack(ctx, x), scal_mean)[0])
 
 
 # -- finite-difference oracle ------------------------------------------------
@@ -398,12 +319,15 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, op
 
     h = step if step is not None else _fd_step(ctx, x, 0.005)
 
+    def value(y: np.ndarray) -> float:
+        return float(f.values(y[None])[0])
+
     def grad_u(y: np.ndarray) -> np.ndarray:
         out = np.zeros(n)
         for j in range(n):
             ej = np.zeros(n)
             ej[j] = h
-            out[j] = (f.value(y + ej) - f.value(y - ej)) / (2.0 * h)
+            out[j] = (value(y + ej) - value(y - ej)) / (2.0 * h)
         return out
 
     def flux(y: np.ndarray) -> np.ndarray:
@@ -418,7 +342,7 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, op
     g_fd, h_fd = _fd_metric(ctx, x, h)
     result = -divergence
     k = f.mode_array
-    u = f.value(x)
+    u = value(x)
     if k.any():
         result += float(k @ g_fd @ k) * u
     if operator in ("weighted", "complex+", "complex-"):

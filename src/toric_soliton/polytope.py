@@ -3,7 +3,7 @@
 A polytope is stored by its facet data ``{x : <nu_r, x> + lambda_r >= 0}``
 with primitive integer normals ``nu_r`` and rational offsets ``lambda_r``.
 Offsets are kept as exact ``Fraction`` values, and validation is exact
-integer and rational geometry in dimension one or two: boundedness from
+integer and rational geometry in dimension two: boundedness from
 the recession cone, the interior from the pairwise facet intersections,
 and vertices, the privileged center and the algebraic normalization from
 exact solves.  Floats appear only at the analysis boundary (quadrature,
@@ -140,9 +140,7 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 
 
 def _int_det(matrix: list[tuple[int, ...]]) -> int:
-    """Determinant of a 1x1 or 2x2 integer matrix."""
-    if len(matrix) == 1:
-        return matrix[0][0]
+    """Determinant of a 2x2 integer matrix."""
     (a, b), (c, d) = matrix
     return a * d - b * c
 
@@ -151,29 +149,23 @@ def _recession_directions(normals: list[tuple[int, ...]]) -> list[tuple[int, ...
     """Integer candidates for a nonzero direction of ``{v : <nu_r, v> >= 0}``.
 
     That cone, when nonzero, has a boundary ray on some line
-    ``<nu_i, v> = 0``, so in 2-D the ``±perp(nu_i)`` suffice.
+    ``<nu_i, v> = 0``, so the ``±perp(nu_i)`` suffice.
     """
-    if len(normals[0]) == 1:
-        return [(1,), (-1,)]
     return [(-s * b, s * a) for a, b in normals for s in (1, -1)]
 
 
 def _spans_full_dimension(points: list[tuple[Fraction, ...]]) -> bool:
-    """True when the points are not all on one point (dim 1) or line (dim 2)."""
+    """True when the distinct points are not all on one line."""
     base = points[0]
-    diffs = [tuple(c - b for c, b in zip(q, base)) for q in points[1:]]
-    diffs = [d for d in diffs if any(d)]
-    if not diffs or len(base) == 1:
-        return bool(diffs)
-    u = diffs[0]
-    return any(u[0] * w[1] - u[1] * w[0] != 0 for w in diffs)
+    diffs = [(q[0] - base[0], q[1] - base[1]) for q in points[1:]]
+    return any(diffs[0][0] * w[1] - diffs[0][1] * w[0] != 0 for w in diffs[1:])
 
 
 class DelzantPolytope:
-    """Bounded simple polygon (or interval) with primitive integer facet normals.
+    """Bounded simple polygon with primitive integer facet normals.
 
     Construction validates the facet data exactly, in this order:
-    dimension (1 or 2; higher raises :class:`UnsupportedDimensionError`),
+    dimension (2; any other raises :class:`UnsupportedDimensionError`),
     boundedness (a nonzero recession direction is rejected, even when the
     system is also infeasible), nonempty interior (some feasible facet
     intersection, and not all of them on one line), float range of offsets
@@ -188,8 +180,8 @@ class DelzantPolytope:
     def __init__(self, dim: int, facets: Iterable[Facet]):
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise MalformedInputError(f"dim must be a positive integer, got {dim!r}")
-        if dim > 2:
-            raise UnsupportedDimensionError(f"polytopes of dim 1 or 2 only, got dim {dim}")
+        if dim != 2:
+            raise UnsupportedDimensionError(f"polytopes of dim 2 only, got dim {dim}")
         facets = tuple(facets)
         if len(facets) <= dim:
             raise MalformedInputError(f"need more than {dim} facets, got {len(facets)}")

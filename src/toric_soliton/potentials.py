@@ -1,26 +1,23 @@
 """Symplectic potentials and their derivative stacks.
 
-Every differential operator in this package consumes a potential only
-through one evaluation surface, the :class:`Stack`: on a batch of ``m``
-interior points it holds the gradient, the Hessian ``G``, its inverse
-``H``, ``dG``, ``dH`` and ``d2H`` as arrays with a leading batch axis.
-:meth:`SymplecticPotential.stack` runs one interior check and one batched
-2x2 inverse per batch.  The scalar methods (``gradient``, ``hessian``,
-``inv_hessian`` ...) are batch-of-one views of the same stack, so each
-formula exists once.  Two families implement it:
+A potential is evaluated only through its :class:`Stack`: on an ``(m, n)``
+batch of interior points it holds the gradient, the Hessian ``G``, its
+inverse ``H``, ``dG``, ``dH`` and ``d2H`` as arrays with a leading batch
+axis.  :meth:`SymplecticPotential.stack` runs one interior check and one
+batched 2x2 inverse per batch, so each formula exists once and a single
+point is a batch of one.  Two families implement it:
 
 * potentials given on the convex-function side (Guillemin, smooth
   perturbations, quadratic models) supply the gradient, ``G`` and its
   derivatives analytically and derive the ``H`` stack by matrix calculus;
-  they also expose the value ``phi`` itself, which only the
+  they also expose the value ``phi`` at one point, which only the
   finite-difference oracle reads;
 * metrics given on the inverse side (the one-point blow-up family in
   :mod:`toric_soliton.calabi`) supply the gradient, ``H`` and its
   derivatives analytically and derive the ``G`` stack.
 
-:func:`gradient_by_line_integral` recovers a gradient from the Hessian
-field alone; it is kept as the independent oracle for closed-form
-gradients.
+:func:`gradient_by_line_integral` recovers a gradient from ``G`` alone;
+it is kept as the independent oracle for closed-form gradients.
 
 Index conventions, after the batch axis: ``dG[i, j, k] = d G_ij / d x_k``
 and ``d2H[i, j, k, l] = d^2 H_ij / d x_k d x_l``.
@@ -34,12 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BoundaryEvaluationError,
-    LossOfConvexityError,
-    MalformedInputError,
-    UnsupportedDimensionError,
-)
+from .errors import BoundaryEvaluationError, LossOfConvexityError, MalformedInputError
 from .polytope import DelzantPolytope
 
 #: points with any facet value at or below this are treated as boundary
@@ -92,45 +84,14 @@ class SymplecticPotential(ABC):
         return values
 
     def stack(self, points) -> Stack:
-        """The derivative stack on an (m, n) batch of interior points; a single point is a batch of one."""
+        """The derivative stack on an (m, n) batch of interior points."""
         points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None]
         if points.ndim != 2 or points.shape[1] != self.polytope.dim:
             raise MalformedInputError(f"points have shape {points.shape}, expected (m, {self.polytope.dim})")
-        if self.polytope.dim != 2:
-            raise UnsupportedDimensionError(f"derivative stacks are implemented for dim 2 only, got dim {self.polytope.dim}")
         return self._stack(points, self.require_interior(points))
 
     @abstractmethod
     def _stack(self, points: np.ndarray, facet_values: np.ndarray) -> Stack: ...
-
-    def _point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.polytope.dim,):
-            raise MalformedInputError(f"point has shape {x.shape}, expected ({self.polytope.dim},)")
-        return x
-
-    def _at(self, x) -> Stack:
-        return self.stack(self._point(x))
-
-    def gradient(self, x) -> np.ndarray:
-        return self._at(x).grad[0]
-
-    def hessian(self, x) -> np.ndarray:
-        return self._at(x).G[0]
-
-    def hessian_derivative(self, x) -> np.ndarray:
-        return self._at(x).dG[0]
-
-    def inv_hessian(self, x) -> np.ndarray:
-        return self._at(x).H[0]
-
-    def inv_hessian_derivative(self, x) -> np.ndarray:
-        return self._at(x).dH[0]
-
-    def inv_hessian_second(self, x) -> np.ndarray:
-        return self._at(x).d2H[0]
 
 
 class PhiSidePotential(SymplecticPotential):
@@ -139,6 +100,12 @@ class PhiSidePotential(SymplecticPotential):
     @abstractmethod
     def value(self, x) -> float:
         """phi at one interior point."""
+
+    def _point(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.polytope.dim,):
+            raise MalformedInputError(f"point has shape {x.shape}, expected ({self.polytope.dim},)")
+        return x
 
     @abstractmethod
     def _phi_derivatives(self, points: np.ndarray, facet_values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -176,24 +143,26 @@ class GuilleminPotential(PhiSidePotential):
         return grad, g, dg, d2g
 
 
-def _zeros_third(x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    return np.zeros((n, n, n))
+def _zeros_third(points: np.ndarray) -> np.ndarray:
+    m, n = points.shape
+    return np.zeros((m, n, n, n))
 
 
-def _zeros_fourth(x: np.ndarray) -> np.ndarray:
-    n = len(x)
-    return np.zeros((n, n, n, n))
+def _zeros_fourth(points: np.ndarray) -> np.ndarray:
+    m, n = points.shape
+    return np.zeros((m, n, n, n, n))
 
 
 @dataclass(frozen=True)
 class SmoothField:
     """Smooth scalar field with derivatives, restriction of a function smooth near P.
 
-    The callables take one point; a perturbed stack evaluates them point by point.
+    Each callable takes an (m, n) batch of points and returns the value,
+    gradient, Hessian, third and fourth derivatives with a leading batch
+    axis, shapes (m,) ... (m, n, n, n, n).
     """
 
-    value: Callable[[np.ndarray], float]
+    value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
     hessian: Callable[[np.ndarray], np.ndarray]
     third: Callable[[np.ndarray], np.ndarray] = _zeros_third
@@ -204,9 +173,9 @@ class SmoothField:
         """h(x) = (1/2) x^T q x."""
         q = 0.5 * (np.asarray(q, dtype=float) + np.asarray(q, dtype=float).T)
         return SmoothField(
-            value=lambda x: 0.5 * float(x @ q @ x),
-            gradient=lambda x: q @ x,
-            hessian=lambda x: q.copy(),
+            value=lambda pts: 0.5 * np.einsum("mi,ij,mj->m", pts, q, pts),
+            gradient=lambda pts: pts @ q,
+            hessian=lambda pts: np.broadcast_to(q, (len(pts),) + q.shape).copy(),
         )
 
     @staticmethod
@@ -214,9 +183,9 @@ class SmoothField:
         c = np.asarray(c, dtype=float)
         n = len(c)
         return SmoothField(
-            value=lambda x: float(c @ x) + constant,
-            gradient=lambda x: c.copy(),
-            hessian=lambda x: np.zeros((n, n)),
+            value=lambda pts: pts @ c + constant,
+            gradient=lambda pts: np.broadcast_to(c, (len(pts), n)).copy(),
+            hessian=lambda pts: np.zeros((len(pts), n, n)),
         )
 
 
@@ -236,15 +205,12 @@ class PerturbedPotential(PhiSidePotential):
 
     def value(self, x) -> float:
         x = self._point(x)
-        return self.base.value(x) + float(self.h.value(x))
+        return self.base.value(x) + float(self.h.value(x[None])[0])
 
     def _phi_derivatives(self, points, facet_values):
         base = self.base._phi_derivatives(points, facet_values)
         field = (self.h.gradient, self.h.hessian, self.h.third, self.h.fourth)
-        return tuple(
-            b + np.array([np.asarray(f(x), dtype=float) for x in points])
-            for b, f in zip(base, field)
-        )
+        return tuple(b + np.asarray(f(points), dtype=float) for b, f in zip(base, field))
 
 
 class QuadraticPotential(PhiSidePotential):
@@ -286,51 +252,38 @@ class HSidePotential(SymplecticPotential):
         return Stack(points, grad, g, h, _congruence_derivative(g, dh), dh, d2h)
 
 
-def _gauss_panels(fun: Callable[[np.ndarray], np.ndarray], panels: int, nodes: int = 16):
-    """Composite Gauss-Legendre of a vector-valued function over [0, 1]."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    total = None
-    for k in range(panels):
-        lo, hi = k / panels, (k + 1) / panels
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for xi, wi in zip(xs, ws):
-            contribution = (wi * half) * np.asarray(fun(mid + half * xi))
-            total = contribution if total is None else total + contribution
-    return total
-
-
 def gradient_by_line_integral(
-    hessian_field: Callable[[np.ndarray], np.ndarray],
+    potential: SymplecticPotential,
     x,
     x0,
     rtol: float = 1e-12,
     max_doublings: int = 10,
-    polytope: DelzantPolytope | None = None,
 ) -> np.ndarray:
-    """Recover grad phi(x) - grad phi(x0) from the Hessian field alone.
+    """Recover grad phi(x) - grad phi(x0) from the Hessian field G alone.
 
     Integrates G(x0 + s (x - x0)) (x - x0) over s in [0, 1] with composite
-    Gauss-Legendre panels, doubling the panel count until the result is
-    stable to ``rtol``.  The segment must stay interior when a polytope is
-    supplied.
+    16-node Gauss-Legendre panels, doubling the panel count until the
+    result is stable to ``rtol``.  Each level reads G from one stack on all
+    of its nodes and never the stack's gradient, so the result is an
+    independent check of closed-form gradients.  Both ends must be
+    interior; by convexity the whole segment then is.
     """
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
+    potential.require_interior(np.array([x0, x]))
     direction = x - x0
     if np.allclose(direction, 0.0):
         return np.zeros_like(x)
-    if polytope is not None:
-        for s in np.linspace(0.0, 1.0, 33):
-            point = x0 + s * direction
-            if not polytope.is_interior(point, margin=0.0):
-                raise BoundaryEvaluationError(f"segment leaves the interior at {tuple(point)}")
+    nodes, weights = np.polynomial.legendre.leggauss(16)
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        return hessian_field(x0 + float(s) * direction) @ direction
+    def composite(panels: int) -> np.ndarray:
+        s = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)).ravel() / panels
+        g = potential.stack(x0 + s[:, None] * direction).G
+        return (np.tile(weights, panels) * (0.5 / panels)) @ (g @ direction)
 
-    previous = _gauss_panels(integrand, 1)
+    previous = composite(1)
     for level in range(1, max_doublings + 1):
-        current = _gauss_panels(integrand, 2**level)
+        current = composite(2**level)
         if np.max(np.abs(current - previous)) <= rtol * (1.0 + np.max(np.abs(current))):
             return current
         previous = current

@@ -94,8 +94,6 @@ def reference_rule(order: int) -> QuadratureRule:
 
 def triangulate(p: DelzantPolytope) -> Triangulation:
     """Fan triangulation from the vertex centroid over boundary edges."""
-    if p.dim != 2:
-        raise UnsupportedDimensionError(f"triangulation implemented for dim 2 only, got dim {p.dim}")
     ring = cyclic_vertices(p)
     center = ring.mean(axis=0)
     tris = []

@@ -340,7 +340,7 @@ def _decomposition_section(decomposition) -> dict:
 
 
 def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: float = 1e-10,
-                     grid_n: int = 21, margin: float = 0.05, order: int = 10) -> dict:
+                     grid_n: int = 21, order: int = 10) -> dict:
     normalized = normalize_algebraic(p)
     rootset = enumerate_roots(normalized)
     soliton = solve_soliton_vector(normalized, tol=tol, order=order)
@@ -353,7 +353,7 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
         block["unipotent_roots"] = [list(r.alpha) for r in raw["roots"] if r.alpha not in semisimple]
     return {
         "command": "decompose",
-        "config": {"potential": potential_kind, "tol": tol, "grid": grid_n, "margin": margin, "order": order},
+        "config": {"potential": potential_kind, "tol": tol, "grid": grid_n, "order": order},
         "polytope": _polytope_section(p, normalized),
         **_roots_section(rootset, p.dim),
         "soliton": _soliton_section(soliton),

@@ -69,9 +69,6 @@ def _facet_roots(normals: list[tuple[int, ...]], rho: int) -> list[tuple[int, ..
     """Lattice points of {alpha : <alpha, nu_rho> = 1, <alpha, nu_r> <= 0 for r != rho}."""
     nu = normals[rho]
     others = [m for r, m in enumerate(normals) if r != rho]
-    if len(nu) == 1:
-        # the line is the single point nu (normals are ±1 in dimension one)
-        return [nu] if all(m[0] * nu[0] <= 0 for m in others) else []
     base, step = _line_point(nu), (-nu[1], nu[0])
     lo = hi = None
     for m in others:

@@ -17,20 +17,18 @@ import pytest
 
 from toric_soliton import (
     OperatorContext,
-    abreu_scalar_curvature,
-    anti_holomorphic_fit,
-    apply_complex_weighted_laplacian,
-    apply_weighted_laplacian,
     assemble_decomposition,
     boundary_product_form,
     build_root_function,
-    eigen_residual,
+    check_root,
+    complex_weighted_laplacian,
     enumerate_roots,
     finite_difference_oracle,
     integrate,
-    product_rule_check,
-    select_mode_sign,
-    soliton_residual,
+    product_rule_defects,
+    scalar_curvature,
+    soliton_residuals,
+    weighted_laplacian,
 )
 from toric_soliton.calabi import (
     CalabiParameters,
@@ -95,8 +93,8 @@ def test_criterion_04_calabi_closed_forms(calabi_soliton):
 
 
 def test_criterion_05_abreu_curvature(cp2_ctx, cp2_grid, blowup, blowup_ctx):
-    pointwise = max(abs(abreu_scalar_curvature(cp2_ctx, x) - 4.0) for x in cp2_grid)
-    mean = integrate(blowup, lambda pt: abreu_scalar_curvature(blowup_ctx, pt), 10) / 4.0
+    pointwise = np.max(np.abs(scalar_curvature(cp2_ctx.potential.stack(cp2_grid)) - 4.0))
+    mean = integrate(blowup, lambda pts: scalar_curvature(blowup_ctx.potential.stack(pts)), 10) / 4.0
     ok = pointwise <= 1e-6 and abs(mean - 4.0) <= 1e-4
     report(5, "plane curvature constant 4 pointwise; blow-up mean curvature 4", ok)
 
@@ -104,18 +102,20 @@ def test_criterion_05_abreu_curvature(cp2_ctx, cp2_grid, blowup, blowup_ctx):
 def test_criterion_06_affine_eigenfunctions(cp2_ctx, cp2_grid, blowup_ctx, blowup_grid):
     worst = 0.0
     for ctx, grid in ((cp2_ctx, cp2_grid), (blowup_ctx, blowup_grid)):
+        s = ctx.potential.stack(grid)
         for i in range(2):
             f = profile_coordinate(i, 2)
-            values = np.array([x[i] for x in grid])
-            lhs = np.array([apply_weighted_laplacian(ctx, f, x).real for x in grid])
+            values = grid[:, i]
+            lhs = weighted_laplacian(ctx, f, s)
             worst = max(worst, np.max(np.abs(lhs - 2.0 * values)) / np.max(np.abs(values)))
     report(6, f"weighted Laplacian doubles both coordinates (max rel err {worst:.2e})", worst <= 1e-6)
 
 
 def test_criterion_07_soliton_equation(blowup, blowup_ctx, blowup_grid):
-    worst = max(abs(soliton_residual(blowup_ctx, x, 4.0)) for x in blowup_grid)
+    s = blowup_ctx.potential.stack(blowup_grid)
+    worst = np.max(np.abs(soliton_residuals(blowup_ctx, s, 4.0)))
     halved = OperatorContext(polytope=blowup, potential=blowup_ctx.potential, a=blowup_ctx.a / 2.0)
-    control = max(abs(soliton_residual(halved, x, 4.0)) for x in blowup_grid)
+    control = np.max(np.abs(soliton_residuals(halved, s, 4.0)))
     ok = worst <= 1e-6 and control > 1e-2
     report(7, f"soliton equation holds ({worst:.2e}); halved coefficient fails ({control:.2e})", ok)
 
@@ -123,46 +123,44 @@ def test_criterion_07_soliton_equation(blowup, blowup_ctx, blowup_grid):
 def test_criterion_08_eigenfunctions(cp2, cp2_ctx, cp2_grid, blowup_ctx, blowup_grid):
     ok = True
     for ctx, grid in ((cp2_ctx, cp2_grid), (blowup_ctx, blowup_grid)):
+        s = ctx.potential.stack(grid)
         for root in enumerate_roots(ctx.polytope).roots:
-            rf = select_mode_sign(ctx, root, grid)
-            stats = eigen_residual(ctx, rf, grid)
+            stats = check_root(ctx, root, s).stats
             ok = ok and stats["max_rel_residual"] <= 1e-6
             ok = ok and abs(stats["fitted_eigenvalue"] - 2.0) <= 1e-6
     for root in enumerate_roots(cp2).roots:
         rf = build_root_function(cp2_ctx, root, mode_sign=1)
-        closed = CP2_CLOSED_FORMS[root.alpha]
-        for x in cp2_grid[::7]:
-            ok = ok and abs(rf.profile.value(x) - float(closed(cp2.facet_values(x)))) <= 1e-10
+        closed = CP2_CLOSED_FORMS[root.alpha](cp2.facet_values_many(cp2_grid[::7]).T)
+        ok = ok and np.max(np.abs(rf.profile.values(cp2_grid[::7]) - closed)) <= 1e-10
     report(8, "all root functions have eigenvalue two; plane profiles match the closed forms", ok)
 
 
 def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
     ok = True
     for ctx in (cp2_ctx, blowup_ctx):
-        pts = ctx.polytope.interior_grid(9, 0.1)
+        s = ctx.potential.stack(ctx.polytope.interior_grid(9, 0.1)[::4])
         for root in enumerate_roots(ctx.polytope).roots[:3]:
             alpha = np.array(root.alpha, dtype=float)
             pure = profile_constant(1.0, 2, mode=root.alpha)
             radial = profile_exp_pairing(ctx.potential, alpha)
             null = profile_exp_pairing(ctx.potential, alpha, mode=root.alpha)
-            for x in pts[::4]:
-                g = ctx.potential.hessian(x)
-                coeff = float(alpha @ g @ alpha) - 2.0 * float(ctx.a @ alpha)
-                ok = ok and abs(apply_complex_weighted_laplacian(ctx, pure, x, 1).real - coeff) <= 1e-8
-                ok = ok and abs(
-                    apply_complex_weighted_laplacian(ctx, radial, x, 1).real + coeff * radial.value(x)
-                ) <= 1e-8
-                ok = ok and abs(apply_complex_weighted_laplacian(ctx, null, x, 1).real) <= 1e-8
-                ok = ok and abs(product_rule_check(ctx, profile_coordinate(0, 2), radial, x)) <= 1e-8
+            coeff = np.einsum("i,mij,j->m", alpha, s.G, alpha) - 2.0 * float(ctx.a @ alpha)
+            ok = ok and np.max(np.abs(complex_weighted_laplacian(ctx, pure, s, 1) - coeff)) <= 1e-8
+            ok = ok and np.max(np.abs(
+                complex_weighted_laplacian(ctx, radial, s, 1) + coeff * radial.jet(s)[0]
+            )) <= 1e-8
+            ok = ok and np.max(np.abs(complex_weighted_laplacian(ctx, null, s, 1))) <= 1e-8
+            ok = ok and np.max(np.abs(product_rule_defects(ctx, profile_coordinate(0, 2), radial, s))) <= 1e-8
     # finite-difference oracle against the analytic stack (closed-form potential)
     x0 = np.array([0.2, -0.15])
+    at_x0 = cp2_ctx.potential.stack(x0[None])
     rootset = enumerate_roots(cp2_ctx.polytope)
     rf = build_root_function(cp2_ctx, rootset.roots[0], mode_sign=1)
-    analytic = apply_complex_weighted_laplacian(cp2_ctx, rf.profile, x0, 1).real
+    analytic = complex_weighted_laplacian(cp2_ctx, rf.profile, at_x0, 1)[0]
     oracle = finite_difference_oracle(cp2_ctx, rf.profile, x0, "complex+").real
     ok = ok and abs(oracle - analytic) / max(1.0, abs(analytic)) <= 1e-4
     abreu_fd = finite_difference_oracle(cp2_ctx, rf.profile, x0, "abreu").real
-    ok = ok and abs(abreu_fd - abreu_scalar_curvature(cp2_ctx, x0)) / 4.0 <= 1e-3
+    ok = ok and abs(abreu_fd - scalar_curvature(at_x0)[0]) / 4.0 <= 1e-3
     report(9, "mode identities, product rule, and FD-oracle agreement", ok)
 
 
@@ -183,11 +181,11 @@ def test_criterion_10_decomposition(cp2_ctx, blowup_ctx, blowup_soliton):
 
 def test_criterion_11_anti_holomorphic_eigenvalues(blowup_ctx, blowup_grid):
     ok = True
+    s = blowup_ctx.potential.stack(blowup_grid)
     for root in enumerate_roots(blowup_ctx.polytope).roots:
-        rf = select_mode_sign(blowup_ctx, root, blowup_grid)
-        gamma, fit = anti_holomorphic_fit(blowup_ctx, rf, blowup_grid)
+        result = check_root(blowup_ctx, root, s)
         expected = 4.0 * abs(float(np.array(root.alpha) @ blowup_ctx.a))
-        ok = ok and fit <= 1e-6 and abs(abs(gamma) - expected) <= 1e-6
+        ok = ok and result.gamma_fit <= 1e-6 and abs(abs(result.gamma_hat) - expected) <= 1e-6
     report(11, "orientation-reversed eigenvalues match 4|<alpha, a>| per root", ok)
 
 
@@ -198,8 +196,8 @@ def test_criterion_12_boundary_extension(cp2, cp2_ctx, cp2_grid):
     for root in enumerate_roots(cp2).roots:
         form = boundary_product_form(cp2, root)
         rf = build_root_function(cp2_ctx, root, mode_sign=1)
-        for x in cp2_grid[::5]:
-            ok = ok and abs(form.value(x) - rf.profile.value(x)) <= 1e-10
+        for x, value in zip(cp2_grid[::5], rf.profile.values(cp2_grid[::5])):
+            ok = ok and abs(form.value(x) - value) <= 1e-10
         for point in list(ring) + edge_midpoints:
             ok = ok and np.isfinite(form.value(point))
         for idx in form.vanishing_facets():

@@ -187,16 +187,16 @@ def test_coordinate_translation():
 def test_potential_gradient_matches_semi_closed_form(blowup):
     # the production gradient is the closed form; the line integral of G is its oracle
     pot = CalabiPotential()
-    for x in interior_points(blowup, 6, seed=12):
-        line = gradient_by_line_integral(pot.hessian, x, pot.base_point, polytope=blowup)
-        closed = pot.gradient(x)
+    pts = interior_points(blowup, 6, seed=12)
+    for x, closed in zip(pts, pot.stack(pts).grad):
+        line = gradient_by_line_integral(pot, x, pot.base_point)
         assert np.max(np.abs(line - closed)) <= 1e-9
 
 
 def test_potential_interior_guard(blowup):
     pot = CalabiPotential()
     with pytest.raises(BoundaryEvaluationError):
-        pot.gradient(np.array([1.0, 2.0]))
+        pot.stack(np.array([[1.0, 2.0]]))
 
 
 def test_soliton_reuses_params(calabi_soliton):

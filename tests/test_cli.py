@@ -114,6 +114,7 @@ SIMPLEX_3D_TEXT = json.dumps({"dim": 3, "facets": [
     {"normal": [1, 0, 0], "offset": 1}, {"normal": [0, 1, 0], "offset": 1},
     {"normal": [0, 0, 1], "offset": 1}, {"normal": [-1, -1, -1], "offset": 1},
 ]})
+INTERVAL_TEXT = json.dumps({"dim": 1, "facets": [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}]})
 
 
 def cp2_with_offsets(offset: str) -> str:
@@ -135,9 +136,13 @@ def cp2_with_offsets(offset: str) -> str:
      "offset of facet 0 (about 1.000e+400) is beyond the float range"),
     (("roots",), cp2_with_offsets("1e308"), "vertex coordinate (about 2.000e+308) is beyond the float range"),
     (("roots",), SIMPLEX_3D_TEXT, "got dim 3"),
+    (("roots",), INTERVAL_TEXT, "got dim 1"),
+    (("soliton", "--tol", "nan"), CP2_TEXT, "--tol must be finite and positive, got nan"),
+    (("verify", "--tol", "-1"), CP2_TEXT, "--tol must be finite and positive, got -1.0"),
+    (("decompose", "--tol", "inf"), CP2_TEXT, "--tol must be finite and positive, got inf"),
 ], ids=["grid-1", "grid-2", "margin-0.9", "soliton-order-0", "verify-order-0", "decompose-order-0",
         "offset-nan", "offset-infinity", "dim-true", "decompose-grid-negative", "offset-1e400",
-        "vertex-2e308", "dim-3"])
+        "vertex-2e308", "dim-3", "dim-1", "tol-nan", "tol-negative", "tol-inf"])
 def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, document, needle):
     path = tmp_path / "polytope.json"
     path.write_text(document)
@@ -147,6 +152,16 @@ def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, docum
     assert code == 2
     assert "Traceback" not in err
     assert needle in err
+
+
+def test_decompose_has_no_margin_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["decompose", str(DATA / "cp2.json"), "--margin", "0.1"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "usage: toric-soliton" in err
+    assert "unrecognized arguments: --margin 0.1" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("offset", ["1e20", "1e300"])

@@ -10,18 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_soliton import (
-    NonConvergenceError,
     OperatorContext,
     affine_block,
-    anti_holomorphic_eigenvalue,
-    apply_complex_weighted_laplacian,
     assemble_decomposition,
     boundary_product_form,
     build_root_function,
-    eigen_residual,
+    check_root,
+    complex_weighted_laplacian,
     enumerate_roots,
     guillemin,
-    select_mode_sign,
     solve_soliton_vector,
 )
 from toric_soliton.operators import EquivariantFunction
@@ -44,10 +41,8 @@ def test_cp2_profiles_match_closed_forms(cp2, cp2_ctx):
     pts = interior_points(cp2, 25, seed=21)
     for root in rootset.roots:
         rf = build_root_function(cp2_ctx, root, mode_sign=1)
-        closed = CP2_CLOSED_FORMS[root.alpha]
-        for x in pts:
-            expected = float(closed(cp2.facet_values(x)))
-            assert abs(rf.profile.value(x) - expected) <= 1e-10
+        expected = CP2_CLOSED_FORMS[root.alpha](cp2.facet_values_many(pts).T)
+        assert np.max(np.abs(rf.profile.values(pts) - expected)) <= 1e-10
 
 
 def test_blowup_profile_closed_form_up_to_gauge(blowup, blowup_ctx):
@@ -58,12 +53,9 @@ def test_blowup_profile_closed_form_up_to_gauge(blowup, blowup_ctx):
     root = next(r for r in enumerate_roots(blowup).roots if r.alpha == (0, 1))
     rf = build_root_function(blowup_ctx, root, mode_sign=1)
     pts = interior_points(blowup, 12, seed=24)
-    ratios = []
-    for x in pts:
-        mu = from_algebraic_coordinates(x)
-        y = mu[1] / mu[0]
-        ratios.append(rf.profile.value(x) / (mu[0] * np.sqrt(y * (1.0 - y))))
-    ratios = np.array(ratios)
+    mu = from_algebraic_coordinates(pts)
+    y = mu[:, 1] / mu[:, 0]
+    ratios = rf.profile.values(pts) / (mu[:, 0] * np.sqrt(y * (1.0 - y)))
     assert ratios[0] > 0.0
     assert np.max(np.abs(ratios - ratios[0])) <= 1e-9 * ratios[0]
 
@@ -74,26 +66,22 @@ def test_profile_derivatives_match_finite_differences(cp2_ctx, blowup_ctx):
         rootset = enumerate_roots(ctx.polytope)
         root = next(r for r in rootset.roots if r.alpha == alpha)
         rf = build_root_function(ctx, root, mode_sign=1)
-        for x in interior_points(ctx.polytope, 5, seed=22):
-            fd_grad = np.array([
-                (rf.profile.value(x + step * e) - rf.profile.value(x - step * e)) / (2 * step)
-                for e in np.eye(2)
-            ])
-            assert np.max(np.abs(fd_grad - rf.profile.grad(x))) <= 1e-5
-            fd_hess = np.array([
-                (rf.profile.grad(x + step * e) - rf.profile.grad(x - step * e)) / (2 * step)
-                for e in np.eye(2)
-            ]).T
-            assert np.max(np.abs(fd_hess - rf.profile.hess(x))) <= 1e-5
+        pts = interior_points(ctx.polytope, 5, seed=22)
+        _, grad, hess = rf.profile.jet(ctx.potential.stack(pts))
+        shifted = [(rf.profile.jet(ctx.potential.stack(pts + step * e)),
+                    rf.profile.jet(ctx.potential.stack(pts - step * e))) for e in np.eye(2)]
+        fd_grad = np.stack([(plus[0] - minus[0]) / (2 * step) for plus, minus in shifted], axis=-1)
+        assert np.max(np.abs(fd_grad - grad)) <= 1e-5
+        fd_hess = np.stack([(plus[1] - minus[1]) / (2 * step) for plus, minus in shifted], axis=-1)
+        assert np.max(np.abs(fd_hess - hess)) <= 1e-5
 
 
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_eigenvalue_two_for_all_roots(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
-    grid = ctx.polytope.interior_grid(21, 0.05)
+    s = ctx.potential.stack(ctx.polytope.interior_grid(21, 0.05))
     for root in enumerate_roots(ctx.polytope).roots:
-        rf = select_mode_sign(ctx, root, grid)
-        stats = eigen_residual(ctx, rf, grid)
+        stats = check_root(ctx, root, s).stats
         assert stats["max_rel_residual"] <= 1e-6
         assert stats["fitted_eigenvalue"] == pytest.approx(2.0, abs=1e-6)
 
@@ -107,13 +95,16 @@ def test_wrong_mode_sign_discriminates(blowup_ctx, blowup_grid):
     assert abs(pairing) > 1e-3
     right = build_root_function(blowup_ctx, root, mode_sign=1)
     wrong = build_root_function(blowup_ctx, root, mode_sign=-1)
-    right_stats = eigen_residual(blowup_ctx, right, blowup_grid)
-    wrong_stats = eigen_residual(blowup_ctx, wrong, blowup_grid)
-    assert right_stats["fitted_eigenvalue"] == pytest.approx(2.0, abs=1e-9)
-    assert wrong_stats["fitted_eigenvalue"] == pytest.approx(2.0 + 4.0 * pairing, abs=1e-9)
-    assert abs(wrong_stats["fitted_eigenvalue"] - 2.0) > 1.0
-    chosen = select_mode_sign(blowup_ctx, root, blowup_grid)
-    assert chosen.mode_sign == 1
+    s = blowup_ctx.potential.stack(blowup_grid)
+    u = right.profile.jet(s)[0]  # both signs share the profile
+    right_fit = u @ complex_weighted_laplacian(blowup_ctx, right.profile, s) / (u @ u)
+    wrong_fit = u @ complex_weighted_laplacian(blowup_ctx, wrong.profile, s) / (u @ u)
+    assert right_fit == pytest.approx(2.0, abs=1e-9)
+    assert wrong_fit == pytest.approx(2.0 + 4.0 * pairing, abs=1e-9)
+    assert abs(wrong_fit - 2.0) > 1.0
+    chosen = check_root(blowup_ctx, root, s)
+    assert chosen.function.mode_sign == 1
+    assert chosen.stats["fitted_eigenvalue"] == pytest.approx(right_fit, abs=1e-12)
 
 
 def test_dropping_the_affine_shift_breaks_the_eigenvalue(cp2_ctx, cp2_grid):
@@ -126,25 +117,22 @@ def test_dropping_the_affine_shift_breaks_the_eigenvalue(cp2_ctx, cp2_grid):
     alpha = np.array(root.alpha, dtype=float)
     potential = cp2_ctx.potential
 
-    def bare_value(x):
-        return float(normal @ x) * float(np.exp(-alpha @ potential.gradient(x)))
+    def bare_jet(s):
+        e = np.exp(-(s.grad @ alpha))
+        w = s.points @ normal
+        galpha = s.G @ alpha
+        dgalpha = np.einsum("mjlk,l->mjk", s.dG, alpha)
+        matrix = (-np.einsum("i,mj->mij", normal, galpha) - np.einsum("mi,j->mij", galpha, normal)
+                  - w[:, None, None] * dgalpha + w[:, None, None] * np.einsum("mi,mj->mij", galpha, galpha))
+        return w * e, (normal - w[:, None] * galpha) * e[:, None], matrix * e[:, None, None]
 
-    def bare_grad(x):
-        w = float(normal @ x)
-        galpha = potential.hessian(x) @ alpha
-        return (normal - w * galpha) * float(np.exp(-alpha @ potential.gradient(x)))
-
-    def bare_hess(x):
-        w = float(normal @ x)
-        galpha = potential.hessian(x) @ alpha
-        dgalpha = np.einsum("jlk,l->jk", potential.hessian_derivative(x), alpha)
-        matrix = (-np.outer(normal, galpha) - np.outer(galpha, normal)
-                  - w * dgalpha + w * np.outer(galpha, galpha))
-        return matrix * float(np.exp(-alpha @ potential.gradient(x)))
-
-    bare = EquivariantFunction(mode=rf.profile.mode, value=bare_value, grad=bare_grad, hess=bare_hess)
-    stats = eigen_residual(cp2_ctx, type(rf)(root=root, mode_sign=1, profile=bare), cp2_grid)
-    assert abs(stats["fitted_eigenvalue"] - 2.0) > 1e-2 or stats["max_rel_residual"] > 1e-2
+    bare = EquivariantFunction(mode=rf.profile.mode, jet=bare_jet, potential=potential)
+    s = potential.stack(cp2_grid)
+    u = bare.jet(s)[0]
+    applied = complex_weighted_laplacian(cp2_ctx, bare, s)
+    fitted = u @ applied / (u @ u)
+    max_rel_residual = np.max(np.abs(applied - 2.0 * u)) / np.max(np.abs(u))
+    assert abs(fitted - 2.0) > 1e-2 or max_rel_residual > 1e-2
 
 
 def test_boundary_product_form_matches_interior(cp2, cp2_ctx):
@@ -153,8 +141,8 @@ def test_boundary_product_form_matches_interior(cp2, cp2_ctx):
     for root in rootset.roots:
         form = boundary_product_form(cp2, root)
         rf = build_root_function(cp2_ctx, root, mode_sign=1)
-        for x in pts:
-            assert abs(form.value(x) - rf.profile.value(x)) <= 1e-10
+        for x, value in zip(pts, rf.profile.values(pts)):
+            assert abs(form.value(x) - value) <= 1e-10
 
 
 def test_boundary_product_form_exponents(cp2):
@@ -189,9 +177,11 @@ def test_boundary_product_form_on_closed_polytope(cp2):
 
 def test_anti_holomorphic_eigenvalues_blowup(blowup_ctx, blowup_grid):
     rootset = enumerate_roots(blowup_ctx.polytope)
+    s = blowup_ctx.potential.stack(blowup_grid)
     for root in rootset.roots:
-        rf = select_mode_sign(blowup_ctx, root, blowup_grid)
-        gamma = anti_holomorphic_eigenvalue(blowup_ctx, rf, blowup_grid)
+        result = check_root(blowup_ctx, root, s)
+        assert result.gamma_fit <= 1e-6
+        gamma = result.gamma_hat
         expected = 4.0 * abs(float(np.array(root.alpha) @ blowup_ctx.a))
         assert abs(abs(gamma) - expected) <= 1e-6
         if root.alpha in ((0, 1), (0, -1)):
@@ -201,9 +191,11 @@ def test_anti_holomorphic_eigenvalues_blowup(blowup_ctx, blowup_grid):
 
 
 def test_anti_holomorphic_eigenvalues_cp2(cp2_ctx, cp2_grid):
+    s = cp2_ctx.potential.stack(cp2_grid)
     for root in enumerate_roots(cp2_ctx.polytope).roots:
-        rf = select_mode_sign(cp2_ctx, root, cp2_grid)
-        assert abs(anti_holomorphic_eigenvalue(cp2_ctx, rf, cp2_grid)) <= 1e-9
+        result = check_root(cp2_ctx, root, s)
+        assert result.gamma_fit <= 1e-6
+        assert abs(result.gamma_hat) <= 1e-9
 
 
 def test_anti_holomorphic_rejects_bad_fit(blowup, blowup_soliton, blowup_grid):
@@ -211,9 +203,8 @@ def test_anti_holomorphic_rejects_bad_fit(blowup, blowup_soliton, blowup_grid):
     ctx = OperatorContext(polytope=blowup, potential=guillemin(blowup), a=blowup_soliton.a_array)
     rootset = enumerate_roots(blowup)
     root = next(r for r in rootset.roots if r.alpha == (-1, 0))
-    rf = build_root_function(ctx, root, mode_sign=1)
-    with pytest.raises(NonConvergenceError):
-        anti_holomorphic_eigenvalue(ctx, rf, blowup_grid)
+    result = check_root(ctx, root, ctx.potential.stack(blowup_grid))
+    assert result.gamma_fit > 1e-6
 
 
 def test_decomposition_cp2(cp2_ctx):
@@ -296,15 +287,14 @@ def test_mode_sign_independent_of_round_off_in_a(example, shift, cp2_ctx, cp2_ro
     grid = ctx.potential.stack(ctx.polytope.interior_grid(15, 0.05))
     shifted = dataclasses.replace(ctx, a=ctx.a + np.array(shift))
     for root in rootset.roots:
-        assert select_mode_sign(shifted, root, grid).mode_sign == 1
-        assert select_mode_sign(ctx, root, grid).mode_sign == 1
+        assert check_root(shifted, root, grid).function.mode_sign == 1
+        assert check_root(ctx, root, grid).function.mode_sign == 1
 
 
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_affine_block_eigenvalue_two(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
-    grid = ctx.polytope.interior_grid(21, 0.05)
-    records = affine_block(ctx, grid)
+    records = affine_block(ctx, ctx.potential.stack(ctx.polytope.interior_grid(21, 0.05)))
     assert len(records) == 2
     for record in records:
         assert record["mode"] == (0, 0)
@@ -315,11 +305,9 @@ def test_affine_block_eigenvalue_two(ctx_name, request):
 def test_conjugate_root_function_satisfies_conjugate_equation(cp2_ctx, cp2_grid):
     # flipped mode sign solves the orientation-reversed equation with the same bound
     rootset = enumerate_roots(cp2_ctx.polytope)
+    s = cp2_ctx.potential.stack(cp2_grid)
     for root in rootset.roots[:3]:
         rf = build_root_function(cp2_ctx, root, mode_sign=-1)
-        values = np.array([rf.profile.value(x) for x in cp2_grid])
-        applied = np.array([
-            apply_complex_weighted_laplacian(cp2_ctx, rf.profile, x, orientation=-1).real
-            for x in cp2_grid
-        ])
+        values = rf.profile.jet(s)[0]
+        applied = complex_weighted_laplacian(cp2_ctx, rf.profile, s, orientation=-1)
         assert np.max(np.abs(applied - 2.0 * values)) / np.max(np.abs(values)) <= 1e-6

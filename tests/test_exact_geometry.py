@@ -187,13 +187,9 @@ def test_tiny_polygon_is_accepted():
     assert len(enumerate_roots(normalize_algebraic(p)).roots) == 6
 
 
-def test_interval_is_exact_in_dimension_one():
-    p = DelzantPolytope(1, [Facet((1,), Fraction(1, 3)), Facet((-1,), 2)])
-    assert [pt for pt, _ in p.vertex_data] == [(Fraction(-1, 3),), (Fraction(2),)]
-    assert sorted(normalize_algebraic(p).vertices.ravel().tolist()) == [-1.0, 1.0]
-    assert enumerate_roots(normalize_algebraic(p)).alphas() == [(-1,), (1,)]
-    with pytest.raises(UnboundedPolytopeError):
-        DelzantPolytope(1, [Facet((1,), 1), Facet((1,), 2)])
+def test_dimension_one_is_unsupported():
+    with pytest.raises(UnsupportedDimensionError, match="got dim 1"):
+        DelzantPolytope(1, [Facet((1,), Fraction(1, 3)), Facet((-1,), 2)])
 
 
 def test_dimension_three_is_unsupported():

@@ -8,16 +8,17 @@ import pytest
 from toric_soliton import (
     OperatorContext,
     QuadraticPotential,
-    abreu_scalar_curvature,
-    apply_complex_weighted_laplacian,
-    apply_laplacian,
-    apply_weighted_laplacian,
+    check_root,
+    complex_weighted_laplacian,
     finite_difference_oracle,
     gradients,
     integrate,
-    product_rule_check,
+    laplacian,
+    product_rule_defects,
     ricci_and_lie_components,
-    soliton_residual,
+    scalar_curvature,
+    soliton_residuals,
+    weighted_laplacian,
 )
 from toric_soliton.operators import (
     EquivariantFunction,
@@ -36,20 +37,15 @@ def flat_ctx(square):
 
 
 def square_profile(i: int, n: int) -> EquivariantFunction:
-    basis = np.zeros(n)
-    basis[i] = 1.0
+    def jet(s):
+        m = len(s.points)
+        grad = np.zeros((m, n))
+        grad[:, i] = 2.0 * s.points[:, i]
+        hess = np.zeros((m, n, n))
+        hess[:, i, i] = 2.0
+        return s.points[:, i] ** 2, grad, hess
 
-    def hess(x):
-        out = np.zeros((n, n))
-        out[i, i] = 2.0
-        return out
-
-    return EquivariantFunction(
-        mode=(0,) * n,
-        value=lambda x: float(x[i] ** 2),
-        grad=lambda x: 2.0 * x[i] * basis,
-        hess=hess,
-    )
+    return EquivariantFunction(mode=(0,) * n, jet=jet)
 
 
 def bump_profile(center, radius) -> EquivariantFunction:
@@ -57,70 +53,62 @@ def bump_profile(center, radius) -> EquivariantFunction:
     center = np.asarray(center, dtype=float)
     r2 = radius * radius
 
-    def pieces(x):
-        d = np.asarray(x, dtype=float) - center
-        s = float(d @ d) / r2
-        if s >= 1.0:
-            return 0.0, 0.0, 0.0, d
-        f = np.exp(-1.0 / (1.0 - s))
-        fp = -f / (1.0 - s) ** 2
-        fpp = f / (1.0 - s) ** 4 - 2.0 * f / (1.0 - s) ** 3
-        return f, fp, fpp, d
+    def jet(s):
+        d = s.points - center
+        q = np.einsum("mi,mi->m", d, d) / r2
+        inside = q < 1.0
+        t = np.where(inside, 1.0 - q, 1.0)
+        f = np.where(inside, np.exp(-1.0 / t), 0.0)
+        fp = -f / t**2
+        fpp = f / t**4 - 2.0 * f / t**3
+        dq = 2.0 * d / r2
+        hess = fpp[:, None, None] * np.einsum("mi,mj->mij", dq, dq) + fp[:, None, None] * 2.0 * np.eye(2) / r2
+        return f, fp[:, None] * dq, hess
 
-    def value(x):
-        return pieces(x)[0]
-
-    def grad(x):
-        f, fp, _, d = pieces(x)
-        return fp * 2.0 * d / r2
-
-    def hess(x):
-        f, fp, fpp, d = pieces(x)
-        return fpp * np.outer(2.0 * d / r2, 2.0 * d / r2) + fp * 2.0 * np.eye(len(d)) / r2
-
-    return EquivariantFunction(mode=(0, 0), value=value, grad=grad, hess=hess)
+    return EquivariantFunction(mode=(0, 0), jet=jet)
 
 
 def test_constants_are_harmonic(cp2_ctx, blowup_ctx, flat_ctx):
     one = profile_constant(1.0, 2)
     for ctx, x in ((cp2_ctx, [0.1, 0.2]), (blowup_ctx, [0.3, -0.4]), (flat_ctx, [0.5, 0.5])):
-        assert apply_laplacian(ctx, one, np.array(x)) == 0.0
+        assert laplacian(ctx, one, ctx.potential.stack(np.array([x])))[0] == 0.0
 
 
 def test_flat_model_square_coordinate(flat_ctx):
     f = square_profile(0, 2)
-    assert apply_laplacian(flat_ctx, f, np.array([0.3, -0.2])) == pytest.approx(-2.0, abs=1e-14)
+    s = flat_ctx.potential.stack(np.array([[0.3, -0.2]]))
+    assert laplacian(flat_ctx, f, s)[0] == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_cp2_coordinate_at_origin(cp2_ctx):
     f = profile_coordinate(0, 2)
-    assert apply_laplacian(cp2_ctx, f, np.zeros(2)) == pytest.approx(0.0, abs=1e-13)
+    s = cp2_ctx.potential.stack(np.zeros((1, 2)))
+    assert laplacian(cp2_ctx, f, s)[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_lemma_4_1_cp2(cp2_ctx, cp2_grid):
     # affine moment-map components are eigenfunctions with eigenvalue two
+    s = cp2_ctx.potential.stack(cp2_grid)
     for i in range(2):
         f = profile_coordinate(i, 2)
-        worst = 0.0
-        for x in cp2_grid:
-            lhs = apply_weighted_laplacian(cp2_ctx, f, x).real
-            worst = max(worst, abs(lhs - 2.0 * x[i]))
+        worst = np.max(np.abs(weighted_laplacian(cp2_ctx, f, s) - 2.0 * cp2_grid[:, i]))
         assert worst / np.max(np.abs(cp2_grid[:, i])) <= 1e-6
 
 
 def test_lemma_4_1_blowup(blowup_ctx, blowup_grid):
+    s = blowup_ctx.potential.stack(blowup_grid)
     for b in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
         f = profile_linear(b)
-        values = np.array([float(b @ x) for x in blowup_grid])
-        lhs = np.array([apply_weighted_laplacian(blowup_ctx, f, x).real for x in blowup_grid])
+        values = blowup_grid @ b
+        lhs = weighted_laplacian(blowup_ctx, f, s)
         assert np.max(np.abs(lhs - 2.0 * values)) / np.max(np.abs(values)) <= 1e-6
 
 
 def test_weighted_equals_plain_for_zero_vector(cp2, cp2_ctx):
     ctx0 = OperatorContext(polytope=cp2, potential=cp2_ctx.potential, a=np.zeros(2))
     f = profile_exp_pairing(cp2_ctx.potential, [1, 0])
-    for x in interior_points(cp2, 5, seed=13):
-        assert apply_weighted_laplacian(ctx0, f, x) == apply_laplacian(ctx0, f, x)
+    s = cp2_ctx.potential.stack(interior_points(cp2, 5, seed=13))
+    assert np.array_equal(weighted_laplacian(ctx0, f, s), laplacian(ctx0, f, s))
 
 
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
@@ -129,21 +117,17 @@ def test_mode_diagonal_identities(ctx_name, request):
     from toric_soliton import enumerate_roots
 
     ctx = request.getfixturevalue(ctx_name)
-    grid_points = interior_points(ctx.polytope, 12, seed=14)
+    s = ctx.potential.stack(interior_points(ctx.polytope, 12, seed=14))
     for alpha in [r.alpha for r in enumerate_roots(ctx.polytope).roots]:
         alpha_arr = np.array(alpha, dtype=float)
         pure = profile_constant(1.0, 2, mode=alpha)
         radial = profile_exp_pairing(ctx.potential, alpha)
         null = profile_exp_pairing(ctx.potential, alpha, mode=alpha)
-        for x in grid_points:
-            g = ctx.potential.hessian(x)
-            coeff = float(alpha_arr @ g @ alpha_arr) - 2.0 * float(ctx.a @ alpha_arr)
-            assert apply_complex_weighted_laplacian(ctx, pure, x, 1).real == pytest.approx(coeff, abs=1e-8)
-            value = radial.value(x)
-            assert apply_complex_weighted_laplacian(ctx, radial, x, 1).real == pytest.approx(
-                -coeff * value, abs=1e-8
-            )
-            assert apply_complex_weighted_laplacian(ctx, null, x, 1).real == pytest.approx(0.0, abs=1e-8)
+        coeff = np.einsum("i,mij,j->m", alpha_arr, s.G, alpha_arr) - 2.0 * float(ctx.a @ alpha_arr)
+        assert complex_weighted_laplacian(ctx, pure, s, 1) == pytest.approx(coeff, abs=1e-8)
+        value = radial.jet(s)[0]
+        assert complex_weighted_laplacian(ctx, radial, s, 1) == pytest.approx(-coeff * value, abs=1e-8)
+        assert complex_weighted_laplacian(ctx, null, s, 1) == pytest.approx(np.zeros(len(value)), abs=1e-8)
 
 
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
@@ -152,20 +136,20 @@ def test_product_rule(ctx_name, request):
     u = profile_coordinate(0, 2)
     v = profile_coordinate(1, 2)
     w = profile_exp_pairing(ctx.potential, [1, 0] if ctx_name == "cp2_ctx" else [0, 1])
-    for x in interior_points(ctx.polytope, 20, seed=15):
-        assert abs(product_rule_check(ctx, u, v, x)) <= 1e-8
-        assert abs(product_rule_check(ctx, u, w, x)) <= 1e-8
-    trivial = product_rule_check(ctx, profile_constant(1.0, 2), profile_constant(1.0, 2), interior_points(ctx.polytope, 1, seed=16)[0])
-    assert trivial == 0.0
+    s = ctx.potential.stack(interior_points(ctx.polytope, 20, seed=15))
+    assert np.max(np.abs(product_rule_defects(ctx, u, v, s))) <= 1e-8
+    assert np.max(np.abs(product_rule_defects(ctx, u, w, s))) <= 1e-8
+    one = ctx.potential.stack(interior_points(ctx.polytope, 1, seed=16))
+    trivial = product_rule_defects(ctx, profile_constant(1.0, 2), profile_constant(1.0, 2), one)
+    assert trivial[0] == 0.0
 
 
 def test_gradients_linear_profile(cp2_ctx):
     b = np.array([0.7, -0.3])
     f = profile_linear(b)
-    x = np.array([0.2, 0.1])
-    result = gradients(cp2_ctx, f, x)
-    h = cp2_ctx.potential.inv_hessian(x)
-    assert np.allclose(result["riemannian"][0], h @ b)
+    s = cp2_ctx.potential.stack(np.array([[0.2, 0.1]]))
+    result = gradients(cp2_ctx, f, s)
+    assert np.allclose(result["riemannian"][0], s.H @ b)
     assert np.allclose(result["riemannian"][1], 0.0)
     assert np.allclose(result["symplectic"][0], 0.0)
     assert np.allclose(result["symplectic"][1], b)
@@ -173,69 +157,84 @@ def test_gradients_linear_profile(cp2_ctx):
 
 def test_gradients_flat_model(flat_ctx):
     f = profile_coordinate(0, 2)
-    result = gradients(flat_ctx, f, np.array([0.1, 0.1]))
+    s = flat_ctx.potential.stack(np.array([[0.1, 0.1]]))
+    result = gradients(flat_ctx, f, s)
     assert np.allclose(result["riemannian"][0], [1.0, 0.0])
-    zero = gradients(flat_ctx, profile_constant(2.0, 2), np.array([0.1, 0.1]))
+    zero = gradients(flat_ctx, profile_constant(2.0, 2), s)
     assert np.allclose(zero["riemannian"][0], 0.0)
     assert np.allclose(zero["symplectic"][1], 0.0)
 
 
+def test_gradients_of_a_mode_carry_the_angular_part(cp2_ctx):
+    # on mode k the t-components are i k u, rotated by G on the Riemannian side
+    s = cp2_ctx.potential.stack(interior_points(cp2_ctx.polytope, 4, seed=21))
+    f = profile_exp_pairing(cp2_ctx.potential, [1, 0], mode=(1, 0))
+    u = f.jet(s)[0]
+    result = gradients(cp2_ctx, f, s)
+    assert result["riemannian"][0].shape == (4, 2)
+    assert np.allclose(result["symplectic"][0], -1j * u[:, None] * np.array([1.0, 0.0]))
+    assert np.allclose(result["riemannian"][1], 1j * u[:, None] * s.G[:, :, 0])
+
+
 def test_abreu_cp2_constant_four(cp2_ctx, cp2_grid):
-    values = np.array([abreu_scalar_curvature(cp2_ctx, x) for x in cp2_grid])
+    values = scalar_curvature(cp2_ctx.potential.stack(cp2_grid))
     assert np.max(np.abs(values - 4.0)) <= 1e-6
 
 
 def test_abreu_flat_model_zero(flat_ctx):
-    assert abreu_scalar_curvature(flat_ctx, np.array([0.4, -0.4])) == 0.0
+    assert scalar_curvature(flat_ctx.potential.stack(np.array([[0.4, -0.4]])))[0] == 0.0
 
 
 def test_abreu_blowup_nonconstant_with_mean_four(blowup, blowup_ctx):
     sample = interior_points(blowup, 10, seed=17)
-    values = np.array([abreu_scalar_curvature(blowup_ctx, x) for x in sample])
+    values = scalar_curvature(blowup_ctx.potential.stack(sample))
     assert values.std() > 1e-3  # genuinely non-constant
-    mean = integrate(blowup, lambda pt: abreu_scalar_curvature(blowup_ctx, pt), 10) / 4.0
+    mean = integrate(blowup, lambda pts: scalar_curvature(blowup_ctx.potential.stack(pts)), 10) / 4.0
     assert mean == pytest.approx(4.0, abs=1e-4)
 
 
 def test_ricci_identity_cp2(cp2_ctx):
-    for x in interior_points(cp2_ctx.polytope, 8, seed=18):
-        ric, lie = ricci_and_lie_components(cp2_ctx, x)
-        assert np.max(np.abs(ric - np.eye(2))) <= 1e-6
-        assert np.max(np.abs(lie)) <= 1e-9
+    s = cp2_ctx.potential.stack(interior_points(cp2_ctx.polytope, 8, seed=18))
+    ric, lie = ricci_and_lie_components(cp2_ctx, s)
+    assert np.max(np.abs(ric - np.eye(2))) <= 1e-6
+    assert np.max(np.abs(lie)) <= 1e-9
 
 
 def test_soliton_identity_blowup(blowup_ctx):
-    for x in interior_points(blowup_ctx.polytope, 12, seed=19):
-        ric, lie = ricci_and_lie_components(blowup_ctx, x)
-        assert np.max(np.abs(ric - lie - np.eye(2))) <= 1e-6
+    s = blowup_ctx.potential.stack(interior_points(blowup_ctx.polytope, 12, seed=19))
+    ric, lie = ricci_and_lie_components(blowup_ctx, s)
+    assert ric.shape == lie.shape == (12, 2, 2)
+    assert np.max(np.abs(ric - lie - np.eye(2))) <= 1e-6
 
 
 def test_ricci_flat_model(flat_ctx):
-    ric, lie = ricci_and_lie_components(flat_ctx, np.array([0.2, 0.3]))
+    ric, lie = ricci_and_lie_components(flat_ctx, flat_ctx.potential.stack(np.array([[0.2, 0.3]])))
     assert np.max(np.abs(ric)) == 0.0
     assert np.max(np.abs(lie)) == 0.0
 
 
 def test_soliton_residual_both_examples(cp2_ctx, cp2_grid, blowup_ctx, blowup_grid):
     for ctx, grid in ((cp2_ctx, cp2_grid), (blowup_ctx, blowup_grid)):
-        worst = max(abs(soliton_residual(ctx, x, 4.0)) for x in grid)
+        worst = np.max(np.abs(soliton_residuals(ctx, ctx.potential.stack(grid), 4.0)))
         assert worst <= 1e-6
 
 
 def test_soliton_residual_negative_control(blowup, blowup_ctx, blowup_grid):
     halved = OperatorContext(polytope=blowup, potential=blowup_ctx.potential, a=blowup_ctx.a / 2.0)
-    worst = max(abs(soliton_residual(halved, x, 4.0)) for x in blowup_grid)
+    worst = np.max(np.abs(soliton_residuals(halved, blowup_ctx.potential.stack(blowup_grid), 4.0)))
     assert worst > 1e-2
 
 
 def test_fd_oracle_weighted_on_root_functions(cp2, cp2_ctx, cp2_grid):
-    from toric_soliton import enumerate_roots, select_mode_sign
+    from toric_soliton import enumerate_roots
 
     rootset = enumerate_roots(cp2)
     x = np.array([0.15, -0.1])
+    sample = cp2_ctx.potential.stack(cp2_grid[:24])
+    at_x = cp2_ctx.potential.stack(x[None])
     for root in rootset.roots:
-        rf = select_mode_sign(cp2_ctx, root, cp2_grid[:24])
-        analytic = apply_complex_weighted_laplacian(cp2_ctx, rf.profile, x, 1).real
+        rf = check_root(cp2_ctx, root, sample).function
+        analytic = complex_weighted_laplacian(cp2_ctx, rf.profile, at_x, 1)[0]
         oracle = finite_difference_oracle(cp2_ctx, rf.profile, x, "complex+").real
         assert abs(oracle - analytic) / max(1.0, abs(analytic)) <= 1e-4
 
@@ -268,10 +267,10 @@ def test_conjugation_symmetry(blowup_ctx):
     alpha = (-1, 0)
     u_plus = profile_exp_pairing(blowup_ctx.potential, alpha, mode=alpha)
     u_minus = profile_exp_pairing(blowup_ctx.potential, alpha, mode=tuple(-c for c in alpha))
-    for x in interior_points(blowup_ctx.polytope, 8, seed=20):
-        plus = apply_complex_weighted_laplacian(blowup_ctx, u_plus, x, 1)
-        minus = apply_complex_weighted_laplacian(blowup_ctx, u_minus, x, -1)
-        assert minus == pytest.approx(np.conj(plus), abs=1e-12)
+    s = blowup_ctx.potential.stack(interior_points(blowup_ctx.polytope, 8, seed=20))
+    plus = complex_weighted_laplacian(blowup_ctx, u_plus, s, 1)
+    minus = complex_weighted_laplacian(blowup_ctx, u_minus, s, -1)
+    assert minus == pytest.approx(np.conj(plus), abs=1e-12)
 
 
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
@@ -294,17 +293,15 @@ def test_weighted_symmetry_under_refinement(ctx_name, request):
         keep = ctx.polytope.facet_values_many(mesh).min(axis=1) > 1e-9
         pts = mesh[keep]
         cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / (n - 1) ** 2
-        total = 0.0
-        scale = 0.0
-        for x in pts:
-            uv, vv = u.value(x), v.value(x)
-            if uv == 0.0 and vv == 0.0:
-                continue
-            du = apply_weighted_laplacian(ctx, u, x).real
-            dv = apply_weighted_laplacian(ctx, v, x).real
-            weight = np.exp(2.0 * float(ctx.a @ x))
-            total += (du * vv - uv * dv) * weight * cell
-            scale += (abs(du * vv) + abs(uv * dv)) * weight * cell
+        uv, vv = u.values(pts), v.values(pts)
+        support = (uv != 0.0) | (vv != 0.0)
+        pts, uv, vv = pts[support], uv[support], vv[support]
+        s = ctx.potential.stack(pts)
+        du = weighted_laplacian(ctx, u, s)
+        dv = weighted_laplacian(ctx, v, s)
+        weight = np.exp(2.0 * (pts @ ctx.a))
+        total = np.sum((du * vv - uv * dv) * weight * cell)
+        scale = np.sum((np.abs(du * vv) + np.abs(uv * dv)) * weight * cell)
         return abs(total) / scale
 
     coarse = antisymmetric_sum(20)

@@ -8,6 +8,7 @@ import pytest
 from toric_soliton import (
     BoundaryEvaluationError,
     LossOfConvexityError,
+    MalformedInputError,
     QuadraticPotential,
     SmoothField,
     gradient_by_line_integral,
@@ -17,43 +18,29 @@ from toric_soliton import (
 from conftest import interior_points
 
 
-def finite_difference_gradient(fun, x, h):
-    n = len(x)
-    out = np.zeros(n)
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        out[i] = (fun(x + e) - fun(x - e)) / (2.0 * h)
-    return out
-
-
-def finite_difference_jacobian(fun, x, h):
-    n = len(x)
-    sample = np.asarray(fun(x))
-    out = np.zeros(sample.shape + (n,))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        out[..., i] = (np.asarray(fun(x + e)) - np.asarray(fun(x - e))) / (2.0 * h)
-    return out
+def finite_difference_jacobian(field, points, h):
+    """Central differences of a batched field: (m, ...) values at (m, n) points -> (m, ..., n)."""
+    return np.stack([(field(points + h * e) - field(points - h * e)) / (2.0 * h) for e in np.eye(points.shape[1])],
+                    axis=-1)
 
 
 def test_guillemin_closed_form_at_origin(cp2):
     pot = guillemin(cp2)
     origin = np.zeros(2)
+    s = pot.stack(origin[None])
     assert pot.value(origin) == pytest.approx(0.0, abs=1e-15)
-    assert np.allclose(pot.gradient(origin), 0.0, atol=1e-15)
-    assert np.allclose(pot.hessian(origin), 0.5 * np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(pot.inv_hessian(origin), (2.0 / 3.0) * np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    assert np.allclose(s.grad[0], 0.0, atol=1e-15)
+    assert np.allclose(s.G[0], 0.5 * np.array([[2.0, 1.0], [1.0, 2.0]]))
+    assert np.allclose(s.H[0], (2.0 / 3.0) * np.array([[2.0, -1.0], [-1.0, 2.0]]))
 
 
 def test_guillemin_gradient_closed_form(cp2):
     # gradient components are half log-ratios of facet values
     pot = guillemin(cp2)
-    for x in interior_points(cp2, 10, seed=1):
-        l1, l2, l3 = cp2.facet_values(x)
-        expected = 0.5 * np.array([np.log(l1 / l3), np.log(l2 / l3)])
-        assert np.allclose(pot.gradient(x), expected, atol=1e-13)
+    pts = interior_points(cp2, 10, seed=1)
+    l1, l2, l3 = cp2.facet_values_many(pts).T
+    expected = 0.5 * np.stack([np.log(l1 / l3), np.log(l2 / l3)], axis=1)
+    assert np.allclose(pot.stack(pts).grad, expected, atol=1e-13)
 
 
 def test_boundary_evaluation_rejected(cp2):
@@ -61,62 +48,61 @@ def test_boundary_evaluation_rejected(cp2):
     with pytest.raises(BoundaryEvaluationError):
         pot.value(np.array([-1.0, -1.0]))
     with pytest.raises(BoundaryEvaluationError):
-        pot.hessian(np.array([5.0, 5.0]))
+        pot.stack(np.array([[0.0, 0.0], [5.0, 5.0]]))
+
+
+def test_stack_rejects_a_bare_point(cp2):
+    # a single point is a batch of one, shape (1, n)
+    with pytest.raises(MalformedInputError):
+        guillemin(cp2).stack(np.zeros(2))
 
 
 def test_hessian_inverse_identity(cp2, blowup):
     for p in (cp2, blowup):
-        pot = guillemin(p)
-        for x in interior_points(p, 20, seed=2):
-            g = pot.hessian(x)
-            h = pot.inv_hessian(x)
-            assert np.max(np.abs(g @ h - np.eye(2))) <= 1e-10
-            assert np.linalg.eigvalsh(g)[0] > 0
+        s = guillemin(p).stack(interior_points(p, 20, seed=2))
+        assert np.max(np.abs(s.G @ s.H - np.eye(2))) <= 1e-10
+        assert np.all(np.linalg.eigvalsh(s.G)[:, 0] > 0)
 
 
 def test_hessian_matches_finite_differences(cp2):
     pot = guillemin(cp2)
     margin = cp2.interior_margin(0.05)
     step = 1e-5 * margin
-    for x in interior_points(cp2, 20, seed=3):
-        fd = finite_difference_jacobian(pot.gradient, x, step)
-        assert np.max(np.abs(fd - pot.hessian(x))) <= 1e-6
+    pts = interior_points(cp2, 20, seed=3)
+    fd = finite_difference_jacobian(lambda q: pot.stack(q).grad, pts, step)
+    assert np.max(np.abs(fd - pot.stack(pts).G)) <= 1e-6
 
 
 def test_inv_hessian_derivative_matches_finite_differences(cp2):
     pot = guillemin(cp2)
     margin = cp2.interior_margin(0.05)
     step = 1e-5 * margin
-    for x in interior_points(cp2, 20, seed=4):
-        fd = finite_difference_jacobian(pot.inv_hessian, x, step)
-        assert np.max(np.abs(fd - pot.inv_hessian_derivative(x))) <= 1e-5
+    pts = interior_points(cp2, 20, seed=4)
+    fd = finite_difference_jacobian(lambda q: pot.stack(q).H, pts, step)
+    assert np.max(np.abs(fd - pot.stack(pts).dH)) <= 1e-5
 
 
 def test_inv_hessian_second_matches_finite_differences(cp2):
     pot = guillemin(cp2)
     step = 1e-4
-    for x in interior_points(cp2, 5, seed=5):
-        fd = finite_difference_jacobian(pot.inv_hessian_derivative, x, step)
-        assert np.max(np.abs(fd - pot.inv_hessian_second(x))) <= 1e-5
+    pts = interior_points(cp2, 5, seed=5)
+    fd = finite_difference_jacobian(lambda q: pot.stack(q).dH, pts, step)
+    assert np.max(np.abs(fd - pot.stack(pts).d2H)) <= 1e-5
 
 
 def test_third_derivative_tensor_symmetry(cp2, blowup):
     for p in (cp2, blowup):
-        pot = guillemin(p)
-        for x in interior_points(p, 10, seed=6):
-            dg = pot.hessian_derivative(x)
-            for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-                assert np.max(np.abs(dg - np.transpose(dg, perm))) <= 1e-9
+        dg = guillemin(p).stack(interior_points(p, 10, seed=6)).dG
+        for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)):
+            assert np.max(np.abs(dg - np.transpose(dg, perm))) <= 1e-9
 
 
 def test_det_h_degenerates_toward_facet(cp2):
     pot = guillemin(cp2)
     # walk toward facet 0 (normal e1) along its inward normal
     target = np.array([-1.0, 0.2])
-    dets = []
-    for s in np.linspace(0.5, 1e-3, 8):
-        x = target + s * np.array([1.0, 0.0])
-        dets.append(np.linalg.det(pot.inv_hessian(x)))
+    walk = target + np.linspace(0.5, 1e-3, 8)[:, None] * np.array([1.0, 0.0])
+    dets = np.linalg.det(pot.stack(walk).H)
     assert all(d > 0 for d in dets)
     assert all(dets[i + 1] < dets[i] for i in range(len(dets) - 5, len(dets) - 1))
     assert dets[-1] < 1e-2 * dets[0]
@@ -125,33 +111,61 @@ def test_det_h_degenerates_toward_facet(cp2):
 def test_perturbed_zero_field_identity(cp2):
     base = guillemin(cp2)
     zero = SmoothField(
-        value=lambda x: 0.0,
-        gradient=lambda x: np.zeros(2),
-        hessian=lambda x: np.zeros((2, 2)),
+        value=lambda pts: np.zeros(len(pts)),
+        gradient=lambda pts: np.zeros((len(pts), 2)),
+        hessian=lambda pts: np.zeros((len(pts), 2, 2)),
     )
     pot = perturbed(base, zero)
-    for x in interior_points(cp2, 5, seed=7):
+    pts = interior_points(cp2, 5, seed=7)
+    for x in pts:
         assert pot.value(x) == pytest.approx(base.value(x), abs=1e-15)
-        assert np.allclose(pot.hessian(x), base.hessian(x))
-        assert np.allclose(pot.inv_hessian_second(x), base.inv_hessian_second(x))
+    assert np.allclose(pot.stack(pts).G, base.stack(pts).G)
+    assert np.allclose(pot.stack(pts).d2H, base.stack(pts).d2H)
 
 
 def test_perturbed_quadratic_shifts_hessian(cp2):
     base = guillemin(cp2)
     eps = 0.3
     pot = perturbed(base, SmoothField.quadratic(eps * np.eye(2)))
-    for x in interior_points(cp2, 5, seed=8):
-        assert np.allclose(pot.hessian(x), base.hessian(x) + eps * np.eye(2))
+    pts = interior_points(cp2, 5, seed=8)
+    assert np.allclose(pot.stack(pts).G, base.stack(pts).G + eps * np.eye(2))
+    for x in pts:
+        assert pot.value(x) == pytest.approx(base.value(x) + 0.5 * eps * float(x @ x), abs=1e-15)
 
 
 def test_perturbed_affine_leaves_metric(cp2):
     base = guillemin(cp2)
     c = np.array([0.4, -0.9])
     pot = perturbed(base, SmoothField.affine(c))
-    for x in interior_points(cp2, 5, seed=9):
-        assert np.allclose(pot.hessian(x), base.hessian(x))
-        assert np.allclose(pot.inv_hessian(x), base.inv_hessian(x))
-        assert np.allclose(pot.gradient(x), base.gradient(x) + c)
+    pts = interior_points(cp2, 5, seed=9)
+    s, s0 = pot.stack(pts), base.stack(pts)
+    assert np.allclose(s.G, s0.G)
+    assert np.allclose(s.H, s0.H)
+    assert np.allclose(s.grad, s0.grad + c)
+
+
+def test_perturbed_field_is_evaluated_once_per_stack(cp2):
+    # the field's callables take the whole batch: one call per stack, not one per point
+    calls = {"gradient": 0, "hessian": 0}
+    q = 0.1 * np.eye(2)
+
+    def counted(name, fun):
+        def field(pts):
+            calls[name] += 1
+            return fun(pts)
+        return field
+
+    field = SmoothField.quadratic(q)
+    pot = perturbed(guillemin(cp2), SmoothField(
+        value=field.value,
+        gradient=counted("gradient", field.gradient),
+        hessian=counted("hessian", field.hessian),
+    ))
+    calls.update(gradient=0, hessian=0)
+    grid = cp2.interior_grid(21, 0.05)
+    s = pot.stack(grid)
+    assert calls == {"gradient": 1, "hessian": 1}
+    assert np.allclose(s.grad, guillemin(cp2).stack(grid).grad + grid @ q)
 
 
 def test_perturbed_loss_of_convexity(cp2):
@@ -163,7 +177,7 @@ def test_perturbed_loss_of_convexity(cp2):
 def test_line_integral_constant_hessian(square):
     x0 = np.zeros(2)
     x = np.array([0.3, -0.5])
-    result = gradient_by_line_integral(lambda y: np.eye(2), x, x0)
+    result = gradient_by_line_integral(QuadraticPotential(square), x, x0)
     assert np.allclose(result, x, atol=1e-13)
 
 
@@ -171,9 +185,9 @@ def test_line_integral_matches_guillemin_gradient(cp2):
     pot = guillemin(cp2)
     x0 = np.zeros(2)
     for x in interior_points(cp2, 8, seed=10):
-        recovered = gradient_by_line_integral(pot.hessian, x, x0, polytope=cp2)
-        expected = pot.gradient(x) - pot.gradient(x0)
-        assert np.max(np.abs(recovered - expected)) <= 1e-9
+        recovered = gradient_by_line_integral(pot, x, x0)
+        grad = pot.stack(np.array([x, x0])).grad
+        assert np.max(np.abs(recovered - (grad[0] - grad[1]))) <= 1e-9
 
 
 def test_line_integral_path_independence(cp2):
@@ -181,23 +195,23 @@ def test_line_integral_path_independence(cp2):
     x0 = np.array([0.1, 0.1])
     mid = np.array([-0.4, 0.3])
     x = np.array([0.5, -0.7])
-    direct = gradient_by_line_integral(pot.hessian, x, x0)
-    via = gradient_by_line_integral(pot.hessian, mid, x0) + gradient_by_line_integral(pot.hessian, x, mid)
+    direct = gradient_by_line_integral(pot, x, x0)
+    via = gradient_by_line_integral(pot, mid, x0) + gradient_by_line_integral(pot, x, mid)
     assert np.max(np.abs(direct - via)) <= 1e-9
 
 
 def test_line_integral_segment_exits_interior(cp2):
     pot = guillemin(cp2)
     with pytest.raises(BoundaryEvaluationError):
-        gradient_by_line_integral(pot.hessian, np.array([3.0, 0.0]), np.zeros(2), polytope=cp2)
+        gradient_by_line_integral(pot, np.array([3.0, 0.0]), np.zeros(2))
 
 
 def test_quadratic_potential_stack(square):
     pot = QuadraticPotential(square)
-    x = np.array([0.2, -0.1])
-    assert np.allclose(pot.hessian(x), np.eye(2))
-    assert np.allclose(pot.inv_hessian(x), np.eye(2))
-    assert np.allclose(pot.inv_hessian_derivative(x), 0.0)
-    assert np.allclose(pot.inv_hessian_second(x), 0.0)
+    s = pot.stack(np.array([[0.2, -0.1]]))
+    assert np.allclose(s.G, np.eye(2))
+    assert np.allclose(s.H, np.eye(2))
+    assert np.allclose(s.dH, 0.0)
+    assert np.allclose(s.d2H, 0.0)
     with pytest.raises(LossOfConvexityError):
         QuadraticPotential(square, matrix=-np.eye(2))

@@ -95,12 +95,11 @@ def test_rejects_other_dimensions():
 
     from toric_soliton import parse_polytope
 
-    p = parse_polytope(json.dumps({
-        "dim": 1,
-        "facets": [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}],
-    }))
     with pytest.raises(UnsupportedDimensionError):
-        triangulate(p)
+        parse_polytope(json.dumps({
+            "dim": 1,
+            "facets": [{"normal": [1], "offset": 1}, {"normal": [-1], "offset": 1}],
+        }))
 
 
 def test_polynomial_exactness_on_polygon(blowup):
