@@ -6,90 +6,139 @@ vector solved from the weighted-moment condition, and the eigenfunction
 decomposition of the weighted Laplacian verified numerically against the
 closed-form potentials shipped for the projective plane and its one-point
 blow-up.
+
+Validation, normalization and root enumeration (``errors``, ``polytope``,
+``roots``) are exact lattice work and import eagerly without numpy.  The
+numpy-backed submodules are registered with :class:`importlib.util.LazyLoader`
+and execute on first attribute access.  Exported names resolve through the
+module ``__getattr__`` (PEP 562), so ``import toric_soliton`` loads no numpy.
 """
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-from .errors import (
-    BoundaryEvaluationError,
-    DegenerateVertexError,
-    EmptyInteriorError,
-    LossOfConvexityError,
-    MalformedInputError,
-    NonConvergenceError,
-    NonPrimitiveNormalError,
-    NotFanoError,
-    RedundantFacetError,
-    ToricSolitonError,
-    UnboundedPolytopeError,
-    UnboundedRootRegionError,
-    UnsupportedDimensionError,
-)
-from .polytope import (
-    DelzantPolytope,
-    DelzantVerdict,
-    Facet,
-    PrivilegedCenter,
-    compute_vertices,
-    delzant_check,
-    facet_values,
-    normalize_algebraic,
-    parse_polytope,
-    privileged_center,
-)
-from .roots import (
-    AutomorphismDimensions,
-    DemazureRoot,
-    RootSet,
-    automorphism_dimensions,
-    enumerate_roots,
-    split_semisimple_unipotent,
-)
-from .quadrature import QuadratureRule, Triangulation, integrate, triangulate
-from .futaki import SolitonData, einstein_constant, solve_soliton_vector, weighted_volume
-from .potentials import (
-    GuilleminPotential,
-    PerturbedPotential,
-    QuadraticPotential,
-    SmoothField,
-    Stack,
-    SymplecticPotential,
-    gradient_by_line_integral,
-    guillemin,
-    perturbed,
-)
-from .calabi import (
-    CalabiParameters,
-    CalabiPotential,
-    CalabiSoliton,
-    blowup_trapezoid,
-    h_matrix,
-    ode_residual,
-    profile_A,
-    profile_B,
-    solve_a1,
-    to_algebraic_coordinates,
-)
-from .operators import (
-    EquivariantFunction,
-    OperatorContext,
-    complex_weighted_laplacian,
-    finite_difference_oracle,
-    gradients,
-    laplacian,
-    product_rule_defects,
-    ricci_and_lie_components,
-    scalar_curvature,
-    soliton_residuals,
-    weighted_laplacian,
-)
-from .eigenbasis import (
-    RootCheck,
-    RootFunction,
-    SolitonDecomposition,
-    affine_block,
-    assemble_decomposition,
-    boundary_product_form,
-    build_root_function,
-    check_root,
-)
+from . import errors, polytope, roots
+
+#: every exported name, by the submodule that defines it
+_EXPORTS = {
+    "errors": (
+        "BoundaryEvaluationError",
+        "DegenerateVertexError",
+        "EmptyInteriorError",
+        "LossOfConvexityError",
+        "MalformedInputError",
+        "NonConvergenceError",
+        "NonPrimitiveNormalError",
+        "NotFanoError",
+        "RedundantFacetError",
+        "ToricSolitonError",
+        "UnboundedPolytopeError",
+        "UnboundedRootRegionError",
+        "UnsupportedDimensionError",
+    ),
+    "polytope": (
+        "DelzantPolytope",
+        "DelzantVerdict",
+        "Facet",
+        "PrivilegedCenter",
+        "compute_vertices",
+        "delzant_check",
+        "facet_values",
+        "normalize_algebraic",
+        "parse_polytope",
+        "privileged_center",
+    ),
+    "roots": (
+        "AutomorphismDimensions",
+        "DemazureRoot",
+        "RootSet",
+        "automorphism_dimensions",
+        "enumerate_roots",
+        "split_semisimple_unipotent",
+    ),
+    "quadrature": ("QuadratureRule", "Triangulation", "integrate", "triangulate"),
+    "futaki": ("SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume"),
+    "potentials": (
+        "GuilleminPotential",
+        "PerturbedPotential",
+        "QuadraticPotential",
+        "SmoothField",
+        "Stack",
+        "SymplecticPotential",
+        "gradient_by_line_integral",
+        "guillemin",
+        "perturbed",
+    ),
+    "calabi": (
+        "CalabiParameters",
+        "CalabiPotential",
+        "CalabiSoliton",
+        "blowup_trapezoid",
+        "h_matrix",
+        "ode_residual",
+        "profile_A",
+        "profile_B",
+        "solve_a1",
+        "to_algebraic_coordinates",
+    ),
+    "operators": (
+        "EquivariantFunction",
+        "OperatorContext",
+        "complex_weighted_laplacian",
+        "finite_difference_oracle",
+        "gradients",
+        "laplacian",
+        "product_rule_defects",
+        "ricci_and_lie_components",
+        "scalar_curvature",
+        "soliton_residuals",
+        "weighted_laplacian",
+    ),
+    "eigenbasis": (
+        "RootCheck",
+        "RootFunction",
+        "SolitonDecomposition",
+        "affine_block",
+        "assemble_decomposition",
+        "boundary_product_form",
+        "build_root_function",
+        "check_root",
+    ),
+}
+
+#: the numpy-backed submodules
+_LAZY = ("quadrature", "futaki", "potentials", "calabi", "operators", "eigenbasis", "report")
+
+
+def _register_lazy(name: str):
+    """Put ``toric_soliton.<name>`` in ``sys.modules``; it executes on first attribute access."""
+    fullname = f"{__name__}.{name}"
+    spec = importlib.util.find_spec(fullname)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    loader.exec_module(module)
+    return module
+
+
+for _name in _LAZY:
+    globals()[_name] = _register_lazy(_name)
+del _name
+
+_OWNER = {attr: module for module, attrs in _EXPORTS.items() for attr in attrs}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name: str):
+    owner = _OWNER.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[owner], name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -2,7 +2,9 @@
 
 Commands: ``roots``, ``soliton``, ``verify``, ``decompose``, ``calabi``.
 Exit codes are a stable contract: 0 success, 2 input or geometry
-rejection, 3 solver failure, 4 verification failure.
+rejection, 3 solver failure, 4 verification failure.  ``roots`` and every
+rejection run without numpy; the numpy-backed modules load when a command
+first computes with them.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ import math
 import sys
 from pathlib import Path
 
-from .calabi import CalabiParameters
+from . import calabi
 from .errors import (
     MalformedInputError,
     NonConvergenceError,
     NotFanoError,
     ToricSolitonError,
 )
-from .polytope import DelzantPolytope, delzant_check, parse_polytope
+from .polytope import DelzantPolytope, delzant_check, parse_polytope, privileged_center
 from .report import (
     calabi_report,
     decompose_report,
@@ -37,6 +39,7 @@ EXIT_VERIFICATION = 4
 
 
 def _load_polytope(path: str) -> DelzantPolytope:
+    """Read and fully validate a polytope: parse, Delzant and Fano (privileged center)."""
     text = Path(path).read_text()
     p = parse_polytope(text)
     verdict = delzant_check(p)
@@ -45,6 +48,7 @@ def _load_polytope(path: str) -> DelzantPolytope:
         raise MalformedInputError(
             f"polytope is not Delzant: vertex {bad[0][0]} has determinant {bad[0][1]}"
         )
+    privileged_center(p)
     return p
 
 
@@ -129,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                 tol=args.tol, grid_n=args.grid, order=args.order,
             )
         elif args.command == "calabi":
-            params = CalabiParameters(
+            params = calabi.CalabiParameters(
                 args.alpha1, args.alpha2, args.beta1, args.beta2,
                 args.c_alpha1, args.c_alpha2, args.c_beta1, args.c_beta2,
             )

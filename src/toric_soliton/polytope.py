@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Sequence
-
-import numpy as np
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     DegenerateVertexError,
@@ -34,8 +33,8 @@ from .errors import (
     UnsupportedDimensionError,
 )
 
-#: tolerance of :meth:`DelzantPolytope.contains` on float points
-ACTIVE_TOL = 1e-9
+if TYPE_CHECKING:
+    import numpy as np
 
 #: tolerance for the privileged-center residual
 CENTER_TOL = 1e-9
@@ -192,9 +191,10 @@ class DelzantPolytope:
         self.facets = facets
         self._check_bounded()
         self._vertex_data = self._enumerate_vertices()
-        self._offset_vector = np.array([_to_float(f.offset, f"offset of facet {i}") for i, f in enumerate(facets)])
-        self._vertex_array = np.array([[_to_float(c, "vertex coordinate") for c in pt] for pt, _ in self._vertex_data])
-        self._normal_matrix = np.array([f.normal for f in facets], dtype=float)
+        self._offset_floats = tuple(_to_float(f.offset, f"offset of facet {i}") for i, f in enumerate(facets))
+        self._vertex_floats = tuple(
+            tuple(_to_float(c, "vertex coordinate") for c in pt) for pt, _ in self._vertex_data
+        )
         self._check_simple()
         self._check_facets_supported()
         self._center: PrivilegedCenter | None = None
@@ -231,10 +231,10 @@ class DelzantPolytope:
         return tuple(sorted(found.items()))
 
     def _check_simple(self) -> None:
-        for (_, active), point in zip(self._vertex_data, self._vertex_array):
+        for (_, active), point in zip(self._vertex_data, self._vertex_floats):
             if len(active) > self.dim:
                 raise DegenerateVertexError(
-                    f"{len(active)} facets meet at vertex {tuple(point.tolist())}; polytope is not simple"
+                    f"{len(active)} facets meet at vertex {point}; polytope is not simple"
                 )
 
     def _check_facets_supported(self) -> None:
@@ -247,6 +247,26 @@ class DelzantPolytope:
                 raise RedundantFacetError(f"facet {i} (normal {self.facets[i].normal}) supports no (n-1)-face")
 
     # -- basic geometry -----------------------------------------------------
+    # The float arrays are built on first use, so validation and root
+    # enumeration never import numpy.
+
+    @cached_property
+    def _vertex_array(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self._vertex_floats)
+
+    @cached_property
+    def _normal_matrix(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array([f.normal for f in self.facets], dtype=float)
+
+    @cached_property
+    def _offset_vector(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self._offset_floats)
 
     @property
     def vertices(self) -> np.ndarray:
@@ -263,15 +283,13 @@ class DelzantPolytope:
         return self._normal_matrix.copy()
 
     @property
-    def offsets(self) -> np.ndarray:
-        return self._offset_vector.copy()
-
-    @property
     def is_algebraic(self) -> bool:
         """True when every offset equals one (privileged center at the origin)."""
         return all(f.offset == 1 for f in self.facets)
 
     def facet_values(self, x: Sequence[float]) -> np.ndarray:
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
             raise MalformedInputError(f"point has shape {x.shape}, expected ({self.dim},)")
@@ -281,24 +299,19 @@ class DelzantPolytope:
         """Facet values for an array of points of shape (m, n) -> (m, d)."""
         return pts @ self._normal_matrix.T + self._offset_vector
 
-    def contains(self, x: Sequence[float], tol: float = ACTIVE_TOL) -> bool:
-        return bool(np.min(self.facet_values(x)) >= -tol)
-
-    def is_interior(self, x: Sequence[float], margin: float = 0.0) -> bool:
-        return bool(np.min(self.facet_values(x)) > margin)
-
     @property
     def spread(self) -> float:
         """Largest coordinate range over the vertex set."""
-        verts = self.vertices
-        return float(np.max(verts.max(axis=0) - verts.min(axis=0)))
+        return max(max(axis) - min(axis) for axis in zip(*self._vertex_floats))
 
     def interior_margin(self, margin_fraction: float = 0.05) -> float:
         return margin_fraction * self.spread
 
     def interior_grid(self, n: int = 21, margin_fraction: float = 0.05) -> np.ndarray:
         """Tensor grid over the bounding box clipped to {min_r L_r >= margin}."""
-        verts = self.vertices
+        import numpy as np
+
+        verts = self._vertex_array
         lo, hi = verts.min(axis=0), verts.max(axis=0)
         axes = [np.linspace(lo[i], hi[i], n) for i in range(self.dim)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
@@ -374,6 +387,8 @@ def parse_polytope(source: str | bytes | dict) -> DelzantPolytope:
 
 def compute_vertices(p: DelzantPolytope) -> list[tuple[np.ndarray, frozenset[int]]]:
     """Vertices with active facet index sets, as floats."""
+    import numpy as np
+
     return [(np.array([float(c) for c in pt]), act) for pt, act in p.vertex_data]
 
 

@@ -6,45 +6,22 @@ the structure exactly (keys and their order, list order, ints, strings,
 bools and null) and the floats to a tolerance: quantities that vanish by
 symmetry come out as round-off whose sign and last digits differ between
 numpy and BLAS builds.
+
+The numpy-backed modules are bound as lazily loaded modules and called
+qualified, so ``roots`` executes none of them and ``soliton`` only
+``futaki`` and ``quadrature``; numpy itself is imported here only by the
+builders that compute with arrays.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
-import numpy as np
-
-from . import __version__
-from .calabi import (
-    CalabiPotential,
-    CalabiSoliton,
-    blowup_trapezoid,
-    boundary_residuals,
-    ode_residual,
-)
-from .eigenbasis import (
-    affine_block,
-    assemble_decomposition,
-    boundary_product_form,
-    check_root,
-)
+from . import __version__, calabi, eigenbasis, futaki, operators, potentials, quadrature
 from .errors import MalformedInputError
-from .futaki import SolitonData, solve_soliton_vector
-from .operators import (
-    OperatorContext,
-    complex_weighted_laplacian,
-    finite_difference_oracle,
-    product_rule_defects,
-    profile_constant,
-    profile_coordinate,
-    profile_exp_pairing,
-    scalar_curvature,
-    soliton_residuals,
-)
 from .polytope import DelzantPolytope, delzant_check, normalize_algebraic, privileged_center
-from .potentials import guillemin
-from .quadrature import integrate
 from .roots import RootSet, automorphism_dimensions, enumerate_roots
 
 
@@ -60,10 +37,12 @@ def _round_floats(obj: Any) -> Any:
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return format_float(float(obj))
-    if isinstance(obj, np.integer):
-        return int(obj)
+    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
+    if np is not None:
+        if isinstance(obj, np.floating):
+            return format_float(float(obj))
+        if isinstance(obj, np.integer):
+            return int(obj)
     return obj
 
 
@@ -88,7 +67,7 @@ def _polytope_section(p: DelzantPolytope, normalized: DelzantPolytope) -> dict:
                 {"vertex": list(v), "det": d} for v, d in verdict.vertex_determinants
             ],
         },
-        "vertices": [list(v) for v in normalized.vertices.tolist()],
+        "vertices": [[float(c) for c in pt] for pt, _ in normalized.vertex_data],
     }
 
 
@@ -113,7 +92,7 @@ def _roots_section(rootset: RootSet, n: int) -> dict:
     }
 
 
-def _soliton_section(soliton: SolitonData) -> dict:
+def _soliton_section(soliton: futaki.SolitonData) -> dict:
     return {
         "a": list(soliton.a),
         "einstein_constant": soliton.lam,
@@ -140,7 +119,7 @@ def roots_report(p: DelzantPolytope) -> dict:
 
 def soliton_report(p: DelzantPolytope, tol: float = 1e-10, order: int = 10) -> dict:
     normalized = normalize_algebraic(p)
-    soliton = solve_soliton_vector(normalized, tol=tol, order=order)
+    soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
     return {
         "command": "soliton",
         "config": {"tol": tol, "order": order},
@@ -150,23 +129,25 @@ def soliton_report(p: DelzantPolytope, tol: float = 1e-10, order: int = 10) -> d
 
 
 def make_context(normalized: DelzantPolytope, potential_kind: str,
-                 soliton: SolitonData) -> OperatorContext:
+                 soliton: futaki.SolitonData) -> operators.OperatorContext:
     if potential_kind == "guillemin":
-        potential = guillemin(normalized)
+        potential = potentials.guillemin(normalized)
     elif potential_kind == "calabi":
-        if frozenset(normalized.facets) != frozenset(blowup_trapezoid().facets):
+        if frozenset(normalized.facets) != frozenset(calabi.blowup_trapezoid().facets):
             raise MalformedInputError(
                 "the closed-form soliton potential is only available for the blow-up trapezoid"
             )
-        potential = CalabiPotential()
+        potential = calabi.CalabiPotential()
     else:
         raise MalformedInputError(f"unknown potential kind {potential_kind!r}")
-    return OperatorContext(polytope=normalized, potential=potential, a=soliton.a_array)
+    return operators.OperatorContext(polytope=normalized, potential=potential, a=soliton.a_array)
 
 
-def _scal_mean(ctx: OperatorContext, order: int) -> float:
-    area = integrate(ctx.polytope, lambda pts: 1.0, order=order)
-    total = integrate(ctx.polytope, lambda pts: scalar_curvature(ctx.potential.stack(pts)), order=order)
+def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
+    area = quadrature.integrate(ctx.polytope, lambda pts: 1.0, order=order)
+    total = quadrature.integrate(
+        ctx.polytope, lambda pts: operators.scalar_curvature(ctx.potential.stack(pts)), order=order
+    )
     return total / area
 
 
@@ -179,12 +160,14 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
     derivative stack is built once on the interior grid and shared by every
     grid check.
     """
+    import numpy as np
+
     normalized = normalize_algebraic(p)
     grid = normalized.interior_grid(grid_n, margin)
     if len(grid) == 0:
         raise MalformedInputError(f"grid {grid_n} with margin {margin} has no interior point")
     rootset = enumerate_roots(normalized)
-    soliton = solve_soliton_vector(normalized, tol=tol, order=order)
+    soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
     ctx = make_context(normalized, potential_kind, soliton)
     stack = ctx.potential.stack(grid)
     n = normalized.dim
@@ -200,7 +183,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         })
 
     # eigenvalue-two identity for the affine block
-    affine = affine_block(ctx, stack)
+    affine = eigenbasis.affine_block(ctx, stack)
     add_check("affine_eigenfunctions_max_rel_residual",
               max(rec["max_rel_residual"] for rec in affine), 1e-6)
 
@@ -209,14 +192,14 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
     add_check("abreu_mean_minus_2n_lambda", scal_mean - 2.0 * n * soliton.lam, 1e-4)
 
     # soliton equation pointwise
-    pde = float(np.max(np.abs(soliton_residuals(ctx, stack, scal_mean))))
+    pde = float(np.max(np.abs(operators.soliton_residuals(ctx, stack, scal_mean))))
     add_check("soliton_pde_max_residual", pde, 1e-6)
 
     # per-root eigenfunction verification
     root_records = []
     root_functions = {}
     for root in rootset.roots:
-        result = check_root(ctx, root, stack)
+        result = eigenbasis.check_root(ctx, root, stack)
         rf = result.function
         root_functions[root.alpha] = rf
         stats = result.stats
@@ -244,13 +227,13 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
     for root in rootset.roots[: min(3, len(rootset.roots))]:
         alpha = np.array(root.alpha, dtype=float)
         mode = tuple(int(c) for c in root.alpha)
-        pure_mode = profile_constant(1.0, n, mode=mode)
-        radial = profile_exp_pairing(ctx.potential, alpha)
-        null = profile_exp_pairing(ctx.potential, alpha, mode=mode)
+        pure_mode = operators.profile_constant(1.0, n, mode=mode)
+        radial = operators.profile_exp_pairing(ctx.potential, alpha)
+        null = operators.profile_exp_pairing(ctx.potential, alpha, mode=mode)
         t_expected = np.einsum("i,mij,j->m", alpha, sample.G, alpha) - 2.0 * float(ctx.a @ alpha)
-        lhs_t = complex_weighted_laplacian(ctx, pure_mode, sample, orientation=1)
-        lhs_x = complex_weighted_laplacian(ctx, radial, sample, orientation=1)
-        lhs_null = complex_weighted_laplacian(ctx, null, sample, orientation=1)
+        lhs_t = operators.complex_weighted_laplacian(ctx, pure_mode, sample, orientation=1)
+        lhs_x = operators.complex_weighted_laplacian(ctx, radial, sample, orientation=1)
+        lhs_null = operators.complex_weighted_laplacian(ctx, null, sample, orientation=1)
         identity_defect = max(
             identity_defect,
             float(np.max(np.abs(lhs_t - t_expected))),
@@ -259,7 +242,9 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         )
         product_defect = max(
             product_defect,
-            float(np.max(np.abs(product_rule_defects(ctx, profile_coordinate(0, n), radial, sample)))),
+            float(np.max(np.abs(
+                operators.product_rule_defects(ctx, operators.profile_coordinate(0, n), radial, sample)
+            ))),
         )
     add_check("mode_identity_max_defect", identity_defect, 1e-8)
     add_check("product_rule_max_defect", product_defect, 1e-8)
@@ -270,16 +255,19 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         middle = len(grid) // 2
         x0 = grid[middle]
         at_x0 = stack.select([middle])
-        profile = root_functions[rootset.roots[0].alpha].profile if rootset.roots else profile_coordinate(0, n)
-        analytic = float(complex_weighted_laplacian(ctx, profile, at_x0, orientation=1)[0])
-        oracle = finite_difference_oracle(ctx, profile, x0, "complex+").real
+        if rootset.roots:
+            profile = root_functions[rootset.roots[0].alpha].profile
+        else:
+            profile = operators.profile_coordinate(0, n)
+        analytic = float(operators.complex_weighted_laplacian(ctx, profile, at_x0, orientation=1)[0])
+        oracle = operators.finite_difference_oracle(ctx, profile, x0, "complex+").real
         add_check("fd_oracle_weighted_rel", (oracle - analytic) / max(1.0, abs(analytic)), 1e-4)
-        abreu_an = float(scalar_curvature(at_x0)[0])
-        abreu_fd = finite_difference_oracle(ctx, profile, x0, "abreu").real
+        abreu_an = float(operators.scalar_curvature(at_x0)[0])
+        abreu_fd = operators.finite_difference_oracle(ctx, profile, x0, "abreu").real
         add_check("fd_oracle_abreu_rel", (abreu_fd - abreu_an) / max(1.0, abs(abreu_an)), 1e-3)
 
     # decomposition structure
-    decomposition = assemble_decomposition(ctx, rootset)
+    decomposition = eigenbasis.assemble_decomposition(ctx, rootset)
     add_check("gamma_positivity_min", min(0.0, min(decomposition.gamma_values)), 1e-9)
     semisimple_pairing = max(
         (abs(float(np.array(r.alpha) @ ctx.a)) for r in rootset.semisimple), default=0.0
@@ -290,7 +278,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
     if potential_kind == "guillemin":
         boundary_defect = 0.0
         for root in rootset.roots:
-            form = boundary_product_form(normalized, root)
+            form = eigenbasis.boundary_product_form(normalized, root)
             values = root_functions[root.alpha].profile.jet(sample)[0]
             for x, value in zip(sample.points, values):
                 boundary_defect = max(boundary_defect, abs(form.value(x) - value))
@@ -343,9 +331,9 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
                      grid_n: int = 21, order: int = 10) -> dict:
     normalized = normalize_algebraic(p)
     rootset = enumerate_roots(normalized)
-    soliton = solve_soliton_vector(normalized, tol=tol, order=order)
+    soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
     ctx = make_context(normalized, potential_kind, soliton)
-    decomposition = assemble_decomposition(ctx, rootset)
+    decomposition = eigenbasis.assemble_decomposition(ctx, rootset)
     semisimple = {r.alpha for r in rootset.semisimple}
     blocks = _decomposition_section(decomposition)
     for block, raw in zip(blocks["blocks"], decomposition.blocks):
@@ -363,9 +351,11 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
 
 def calabi_report(params=None, grid_points: int = 50) -> dict:
     """Solve the blow-up closed forms and report residual diagnostics."""
-    soliton = CalabiSoliton.solve(params)
+    import numpy as np
+
+    soliton = calabi.CalabiSoliton.solve(params)
     xs = np.linspace(soliton.params.alpha1, soliton.params.alpha2, grid_points)
-    ode = max(abs(ode_residual(soliton, float(x))) for x in xs)
+    ode = max(abs(calabi.ode_residual(soliton, float(x))) for x in xs)
     return {
         "command": "calabi",
         "parameters": {
@@ -387,7 +377,7 @@ def calabi_report(params=None, grid_points: int = 50) -> dict:
             "normalization and is not used"
         ),
         "ode_max_residual": ode,
-        "boundary_residuals": boundary_residuals(soliton),
+        "boundary_residuals": calabi.boundary_residuals(soliton),
     }
 
 

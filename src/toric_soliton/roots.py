@@ -14,8 +14,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import MalformedInputError, UnboundedRootRegionError
 from .polytope import DelzantPolytope
 
@@ -132,11 +130,12 @@ def automorphism_dimensions(rootset: RootSet, n: int) -> AutomorphismDimensions:
 def brute_force_roots(p: DelzantPolytope, radius: int | None = None) -> list[tuple[int, ...]]:
     """Independent oracle: scan the integer box [-B, B]^n against the definition.
 
-    Default B = 1 + max vertex coordinate magnitude.  Used by the test
-    suite to confirm the exact line enumeration misses nothing.
+    Default B = 1 + the ceiling of the largest exact vertex coordinate
+    magnitude.  Used by the test suite to confirm the exact line
+    enumeration misses nothing.
     """
     if radius is None:
-        radius = 1 + int(math.ceil(np.max(np.abs(p.vertices))))
+        radius = 1 + max(math.ceil(abs(c)) for pt, _ in p.vertex_data for c in pt)
     normals = [f.normal for f in p.facets]
     found = []
     for alpha in itertools.product(range(-radius, radius + 1), repeat=p.dim):

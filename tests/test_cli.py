@@ -194,13 +194,13 @@ def test_calabi_requires_blowup_polytope(capsys):
 
 
 def test_solver_failure_exit_code(capsys, monkeypatch):
+    from toric_soliton import futaki
     from toric_soliton.errors import NonConvergenceError
-    import toric_soliton.report as report_module
 
     def boom(*args, **kwargs):
         raise NonConvergenceError("forced failure")
 
-    monkeypatch.setattr(report_module, "solve_soliton_vector", boom)
+    monkeypatch.setattr(futaki, "solve_soliton_vector", boom)
     code, _ = run(capsys, "soliton", str(DATA / "cp2.json"))
     assert code == 3
 

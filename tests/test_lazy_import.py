@@ -1,0 +1,113 @@
+"""Import set of each command: exact lattice work runs without numpy.
+
+Each case runs in a fresh interpreter, so nothing an earlier test imported
+can hide a module load.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import toric_soliton
+
+SRC = Path(__file__).parents[1] / "src"
+DATA = Path(__file__).parent / "data"
+
+#: the names ``toric_soliton`` exported before its submodules became lazy
+EXPORTS = (
+    "BoundaryEvaluationError", "DegenerateVertexError", "EmptyInteriorError", "LossOfConvexityError",
+    "MalformedInputError", "NonConvergenceError", "NonPrimitiveNormalError", "NotFanoError",
+    "RedundantFacetError", "ToricSolitonError", "UnboundedPolytopeError", "UnboundedRootRegionError",
+    "UnsupportedDimensionError",
+    "DelzantPolytope", "DelzantVerdict", "Facet", "PrivilegedCenter", "compute_vertices",
+    "delzant_check", "facet_values", "normalize_algebraic", "parse_polytope", "privileged_center",
+    "AutomorphismDimensions", "DemazureRoot", "RootSet", "automorphism_dimensions", "enumerate_roots",
+    "split_semisimple_unipotent",
+    "QuadratureRule", "Triangulation", "integrate", "triangulate",
+    "SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume",
+    "GuilleminPotential", "PerturbedPotential", "QuadraticPotential", "SmoothField", "Stack",
+    "SymplecticPotential", "gradient_by_line_integral", "guillemin", "perturbed",
+    "CalabiParameters", "CalabiPotential", "CalabiSoliton", "blowup_trapezoid", "h_matrix",
+    "ode_residual", "profile_A", "profile_B", "solve_a1", "to_algebraic_coordinates",
+    "EquivariantFunction", "OperatorContext", "complex_weighted_laplacian", "finite_difference_oracle",
+    "gradients", "laplacian", "product_rule_defects", "ricci_and_lie_components", "scalar_curvature",
+    "soliton_residuals", "weighted_laplacian",
+    "RootCheck", "RootFunction", "SolitonDecomposition", "affine_block", "assemble_decomposition",
+    "boundary_product_form", "build_root_function", "check_root",
+)
+
+#: runs ``cli.main(argv)`` and prints its exit code and the package modules
+#: that executed (a lazily registered module that never executed is not a
+#: plain module yet) plus whether numpy was imported
+PROBE = """
+import contextlib, io, json, sys, types
+import toric_soliton.cli as cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else None
+executed = sorted(name for name, mod in sys.modules.items()
+                  if name.startswith("toric_soliton.") and type(mod) is types.ModuleType)
+print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules, "executed": executed}))
+"""
+
+
+def fresh(*argv: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    args = [json.dumps(list(argv))] if argv else []
+    proc = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_cli_loads_no_numpy():
+    result = fresh()
+    assert result["numpy"] is False
+    assert "toric_soliton.futaki" not in result["executed"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_roots_loads_no_numpy(fmt):
+    result = fresh("roots", str(DATA / "blowup.json"), "--format", fmt)
+    assert result["exit"] == 0
+    assert result["numpy"] is False
+
+
+@pytest.mark.parametrize("document", [
+    '{"dim": 2, "facets": [{"normal": [1, 0], "offset": 1}, {"normal": [0, 1], "off',
+    json.dumps({"dim": 2, "facets": [{"normal": [2, 0], "offset": 1}, {"normal": [0, 1], "offset": 1},
+                                     {"normal": [-1, -1], "offset": 1}]}),
+    (DATA / "non_delzant.json").read_text(),
+    (DATA / "not_fano.json").read_text(),
+    None,
+], ids=["truncated-json", "non-primitive-normal", "non-delzant", "not-fano", "missing-file"])
+def test_rejections_load_no_numpy(tmp_path, document):
+    # soliton loads numpy once it computes, so every geometry check must come first
+    path = tmp_path / "polytope.json"
+    if document is not None:
+        path.write_text(document)
+    result = fresh("soliton", str(path))
+    assert result["exit"] == 2
+    assert result["numpy"] is False
+
+
+def test_soliton_executes_no_potential_module():
+    result = fresh("soliton", str(DATA / "blowup.json"), "--format", "json")
+    assert result["exit"] == 0
+    assert "toric_soliton.futaki" in result["executed"]
+    for name in ("potentials", "operators", "eigenbasis", "calabi"):
+        assert f"toric_soliton.{name}" not in result["executed"]
+
+
+def test_every_export_resolves():
+    assert sorted(toric_soliton.__all__) == sorted(EXPORTS)
+    for name in EXPORTS:
+        assert getattr(toric_soliton, name) is not None, name
+        assert name in dir(toric_soliton)
+    with pytest.raises(AttributeError):
+        toric_soliton.no_such_name
