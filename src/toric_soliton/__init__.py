@@ -9,9 +9,11 @@ blow-up.
 
 Validation, normalization and root enumeration (``errors``, ``polytope``,
 ``roots``) are exact lattice work and import eagerly without numpy.  The
-numpy-backed submodules are registered with :class:`importlib.util.LazyLoader`
+other submodules are registered with :class:`importlib.util.LazyLoader`
 and execute on first attribute access.  Exported names resolve through the
 module ``__getattr__`` (PEP 562), so ``import toric_soliton`` loads no numpy.
+The Futaki solve (``quadrature``, ``futaki``) is plain Python as well; only
+the potentials, operators, eigenbasis and Calabi modules import numpy.
 """
 
 import importlib.util
@@ -43,6 +45,7 @@ _EXPORTS = {
         "DelzantVerdict",
         "Facet",
         "PrivilegedCenter",
+        "blowup_trapezoid",
         "compute_vertices",
         "delzant_check",
         "facet_values",
@@ -54,6 +57,8 @@ _EXPORTS = {
         "AutomorphismDimensions",
         "DemazureRoot",
         "RootSet",
+        "SolitonDecomposition",
+        "assemble_decomposition",
         "automorphism_dimensions",
         "enumerate_roots",
         "split_semisimple_unipotent",
@@ -75,7 +80,6 @@ _EXPORTS = {
         "CalabiParameters",
         "CalabiPotential",
         "CalabiSoliton",
-        "blowup_trapezoid",
         "h_matrix",
         "ode_residual",
         "profile_A",
@@ -99,16 +103,15 @@ _EXPORTS = {
     "eigenbasis": (
         "RootCheck",
         "RootFunction",
-        "SolitonDecomposition",
         "affine_block",
-        "assemble_decomposition",
         "boundary_product_form",
         "build_root_function",
         "check_root",
     ),
 }
 
-#: the numpy-backed submodules
+#: the submodules that ``roots`` and every rejection leave unexecuted;
+#: ``potentials``, ``calabi``, ``operators`` and ``eigenbasis`` import numpy
 _LAZY = ("quadrature", "futaki", "potentials", "calabi", "operators", "eigenbasis", "report")
 
 

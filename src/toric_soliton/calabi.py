@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryEvaluationError, MalformedInputError, NonConvergenceError
-from .polytope import DelzantPolytope, Facet
+from .polytope import blowup_trapezoid
 from .potentials import HSidePotential
 
 #: translation taking the trapezoid tau to algebraic coordinates
@@ -35,19 +35,6 @@ ALGEBRAIC_SHIFT = np.array([2.0, 1.0])
 
 #: default solver bracket for the nonzero soliton coefficient
 DEFAULT_BRACKET = (-0.5, -0.05)
-
-
-def blowup_trapezoid() -> DelzantPolytope:
-    """The algebraic trapezoid of the one-point blow-up of the plane."""
-    from fractions import Fraction
-
-    one = Fraction(1)
-    return DelzantPolytope(2, [
-        Facet((0, 1), one),
-        Facet((-1, 0), one),
-        Facet((1, 0), one),
-        Facet((1, -1), one),
-    ])
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Commands: ``roots``, ``soliton``, ``verify``, ``decompose``, ``calabi``.
 Exit codes are a stable contract: 0 success, 2 input or geometry
-rejection, 3 solver failure, 4 verification failure.  ``roots`` and every
-rejection run without numpy; the numpy-backed modules load when a command
-first computes with them.
+rejection, 3 solver failure, 4 verification failure.  ``roots``,
+``soliton``, ``decompose`` and every rejection run without numpy; only
+``verify`` and ``calabi`` load it, when they first compute with arrays.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ EXIT_GEOMETRY = 2
 EXIT_SOLVER = 3
 EXIT_VERIFICATION = 4
 
+#: largest accepted ``--order``; the Futaki solve at it takes about 1 s
+MAX_ORDER = 200
+#: largest accepted ``--grid``; ``verify`` at it takes about 2 s and up to 0.3 GB
+MAX_GRID = 500
+
 
 def _load_polytope(path: str) -> DelzantPolytope:
     """Read and fully validate a polytope: parse, Delzant and Fano (privileged center)."""
@@ -54,13 +59,19 @@ def _load_polytope(path: str) -> DelzantPolytope:
 
 def _check_arguments(args: argparse.Namespace) -> None:
     """Reject flag values the pipeline cannot use, naming the value."""
-    if getattr(args, "order", 1) < 1:
-        raise MalformedInputError(f"--order must be at least 1, got {args.order}")
+    _check_range("--order", getattr(args, "order", 1), MAX_ORDER)
     tol = getattr(args, "tol", 1.0)
     if not (tol > 0.0 and math.isfinite(tol)):
         raise MalformedInputError(f"--tol must be finite and positive, got {tol}")
-    if args.command in ("verify", "decompose", "calabi") and args.grid < 1:
-        raise MalformedInputError(f"--grid must be at least 1, got {args.grid}")
+    if args.command in ("verify", "decompose", "calabi"):
+        _check_range("--grid", args.grid, MAX_GRID)
+
+
+def _check_range(flag: str, value: int, maximum: int) -> None:
+    if value < 1:
+        raise MalformedInputError(f"{flag} must be at least 1, got {value}")
+    if value > maximum:
+        raise MalformedInputError(f"{flag} must be at most {maximum}, got {value}")
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -74,10 +85,12 @@ def _add_common(parser: argparse.ArgumentParser, with_potential_flags: bool = Fa
     parser.add_argument("polytope", help="path to the polytope JSON document")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--tol", type=float, default=1e-10, help="solver tolerance (default 1e-10)")
-    parser.add_argument("--order", type=int, default=10, help="quadrature exactness order (default 10)")
+    parser.add_argument("--order", type=int, default=10,
+                        help=f"quadrature exactness order, 1 to {MAX_ORDER} (default 10)")
     if with_potential_flags:
         parser.add_argument("--potential", choices=("guillemin", "calabi"), default="guillemin")
-        parser.add_argument("--grid", type=int, default=21, help="interior grid resolution (default 21)")
+        parser.add_argument("--grid", type=int, default=21,
+                            help=f"interior grid resolution, 1 to {MAX_GRID} (default 21)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calabi", help="closed-form blow-up soliton profiles and residuals")
     p_cal.add_argument("--format", choices=("text", "json"), default="text")
-    p_cal.add_argument("--grid", type=int, default=50)
+    p_cal.add_argument("--grid", type=int, default=50,
+                       help=f"profile sample points, 1 to {MAX_GRID} (default 50)")
     for name, default in (
         ("alpha1", 1.0), ("alpha2", 3.0), ("beta1", 0.0), ("beta2", 1.0),
         ("c-alpha1", 1.0), ("c-alpha2", -1.0 / 3.0), ("c-beta1", -1.0), ("c-beta2", 1.0),

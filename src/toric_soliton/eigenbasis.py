@@ -12,9 +12,8 @@ the sign, the eigenvalue-two residual and the orientation-reversed fit.
 For roots with |<alpha, a>| <= GAMMA_TOL both signs work and +1 is kept,
 so the choice never follows round-off in ``a``.
 
-The eigenspace decomposition clusters roots by gamma = 2 <alpha, a>; the
-affine block (complex dimension n) joins the gamma = 0 cluster.  With the
-fan-side soliton vector all gamma are non-negative.
+The eigenspace decomposition, which needs only ``a`` and the roots, is
+:func:`toric_soliton.roots.assemble_decomposition`.
 """
 
 from __future__ import annotations
@@ -34,10 +33,7 @@ from .operators import (
 )
 from .potentials import Stack
 from .polytope import DelzantPolytope
-from .roots import DemazureRoot, RootSet
-
-#: clustering tolerance for eigenvalue grouping
-GAMMA_TOL = 1e-9
+from .roots import GAMMA_TOL, DemazureRoot
 
 
 @dataclass(frozen=True)
@@ -172,71 +168,6 @@ def check_root(ctx: OperatorContext, root: DemazureRoot, s: Stack) -> RootCheck:
     gamma_hat, gamma_fit = _reversed_fit(values, sign_free + term)
     return RootCheck(function=rf, stats=_eigen_stats(values, sign_free - term),
                      gamma_hat=gamma_hat, gamma_fit=gamma_fit)
-
-
-@dataclass(frozen=True)
-class SolitonDecomposition:
-    """Eigenvalue clusters gamma = 2 <alpha, a> with the affine block at zero."""
-
-    dim: int
-    blocks: tuple[dict, ...]
-    gamma_values: tuple[float, ...]
-
-    @property
-    def total_complex_dimension(self) -> int:
-        return sum(b["complex_dimension"] for b in self.blocks)
-
-
-def assemble_decomposition(ctx: OperatorContext, rootset: RootSet, tol: float = GAMMA_TOL) -> SolitonDecomposition:
-    """Cluster roots by gamma = 2 <alpha, a> and attach the affine block at zero.
-
-    Blocks are ordered by ascending gamma and the members of each block by
-    ascending alpha, so neither order follows the sign of round-off in a.
-    """
-    n = ctx.polytope.dim
-    entries = []
-    for root in rootset.roots:
-        gamma = 2.0 * float(np.array(root.alpha, dtype=float) @ ctx.a)
-        entries.append((gamma, root))
-    entries.sort(key=lambda item: item[0])
-
-    clusters: list[list] = []
-    for gamma, root in entries:
-        if clusters and abs(gamma - clusters[-1][0][0]) <= tol:
-            clusters[-1].append((gamma, root))
-        else:
-            clusters.append([(gamma, root)])
-
-    blocks = []
-    has_zero = False
-    for cluster in clusters:
-        cluster.sort(key=lambda item: item[1].alpha)
-        gammas = [g for g, _ in cluster]
-        representative = float(np.mean(gammas))
-        if abs(representative) <= tol:
-            representative = 0.0
-        includes_affine = representative == 0.0
-        has_zero = has_zero or includes_affine
-        roots = tuple(r for _, r in cluster)
-        blocks.append({
-            "gamma": representative,
-            "roots": roots,
-            "includes_affine": includes_affine,
-            "complex_dimension": len(roots) + (n if includes_affine else 0),
-        })
-    if not has_zero:
-        blocks.insert(0, {
-            "gamma": 0.0,
-            "roots": (),
-            "includes_affine": True,
-            "complex_dimension": n,
-        })
-    blocks.sort(key=lambda b: b["gamma"])
-    return SolitonDecomposition(
-        dim=n,
-        blocks=tuple(blocks),
-        gamma_values=tuple(b["gamma"] for b in blocks),
-    )
 
 
 def affine_block(ctx: OperatorContext, s: Stack) -> list[dict]:

@@ -15,20 +15,33 @@ spectrum is positive), and for the blown-up plane the first component of
 ``a`` is the negative root of the one-point blow-up transcendental
 equation (see :mod:`toric_soliton.calabi`).  The moment-image drift
 covector used by the differential operators is ``-a``.
+
+The solve is plain Python on floats and tuples, so ``soliton`` and
+``decompose`` never import numpy.  It integrates on the collapsed
+Gauss-Legendre rule of :mod:`toric_soliton.quadrature`, the rule that
+``verify`` uses through :func:`~toric_soliton.quadrature.integrate`, and
+the surface is two-dimensional, so the Newton step and the definiteness
+check are 2x2 closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import NonConvergenceError
 from .polytope import DelzantPolytope, normalize_algebraic
-from .quadrature import integrate, integrate_vector
+from .quadrature import line_rule, triangulate
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_NEWTON_ITERATIONS = 60
 MAX_QUADRATURE_ORDER = 40
+
+Vector = tuple[float, float]
+Matrix = tuple[Vector, Vector]
 
 
 @dataclass(frozen=True)
@@ -44,80 +57,129 @@ class SolitonData:
 
     @property
     def a_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.a)
 
 
-def weighted_volume(p: DelzantPolytope, a, order: int = 10) -> tuple[float, np.ndarray, np.ndarray]:
+def weighted_volume(p: DelzantPolytope, a, order: int = 10) -> tuple[float, Vector, Matrix]:
     """V(a) = int_P exp(-2<a,x>) dv with gradient and Hessian in a.
 
     Returns (V, grad V, hess V) where grad V = -2 int x w dv and
     hess V = 4 int x x^T w dv; the Hessian is a Gram matrix of the
     coordinates and therefore symmetric positive definite.
+
+    The moments are taken on the collapsed Gauss rule of
+    :mod:`toric_soliton.quadrature` in ray form.  Each fan triangle
+    (c, v_1, v_2) has its angular nodes t_j on the edge, d_j = (1 - t_j)
+    (v_1 - c) + t_j (v_2 - c), and its radial nodes u_i on the ray
+    x = c + u d_j, where the weight is exp(-2<a,c>) exp(k_j u) with
+    k_j = -2<a,d_j>.  So the ray contributes S_p = sum_i w_i u_i^(1+p)
+    exp(k_j u_i), p = 0, 1, 2, to the moments of {1, x, x x^T}:
+    S_0, c S_0 + d S_1 and c c^T S_0 + (c d^T + d c^T) S_1 + d d^T S_2.
     """
-    a = np.asarray(a, dtype=float)
-    n = p.dim
+    a1, a2 = (float(c) for c in a)
+    u, w = line_rule(order)
+    radial = tuple(zip(u, tuple(wi * ui for wi, ui in zip(w, u))))
+    exp = math.exp
+    m0 = mx = my = mxx = mxy = myy = 0.0
+    tiling = triangulate(p)
+    cx, cy = tiling.simplices[0][0]
+    for _, v1, v2 in tiling.simplices:
+        e1x, e1y, e2x, e2y = v1[0] - cx, v1[1] - cy, v2[0] - cx, v2[1] - cy
+        jac = abs(e1x * e2y - e2x * e1y)
+        for t, wt in zip(u, w):
+            dx = (1.0 - t) * e1x + t * e2x
+            dy = (1.0 - t) * e1y + t * e2y
+            k = -2.0 * (a1 * dx + a2 * dy)
+            s0 = s1 = s2 = 0.0
+            for ui, wu in radial:
+                term = wu * exp(k * ui)
+                s0 += term
+                term *= ui
+                s1 += term
+                s2 += term * ui
+            s0 *= jac * wt
+            s1 *= jac * wt
+            s2 *= jac * wt
+            m0 += s0
+            mx += dx * s1
+            my += dy * s1
+            mxx += dx * dx * s2
+            mxy += dx * dy * s2
+            myy += dy * dy * s2
+    # shift the ray moments (about c) to moments about the origin
+    scale = exp(-2.0 * (a1 * cx + a2 * cy))
+    value = scale * m0
+    ix = scale * (cx * m0 + mx)
+    iy = scale * (cy * m0 + my)
+    ixx = scale * (cx * cx * m0 + 2.0 * cx * mx + mxx)
+    ixy = scale * (cx * cy * m0 + cx * my + cy * mx + mxy)
+    iyy = scale * (cy * cy * m0 + 2.0 * cy * my + myy)
+    return value, (-2.0 * ix, -2.0 * iy), ((4.0 * ixx, 4.0 * ixy), (4.0 * ixy, 4.0 * iyy))
 
-    def packed(pts: np.ndarray) -> np.ndarray:
-        w = np.exp(-2.0 * (pts @ a))
-        cols = [w]
-        cols.extend(-2.0 * pts[:, i] * w for i in range(n))
-        for i in range(n):
-            for j in range(n):
-                cols.append(4.0 * pts[:, i] * pts[:, j] * w)
-        return np.stack(cols, axis=1)
 
-    moments = integrate_vector(p, packed, 1 + n + n * n, order=order)
-    value = float(moments[0])
-    grad = moments[1 : 1 + n]
-    hess = moments[1 + n :].reshape(n, n)
-    return value, grad, hess
-
-
-def _fan_side_volume(p: DelzantPolytope, a, order: int) -> tuple[float, np.ndarray, np.ndarray]:
+def _fan_side_volume(p: DelzantPolytope, a: Vector, order: int) -> tuple[float, Vector, Matrix]:
     # W(a) = V(-a); chain rule flips the gradient and preserves the Hessian.
-    value, grad, hess = weighted_volume(p, -np.asarray(a, dtype=float), order=order)
-    return value, -grad, hess
+    value, (g1, g2), hess = weighted_volume(p, (-a[0], -a[1]), order=order)
+    return value, (-g1, -g2), hess
 
 
-def _newton_minimize(p: DelzantPolytope, a0: np.ndarray, tol: float, order: int,
-                     trace: list[dict]) -> np.ndarray:
-    a = a0.copy()
+def _norm(v: Vector) -> float:
+    return math.sqrt(v[0] * v[0] + v[1] * v[1])
+
+
+def _smallest_eigenvalue(h: Matrix) -> float:
+    (h11, h12), (_, h22) = h
+    return 0.5 * (h11 + h22) - math.hypot(0.5 * (h11 - h22), h12)
+
+
+def _newton_step(h: Matrix, g: Vector) -> Vector:
+    """The solution s of h s = -g (Cramer's rule)."""
+    (h11, h12), (h21, h22) = h
+    det = h11 * h22 - h12 * h21
+    return (h12 * g[1] - h22 * g[0]) / det, (h21 * g[0] - h11 * g[1]) / det
+
+
+def _newton_minimize(p: DelzantPolytope, a0: Vector, tol: float, order: int,
+                     trace: list[dict]) -> Vector:
+    a = a0
     for iteration in range(MAX_NEWTON_ITERATIONS):
         value, grad, hess = _fan_side_volume(p, a, order)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = _norm(grad)
         trace.append({
             "iteration": iteration,
             "order": order,
             "volume": value,
             "grad_norm": grad_norm,
-            "a": tuple(float(c) for c in a),
+            "a": a,
         })
         if grad_norm / value <= tol:
             break
-        eigenvalues = np.linalg.eigvalsh(hess)
-        if eigenvalues[0] <= 0:
+        if _smallest_eigenvalue(hess) <= 0:
             raise NonConvergenceError("weighted-volume Hessian lost positive definiteness")
-        step = np.linalg.solve(hess, -grad)
+        step = _newton_step(hess, grad)
         t = 1.0
         while t > 1e-12:
-            candidate = a + t * step
+            candidate = (a[0] + t * step[0], a[1] + t * step[1])
             if _fan_side_volume(p, candidate, order)[0] < value:
                 break
             t *= 0.5
         else:
             raise NonConvergenceError("damping underflow in Newton line search")
-        a = a + t * step
+        a = (a[0] + t * step[0], a[1] + t * step[1])
     else:
         raise NonConvergenceError(f"no convergence after {MAX_NEWTON_ITERATIONS} Newton iterations")
     # Quadratic polish to the quadrature noise floor, so that minimizers at
     # successive orders can be compared well below the user tolerance.
     for _ in range(3):
         _, grad, hess = _fan_side_volume(p, a, order)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = _norm(grad)
         if grad_norm == 0.0:
             break
-        candidate = a + np.linalg.solve(hess, -grad)
-        if float(np.linalg.norm(_fan_side_volume(p, candidate, order)[1])) < grad_norm:
+        step = _newton_step(hess, grad)
+        candidate = (a[0] + step[0], a[1] + step[1])
+        if _norm(_fan_side_volume(p, candidate, order)[1]) < grad_norm:
             a = candidate
         else:
             break
@@ -134,11 +196,11 @@ def solve_soliton_vector(p: DelzantPolytope, tol: float = 1e-10, order: int = 10
     """
     p = normalize_algebraic(p)
     trace: list[dict] = []
-    a = _newton_minimize(p, np.zeros(p.dim), tol, order, trace)
+    a = _newton_minimize(p, (0.0, 0.0), tol, order, trace)
     cap = max(MAX_QUADRATURE_ORDER, order + 12)
     while order + 6 <= cap:
         refined = _newton_minimize(p, a, tol, order + 6, trace)
-        if np.max(np.abs(refined - a)) <= 0.1 * tol:
+        if max(abs(refined[0] - a[0]), abs(refined[1] - a[1])) <= 0.1 * tol:
             a = refined
             order = order + 6
             break

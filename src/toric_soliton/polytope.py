@@ -274,6 +274,11 @@ class DelzantPolytope:
         return self._vertex_array.copy()
 
     @property
+    def vertex_points(self) -> tuple[tuple[float, ...], ...]:
+        """Vertex coordinates as float tuples, sorted lexicographically (no numpy)."""
+        return self._vertex_floats
+
+    @property
     def vertex_data(self) -> tuple[tuple[tuple[Fraction, ...], frozenset[int]], ...]:
         """Exact vertices with their active facet index sets."""
         return self._vertex_data
@@ -461,6 +466,17 @@ def normalize_algebraic(p: DelzantPolytope) -> DelzantPolytope:
     # x -> (x - p0)/c turns every inequality into <nu_r, x'> + 1 >= 0.
     facets = [Facet(normal=f.normal, offset=Fraction(1)) for f in p.facets]
     return DelzantPolytope(p.dim, facets)
+
+
+def blowup_trapezoid() -> DelzantPolytope:
+    """The algebraic trapezoid of the one-point blow-up of the plane."""
+    one = Fraction(1)
+    return DelzantPolytope(2, [
+        Facet((0, 1), one),
+        Facet((-1, 0), one),
+        Facet((1, 0), one),
+        Facet((1, -1), one),
+    ])
 
 
 def facet_values(p: DelzantPolytope, x: Sequence[float]) -> np.ndarray:

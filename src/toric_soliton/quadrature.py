@@ -4,6 +4,11 @@ The polygon is fan-triangulated from its centroid and each triangle is
 integrated with a collapsed-square Gauss rule of prescribed polynomial
 exactness.  Weights are positive, node generation is deterministic, and
 contributions are summed in fixed triangle order for reproducibility.
+
+The Gauss-Legendre nodes and the triangulation are plain Python floats,
+so the Futaki solve (:mod:`toric_soliton.futaki`) runs on this rule
+without numpy.  numpy is imported only by the array-facing functions:
+:func:`reference_rule` and :func:`integrate`.
 """
 
 from __future__ import annotations
@@ -11,15 +16,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import UnsupportedDimensionError
 from .polytope import DelzantPolytope
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: relative tolerance for the triangulation area identity
 AREA_TOL = 1e-12
+
+Point = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -37,9 +45,13 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Fan triangulation of a convex polygon; tiles with positive areas."""
+    """Fan triangulation of a convex polygon; tiles with positive areas.
 
-    simplices: tuple[np.ndarray, ...]  # each (3, 2)
+    Each simplex is ``(center, v_i, v_{i+1})`` with the vertices in
+    counterclockwise order.
+    """
+
+    simplices: tuple[tuple[Point, Point, Point], ...]
     parent: DelzantPolytope
 
     @property
@@ -47,42 +59,95 @@ class Triangulation:
         return float(sum(_triangle_area(t) for t in self.simplices))
 
 
-def _triangle_area(tri: np.ndarray) -> float:
+def _triangle_area(tri) -> float:
     a, b, c = tri
     return 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
 
 
-def polygon_area(vertices: np.ndarray) -> float:
+def _centroid(points) -> Point:
+    return (sum(x for x, _ in points) / len(points), sum(y for _, y in points) / len(points))
+
+
+def polygon_area(ring) -> float:
     """Shoelace area of a polygon given cyclically ordered vertices."""
-    x, y = vertices[:, 0], vertices[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)))
+    nxt = ring[1:] + ring[:1]
+    return 0.5 * abs(sum(x * yn for (x, _), (_, yn) in zip(ring, nxt))
+                     - sum(xn * y for (_, y), (xn, _) in zip(ring, nxt)))
 
 
-def cyclic_vertices(p: DelzantPolytope) -> np.ndarray:
+def cyclic_vertices(p: DelzantPolytope) -> list[Point]:
     """Polygon vertices sorted counterclockwise around their centroid."""
-    verts = p.vertices
-    center = verts.mean(axis=0)
-    angles = np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0])
-    return verts[np.argsort(angles)]
+    verts = p.vertex_points
+    cx, cy = _centroid(verts)
+    return sorted(verts, key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
+
+
+@lru_cache(maxsize=None)
+def gauss_legendre(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The m-point Gauss-Legendre rule on [-1, 1]: ascending nodes and their weights.
+
+    Each positive node is found by Newton's method on the three-term
+    recurrence ``k P_k = (2k - 1) x P_{k-1} - (k - 1) P_{k-2}``, started
+    from Tricomi's estimate; the rule is mirrored about zero and the
+    weights ``2 / ((1 - x^2) P_m'(x)^2)`` are scaled to sum to 2.
+    """
+    if m < 1:
+        raise ValueError("number of Gauss points must be >= 1")
+
+    def legendre(x: float) -> tuple[float, float]:
+        previous, current = 1.0, x
+        for k in range(2, m + 1):
+            previous, current = current, ((2 * k - 1) * x * current - (k - 1) * previous) / k
+        return current, m * (x * current - previous) / (x * x - 1.0)
+
+    half = []
+    for i in range(1, m // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (m + 0.5))
+        for _ in range(100):
+            value, slope = legendre(x)
+            dx = value / slope
+            x -= dx
+            if abs(dx) <= 1e-15:
+                break
+        value, slope = legendre(x)
+        x -= value / slope
+        half.append((x, 2.0 / ((1.0 - x * x) * slope * slope)))
+    middle = []
+    if m % 2:
+        slope = legendre(0.0)[1]
+        middle = [(0.0, 2.0 / (slope * slope))]
+    pairs = [(-x, w) for x, w in half] + middle + [(x, w) for x, w in reversed(half)]
+    scale = 2.0 / sum(w for _, w in pairs)
+    return tuple(x for x, _ in pairs), tuple(w * scale for _, w in pairs)
+
+
+@lru_cache(maxsize=None)
+def line_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes and weights on [0, 1] behind the order-``order`` simplex rule.
+
+    ``order + 3`` points are used: a monomial xi^i eta^j with i + j <=
+    order pulls back along the Duffy map (xi, eta) = (u(1-v), uv) to
+    u^(i+j+1) times a degree-(i+j) polynomial in v, so ceil((order+2)/2)
+    points per axis give the stated polynomial exactness; the extra points
+    resolve unit-scale exponential weights to ~1e-12 already at order 6,
+    so the solver's order-escalation loop terminates early.
+    """
+    if order < 1:
+        raise ValueError("quadrature order must be >= 1")
+    nodes, weights = gauss_legendre(order + 3)
+    return tuple(0.5 * (x + 1.0) for x in nodes), tuple(0.5 * w for w in weights)
 
 
 @lru_cache(maxsize=None)
 def reference_rule(order: int) -> QuadratureRule:
-    """Collapsed Gauss-Legendre rule on the reference simplex.
+    """Collapsed Gauss-Legendre rule on the reference simplex, as arrays.
 
-    A monomial xi^i eta^j with i + j <= order pulls back along the Duffy
-    map (xi, eta) = (u(1-v), uv) to u^(i+j+1) times a degree-(i+j)
-    polynomial in v, so ceil((order+2)/2) Gauss points per axis give the
-    stated polynomial exactness.  ``order + 3`` points are used instead so
-    that unit-scale exponential weights are already resolved to ~1e-12 at
-    order 6 (the solver's order-escalation loop then terminates early).
+    The node (u_i, v_j) of the tensor rule :func:`line_rule` maps to
+    (xi, eta) = (u_i (1 - v_j), u_i v_j) with weight w_i w_j u_i.
     """
-    if order < 1:
-        raise ValueError("quadrature order must be >= 1")
-    m = order + 3
-    nodes, weights = np.polynomial.legendre.leggauss(m)
-    u = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    import numpy as np
+
+    u, w = (np.array(t) for t in line_rule(order))
     uu, vv = np.meshgrid(u, u, indexing="ij")
     wu, wv = np.meshgrid(w, w, indexing="ij")
     xi = (uu * (1.0 - vv)).ravel()
@@ -95,10 +160,10 @@ def reference_rule(order: int) -> QuadratureRule:
 def triangulate(p: DelzantPolytope) -> Triangulation:
     """Fan triangulation from the vertex centroid over boundary edges."""
     ring = cyclic_vertices(p)
-    center = ring.mean(axis=0)
+    center = _centroid(ring)
     tris = []
     for i in range(len(ring)):
-        tri = np.array([center, ring[i], ring[(i + 1) % len(ring)]])
+        tri = (center, ring[i], ring[(i + 1) % len(ring)])
         if _triangle_area(tri) <= 0.0:
             raise UnsupportedDimensionError("degenerate triangle in fan triangulation")
         tris.append(tri)
@@ -116,27 +181,16 @@ def integrate(p: DelzantPolytope, f: Callable, order: int = 10) -> float:
     ``f`` is called once per triangle with the (m, 2) array of its nodes
     and returns m values, or one value that holds at every node.
     """
+    import numpy as np
+
     tiling = triangulate(p)
     rule = reference_rule(order)
     total = 0.0
     for tri in tiling.simplices:
-        pts = rule.barycentric @ tri
+        pts = rule.barycentric @ np.array(tri)
         jac = 2.0 * _triangle_area(tri)
         values = np.broadcast_to(np.asarray(f(pts), dtype=float), (len(pts),))
         total += jac * float(np.dot(rule.weights, values))
-    return total
-
-
-def integrate_vector(p: DelzantPolytope, f: Callable, size: int, order: int = 10) -> np.ndarray:
-    """Integrate a vector-valued field componentwise (f maps (m,2) -> (m,size))."""
-    tiling = triangulate(p)
-    rule = reference_rule(order)
-    total = np.zeros(size)
-    for tri in tiling.simplices:
-        pts = rule.barycentric @ tri
-        jac = 2.0 * _triangle_area(tri)
-        vals = np.asarray(f(pts), dtype=float).reshape(len(pts), size)
-        total += jac * (rule.weights @ vals)
     return total
 
 

@@ -7,10 +7,11 @@ bools and null) and the floats to a tolerance: quantities that vanish by
 symmetry come out as round-off whose sign and last digits differ between
 numpy and BLAS builds.
 
-The numpy-backed modules are bound as lazily loaded modules and called
-qualified, so ``roots`` executes none of them and ``soliton`` only
-``futaki`` and ``quadrature``; numpy itself is imported here only by the
-builders that compute with arrays.
+The submodules past the exact lattice work are bound as lazily loaded
+modules and called qualified, so ``roots`` executes none of them, and ``soliton`` and
+``decompose`` only ``futaki`` and ``quadrature``, whose Futaki solve is
+plain Python.  numpy itself is imported here only by the builders that
+compute with arrays: ``verify`` and ``calabi``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,14 @@ from typing import Any
 
 from . import __version__, calabi, eigenbasis, futaki, operators, potentials, quadrature
 from .errors import MalformedInputError
-from .polytope import DelzantPolytope, delzant_check, normalize_algebraic, privileged_center
-from .roots import RootSet, automorphism_dimensions, enumerate_roots
+from .polytope import (
+    DelzantPolytope,
+    blowup_trapezoid,
+    delzant_check,
+    normalize_algebraic,
+    privileged_center,
+)
+from .roots import RootSet, assemble_decomposition, automorphism_dimensions, enumerate_roots
 
 
 def format_float(x: float) -> float:
@@ -128,18 +135,23 @@ def soliton_report(p: DelzantPolytope, tol: float = 1e-10, order: int = 10) -> d
     }
 
 
+def _check_potential(normalized: DelzantPolytope, potential_kind: str) -> None:
+    """Reject a potential kind that is unknown or not available on this polygon."""
+    if potential_kind not in ("guillemin", "calabi"):
+        raise MalformedInputError(f"unknown potential kind {potential_kind!r}")
+    if potential_kind == "calabi" and frozenset(normalized.facets) != frozenset(blowup_trapezoid().facets):
+        raise MalformedInputError(
+            "the closed-form soliton potential is only available for the blow-up trapezoid"
+        )
+
+
 def make_context(normalized: DelzantPolytope, potential_kind: str,
                  soliton: futaki.SolitonData) -> operators.OperatorContext:
+    _check_potential(normalized, potential_kind)
     if potential_kind == "guillemin":
         potential = potentials.guillemin(normalized)
-    elif potential_kind == "calabi":
-        if frozenset(normalized.facets) != frozenset(calabi.blowup_trapezoid().facets):
-            raise MalformedInputError(
-                "the closed-form soliton potential is only available for the blow-up trapezoid"
-            )
-        potential = calabi.CalabiPotential()
     else:
-        raise MalformedInputError(f"unknown potential kind {potential_kind!r}")
+        potential = calabi.CalabiPotential()
     return operators.OperatorContext(polytope=normalized, potential=potential, a=soliton.a_array)
 
 
@@ -267,7 +279,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         add_check("fd_oracle_abreu_rel", (abreu_fd - abreu_an) / max(1.0, abs(abreu_an)), 1e-3)
 
     # decomposition structure
-    decomposition = eigenbasis.assemble_decomposition(ctx, rootset)
+    decomposition = assemble_decomposition(soliton.a, rootset)
     add_check("gamma_positivity_min", min(0.0, min(decomposition.gamma_values)), 1e-9)
     semisimple_pairing = max(
         (abs(float(np.array(r.alpha) @ ctx.a)) for r in rootset.semisimple), default=0.0
@@ -329,11 +341,17 @@ def _decomposition_section(decomposition) -> dict:
 
 def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: float = 1e-10,
                      grid_n: int = 21, order: int = 10) -> dict:
+    """Cluster the roots by gamma = 2 <alpha, a>; no potential is built.
+
+    ``potential_kind`` and ``grid_n`` are echoed into ``config``; a
+    ``calabi`` request on any polygon but the blow-up trapezoid is still
+    rejected.
+    """
     normalized = normalize_algebraic(p)
+    _check_potential(normalized, potential_kind)
     rootset = enumerate_roots(normalized)
     soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
-    ctx = make_context(normalized, potential_kind, soliton)
-    decomposition = eigenbasis.assemble_decomposition(ctx, rootset)
+    decomposition = assemble_decomposition(soliton.a, rootset)
     semisimple = {r.alpha for r in rootset.semisimple}
     blocks = _decomposition_section(decomposition)
     for block, raw in zip(blocks["blocks"], decomposition.blocks):

@@ -6,6 +6,11 @@ Enumeration is exact and exhaustive: the lattice points of the line
 ``<alpha, nu_rho> = 1`` are ``alpha_0 + k perp(nu_rho)`` for integer ``k``,
 and every other facet bounds ``k`` from one side by an exact floor or
 ceiling, so the roots of each facet are one integer interval of ``k``.
+
+Given the soliton vector ``a``, the roots cluster by gamma = 2 <alpha, a>
+into the solitonic eigenspace decomposition; the affine block (complex
+dimension n) joins the gamma = 0 cluster.  With the fan-side soliton
+vector all gamma are non-negative.
 """
 
 from __future__ import annotations
@@ -124,6 +129,75 @@ def automorphism_dimensions(rootset: RootSet, n: int) -> AutomorphismDimensions:
         dim_eta=n + len(rootset.roots),
         dim_reductive=n + len(rootset.semisimple),
         dim_unipotent=len(rootset.unipotent),
+    )
+
+
+#: clustering tolerance for eigenvalue grouping
+GAMMA_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class SolitonDecomposition:
+    """Eigenvalue clusters gamma = 2 <alpha, a> with the affine block at zero."""
+
+    dim: int
+    blocks: tuple[dict, ...]
+    gamma_values: tuple[float, ...]
+
+    @property
+    def total_complex_dimension(self) -> int:
+        return sum(b["complex_dimension"] for b in self.blocks)
+
+
+def assemble_decomposition(a, rootset: RootSet, tol: float = GAMMA_TOL) -> SolitonDecomposition:
+    """Cluster roots by gamma = 2 <alpha, a> and attach the affine block at zero.
+
+    ``a`` is the soliton vector; its length is the dimension n.  Blocks
+    are ordered by ascending gamma and the members of each block by
+    ascending alpha, so neither order follows the sign of round-off in a.
+    """
+    a = tuple(float(c) for c in a)
+    n = len(a)
+    entries = sorted(
+        ((2.0 * sum(c * x for c, x in zip(root.alpha, a)), root) for root in rootset.roots),
+        key=lambda item: item[0],
+    )
+
+    clusters: list[list] = []
+    for gamma, root in entries:
+        if clusters and abs(gamma - clusters[-1][0][0]) <= tol:
+            clusters[-1].append((gamma, root))
+        else:
+            clusters.append([(gamma, root)])
+
+    blocks = []
+    has_zero = False
+    for cluster in clusters:
+        cluster.sort(key=lambda item: item[1].alpha)
+        representative = sum(g for g, _ in cluster) / len(cluster)
+        if abs(representative) <= tol:
+            representative = 0.0
+        includes_affine = representative == 0.0
+        has_zero = has_zero or includes_affine
+        roots = tuple(r for _, r in cluster)
+        blocks.append({
+            "gamma": representative,
+            "roots": roots,
+            "includes_affine": includes_affine,
+            "complex_dimension": len(roots) + (n if includes_affine else 0),
+        })
+    if not has_zero:
+        blocks.insert(0, {
+            "gamma": 0.0,
+            "roots": (),
+            "includes_affine": True,
+            "complex_dimension": n,
+        })
+    blocks.sort(key=lambda b: b["gamma"])
+    return SolitonDecomposition(
+        dim=n,
+        blocks=tuple(blocks),
+        gamma_values=tuple(b["gamma"] for b in blocks),
     )
 
 

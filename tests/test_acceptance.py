@@ -165,10 +165,10 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
 
 
 def test_criterion_10_decomposition(cp2_ctx, blowup_ctx, blowup_soliton):
-    cp2_dec = assemble_decomposition(cp2_ctx, enumerate_roots(cp2_ctx.polytope))
+    cp2_dec = assemble_decomposition(cp2_ctx.a, enumerate_roots(cp2_ctx.polytope))
     ok = cp2_dec.gamma_values == (0.0,) and cp2_dec.blocks[0]["complex_dimension"] == 8
     blowup_rootset = enumerate_roots(blowup_ctx.polytope)
-    blowup_dec = assemble_decomposition(blowup_ctx, blowup_rootset)
+    blowup_dec = assemble_decomposition(blowup_ctx.a, blowup_rootset)
     dims = {round(b["gamma"], 12): b["complex_dimension"] for b in blowup_dec.blocks}
     expected_gamma = round(-2.0 * blowup_soliton.a[0], 12)
     ok = ok and dims == {0.0: 4, expected_gamma: 2} and expected_gamma > 0

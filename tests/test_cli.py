@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from toric_soliton import parse_polytope
-from toric_soliton.cli import main
+from toric_soliton.cli import MAX_GRID, MAX_ORDER, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -154,6 +154,41 @@ def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, docum
     assert needle in err
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (("soliton", "cp2", "--order", str(MAX_ORDER + 1)), f"--order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
+    (("decompose", "cp2", "--order", str(MAX_ORDER + 1)), f"--order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
+    (("verify", "cp2", "--grid", str(MAX_GRID + 1)), f"--grid must be at most {MAX_GRID}, got {MAX_GRID + 1}"),
+    (("calabi", "--grid", str(MAX_GRID + 1)), f"--grid must be at most {MAX_GRID}, got {MAX_GRID + 1}"),
+    (("soliton", "cp2", "--order", "1000000"), "--order must be at most"),
+    (("decompose", "cp2", "--order", "1000000"), "--order must be at most"),
+    (("verify", "cp2", "--grid", "1000000"), "--grid must be at most"),
+    (("calabi", "--grid", "10000000000"), "got 10000000000"),
+], ids=["soliton-order", "decompose-order", "verify-grid", "calabi-grid",
+        "soliton-order-huge", "decompose-order-huge", "verify-grid-huge", "calabi-grid-huge"])
+def test_flag_values_over_the_maximum_exit_two(capsys, argv, needle):
+    # the huge values once escaped main with numpy's _ArrayMemoryError
+    argv = [str(DATA / "cp2.json") if a == "cp2" else a for a in argv]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert needle in err
+
+
+def test_largest_order_is_accepted(capsys):
+    code, out = run(capsys, "soliton", str(DATA / "cp2.json"), "--order", str(MAX_ORDER), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["config"]["order"] == MAX_ORDER
+
+
+def test_help_states_the_maxima(capsys):
+    for command, maximum in (("soliton", MAX_ORDER), ("verify", MAX_GRID), ("calabi", MAX_GRID)):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"1 to {maximum}" in out, command
+
+
 def test_decompose_has_no_margin_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["decompose", str(DATA / "cp2.json"), "--margin", "0.1"])
@@ -189,8 +224,10 @@ def test_import_loads_no_scipy():
 
 
 def test_calabi_requires_blowup_polytope(capsys):
-    code, _ = run(capsys, "verify", str(DATA / "cp2.json"), "--potential", "calabi")
-    assert code == 2
+    for command in ("verify", "decompose"):
+        code = main([command, str(DATA / "cp2.json"), "--potential", "calabi"])
+        assert code == 2
+        assert "only available for the blow-up trapezoid" in capsys.readouterr().err
 
 
 def test_solver_failure_exit_code(capsys, monkeypatch):

@@ -209,7 +209,7 @@ def test_anti_holomorphic_rejects_bad_fit(blowup, blowup_soliton, blowup_grid):
 
 def test_decomposition_cp2(cp2_ctx):
     rootset = enumerate_roots(cp2_ctx.polytope)
-    decomposition = assemble_decomposition(cp2_ctx, rootset)
+    decomposition = assemble_decomposition(cp2_ctx.a, rootset)
     assert decomposition.gamma_values == (0.0,)
     block = decomposition.blocks[0]
     assert block["includes_affine"]
@@ -219,7 +219,7 @@ def test_decomposition_cp2(cp2_ctx):
 
 def test_decomposition_blowup(blowup_ctx, blowup_soliton):
     rootset = enumerate_roots(blowup_ctx.polytope)
-    decomposition = assemble_decomposition(blowup_ctx, rootset)
+    decomposition = assemble_decomposition(blowup_ctx.a, rootset)
     assert len(decomposition.blocks) == 2
     zero_block, positive_block = decomposition.blocks
     assert zero_block["gamma"] == 0.0
@@ -239,16 +239,15 @@ def test_decomposition_blowup(blowup_ctx, blowup_soliton):
 
 def test_decomposition_square(square):
     soliton = solve_soliton_vector(square)
-    ctx = OperatorContext(polytope=square, potential=guillemin(square), a=soliton.a_array)
-    decomposition = assemble_decomposition(ctx, enumerate_roots(square))
+    decomposition = assemble_decomposition(soliton.a, enumerate_roots(square))
     assert decomposition.gamma_values == (0.0,)
     assert decomposition.total_complex_dimension == 6
 
 
 def test_clustering_stable_under_tolerance(blowup_ctx):
     rootset = enumerate_roots(blowup_ctx.polytope)
-    base = assemble_decomposition(blowup_ctx, rootset, tol=1e-9)
-    loose = assemble_decomposition(blowup_ctx, rootset, tol=1e-6)
+    base = assemble_decomposition(blowup_ctx.a, rootset, tol=1e-9)
+    loose = assemble_decomposition(blowup_ctx.a, rootset, tol=1e-6)
     assert [b["complex_dimension"] for b in base.blocks] == [b["complex_dimension"] for b in loose.blocks]
     assert [sorted(r.alpha for r in b["roots"]) for b in base.blocks] == [
         sorted(r.alpha for r in b["roots"]) for b in loose.blocks
@@ -270,8 +269,8 @@ def test_decomposition_independent_of_round_off_in_a(example, shift, cp2_ctx, cp
     # components of a that vanish by symmetry come out as +-1e-17 noise;
     # neither the blocks nor the order of their members may follow its sign
     ctx, rootset = {"cp2": (cp2_ctx, cp2_roots), "blowup": (blowup_ctx, blowup_roots)}[example]
-    base = assemble_decomposition(ctx, rootset)
-    perturbed = assemble_decomposition(dataclasses.replace(ctx, a=ctx.a + np.array(shift)), rootset)
+    base = assemble_decomposition(ctx.a, rootset)
+    perturbed = assemble_decomposition(ctx.a + np.array(shift), rootset)
     assert _block_layout(perturbed) == _block_layout(base)
     assert perturbed.gamma_values == pytest.approx(base.gamma_values, abs=1e-12)
 

@@ -3,7 +3,8 @@
 Documents are JSON-like: bad types, NaN, infinite and huge offsets,
 non-primitive or zero normals, too few facets, dimensions other than two,
 and truncated text, next to well-formed Fano polygons with arbitrary
-offsets so the soliton solve runs too.  ``cli.main`` runs in process; no
+offsets so the soliton solve runs too.  Flag values include ``--order``
+far past its maximum.  ``cli.main`` runs in process; no
 exception may escape it and no traceback may reach stderr.
 """
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toric_soliton.cli import main
+from toric_soliton.cli import MAX_ORDER, main
 
 #: facet normals of the five smooth toric Fano surfaces
 FANO_NORMALS = (
@@ -87,7 +88,8 @@ tolerances = st.one_of(
     st.sampled_from([0.0, -1.0, float("nan"), float("inf")]),
     st.floats(allow_nan=True, allow_infinity=True),
 )
-orders = st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(-2, 0))
+orders = st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(-2, 0),
+                   st.sampled_from([MAX_ORDER + 1, 10**6, 10**18]))
 soliton_flags = st.tuples(
     st.sampled_from([[], ["--format=json"]]),
     st.one_of(st.just([]), tolerances.map(lambda t: [f"--tol={t!r}"])),

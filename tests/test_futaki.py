@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from toric_soliton import (
     einstein_constant,
     enumerate_roots,
+    integrate,
     parse_polytope,
     solve_soliton_vector,
     weighted_volume,
@@ -32,6 +34,7 @@ def test_weighted_volume_cp2_at_zero(cp2):
     value, grad, hess = weighted_volume(cp2, [0.0, 0.0])
     assert value == pytest.approx(4.5, abs=1e-12)
     assert np.allclose(grad, 0.0, atol=1e-12)
+    hess = np.asarray(hess)
     assert np.allclose(hess, hess.T)
 
 
@@ -130,3 +133,73 @@ def test_einstein_constant():
     assert einstein_constant(0.0, 5) == 0.0
     for n in (1, 2, 3, 7):
         assert einstein_constant(2.0 * n, n) == 1.0
+
+
+#: canonical algebraic polygons of the five smooth toric Fano surfaces (every
+#: offset 1) with |a_1|, |a_2| of their soliton vectors; the signs of a depend
+#: on the embedding and are pinned by ``SIGNS``
+FIVE_SURFACES = {
+    "P2": (((1, 0), (0, 1), (-1, -1)), (0.0, 0.0)),
+    "P1xP1": (((1, 0), (-1, 0), (0, 1), (0, -1)), (0.0, 0.0)),
+    "Bl1P2": (((0, 1), (-1, 0), (1, 0), (1, -1)), (0.263810, 0.0)),
+    "Bl2P2": (((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1)), (0.217374, 0.217374)),
+    "Bl3P2": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)), (0.0, 0.0)),
+}
+SIGNS = {"Bl1P2": (-1, 1), "Bl2P2": (1, 1)}
+
+#: a lattice map A and its action A^{-T} on facet normals and soliton vectors
+LATTICE_MAP = np.array([[2, 1], [1, 1]])
+NORMAL_MAP = np.array([[1, -1], [-1, 2]])
+
+
+def polygon(normals, offsets=None):
+    offsets = offsets or [1] * len(normals)
+    return parse_polytope(json.dumps({
+        "dim": 2,
+        "facets": [{"normal": [int(c) for c in nu], "offset": off} for nu, off in zip(normals, offsets)],
+    }))
+
+
+def lattice_image(normals):
+    """The image x' = c (A x + b): normals A^{-T} nu, offsets c (1 - <A^{-T} nu, b>)."""
+    shift, scale = (Fraction(1, 2), Fraction(-1, 3)), Fraction(5, 2)
+    mapped = [NORMAL_MAP @ np.array(nu) for nu in normals]
+    return polygon(mapped, [str(scale * (1 - nu[0] * shift[0] - nu[1] * shift[1])) for nu in mapped])
+
+
+def test_normal_map_is_inverse_transpose():
+    assert np.array_equal(NORMAL_MAP, np.round(np.linalg.inv(LATTICE_MAP).T).astype(int))
+
+
+@pytest.mark.parametrize("surface", FIVE_SURFACES)
+def test_five_surface_soliton_table(surface):
+    normals, magnitudes = FIVE_SURFACES[surface]
+    soliton = solve_soliton_vector(polygon(normals))
+    assert np.allclose(np.abs(soliton.a), magnitudes, rtol=0.0, atol=1e-6)
+    signs = SIGNS.get(surface, (1, 1))
+    assert np.allclose(soliton.a, np.multiply(signs, magnitudes), rtol=0.0, atol=1e-6)
+    image = solve_soliton_vector(lattice_image(normals))
+    assert np.allclose(image.a, NORMAL_MAP @ np.array(soliton.a), rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("imaged", [False, True], ids=["canonical", "image"])
+@pytest.mark.parametrize("surface", FIVE_SURFACES)
+def test_ray_form_matches_array_quadrature(surface, imaged):
+    # oracle: the moments of exp(-2<a,x>) {1, x_i, x_i x_j} from integrate on the same rule;
+    # the fan centre of a canonical polygon is the origin, that of its image is not
+    normals = FIVE_SURFACES[surface][0]
+    p = lattice_image(normals) if imaged else polygon(normals)
+    rng = np.random.default_rng(list(FIVE_SURFACES).index(surface))
+    for order in (4, 10, 16):
+        a = rng.uniform(-0.8, 0.8, size=2)
+
+        def moment(*axes):
+            return integrate(p, lambda pts: np.prod(pts[:, list(axes)], axis=1) * np.exp(-2.0 * pts @ a), order)
+
+        value, grad, hess = weighted_volume(p, a, order)
+        expected_value = moment()
+        expected_grad = [-2.0 * moment(i) for i in range(2)]
+        expected_hess = [[4.0 * moment(i, j) for j in range(2)] for i in range(2)]
+        assert abs(value - expected_value) <= 1e-13 * expected_value
+        assert np.allclose(grad, expected_grad, rtol=1e-13, atol=1e-13 * expected_value)
+        assert np.allclose(hess, expected_hess, rtol=1e-13, atol=1e-13 * expected_value)

@@ -1,4 +1,4 @@
-"""Import set of each command: exact lattice work runs without numpy.
+"""Import set of each command: only ``verify`` and ``calabi`` load numpy.
 
 Each case runs in a fresh interpreter, so nothing an earlier test imported
 can hide a module load.
@@ -87,13 +87,47 @@ def test_roots_loads_no_numpy(fmt):
     None,
 ], ids=["truncated-json", "non-primitive-normal", "non-delzant", "not-fano", "missing-file"])
 def test_rejections_load_no_numpy(tmp_path, document):
-    # soliton loads numpy once it computes, so every geometry check must come first
+    # no rejection reaches a module that imports numpy
     path = tmp_path / "polytope.json"
     if document is not None:
         path.write_text(document)
     result = fresh("soliton", str(path))
     assert result["exit"] == 2
     assert result["numpy"] is False
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv", [
+    ("soliton", "blowup.json"),
+    ("soliton", "bl3.json"),
+    ("decompose", "blowup.json", "--potential", "guillemin"),
+    ("decompose", "blowup.json", "--potential", "calabi", "--grid", "15"),
+    ("decompose", "cp2.json"),
+], ids=["soliton-blowup", "soliton-bl3", "decompose-guillemin", "decompose-calabi", "decompose-default"])
+def test_solve_loads_no_numpy(argv, fmt):
+    command, document, *flags = argv
+    result = fresh(command, str(DATA / document), *flags, "--format", fmt)
+    assert result["exit"] == 0
+    assert result["numpy"] is False
+    assert "toric_soliton.futaki" in result["executed"]
+    for name in ("potentials", "operators", "eigenbasis", "calabi"):
+        assert f"toric_soliton.{name}" not in result["executed"]
+
+
+def test_decompose_calabi_on_other_polygon_rejected_without_numpy():
+    result = fresh("decompose", str(DATA / "cp2.json"), "--potential", "calabi")
+    assert result["exit"] == 2
+    assert result["numpy"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", str(DATA / "cp2.json"), "--grid", "5"),
+    ("calabi", "--grid", "5"),
+], ids=["verify", "calabi"])
+def test_array_commands_load_numpy(argv):
+    result = fresh(*argv)
+    assert result["exit"] == 0
+    assert result["numpy"] is True
 
 
 def test_soliton_executes_no_potential_module():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from toric_soliton import integrate, triangulate
 from toric_soliton.errors import UnsupportedDimensionError
-from toric_soliton.quadrature import reference_monomial_integral, reference_rule
+from toric_soliton.quadrature import gauss_legendre, reference_monomial_integral, reference_rule
 
 
 def test_triangulation_areas(cp2, blowup, square):
@@ -108,3 +108,17 @@ def test_polynomial_exactness_on_polygon(blowup):
         return pts[:, 0] ** 2 * pts[:, 1] ** 2
 
     assert integrate(blowup, f, 4) == pytest.approx(integrate(blowup, f, 14), abs=1e-12)
+
+
+def test_gauss_legendre_matches_numpy():
+    for m in range(1, 61):
+        nodes, weights = gauss_legendre(m)
+        expected_nodes, expected_weights = np.polynomial.legendre.leggauss(m)
+        assert np.allclose(nodes, expected_nodes, rtol=0.0, atol=4e-16), m
+        assert np.allclose(weights, expected_weights, rtol=0.0, atol=1e-14), m
+
+
+def test_triangulation_is_plain_floats(blowup):
+    # the Futaki solve runs on this tiling without numpy
+    for tri in triangulate(blowup).simplices:
+        assert all(type(c) is float for vertex in tri for c in vertex)
