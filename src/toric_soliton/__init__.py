@@ -77,10 +77,8 @@ _EXPORTS = {
         "perturbed",
     ),
     "calabi": (
-        "CalabiParameters",
         "CalabiPotential",
         "CalabiSoliton",
-        "h_matrix",
         "ode_residual",
         "profile_A",
         "profile_B",

@@ -1,18 +1,19 @@
 """Closed-form soliton metric on the plane blown up at a point.
 
-The moment image is a trapezoid, the diffeomorphic image of a rectangle
-[alpha1, alpha2] x [beta1, beta2] under (x, y) -> (x, x y).  The metric is
-separable in the rectangle coordinates with radial profiles A and B; the
-matrix ``H`` of the associated potential is assembled from them and all
-its derivatives are analytic, so every operator check on this example
+The moment image is a trapezoid, the diffeomorphic image of the rectangle
+[ALPHA1, ALPHA2] x [BETA1, BETA2] = [1, 3] x [0, 1] under
+(x, y) -> (x, x y).  The metric is separable in the rectangle coordinates
+with radial profiles A and B, written in closed form for these labels;
+the matrix ``H`` of the associated potential is assembled from them and
+all its derivatives are analytic, so every operator check on this example
 runs with exact formulas (finite differences stay available as an
 independent cross-check).
 
 Two sign wrinkles are resolved here once and for all:
 
-* the mean scalar curvature of the blow-up family is +4 (the value forced
+* the mean scalar curvature of the blow-up is +4 (the value forced
   by the Einstein-constant normalization lambda = 1 in real dimension 4);
-  a printed value of -4 floating around for this family is inconsistent
+  a printed value of -4 floating around for this metric is inconsistent
   with that normalization and is flagged in reports;
 * the boundary slope conditions A'(alpha_i) = 2 / C_alpha_i hold with
   sign on the A side, while on the B side only the magnitudes
@@ -36,52 +37,24 @@ ALGEBRAIC_SHIFT = np.array([2.0, 1.0])
 #: default solver bracket for the nonzero soliton coefficient
 DEFAULT_BRACKET = (-0.5, -0.05)
 
-
-@dataclass(frozen=True)
-class CalabiParameters:
-    """Interval endpoints and normal scalings of a labelled Calabi trapezoid."""
-
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
-    c_alpha1: float
-    c_alpha2: float
-    c_beta1: float
-    c_beta2: float
-
-    def __post_init__(self) -> None:
-        if not self.alpha1 > 0:
-            raise MalformedInputError(f"alpha1 must be positive, got {self.alpha1}")
-        if not self.beta1 >= 0:
-            raise MalformedInputError(f"beta1 must be non-negative, got {self.beta1}")
-        if not (self.alpha2 > self.alpha1 and self.beta2 > self.beta1):
-            raise MalformedInputError("interval endpoints must be increasing")
-        if not (self.c_alpha1 > 0 and self.c_alpha2 < 0 and self.c_beta1 < 0 and self.c_beta2 > 0):
-            raise MalformedInputError("normal scalings must have signs (+, -, -, +)")
-
-    @staticmethod
-    def blow_up() -> "CalabiParameters":
-        return CalabiParameters(1.0, 3.0, 0.0, 1.0, 1.0, -1.0 / 3.0, -1.0, 1.0)
-
-    def is_blow_up(self) -> bool:
-        reference = CalabiParameters.blow_up()
-        return all(
-            math.isclose(getattr(self, name), getattr(reference, name), abs_tol=1e-12)
-            for name in ("alpha1", "alpha2", "beta1", "beta2", "c_alpha1", "c_alpha2", "c_beta1", "c_beta2")
-        )
+#: the labels of the blow-up trapezoid: interval endpoints of the rectangle
+#: and the normal scalings of its four facets
+ALPHA1, ALPHA2 = 1.0, 3.0
+BETA1, BETA2 = 0.0, 1.0
+C_ALPHA1, C_ALPHA2 = 1.0, -1.0 / 3.0
+C_BETA1, C_BETA2 = -1.0, 1.0
 
 
-def m_constant(params: CalabiParameters) -> float:
+def m_constant() -> float:
     """The constant m = (2/C_beta1 - 2/C_beta2) / (beta2 - beta1)."""
-    return (2.0 / params.c_beta1 - 2.0 / params.c_beta2) / (params.beta2 - params.beta1)
+    return (2.0 / C_BETA1 - 2.0 / C_BETA2) / (BETA2 - BETA1)
 
 
-def mean_scalar_curvature(params: CalabiParameters) -> float:
-    """Mean scalar curvature of the labelled trapezoid family."""
-    alpha_part = (1.0 / params.c_alpha1 - 1.0 / params.c_alpha2) / (params.alpha2 - params.alpha1)
-    beta_part = (1.0 / params.c_beta1 - 1.0 / params.c_beta2) / (params.beta2 - params.beta1)
-    return 4.0 / (params.alpha1 + params.alpha2) * (alpha_part - beta_part)
+def mean_scalar_curvature() -> float:
+    """Mean scalar curvature of the labelled trapezoid."""
+    alpha_part = (1.0 / C_ALPHA1 - 1.0 / C_ALPHA2) / (ALPHA2 - ALPHA1)
+    beta_part = (1.0 / C_BETA1 - 1.0 / C_BETA2) / (BETA2 - BETA1)
+    return 4.0 / (ALPHA1 + ALPHA2) * (alpha_part - beta_part)
 
 
 def soliton_equation(a1: float) -> float:
@@ -94,14 +67,12 @@ def _soliton_equation_derivative(a1: float) -> float:
     return (2.0 * a1 - 4.0 * (a1 * a1 - 0.5)) * e + 6.0 * a1 - 2.0
 
 
-def solve_a1(params: CalabiParameters, bracket: tuple[float, float] = DEFAULT_BRACKET) -> float:
+def solve_a1(bracket: tuple[float, float] = DEFAULT_BRACKET) -> float:
     """Nonzero root of the soliton equation by bisection plus Newton polish.
 
     ``a1 = 0`` also satisfies the equation and is rejected; the bracket
     must produce a sign change away from zero.
     """
-    if not params.is_blow_up():
-        raise MalformedInputError("the closed-form soliton equation is specific to the blow-up parameters")
     lo, hi = bracket
     flo, fhi = soliton_equation(lo), soliton_equation(hi)
     if flo == 0.0:
@@ -137,18 +108,15 @@ def solve_a1(params: CalabiParameters, bracket: tuple[float, float] = DEFAULT_BR
 
 @dataclass(frozen=True)
 class CalabiSoliton:
-    """Solved blow-up soliton: parameters, coefficient, m, and mean curvature."""
+    """Solved blow-up soliton: coefficient, m, and mean curvature."""
 
-    params: CalabiParameters
     a1: float
     m: float
     scal_mean: float
 
     @staticmethod
-    def solve(params: CalabiParameters | None = None) -> "CalabiSoliton":
-        params = params or CalabiParameters.blow_up()
-        a1 = solve_a1(params)
-        return CalabiSoliton(params=params, a1=a1, m=m_constant(params), scal_mean=mean_scalar_curvature(params))
+    def solve() -> "CalabiSoliton":
+        return CalabiSoliton(a1=solve_a1(), m=m_constant(), scal_mean=mean_scalar_curvature())
 
     @property
     def a(self) -> np.ndarray:
@@ -164,8 +132,8 @@ def _require_between(name: str, t, lo: float, hi: float) -> None:
 
 
 def profile_A(s: CalabiSoliton, x):
-    """Radial profile A with first and second derivatives on [alpha1, alpha2]; x may be an array."""
-    _require_between("x", x, s.params.alpha1, s.params.alpha2)
+    """Radial profile A with first and second derivatives on [ALPHA1, ALPHA2]; x may be an array."""
+    _require_between("x", x, ALPHA1, ALPHA2)
     a = s.a1
     if a == 0.0:
         raise MalformedInputError("profile requires a nonzero soliton coefficient")
@@ -179,13 +147,13 @@ def profile_A(s: CalabiSoliton, x):
 
 
 def profile_B(s: CalabiSoliton, y):
-    """Radial profile B(y) = -2 y^2 + 2 y with derivatives on [beta1, beta2]; y may be an array."""
-    _require_between("y", y, s.params.beta1, s.params.beta2)
+    """Radial profile B(y) = -2 y^2 + 2 y with derivatives on [BETA1, BETA2]; y may be an array."""
+    _require_between("y", y, BETA1, BETA2)
     return -2.0 * y * y + 2.0 * y, -4.0 * y + 2.0, 0.0 * y - 4.0
 
 
-def ode_residual(s: CalabiSoliton, x: float, scal_mean: float | None = None) -> float:
-    """Defect of -A'' - 2 a1 A' - x scal_mean = m at the point x."""
+def ode_residual(s: CalabiSoliton, x, scal_mean: float | None = None):
+    """Defect of -A'' - 2 a1 A' - x scal_mean = m at x; x may be an array."""
     scal = s.scal_mean if scal_mean is None else scal_mean
     _, first, second = profile_A(s, x)
     return -second - 2.0 * s.a1 * first - x * scal - s.m
@@ -193,20 +161,19 @@ def ode_residual(s: CalabiSoliton, x: float, scal_mean: float | None = None) -> 
 
 def boundary_residuals(s: CalabiSoliton) -> dict[str, float]:
     """Boundary interlocks of the closed forms (values and slope magnitudes)."""
-    p = s.params
-    a_lo = profile_A(s, p.alpha1)
-    a_hi = profile_A(s, p.alpha2)
-    b_lo = profile_B(s, p.beta1)
-    b_hi = profile_B(s, p.beta2)
+    a_lo = profile_A(s, ALPHA1)
+    a_hi = profile_A(s, ALPHA2)
+    b_lo = profile_B(s, BETA1)
+    b_hi = profile_B(s, BETA2)
     return {
         "A_alpha1": abs(a_lo[0]),
         "A_alpha2": abs(a_hi[0]),
         "B_beta1": abs(b_lo[0]),
         "B_beta2": abs(b_hi[0]),
-        "slope_A_alpha1": abs(a_lo[1] - 2.0 / p.c_alpha1),
-        "slope_A_alpha2_magnitude": abs(abs(a_hi[1]) - abs(2.0 / p.c_alpha2)),
-        "slope_B_beta1_magnitude": abs(abs(b_lo[1]) - abs(2.0 / p.c_beta1)),
-        "slope_B_beta2_magnitude": abs(abs(b_hi[1]) - abs(2.0 / p.c_beta2)),
+        "slope_A_alpha1": abs(a_lo[1] - 2.0 / C_ALPHA1),
+        "slope_A_alpha2_magnitude": abs(abs(a_hi[1]) - abs(2.0 / C_ALPHA2)),
+        "slope_B_beta1_magnitude": abs(abs(b_lo[1]) - abs(2.0 / C_BETA1)),
+        "slope_B_beta2_magnitude": abs(abs(b_hi[1]) - abs(2.0 / C_BETA2)),
     }
 
 
@@ -219,16 +186,7 @@ def from_algebraic_coordinates(x) -> np.ndarray:
     return np.asarray(x, dtype=float) + ALGEBRAIC_SHIFT
 
 
-@dataclass(frozen=True)
-class MetricMatrices:
-    """H with its first and second derivative tensors, at one point or on a batch."""
-
-    h: np.ndarray
-    dh: np.ndarray
-    d2h: np.ndarray
-
-
-def _entry_partials(s: CalabiSoliton, mu: np.ndarray) -> MetricMatrices:
+def _entry_partials(s: CalabiSoliton, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """H, dH and d2H on an (m, 2) batch of points of tau."""
     x = mu[:, 0]
     y = mu[:, 1] / x
@@ -268,31 +226,17 @@ def _entry_partials(s: CalabiSoliton, mu: np.ndarray) -> MetricMatrices:
             d2h[:, r, c, 0, 0] = d11
             d2h[:, r, c, 0, 1] = d2h[:, r, c, 1, 0] = d12
             d2h[:, r, c, 1, 1] = d22
-    return MetricMatrices(h=h, dh=dh, d2h=d2h)
-
-
-def _require_in_tau(s: CalabiSoliton, mu) -> np.ndarray:
-    mu = np.asarray(mu, dtype=float)
-    x = mu[0]
-    if not (s.params.alpha1 < x < s.params.alpha2):
-        raise BoundaryEvaluationError(f"mu1 = {x} outside ({s.params.alpha1}, {s.params.alpha2})")
-    y = mu[1] / x
-    if not (s.params.beta1 < y < s.params.beta2):
-        raise BoundaryEvaluationError(f"mu2/mu1 = {y} outside ({s.params.beta1}, {s.params.beta2})")
-    return mu
-
-
-def h_matrix(s: CalabiSoliton, mu) -> MetricMatrices:
-    """The metric matrix H and its derivatives at an interior point of tau."""
-    batch = _entry_partials(s, _require_in_tau(s, mu)[None])
-    return MetricMatrices(h=batch.h[0], dh=batch.dh[0], d2h=batch.d2h[0])
+    return h, dh, d2h
 
 
 def g_matrix(s: CalabiSoliton, mu) -> np.ndarray:
-    """Closed-form inverse of H (the explicit display of the family)."""
-    mu = _require_in_tau(s, mu)
+    """Closed-form inverse of H at an interior point of tau, the oracle for the stack's G."""
     x = float(mu[0])
+    if not (ALPHA1 < x < ALPHA2):
+        raise BoundaryEvaluationError(f"mu1 = {x} outside ({ALPHA1}, {ALPHA2})")
     y = float(mu[1]) / x
+    if not (BETA1 < y < BETA2):
+        raise BoundaryEvaluationError(f"mu2/mu1 = {y} outside ({BETA1}, {BETA2})")
     a_val, _, _ = profile_A(s, x)
     b_val, _, _ = profile_B(s, y)
     return np.array([
@@ -314,15 +258,13 @@ class CalabiPotential(HSidePotential):
         self.soliton = soliton or CalabiSoliton.solve()
         self.polytope = blowup_trapezoid()
         self.base_point = np.zeros(2)
-        # t / A(t) has simple poles at the ends of [alpha1, alpha2], residue t / A'(t)
-        p = self.soliton.params
-        self._poles = tuple((end, end / profile_A(self.soliton, end)[1]) for end in (p.alpha1, p.alpha2))
+        # t / A(t) has simple poles at the ends of [ALPHA1, ALPHA2], residue t / A'(t)
+        self._poles = tuple((end, end / profile_A(self.soliton, end)[1]) for end in (ALPHA1, ALPHA2))
         self._f_rule = np.polynomial.legendre.leggauss(48)
 
     def _h_derivatives(self, points):
         mu = from_algebraic_coordinates(points)
-        metric = _entry_partials(self.soliton, mu)
-        return self._gradient(mu), metric.h, metric.dh, metric.d2h
+        return (self._gradient(mu), *_entry_partials(self.soliton, mu))
 
     def _gradient(self, mu: np.ndarray) -> np.ndarray:
         """Closed-form gradient on an (m, 2) batch of points of tau.

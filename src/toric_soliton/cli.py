@@ -14,7 +14,6 @@ import math
 import sys
 from pathlib import Path
 
-from . import calabi
 from .errors import (
     MalformedInputError,
     NonConvergenceError,
@@ -120,11 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--format", choices=("text", "json"), default="text")
     p_cal.add_argument("--grid", type=int, default=50,
                        help=f"profile sample points, 1 to {MAX_GRID} (default 50)")
-    for name, default in (
-        ("alpha1", 1.0), ("alpha2", 3.0), ("beta1", 0.0), ("beta2", 1.0),
-        ("c-alpha1", 1.0), ("c-alpha2", -1.0 / 3.0), ("c-beta1", -1.0), ("c-beta2", 1.0),
-    ):
-        p_cal.add_argument(f"--{name}", type=float, default=default)
     return parser
 
 
@@ -147,11 +141,7 @@ def main(argv: list[str] | None = None) -> int:
                 tol=args.tol, grid_n=args.grid, order=args.order,
             )
         elif args.command == "calabi":
-            params = calabi.CalabiParameters(
-                args.alpha1, args.alpha2, args.beta1, args.beta2,
-                args.c_alpha1, args.c_alpha2, args.c_beta1, args.c_beta2,
-            )
-            report = calabi_report(params, grid_points=args.grid)
+            report = calabi_report(grid_points=args.grid)
         else:  # pragma: no cover
             raise MalformedInputError(f"unknown command {args.command!r}")
     except NonConvergenceError as exc:

@@ -122,7 +122,6 @@ def _eigen_stats(values: np.ndarray, applied: np.ndarray) -> dict[str, float]:
     return {
         "max_rel_residual": float(np.max(np.abs(applied - 2.0 * values))) / scale,
         "fitted_eigenvalue": float(values @ applied / (values @ values)),
-        "scale": scale,
     }
 
 

@@ -273,8 +273,7 @@ def _fd_step(ctx: OperatorContext, x: np.ndarray, factor: float) -> float:
     return step
 
 
-def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, operator: str,
-                             step: float | None = None) -> complex:
+def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, operator: str) -> complex:
     """Re-evaluate an operator using only potential values and profile values.
 
     Independent of the analytic derivative stack: the metric comes from
@@ -290,7 +289,7 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, op
     n = len(x)
 
     if operator == "abreu":
-        h3 = step if step is not None else _fd_step(ctx, x, 0.02)
+        h3 = _fd_step(ctx, x, 0.02)
         total = 0.0
         for i in range(n):
             for j in range(n):
@@ -317,7 +316,7 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, op
     if operator not in ("laplacian", "weighted", "complex+", "complex-"):
         raise MalformedInputError(f"unknown operator id {operator!r}")
 
-    h = step if step is not None else _fd_step(ctx, x, 0.005)
+    h = _fd_step(ctx, x, 0.005)
 
     def value(y: np.ndarray) -> float:
         return float(f.values(y[None])[0])

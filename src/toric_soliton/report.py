@@ -178,6 +178,14 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
     grid = normalized.interior_grid(grid_n, margin)
     if len(grid) == 0:
         raise MalformedInputError(f"grid {grid_n} with margin {margin} has no interior point")
+    # the affine eigenfunction fits need points off one line (on a line through the origin
+    # the largest |x_i| they divide by is 0); collinear points have a singular scatter matrix
+    spread = grid - grid.mean(axis=0)
+    (sxx, sxy), (_, syy) = spread.T @ spread
+    if sxx * syy - sxy * sxy <= 1e-12 * (sxx + syy) ** 2:
+        raise MalformedInputError(
+            f"grid {grid_n} with margin {margin} keeps {len(grid)} point(s), all on one line"
+        )
     rootset = enumerate_roots(normalized)
     soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
     ctx = make_context(normalized, potential_kind, soliton)
@@ -367,24 +375,24 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
     }
 
 
-def calabi_report(params=None, grid_points: int = 50) -> dict:
+def calabi_report(grid_points: int = 50) -> dict:
     """Solve the blow-up closed forms and report residual diagnostics."""
     import numpy as np
 
-    soliton = calabi.CalabiSoliton.solve(params)
-    xs = np.linspace(soliton.params.alpha1, soliton.params.alpha2, grid_points)
-    ode = max(abs(calabi.ode_residual(soliton, float(x))) for x in xs)
+    soliton = calabi.CalabiSoliton.solve()
+    xs = np.linspace(calabi.ALPHA1, calabi.ALPHA2, grid_points)
+    ode = np.max(np.abs(calabi.ode_residual(soliton, xs)))
     return {
         "command": "calabi",
         "parameters": {
-            "alpha1": soliton.params.alpha1,
-            "alpha2": soliton.params.alpha2,
-            "beta1": soliton.params.beta1,
-            "beta2": soliton.params.beta2,
-            "c_alpha1": soliton.params.c_alpha1,
-            "c_alpha2": soliton.params.c_alpha2,
-            "c_beta1": soliton.params.c_beta1,
-            "c_beta2": soliton.params.c_beta2,
+            "alpha1": calabi.ALPHA1,
+            "alpha2": calabi.ALPHA2,
+            "beta1": calabi.BETA1,
+            "beta2": calabi.BETA2,
+            "c_alpha1": calabi.C_ALPHA1,
+            "c_alpha2": calabi.C_ALPHA2,
+            "c_beta1": calabi.C_BETA1,
+            "c_beta2": calabi.C_BETA2,
         },
         "a1": soliton.a1,
         "m": soliton.m,

@@ -31,7 +31,6 @@ from toric_soliton import (
     weighted_laplacian,
 )
 from toric_soliton.calabi import (
-    CalabiParameters,
     m_constant,
     profile_A,
     profile_B,
@@ -72,7 +71,7 @@ def test_criterion_02_automorphism_dimensions(cp2_roots, blowup_roots):
 
 
 def test_criterion_03_soliton_vector(cp2_soliton, blowup_soliton):
-    oracle = solve_a1(CalabiParameters.blow_up())  # bisection + polish
+    oracle = solve_a1()  # bisection + polish
     ok = float(np.linalg.norm(cp2_soliton.a_array)) <= 1e-10
     ok = ok and abs(blowup_soliton.a[1]) <= 1e-8
     ok = ok and abs(blowup_soliton.a[0] - oracle) <= 1e-8
@@ -83,7 +82,7 @@ def test_criterion_03_soliton_vector(cp2_soliton, blowup_soliton):
 def test_criterion_04_calabi_closed_forms(calabi_soliton):
     s = calabi_soliton
     ok = abs(profile_A(s, 1.0)[0]) <= 1e-10 and abs(profile_A(s, 3.0)[0]) <= 1e-10
-    ok = ok and s.m == -4.0 == m_constant(s.params)
+    ok = ok and s.m == -4.0 == m_constant()
     ok = ok and all(profile_B(s, float(y))[2] == s.m for y in np.linspace(0.0, 1.0, 11))
     xs = np.linspace(1.0, 3.0, 50)
     ok = ok and max(abs(ode_residual(s, float(x), scal_mean=4.0)) for x in xs) <= 1e-9

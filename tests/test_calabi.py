@@ -1,4 +1,4 @@
-"""Blow-up closed forms: profiles, the transcendental root, the metric matrix."""
+"""Blow-up closed forms: labels, profiles, the transcendental root, the metric matrix."""
 
 from __future__ import annotations
 
@@ -7,19 +7,18 @@ import pytest
 
 from toric_soliton import (
     BoundaryEvaluationError,
-    CalabiParameters,
     CalabiPotential,
     CalabiSoliton,
-    MalformedInputError,
     NonConvergenceError,
+    blowup_trapezoid,
     gradient_by_line_integral,
-    h_matrix,
     ode_residual,
     profile_A,
     profile_B,
     solve_a1,
     to_algebraic_coordinates,
 )
+from toric_soliton import calabi
 from toric_soliton.calabi import (
     boundary_residuals,
     from_algebraic_coordinates,
@@ -31,19 +30,25 @@ from toric_soliton.calabi import (
 from conftest import interior_points
 
 
+def tau_stack(soliton: CalabiSoliton, mu):
+    """The Calabi potential's derivative stack at the rows of mu, points of the trapezoid tau."""
+    return CalabiPotential(soliton).stack(to_algebraic_coordinates(np.atleast_2d(mu)))
+
+
 def test_parameter_validation():
-    with pytest.raises(MalformedInputError):
-        CalabiParameters(-1.0, 3.0, 0.0, 1.0, 1.0, -1.0, -1.0, 1.0)
-    with pytest.raises(MalformedInputError):
-        CalabiParameters(1.0, 3.0, -0.5, 1.0, 1.0, -1.0, -1.0, 1.0)
-    with pytest.raises(MalformedInputError):
-        CalabiParameters(1.0, 3.0, 0.0, 1.0, -1.0, -1.0, -1.0, 1.0)
+    # the fixed labels satisfy the Calabi trapezoid sign conditions ...
+    assert calabi.ALPHA1 > 0 and calabi.BETA1 >= 0
+    assert calabi.ALPHA2 > calabi.ALPHA1 and calabi.BETA2 > calabi.BETA1
+    assert calabi.C_ALPHA1 > 0 > calabi.C_ALPHA2 and calabi.C_BETA1 < 0 < calabi.C_BETA2
+    # ... and (x, y) -> (x, x y) maps their rectangle onto the blow-up trapezoid
+    corners = [(x, x * y) for x in (calabi.ALPHA1, calabi.ALPHA2) for y in (calabi.BETA1, calabi.BETA2)]
+    expected = {tuple(v) for v in to_algebraic_coordinates(corners).tolist()}
+    assert {tuple(v) for v in blowup_trapezoid().vertices.tolist()} == expected
 
 
 def test_m_and_mean_curvature():
-    params = CalabiParameters.blow_up()
-    assert m_constant(params) == pytest.approx(-4.0, abs=1e-15)
-    assert mean_scalar_curvature(params) == pytest.approx(4.0, abs=1e-15)
+    assert m_constant() == pytest.approx(-4.0, abs=1e-15)
+    assert mean_scalar_curvature() == pytest.approx(4.0, abs=1e-15)
 
 
 def test_solve_a1_bracket_and_residual(calabi_soliton):
@@ -59,7 +64,7 @@ def test_solve_a1_bracket_and_residual(calabi_soliton):
 
 def test_solve_a1_rejects_bad_bracket():
     with pytest.raises(NonConvergenceError):
-        solve_a1(CalabiParameters.blow_up(), bracket=(-0.04, -0.01))
+        solve_a1(bracket=(-0.04, -0.01))
 
 
 def test_profile_A_boundary_values(calabi_soliton):
@@ -83,9 +88,8 @@ def test_profile_A_domain(calabi_soliton):
 def test_profile_A_slopes(calabi_soliton):
     _, slope_lo, _ = profile_A(calabi_soliton, 1.0)
     _, slope_hi, _ = profile_A(calabi_soliton, 3.0)
-    p = calabi_soliton.params
-    assert slope_lo == pytest.approx(2.0 / p.c_alpha1, abs=1e-9)  # = 2
-    assert abs(slope_hi) == pytest.approx(abs(2.0 / p.c_alpha2), abs=1e-9)  # = 6
+    assert slope_lo == pytest.approx(2.0 / calabi.C_ALPHA1, abs=1e-9)  # = 2
+    assert abs(slope_hi) == pytest.approx(abs(2.0 / calabi.C_ALPHA2), abs=1e-9)  # = 6
 
 
 def test_profile_B_values(calabi_soliton):
@@ -124,24 +128,21 @@ def test_b_side_ode(calabi_soliton):
 
 
 def test_h_matrix_positive_definite_at_center_image(calabi_soliton):
-    mats = h_matrix(calabi_soliton, np.array([2.0, 1.0]))
-    assert np.allclose(mats.h, mats.h.T)
-    assert np.linalg.eigvalsh(mats.h)[0] > 0.0
+    h = tau_stack(calabi_soliton, [2.0, 1.0]).H[0]
+    assert np.allclose(h, h.T)
+    assert np.linalg.eigvalsh(h)[0] > 0.0
 
 
 def test_g_h_inverse_identity(calabi_soliton, blowup):
-    for x in interior_points(blowup, 20, seed=11):
-        mu = from_algebraic_coordinates(x)
-        g = g_matrix(calabi_soliton, mu)
-        h = h_matrix(calabi_soliton, mu).h
+    # the closed-form G against the H the stack assembles from the profiles
+    points = interior_points(blowup, 20, seed=11)
+    for x, h in zip(points, CalabiPotential(calabi_soliton).stack(points).H):
+        g = g_matrix(calabi_soliton, from_algebraic_coordinates(x))
         assert np.max(np.abs(g @ h - np.eye(2))) <= 1e-10
 
 
 def test_det_h_degenerates_on_lower_edge(calabi_soliton):
-    dets = [
-        np.linalg.det(h_matrix(calabi_soliton, np.array([2.0, 2.0 * y])).h)
-        for y in (0.4, 0.2, 0.1, 0.05, 0.01)
-    ]
+    dets = np.linalg.det(tau_stack(calabi_soliton, [[2.0, 2.0 * y] for y in (0.4, 0.2, 0.1, 0.05, 0.01)]).H)
     assert all(d > 0 for d in dets)
     assert all(b < a for a, b in zip(dets, dets[1:]))
     assert dets[-1] < 0.05 * dets[0]
@@ -149,28 +150,30 @@ def test_det_h_degenerates_on_lower_edge(calabi_soliton):
 
 def test_h_matrix_boundary_rejected(calabi_soliton):
     with pytest.raises(BoundaryEvaluationError):
-        h_matrix(calabi_soliton, np.array([0.5, 0.2]))
+        tau_stack(calabi_soliton, [0.5, 0.2])
     with pytest.raises(BoundaryEvaluationError):
-        h_matrix(calabi_soliton, np.array([2.0, 2.0]))
+        tau_stack(calabi_soliton, [2.0, 2.0])
+    with pytest.raises(BoundaryEvaluationError):
+        g_matrix(calabi_soliton, [2.0, 2.0])
 
 
 def test_derivatives_match_finite_differences(calabi_soliton):
     step = 1e-6
     for mu in (np.array([1.7, 0.9]), np.array([2.4, 1.3])):
-        mats = h_matrix(calabi_soliton, mu)
+        offsets = [(0.0, 0.0), (step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)]
+        s = tau_stack(calabi_soliton, mu + np.array(offsets))
         for k in range(2):
-            e = np.zeros(2)
-            e[k] = step
-            fd = (h_matrix(calabi_soliton, mu + e).h - h_matrix(calabi_soliton, mu - e).h) / (2 * step)
-            assert np.max(np.abs(fd - mats.dh[:, :, k])) <= 1e-7
-            fd2 = (h_matrix(calabi_soliton, mu + e).dh - h_matrix(calabi_soliton, mu - e).dh) / (2 * step)
-            assert np.max(np.abs(fd2 - mats.d2h[:, :, :, k])) <= 1e-6
+            plus, minus = 1 + 2 * k, 2 + 2 * k
+            fd = (s.H[plus] - s.H[minus]) / (2 * step)
+            assert np.max(np.abs(fd - s.dH[0, :, :, k])) <= 1e-7
+            fd2 = (s.dH[plus] - s.dH[minus]) / (2 * step)
+            assert np.max(np.abs(fd2 - s.d2H[0, :, :, :, k])) <= 1e-6
 
 
 def test_abreu_curvature_closed_form(calabi_soliton):
     # -sum d2H_ij/dmu_i dmu_j collapses to -(A'' + B'')/mu1
     for mu in (np.array([1.5, 0.7]), np.array([2.5, 1.1])):
-        d2h = h_matrix(calabi_soliton, mu).d2h
+        d2h = tau_stack(calabi_soliton, mu).d2H[0]
         s = -(d2h[0, 0, 0, 0] + d2h[0, 1, 0, 1] + d2h[1, 0, 1, 0] + d2h[1, 1, 1, 1])
         _, _, a2 = profile_A(calabi_soliton, float(mu[0]))
         _, _, b2 = profile_B(calabi_soliton, float(mu[1] / mu[0]))
@@ -200,6 +203,8 @@ def test_potential_interior_guard(blowup):
 
 
 def test_soliton_reuses_params(calabi_soliton):
-    assert calabi_soliton.params.is_blow_up()
+    # m and the mean curvature are the formulas on the fixed labels
+    assert calabi_soliton.m == m_constant()
+    assert calabi_soliton.scal_mean == mean_scalar_curvature()
     assert calabi_soliton.a[1] == 0.0
     assert calabi_soliton.a[0] == calabi_soliton.a1

@@ -154,6 +154,39 @@ def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, docum
     assert needle in err
 
 
+BL2_TEXT = json.dumps({"dim": 2, "facets": [
+    {"normal": list(n), "offset": 1} for n in ((1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1))
+]})
+
+
+@pytest.mark.parametrize("document, potential, grid, margin, kept", [
+    ("cp2.json", "guillemin", 4, 0.05, 1),
+    ("square.json", "guillemin", 3, 0.05, 1),
+    ("blowup.json", "guillemin", 3, 0.05, 1),
+    ("blowup.json", "calabi", 3, 0.05, 1),
+    (BL2_TEXT, "guillemin", 3, 0.05, 1),
+    ("bl3.json", "guillemin", 3, 0.05, 1),
+    ("cp2.json", "guillemin", 7, 0.3, 1),
+    ("square.json", "guillemin", 5, 0.3, 1),
+    ("bl3.json", "guillemin", 4, 0.3, 2),
+    ("blowup.json", "calabi", 12, 0.3, 1),
+], ids=["cp2-4", "p1xp1-3", "bl1-3", "bl1-calabi-3", "bl2-3", "bl3-3",
+        "cp2-7-margin", "p1xp1-5-margin", "bl3-4-margin-two-points", "bl1-calabi-12-margin"])
+def test_verify_rejects_a_grid_on_one_line(capsys, tmp_path, document, potential, grid, margin, kept):
+    # one kept point with x_1 = 0 made affine_block divide by zero and escape main;
+    # one point off that line passed or failed the affine checks on no evidence
+    if document.endswith(".json"):
+        path = DATA / document
+    else:
+        path = tmp_path / "polytope.json"
+        path.write_text(document)
+    code = main(["verify", str(path), "--potential", potential, "--grid", str(grid), "--margin", str(margin)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"grid {grid} with margin {margin} keeps {kept} point(s), all on one line" in err
+
+
 @pytest.mark.parametrize("argv, needle", [
     (("soliton", "cp2", "--order", str(MAX_ORDER + 1)), f"--order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
     (("decompose", "cp2", "--order", str(MAX_ORDER + 1)), f"--order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
@@ -254,8 +287,16 @@ def test_calabi_command(capsys):
 
 
 def test_calabi_rejects_bad_parameters(capsys):
-    code, _ = run(capsys, "calabi", "--alpha1", "-1.0")
-    assert code == 2
+    # the labels are fixed; the former flags only ever accepted the blow-up values
+    for flag, value in (("alpha1", "1"), ("alpha2", "3"), ("beta1", "0"), ("beta2", "1"),
+                        ("c-alpha1", "1"), ("c-alpha2", "-0.3333333333333333"), ("c-beta1", "-1"),
+                        ("c-beta2", "1")):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["calabi", f"--{flag}={value}"])
+        err = capsys.readouterr().err
+        assert exit_info.value.code == 2, flag
+        assert f"unrecognized arguments: --{flag}={value}" in err
+        assert "Traceback" not in err
 
 
 def test_round_trip_polytope_echo(capsys):
@@ -308,6 +349,11 @@ def first_difference(actual, expected, abs_tol: float, path: str = "$") -> str |
     return None if actual == expected else f"{path}: {actual!r} != {expected!r}"
 
 
+#: absolute float floors of the reports without a solver tolerance: roots floats are
+#: exact rationals, and the calabi residuals are round-off near 1e-14
+ABS_TOL_WITHOUT_CONFIG = {"roots": 0.0, "calabi": 1e-12}
+
+
 @pytest.mark.parametrize("name, argv", [
     ("cp2_roots", ("roots", "cp2.json")),
     ("blowup_roots", ("roots", "blowup.json")),
@@ -315,17 +361,17 @@ def first_difference(actual, expected, abs_tol: float, path: str = "$") -> str |
     ("blowup_decompose", ("decompose", "blowup.json", "--potential", "calabi")),
     ("cp2_verify", ("verify", "cp2.json")),
     ("blowup_calabi_verify", ("verify", "blowup.json", "--potential", "calabi")),
+    ("calabi", ("calabi", "--grid", "50")),
 ])
 def test_golden_reports(capsys, name, argv):
-    command, data, *extra = argv
-    code, out = run(capsys, command, str(DATA / data), *extra, "--format", "json")
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(capsys, *argv, "--format", "json")
     assert code == 0
     golden_path = GOLDEN / f"{name}.json"
     if os.environ.get("REGEN_GOLDEN"):
         golden_path.write_text(out)
     golden = json.loads(golden_path.read_text())
-    # roots reports carry no solver tolerance; their floats are exact rationals
-    abs_tol = golden["config"]["tol"] if "config" in golden else 0.0
+    abs_tol = golden["config"]["tol"] if "config" in golden else ABS_TOL_WITHOUT_CONFIG[golden["command"]]
     difference = first_difference(json.loads(out), golden, abs_tol)
     assert difference is None, difference
 

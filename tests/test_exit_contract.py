@@ -4,8 +4,10 @@ Documents are JSON-like: bad types, NaN, infinite and huge offsets,
 non-primitive or zero normals, too few facets, dimensions other than two,
 and truncated text, next to well-formed Fano polygons with arbitrary
 offsets so the soliton solve runs too.  Flag values include ``--order``
-far past its maximum.  ``cli.main`` runs in process; no
-exception may escape it and no traceback may reach stderr.
+far past its maximum.  ``verify`` runs both potentials on the Fano
+polygons and the blow-up trapezoid over small grids and margins that are
+zero, negative or NaN, and ``calabi`` over ``--grid``.  ``cli.main`` runs
+in process; no exception may escape it and no traceback may reach stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toric_soliton.cli import MAX_ORDER, main
+from toric_soliton.cli import MAX_GRID, MAX_ORDER, main
 
 #: facet normals of the five smooth toric Fano surfaces
 FANO_NORMALS = (
@@ -28,6 +30,8 @@ FANO_NORMALS = (
     ((1, 0), (0, 1), (-1, 0), (0, -1), (-1, -1)),
     ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)),
 )
+#: the blow-up trapezoid, the one polygon with a closed-form soliton potential
+TRAPEZOID_NORMALS = ((0, 1), (-1, 0), (1, 0), (1, -1))
 
 
 def _exact(value):
@@ -101,9 +105,38 @@ command_lines = st.one_of(
 )
 
 
+unit_polygons = st.sampled_from(FANO_NORMALS + (TRAPEZOID_NORMALS,)).map(
+    lambda ns: json.dumps({"dim": 2, "facets": [{"normal": list(n), "offset": 1} for n in ns]})
+)
+margins = st.one_of(st.sampled_from([0.05, 0.3, 0.0, -0.1, float("nan")]), st.floats(-0.2, 0.6))
+verify_flags = st.tuples(
+    st.sampled_from(["guillemin", "calabi"]), st.integers(1, 12), margins,
+).map(lambda args: [f"--potential={args[0]}", f"--grid={args[1]}", f"--margin={args[2]!r}"])
+calabi_grids = st.one_of(st.integers(-2, 12), st.sampled_from([MAX_GRID, MAX_GRID + 1, 10**10]))
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("exit_contract")
+
+
+def assert_contract(command: str, argv: list[str]) -> None:
+    """Run ``cli.main(argv)`` and check its exit code against stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        if "--format=json" in argv:
+            assert json.loads(out.getvalue())["command"] == command
+    elif code == 2:
+        assert err.getvalue().startswith(("rejected: ", "cannot read input: "))
+    elif code == 3:
+        assert err.getvalue().startswith("solver failure: ")
+    else:
+        assert err.getvalue().startswith("verification failed: ")
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -112,16 +145,19 @@ def test_exit_codes_hold_for_any_document_and_flags(workdir, text, command_line)
     command, flags = command_line
     path = workdir / "polytope.json"
     path.write_text(text)
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(path), *flags])
-    assert code in (0, 2, 3, 4)
-    assert "Traceback" not in err.getvalue()
-    if code == 0:
-        assert err.getvalue() == ""
-        if "--format=json" in flags:
-            assert json.loads(out.getvalue())["command"] == command
-    elif code == 2:
-        assert err.getvalue().startswith(("rejected: ", "cannot read input: "))
-    elif code == 3:
-        assert err.getvalue().startswith("solver failure: ")
+    assert_contract(command, [command, str(path), *flags])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=unit_polygons, flags=verify_flags)
+def test_verify_exit_codes_hold_for_any_grid_and_margin(workdir, text, flags):
+    path = workdir / "polygon.json"
+    path.write_text(text)
+    assert_contract("verify", ["verify", str(path), *flags, "--format=json"])
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(grid=calabi_grids, fmt=st.sampled_from(["json", "text"]))
+def test_calabi_exit_codes_hold_for_any_grid(grid, fmt):
+    assert_contract("calabi", ["calabi", f"--grid={grid}", f"--format={fmt}"])

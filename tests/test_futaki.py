@@ -16,7 +16,7 @@ from toric_soliton import (
     solve_soliton_vector,
     weighted_volume,
 )
-from toric_soliton.calabi import solve_a1, soliton_equation, CalabiParameters
+from toric_soliton.calabi import solve_a1, soliton_equation
 
 
 def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
@@ -72,7 +72,7 @@ def test_square_soliton_vector_vanishes(square):
 def test_blowup_soliton_matches_bisection_oracle(blowup_soliton):
     a = blowup_soliton.a_array
     assert abs(a[1]) <= 1e-8
-    oracle_root = solve_a1(CalabiParameters.blow_up())
+    oracle_root = solve_a1()
     assert -0.5 < oracle_root < 0.0
     assert abs(a[0] - oracle_root) <= 1e-8
     assert abs(soliton_equation(a[0])) <= 1e-10
@@ -90,7 +90,7 @@ def test_solver_normalizes_first():
         ],
     }))
     soliton = solve_soliton_vector(translated)
-    oracle_root = solve_a1(CalabiParameters.blow_up())
+    oracle_root = solve_a1()
     assert abs(soliton.a[0] - oracle_root) <= 1e-8
 
 

@@ -33,7 +33,7 @@ EXPORTS = (
     "SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume",
     "GuilleminPotential", "PerturbedPotential", "QuadraticPotential", "SmoothField", "Stack",
     "SymplecticPotential", "gradient_by_line_integral", "guillemin", "perturbed",
-    "CalabiParameters", "CalabiPotential", "CalabiSoliton", "blowup_trapezoid", "h_matrix",
+    "CalabiPotential", "CalabiSoliton", "blowup_trapezoid",
     "ode_residual", "profile_A", "profile_B", "solve_a1", "to_algebraic_coordinates",
     "EquivariantFunction", "OperatorContext", "complex_weighted_laplacian", "finite_difference_oracle",
     "gradients", "laplacian", "product_rule_defects", "ricci_and_lie_components", "scalar_curvature",
