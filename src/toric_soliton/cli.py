@@ -59,9 +59,10 @@ def _load_polytope(path: str) -> DelzantPolytope:
 def _check_arguments(args: argparse.Namespace) -> None:
     """Reject flag values the pipeline cannot use, naming the value."""
     _check_range("--order", getattr(args, "order", 1), MAX_ORDER)
-    tol = getattr(args, "tol", 1.0)
-    if not (tol > 0.0 and math.isfinite(tol)):
-        raise MalformedInputError(f"--tol must be finite and positive, got {tol}")
+    for flag in ("tol", "margin"):
+        value = getattr(args, flag, 1.0)
+        if not (value > 0.0 and math.isfinite(value)):
+            raise MalformedInputError(f"--{flag} must be finite and positive, got {value}")
     if args.command in ("verify", "decompose", "calabi"):
         _check_range("--grid", args.grid, MAX_GRID)
 

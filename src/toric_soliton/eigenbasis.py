@@ -88,13 +88,13 @@ class BoundaryProductForm:
     prefactor: float
     exponents: tuple[float, ...]
 
-    def value(self, x) -> float:
-        values = self.polytope.facet_values(x)
-        result = self.prefactor
-        for ell, exponent in zip(values, self.exponents):
-            if exponent == 0.0:
-                continue
-            result *= max(float(ell), 0.0) ** exponent
+    def values(self, points) -> np.ndarray:
+        """The form (m,) on an (m, n) batch of points of the closed polytope."""
+        ell = np.maximum(self.polytope.facet_values_many(np.asarray(points, dtype=float)), 0.0)
+        result = np.full(len(ell), self.prefactor)
+        for column, exponent in zip(ell.T, self.exponents):
+            if exponent != 0.0:
+                result = result * column**exponent
         return result
 
     def vanishing_facets(self) -> tuple[int, ...]:

@@ -279,7 +279,7 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, op
     Independent of the analytic derivative stack: the metric comes from
     nested central differences of phi, the profile derivatives from central
     differences of u.  Supported operators: ``laplacian``, ``weighted``,
-    ``complex+``, ``complex-``, ``abreu`` (which ignores f).  The potential
+    ``complex+``, ``abreu`` (which ignores f).  The potential
     must have closed-form values (the convex-function side).
     """
     if not isinstance(ctx.potential, PhiSidePotential):
@@ -313,7 +313,7 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, op
                     ) / (4.0 * h3**2)
         return complex(-total)
 
-    if operator not in ("laplacian", "weighted", "complex+", "complex-"):
+    if operator not in ("laplacian", "weighted", "complex+"):
         raise MalformedInputError(f"unknown operator id {operator!r}")
 
     h = _fd_step(ctx, x, 0.005)
@@ -344,10 +344,8 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, op
     u = value(x)
     if k.any():
         result += float(k @ g_fd @ k) * u
-    if operator in ("weighted", "complex+", "complex-"):
+    if operator in ("weighted", "complex+"):
         result += -2.0 * float(ctx.a @ h_fd @ grad_u(x))
     if operator == "complex+" and k.any():
         result += -2.0 * float(ctx.a @ k) * u
-    if operator == "complex-" and k.any():
-        result += 2.0 * float(ctx.a @ k) * u
     return complex(result)

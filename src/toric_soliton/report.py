@@ -7,6 +7,15 @@ bools and null) and the floats to a tolerance: quantities that vanish by
 symmetry come out as round-off whose sign and last digits differ between
 numpy and BLAS builds.
 
+``verify`` is driven by one ordered list of ``(name, value, threshold)``
+checks from :func:`verify_checks`: the affine block, the mean scalar
+curvature, the soliton equation, four checks per root, the mode
+identities and product rule, the finite-difference oracle, the gamma
+positivity and semisimple pairings, and the boundary product form.  Grid
+checks reduce their per-point residuals to ``max |r|``.  The two checks
+that need more than the derivative stack are gated on the potential's
+type alone.
+
 The submodules past the exact lattice work are bound as lazily loaded
 modules and called qualified, so ``roots`` executes none of them, and ``soliton`` and
 ``decompose`` only ``futaki`` and ``quadrature``, whose Futaki solve is
@@ -145,16 +154,6 @@ def _check_potential(normalized: DelzantPolytope, potential_kind: str) -> None:
         )
 
 
-def make_context(normalized: DelzantPolytope, potential_kind: str,
-                 soliton: futaki.SolitonData) -> operators.OperatorContext:
-    _check_potential(normalized, potential_kind)
-    if potential_kind == "guillemin":
-        potential = potentials.guillemin(normalized)
-    else:
-        potential = calabi.CalabiPotential()
-    return operators.OperatorContext(polytope=normalized, potential=potential, a=soliton.a_array)
-
-
 def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
     area = quadrature.integrate(ctx.polytope, lambda pts: 1.0, order=order)
     total = quadrature.integrate(
@@ -163,18 +162,100 @@ def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
     return total / area
 
 
-def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: float = 1e-10,
-                  grid_n: int = 21, margin: float = 0.05, order: int = 10) -> dict:
-    """Run the full verification suite and assemble the report.
+def _peak(*residuals) -> float:
+    """max |r| over per-point residual arrays; 0.0 for none, and a NaN anywhere propagates."""
+    import numpy as np
 
-    The report carries one record per check, each with a value, threshold
-    and pass flag; the overall outcome is the conjunction.  The potential's
-    derivative stack is built once on the interior grid and shared by every
-    grid check.
+    return float(np.max([np.max(np.abs(r)) for r in residuals], initial=0.0))
+
+
+def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: futaki.SolitonData,
+                  stack: potentials.Stack, order: int
+                  ) -> tuple[list[tuple[str, float, float]], list[eigenbasis.RootCheck], float]:
+    """The ordered ``(name, value, threshold)`` checks of ``verify`` on the grid ``stack``.
+
+    Also returns the per-root :func:`~toric_soliton.eigenbasis.check_root`
+    results and the mean scalar curvature.  Every check reads the
+    potential through its stack, except two gated on the potential's
+    type: the finite-difference oracle needs closed-form phi values (a
+    ``PhiSidePotential``), and the boundary product form is the closed
+    form of the canonical potential's root profiles (a ``GuilleminPotential``).
     """
     import numpy as np
 
+    n = ctx.polytope.dim
+    affine = eigenbasis.affine_block(ctx, stack)
+    scal_mean = _scal_mean(ctx, order)
+    checks = [
+        ("affine_eigenfunctions_max_rel_residual", max(rec["max_rel_residual"] for rec in affine), 1e-6),
+        ("abreu_mean_minus_2n_lambda", scal_mean - 2.0 * n * soliton.lam, 1e-4),
+        ("soliton_pde_max_residual", _peak(operators.soliton_residuals(ctx, stack, scal_mean)), 1e-6),
+    ]
+
+    results = [eigenbasis.check_root(ctx, root, stack) for root in rootset.roots]
+    for result in results:
+        tag = "_".join(str(c) for c in result.function.root.alpha)
+        checks += [
+            (f"eigen_residual_root_{tag}", result.stats["max_rel_residual"], 1e-6),
+            (f"eigen_value_root_{tag}", result.stats["fitted_eigenvalue"] - 2.0, 1e-6),
+            (f"anti_holomorphic_fit_root_{tag}", result.gamma_fit, 1e-6),
+            (f"anti_holomorphic_root_{tag}",
+             abs(result.gamma_hat) - 4.0 * abs(float(result.function.alpha @ ctx.a)), 1e-6),
+        ]
+
+    # mode-diagonal identities and the product rule on a sample of grid points
+    sample = stack.select(slice(None, None, max(1, len(stack.points) // 16)))
+    identity, product = [], []
+    for root in rootset.roots[:3]:
+        alpha = np.array(root.alpha, dtype=float)
+        pure_mode = operators.profile_constant(1.0, n, mode=root.alpha)
+        radial = operators.profile_exp_pairing(ctx.potential, alpha)
+        null = operators.profile_exp_pairing(ctx.potential, alpha, mode=root.alpha)
+        t_expected = np.einsum("i,mij,j->m", alpha, sample.G, alpha) - 2.0 * float(ctx.a @ alpha)
+        lhs_t = operators.complex_weighted_laplacian(ctx, pure_mode, sample)
+        lhs_x = operators.complex_weighted_laplacian(ctx, radial, sample)
+        lhs_null = operators.complex_weighted_laplacian(ctx, null, sample)
+        identity += [lhs_t - t_expected, lhs_x + t_expected * radial.jet(sample)[0], lhs_null]
+        product.append(operators.product_rule_defects(ctx, operators.profile_coordinate(0, n), radial, sample))
+    checks += [("mode_identity_max_defect", _peak(*identity), 1e-8),
+               ("product_rule_max_defect", _peak(*product), 1e-8)]
+
+    # without roots the coordinate profile x_1 stands in for a root profile
+    if isinstance(ctx.potential, potentials.PhiSidePotential):
+        middle = len(stack.points) // 2
+        x0, at_x0 = stack.points[middle], stack.select([middle])
+        profile = results[0].function.profile if results else operators.profile_coordinate(0, n)
+        analytic = float(operators.complex_weighted_laplacian(ctx, profile, at_x0)[0])
+        oracle = operators.finite_difference_oracle(ctx, profile, x0, "complex+").real
+        abreu_an = float(operators.scalar_curvature(at_x0)[0])
+        abreu_fd = operators.finite_difference_oracle(ctx, profile, x0, "abreu").real
+        checks += [("fd_oracle_weighted_rel", (oracle - analytic) / max(1.0, abs(analytic)), 1e-4),
+                   ("fd_oracle_abreu_rel", (abreu_fd - abreu_an) / max(1.0, abs(abreu_an)), 1e-3)]
+
+    gamma_values = assemble_decomposition(soliton.a, rootset).gamma_values
+    semisimple = (abs(float(np.array(r.alpha) @ ctx.a)) for r in rootset.semisimple)
+    checks += [("gamma_positivity_min", min(0.0, min(gamma_values)), 1e-9),
+               ("semisimple_pairings_max", max(semisimple, default=0.0), 1e-9)]
+
+    if isinstance(ctx.potential, potentials.GuilleminPotential):
+        defects = (
+            eigenbasis.boundary_product_form(ctx.polytope, r.function.root).values(sample.points)
+            - r.function.profile.jet(sample)[0]
+            for r in results
+        )
+        checks.append(("boundary_form_interior_match", _peak(*defects), 1e-10))
+    return checks, results, scal_mean
+
+
+def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: float = 1e-10,
+                  grid_n: int = 21, margin: float = 0.05, order: int = 10) -> dict:
+    """Run :func:`verify_checks` on the interior grid and assemble the report.
+
+    The report carries one record per check, each with a value, threshold
+    and pass flag; the overall outcome is the conjunction.
+    """
     normalized = normalize_algebraic(p)
+    _check_potential(normalized, potential_kind)
     grid = normalized.interior_grid(grid_n, margin)
     if len(grid) == 0:
         raise MalformedInputError(f"grid {grid_n} with margin {margin} has no interior point")
@@ -188,123 +269,13 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         )
     rootset = enumerate_roots(normalized)
     soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
-    ctx = make_context(normalized, potential_kind, soliton)
-    stack = ctx.potential.stack(grid)
-    n = normalized.dim
-
-    checks: list[dict] = []
-
-    def add_check(name: str, value: float, threshold: float) -> None:
-        checks.append({
-            "name": name,
-            "value": float(value),
-            "threshold": threshold,
-            "passed": bool(abs(value) <= threshold),
-        })
-
-    # eigenvalue-two identity for the affine block
-    affine = eigenbasis.affine_block(ctx, stack)
-    add_check("affine_eigenfunctions_max_rel_residual",
-              max(rec["max_rel_residual"] for rec in affine), 1e-6)
-
-    # mean scalar curvature against the Einstein-constant normalization
-    scal_mean = _scal_mean(ctx, order)
-    add_check("abreu_mean_minus_2n_lambda", scal_mean - 2.0 * n * soliton.lam, 1e-4)
-
-    # soliton equation pointwise
-    pde = float(np.max(np.abs(operators.soliton_residuals(ctx, stack, scal_mean))))
-    add_check("soliton_pde_max_residual", pde, 1e-6)
-
-    # per-root eigenfunction verification
-    root_records = []
-    root_functions = {}
-    for root in rootset.roots:
-        result = eigenbasis.check_root(ctx, root, stack)
-        rf = result.function
-        root_functions[root.alpha] = rf
-        stats = result.stats
-        record = {
-            "alpha": list(root.alpha),
-            "rho_alpha": root.distinguished_facet,
-            "mode_sign": rf.mode_sign,
-            "lambda_hat": stats["fitted_eigenvalue"],
-            "max_rel_residual": stats["max_rel_residual"],
-            "gamma_hat": result.gamma_hat,
-            "gamma": 2.0 * float(np.array(root.alpha) @ ctx.a),
-        }
-        root_records.append(record)
-        tag = "_".join(str(c) for c in root.alpha)
-        add_check(f"eigen_residual_root_{tag}", stats["max_rel_residual"], 1e-6)
-        add_check(f"eigen_value_root_{tag}", stats["fitted_eigenvalue"] - 2.0, 1e-6)
-        add_check(f"anti_holomorphic_fit_root_{tag}", result.gamma_fit, 1e-6)
-        add_check(f"anti_holomorphic_root_{tag}",
-                  abs(result.gamma_hat) - 4.0 * abs(float(np.array(root.alpha) @ ctx.a)), 1e-6)
-
-    # mode-diagonal identities and the product rule on a sample of grid points
-    sample = stack.select(slice(None, None, max(1, len(grid) // 16)))
-    identity_defect = 0.0
-    product_defect = 0.0
-    for root in rootset.roots[: min(3, len(rootset.roots))]:
-        alpha = np.array(root.alpha, dtype=float)
-        mode = tuple(int(c) for c in root.alpha)
-        pure_mode = operators.profile_constant(1.0, n, mode=mode)
-        radial = operators.profile_exp_pairing(ctx.potential, alpha)
-        null = operators.profile_exp_pairing(ctx.potential, alpha, mode=mode)
-        t_expected = np.einsum("i,mij,j->m", alpha, sample.G, alpha) - 2.0 * float(ctx.a @ alpha)
-        lhs_t = operators.complex_weighted_laplacian(ctx, pure_mode, sample, orientation=1)
-        lhs_x = operators.complex_weighted_laplacian(ctx, radial, sample, orientation=1)
-        lhs_null = operators.complex_weighted_laplacian(ctx, null, sample, orientation=1)
-        identity_defect = max(
-            identity_defect,
-            float(np.max(np.abs(lhs_t - t_expected))),
-            float(np.max(np.abs(lhs_x + t_expected * radial.jet(sample)[0]))),
-            float(np.max(np.abs(lhs_null))),
-        )
-        product_defect = max(
-            product_defect,
-            float(np.max(np.abs(
-                operators.product_rule_defects(ctx, operators.profile_coordinate(0, n), radial, sample)
-            ))),
-        )
-    add_check("mode_identity_max_defect", identity_defect, 1e-8)
-    add_check("product_rule_max_defect", product_defect, 1e-8)
-
-    # finite-difference oracle (only meaningful when phi values are closed-form);
-    # without roots the coordinate profile x_1 stands in for a root profile
-    if potential_kind == "guillemin":
-        middle = len(grid) // 2
-        x0 = grid[middle]
-        at_x0 = stack.select([middle])
-        if rootset.roots:
-            profile = root_functions[rootset.roots[0].alpha].profile
-        else:
-            profile = operators.profile_coordinate(0, n)
-        analytic = float(operators.complex_weighted_laplacian(ctx, profile, at_x0, orientation=1)[0])
-        oracle = operators.finite_difference_oracle(ctx, profile, x0, "complex+").real
-        add_check("fd_oracle_weighted_rel", (oracle - analytic) / max(1.0, abs(analytic)), 1e-4)
-        abreu_an = float(operators.scalar_curvature(at_x0)[0])
-        abreu_fd = operators.finite_difference_oracle(ctx, profile, x0, "abreu").real
-        add_check("fd_oracle_abreu_rel", (abreu_fd - abreu_an) / max(1.0, abs(abreu_an)), 1e-3)
-
-    # decomposition structure
-    decomposition = assemble_decomposition(soliton.a, rootset)
-    add_check("gamma_positivity_min", min(0.0, min(decomposition.gamma_values)), 1e-9)
-    semisimple_pairing = max(
-        (abs(float(np.array(r.alpha) @ ctx.a)) for r in rootset.semisimple), default=0.0
-    )
-    add_check("semisimple_pairings_max", semisimple_pairing, 1e-9)
-
-    boundary = None
-    if potential_kind == "guillemin":
-        boundary_defect = 0.0
-        for root in rootset.roots:
-            form = eigenbasis.boundary_product_form(normalized, root)
-            values = root_functions[root.alpha].profile.jet(sample)[0]
-            for x, value in zip(sample.points, values):
-                boundary_defect = max(boundary_defect, abs(form.value(x) - value))
-        add_check("boundary_form_interior_match", boundary_defect, 1e-10)
-        boundary = boundary_defect
-
+    potential = potentials.guillemin(normalized) if potential_kind == "guillemin" else calabi.CalabiPotential()
+    ctx = operators.OperatorContext(polytope=normalized, potential=potential, a=soliton.a_array)
+    listed, root_checks, scal_mean = verify_checks(ctx, rootset, soliton, potential.stack(grid), order)
+    checks = [
+        {"name": name, "value": float(value), "threshold": threshold, "passed": bool(abs(value) <= threshold)}
+        for name, value, threshold in listed
+    ]
     report = {
         "command": "verify",
         "config": {
@@ -316,18 +287,30 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
             "version": __version__,
         },
         "polytope": _polytope_section(p, normalized),
-        **_roots_section(rootset, n),
+        **_roots_section(rootset, normalized.dim),
         "soliton": _soliton_section(soliton),
         "scal_mean": scal_mean,
         "grid_points": int(len(grid)),
-        "root_records": root_records,
-        "decomposition": _decomposition_section(decomposition),
+        "root_records": [
+            {
+                "alpha": list(r.function.root.alpha),
+                "rho_alpha": r.function.root.distinguished_facet,
+                "mode_sign": r.function.mode_sign,
+                "lambda_hat": r.stats["fitted_eigenvalue"],
+                "max_rel_residual": r.stats["max_rel_residual"],
+                "gamma_hat": r.gamma_hat,
+                "gamma": 2.0 * float(r.function.alpha @ ctx.a),
+            }
+            for r in root_checks
+        ],
+        "decomposition": _decomposition_section(assemble_decomposition(soliton.a, rootset)),
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
         "first_failed": next((c["name"] for c in checks if not c["passed"]), None),
     }
-    if boundary is not None:
-        report["boundary_form_max_defect"] = boundary
+    for check in checks:
+        if check["name"] == "boundary_form_interior_match":
+            report["boundary_form_max_defect"] = check["value"]
     return report
 
 

@@ -140,9 +140,14 @@ def cp2_with_offsets(offset: str) -> str:
     (("soliton", "--tol", "nan"), CP2_TEXT, "--tol must be finite and positive, got nan"),
     (("verify", "--tol", "-1"), CP2_TEXT, "--tol must be finite and positive, got -1.0"),
     (("decompose", "--tol", "inf"), CP2_TEXT, "--tol must be finite and positive, got inf"),
+    (("verify", "--margin", "0"), CP2_TEXT, "--margin must be finite and positive, got 0.0"),
+    (("verify", "--margin", "-0.1"), CP2_TEXT, "--margin must be finite and positive, got -0.1"),
+    (("verify", "--margin", "nan"), CP2_TEXT, "--margin must be finite and positive, got nan"),
+    (("verify", "--margin", "inf"), CP2_TEXT, "--margin must be finite and positive, got inf"),
 ], ids=["grid-1", "grid-2", "margin-0.9", "soliton-order-0", "verify-order-0", "decompose-order-0",
         "offset-nan", "offset-infinity", "dim-true", "decompose-grid-negative", "offset-1e400",
-        "vertex-2e308", "dim-3", "dim-1", "tol-nan", "tol-negative", "tol-inf"])
+        "vertex-2e308", "dim-3", "dim-1", "tol-nan", "tol-negative", "tol-inf",
+        "margin-zero", "margin-negative", "margin-nan", "margin-inf"])
 def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, document, needle):
     path = tmp_path / "polytope.json"
     path.write_text(document)
@@ -354,19 +359,26 @@ def first_difference(actual, expected, abs_tol: float, path: str = "$") -> str |
 ABS_TOL_WITHOUT_CONFIG = {"roots": 0.0, "calabi": 1e-12}
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("cp2_roots", ("roots", "cp2.json")),
-    ("blowup_roots", ("roots", "blowup.json")),
-    ("cp2_decompose", ("decompose", "cp2.json")),
-    ("blowup_decompose", ("decompose", "blowup.json", "--potential", "calabi")),
-    ("cp2_verify", ("verify", "cp2.json")),
-    ("blowup_calabi_verify", ("verify", "blowup.json", "--potential", "calabi")),
-    ("calabi", ("calabi", "--grid", "50")),
-])
-def test_golden_reports(capsys, name, argv):
+GOLDEN_ROWS = [
+    ("cp2_roots", ("roots", "cp2.json"), 0),
+    ("blowup_roots", ("roots", "blowup.json"), 0),
+    ("cp2_decompose", ("decompose", "cp2.json"), 0),
+    ("blowup_decompose", ("decompose", "blowup.json", "--potential", "calabi"), 0),
+    ("cp2_verify", ("verify", "cp2.json"), 0),
+    ("blowup_calabi_verify", ("verify", "blowup.json", "--potential", "calabi"), 0),
+    ("calabi", ("calabi", "--grid", "50"), 0),
+    # negative controls: every check still runs and is pinned on a failing report
+    ("blowup_guillemin_verify", ("verify", "blowup.json", "--potential", "guillemin"), 4),
+    ("bl3_verify", ("verify", "bl3.json"), 4),
+]
+
+
+@pytest.mark.parametrize("name, argv, exit_code", GOLDEN_ROWS,
+                         ids=[f"{name}-argv{i}" for i, (name, _, _) in enumerate(GOLDEN_ROWS)])
+def test_golden_reports(capsys, name, argv, exit_code):
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     code, out = run(capsys, *argv, "--format", "json")
-    assert code == 0
+    assert code == exit_code
     golden_path = GOLDEN / f"{name}.json"
     if os.environ.get("REGEN_GOLDEN"):
         golden_path.write_text(out)

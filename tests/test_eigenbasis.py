@@ -141,8 +141,7 @@ def test_boundary_product_form_matches_interior(cp2, cp2_ctx):
     for root in rootset.roots:
         form = boundary_product_form(cp2, root)
         rf = build_root_function(cp2_ctx, root, mode_sign=1)
-        for x, value in zip(pts, rf.profile.values(pts)):
-            assert abs(form.value(x) - value) <= 1e-10
+        assert np.max(np.abs(form.values(pts) - rf.profile.values(pts))) <= 1e-10
 
 
 def test_boundary_product_form_exponents(cp2):
@@ -164,15 +163,13 @@ def test_boundary_product_form_on_closed_polytope(cp2):
     root = next(r for r in rootset.roots if r.alpha == (1, 0))
     form = boundary_product_form(cp2, root)
     # finite everywhere on the closed polytope, including the vertices
-    for vertex in cp2.vertices:
-        assert np.isfinite(form.value(vertex))
+    assert np.all(np.isfinite(form.values(cp2.vertices)))
     # vanishes exactly on the facets with positive exponent
     assert set(form.vanishing_facets()) == {0, 2}
-    assert form.value(np.array([-1.0, 0.0])) == 0.0  # on facet 0
-    assert form.value(np.array([0.5, 0.5])) == 0.0  # on facet 2
+    assert list(form.values([[-1.0, 0.0], [0.5, 0.5]])) == [0.0, 0.0]  # on facets 0 and 2
     # strictly positive on the open part of the pairing-zero facet
-    edge_point = np.array([0.5, -1.0])  # interior of facet 1
-    assert form.value(edge_point) > 0.0
+    edge_point = [0.5, -1.0]  # interior of facet 1
+    assert form.values([edge_point])[0] > 0.0
 
 
 def test_anti_holomorphic_eigenvalues_blowup(blowup_ctx, blowup_grid):

@@ -120,6 +120,19 @@ def test_decompose_calabi_on_other_polygon_rejected_without_numpy():
     assert result["numpy"] is False
 
 
+@pytest.mark.parametrize("flags", [
+    ("--potential", "calabi"),
+    ("--margin", "0"),
+    ("--margin", "-0.1"),
+    ("--margin", "nan"),
+    ("--margin", "inf"),
+], ids=["calabi-on-cp2", "margin-zero", "margin-negative", "margin-nan", "margin-inf"])
+def test_verify_rejected_before_any_array_work(flags):
+    result = fresh("verify", str(DATA / "cp2.json"), *flags)
+    assert result["exit"] == 2
+    assert result["numpy"] is False
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", str(DATA / "cp2.json"), "--grid", "5"),
     ("calabi", "--grid", "5"),
