@@ -23,13 +23,14 @@ Two sign wrinkles are resolved here once and for all:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BoundaryEvaluationError, MalformedInputError, NonConvergenceError
 from .polytope import blowup_trapezoid
 from .potentials import HSidePotential
+from .quadrature import gauss_legendre
 
 #: translation taking the trapezoid tau to algebraic coordinates
 ALGEBRAIC_SHIFT = np.array([2.0, 1.0])
@@ -106,8 +107,7 @@ def solve_a1(bracket: tuple[float, float] = DEFAULT_BRACKET) -> float:
     return root
 
 
-@dataclass(frozen=True)
-class CalabiSoliton:
+class CalabiSoliton(NamedTuple):
     """Solved blow-up soliton: coefficient, m, and mean curvature."""
 
     a1: float
@@ -260,7 +260,7 @@ class CalabiPotential(HSidePotential):
         self.base_point = np.zeros(2)
         # t / A(t) has simple poles at the ends of [ALPHA1, ALPHA2], residue t / A'(t)
         self._poles = tuple((end, end / profile_A(self.soliton, end)[1]) for end in (ALPHA1, ALPHA2))
-        self._f_rule = np.polynomial.legendre.leggauss(48)
+        self._f_rule = tuple(np.array(t) for t in gauss_legendre(48))
 
     def _h_derivatives(self, points):
         mu = from_algebraic_coordinates(points)

@@ -19,7 +19,7 @@ The eigenspace decomposition, which needs only ``a`` and the roots, is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ from .polytope import DelzantPolytope
 from .roots import GAMMA_TOL, DemazureRoot
 
 
-@dataclass(frozen=True)
-class RootFunction:
+class RootFunction(NamedTuple):
     """Eigenfunction candidate attached to a Demazure root."""
 
     root: DemazureRoot
@@ -73,8 +72,7 @@ def build_root_function(ctx: OperatorContext, root: DemazureRoot, mode_sign: int
     return RootFunction(root=root, mode_sign=mode_sign, profile=EquivariantFunction(mode, jet, ctx.potential))
 
 
-@dataclass(frozen=True)
-class BoundaryProductForm:
+class BoundaryProductForm(NamedTuple):
     """Globally continuous closed form of a root profile for the canonical potential.
 
     The profile equals ``prefactor * prod_rho L_rho(x)^exponent[rho]`` with
@@ -132,8 +130,7 @@ def _reversed_fit(values: np.ndarray, applied: np.ndarray) -> tuple[float, float
     return gamma, fit_residual
 
 
-@dataclass(frozen=True)
-class RootCheck:
+class RootCheck(NamedTuple):
     """Selected root function with its eigenvalue-two statistics and reversed fit."""
 
     function: RootFunction

@@ -27,8 +27,7 @@ check are 2x2 closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import NonConvergenceError
 from .polytope import DelzantPolytope, normalize_algebraic
@@ -44,8 +43,7 @@ Vector = tuple[float, float]
 Matrix = tuple[Vector, Vector]
 
 
-@dataclass(frozen=True)
-class SolitonData:
+class SolitonData(NamedTuple):
     """Solved soliton vector with Einstein constant and diagnostics."""
 
     a: tuple[float, ...]

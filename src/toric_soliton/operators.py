@@ -15,7 +15,10 @@ at once: a profile's ``jet`` gives ``(u, du, d2u)`` arrays of shapes
 ``scalar_curvature``, ``gradients`` ...) returns arrays with the same
 leading batch axis; one point is a stack of one.  The finite-difference
 oracle is the one pointwise routine: it reads potential values and
-profile values alone, point by point on its stencils.
+profile values alone, point by point on its stencils.  The context,
+:class:`OperatorContext`, is a named tuple that reads ``a`` as a float
+array and checks that its potential lives on its polytope when
+constructed.
 
 Sign conventions.  The plain Laplacian is the positive-spectrum operator
 ``-sum_ij d_i(H_ij d_j u)`` (constants are harmonic, ``x^2`` on the flat
@@ -31,7 +34,6 @@ a soliton and keeps the solitonic spectrum 2 <alpha, a> non-negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,8 +52,7 @@ class _Points(NamedTuple):
     points: np.ndarray
 
 
-@dataclass(frozen=True)
-class EquivariantFunction:
+class EquivariantFunction(NamedTuple):
     """Torus mode k plus a radial profile with analytic derivatives.
 
     ``jet`` evaluates the profile on a whole stack; it reads the stack of
@@ -136,26 +137,30 @@ def profile_exp_pairing(potential: SymplecticPotential, alpha, mode: tuple[int, 
     return EquivariantFunction(mode, jet, potential)
 
 
-@dataclass(frozen=True)
-class OperatorContext:
-    """Polytope, potential stack, and fan-side soliton vector."""
+class OperatorContext(NamedTuple("OperatorContext", [
+    ("polytope", DelzantPolytope), ("potential", SymplecticPotential), ("a", np.ndarray),
+])):
+    """Polytope, potential stack, and fan-side soliton vector.
 
-    polytope: DelzantPolytope
-    potential: SymplecticPotential
-    a: np.ndarray
+    Construction reads ``a`` as a float array of shape (n,) and checks
+    that the potential lives on the same polytope.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        if self.a.shape != (self.polytope.dim,):
-            raise MalformedInputError(f"soliton vector has shape {self.a.shape}, expected ({self.polytope.dim},)")
+    __slots__ = ()
+
+    def __new__(cls, polytope: DelzantPolytope, potential: SymplecticPotential, a) -> OperatorContext:
+        a = np.asarray(a, dtype=float)
+        if a.shape != (polytope.dim,):
+            raise MalformedInputError(f"soliton vector has shape {a.shape}, expected ({polytope.dim},)")
         # facet order may differ between equal polytopes (e.g. user input vs
         # the built-in blow-up trapezoid), so compare as sets
         same = (
-            self.potential.polytope.dim == self.polytope.dim
-            and frozenset(self.potential.polytope.facets) == frozenset(self.polytope.facets)
+            potential.polytope.dim == polytope.dim
+            and frozenset(potential.polytope.facets) == frozenset(polytope.facets)
         )
         if not same:
             raise MalformedInputError("potential and context polytopes disagree")
+        return super().__new__(cls, polytope, potential, a)
 
 
 def _point(ctx: OperatorContext, x) -> np.ndarray:

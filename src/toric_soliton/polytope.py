@@ -8,7 +8,15 @@ the recession cone, the interior from the pairwise facet intersections,
 and vertices, the privileged center and the algebraic normalization from
 exact solves.  Floats appear only at the analysis boundary (quadrature,
 metric evaluation, reports), so an offset or vertex coordinate outside
-the float range is rejected at construction.
+the float range is rejected at construction.  So is a number the
+interpreter could not write back as text: an integer literal, or the
+exact numerator or denominator of an offset, of more than ``MAX_DIGITS``
+digits.
+
+The records (:class:`Facet`, :class:`PrivilegedCenter`,
+:class:`DelzantVerdict`) are ``typing.NamedTuple`` classes, as are those
+of every other module; :class:`Facet` validates its normal and reads its
+offset exactly when constructed.
 """
 
 from __future__ import annotations
@@ -16,11 +24,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateVertexError,
@@ -39,23 +47,33 @@ if TYPE_CHECKING:
 #: tolerance for the privileged-center residual
 CENTER_TOL = 1e-9
 
+#: most decimal digits in a normal entry, a JSON integer literal, and the
+#: numerator or denominator of an offset: the interpreter's default int/str
+#: conversion limit, so every accepted value can be written back as text
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
 
-@dataclass(frozen=True)
-class Facet:
-    """One inequality <normal, x> + offset >= 0 of the polytope."""
 
-    normal: tuple[int, ...]
-    offset: Fraction
+class Facet(NamedTuple("Facet", [("normal", tuple[int, ...]), ("offset", Fraction)])):
+    """One inequality <normal, x> + offset >= 0 of the polytope.
 
-    def __post_init__(self) -> None:
-        if not self.normal or any(isinstance(c, bool) or not isinstance(c, int) for c in self.normal):
-            raise MalformedInputError(f"facet normal must be an integer vector, got {self.normal!r}")
-        if all(c == 0 for c in self.normal):
+    Construction checks for an integer, nonzero, primitive normal of at
+    most ``MAX_DIGITS`` digits per entry and reads the offset exactly as a
+    ``Fraction``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, normal: tuple[int, ...], offset) -> Facet:
+        if not normal or any(isinstance(c, bool) or not isinstance(c, int) for c in normal):
+            raise MalformedInputError(f"facet normal must be an integer vector, got {normal!r}")
+        if any(abs(c) >= _DIGIT_BOUND for c in normal):
+            raise MalformedInputError(f"facet normal has an entry of more than {MAX_DIGITS} digits")
+        if all(c == 0 for c in normal):
             raise MalformedInputError("facet normal must be nonzero")
-        if math.gcd(*(abs(c) for c in self.normal)) != 1:
-            raise NonPrimitiveNormalError(f"facet normal {self.normal} is not primitive")
-        if not isinstance(self.offset, Fraction):
-            object.__setattr__(self, "offset", _as_fraction(self.offset))
+        if math.gcd(*(abs(c) for c in normal)) != 1:
+            raise NonPrimitiveNormalError(f"facet normal {normal} is not primitive")
+        return super().__new__(cls, normal, _as_fraction(offset))
 
     def value(self, x: Sequence) -> Fraction | float:
         """Affine facet function L(x) = <normal, x> + offset."""
@@ -65,8 +83,7 @@ class Facet:
         return acc
 
 
-@dataclass(frozen=True)
-class PrivilegedCenter:
+class PrivilegedCenter(NamedTuple):
     """The unique point where all facet functions share one positive value."""
 
     point: tuple[float, ...]
@@ -76,8 +93,7 @@ class PrivilegedCenter:
     residual: float
 
 
-@dataclass(frozen=True)
-class DelzantVerdict:
+class DelzantVerdict(NamedTuple):
     """Outcome of the per-vertex unimodularity check."""
 
     passed: bool
@@ -87,23 +103,54 @@ class DelzantVerdict:
         return [(v, d) for v, d in self.vertex_determinants if abs(d) != 1]
 
 
+def _parse_int(literal: str) -> int:
+    """A JSON integer literal, rejected beyond ``MAX_DIGITS`` digits."""
+    digits = len(literal.lstrip("-"))
+    if digits > MAX_DIGITS:
+        raise MalformedInputError(f"integer literal has {digits} digits, more than {MAX_DIGITS}")
+    return int(literal)
+
+
+def _parse_fraction(text: str) -> Fraction:
+    """Exact value of a decimal or 'p/q' text: a JSON number or an offset string.
+
+    A run of more than ``MAX_DIGITS`` digits, or a decimal exponent beyond
+    ``2 MAX_DIGITS``, is rejected before any integer is formed: when every
+    digit run is at most ``MAX_DIGITS`` long, such an exponent leaves a
+    nonzero value a numerator or denominator longer than ``MAX_DIGITS``.
+    """
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if longest > MAX_DIGITS:
+        raise MalformedInputError(f"number has a run of {longest} digits, more than {MAX_DIGITS}")
+    exponent = text.strip().lower().partition("e")[2].lstrip("+-").lstrip("0")
+    if exponent.isdecimal() and int(exponent) > 2 * MAX_DIGITS:
+        raise MalformedInputError(f"number {text.strip()} has a decimal exponent beyond {2 * MAX_DIGITS}")
+    try:
+        exact = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise MalformedInputError(f"cannot parse offset {text!r}") from exc
+    return _bounded(exact)
+
+
+def _bounded(exact: Fraction) -> Fraction:
+    """The exact value, rejected when its numerator or denominator has more than ``MAX_DIGITS`` digits."""
+    if abs(exact.numerator) >= _DIGIT_BOUND or exact.denominator >= _DIGIT_BOUND:
+        raise MalformedInputError(
+            f"number (about {_magnitude(exact)}) has more than {MAX_DIGITS} digits in its numerator or denominator"
+        )
+    return exact
+
+
 def _as_fraction(value) -> Fraction:
-    """Exact conversion of an input offset (int, Fraction, float, 'p/q')."""
-    if isinstance(value, Fraction):
-        return value
+    """Exact conversion of an input offset (int, Fraction, float, decimal or 'p/q' string)."""
     if isinstance(value, bool):
         raise MalformedInputError(f"offset must be a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise MalformedInputError(f"offset must be finite, got {value!r}")
-        return Fraction(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise MalformedInputError(f"offset must be finite, got {value!r}")
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise MalformedInputError(f"cannot parse offset {value!r}") from exc
+        return _parse_fraction(value)
+    if isinstance(value, (int, float, Fraction)):
+        return _bounded(Fraction(value))
     raise MalformedInputError(f"offset must be a number or 'p/q' string, got {value!r}")
 
 
@@ -364,7 +411,7 @@ def parse_polytope(source: str | bytes | dict) -> DelzantPolytope:
     """
     if isinstance(source, (str, bytes)):
         try:
-            doc = json.loads(source, parse_float=Fraction, parse_int=int)
+            doc = json.loads(source, parse_float=_parse_fraction, parse_int=_parse_int)
         except json.JSONDecodeError as exc:
             raise MalformedInputError(f"invalid JSON: {exc}") from exc
     elif isinstance(source, dict):

@@ -1,11 +1,11 @@
 """Symplectic potentials and their derivative stacks.
 
-A potential is evaluated only through its :class:`Stack`: on an ``(m, n)``
-batch of interior points it holds the gradient, the Hessian ``G``, its
-inverse ``H``, ``dG``, ``dH`` and ``d2H`` as arrays with a leading batch
-axis.  :meth:`SymplecticPotential.stack` runs one interior check and one
-batched 2x2 inverse per batch, so each formula exists once and a single
-point is a batch of one.  Two families implement it:
+A potential is evaluated only through its :class:`Stack`, a named tuple of
+arrays: on an ``(m, n)`` batch of interior points it holds the gradient,
+the Hessian ``G``, its inverse ``H``, ``dG``, ``dH`` and ``d2H`` with a
+leading batch axis.  :meth:`SymplecticPotential.stack` runs one interior
+check and one batched 2x2 inverse per batch, so each formula exists once
+and a single point is a batch of one.  Two families implement it:
 
 * potentials given on the convex-function side (Guillemin, smooth
   perturbations, quadratic models) supply the gradient, ``G`` and its
@@ -16,8 +16,9 @@ point is a batch of one.  Two families implement it:
   :mod:`toric_soliton.calabi`) supply the gradient, ``H`` and its
   derivatives analytically and derive the ``G`` stack.
 
-:func:`gradient_by_line_integral` recovers a gradient from ``G`` alone;
-it is kept as the independent oracle for closed-form gradients.
+:func:`gradient_by_line_integral` recovers a gradient from ``G`` alone, on
+the Gauss-Legendre rule of :mod:`toric_soliton.quadrature`; it is kept as
+the independent oracle for closed-form gradients.
 
 Index conventions, after the batch axis: ``dG[i, j, k] = d G_ij / d x_k``
 and ``d2H[i, j, k, l] = d^2 H_ij / d x_k d x_l``.
@@ -26,20 +27,19 @@ and ``d2H[i, j, k, l] = d^2 H_ij / d x_k d x_l``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import BoundaryEvaluationError, LossOfConvexityError, MalformedInputError
 from .polytope import DelzantPolytope
+from .quadrature import gauss_legendre
 
 #: points with any facet value at or below this are treated as boundary
 BOUNDARY_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class Stack:
+class Stack(NamedTuple):
     """Derivative stack of a potential on a batch of m interior points."""
 
     points: np.ndarray  # (m, n)
@@ -52,7 +52,7 @@ class Stack:
 
     def select(self, index) -> "Stack":
         """The stack on a subset of its points (any numpy index of the batch axis)."""
-        return Stack(*(getattr(self, f.name)[index] for f in fields(self)))
+        return Stack(*(f[index] for f in self))
 
 
 def _inverse_2x2(m: np.ndarray) -> np.ndarray:
@@ -153,8 +153,7 @@ def _zeros_fourth(points: np.ndarray) -> np.ndarray:
     return np.zeros((m, n, n, n, n))
 
 
-@dataclass(frozen=True)
-class SmoothField:
+class SmoothField(NamedTuple):
     """Smooth scalar field with derivatives, restriction of a function smooth near P.
 
     Each callable takes an (m, n) batch of points and returns the value,
@@ -274,7 +273,7 @@ def gradient_by_line_integral(
     direction = x - x0
     if np.allclose(direction, 0.0):
         return np.zeros_like(x)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
+    nodes, weights = (np.array(t) for t in gauss_legendre(16))
 
     def composite(panels: int) -> np.ndarray:
         s = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)).ravel() / panels

@@ -14,9 +14,8 @@ without numpy.  numpy is imported only by the array-facing functions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import UnsupportedDimensionError
 from .polytope import DelzantPolytope
@@ -30,8 +29,7 @@ AREA_TOL = 1e-12
 Point = tuple[float, float]
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Nodes and weights on the reference simplex {b0 + b1 + b2 = 1, b >= 0}.
 
     ``order`` is the total polynomial degree integrated exactly; weights
@@ -43,8 +41,7 @@ class QuadratureRule:
     weights: np.ndarray  # (m,)
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(NamedTuple):
     """Fan triangulation of a convex polygon; tiles with positive areas.
 
     Each simplex is ``(center, v_i, v_{i+1})`` with the vertices in

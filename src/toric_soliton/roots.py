@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedInputError, UnboundedRootRegionError
 from .polytope import DelzantPolytope
 
 
-@dataclass(frozen=True)
-class DemazureRoot:
+class DemazureRoot(NamedTuple):
     """A root alpha with its distinguished facet and all facet pairings."""
 
     alpha: tuple[int, ...]
@@ -35,8 +34,7 @@ class DemazureRoot:
         return self.pairings[facet_index]
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(NamedTuple):
     """All roots of a polytope, split into semisimple and unipotent parts."""
 
     roots: tuple[DemazureRoot, ...]
@@ -47,8 +45,7 @@ class RootSet:
         return [r.alpha for r in self.roots]
 
 
-@dataclass(frozen=True)
-class AutomorphismDimensions:
+class AutomorphismDimensions(NamedTuple):
     """Complex dimensions of the holomorphic vector field decomposition."""
 
     dim_eta: int
@@ -136,8 +133,7 @@ def automorphism_dimensions(rootset: RootSet, n: int) -> AutomorphismDimensions:
 GAMMA_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SolitonDecomposition:
+class SolitonDecomposition(NamedTuple):
     """Eigenvalue clusters gamma = 2 <alpha, a> with the affine block at zero."""
 
     dim: int

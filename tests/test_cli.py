@@ -121,6 +121,13 @@ def cp2_with_offsets(offset: str) -> str:
     return CP2_TEXT.replace('"offset": 1', f'"offset": {offset}')
 
 
+def cp2_with_first(key: str, value: str) -> str:
+    """CP2 with the first facet's normal entry or offset replaced by a JSON literal."""
+    old = {"normal": '"normal": [1, 0]', "offset": '"offset": 1}'}[key]
+    new = {"normal": f'"normal": [{value}, 0]', "offset": f'"offset": {value}}}'}[key]
+    return CP2_TEXT.replace(old, new, 1)
+
+
 @pytest.mark.parametrize("argv, document, needle", [
     (("verify", "--grid", "1"), CP2_TEXT, "grid 1 "),
     (("verify", "--grid", "2"), CP2_TEXT, "grid 2 "),
@@ -144,10 +151,22 @@ def cp2_with_offsets(offset: str) -> str:
     (("verify", "--margin", "-0.1"), CP2_TEXT, "--margin must be finite and positive, got -0.1"),
     (("verify", "--margin", "nan"), CP2_TEXT, "--margin must be finite and positive, got nan"),
     (("verify", "--margin", "inf"), CP2_TEXT, "--margin must be finite and positive, got inf"),
+    (("roots",), cp2_with_first("offset", "1" + "0" * 4300), "integer literal has 4301 digits, more than 4300"),
+    (("soliton",), cp2_with_first("normal", "1" + "0" * 4300), "integer literal has 4301 digits, more than 4300"),
+    (("verify",), cp2_with_first("offset", "1e-4400"),
+     "number (about 1.000e-4400) has more than 4300 digits in its numerator or denominator"),
+    (("decompose",), cp2_with_first("offset", '"1e-5000"'),
+     "number (about 1.000e-5000) has more than 4300 digits in its numerator or denominator"),
+    (("roots",), cp2_with_first("offset", "1e-4300"), "has more than 4300 digits in its numerator or denominator"),
+    (("soliton",), cp2_with_first("offset", '"1e-999999999"'), "decimal exponent beyond 8600"),
+    (("verify",), cp2_with_first("offset", "1." + "0" * 5000), "run of 5000 digits, more than 4300"),
+    (("decompose",), cp2_with_first("normal", "1e-4400"), "has more than 4300 digits in its numerator or denominator"),
 ], ids=["grid-1", "grid-2", "margin-0.9", "soliton-order-0", "verify-order-0", "decompose-order-0",
         "offset-nan", "offset-infinity", "dim-true", "decompose-grid-negative", "offset-1e400",
         "vertex-2e308", "dim-3", "dim-1", "tol-nan", "tol-negative", "tol-inf",
-        "margin-zero", "margin-negative", "margin-nan", "margin-inf"])
+        "margin-zero", "margin-negative", "margin-nan", "margin-inf",
+        "offset-integer-4301-digits", "normal-integer-4301-digits", "offset-1e-4400", "offset-string-1e-5000",
+        "offset-1e-4300", "offset-string-exponent-huge", "offset-mantissa-5001-digits", "normal-1e-4400"])
 def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, document, needle):
     path = tmp_path / "polytope.json"
     path.write_text(document)
@@ -157,6 +176,20 @@ def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, docum
     assert code == 2
     assert "Traceback" not in err
     assert needle in err
+
+
+def test_numbers_at_the_digit_limit_are_accepted(capsys, tmp_path):
+    # a 4300-digit denominator is written back into the report as text
+    path = tmp_path / "polytope.json"
+    path.write_text(cp2_with_first("offset", "1e-4299"))
+    code, out = run(capsys, "roots", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["polytope"]["input"]["facets"][0]["offset"] == "1/1" + "0" * 4299
+    # a 4300-digit integer passes the parser and is rejected by its size alone
+    path.write_text(cp2_with_first("offset", "1" + "0" * 4299))
+    code = main(["roots", str(path)])
+    assert code == 2
+    assert "(about 1.000e+4299) is beyond the float range" in capsys.readouterr().err
 
 
 BL2_TEXT = json.dumps({"dim": 2, "facets": [

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,7 +279,7 @@ def test_mode_sign_independent_of_round_off_in_a(example, shift, cp2_ctx, cp2_ro
     # eigenvalues differ only by noise; the choice may not follow its sign
     ctx, rootset = {"cp2": (cp2_ctx, cp2_roots), "blowup": (blowup_ctx, blowup_roots)}[example]
     grid = ctx.potential.stack(ctx.polytope.interior_grid(15, 0.05))
-    shifted = dataclasses.replace(ctx, a=ctx.a + np.array(shift))
+    shifted = ctx._replace(a=ctx.a + np.array(shift))
     for root in rootset.roots:
         assert check_root(shifted, root, grid).function.mode_sign == 1
         assert check_root(ctx, root, grid).function.mode_sign == 1

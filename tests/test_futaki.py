@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 
 from toric_soliton import (
+    automorphism_dimensions,
     einstein_constant,
     enumerate_roots,
     integrate,
+    normalize_algebraic,
     parse_polytope,
     solve_soliton_vector,
     weighted_volume,
 )
 from toric_soliton.calabi import solve_a1, soliton_equation
+from toric_soliton.roots import brute_force_roots
 
 
 def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
@@ -136,14 +139,16 @@ def test_einstein_constant():
 
 
 #: canonical algebraic polygons of the five smooth toric Fano surfaces (every
-#: offset 1) with |a_1|, |a_2| of their soliton vectors; the signs of a depend
-#: on the embedding and are pinned by ``SIGNS``
+#: offset 1) with their root counts (all, semisimple, unipotent), the complex
+#: dimensions (eta, reductive, unipotent) of the automorphism algebra, and
+#: |a_1|, |a_2| of their soliton vectors; the signs of a depend on the
+#: embedding and are pinned by ``SIGNS``
 FIVE_SURFACES = {
-    "P2": (((1, 0), (0, 1), (-1, -1)), (0.0, 0.0)),
-    "P1xP1": (((1, 0), (-1, 0), (0, 1), (0, -1)), (0.0, 0.0)),
-    "Bl1P2": (((0, 1), (-1, 0), (1, 0), (1, -1)), (0.263810, 0.0)),
-    "Bl2P2": (((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1)), (0.217374, 0.217374)),
-    "Bl3P2": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)), (0.0, 0.0)),
+    "P2": (((1, 0), (0, 1), (-1, -1)), (6, 6, 0), (8, 8, 0), (0.0, 0.0)),
+    "P1xP1": (((1, 0), (-1, 0), (0, 1), (0, -1)), (4, 4, 0), (6, 6, 0), (0.0, 0.0)),
+    "Bl1P2": (((0, 1), (-1, 0), (1, 0), (1, -1)), (4, 2, 2), (6, 4, 2), (0.263810, 0.0)),
+    "Bl2P2": (((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1)), (2, 0, 2), (4, 2, 2), (0.217374, 0.217374)),
+    "Bl3P2": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)), (0, 0, 0), (2, 2, 0), (0.0, 0.0)),
 }
 SIGNS = {"Bl1P2": (-1, 1), "Bl2P2": (1, 1)}
 
@@ -173,7 +178,13 @@ def test_normal_map_is_inverse_transpose():
 
 @pytest.mark.parametrize("surface", FIVE_SURFACES)
 def test_five_surface_soliton_table(surface):
-    normals, magnitudes = FIVE_SURFACES[surface]
+    normals, counts, dimensions, magnitudes = FIVE_SURFACES[surface]
+    for p in (polygon(normals), normalize_algebraic(lattice_image(normals))):
+        # the counts are lattice invariants; the exhaustive box scan is the oracle for the roots
+        rootset = enumerate_roots(p)
+        assert rootset.alphas() == brute_force_roots(p)
+        assert (len(rootset.roots), len(rootset.semisimple), len(rootset.unipotent)) == counts
+        assert automorphism_dimensions(rootset, 2) == dimensions
     soliton = solve_soliton_vector(polygon(normals))
     assert np.allclose(np.abs(soliton.a), magnitudes, rtol=0.0, atol=1e-6)
     signs = SIGNS.get(surface, (1, 1))

@@ -1,7 +1,9 @@
 """Import set of each command: only ``verify`` and ``calabi`` load numpy.
 
-Each case runs in a fresh interpreter, so nothing an earlier test imported
-can hide a module load.
+No command loads ``dataclasses`` (records are ``NamedTuple`` classes), the
+numpy-free commands load no ``inspect`` either, and no command loads
+``numpy.polynomial``.  Each case runs in a fresh interpreter, so nothing
+an earlier test imported can hide a module load.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ EXPORTS = (
 
 #: runs ``cli.main(argv)`` and prints its exit code and the package modules
 #: that executed (a lazily registered module that never executed is not a
-#: plain module yet) plus whether numpy was imported
+#: plain module yet), whether numpy was imported, and which of the modules
+#: the tests watch were loaded
 PROBE = """
 import contextlib, io, json, sys, types
 import toric_soliton.cli as cli
@@ -52,7 +55,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
     code = cli.main(json.loads(sys.argv[1])) if len(sys.argv) > 1 else None
 executed = sorted(name for name, mod in sys.modules.items()
                   if name.startswith("toric_soliton.") and type(mod) is types.ModuleType)
-print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules, "executed": executed}))
+loaded = [name for name in ("dataclasses", "inspect", "numpy.polynomial") if name in sys.modules]
+print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules, "executed": executed, "loaded": loaded}))
 """
 
 
@@ -65,9 +69,15 @@ def fresh(*argv: str) -> dict:
     return json.loads(proc.stdout)
 
 
+def assert_numpy_free(result: dict) -> None:
+    # no numpy, and no dataclasses or inspect, which a dataclass record pulls in
+    assert result["numpy"] is False
+    assert result["loaded"] == []
+
+
 def test_import_cli_loads_no_numpy():
     result = fresh()
-    assert result["numpy"] is False
+    assert_numpy_free(result)
     assert "toric_soliton.futaki" not in result["executed"]
 
 
@@ -75,7 +85,7 @@ def test_import_cli_loads_no_numpy():
 def test_roots_loads_no_numpy(fmt):
     result = fresh("roots", str(DATA / "blowup.json"), "--format", fmt)
     assert result["exit"] == 0
-    assert result["numpy"] is False
+    assert_numpy_free(result)
 
 
 @pytest.mark.parametrize("document", [
@@ -85,7 +95,9 @@ def test_roots_loads_no_numpy(fmt):
     (DATA / "non_delzant.json").read_text(),
     (DATA / "not_fano.json").read_text(),
     None,
-], ids=["truncated-json", "non-primitive-normal", "non-delzant", "not-fano", "missing-file"])
+    (DATA / "cp2.json").read_text().replace('"offset": 1}', '"offset": 1%s}' % ("0" * 4300), 1),
+], ids=["truncated-json", "non-primitive-normal", "non-delzant", "not-fano", "missing-file",
+        "integer-literal-4301-digits"])
 def test_rejections_load_no_numpy(tmp_path, document):
     # no rejection reaches a module that imports numpy
     path = tmp_path / "polytope.json"
@@ -93,7 +105,7 @@ def test_rejections_load_no_numpy(tmp_path, document):
         path.write_text(document)
     result = fresh("soliton", str(path))
     assert result["exit"] == 2
-    assert result["numpy"] is False
+    assert_numpy_free(result)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -108,7 +120,7 @@ def test_solve_loads_no_numpy(argv, fmt):
     command, document, *flags = argv
     result = fresh(command, str(DATA / document), *flags, "--format", fmt)
     assert result["exit"] == 0
-    assert result["numpy"] is False
+    assert_numpy_free(result)
     assert "toric_soliton.futaki" in result["executed"]
     for name in ("potentials", "operators", "eigenbasis", "calabi"):
         assert f"toric_soliton.{name}" not in result["executed"]
@@ -117,7 +129,7 @@ def test_solve_loads_no_numpy(argv, fmt):
 def test_decompose_calabi_on_other_polygon_rejected_without_numpy():
     result = fresh("decompose", str(DATA / "cp2.json"), "--potential", "calabi")
     assert result["exit"] == 2
-    assert result["numpy"] is False
+    assert_numpy_free(result)
 
 
 @pytest.mark.parametrize("flags", [
@@ -130,17 +142,21 @@ def test_decompose_calabi_on_other_polygon_rejected_without_numpy():
 def test_verify_rejected_before_any_array_work(flags):
     result = fresh("verify", str(DATA / "cp2.json"), *flags)
     assert result["exit"] == 2
-    assert result["numpy"] is False
+    assert_numpy_free(result)
 
 
 @pytest.mark.parametrize("argv", [
     ("verify", str(DATA / "cp2.json"), "--grid", "5"),
+    ("verify", str(DATA / "blowup.json"), "--potential", "calabi", "--grid", "5"),
     ("calabi", "--grid", "5"),
-], ids=["verify", "calabi"])
+], ids=["verify", "verify-calabi", "calabi"])
 def test_array_commands_load_numpy(argv):
+    # numpy itself loads inspect, but no Gauss rule comes from numpy.polynomial
     result = fresh(*argv)
     assert result["exit"] == 0
     assert result["numpy"] is True
+    assert "dataclasses" not in result["loaded"]
+    assert "numpy.polynomial" not in result["loaded"]
 
 
 def test_soliton_executes_no_potential_module():

@@ -1,0 +1,179 @@
+"""Record types: construction checks, immutability and tuple semantics.
+
+Every record is a ``typing.NamedTuple``; ``Facet`` and ``OperatorContext``
+validate their fields when constructed.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from toric_soliton import (
+    Facet,
+    MalformedInputError,
+    NonPrimitiveNormalError,
+    OperatorContext,
+    QuadraticPotential,
+    SmoothField,
+    assemble_decomposition,
+    automorphism_dimensions,
+    boundary_product_form,
+    check_root,
+    delzant_check,
+    guillemin,
+    parse_polytope,
+    privileged_center,
+    triangulate,
+)
+from toric_soliton.quadrature import reference_rule
+from conftest import CP2_DOC
+
+
+@pytest.mark.parametrize("normal, error, message", [
+    ((), MalformedInputError, "facet normal must be an integer vector, got ()"),
+    ((1.0, 0), MalformedInputError, "facet normal must be an integer vector, got (1.0, 0)"),
+    ((True, 0), MalformedInputError, "facet normal must be an integer vector, got (True, 0)"),
+    ((Fraction(1), 0), MalformedInputError, "facet normal must be an integer vector"),
+    ((0, 0), MalformedInputError, "facet normal must be nonzero"),
+    ((2, 4), NonPrimitiveNormalError, "facet normal (2, 4) is not primitive"),
+    ((-3, 0), NonPrimitiveNormalError, "facet normal (-3, 0) is not primitive"),
+    ((2 * 10**4300, 2), MalformedInputError, "facet normal has an entry of more than 4300 digits"),
+], ids=["empty", "float", "bool", "fraction", "zero", "non-primitive", "non-primitive-negative",
+        "long-entry"])
+def test_facet_rejects_bad_normals(normal, error, message):
+    with pytest.raises(error) as info:
+        Facet(normal, 1)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("offset, message", [
+    (None, "offset must be a number or 'p/q' string, got None"),
+    (True, "offset must be a number, got True"),
+    (float("nan"), "offset must be finite, got nan"),
+    (float("-inf"), "offset must be finite, got -inf"),
+    ("one", "cannot parse offset 'one'"),
+    ("1/0", "cannot parse offset '1/0'"),
+    (Fraction(1, 10**4300), "has more than 4300 digits in its numerator or denominator"),
+], ids=["none", "bool", "nan", "-inf", "word", "zero-denominator", "long-denominator"])
+def test_facet_rejects_bad_offsets(offset, message):
+    with pytest.raises(MalformedInputError) as info:
+        Facet((1, 0), offset)
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("offset, exact", [
+    (1, Fraction(1)),
+    (0.5, Fraction(1, 2)),
+    ("3/2", Fraction(3, 2)),
+    ("0.1", Fraction(1, 10)),
+    (Fraction(2, 3), Fraction(2, 3)),
+])
+def test_facet_reads_the_offset_exactly(offset, exact):
+    facet = Facet(normal=(1, 0), offset=offset)
+    assert type(facet.offset) is Fraction
+    assert facet.offset == exact
+
+
+def test_facets_compare_and_hash_as_tuples():
+    facet = Facet((1, -1), "1/2")
+    assert facet == Facet(normal=(1, -1), offset=Fraction(1, 2)) == ((1, -1), Fraction(1, 2))
+    assert hash(facet) == hash(((1, -1), Fraction(1, 2)))
+    assert facet._fields == ("normal", "offset")
+    assert facet._replace(offset=Fraction(1)) == Facet((1, -1), 1)
+
+
+def test_operator_context_reads_a_as_a_float_array(cp2):
+    ctx = OperatorContext(cp2, guillemin(cp2), [0, 1])
+    assert isinstance(ctx.a, np.ndarray)
+    assert ctx.a.dtype == float
+    assert ctx.a.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("a", [[0.0, 0.0, 0.0], [0.0], [[0.0, 0.0]], 0.0],
+                         ids=["three", "one", "matrix", "scalar"])
+def test_operator_context_rejects_a_of_the_wrong_shape(cp2, a):
+    with pytest.raises(MalformedInputError) as info:
+        OperatorContext(polytope=cp2, potential=guillemin(cp2), a=a)
+    assert f"soliton vector has shape {np.shape(a)}, expected (2,)" in str(info.value)
+
+
+def test_operator_context_rejects_a_potential_on_another_polytope(cp2, square):
+    with pytest.raises(MalformedInputError) as info:
+        OperatorContext(polytope=cp2, potential=QuadraticPotential(square), a=np.zeros(2))
+    assert "potential and context polytopes disagree" in str(info.value)
+
+
+def test_operator_context_accepts_permuted_facets(cp2):
+    permuted = parse_polytope(json.dumps({**CP2_DOC, "facets": CP2_DOC["facets"][::-1]}))
+    ctx = OperatorContext(polytope=permuted, potential=guillemin(cp2), a=np.zeros(2))
+    assert ctx.polytope is permuted
+
+
+@pytest.fixture(scope="module")
+def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
+    """One instance of every record type of the package."""
+    stack = cp2_ctx.potential.stack(cp2.interior_grid(7, 0.05))
+    check = check_root(cp2_ctx, cp2_roots.roots[0], stack)
+    return {
+        "Facet": cp2.facets[0],
+        "PrivilegedCenter": privileged_center(cp2),
+        "DelzantVerdict": delzant_check(cp2),
+        "DemazureRoot": cp2_roots.roots[0],
+        "RootSet": cp2_roots,
+        "AutomorphismDimensions": automorphism_dimensions(cp2_roots, 2),
+        "SolitonDecomposition": assemble_decomposition(cp2_soliton.a, cp2_roots),
+        "QuadratureRule": reference_rule(4),
+        "Triangulation": triangulate(cp2),
+        "SolitonData": cp2_soliton,
+        "Stack": stack,
+        "SmoothField": SmoothField.quadratic(np.eye(2)),
+        "EquivariantFunction": check.function.profile,
+        "OperatorContext": cp2_ctx,
+        "RootFunction": check.function,
+        "BoundaryProductForm": boundary_product_form(cp2, cp2_roots.roots[0]),
+        "RootCheck": check,
+        "CalabiSoliton": calabi_soliton,
+    }
+
+
+RECORD_TYPES = (
+    "Facet", "PrivilegedCenter", "DelzantVerdict", "DemazureRoot", "RootSet", "AutomorphismDimensions",
+    "SolitonDecomposition", "QuadratureRule", "Triangulation", "SolitonData", "Stack", "SmoothField",
+    "EquivariantFunction", "OperatorContext", "RootFunction", "BoundaryProductForm", "RootCheck",
+    "CalabiSoliton",
+)
+
+
+@pytest.mark.parametrize("name", RECORD_TYPES)
+def test_records_are_immutable_named_tuples(records, name):
+    record = records[name]
+    assert type(record).__name__ == name
+    assert isinstance(record, tuple)
+    assert len(record) == len(record._fields)
+    for field in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.no_such_field = None
+
+
+@pytest.mark.parametrize("index", [
+    slice(2, 5),
+    np.array([0, 3, 3, 1]),
+    np.array([True, False] * 7 + [True]),
+    [4],
+], ids=["slice", "integers", "mask", "one"])
+def test_stack_select_keeps_every_batch_shape(cp2, index):
+    stack = guillemin(cp2).stack(cp2.interior_grid(8, 0.05))
+    assert len(stack.points) == 15
+    selected = stack.select(index)
+    count = len(stack.points[index])
+    assert selected._fields == stack._fields
+    for name, full, part in zip(stack._fields, stack, selected):
+        assert part.shape == (count,) + full.shape[1:], name
+        assert np.array_equal(part, full[index]), name
+
