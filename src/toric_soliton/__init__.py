@@ -12,8 +12,9 @@ Validation, normalization and root enumeration (``errors``, ``polytope``,
 other submodules are registered with :class:`importlib.util.LazyLoader`
 and execute on first attribute access.  Exported names resolve through the
 module ``__getattr__`` (PEP 562), so ``import toric_soliton`` loads no numpy.
-The Futaki solve (``quadrature``, ``futaki``) is plain Python as well; only
-the potentials, operators, eigenbasis and Calabi modules import numpy.
+The Futaki solve (``quadrature``, ``futaki``) and the Calabi closed forms
+(``calabi``) are plain Python as well; only the potentials, operators and
+eigenbasis modules import numpy, and only ``verify`` executes them.
 
 Every record type is a ``typing.NamedTuple``: records are immutable
 tuples, copied with ``_replace`` and described by ``_fields``.  Defining
@@ -71,6 +72,7 @@ _EXPORTS = {
     "quadrature": ("QuadratureRule", "Triangulation", "integrate", "triangulate"),
     "futaki": ("SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume"),
     "potentials": (
+        "CalabiPotential",
         "GuilleminPotential",
         "PerturbedPotential",
         "QuadraticPotential",
@@ -82,7 +84,6 @@ _EXPORTS = {
         "perturbed",
     ),
     "calabi": (
-        "CalabiPotential",
         "CalabiSoliton",
         "ode_residual",
         "profile_A",
@@ -114,7 +115,8 @@ _EXPORTS = {
 }
 
 #: the submodules that ``roots`` and every rejection leave unexecuted;
-#: ``potentials``, ``calabi``, ``operators`` and ``eigenbasis`` import numpy
+#: ``potentials``, ``operators`` and ``eigenbasis`` import numpy, and only
+#: ``verify`` executes them
 _LAZY = ("quadrature", "futaki", "potentials", "calabi", "operators", "eigenbasis", "report")
 
 

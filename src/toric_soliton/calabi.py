@@ -4,10 +4,10 @@ The moment image is a trapezoid, the diffeomorphic image of the rectangle
 [ALPHA1, ALPHA2] x [BETA1, BETA2] = [1, 3] x [0, 1] under
 (x, y) -> (x, x y).  The metric is separable in the rectangle coordinates
 with radial profiles A and B, written in closed form for these labels;
-the matrix ``H`` of the associated potential is assembled from them and
-all its derivatives are analytic, so every operator check on this example
-runs with exact formulas (finite differences stay available as an
-independent cross-check).
+the matrix ``H`` of the associated potential is assembled from them (in
+:mod:`toric_soliton.potentials`) and all its derivatives are analytic,
+so every operator check on this example runs with exact formulas (finite
+differences stay available as an independent cross-check).
 
 Two sign wrinkles are resolved here once and for all:
 
@@ -18,22 +18,29 @@ Two sign wrinkles are resolved here once and for all:
 * the boundary slope conditions A'(alpha_i) = 2 / C_alpha_i hold with
   sign on the A side, while on the B side only the magnitudes
   |B'(beta_i)| = |2 / C_beta_i| are convention independent.
+
+Each closed form is written once and takes a float or a numpy array.
+Only the exponential and the domain check look at the argument's type:
+a number goes through ``math``, an array through numpy, imported inside
+the function.  So the ``calabi`` command runs on floats and never loads
+numpy; the derivative stack of this metric,
+:class:`~toric_soliton.potentials.CalabiPotential`, is an array
+computation and lives with the other potentials.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BoundaryEvaluationError, MalformedInputError, NonConvergenceError
-from .polytope import blowup_trapezoid
-from .potentials import HSidePotential
-from .quadrature import gauss_legendre
+from .polytope import blowup_trapezoid  # noqa: F401  (the trapezoid these labels describe)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: translation taking the trapezoid tau to algebraic coordinates
-ALGEBRAIC_SHIFT = np.array([2.0, 1.0])
+ALGEBRAIC_SHIFT = (2.0, 1.0)
 
 #: default solver bracket for the nonzero soliton coefficient
 DEFAULT_BRACKET = (-0.5, -0.05)
@@ -121,10 +128,28 @@ class CalabiSoliton(NamedTuple):
     @property
     def a(self) -> np.ndarray:
         """Soliton vector in the fan-side convention, (a1, 0)."""
+        import numpy as np
+
         return np.array([self.a1, 0.0])
 
 
+def _exp(t):
+    """exp of a number by ``math``, of an array by numpy."""
+    if isinstance(t, (int, float)):
+        return math.exp(t)
+    import numpy as np
+
+    return np.exp(t)
+
+
 def _require_between(name: str, t, lo: float, hi: float) -> None:
+    """Reject a number, or any entry of an array, outside [lo, hi] (NaN included)."""
+    if isinstance(t, (int, float)):
+        if not lo - 1e-12 <= t <= hi + 1e-12:
+            raise BoundaryEvaluationError(f"{name} = {t} outside [{lo}, {hi}]")
+        return
+    import numpy as np
+
     t = np.asarray(t)
     outside = ~((lo - 1e-12 <= t) & (t <= hi + 1e-12))
     if outside.any():
@@ -132,12 +157,12 @@ def _require_between(name: str, t, lo: float, hi: float) -> None:
 
 
 def profile_A(s: CalabiSoliton, x):
-    """Radial profile A with first and second derivatives on [ALPHA1, ALPHA2]; x may be an array."""
+    """Radial profile A with first and second derivatives on [ALPHA1, ALPHA2]; x is a float or an array."""
     _require_between("x", x, ALPHA1, ALPHA2)
     a = s.a1
     if a == 0.0:
         raise MalformedInputError("profile requires a nonzero soliton coefficient")
-    e = np.exp(-2.0 * a * (x - 1.0))
+    e = _exp(-2.0 * a * (x - 1.0))
     c = a * a - 0.5
     scale = -1.0 / a**3
     value = scale * (c * e + a * a * x * x - (2.0 * a * a + a) * x + (a + 0.5))
@@ -147,13 +172,13 @@ def profile_A(s: CalabiSoliton, x):
 
 
 def profile_B(s: CalabiSoliton, y):
-    """Radial profile B(y) = -2 y^2 + 2 y with derivatives on [BETA1, BETA2]; y may be an array."""
+    """Radial profile B(y) = -2 y^2 + 2 y with derivatives on [BETA1, BETA2]; y is a float or an array."""
     _require_between("y", y, BETA1, BETA2)
     return -2.0 * y * y + 2.0 * y, -4.0 * y + 2.0, 0.0 * y - 4.0
 
 
 def ode_residual(s: CalabiSoliton, x, scal_mean: float | None = None):
-    """Defect of -A'' - 2 a1 A' - x scal_mean = m at x; x may be an array."""
+    """Defect of -A'' - 2 a1 A' - x scal_mean = m at x; x is a float or an array."""
     scal = s.scal_mean if scal_mean is None else scal_mean
     _, first, second = profile_A(s, x)
     return -second - 2.0 * s.a1 * first - x * scal - s.m
@@ -179,58 +204,21 @@ def boundary_residuals(s: CalabiSoliton) -> dict[str, float]:
 
 def to_algebraic_coordinates(mu) -> np.ndarray:
     """Translate a point of the trapezoid tau to algebraic coordinates."""
+    import numpy as np
+
     return np.asarray(mu, dtype=float) - ALGEBRAIC_SHIFT
 
 
 def from_algebraic_coordinates(x) -> np.ndarray:
+    import numpy as np
+
     return np.asarray(x, dtype=float) + ALGEBRAIC_SHIFT
-
-
-def _entry_partials(s: CalabiSoliton, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H, dH and d2H on an (m, 2) batch of points of tau."""
-    x = mu[:, 0]
-    y = mu[:, 1] / x
-    a_val, a1d, a2d = profile_A(s, x)
-    b_val, b1d, b2d = profile_B(s, y)
-
-    # (f, f_x, f_y, f_xx, f_xy, f_yy) per entry in the rectangle coordinates
-    ax = a1d / x - a_val / x**2
-    axx = a2d / x - 2.0 * a1d / x**2 + 2.0 * a_val / x**3
-    entries = {
-        (0, 0): (a_val / x, ax, 0.0, axx, 0.0, 0.0),
-        (0, 1): (y * a_val / x, y * ax, a_val / x, y * axx, ax, 0.0),
-        (1, 1): (
-            x * b_val + y * y * a_val / x,
-            b_val + y * y * ax,
-            x * b1d + 2.0 * y * a_val / x,
-            y * y * axx,
-            b1d + 2.0 * y * ax,
-            x * b2d + 2.0 * a_val / x,
-        ),
-    }
-
-    m = len(mu)
-    h = np.zeros((m, 2, 2))
-    dh = np.zeros((m, 2, 2, 2))
-    d2h = np.zeros((m, 2, 2, 2, 2))
-    for (i, j), (f, fx, fy, fxx, fxy, fyy) in entries.items():
-        # chain rule through y = mu2 / mu1
-        d1 = fx - (y / x) * fy
-        d2 = fy / x
-        d11 = fxx - 2.0 * (y / x) * fxy + (y / x) ** 2 * fyy + 2.0 * y / x**2 * fy
-        d12 = -fy / x**2 + fxy / x - y * fyy / x**2
-        d22 = fyy / x**2
-        for (r, c) in {(i, j), (j, i)}:
-            h[:, r, c] = f
-            dh[:, r, c, 0], dh[:, r, c, 1] = d1, d2
-            d2h[:, r, c, 0, 0] = d11
-            d2h[:, r, c, 0, 1] = d2h[:, r, c, 1, 0] = d12
-            d2h[:, r, c, 1, 1] = d22
-    return h, dh, d2h
 
 
 def g_matrix(s: CalabiSoliton, mu) -> np.ndarray:
     """Closed-form inverse of H at an interior point of tau, the oracle for the stack's G."""
+    import numpy as np
+
     x = float(mu[0])
     if not (ALPHA1 < x < ALPHA2):
         raise BoundaryEvaluationError(f"mu1 = {x} outside ({ALPHA1}, {ALPHA2})")
@@ -243,49 +231,3 @@ def g_matrix(s: CalabiSoliton, mu) -> np.ndarray:
         [x / a_val + y * y / (x * b_val), -y / (x * b_val)],
         [-y / (x * b_val), 1.0 / (x * b_val)],
     ])
-
-
-class CalabiPotential(HSidePotential):
-    """Derivative stack of the blow-up soliton metric on the algebraic trapezoid.
-
-    The stack lives in algebraic coordinates (the trapezoid translated so
-    the privileged center is the origin); the metric data is evaluated at
-    the translated point.  The gradient has gauge zero at the origin, which
-    rescales root profiles by harmless positive constants.
-    """
-
-    def __init__(self, soliton: CalabiSoliton | None = None):
-        self.soliton = soliton or CalabiSoliton.solve()
-        self.polytope = blowup_trapezoid()
-        self.base_point = np.zeros(2)
-        # t / A(t) has simple poles at the ends of [ALPHA1, ALPHA2], residue t / A'(t)
-        self._poles = tuple((end, end / profile_A(self.soliton, end)[1]) for end in (ALPHA1, ALPHA2))
-        self._f_rule = tuple(np.array(t) for t in gauss_legendre(48))
-
-    def _h_derivatives(self, points):
-        mu = from_algebraic_coordinates(points)
-        return (self._gradient(mu), *_entry_partials(self.soliton, mu))
-
-    def _gradient(self, mu: np.ndarray) -> np.ndarray:
-        """Closed-form gradient on an (m, 2) batch of points of tau.
-
-        Integrating the rows of G in closed form gives
-        grad_2 = (1/2) log(y / (1 - y)) + c2 and
-        grad_1 = F(mu1) + (1/2) log(1 - y) + c1 with F'(t) = t / A(t).
-        The poles of t / A at alpha1 and alpha2 integrate to logarithms;
-        the smooth rest of F, from the base point to every mu1, is one
-        array of 48-node Gauss-Legendre sums, accurate up to the boundary.
-        Constants are fixed by the gauge grad(base) = 0.
-        """
-        base = from_algebraic_coordinates(self.base_point)
-        t0, y0 = base[0], base[1] / base[0]
-        t, y = mu[:, 0], mu[:, 1] / mu[:, 0]
-        mid, half = 0.5 * (t0 + t), 0.5 * (t - t0)
-        nodes, weights = self._f_rule
-        ts = mid[:, None] + half[:, None] * nodes
-        smooth = ts / profile_A(self.soliton, ts)[0] - sum(c / (ts - end) for end, c in self._poles)
-        f = half * (smooth @ weights) + sum(c * np.log((t - end) / (t0 - end)) for end, c in self._poles)
-        return np.stack([
-            f + 0.5 * np.log(1.0 - y) - 0.5 * np.log(1.0 - y0),
-            0.5 * np.log(y / (1.0 - y)) - 0.5 * np.log(y0 / (1.0 - y0)),
-        ], axis=1)

@@ -3,8 +3,8 @@
 Commands: ``roots``, ``soliton``, ``verify``, ``decompose``, ``calabi``.
 Exit codes are a stable contract: 0 success, 2 input or geometry
 rejection, 3 solver failure, 4 verification failure.  ``roots``,
-``soliton``, ``decompose`` and every rejection run without numpy; only
-``verify`` and ``calabi`` load it, when they first compute with arrays.
+``soliton``, ``decompose``, ``calabi`` and every rejection run without
+numpy; only ``verify`` loads it, when it first computes with arrays.
 """
 
 from __future__ import annotations

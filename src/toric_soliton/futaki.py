@@ -27,7 +27,7 @@ check are 2x2 closed forms.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .errors import NonConvergenceError
 from .polytope import DelzantPolytope, normalize_algebraic
@@ -117,10 +117,28 @@ def weighted_volume(p: DelzantPolytope, a, order: int = 10) -> tuple[float, Vect
     return value, (-2.0 * ix, -2.0 * iy), ((4.0 * ixx, 4.0 * ixy), (4.0 * ixy, 4.0 * iyy))
 
 
-def _fan_side_volume(p: DelzantPolytope, a: Vector, order: int) -> tuple[float, Vector, Matrix]:
-    # W(a) = V(-a); chain rule flips the gradient and preserves the Hessian.
-    value, (g1, g2), hess = weighted_volume(p, (-a[0], -a[1]), order=order)
-    return value, (-g1, -g2), hess
+FanSideVolume = Callable[[Vector, int], tuple[float, Vector, Matrix]]
+
+
+def _fan_side_volume(p: DelzantPolytope) -> FanSideVolume:
+    """W(a) = V(-a) at order, each (a, order) evaluated once.
+
+    The line search accepts a point that the next Newton step starts
+    from, the polish starts from the last Newton point and the residuals
+    are read at the final one, so the solve asks for a point it already
+    has about every other time; it gets the stored result instead.
+    """
+    memo: dict[tuple[Vector, int], tuple[float, Vector, Matrix]] = {}
+
+    def volume(a: Vector, order: int) -> tuple[float, Vector, Matrix]:
+        key = (a, order)
+        if key not in memo:
+            # chain rule: the gradient flips sign, the Hessian is unchanged
+            value, (g1, g2), hess = weighted_volume(p, (-a[0], -a[1]), order=order)
+            memo[key] = value, (-g1, -g2), hess
+        return memo[key]
+
+    return volume
 
 
 def _norm(v: Vector) -> float:
@@ -139,11 +157,11 @@ def _newton_step(h: Matrix, g: Vector) -> Vector:
     return (h12 * g[1] - h22 * g[0]) / det, (h21 * g[0] - h11 * g[1]) / det
 
 
-def _newton_minimize(p: DelzantPolytope, a0: Vector, tol: float, order: int,
+def _newton_minimize(volume: FanSideVolume, a0: Vector, tol: float, order: int,
                      trace: list[dict]) -> Vector:
     a = a0
     for iteration in range(MAX_NEWTON_ITERATIONS):
-        value, grad, hess = _fan_side_volume(p, a, order)
+        value, grad, hess = volume(a, order)
         grad_norm = _norm(grad)
         trace.append({
             "iteration": iteration,
@@ -160,7 +178,7 @@ def _newton_minimize(p: DelzantPolytope, a0: Vector, tol: float, order: int,
         t = 1.0
         while t > 1e-12:
             candidate = (a[0] + t * step[0], a[1] + t * step[1])
-            if _fan_side_volume(p, candidate, order)[0] < value:
+            if volume(candidate, order)[0] < value:
                 break
             t *= 0.5
         else:
@@ -171,13 +189,13 @@ def _newton_minimize(p: DelzantPolytope, a0: Vector, tol: float, order: int,
     # Quadratic polish to the quadrature noise floor, so that minimizers at
     # successive orders can be compared well below the user tolerance.
     for _ in range(3):
-        _, grad, hess = _fan_side_volume(p, a, order)
+        _, grad, hess = volume(a, order)
         grad_norm = _norm(grad)
         if grad_norm == 0.0:
             break
         step = _newton_step(hess, grad)
         candidate = (a[0] + step[0], a[1] + step[1])
-        if _norm(_fan_side_volume(p, candidate, order)[1]) < grad_norm:
+        if _norm(volume(candidate, order)[1]) < grad_norm:
             a = candidate
         else:
             break
@@ -192,12 +210,12 @@ def solve_soliton_vector(p: DelzantPolytope, tol: float = 1e-10, order: int = 10
     successive orders agree to 0.1 tol.  Existence and uniqueness hold for
     any valid Fano input, so non-convergence signals numerical trouble.
     """
-    p = normalize_algebraic(p)
+    volume = _fan_side_volume(normalize_algebraic(p))
     trace: list[dict] = []
-    a = _newton_minimize(p, (0.0, 0.0), tol, order, trace)
+    a = _newton_minimize(volume, (0.0, 0.0), tol, order, trace)
     cap = max(MAX_QUADRATURE_ORDER, order + 12)
     while order + 6 <= cap:
-        refined = _newton_minimize(p, a, tol, order + 6, trace)
+        refined = _newton_minimize(volume, a, tol, order + 6, trace)
         if max(abs(refined[0] - a[0]), abs(refined[1] - a[1])) <= 0.1 * tol:
             a = refined
             order = order + 6
@@ -206,7 +224,7 @@ def solve_soliton_vector(p: DelzantPolytope, tol: float = 1e-10, order: int = 10
     else:
         raise NonConvergenceError("quadrature orders failed to agree at the maximum order")
 
-    value, grad, _ = _fan_side_volume(p, a, order)
+    value, grad, _ = volume(a, order)
     # Defect of the weighted-moment condition over the affine basis {1, x_1..x_n}:
     # the constant is exact, each coordinate defect is |int x_i w| / V = |grad_i| / (2V).
     residuals = (0.0,) + tuple(float(abs(g)) / (2.0 * value) for g in grad)

@@ -12,7 +12,8 @@ and a single point is a batch of one.  Two families implement it:
   derivatives analytically and derive the ``H`` stack by matrix calculus;
   they also expose the value ``phi`` at one point, which only the
   finite-difference oracle reads;
-* metrics given on the inverse side (the one-point blow-up family in
+* metrics given on the inverse side (:class:`CalabiPotential`, the
+  one-point blow-up soliton built on the closed forms of
   :mod:`toric_soliton.calabi`) supply the gradient, ``H`` and its
   derivatives analytically and derive the ``G`` stack.
 
@@ -22,6 +23,9 @@ the independent oracle for closed-form gradients.
 
 Index conventions, after the batch axis: ``dG[i, j, k] = d G_ij / d x_k``
 and ``d2H[i, j, k, l] = d^2 H_ij / d x_k d x_l``.
+
+Stacks are arrays, so this module imports numpy; only ``verify`` builds a
+potential, and it is the one command that loads numpy.
 """
 
 from __future__ import annotations
@@ -31,8 +35,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .calabi import (
+    ALPHA1,
+    ALPHA2,
+    CalabiSoliton,
+    from_algebraic_coordinates,
+    profile_A,
+    profile_B,
+)
 from .errors import BoundaryEvaluationError, LossOfConvexityError, MalformedInputError
-from .polytope import DelzantPolytope
+from .polytope import DelzantPolytope, blowup_trapezoid
 from .quadrature import gauss_legendre
 
 #: points with any facet value at or below this are treated as boundary
@@ -249,6 +261,95 @@ class HSidePotential(SymplecticPotential):
         grad, h, dh, d2h = self._h_derivatives(points)
         g = _inverse_2x2(h)
         return Stack(points, grad, g, h, _congruence_derivative(g, dh), dh, d2h)
+
+
+def _calabi_entry_partials(s: CalabiSoliton, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H, dH and d2H on an (m, 2) batch of points of tau."""
+    x = mu[:, 0]
+    y = mu[:, 1] / x
+    a_val, a1d, a2d = profile_A(s, x)
+    b_val, b1d, b2d = profile_B(s, y)
+
+    # (f, f_x, f_y, f_xx, f_xy, f_yy) per entry in the rectangle coordinates
+    ax = a1d / x - a_val / x**2
+    axx = a2d / x - 2.0 * a1d / x**2 + 2.0 * a_val / x**3
+    entries = {
+        (0, 0): (a_val / x, ax, 0.0, axx, 0.0, 0.0),
+        (0, 1): (y * a_val / x, y * ax, a_val / x, y * axx, ax, 0.0),
+        (1, 1): (
+            x * b_val + y * y * a_val / x,
+            b_val + y * y * ax,
+            x * b1d + 2.0 * y * a_val / x,
+            y * y * axx,
+            b1d + 2.0 * y * ax,
+            x * b2d + 2.0 * a_val / x,
+        ),
+    }
+
+    m = len(mu)
+    h = np.zeros((m, 2, 2))
+    dh = np.zeros((m, 2, 2, 2))
+    d2h = np.zeros((m, 2, 2, 2, 2))
+    for (i, j), (f, fx, fy, fxx, fxy, fyy) in entries.items():
+        # chain rule through y = mu2 / mu1
+        d1 = fx - (y / x) * fy
+        d2 = fy / x
+        d11 = fxx - 2.0 * (y / x) * fxy + (y / x) ** 2 * fyy + 2.0 * y / x**2 * fy
+        d12 = -fy / x**2 + fxy / x - y * fyy / x**2
+        d22 = fyy / x**2
+        for (r, c) in {(i, j), (j, i)}:
+            h[:, r, c] = f
+            dh[:, r, c, 0], dh[:, r, c, 1] = d1, d2
+            d2h[:, r, c, 0, 0] = d11
+            d2h[:, r, c, 0, 1] = d2h[:, r, c, 1, 0] = d12
+            d2h[:, r, c, 1, 1] = d22
+    return h, dh, d2h
+
+
+class CalabiPotential(HSidePotential):
+    """Derivative stack of the blow-up soliton metric on the algebraic trapezoid.
+
+    The stack lives in algebraic coordinates (the trapezoid translated so
+    the privileged center is the origin); the metric data is evaluated at
+    the translated point.  The gradient has gauge zero at the origin, which
+    rescales root profiles by harmless positive constants.
+    """
+
+    def __init__(self, soliton: CalabiSoliton | None = None):
+        self.soliton = soliton or CalabiSoliton.solve()
+        self.polytope = blowup_trapezoid()
+        self.base_point = np.zeros(2)
+        # t / A(t) has simple poles at the ends of [ALPHA1, ALPHA2], residue t / A'(t)
+        self._poles = tuple((end, end / profile_A(self.soliton, end)[1]) for end in (ALPHA1, ALPHA2))
+        self._f_rule = tuple(np.array(t) for t in gauss_legendre(48))
+
+    def _h_derivatives(self, points):
+        mu = from_algebraic_coordinates(points)
+        return (self._gradient(mu), *_calabi_entry_partials(self.soliton, mu))
+
+    def _gradient(self, mu: np.ndarray) -> np.ndarray:
+        """Closed-form gradient on an (m, 2) batch of points of tau.
+
+        Integrating the rows of G in closed form gives
+        grad_2 = (1/2) log(y / (1 - y)) + c2 and
+        grad_1 = F(mu1) + (1/2) log(1 - y) + c1 with F'(t) = t / A(t).
+        The poles of t / A at alpha1 and alpha2 integrate to logarithms;
+        the smooth rest of F, from the base point to every mu1, is one
+        array of 48-node Gauss-Legendre sums, accurate up to the boundary.
+        Constants are fixed by the gauge grad(base) = 0.
+        """
+        base = from_algebraic_coordinates(self.base_point)
+        t0, y0 = base[0], base[1] / base[0]
+        t, y = mu[:, 0], mu[:, 1] / mu[:, 0]
+        mid, half = 0.5 * (t0 + t), 0.5 * (t - t0)
+        nodes, weights = self._f_rule
+        ts = mid[:, None] + half[:, None] * nodes
+        smooth = ts / profile_A(self.soliton, ts)[0] - sum(c / (ts - end) for end, c in self._poles)
+        f = half * (smooth @ weights) + sum(c * np.log((t - end) / (t0 - end)) for end, c in self._poles)
+        return np.stack([
+            f + 0.5 * np.log(1.0 - y) - 0.5 * np.log(1.0 - y0),
+            0.5 * np.log(y / (1.0 - y)) - 0.5 * np.log(y0 / (1.0 - y0)),
+        ], axis=1)
 
 
 def gradient_by_line_integral(

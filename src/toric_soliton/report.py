@@ -17,10 +17,11 @@ that need more than the derivative stack are gated on the potential's
 type alone.
 
 The submodules past the exact lattice work are bound as lazily loaded
-modules and called qualified, so ``roots`` executes none of them, and ``soliton`` and
-``decompose`` only ``futaki`` and ``quadrature``, whose Futaki solve is
-plain Python.  numpy itself is imported here only by the builders that
-compute with arrays: ``verify`` and ``calabi``.
+modules and called qualified, so ``roots`` executes none of them,
+``soliton`` and ``decompose`` only ``futaki`` and ``quadrature``, whose
+Futaki solve is plain Python, and ``calabi`` only ``calabi``, whose closed
+forms run on floats.  numpy itself is imported here only by the one
+report that computes with arrays: ``verify``.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         )
     rootset = enumerate_roots(normalized)
     soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
-    potential = potentials.guillemin(normalized) if potential_kind == "guillemin" else calabi.CalabiPotential()
+    potential = potentials.guillemin(normalized) if potential_kind == "guillemin" else potentials.CalabiPotential()
     ctx = operators.OperatorContext(polytope=normalized, potential=potential, a=soliton.a_array)
     listed, root_checks, scal_mean = verify_checks(ctx, rootset, soliton, potential.stack(grid), order)
     checks = [
@@ -358,13 +359,21 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
     }
 
 
-def calabi_report(grid_points: int = 50) -> dict:
-    """Solve the blow-up closed forms and report residual diagnostics."""
-    import numpy as np
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """The floats of ``numpy.linspace(start, stop, num)``: ``start + i * step``, the last one ``stop``."""
+    step = (stop - start) / max(num - 1, 1)
+    return [stop if 0 < i == num - 1 else start + i * step for i in range(num)]
 
+
+def calabi_report(grid_points: int = 50) -> dict:
+    """Solve the blow-up closed forms and report residual diagnostics.
+
+    The ODE residual is sampled on floats, at the points of
+    ``numpy.linspace(ALPHA1, ALPHA2, grid_points)``.
+    """
     soliton = calabi.CalabiSoliton.solve()
-    xs = np.linspace(calabi.ALPHA1, calabi.ALPHA2, grid_points)
-    ode = np.max(np.abs(calabi.ode_residual(soliton, xs)))
+    xs = _linspace(calabi.ALPHA1, calabi.ALPHA2, grid_points)
+    ode = max(abs(calabi.ode_residual(soliton, x)) for x in xs)
     return {
         "command": "calabi",
         "parameters": {

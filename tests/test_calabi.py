@@ -27,6 +27,7 @@ from toric_soliton.calabi import (
     mean_scalar_curvature,
     soliton_equation,
 )
+from toric_soliton.report import _linspace, calabi_report
 from conftest import interior_points
 
 
@@ -85,6 +86,13 @@ def test_profile_A_domain(calabi_soliton):
         profile_A(calabi_soliton, 3.5)
 
 
+@pytest.mark.parametrize("x", [0.5, float("nan"), np.array([2.0, 3.5]), np.array([np.nan])],
+                         ids=["float-below", "float-nan", "array-above", "array-nan"])
+def test_profile_A_domain_on_floats_and_arrays(calabi_soliton, x):
+    with pytest.raises(BoundaryEvaluationError):
+        profile_A(calabi_soliton, x)
+
+
 def test_profile_A_slopes(calabi_soliton):
     _, slope_lo, _ = profile_A(calabi_soliton, 1.0)
     _, slope_hi, _ = profile_A(calabi_soliton, 3.0)
@@ -112,6 +120,56 @@ def test_ode_residual_with_correct_mean(calabi_soliton):
     xs = np.linspace(1.0, 3.0, 50)
     worst = max(abs(ode_residual(calabi_soliton, float(x), scal_mean=4.0)) for x in xs)
     assert worst <= 1e-9
+
+
+def test_profile_A_float_branch_matches_array_branch(calabi_soliton):
+    # one formula serves both; only exp is taken from math for a float and from
+    # numpy for an array, so the branches agree to round-off of the terms summed
+    # (relative to their size: the sum cancels near the ends, where A vanishes)
+    xs = np.linspace(calabi.ALPHA1, calabi.ALPHA2, 1002)[1:-1]
+    a = calabi_soliton.a1
+    c, e, scale = a * a - 0.5, np.exp(-2.0 * a * (xs - 1.0)), abs(a) ** -3
+    sizes = (
+        scale * (abs(c) * e + a * a * xs * xs + abs(2.0 * a * a + a) * xs + abs(a + 0.5)),
+        scale * (2.0 * abs(a * c) * e + 2.0 * a * a * xs + abs(2.0 * a * a + a)),
+        scale * (4.0 * a * a * abs(c) * e + 2.0 * a * a),
+    )
+    on_array = profile_A(calabi_soliton, xs)
+    on_floats = np.array([profile_A(calabi_soliton, x) for x in xs.tolist()]).T
+    assert all(type(v) is float for v in profile_A(calabi_soliton, 2.0))
+    for floats, array, size in zip(on_floats, on_array, sizes):
+        assert np.all(np.abs(floats - array) <= 1e-15 * size)
+
+
+def test_report_grid_is_numpy_linspace():
+    for num in range(501):
+        for start, stop in ((calabi.ALPHA1, calabi.ALPHA2), (0.1, 0.7), (-3.0, 1e-3)):
+            assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+
+@pytest.mark.parametrize("grid", [1, 2, 25, 100, 500])
+def test_calabi_report_matches_array_evaluation(calabi_soliton, grid):
+    # oracle: the same closed forms on numpy arrays, sampled on numpy.linspace
+    report = calabi_report(grid)
+    xs = np.linspace(calabi.ALPHA1, calabi.ALPHA2, grid)
+    ode = np.max(np.abs(ode_residual(calabi_soliton, xs)))
+    assert type(report["ode_max_residual"]) is float
+    assert abs(report["ode_max_residual"] - ode) <= 1e-14
+    a_val, a_slope, _ = profile_A(calabi_soliton, np.array([calabi.ALPHA1, calabi.ALPHA2]))
+    b_val, b_slope, _ = profile_B(calabi_soliton, np.array([calabi.BETA1, calabi.BETA2]))
+    expected = {
+        "A_alpha1": abs(a_val[0]),
+        "A_alpha2": abs(a_val[1]),
+        "B_beta1": abs(b_val[0]),
+        "B_beta2": abs(b_val[1]),
+        "slope_A_alpha1": abs(a_slope[0] - 2.0 / calabi.C_ALPHA1),
+        "slope_A_alpha2_magnitude": abs(abs(a_slope[1]) - abs(2.0 / calabi.C_ALPHA2)),
+        "slope_B_beta1_magnitude": abs(abs(b_slope[0]) - abs(2.0 / calabi.C_BETA1)),
+        "slope_B_beta2_magnitude": abs(abs(b_slope[1]) - abs(2.0 / calabi.C_BETA2)),
+    }
+    assert list(report["boundary_residuals"]) == list(expected)
+    for key, value in expected.items():
+        assert abs(report["boundary_residuals"][key] - value) <= 1e-14, key
 
 
 def test_ode_residual_with_sign_flipped_mean_is_8x(calabi_soliton):

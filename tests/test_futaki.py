@@ -18,6 +18,7 @@ from toric_soliton import (
     solve_soliton_vector,
     weighted_volume,
 )
+from toric_soliton import futaki
 from toric_soliton.calabi import solve_a1, soliton_equation
 from toric_soliton.roots import brute_force_roots
 
@@ -214,3 +215,19 @@ def test_ray_form_matches_array_quadrature(surface, imaged):
         assert abs(value - expected_value) <= 1e-13 * expected_value
         assert np.allclose(grad, expected_grad, rtol=1e-13, atol=1e-13 * expected_value)
         assert np.allclose(hess, expected_hess, rtol=1e-13, atol=1e-13 * expected_value)
+
+
+@pytest.mark.parametrize("surface, calls", [("P2", 4), ("Bl1P2", 9), ("Bl3P2", 5)])
+def test_solve_evaluates_each_point_once(surface, calls, monkeypatch):
+    # the next Newton step starts at the accepted line-search point, the polish at
+    # the last Newton point and the residuals at the final point: none is evaluated twice
+    evaluated = []
+
+    def counting(p, a, order=10):
+        evaluated.append((tuple(a), order))
+        return weighted_volume(p, a, order)
+
+    monkeypatch.setattr(futaki, "weighted_volume", counting)
+    solve_soliton_vector(polygon(FIVE_SURFACES[surface][0]))
+    assert len(evaluated) == calls
+    assert len(set(evaluated)) == calls

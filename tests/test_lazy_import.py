@@ -1,4 +1,4 @@
-"""Import set of each command: only ``verify`` and ``calabi`` load numpy.
+"""Import set of each command: only ``verify`` loads numpy.
 
 No command loads ``dataclasses`` (records are ``NamedTuple`` classes), the
 numpy-free commands load no ``inspect`` either, and no command loads
@@ -145,11 +145,22 @@ def test_verify_rejected_before_any_array_work(flags):
     assert_numpy_free(result)
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("grid", ["1", "500"])
+def test_calabi_loads_no_numpy(grid, fmt):
+    # the closed forms run on floats; no potential, operator or eigenbasis module executes
+    result = fresh("calabi", "--grid", grid, "--format", fmt)
+    assert result["exit"] == 0
+    assert_numpy_free(result)
+    assert "toric_soliton.calabi" in result["executed"]
+    for name in ("potentials", "operators", "eigenbasis"):
+        assert f"toric_soliton.{name}" not in result["executed"]
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", str(DATA / "cp2.json"), "--grid", "5"),
     ("verify", str(DATA / "blowup.json"), "--potential", "calabi", "--grid", "5"),
-    ("calabi", "--grid", "5"),
-], ids=["verify", "verify-calabi", "calabi"])
+], ids=["verify", "verify-calabi"])
 def test_array_commands_load_numpy(argv):
     # numpy itself loads inspect, but no Gauss rule comes from numpy.polynomial
     result = fresh(*argv)
