@@ -74,14 +74,11 @@ _EXPORTS = {
     "potentials": (
         "CalabiPotential",
         "GuilleminPotential",
-        "PerturbedPotential",
         "QuadraticPotential",
-        "SmoothField",
         "Stack",
         "SymplecticPotential",
         "gradient_by_line_integral",
         "guillemin",
-        "perturbed",
     ),
     "calabi": (
         "CalabiSoliton",

@@ -44,7 +44,10 @@ MAX_GRID = 500
 
 def _load_polytope(path: str) -> DelzantPolytope:
     """Read and fully validate a polytope: parse, Delzant and Fano (privileged center)."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedInputError(f"document is not UTF-8 text: {exc}") from exc
     p = parse_polytope(text)
     verdict = delzant_check(p)
     if not verdict.passed:

@@ -69,7 +69,7 @@ def build_root_function(ctx: OperatorContext, root: DemazureRoot, mode_sign: int
         return w * e, (normal - w[:, None] * galpha) * e[:, None], matrix * e[:, None, None]
 
     mode = tuple(int(mode_sign * c) for c in root.alpha)
-    return RootFunction(root=root, mode_sign=mode_sign, profile=EquivariantFunction(mode, jet, ctx.potential))
+    return RootFunction(root=root, mode_sign=mode_sign, profile=EquivariantFunction(mode, jet))
 
 
 class BoundaryProductForm(NamedTuple):

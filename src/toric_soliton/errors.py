@@ -48,7 +48,7 @@ class BoundaryEvaluationError(ToricSolitonError):
 
 
 class LossOfConvexityError(ToricSolitonError):
-    """A perturbed potential fails strict convexity at a sample point."""
+    """A quadratic potential's matrix is not positive definite."""
 
 
 class UnsupportedDimensionError(ToricSolitonError):

@@ -15,7 +15,8 @@ at once: a profile's ``jet`` gives ``(u, du, d2u)`` arrays of shapes
 ``scalar_curvature``, ``gradients`` ...) returns arrays with the same
 leading batch axis; one point is a stack of one.  The finite-difference
 oracle is the one pointwise routine: it reads potential values and
-profile values alone, point by point on its stencils.  The context,
+profile values alone, point by point on its stencils, each profile value
+from the context potential's stack of that one point.  The context,
 :class:`OperatorContext`, is a named tuple that reads ``a`` as a float
 array and checks that its potential lives on its polytope when
 constructed.
@@ -46,31 +47,19 @@ from .potentials import PhiSidePotential, Stack, SymplecticPotential
 Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-class _Points(NamedTuple):
-    """A batch of points alone, for profiles that do not read the potential."""
-
-    points: np.ndarray
-
-
 class EquivariantFunction(NamedTuple):
     """Torus mode k plus a radial profile with analytic derivatives.
 
-    ``jet`` evaluates the profile on a whole stack; it reads the stack of
-    ``potential``, or only the points when ``potential`` is None.
+    ``jet`` evaluates the profile on a whole stack, so a profile that
+    reads the potential sees it only through the stack it is given.
     """
 
     mode: tuple[int, ...]
     jet: Callable[[Stack], Jet]
-    potential: SymplecticPotential | None = None
 
     @property
     def mode_array(self) -> np.ndarray:
         return np.array(self.mode, dtype=float)
-
-    def values(self, points) -> np.ndarray:
-        """Profile values (m,) on an (m, n) batch of interior points."""
-        points = np.asarray(points, dtype=float)
-        return self.jet(self.potential.stack(points) if self.potential is not None else _Points(points))[0]
 
 
 def profile_constant(c: float, n: int, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
@@ -83,17 +72,16 @@ def profile_constant(c: float, n: int, mode: tuple[int, ...] | None = None) -> E
     return EquivariantFunction(mode, jet)
 
 
-def profile_linear(b, constant: float = 0.0, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
-    """Profile <x, b> + constant, torus-invariant by default."""
+def profile_linear(b) -> EquivariantFunction:
+    """Torus-invariant profile <x, b>."""
     b = np.asarray(b, dtype=float)
     n = len(b)
-    mode = mode if mode is not None else (0,) * n
 
     def jet(s) -> Jet:
         m = len(s.points)
-        return s.points @ b + constant, np.broadcast_to(b, (m, n)).copy(), np.zeros((m, n, n))
+        return s.points @ b, np.broadcast_to(b, (m, n)).copy(), np.zeros((m, n, n))
 
-    return EquivariantFunction(mode, jet)
+    return EquivariantFunction((0,) * n, jet)
 
 
 def profile_coordinate(i: int, n: int) -> EquivariantFunction:
@@ -106,8 +94,6 @@ def profile_product(u: EquivariantFunction, v: EquivariantFunction) -> Equivaria
     """Product of two torus-invariant profiles."""
     if any(u.mode) or any(v.mode):
         raise MalformedInputError("profile products are defined for torus-invariant factors")
-    if u.potential is not None and v.potential is not None and u.potential is not v.potential:
-        raise MalformedInputError("profile factors read different potentials")
 
     def jet(s) -> Jet:
         (fu, du, d2u), (fv, dv, d2v) = u.jet(s), v.jet(s)
@@ -118,10 +104,10 @@ def profile_product(u: EquivariantFunction, v: EquivariantFunction) -> Equivaria
             + np.einsum("mi,mj->mij", du, dv) + np.einsum("mi,mj->mij", dv, du),
         )
 
-    return EquivariantFunction(u.mode, jet, u.potential or v.potential)
+    return EquivariantFunction(u.mode, jet)
 
 
-def profile_exp_pairing(potential: SymplecticPotential, alpha, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
+def profile_exp_pairing(alpha, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
     """Profile exp(-<alpha, grad phi>) with derivatives through G and dG."""
     alpha = np.asarray(alpha, dtype=float)
     n = len(alpha)
@@ -134,7 +120,7 @@ def profile_exp_pairing(potential: SymplecticPotential, alpha, mode: tuple[int, 
         outer = np.einsum("mi,mj->mij", galpha, galpha)
         return e, -galpha * e[:, None], (outer - dgalpha) * e[:, None, None]
 
-    return EquivariantFunction(mode, jet, potential)
+    return EquivariantFunction(mode, jet)
 
 
 class OperatorContext(NamedTuple("OperatorContext", [
@@ -281,9 +267,11 @@ def _fd_step(ctx: OperatorContext, x: np.ndarray, factor: float) -> float:
 def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, operator: str) -> complex:
     """Re-evaluate an operator using only potential values and profile values.
 
-    Independent of the analytic derivative stack: the metric comes from
-    nested central differences of phi, the profile derivatives from central
-    differences of u.  Supported operators: ``laplacian``, ``weighted``,
+    The metric and every derivative are independent of the analytic
+    derivative stack: the metric comes from nested central differences of
+    phi, the profile derivatives from central differences of u.  Only the
+    value of u at each stencil point is read, from ``ctx.potential``'s
+    stack of that point.  Supported operators: ``laplacian``, ``weighted``,
     ``complex+``, ``abreu`` (which ignores f).  The potential
     must have closed-form values (the convex-function side).
     """
@@ -324,7 +312,7 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, op
     h = _fd_step(ctx, x, 0.005)
 
     def value(y: np.ndarray) -> float:
-        return float(f.values(y[None])[0])
+        return float(f.jet(ctx.potential.stack(y[None]))[0][0])
 
     def grad_u(y: np.ndarray) -> np.ndarray:
         out = np.zeros(n)

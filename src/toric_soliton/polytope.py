@@ -414,6 +414,8 @@ def parse_polytope(source: str | bytes | dict) -> DelzantPolytope:
             doc = json.loads(source, parse_float=_parse_fraction, parse_int=_parse_int)
         except json.JSONDecodeError as exc:
             raise MalformedInputError(f"invalid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise MalformedInputError("invalid JSON: arrays or objects nested too deeply") from exc
     elif isinstance(source, dict):
         doc = source
     else:

@@ -7,9 +7,9 @@ leading batch axis.  :meth:`SymplecticPotential.stack` runs one interior
 check and one batched 2x2 inverse per batch, so each formula exists once
 and a single point is a batch of one.  Two families implement it:
 
-* potentials given on the convex-function side (Guillemin, smooth
-  perturbations, quadratic models) supply the gradient, ``G`` and its
-  derivatives analytically and derive the ``H`` stack by matrix calculus;
+* potentials given on the convex-function side (Guillemin, quadratic
+  models) supply the gradient, ``G`` and its derivatives analytically
+  and derive the ``H`` stack by matrix calculus;
   they also expose the value ``phi`` at one point, which only the
   finite-difference oracle reads;
 * metrics given on the inverse side (:class:`CalabiPotential`, the
@@ -31,7 +31,7 @@ potential, and it is the one command that loads numpy.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,75 +153,6 @@ class GuilleminPotential(PhiSidePotential):
         dg = -0.5 * np.einsum("ri,rj,rk,mr->mijk", nu, nu, nu, ell**-2)
         d2g = np.einsum("ri,rj,rk,rl,mr->mijkl", nu, nu, nu, nu, ell**-3)
         return grad, g, dg, d2g
-
-
-def _zeros_third(points: np.ndarray) -> np.ndarray:
-    m, n = points.shape
-    return np.zeros((m, n, n, n))
-
-
-def _zeros_fourth(points: np.ndarray) -> np.ndarray:
-    m, n = points.shape
-    return np.zeros((m, n, n, n, n))
-
-
-class SmoothField(NamedTuple):
-    """Smooth scalar field with derivatives, restriction of a function smooth near P.
-
-    Each callable takes an (m, n) batch of points and returns the value,
-    gradient, Hessian, third and fourth derivatives with a leading batch
-    axis, shapes (m,) ... (m, n, n, n, n).
-    """
-
-    value: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    hessian: Callable[[np.ndarray], np.ndarray]
-    third: Callable[[np.ndarray], np.ndarray] = _zeros_third
-    fourth: Callable[[np.ndarray], np.ndarray] = _zeros_fourth
-
-    @staticmethod
-    def quadratic(q: np.ndarray) -> "SmoothField":
-        """h(x) = (1/2) x^T q x."""
-        q = 0.5 * (np.asarray(q, dtype=float) + np.asarray(q, dtype=float).T)
-        return SmoothField(
-            value=lambda pts: 0.5 * np.einsum("mi,ij,mj->m", pts, q, pts),
-            gradient=lambda pts: pts @ q,
-            hessian=lambda pts: np.broadcast_to(q, (len(pts),) + q.shape).copy(),
-        )
-
-    @staticmethod
-    def affine(c: np.ndarray, constant: float = 0.0) -> "SmoothField":
-        c = np.asarray(c, dtype=float)
-        n = len(c)
-        return SmoothField(
-            value=lambda pts: pts @ c + constant,
-            gradient=lambda pts: np.broadcast_to(c, (len(pts), n)).copy(),
-            hessian=lambda pts: np.zeros((len(pts), n, n)),
-        )
-
-
-class PerturbedPotential(PhiSidePotential):
-    """Base potential plus a smooth field; the stacks add entrywise."""
-
-    def __init__(self, base: PhiSidePotential, h: SmoothField, convexity_samples: int = 9):
-        self.polytope = base.polytope
-        self.base = base
-        self.h = h
-        samples = self.polytope.interior_grid(convexity_samples, margin_fraction=0.05)
-        _, g, _, _ = self._phi_derivatives(samples, self.require_interior(samples))
-        lowest = np.linalg.eigvalsh(g)[:, 0]
-        if np.any(lowest <= 0.0):
-            bad = samples[int(np.argmax(lowest <= 0.0))]
-            raise LossOfConvexityError(f"perturbed Hessian not positive definite at {tuple(bad)}")
-
-    def value(self, x) -> float:
-        x = self._point(x)
-        return self.base.value(x) + float(self.h.value(x[None])[0])
-
-    def _phi_derivatives(self, points, facet_values):
-        base = self.base._phi_derivatives(points, facet_values)
-        field = (self.h.gradient, self.h.hessian, self.h.third, self.h.fourth)
-        return tuple(b + np.asarray(f(points), dtype=float) for b, f in zip(base, field))
 
 
 class QuadraticPotential(PhiSidePotential):
@@ -352,21 +283,15 @@ class CalabiPotential(HSidePotential):
         ], axis=1)
 
 
-def gradient_by_line_integral(
-    potential: SymplecticPotential,
-    x,
-    x0,
-    rtol: float = 1e-12,
-    max_doublings: int = 10,
-) -> np.ndarray:
+def gradient_by_line_integral(potential: SymplecticPotential, x, x0) -> np.ndarray:
     """Recover grad phi(x) - grad phi(x0) from the Hessian field G alone.
 
     Integrates G(x0 + s (x - x0)) (x - x0) over s in [0, 1] with composite
-    16-node Gauss-Legendre panels, doubling the panel count until the
-    result is stable to ``rtol``.  Each level reads G from one stack on all
-    of its nodes and never the stack's gradient, so the result is an
-    independent check of closed-form gradients.  Both ends must be
-    interior; by convexity the whole segment then is.
+    16-node Gauss-Legendre panels, doubling the panel count (at most ten
+    times) until the result is stable to 1e-12 relative.  Each level reads
+    G from one stack on all of its nodes and never the stack's gradient, so
+    the result is an independent check of closed-form gradients.  Both ends
+    must be interior; by convexity the whole segment then is.
     """
     x = np.asarray(x, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -382,9 +307,9 @@ def gradient_by_line_integral(
         return (np.tile(weights, panels) * (0.5 / panels)) @ (g @ direction)
 
     previous = composite(1)
-    for level in range(1, max_doublings + 1):
+    for level in range(1, 11):
         current = composite(2**level)
-        if np.max(np.abs(current - previous)) <= rtol * (1.0 + np.max(np.abs(current))):
+        if np.max(np.abs(current - previous)) <= 1e-12 * (1.0 + np.max(np.abs(current))):
             return current
         previous = current
     return previous
@@ -394,7 +319,3 @@ def guillemin(p: DelzantPolytope) -> GuilleminPotential:
     """The canonical potential of a Delzant polytope."""
     return GuilleminPotential(p)
 
-
-def perturbed(base: PhiSidePotential, h: SmoothField) -> PerturbedPotential:
-    """Base potential plus a smooth field, with a strict-convexity check."""
-    return PerturbedPotential(base, h)

@@ -210,8 +210,8 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     for root in rootset.roots[:3]:
         alpha = np.array(root.alpha, dtype=float)
         pure_mode = operators.profile_constant(1.0, n, mode=root.alpha)
-        radial = operators.profile_exp_pairing(ctx.potential, alpha)
-        null = operators.profile_exp_pairing(ctx.potential, alpha, mode=root.alpha)
+        radial = operators.profile_exp_pairing(alpha)
+        null = operators.profile_exp_pairing(alpha, mode=root.alpha)
         t_expected = np.einsum("i,mij,j->m", alpha, sample.G, alpha) - 2.0 * float(ctx.a @ alpha)
         lhs_t = operators.complex_weighted_laplacian(ctx, pure_mode, sample)
         lhs_x = operators.complex_weighted_laplacian(ctx, radial, sample)

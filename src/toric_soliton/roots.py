@@ -30,9 +30,6 @@ class DemazureRoot(NamedTuple):
     distinguished_facet: int
     pairings: tuple[int, ...]
 
-    def pairing(self, facet_index: int) -> int:
-        return self.pairings[facet_index]
-
 
 class RootSet(NamedTuple):
     """All roots of a polytope, split into semisimple and unipotent parts."""
@@ -145,12 +142,13 @@ class SolitonDecomposition(NamedTuple):
         return sum(b["complex_dimension"] for b in self.blocks)
 
 
-def assemble_decomposition(a, rootset: RootSet, tol: float = GAMMA_TOL) -> SolitonDecomposition:
+def assemble_decomposition(a, rootset: RootSet) -> SolitonDecomposition:
     """Cluster roots by gamma = 2 <alpha, a> and attach the affine block at zero.
 
     ``a`` is the soliton vector; its length is the dimension n.  Blocks
     are ordered by ascending gamma and the members of each block by
     ascending alpha, so neither order follows the sign of round-off in a.
+    Gammas within ``GAMMA_TOL`` of each other share a block.
     """
     a = tuple(float(c) for c in a)
     n = len(a)
@@ -161,7 +159,7 @@ def assemble_decomposition(a, rootset: RootSet, tol: float = GAMMA_TOL) -> Solit
 
     clusters: list[list] = []
     for gamma, root in entries:
-        if clusters and abs(gamma - clusters[-1][0][0]) <= tol:
+        if clusters and abs(gamma - clusters[-1][0][0]) <= GAMMA_TOL:
             clusters[-1].append((gamma, root))
         else:
             clusters.append([(gamma, root)])
@@ -171,7 +169,7 @@ def assemble_decomposition(a, rootset: RootSet, tol: float = GAMMA_TOL) -> Solit
     for cluster in clusters:
         cluster.sort(key=lambda item: item[1].alpha)
         representative = sum(g for g, _ in cluster) / len(cluster)
-        if abs(representative) <= tol:
+        if abs(representative) <= GAMMA_TOL:
             representative = 0.0
         includes_affine = representative == 0.0
         has_zero = has_zero or includes_affine

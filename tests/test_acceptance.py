@@ -130,7 +130,7 @@ def test_criterion_08_eigenfunctions(cp2, cp2_ctx, cp2_grid, blowup_ctx, blowup_
     for root in enumerate_roots(cp2).roots:
         rf = build_root_function(cp2_ctx, root, mode_sign=1)
         closed = CP2_CLOSED_FORMS[root.alpha](cp2.facet_values_many(cp2_grid[::7]).T)
-        ok = ok and np.max(np.abs(rf.profile.values(cp2_grid[::7]) - closed)) <= 1e-10
+        ok = ok and np.max(np.abs(rf.profile.jet(cp2_ctx.potential.stack(cp2_grid[::7]))[0] - closed)) <= 1e-10
     report(8, "all root functions have eigenvalue two; plane profiles match the closed forms", ok)
 
 
@@ -141,8 +141,8 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
         for root in enumerate_roots(ctx.polytope).roots[:3]:
             alpha = np.array(root.alpha, dtype=float)
             pure = profile_constant(1.0, 2, mode=root.alpha)
-            radial = profile_exp_pairing(ctx.potential, alpha)
-            null = profile_exp_pairing(ctx.potential, alpha, mode=root.alpha)
+            radial = profile_exp_pairing(alpha)
+            null = profile_exp_pairing(alpha, mode=root.alpha)
             coeff = np.einsum("i,mij,j->m", alpha, s.G, alpha) - 2.0 * float(ctx.a @ alpha)
             ok = ok and np.max(np.abs(complex_weighted_laplacian(ctx, pure, s, 1) - coeff)) <= 1e-8
             ok = ok and np.max(np.abs(
@@ -196,7 +196,7 @@ def test_criterion_12_boundary_extension(cp2, cp2_ctx, cp2_grid):
     for root in enumerate_roots(cp2).roots:
         form = boundary_product_form(cp2, root)
         rf = build_root_function(cp2_ctx, root, mode_sign=1)
-        ok = ok and np.max(np.abs(form.values(sample) - rf.profile.values(sample))) <= 1e-10
+        ok = ok and np.max(np.abs(form.values(sample) - rf.profile.jet(cp2_ctx.potential.stack(sample))[0])) <= 1e-10
         ok = ok and bool(np.all(np.isfinite(form.values(list(ring) + edge_midpoints))))
         for idx in form.vanishing_facets():
             # midpoint of the facet's edge lies on it; the form vanishes there

@@ -161,15 +161,21 @@ def cp2_with_first(key: str, value: str) -> str:
     (("soliton",), cp2_with_first("offset", '"1e-999999999"'), "decimal exponent beyond 8600"),
     (("verify",), cp2_with_first("offset", "1." + "0" * 5000), "run of 5000 digits, more than 4300"),
     (("decompose",), cp2_with_first("normal", "1e-4400"), "has more than 4300 digits in its numerator or denominator"),
+    (("roots",), b"\xff\xfe" + CP2_TEXT.encode("utf-16-le"), "document is not UTF-8 text"),
+    (("soliton",), "[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
 ], ids=["grid-1", "grid-2", "margin-0.9", "soliton-order-0", "verify-order-0", "decompose-order-0",
         "offset-nan", "offset-infinity", "dim-true", "decompose-grid-negative", "offset-1e400",
         "vertex-2e308", "dim-3", "dim-1", "tol-nan", "tol-negative", "tol-inf",
         "margin-zero", "margin-negative", "margin-nan", "margin-inf",
         "offset-integer-4301-digits", "normal-integer-4301-digits", "offset-1e-4400", "offset-string-1e-5000",
-        "offset-1e-4300", "offset-string-exponent-huge", "offset-mantissa-5001-digits", "normal-1e-4400"])
+        "offset-1e-4300", "offset-string-exponent-huge", "offset-mantissa-5001-digits", "normal-1e-4400",
+        "utf16-byte-order-mark", "nested-100000-arrays"])
 def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, document, needle):
     path = tmp_path / "polytope.json"
-    path.write_text(document)
+    if isinstance(document, bytes):
+        path.write_bytes(document)
+    else:
+        path.write_text(document)
     command, *flags = argv
     code = main([command, str(path), *flags])
     err = capsys.readouterr().err
@@ -419,6 +425,39 @@ def test_golden_reports(capsys, name, argv, exit_code):
     abs_tol = golden["config"]["tol"] if "config" in golden else ABS_TOL_WITHOUT_CONFIG[golden["command"]]
     difference = first_difference(json.loads(out), golden, abs_tol)
     assert difference is None, difference
+
+
+TEXT_ROWS = [row for row in GOLDEN_ROWS if row[0] in ("cp2_verify", "blowup_guillemin_verify", "bl3_verify")]
+
+
+@pytest.mark.parametrize("name, argv, exit_code", TEXT_ROWS, ids=[row[0] for row in TEXT_ROWS])
+def test_verify_text_lists_the_json_checks(capsys, name, argv, exit_code):
+    # the text report, the default format, shows every check of the JSON report in its order
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    code, out = run(capsys, *argv, "--format", "json")
+    report = json.loads(out)
+    code_text, text = run(capsys, *argv, "--format", "text")
+    assert code == code_text == exit_code
+    lines = text.splitlines()
+    expected = [
+        f"[{'PASS' if c['passed'] else 'FAIL'}] {c['name']}: {c['value']:.15g} (threshold {c['threshold']:.15g})"
+        for c in report["checks"]
+    ]
+    assert [line for line in lines if line.startswith(("[PASS]", "[FAIL]"))] == expected
+    result = "all checks passed" if report["all_passed"] else f"FAILED at {report['first_failed']}"
+    assert lines[-1] == f"result: {result}"
+    assert report["all_passed"] == (exit_code == 0)
+
+
+def test_calabi_text_lists_every_boundary_residual(capsys):
+    code, out = run(capsys, "calabi", "--grid", "50", "--format", "json")
+    residuals = json.loads(out)["boundary_residuals"]
+    code_text, text = run(capsys, "calabi", "--grid", "50", "--format", "text")
+    assert code == code_text == 0
+    lines = text.splitlines()
+    start = lines.index("boundary residuals:") + 1
+    assert lines[start:] == [f"  {key}: {value:.15g}" for key, value in residuals.items()]
+    assert len(residuals) > 0
 
 
 def test_decompose_blowup_blocks(capsys):

@@ -40,7 +40,7 @@ def test_cp2_profiles_match_closed_forms(cp2, cp2_ctx):
     for root in rootset.roots:
         rf = build_root_function(cp2_ctx, root, mode_sign=1)
         expected = CP2_CLOSED_FORMS[root.alpha](cp2.facet_values_many(pts).T)
-        assert np.max(np.abs(rf.profile.values(pts) - expected)) <= 1e-10
+        assert np.max(np.abs(rf.profile.jet(cp2_ctx.potential.stack(pts))[0] - expected)) <= 1e-10
 
 
 def test_blowup_profile_closed_form_up_to_gauge(blowup, blowup_ctx):
@@ -53,7 +53,7 @@ def test_blowup_profile_closed_form_up_to_gauge(blowup, blowup_ctx):
     pts = interior_points(blowup, 12, seed=24)
     mu = from_algebraic_coordinates(pts)
     y = mu[:, 1] / mu[:, 0]
-    ratios = rf.profile.values(pts) / (mu[:, 0] * np.sqrt(y * (1.0 - y)))
+    ratios = rf.profile.jet(blowup_ctx.potential.stack(pts))[0] / (mu[:, 0] * np.sqrt(y * (1.0 - y)))
     assert ratios[0] > 0.0
     assert np.max(np.abs(ratios - ratios[0])) <= 1e-9 * ratios[0]
 
@@ -124,7 +124,7 @@ def test_dropping_the_affine_shift_breaks_the_eigenvalue(cp2_ctx, cp2_grid):
                   - w[:, None, None] * dgalpha + w[:, None, None] * np.einsum("mi,mj->mij", galpha, galpha))
         return w * e, (normal - w[:, None] * galpha) * e[:, None], matrix * e[:, None, None]
 
-    bare = EquivariantFunction(mode=rf.profile.mode, jet=bare_jet, potential=potential)
+    bare = EquivariantFunction(mode=rf.profile.mode, jet=bare_jet)
     s = potential.stack(cp2_grid)
     u = bare.jet(s)[0]
     applied = complex_weighted_laplacian(cp2_ctx, bare, s)
@@ -139,7 +139,7 @@ def test_boundary_product_form_matches_interior(cp2, cp2_ctx):
     for root in rootset.roots:
         form = boundary_product_form(cp2, root)
         rf = build_root_function(cp2_ctx, root, mode_sign=1)
-        assert np.max(np.abs(form.values(pts) - rf.profile.values(pts))) <= 1e-10
+        assert np.max(np.abs(form.values(pts) - rf.profile.jet(cp2_ctx.potential.stack(pts))[0])) <= 1e-10
 
 
 def test_boundary_product_form_exponents(cp2):
@@ -239,10 +239,11 @@ def test_decomposition_square(square):
     assert decomposition.total_complex_dimension == 6
 
 
-def test_clustering_stable_under_tolerance(blowup_ctx):
+def test_clustering_stable_under_tolerance(blowup_ctx, monkeypatch):
     rootset = enumerate_roots(blowup_ctx.polytope)
-    base = assemble_decomposition(blowup_ctx.a, rootset, tol=1e-9)
-    loose = assemble_decomposition(blowup_ctx.a, rootset, tol=1e-6)
+    base = assemble_decomposition(blowup_ctx.a, rootset)
+    monkeypatch.setattr("toric_soliton.roots.GAMMA_TOL", 1e-6)
+    loose = assemble_decomposition(blowup_ctx.a, rootset)
     assert [b["complex_dimension"] for b in base.blocks] == [b["complex_dimension"] for b in loose.blocks]
     assert [sorted(r.alpha for r in b["roots"]) for b in base.blocks] == [
         sorted(r.alpha for r in b["roots"]) for b in loose.blocks

@@ -21,7 +21,7 @@ import toric_soliton
 SRC = Path(__file__).parents[1] / "src"
 DATA = Path(__file__).parent / "data"
 
-#: the names ``toric_soliton`` exported before its submodules became lazy
+#: every name ``toric_soliton`` exports
 EXPORTS = (
     "BoundaryEvaluationError", "DegenerateVertexError", "EmptyInteriorError", "LossOfConvexityError",
     "MalformedInputError", "NonConvergenceError", "NonPrimitiveNormalError", "NotFanoError",
@@ -33,8 +33,8 @@ EXPORTS = (
     "split_semisimple_unipotent",
     "QuadratureRule", "Triangulation", "integrate", "triangulate",
     "SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume",
-    "GuilleminPotential", "PerturbedPotential", "QuadraticPotential", "SmoothField", "Stack",
-    "SymplecticPotential", "gradient_by_line_integral", "guillemin", "perturbed",
+    "GuilleminPotential", "QuadraticPotential", "Stack",
+    "SymplecticPotential", "gradient_by_line_integral", "guillemin",
     "CalabiPotential", "CalabiSoliton", "blowup_trapezoid",
     "ode_residual", "profile_A", "profile_B", "solve_a1", "to_algebraic_coordinates",
     "EquivariantFunction", "OperatorContext", "complex_weighted_laplacian", "finite_difference_oracle",

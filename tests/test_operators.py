@@ -106,7 +106,7 @@ def test_lemma_4_1_blowup(blowup_ctx, blowup_grid):
 
 def test_weighted_equals_plain_for_zero_vector(cp2, cp2_ctx):
     ctx0 = OperatorContext(polytope=cp2, potential=cp2_ctx.potential, a=np.zeros(2))
-    f = profile_exp_pairing(cp2_ctx.potential, [1, 0])
+    f = profile_exp_pairing([1, 0])
     s = cp2_ctx.potential.stack(interior_points(cp2, 5, seed=13))
     assert np.array_equal(weighted_laplacian(ctx0, f, s), laplacian(ctx0, f, s))
 
@@ -121,8 +121,8 @@ def test_mode_diagonal_identities(ctx_name, request):
     for alpha in [r.alpha for r in enumerate_roots(ctx.polytope).roots]:
         alpha_arr = np.array(alpha, dtype=float)
         pure = profile_constant(1.0, 2, mode=alpha)
-        radial = profile_exp_pairing(ctx.potential, alpha)
-        null = profile_exp_pairing(ctx.potential, alpha, mode=alpha)
+        radial = profile_exp_pairing(alpha)
+        null = profile_exp_pairing(alpha, mode=alpha)
         coeff = np.einsum("i,mij,j->m", alpha_arr, s.G, alpha_arr) - 2.0 * float(ctx.a @ alpha_arr)
         assert complex_weighted_laplacian(ctx, pure, s, 1) == pytest.approx(coeff, abs=1e-8)
         value = radial.jet(s)[0]
@@ -135,7 +135,7 @@ def test_product_rule(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
     u = profile_coordinate(0, 2)
     v = profile_coordinate(1, 2)
-    w = profile_exp_pairing(ctx.potential, [1, 0] if ctx_name == "cp2_ctx" else [0, 1])
+    w = profile_exp_pairing([1, 0] if ctx_name == "cp2_ctx" else [0, 1])
     s = ctx.potential.stack(interior_points(ctx.polytope, 20, seed=15))
     assert np.max(np.abs(product_rule_defects(ctx, u, v, s))) <= 1e-8
     assert np.max(np.abs(product_rule_defects(ctx, u, w, s))) <= 1e-8
@@ -168,7 +168,7 @@ def test_gradients_flat_model(flat_ctx):
 def test_gradients_of_a_mode_carry_the_angular_part(cp2_ctx):
     # on mode k the t-components are i k u, rotated by G on the Riemannian side
     s = cp2_ctx.potential.stack(interior_points(cp2_ctx.polytope, 4, seed=21))
-    f = profile_exp_pairing(cp2_ctx.potential, [1, 0], mode=(1, 0))
+    f = profile_exp_pairing([1, 0], mode=(1, 0))
     u = f.jet(s)[0]
     result = gradients(cp2_ctx, f, s)
     assert result["riemannian"][0].shape == (4, 2)
@@ -265,8 +265,8 @@ def test_fd_oracle_rejects_unknown_operator(cp2_ctx):
 def test_conjugation_symmetry(blowup_ctx):
     # orientation -1 on the conjugate mode equals the conjugate of orientation +1
     alpha = (-1, 0)
-    u_plus = profile_exp_pairing(blowup_ctx.potential, alpha, mode=alpha)
-    u_minus = profile_exp_pairing(blowup_ctx.potential, alpha, mode=tuple(-c for c in alpha))
+    u_plus = profile_exp_pairing(alpha, mode=alpha)
+    u_minus = profile_exp_pairing(alpha, mode=tuple(-c for c in alpha))
     s = blowup_ctx.potential.stack(interior_points(blowup_ctx.polytope, 8, seed=20))
     plus = complex_weighted_laplacian(blowup_ctx, u_plus, s, 1)
     minus = complex_weighted_laplacian(blowup_ctx, u_minus, s, -1)
@@ -293,10 +293,10 @@ def test_weighted_symmetry_under_refinement(ctx_name, request):
         keep = ctx.polytope.facet_values_many(mesh).min(axis=1) > 1e-9
         pts = mesh[keep]
         cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / (n - 1) ** 2
-        uv, vv = u.values(pts), v.values(pts)
-        support = (uv != 0.0) | (vv != 0.0)
-        pts, uv, vv = pts[support], uv[support], vv[support]
         s = ctx.potential.stack(pts)
+        uv, vv = u.jet(s)[0], v.jet(s)[0]
+        support = (uv != 0.0) | (vv != 0.0)
+        pts, uv, vv, s = pts[support], uv[support], vv[support], s.select(support)
         du = weighted_laplacian(ctx, u, s)
         dv = weighted_laplacian(ctx, v, s)
         weight = np.exp(2.0 * (pts @ ctx.a))

@@ -10,10 +10,8 @@ from toric_soliton import (
     LossOfConvexityError,
     MalformedInputError,
     QuadraticPotential,
-    SmoothField,
     gradient_by_line_integral,
     guillemin,
-    perturbed,
 )
 from conftest import interior_points
 
@@ -106,72 +104,6 @@ def test_det_h_degenerates_toward_facet(cp2):
     assert all(d > 0 for d in dets)
     assert all(dets[i + 1] < dets[i] for i in range(len(dets) - 5, len(dets) - 1))
     assert dets[-1] < 1e-2 * dets[0]
-
-
-def test_perturbed_zero_field_identity(cp2):
-    base = guillemin(cp2)
-    zero = SmoothField(
-        value=lambda pts: np.zeros(len(pts)),
-        gradient=lambda pts: np.zeros((len(pts), 2)),
-        hessian=lambda pts: np.zeros((len(pts), 2, 2)),
-    )
-    pot = perturbed(base, zero)
-    pts = interior_points(cp2, 5, seed=7)
-    for x in pts:
-        assert pot.value(x) == pytest.approx(base.value(x), abs=1e-15)
-    assert np.allclose(pot.stack(pts).G, base.stack(pts).G)
-    assert np.allclose(pot.stack(pts).d2H, base.stack(pts).d2H)
-
-
-def test_perturbed_quadratic_shifts_hessian(cp2):
-    base = guillemin(cp2)
-    eps = 0.3
-    pot = perturbed(base, SmoothField.quadratic(eps * np.eye(2)))
-    pts = interior_points(cp2, 5, seed=8)
-    assert np.allclose(pot.stack(pts).G, base.stack(pts).G + eps * np.eye(2))
-    for x in pts:
-        assert pot.value(x) == pytest.approx(base.value(x) + 0.5 * eps * float(x @ x), abs=1e-15)
-
-
-def test_perturbed_affine_leaves_metric(cp2):
-    base = guillemin(cp2)
-    c = np.array([0.4, -0.9])
-    pot = perturbed(base, SmoothField.affine(c))
-    pts = interior_points(cp2, 5, seed=9)
-    s, s0 = pot.stack(pts), base.stack(pts)
-    assert np.allclose(s.G, s0.G)
-    assert np.allclose(s.H, s0.H)
-    assert np.allclose(s.grad, s0.grad + c)
-
-
-def test_perturbed_field_is_evaluated_once_per_stack(cp2):
-    # the field's callables take the whole batch: one call per stack, not one per point
-    calls = {"gradient": 0, "hessian": 0}
-    q = 0.1 * np.eye(2)
-
-    def counted(name, fun):
-        def field(pts):
-            calls[name] += 1
-            return fun(pts)
-        return field
-
-    field = SmoothField.quadratic(q)
-    pot = perturbed(guillemin(cp2), SmoothField(
-        value=field.value,
-        gradient=counted("gradient", field.gradient),
-        hessian=counted("hessian", field.hessian),
-    ))
-    calls.update(gradient=0, hessian=0)
-    grid = cp2.interior_grid(21, 0.05)
-    s = pot.stack(grid)
-    assert calls == {"gradient": 1, "hessian": 1}
-    assert np.allclose(s.grad, guillemin(cp2).stack(grid).grad + grid @ q)
-
-
-def test_perturbed_loss_of_convexity(cp2):
-    base = guillemin(cp2)
-    with pytest.raises(LossOfConvexityError):
-        perturbed(base, SmoothField.quadratic(-50.0 * np.eye(2)))
 
 
 def test_line_integral_constant_hessian(square):

@@ -18,7 +18,6 @@ from toric_soliton import (
     NonPrimitiveNormalError,
     OperatorContext,
     QuadraticPotential,
-    SmoothField,
     assemble_decomposition,
     automorphism_dimensions,
     boundary_product_form,
@@ -130,7 +129,6 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
         "Triangulation": triangulate(cp2),
         "SolitonData": cp2_soliton,
         "Stack": stack,
-        "SmoothField": SmoothField.quadratic(np.eye(2)),
         "EquivariantFunction": check.function.profile,
         "OperatorContext": cp2_ctx,
         "RootFunction": check.function,
@@ -142,7 +140,7 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
 
 RECORD_TYPES = (
     "Facet", "PrivilegedCenter", "DelzantVerdict", "DemazureRoot", "RootSet", "AutomorphismDimensions",
-    "SolitonDecomposition", "QuadratureRule", "Triangulation", "SolitonData", "Stack", "SmoothField",
+    "SolitonDecomposition", "QuadratureRule", "Triangulation", "SolitonData", "Stack",
     "EquivariantFunction", "OperatorContext", "RootFunction", "BoundaryProductForm", "RootCheck",
     "CalabiSoliton",
 )
