@@ -52,9 +52,7 @@ _EXPORTS = {
         "Facet",
         "PrivilegedCenter",
         "blowup_trapezoid",
-        "compute_vertices",
         "delzant_check",
-        "facet_values",
         "normalize_algebraic",
         "parse_polytope",
         "privileged_center",
@@ -67,7 +65,6 @@ _EXPORTS = {
         "assemble_decomposition",
         "automorphism_dimensions",
         "enumerate_roots",
-        "split_semisimple_unipotent",
     ),
     "quadrature": ("QuadratureRule", "Triangulation", "integrate", "triangulate"),
     "futaki": ("SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume"),
@@ -86,7 +83,6 @@ _EXPORTS = {
         "profile_A",
         "profile_B",
         "solve_a1",
-        "to_algebraic_coordinates",
     ),
     "operators": (
         "EquivariantFunction",

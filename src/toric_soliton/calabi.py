@@ -202,13 +202,6 @@ def boundary_residuals(s: CalabiSoliton) -> dict[str, float]:
     }
 
 
-def to_algebraic_coordinates(mu) -> np.ndarray:
-    """Translate a point of the trapezoid tau to algebraic coordinates."""
-    import numpy as np
-
-    return np.asarray(mu, dtype=float) - ALGEBRAIC_SHIFT
-
-
 def from_algebraic_coordinates(x) -> np.ndarray:
     import numpy as np
 

@@ -95,9 +95,6 @@ class BoundaryProductForm(NamedTuple):
                 result = result * column**exponent
         return result
 
-    def vanishing_facets(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.exponents) if e > 0.0)
-
 
 def boundary_product_form(p: DelzantPolytope, root: DemazureRoot) -> BoundaryProductForm:
     """Closed-form boundary extension of the canonical-potential root profile."""

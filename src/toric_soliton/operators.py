@@ -14,12 +14,12 @@ at once: a profile's ``jet`` gives ``(u, du, d2u)`` arrays of shapes
 (``laplacian``, ``weighted_laplacian``, ``complex_weighted_laplacian``,
 ``scalar_curvature``, ``gradients`` ...) returns arrays with the same
 leading batch axis; one point is a stack of one.  The finite-difference
-oracle is the one pointwise routine: it reads potential values and
-profile values alone, point by point on its stencils, each profile value
-from the context potential's stack of that one point.  The context,
-:class:`OperatorContext`, is a named tuple that reads ``a`` as a float
-array and checks that its potential lives on its polytope when
-constructed.
+oracle reads potential values and profile values alone, all in arrays on
+one nine-point stencil: phi from one batched ``values`` call per step
+size, and every profile value from one stack of the context potential.
+The context, :class:`OperatorContext`, is a named tuple that reads ``a``
+as a float array and checks that its potential lives on its polytope
+when constructed.
 
 Sign conventions.  The plain Laplacian is the positive-spectrum operator
 ``-sum_ij d_i(H_ij d_j u)`` (constants are harmonic, ``x^2`` on the flat
@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import BoundaryEvaluationError, MalformedInputError
+from .errors import MalformedInputError
 from .polytope import DelzantPolytope
 from .potentials import PhiSidePotential, Stack, SymplecticPotential
 
@@ -149,13 +149,6 @@ class OperatorContext(NamedTuple("OperatorContext", [
         return super().__new__(cls, polytope, potential, a)
 
 
-def _point(ctx: OperatorContext, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (ctx.polytope.dim,):
-        raise MalformedInputError(f"point has shape {x.shape}, expected ({ctx.polytope.dim},)")
-    return x
-
-
 # -- operators -------------------------------------------------------------------
 
 
@@ -236,109 +229,68 @@ def ricci_and_lie_components(ctx: OperatorContext, s: Stack) -> tuple[np.ndarray
 
 # -- finite-difference oracle ------------------------------------------------
 
+#: the nine-point stencil in units of the step, offset (a, b) at row 3 (a + 1) + (b + 1),
+#: so values on it reshape to (3, 3, ...) with the value at (a, b) in entry [a + 1, b + 1]
+_STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
 
-def _fd_metric(ctx: OperatorContext, y: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(G, H) at y from potential values only, by nested central differences."""
-    phi = ctx.potential.value
-    n = len(y)
-    g = np.zeros((n, n))
-    base = phi(y)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        g[i, i] = (phi(y + ei) - 2.0 * base + phi(y - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            mixed = (phi(y + ei + ej) - phi(y + ei - ej) - phi(y - ei + ej) + phi(y - ei - ej)) / (4.0 * h**2)
-            g[i, j] = g[j, i] = mixed
+
+def _first_differences(v: np.ndarray, h: float) -> np.ndarray:
+    """Central first differences (..., 2) at the centre of values v (3, 3, ...) on the stencil."""
+    return np.stack([(v[2, 1] - v[0, 1]) / (2.0 * h), (v[1, 2] - v[1, 0]) / (2.0 * h)], axis=-1)
+
+
+def _second_differences(v: np.ndarray, h: float) -> np.ndarray:
+    """Central second differences (..., 2, 2) at the centre of values v (3, 3, ...) on the stencil."""
+    out = np.empty(v.shape[2:] + (2, 2))
+    out[..., 0, 0] = (v[2, 1] - 2.0 * v[1, 1] + v[0, 1]) / h**2
+    out[..., 1, 1] = (v[1, 2] - 2.0 * v[1, 1] + v[1, 0]) / h**2
+    out[..., 0, 1] = out[..., 1, 0] = (v[2, 2] - v[2, 0] - v[0, 2] + v[0, 0]) / (4.0 * h**2)
+    return out
+
+
+def _fd_metric(potential: PhiSidePotential, centers: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(G, H), each (c, 2, 2), at (c, 2) centres from one batch of phi values on their stencils."""
+    points = centers + h * _STENCIL[:, None]
+    phi = potential.values(points.reshape(-1, 2)).reshape(3, 3, -1)
+    g = _second_differences(phi, h)
     return g, np.linalg.inv(g)
 
 
-def _fd_step(ctx: OperatorContext, x: np.ndarray, factor: float) -> float:
-    norms = np.linalg.norm(ctx.polytope.normal_matrix, axis=1)
-    distances = ctx.polytope.facet_values(x) / norms
-    step = factor * float(distances.min())
-    if step <= 0.0:
-        raise BoundaryEvaluationError("finite-difference step underflow near the boundary")
-    return step
+def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x) -> tuple[float, float]:
+    """Re-evaluate the complex weighted Laplacian of f and the Abreu curvature at x.
 
-
-def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x, operator: str) -> complex:
-    """Re-evaluate an operator using only potential values and profile values.
-
-    The metric and every derivative are independent of the analytic
-    derivative stack: the metric comes from nested central differences of
-    phi, the profile derivatives from central differences of u.  Only the
-    value of u at each stencil point is read, from ``ctx.potential``'s
-    stack of that point.  Supported operators: ``laplacian``, ``weighted``,
-    ``complex+``, ``abreu`` (which ignores f).  The potential
-    must have closed-form values (the convex-function side).
+    Returns ``(complex_weighted, abreu)``, computed from potential values
+    and profile values alone, so both are independent of the analytic
+    derivative stack.  The metric comes from second differences of phi on
+    the nine-point stencil around each centre.  The complex weighted term
+    takes first differences of u and of the flux ``H grad u`` over the
+    stencil of step ``h = 0.005 d`` around x, with every value of u read
+    from one stack of the context potential; the Abreu term takes second
+    differences of ``H`` over the stencil of step ``0.02 d``.  Here ``d``
+    is the distance from x to the boundary.  The potential must have
+    closed-form values (the convex-function side).
     """
     if not isinstance(ctx.potential, PhiSidePotential):
         raise MalformedInputError("the finite-difference oracle needs a potential with closed-form values")
-    x = _point(ctx, x)
-    ctx.potential.require_interior(x[None])
-    n = len(x)
+    x = np.asarray(x, dtype=float)
+    ell = ctx.potential.require_interior(x[None])[0]
+    distance = float((ell / np.linalg.norm(ctx.polytope.normal_matrix, axis=1)).min())
 
-    if operator == "abreu":
-        h3 = _fd_step(ctx, x, 0.02)
-        total = 0.0
-        for i in range(n):
-            for j in range(n):
-                ei = np.zeros(n)
-                ei[i] = h3
-                ej = np.zeros(n)
-                ej[j] = h3
-                if i == j:
-                    entries = [
-                        _fd_metric(ctx, x + ei, h3)[1][i, j],
-                        _fd_metric(ctx, x, h3)[1][i, j],
-                        _fd_metric(ctx, x - ei, h3)[1][i, j],
-                    ]
-                    total += (entries[0] - 2.0 * entries[1] + entries[2]) / h3**2
-                else:
-                    total += (
-                        _fd_metric(ctx, x + ei + ej, h3)[1][i, j]
-                        - _fd_metric(ctx, x + ei - ej, h3)[1][i, j]
-                        - _fd_metric(ctx, x - ei + ej, h3)[1][i, j]
-                        + _fd_metric(ctx, x - ei - ej, h3)[1][i, j]
-                    ) / (4.0 * h3**2)
-        return complex(-total)
-
-    if operator not in ("laplacian", "weighted", "complex+"):
-        raise MalformedInputError(f"unknown operator id {operator!r}")
-
-    h = _fd_step(ctx, x, 0.005)
-
-    def value(y: np.ndarray) -> float:
-        return float(f.jet(ctx.potential.stack(y[None]))[0][0])
-
-    def grad_u(y: np.ndarray) -> np.ndarray:
-        out = np.zeros(n)
-        for j in range(n):
-            ej = np.zeros(n)
-            ej[j] = h
-            out[j] = (value(y + ej) - value(y - ej)) / (2.0 * h)
-        return out
-
-    def flux(y: np.ndarray) -> np.ndarray:
-        return _fd_metric(ctx, y, h)[1] @ grad_u(y)
-
-    divergence = 0.0
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        divergence += (flux(x + ei)[i] - flux(x - ei)[i]) / (2.0 * h)
-
-    g_fd, h_fd = _fd_metric(ctx, x, h)
-    result = -divergence
+    h = 0.005 * distance
+    centers = x + h * _STENCIL
+    g, inv = _fd_metric(ctx.potential, centers, h)
+    u = f.jet(ctx.potential.stack((centers + h * _STENCIL[:, None]).reshape(-1, 2)))[0].reshape(3, 3, 3, 3)
+    grad_u = _first_differences(u, h)
+    flux = np.einsum("cij,cj->ci", inv, grad_u.reshape(-1, 2)).reshape(3, 3, 2)
     k = f.mode_array
-    u = value(x)
-    if k.any():
-        result += float(k @ g_fd @ k) * u
-    if operator in ("weighted", "complex+"):
-        result += -2.0 * float(ctx.a @ h_fd @ grad_u(x))
-    if operator == "complex+" and k.any():
-        result += -2.0 * float(ctx.a @ k) * u
-    return complex(result)
+    u0, grad0 = u[1, 1, 1, 1], grad_u[1, 1]
+    weighted = (
+        -float(np.trace(_first_differences(flux, h)))
+        + (float(k @ g[4] @ k) - 2.0 * float(ctx.a @ k)) * u0
+        - 2.0 * float(ctx.a @ inv[4] @ grad0)
+    )
+
+    h3 = 0.02 * distance
+    inv3 = _fd_metric(ctx.potential, x + h3 * _STENCIL, h3)[1].reshape(3, 3, 2, 2)
+    abreu = -float(np.einsum("ijij->", _second_differences(inv3, h3)))
+    return weighted, abreu

@@ -339,14 +339,6 @@ class DelzantPolytope:
         """True when every offset equals one (privileged center at the origin)."""
         return all(f.offset == 1 for f in self.facets)
 
-    def facet_values(self, x: Sequence[float]) -> np.ndarray:
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise MalformedInputError(f"point has shape {x.shape}, expected ({self.dim},)")
-        return self._normal_matrix @ x + self._offset_vector
-
     def facet_values_many(self, pts: np.ndarray) -> np.ndarray:
         """Facet values for an array of points of shape (m, n) -> (m, d)."""
         return pts @ self._normal_matrix.T + self._offset_vector
@@ -439,13 +431,6 @@ def parse_polytope(source: str | bytes | dict) -> DelzantPolytope:
     return DelzantPolytope(dim, facets)
 
 
-def compute_vertices(p: DelzantPolytope) -> list[tuple[np.ndarray, frozenset[int]]]:
-    """Vertices with active facet index sets, as floats."""
-    import numpy as np
-
-    return [(np.array([float(c) for c in pt]), act) for pt, act in p.vertex_data]
-
-
 def delzant_check(p: DelzantPolytope) -> DelzantVerdict:
     """Check that each vertex's active normals form a lattice basis (|det| = 1)."""
     records = []
@@ -526,8 +511,3 @@ def blowup_trapezoid() -> DelzantPolytope:
         Facet((1, 0), one),
         Facet((1, -1), one),
     ])
-
-
-def facet_values(p: DelzantPolytope, x: Sequence[float]) -> np.ndarray:
-    """All facet affine functions L_r(x); x is interior iff all are positive."""
-    return p.facet_values(x)

@@ -10,7 +10,7 @@ and a single point is a batch of one.  Two families implement it:
 * potentials given on the convex-function side (Guillemin, quadratic
   models) supply the gradient, ``G`` and its derivatives analytically
   and derive the ``H`` stack by matrix calculus;
-  they also expose the value ``phi`` at one point, which only the
+  they also expose the values of ``phi`` on a batch, which only the
   finite-difference oracle reads;
 * metrics given on the inverse side (:class:`CalabiPotential`, the
   one-point blow-up soliton built on the closed forms of
@@ -85,7 +85,9 @@ class SymplecticPotential(ABC):
     polytope: DelzantPolytope
 
     def require_interior(self, points: np.ndarray) -> np.ndarray:
-        """Facet values (m, d) of a batch of points, all of which must be interior."""
+        """Facet values (m, d) of an (m, n) batch of points, all of which must be interior."""
+        if points.ndim != 2 or points.shape[1] != self.polytope.dim:
+            raise MalformedInputError(f"points have shape {points.shape}, expected (m, {self.polytope.dim})")
         values = self.polytope.facet_values_many(points)
         lowest = values.min(axis=1)
         worst = int(np.argmin(lowest))
@@ -98,8 +100,6 @@ class SymplecticPotential(ABC):
     def stack(self, points) -> Stack:
         """The derivative stack on an (m, n) batch of interior points."""
         points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != self.polytope.dim:
-            raise MalformedInputError(f"points have shape {points.shape}, expected (m, {self.polytope.dim})")
         return self._stack(points, self.require_interior(points))
 
     @abstractmethod
@@ -109,15 +109,13 @@ class SymplecticPotential(ABC):
 class PhiSidePotential(SymplecticPotential):
     """Stack driven by analytic grad, G, dG, d2G; the H side is derived."""
 
-    @abstractmethod
-    def value(self, x) -> float:
-        """phi at one interior point."""
+    def values(self, points) -> np.ndarray:
+        """phi (m,) on an (m, n) batch of interior points."""
+        points = np.asarray(points, dtype=float)
+        return self._values(points, self.require_interior(points))
 
-    def _point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.polytope.dim,):
-            raise MalformedInputError(f"point has shape {x.shape}, expected ({self.polytope.dim},)")
-        return x
+    @abstractmethod
+    def _values(self, points: np.ndarray, facet_values: np.ndarray) -> np.ndarray: ...
 
     @abstractmethod
     def _phi_derivatives(self, points: np.ndarray, facet_values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -142,9 +140,8 @@ class GuilleminPotential(PhiSidePotential):
         self.polytope = polytope
         self._normals = polytope.normal_matrix  # (d, n)
 
-    def value(self, x) -> float:
-        ell = self.require_interior(self._point(x)[None])[0]
-        return 0.5 * float(np.sum(ell * np.log(ell)))
+    def _values(self, points, ell):
+        return 0.5 * np.sum(ell * np.log(ell), axis=1)
 
     def _phi_derivatives(self, points, ell):
         nu = self._normals
@@ -166,10 +163,8 @@ class QuadraticPotential(PhiSidePotential):
             raise LossOfConvexityError("quadratic potential requires a positive definite matrix")
         self._matrix = 0.5 * (m + m.T)
 
-    def value(self, x) -> float:
-        x = self._point(x)
-        self.require_interior(x[None])
-        return 0.5 * float(x @ self._matrix @ x)
+    def _values(self, points, facet_values):
+        return 0.5 * np.einsum("mi,ij,mj->m", points, self._matrix, points)
 
     def _phi_derivatives(self, points, facet_values):
         m, n = points.shape

@@ -189,8 +189,3 @@ def integrate(p: DelzantPolytope, f: Callable, order: int = 10) -> float:
         values = np.broadcast_to(np.asarray(f(pts), dtype=float), (len(pts),))
         total += jac * float(np.dot(rule.weights, values))
     return total
-
-
-def reference_monomial_integral(i: int, j: int) -> float:
-    """Exact integral of xi^i eta^j over the reference simplex."""
-    return math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2)

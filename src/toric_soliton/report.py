@@ -227,9 +227,8 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
         x0, at_x0 = stack.points[middle], stack.select([middle])
         profile = results[0].function.profile if results else operators.profile_coordinate(0, n)
         analytic = float(operators.complex_weighted_laplacian(ctx, profile, at_x0)[0])
-        oracle = operators.finite_difference_oracle(ctx, profile, x0, "complex+").real
+        oracle, abreu_fd = operators.finite_difference_oracle(ctx, profile, x0)
         abreu_an = float(operators.scalar_curvature(at_x0)[0])
-        abreu_fd = operators.finite_difference_oracle(ctx, profile, x0, "abreu").real
         checks += [("fd_oracle_weighted_rel", (oracle - analytic) / max(1.0, abs(analytic)), 1e-4),
                    ("fd_oracle_abreu_rel", (abreu_fd - abreu_an) / max(1.0, abs(abreu_an)), 1e-3)]
 

@@ -112,11 +112,6 @@ def _split(roots: tuple[DemazureRoot, ...]) -> RootSet:
     return RootSet(roots=roots, semisimple=semi, unipotent=unip)
 
 
-def split_semisimple_unipotent(rootset: RootSet) -> RootSet:
-    """Recompute the semisimple/unipotent partition of a root set."""
-    return _split(rootset.roots)
-
-
 def automorphism_dimensions(rootset: RootSet, n: int) -> AutomorphismDimensions:
     """Complex dimensions n + |R|, n + |S|, |U| of the automorphism algebra."""
     return AutomorphismDimensions(

@@ -125,6 +125,6 @@ def interior_points(polytope, count: int, seed: int = 0, margin_fraction: float 
     points = []
     while len(points) < count:
         candidate = lo + (hi - lo) * rng.random(polytope.dim)
-        if polytope.facet_values(candidate).min() >= margin:
+        if polytope.facet_values_many(candidate[None]).min() >= margin:
             points.append(candidate)
     return np.array(points)

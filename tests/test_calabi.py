@@ -16,7 +16,6 @@ from toric_soliton import (
     profile_A,
     profile_B,
     solve_a1,
-    to_algebraic_coordinates,
 )
 from toric_soliton import calabi
 from toric_soliton.calabi import (
@@ -29,6 +28,11 @@ from toric_soliton.calabi import (
 )
 from toric_soliton.report import _linspace, calabi_report
 from conftest import interior_points
+
+
+def to_algebraic_coordinates(mu) -> np.ndarray:
+    """Translate points of the trapezoid tau to algebraic coordinates."""
+    return np.asarray(mu, dtype=float) - calabi.ALGEBRAIC_SHIFT
 
 
 def tau_stack(soliton: CalabiSoliton, mu):
@@ -239,10 +243,9 @@ def test_abreu_curvature_closed_form(calabi_soliton):
 
 
 def test_coordinate_translation():
-    assert np.allclose(to_algebraic_coordinates([2.0, 1.0]), [0.0, 0.0])
-    assert np.allclose(to_algebraic_coordinates([1.0, 0.0]), [-1.0, -1.0])
-    assert np.allclose(to_algebraic_coordinates([3.0, 3.0]), [1.0, 2.0])
     assert np.allclose(from_algebraic_coordinates([0.0, 0.0]), [2.0, 1.0])
+    assert np.allclose(from_algebraic_coordinates([-1.0, -1.0]), [1.0, 0.0])
+    assert np.allclose(from_algebraic_coordinates([[1.0, 2.0]]), [[3.0, 3.0]])
 
 
 def test_potential_gradient_matches_semi_closed_form(blowup):

@@ -27,16 +27,15 @@ EXPORTS = (
     "MalformedInputError", "NonConvergenceError", "NonPrimitiveNormalError", "NotFanoError",
     "RedundantFacetError", "ToricSolitonError", "UnboundedPolytopeError", "UnboundedRootRegionError",
     "UnsupportedDimensionError",
-    "DelzantPolytope", "DelzantVerdict", "Facet", "PrivilegedCenter", "compute_vertices",
-    "delzant_check", "facet_values", "normalize_algebraic", "parse_polytope", "privileged_center",
+    "DelzantPolytope", "DelzantVerdict", "Facet", "PrivilegedCenter",
+    "delzant_check", "normalize_algebraic", "parse_polytope", "privileged_center",
     "AutomorphismDimensions", "DemazureRoot", "RootSet", "automorphism_dimensions", "enumerate_roots",
-    "split_semisimple_unipotent",
     "QuadratureRule", "Triangulation", "integrate", "triangulate",
     "SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume",
     "GuilleminPotential", "QuadraticPotential", "Stack",
     "SymplecticPotential", "gradient_by_line_integral", "guillemin",
     "CalabiPotential", "CalabiSoliton", "blowup_trapezoid",
-    "ode_residual", "profile_A", "profile_B", "solve_a1", "to_algebraic_coordinates",
+    "ode_residual", "profile_A", "profile_B", "solve_a1",
     "EquivariantFunction", "OperatorContext", "complex_weighted_laplacian", "finite_difference_oracle",
     "gradients", "laplacian", "product_rule_defects", "ricci_and_lie_components", "scalar_curvature",
     "soliton_residuals", "weighted_laplacian",

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from toric_soliton import (
+    BoundaryEvaluationError,
+    GuilleminPotential,
+    MalformedInputError,
     OperatorContext,
     QuadraticPotential,
     check_root,
@@ -235,31 +238,54 @@ def test_fd_oracle_weighted_on_root_functions(cp2, cp2_ctx, cp2_grid):
     for root in rootset.roots:
         rf = check_root(cp2_ctx, root, sample).function
         analytic = complex_weighted_laplacian(cp2_ctx, rf.profile, at_x, 1)[0]
-        oracle = finite_difference_oracle(cp2_ctx, rf.profile, x, "complex+").real
+        oracle = finite_difference_oracle(cp2_ctx, rf.profile, x)[0]
         assert abs(oracle - analytic) / max(1.0, abs(analytic)) <= 1e-4
 
 
 def test_fd_oracle_abreu(cp2_ctx):
     f = profile_constant(1.0, 2)
     for x in (np.array([0.0, 0.0]), np.array([0.3, -0.2])):
-        oracle = finite_difference_oracle(cp2_ctx, f, x, "abreu").real
+        oracle = finite_difference_oracle(cp2_ctx, f, x)[1]
         assert abs(oracle - 4.0) / 4.0 <= 1e-3
 
 
 def test_fd_oracle_flat_model_exact(flat_ctx):
     f = square_profile(0, 2)
     x = np.array([0.1, -0.3])
-    oracle = finite_difference_oracle(flat_ctx, f, x, "laplacian").real
-    assert oracle == pytest.approx(-2.0, abs=1e-9)
-    oracle_w = finite_difference_oracle(flat_ctx, f, x, "weighted").real
-    assert oracle_w == pytest.approx(-2.0, abs=1e-9)
+    # a = 0 and mode 0 make the complex weighted term the plain Laplacian; the flat metric has no curvature
+    weighted, abreu = finite_difference_oracle(flat_ctx, f, x)
+    assert weighted == pytest.approx(-2.0, abs=1e-9)
+    assert abreu == pytest.approx(0.0, abs=1e-6)
 
 
-def test_fd_oracle_rejects_unknown_operator(cp2_ctx):
-    from toric_soliton.errors import MalformedInputError
+def test_fd_oracle_rejects_boundary_point(cp2_ctx):
+    with pytest.raises(BoundaryEvaluationError):
+        finite_difference_oracle(cp2_ctx, profile_constant(1.0, 2), np.array([3.0, 0.0]))
 
+
+def test_fd_oracle_rejects_malformed_point(cp2_ctx):
     with pytest.raises(MalformedInputError):
-        finite_difference_oracle(cp2_ctx, profile_constant(1.0, 2), np.zeros(2), "nonsense")
+        finite_difference_oracle(cp2_ctx, profile_constant(1.0, 2), np.zeros(3))
+
+
+def test_fd_oracle_is_batched(cp2):
+    # the oracle reads phi in one batch per step size and every profile value from one stack
+    pot = GuilleminPotential(cp2)
+    calls = {"values": 0, "stack": 0}
+
+    def counting(name):
+        method = getattr(pot, name)
+
+        def wrapper(points):
+            calls[name] += 1
+            return method(points)
+
+        return wrapper
+
+    pot.values, pot.stack = counting("values"), counting("stack")
+    ctx = OperatorContext(polytope=cp2, potential=pot, a=np.zeros(2))
+    finite_difference_oracle(ctx, profile_exp_pairing((1, 0)), np.array([0.1, -0.2]))
+    assert calls == {"values": 2, "stack": 1}
 
 
 def test_conjugation_symmetry(blowup_ctx):

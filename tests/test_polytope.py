@@ -17,9 +17,7 @@ from toric_soliton import (
     NonPrimitiveNormalError,
     NotFanoError,
     UnboundedPolytopeError,
-    compute_vertices,
     delzant_check,
-    facet_values,
     normalize_algebraic,
     parse_polytope,
     privileged_center,
@@ -91,24 +89,24 @@ def test_rational_offsets_parse_exactly():
 
 
 def test_cp2_vertices(cp2):
-    verts = {tuple(v) for v, _ in compute_vertices(cp2)}
+    verts = set(cp2.vertex_points)
     assert verts == {(-1.0, -1.0), (-1.0, 2.0), (2.0, -1.0)}
 
 
 def test_blowup_vertices(blowup):
-    verts = {tuple(v) for v, _ in compute_vertices(blowup)}
+    verts = set(blowup.vertex_points)
     assert verts == {(-1.0, -1.0), (1.0, -1.0), (1.0, 2.0), (-1.0, 0.0)}
 
 
 def test_square_vertices(square):
-    verts = {tuple(v) for v, _ in compute_vertices(square)}
+    verts = set(square.vertex_points)
     assert verts == {(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
 
 
 def test_vertices_have_exactly_n_active_facets(cp2, blowup, square):
     for p in (cp2, blowup, square):
-        for vertex, active in compute_vertices(p):
-            values = facet_values(p, vertex)
+        for vertex, (_, active) in zip(p.vertex_points, p.vertex_data):
+            values = p.facet_values_many(np.array([vertex]))[0]
             assert len(active) == p.dim
             near_zero = np.abs(values) <= 1e-9
             assert near_zero.sum() == p.dim
@@ -201,9 +199,8 @@ def test_normalize_scales_offsets():
 
 
 def test_facet_values_examples(cp2, blowup):
-    assert np.allclose(facet_values(cp2, [0.0, 0.0]), [1.0, 1.0, 1.0])
-    assert np.allclose(facet_values(cp2, [2.0, -1.0]), [3.0, 0.0, 0.0])
-    assert np.allclose(facet_values(blowup, [0.5, 0.5]), [1.5, 0.5, 1.5, 1.0])
+    assert np.allclose(cp2.facet_values_many(np.array([[0.0, 0.0], [2.0, -1.0]])), [[1.0, 1.0, 1.0], [3.0, 0.0, 0.0]])
+    assert np.allclose(blowup.facet_values_many(np.array([[0.5, 0.5]])), [[1.5, 0.5, 1.5, 1.0]])
 
 
 @settings(max_examples=24, deadline=None)
@@ -211,7 +208,7 @@ def test_facet_values_examples(cp2, blowup):
 def test_vertices_invariant_under_facet_permutation(permutation):
     base = BLOWUP_DOC["facets"]
     p = parse_polytope(json.dumps({"dim": 2, "facets": [base[i] for i in permutation]}))
-    verts = {tuple(v) for v, _ in compute_vertices(p)}
+    verts = set(p.vertex_points)
     assert verts == {(-1.0, -1.0), (1.0, -1.0), (1.0, 2.0), (-1.0, 0.0)}
 
 

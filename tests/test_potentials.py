@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ def test_guillemin_closed_form_at_origin(cp2):
     pot = guillemin(cp2)
     origin = np.zeros(2)
     s = pot.stack(origin[None])
-    assert pot.value(origin) == pytest.approx(0.0, abs=1e-15)
+    assert pot.values(origin[None])[0] == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(s.grad[0], 0.0, atol=1e-15)
     assert np.allclose(s.G[0], 0.5 * np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(s.H[0], (2.0 / 3.0) * np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -44,9 +46,21 @@ def test_guillemin_gradient_closed_form(cp2):
 def test_boundary_evaluation_rejected(cp2):
     pot = guillemin(cp2)
     with pytest.raises(BoundaryEvaluationError):
-        pot.value(np.array([-1.0, -1.0]))
+        pot.values(np.array([[0.0, 0.0], [-1.0, -1.0]]))
     with pytest.raises(BoundaryEvaluationError):
         pot.stack(np.array([[0.0, 0.0], [5.0, 5.0]]))
+
+
+def test_values_match_row_by_row(cp2, blowup):
+    for p in (cp2, blowup):
+        pot = guillemin(p)
+        pts = interior_points(p, 12, seed=3)
+        batch = pot.values(pts)
+        rows = [pot.values(x[None])[0] for x in pts]
+        closed = [0.5 * sum(ell * math.log(ell) for ell in row) for row in p.facet_values_many(pts).tolist()]
+        assert batch.shape == (12,)
+        assert np.allclose(batch, rows, rtol=0.0, atol=1e-15)
+        assert np.allclose(batch, closed, rtol=0.0, atol=1e-13)
 
 
 def test_stack_rejects_a_bare_point(cp2):
