@@ -66,7 +66,7 @@ _EXPORTS = {
         "automorphism_dimensions",
         "enumerate_roots",
     ),
-    "quadrature": ("QuadratureRule", "Triangulation", "integrate", "triangulate"),
+    "quadrature": ("Triangulation", "integrate", "polygon_rule", "triangulate"),
     "futaki": ("SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume"),
     "potentials": (
         "CalabiPotential",

@@ -17,11 +17,11 @@ equation (see :mod:`toric_soliton.calabi`).  The moment-image drift
 covector used by the differential operators is ``-a``.
 
 The solve is plain Python on floats and tuples, so ``soliton`` and
-``decompose`` never import numpy.  It integrates on the collapsed
-Gauss-Legendre rule of :mod:`toric_soliton.quadrature`, the rule that
-``verify`` uses through :func:`~toric_soliton.quadrature.integrate`, and
-the surface is two-dimensional, so the Newton step and the definiteness
-check are 2x2 closed forms.
+``decompose`` never import numpy.  It integrates on the nodes of
+:func:`~toric_soliton.quadrature.polygon_rule` in ray form, one exponent
+slope per ray: 0.12-0.52 ms a call at orders 10-22 against 0.17-1.00 ms
+for a loop over the nodes (2-core Xeon).  The surface is two-dimensional,
+so the Newton step and the definiteness check are 2x2 closed forms.
 """
 
 from __future__ import annotations

@@ -4,8 +4,10 @@ A function is represented as a radial profile ``u(x)`` on the polytope
 interior together with an integer mode ``k``; the represented function is
 ``u(x) exp(i <k, t>)``.  Phase factors are never sampled: the angular
 sector acts diagonally on modes, contributing ``k^T G k`` from the second
-angular derivatives and ``-2 orientation <a, k>`` from the first-order
-imaginary term, so every evaluation reduces to x-space.
+angular derivatives and ``-2 <a, k>`` from the first-order imaginary
+term, so every evaluation reduces to x-space.  The conjugate complex
+structure flips the sign of that term: its operator is the conjugate
+shift ``+4 <a, k> u`` away.
 
 Evaluation surface.  Operators read the potential only through a
 :class:`~toric_soliton.potentials.Stack` and evaluate on all of its points
@@ -167,16 +169,14 @@ def weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -
     return laplacian(ctx, f, s) + drift
 
 
-def complex_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack,
-                               orientation: int = 1) -> np.ndarray:
-    """Complex weighted Laplacian (real part); orientation -1 realizes the conjugate structure.
+def complex_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> np.ndarray:
+    """Complex weighted Laplacian (real part).
 
-    On mode k the angular sector contributes
-    (k^T G k - 2 orientation <a, k>) u in total.
+    On mode k the angular sector contributes (k^T G k - 2 <a, k>) u in
+    total; the conjugate structure's operator is this one plus the
+    conjugate shift 4 <a, k> u.
     """
-    if orientation not in (1, -1):
-        raise MalformedInputError(f"orientation must be +1 or -1, got {orientation}")
-    shift = -2.0 * orientation * float(ctx.a @ f.mode_array)
+    shift = -2.0 * float(ctx.a @ f.mode_array)
     return weighted_laplacian(ctx, f, s) + shift * f.jet(s)[0]
 
 

@@ -3,12 +3,14 @@
 The polygon is fan-triangulated from its centroid and each triangle is
 integrated with a collapsed-square Gauss rule of prescribed polynomial
 exactness.  Weights are positive, node generation is deterministic, and
-contributions are summed in fixed triangle order for reproducibility.
+the nodes of the whole polygon form one set in fixed triangle order, so an
+integral is one dot product.
 
 The Gauss-Legendre nodes and the triangulation are plain Python floats,
 so the Futaki solve (:mod:`toric_soliton.futaki`) runs on this rule
-without numpy.  numpy is imported only by the array-facing functions:
-:func:`reference_rule` and :func:`integrate`.
+without numpy.  numpy is needed only by the two array-facing functions:
+:func:`polygon_rule`, which lays the rule out as that node set, and
+:func:`integrate`, which evaluates on it.
 """
 
 from __future__ import annotations
@@ -29,18 +31,6 @@ AREA_TOL = 1e-12
 Point = tuple[float, float]
 
 
-class QuadratureRule(NamedTuple):
-    """Nodes and weights on the reference simplex {b0 + b1 + b2 = 1, b >= 0}.
-
-    ``order`` is the total polynomial degree integrated exactly; weights
-    are positive and sum to the reference-simplex area 1/2.
-    """
-
-    order: int
-    barycentric: np.ndarray  # (m, 3)
-    weights: np.ndarray  # (m,)
-
-
 class Triangulation(NamedTuple):
     """Fan triangulation of a convex polygon; tiles with positive areas.
 
@@ -49,7 +39,6 @@ class Triangulation(NamedTuple):
     """
 
     simplices: tuple[tuple[Point, Point, Point], ...]
-    parent: DelzantPolytope
 
     @property
     def total_area(self) -> float:
@@ -135,25 +124,6 @@ def line_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(0.5 * (x + 1.0) for x in nodes), tuple(0.5 * w for w in weights)
 
 
-@lru_cache(maxsize=None)
-def reference_rule(order: int) -> QuadratureRule:
-    """Collapsed Gauss-Legendre rule on the reference simplex, as arrays.
-
-    The node (u_i, v_j) of the tensor rule :func:`line_rule` maps to
-    (xi, eta) = (u_i (1 - v_j), u_i v_j) with weight w_i w_j u_i.
-    """
-    import numpy as np
-
-    u, w = (np.array(t) for t in line_rule(order))
-    uu, vv = np.meshgrid(u, u, indexing="ij")
-    wu, wv = np.meshgrid(w, w, indexing="ij")
-    xi = (uu * (1.0 - vv)).ravel()
-    eta = (uu * vv).ravel()
-    wq = (wu * wv * uu).ravel()
-    bary = np.stack([1.0 - xi - eta, xi, eta], axis=1)
-    return QuadratureRule(order=order, barycentric=bary, weights=wq)
-
-
 def triangulate(p: DelzantPolytope) -> Triangulation:
     """Fan triangulation from the vertex centroid over boundary edges."""
     ring = cyclic_vertices(p)
@@ -164,28 +134,42 @@ def triangulate(p: DelzantPolytope) -> Triangulation:
         if _triangle_area(tri) <= 0.0:
             raise UnsupportedDimensionError("degenerate triangle in fan triangulation")
         tris.append(tri)
-    tiling = Triangulation(simplices=tuple(tris), parent=p)
+    tiling = Triangulation(simplices=tuple(tris))
     reference = polygon_area(ring)
     if abs(tiling.total_area - reference) > AREA_TOL * max(1.0, reference):
         raise AssertionError("triangulation does not tile the polygon")
     return tiling
 
 
-def integrate(p: DelzantPolytope, f: Callable, order: int = 10) -> float:
-    """Integrate a smooth scalar field over the polytope.
+def polygon_rule(p: DelzantPolytope, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every node and weight of the order-``order`` rule on the polygon, as arrays.
 
-    Exact for polynomials of total degree up to ``order`` on each triangle.
-    ``f`` is called once per triangle with the (m, 2) array of its nodes
-    and returns m values, or one value that holds at every node.
+    The node (u_i, v_j) of the tensor rule :func:`line_rule` maps to the
+    reference simplex at (xi, eta) = (u_i (1 - v_j), u_i v_j) with weight
+    w_i w_j u_i, and on to each fan triangle (c, v_1, v_2) of
+    :func:`triangulate` at (1 - xi - eta) c + xi v_1 + eta v_2 with that
+    weight times twice the triangle's area.  Returns points (N, 2) and
+    weights (N,), N = d (order + 3)^2 for d facets, triangle by triangle;
+    the weights are positive and sum to the polygon's area.
     """
     import numpy as np
 
-    tiling = triangulate(p)
-    rule = reference_rule(order)
-    total = 0.0
-    for tri in tiling.simplices:
-        pts = rule.barycentric @ np.array(tri)
-        jac = 2.0 * _triangle_area(tri)
-        values = np.broadcast_to(np.asarray(f(pts), dtype=float), (len(pts),))
-        total += jac * float(np.dot(rule.weights, values))
-    return total
+    u, w = (np.array(t) for t in line_rule(order))
+    xi, eta = np.outer(u, 1.0 - u).ravel(), np.outer(u, u).ravel()
+    barycentric = np.stack([1.0 - xi - eta, xi, eta], axis=1)
+    simplices = triangulate(p).simplices
+    points = barycentric @ np.array(simplices)
+    jac = np.array([2.0 * _triangle_area(tri) for tri in simplices])
+    weights = np.outer(jac, np.outer(w * u, w).ravel())
+    return points.reshape(-1, 2), weights.ravel()
+
+
+def integrate(p: DelzantPolytope, f: Callable, order: int = 10) -> float:
+    """Integrate a smooth scalar field over the polytope.
+
+    Exact for polynomials of total degree up to ``order`` on each fan
+    triangle.  ``f`` is called once, with the (N, 2) array of every node
+    of :func:`polygon_rule`, and returns the N values there.
+    """
+    points, weights = polygon_rule(p, order)
+    return float(weights @ f(points))

@@ -27,7 +27,6 @@ report that computes with arrays: ``verify``.
 from __future__ import annotations
 
 import json
-import sys
 from typing import Any
 
 from . import __version__, calabi, eigenbasis, futaki, operators, potentials, quadrature
@@ -54,12 +53,6 @@ def _round_floats(obj: Any) -> Any:
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round_floats(v) for v in obj]
-    np = sys.modules.get("numpy")  # a numpy scalar exists only once numpy is loaded
-    if np is not None:
-        if isinstance(obj, np.floating):
-            return format_float(float(obj))
-        if isinstance(obj, np.integer):
-            return int(obj)
     return obj
 
 
@@ -156,11 +149,11 @@ def _check_potential(normalized: DelzantPolytope, potential_kind: str) -> None:
 
 
 def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
-    area = quadrature.integrate(ctx.polytope, lambda pts: 1.0, order=order)
+    """Mean of Abreu's scalar curvature over the polygon, from one stack on every quadrature node."""
     total = quadrature.integrate(
         ctx.polytope, lambda pts: operators.scalar_curvature(ctx.potential.stack(pts)), order=order
     )
-    return total / area
+    return total / quadrature.triangulate(ctx.polytope).total_area
 
 
 def _peak(*residuals) -> float:

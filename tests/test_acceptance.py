@@ -144,18 +144,18 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
             radial = profile_exp_pairing(alpha)
             null = profile_exp_pairing(alpha, mode=root.alpha)
             coeff = np.einsum("i,mij,j->m", alpha, s.G, alpha) - 2.0 * float(ctx.a @ alpha)
-            ok = ok and np.max(np.abs(complex_weighted_laplacian(ctx, pure, s, 1) - coeff)) <= 1e-8
+            ok = ok and np.max(np.abs(complex_weighted_laplacian(ctx, pure, s) - coeff)) <= 1e-8
             ok = ok and np.max(np.abs(
-                complex_weighted_laplacian(ctx, radial, s, 1) + coeff * radial.jet(s)[0]
+                complex_weighted_laplacian(ctx, radial, s) + coeff * radial.jet(s)[0]
             )) <= 1e-8
-            ok = ok and np.max(np.abs(complex_weighted_laplacian(ctx, null, s, 1))) <= 1e-8
+            ok = ok and np.max(np.abs(complex_weighted_laplacian(ctx, null, s))) <= 1e-8
             ok = ok and np.max(np.abs(product_rule_defects(ctx, profile_coordinate(0, 2), radial, s))) <= 1e-8
     # finite-difference oracle against the analytic stack (closed-form potential)
     x0 = np.array([0.2, -0.15])
     at_x0 = cp2_ctx.potential.stack(x0[None])
     rootset = enumerate_roots(cp2_ctx.polytope)
     rf = build_root_function(cp2_ctx, rootset.roots[0], mode_sign=1)
-    analytic = complex_weighted_laplacian(cp2_ctx, rf.profile, at_x0, 1)[0]
+    analytic = complex_weighted_laplacian(cp2_ctx, rf.profile, at_x0)[0]
     oracle, abreu_fd = finite_difference_oracle(cp2_ctx, rf.profile, x0)
     ok = ok and abs(oracle - analytic) / max(1.0, abs(analytic)) <= 1e-4
     ok = ok and abs(abreu_fd - scalar_curvature(at_x0)[0]) / 4.0 <= 1e-3

@@ -298,11 +298,13 @@ def test_affine_block_eigenvalue_two(ctx_name, request):
 
 
 def test_conjugate_root_function_satisfies_conjugate_equation(cp2_ctx, cp2_grid):
-    # flipped mode sign solves the orientation-reversed equation with the same bound
+    # flipped mode sign solves the conjugate equation, the operator plus the conjugate
+    # shift +4 <a, k> u, with the same bound
     rootset = enumerate_roots(cp2_ctx.polytope)
     s = cp2_ctx.potential.stack(cp2_grid)
     for root in rootset.roots[:3]:
         rf = build_root_function(cp2_ctx, root, mode_sign=-1)
         values = rf.profile.jet(s)[0]
-        applied = complex_weighted_laplacian(cp2_ctx, rf.profile, s, orientation=-1)
+        conjugate_shift = 4.0 * float(cp2_ctx.a @ rf.profile.mode_array) * values
+        applied = complex_weighted_laplacian(cp2_ctx, rf.profile, s) + conjugate_shift
         assert np.max(np.abs(applied - 2.0 * values)) / np.max(np.abs(values)) <= 1e-6

@@ -30,7 +30,7 @@ EXPORTS = (
     "DelzantPolytope", "DelzantVerdict", "Facet", "PrivilegedCenter",
     "delzant_check", "normalize_algebraic", "parse_polytope", "privileged_center",
     "AutomorphismDimensions", "DemazureRoot", "RootSet", "automorphism_dimensions", "enumerate_roots",
-    "QuadratureRule", "Triangulation", "integrate", "triangulate",
+    "Triangulation", "integrate", "polygon_rule", "triangulate",
     "SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume",
     "GuilleminPotential", "QuadraticPotential", "Stack",
     "SymplecticPotential", "gradient_by_line_integral", "guillemin",

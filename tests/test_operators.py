@@ -127,10 +127,10 @@ def test_mode_diagonal_identities(ctx_name, request):
         radial = profile_exp_pairing(alpha)
         null = profile_exp_pairing(alpha, mode=alpha)
         coeff = np.einsum("i,mij,j->m", alpha_arr, s.G, alpha_arr) - 2.0 * float(ctx.a @ alpha_arr)
-        assert complex_weighted_laplacian(ctx, pure, s, 1) == pytest.approx(coeff, abs=1e-8)
+        assert complex_weighted_laplacian(ctx, pure, s) == pytest.approx(coeff, abs=1e-8)
         value = radial.jet(s)[0]
-        assert complex_weighted_laplacian(ctx, radial, s, 1) == pytest.approx(-coeff * value, abs=1e-8)
-        assert complex_weighted_laplacian(ctx, null, s, 1) == pytest.approx(np.zeros(len(value)), abs=1e-8)
+        assert complex_weighted_laplacian(ctx, radial, s) == pytest.approx(-coeff * value, abs=1e-8)
+        assert complex_weighted_laplacian(ctx, null, s) == pytest.approx(np.zeros(len(value)), abs=1e-8)
 
 
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
@@ -237,7 +237,7 @@ def test_fd_oracle_weighted_on_root_functions(cp2, cp2_ctx, cp2_grid):
     at_x = cp2_ctx.potential.stack(x[None])
     for root in rootset.roots:
         rf = check_root(cp2_ctx, root, sample).function
-        analytic = complex_weighted_laplacian(cp2_ctx, rf.profile, at_x, 1)[0]
+        analytic = complex_weighted_laplacian(cp2_ctx, rf.profile, at_x)[0]
         oracle = finite_difference_oracle(cp2_ctx, rf.profile, x)[0]
         assert abs(oracle - analytic) / max(1.0, abs(analytic)) <= 1e-4
 
@@ -289,13 +289,15 @@ def test_fd_oracle_is_batched(cp2):
 
 
 def test_conjugation_symmetry(blowup_ctx):
-    # orientation -1 on the conjugate mode equals the conjugate of orientation +1
+    # the conjugate operator (the conjugate shift +4 <a, k> u added) on the conjugate
+    # mode equals the conjugate of the operator on the mode
     alpha = (-1, 0)
     u_plus = profile_exp_pairing(alpha, mode=alpha)
     u_minus = profile_exp_pairing(alpha, mode=tuple(-c for c in alpha))
     s = blowup_ctx.potential.stack(interior_points(blowup_ctx.polytope, 8, seed=20))
-    plus = complex_weighted_laplacian(blowup_ctx, u_plus, s, 1)
-    minus = complex_weighted_laplacian(blowup_ctx, u_minus, s, -1)
+    plus = complex_weighted_laplacian(blowup_ctx, u_plus, s)
+    conjugate_shift = 4.0 * float(blowup_ctx.a @ u_minus.mode_array) * u_minus.jet(s)[0]
+    minus = complex_weighted_laplacian(blowup_ctx, u_minus, s) + conjugate_shift
     assert minus == pytest.approx(np.conj(plus), abs=1e-12)
 
 

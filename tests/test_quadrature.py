@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_soliton import integrate, triangulate
+from toric_soliton import integrate, parse_polytope, polygon_rule, triangulate
 from toric_soliton.errors import UnsupportedDimensionError
-from toric_soliton.quadrature import gauss_legendre, reference_rule
+from toric_soliton.quadrature import gauss_legendre
 
 
 def reference_monomial_integral(i: int, j: int) -> float:
@@ -26,21 +27,29 @@ def test_triangulation_areas(cp2, blowup, square):
         assert tiling.total_area == pytest.approx(area, abs=1e-12)
 
 
-def test_rule_weights_positive_and_sum_to_half():
-    for order in (1, 4, 10, 16):
-        rule = reference_rule(order)
-        assert np.all(rule.weights > 0)
-        assert rule.weights.sum() == pytest.approx(0.5, abs=1e-14)
-        assert np.allclose(rule.barycentric.sum(axis=1), 1.0)
+def test_polygon_rule_weights_positive_and_sum_to_area(cp2, blowup, square):
+    for p, area in ((cp2, 4.5), (blowup, 4.0), (square, 4.0)):
+        facets = len(p.facets)
+        for order in (1, 4, 10, 16):
+            points, weights = polygon_rule(p, order)
+            assert points.shape == (facets * (order + 3) ** 2, 2)
+            assert weights.shape == (facets * (order + 3) ** 2,)
+            assert np.all(weights > 0)
+            assert weights.sum() == pytest.approx(area, abs=1e-12)
+            assert np.all(np.min(p.facet_values_many(points), axis=1) > 0)
 
 
 @pytest.mark.parametrize("order", [3, 6, 10])
 def test_rule_exact_on_reference_monomials(order):
-    rule = reference_rule(order)
-    xi, eta = rule.barycentric[:, 1], rule.barycentric[:, 2]
+    # the standard simplex {x >= 0, y >= 0, x + y <= 1}, tiled by three fan triangles
+    simplex = parse_polytope(json.dumps({"dim": 2, "facets": [
+        {"normal": [1, 0], "offset": 0}, {"normal": [0, 1], "offset": 0}, {"normal": [-1, -1], "offset": 1},
+    ]}))
+    points, weights = polygon_rule(simplex, order)
+    x, y = points[:, 0], points[:, 1]
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            approx = float(rule.weights @ (xi**i * eta**j))
+            approx = float(weights @ (x**i * y**j))
             assert approx == pytest.approx(reference_monomial_integral(i, j), abs=1e-14)
 
 
@@ -58,8 +67,17 @@ def test_integrate_coordinate_moments(cp2, blowup):
     assert integrate(blowup, lambda pts: pts[:, 1], 10) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-def test_integrate_accepts_scalar_callables(blowup):
-    assert integrate(blowup, lambda pt: 1.0, 6) == pytest.approx(4.0, abs=1e-12)
+def test_integrate_calls_its_integrand_once_on_every_node(blowup):
+    calls = []
+
+    def f(pts):
+        calls.append(pts)
+        return np.ones(len(pts))
+
+    assert integrate(blowup, f, 6) == pytest.approx(4.0, abs=1e-12)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], polygon_rule(blowup, 6)[0])
+    assert calls[0].shape == (4 * 9**2, 2)
 
 
 def test_exponential_weight_at_zero_is_area(blowup):

@@ -28,7 +28,6 @@ from toric_soliton import (
     privileged_center,
     triangulate,
 )
-from toric_soliton.quadrature import reference_rule
 from conftest import CP2_DOC
 
 
@@ -125,7 +124,6 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
         "RootSet": cp2_roots,
         "AutomorphismDimensions": automorphism_dimensions(cp2_roots, 2),
         "SolitonDecomposition": assemble_decomposition(cp2_soliton.a, cp2_roots),
-        "QuadratureRule": reference_rule(4),
         "Triangulation": triangulate(cp2),
         "SolitonData": cp2_soliton,
         "Stack": stack,
@@ -140,7 +138,7 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
 
 RECORD_TYPES = (
     "Facet", "PrivilegedCenter", "DelzantVerdict", "DemazureRoot", "RootSet", "AutomorphismDimensions",
-    "SolitonDecomposition", "QuadratureRule", "Triangulation", "SolitonData", "Stack",
+    "SolitonDecomposition", "Triangulation", "SolitonData", "Stack",
     "EquivariantFunction", "OperatorContext", "RootFunction", "BoundaryProductForm", "RootCheck",
     "CalabiSoliton",
 )
