@@ -11,10 +11,8 @@ Validation, normalization and root enumeration (``errors``, ``polytope``,
 ``roots``) are exact lattice work and import eagerly without numpy.  The
 other submodules are registered with :class:`importlib.util.LazyLoader`
 and execute on first attribute access.  Exported names resolve through the
-module ``__getattr__`` (PEP 562), so ``import toric_soliton`` loads no numpy.
-The Futaki solve (``quadrature``, ``futaki``) and the Calabi closed forms
-(``calabi``) are plain Python as well; only the potentials, operators and
-eigenbasis modules import numpy, and only ``verify`` executes them.
+module ``__getattr__`` (PEP 562), so a command executes only the modules it
+calls.  Every module is plain Python on floats: no command imports numpy.
 
 Every record type is a ``typing.NamedTuple``: records are immutable
 tuples, copied with ``_replace`` and described by ``_fields``.  Defining
@@ -108,8 +106,7 @@ _EXPORTS = {
 }
 
 #: the submodules that ``roots`` and every rejection leave unexecuted;
-#: ``potentials``, ``operators`` and ``eigenbasis`` import numpy, and only
-#: ``verify`` executes them
+#: only ``verify`` executes ``potentials``, ``operators`` and ``eigenbasis``
 _LAZY = ("quadrature", "futaki", "potentials", "calabi", "operators", "eigenbasis", "report")
 
 

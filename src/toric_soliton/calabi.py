@@ -19,25 +19,19 @@ Two sign wrinkles are resolved here once and for all:
   sign on the A side, while on the B side only the magnitudes
   |B'(beta_i)| = |2 / C_beta_i| are convention independent.
 
-Each closed form is written once and takes a float or a numpy array.
-Only the exponential and the domain check look at the argument's type:
-a number goes through ``math``, an array through numpy, imported inside
-the function.  So the ``calabi`` command runs on floats and never loads
-numpy; the derivative stack of this metric,
-:class:`~toric_soliton.potentials.CalabiPotential`, is an array
-computation and lives with the other potentials.
+Each closed form is written once, on floats through ``math``; the
+derivative stack of this metric,
+:class:`~toric_soliton.potentials.CalabiPotential`, evaluates them point
+by point and lives with the other potentials.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import BoundaryEvaluationError, MalformedInputError, NonConvergenceError
 from .polytope import blowup_trapezoid  # noqa: F401  (the trapezoid these labels describe)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: translation taking the trapezoid tau to algebraic coordinates
 ALGEBRAIC_SHIFT = (2.0, 1.0)
@@ -126,43 +120,24 @@ class CalabiSoliton(NamedTuple):
         return CalabiSoliton(a1=solve_a1(), m=m_constant(), scal_mean=mean_scalar_curvature())
 
     @property
-    def a(self) -> np.ndarray:
+    def a(self) -> tuple[float, float]:
         """Soliton vector in the fan-side convention, (a1, 0)."""
-        import numpy as np
-
-        return np.array([self.a1, 0.0])
+        return (self.a1, 0.0)
 
 
-def _exp(t):
-    """exp of a number by ``math``, of an array by numpy."""
-    if isinstance(t, (int, float)):
-        return math.exp(t)
-    import numpy as np
-
-    return np.exp(t)
+def _require_between(name: str, t: float, lo: float, hi: float) -> None:
+    """Reject a number outside [lo, hi] (NaN included)."""
+    if not lo - 1e-12 <= t <= hi + 1e-12:
+        raise BoundaryEvaluationError(f"{name} = {t} outside [{lo}, {hi}]")
 
 
-def _require_between(name: str, t, lo: float, hi: float) -> None:
-    """Reject a number, or any entry of an array, outside [lo, hi] (NaN included)."""
-    if isinstance(t, (int, float)):
-        if not lo - 1e-12 <= t <= hi + 1e-12:
-            raise BoundaryEvaluationError(f"{name} = {t} outside [{lo}, {hi}]")
-        return
-    import numpy as np
-
-    t = np.asarray(t)
-    outside = ~((lo - 1e-12 <= t) & (t <= hi + 1e-12))
-    if outside.any():
-        raise BoundaryEvaluationError(f"{name} = {t[outside].flat[0]} outside [{lo}, {hi}]")
-
-
-def profile_A(s: CalabiSoliton, x):
-    """Radial profile A with first and second derivatives on [ALPHA1, ALPHA2]; x is a float or an array."""
+def profile_A(s: CalabiSoliton, x: float) -> tuple[float, float, float]:
+    """Radial profile A with first and second derivatives on [ALPHA1, ALPHA2]."""
     _require_between("x", x, ALPHA1, ALPHA2)
     a = s.a1
     if a == 0.0:
         raise MalformedInputError("profile requires a nonzero soliton coefficient")
-    e = _exp(-2.0 * a * (x - 1.0))
+    e = math.exp(-2.0 * a * (x - 1.0))
     c = a * a - 0.5
     scale = -1.0 / a**3
     value = scale * (c * e + a * a * x * x - (2.0 * a * a + a) * x + (a + 0.5))
@@ -171,14 +146,14 @@ def profile_A(s: CalabiSoliton, x):
     return value, first, second
 
 
-def profile_B(s: CalabiSoliton, y):
-    """Radial profile B(y) = -2 y^2 + 2 y with derivatives on [BETA1, BETA2]; y is a float or an array."""
+def profile_B(s: CalabiSoliton, y: float) -> tuple[float, float, float]:
+    """Radial profile B(y) = -2 y^2 + 2 y with derivatives on [BETA1, BETA2]."""
     _require_between("y", y, BETA1, BETA2)
-    return -2.0 * y * y + 2.0 * y, -4.0 * y + 2.0, 0.0 * y - 4.0
+    return -2.0 * y * y + 2.0 * y, -4.0 * y + 2.0, -4.0
 
 
-def ode_residual(s: CalabiSoliton, x, scal_mean: float | None = None):
-    """Defect of -A'' - 2 a1 A' - x scal_mean = m at x; x is a float or an array."""
+def ode_residual(s: CalabiSoliton, x: float, scal_mean: float | None = None) -> float:
+    """Defect of -A'' - 2 a1 A' - x scal_mean = m at x."""
     scal = s.scal_mean if scal_mean is None else scal_mean
     _, first, second = profile_A(s, x)
     return -second - 2.0 * s.a1 * first - x * scal - s.m
@@ -202,16 +177,13 @@ def boundary_residuals(s: CalabiSoliton) -> dict[str, float]:
     }
 
 
-def from_algebraic_coordinates(x) -> np.ndarray:
-    import numpy as np
+def from_algebraic_coordinates(x) -> tuple[float, float]:
+    """The point of tau at the algebraic point x = (x1, x2)."""
+    return float(x[0]) + ALGEBRAIC_SHIFT[0], float(x[1]) + ALGEBRAIC_SHIFT[1]
 
-    return np.asarray(x, dtype=float) + ALGEBRAIC_SHIFT
 
-
-def g_matrix(s: CalabiSoliton, mu) -> np.ndarray:
+def g_matrix(s: CalabiSoliton, mu) -> tuple[tuple[float, float], tuple[float, float]]:
     """Closed-form inverse of H at an interior point of tau, the oracle for the stack's G."""
-    import numpy as np
-
     x = float(mu[0])
     if not (ALPHA1 < x < ALPHA2):
         raise BoundaryEvaluationError(f"mu1 = {x} outside ({ALPHA1}, {ALPHA2})")
@@ -220,7 +192,7 @@ def g_matrix(s: CalabiSoliton, mu) -> np.ndarray:
         raise BoundaryEvaluationError(f"mu2/mu1 = {y} outside ({BETA1}, {BETA2})")
     a_val, _, _ = profile_A(s, x)
     b_val, _, _ = profile_B(s, y)
-    return np.array([
-        [x / a_val + y * y / (x * b_val), -y / (x * b_val)],
-        [-y / (x * b_val), 1.0 / (x * b_val)],
-    ])
+    return (
+        (x / a_val + y * y / (x * b_val), -y / (x * b_val)),
+        (-y / (x * b_val), 1.0 / (x * b_val)),
+    )

@@ -2,9 +2,8 @@
 
 Commands: ``roots``, ``soliton``, ``verify``, ``decompose``, ``calabi``.
 Exit codes are a stable contract: 0 success, 2 input or geometry
-rejection, 3 solver failure, 4 verification failure.  ``roots``,
-``soliton``, ``decompose``, ``calabi`` and every rejection run without
-numpy; only ``verify`` loads it, when it first computes with arrays.
+rejection, 3 solver failure, 4 verification failure.  Every command
+runs on plain Python floats; none imports numpy.
 """
 
 from __future__ import annotations
@@ -37,9 +36,10 @@ EXIT_SOLVER = 3
 EXIT_VERIFICATION = 4
 
 #: largest accepted ``--order``; the Futaki solve at it takes about 1 s, and
-#: ``verify`` at it peaks at 110-200 MB (one stack on up to 6 * 203^2 nodes)
+#: ``verify`` at it about 4 s and up to 0.21 GB (one stack on up to 6 * 203^2 nodes)
 MAX_ORDER = 200
-#: largest accepted ``--grid``; ``verify`` at it takes about 2 s and up to 0.3 GB
+#: largest accepted ``--grid``; ``verify`` at it takes about 6-7 s and up to 0.2 GB
+#: (shared 2-core Xeon)
 MAX_GRID = 500
 
 

@@ -8,9 +8,12 @@ eigenvalue depends on conventions that differ between sources, so the
 sign is selected operationally.  Both signs share the profile and the
 sign-independent part of the operator; mode sign s and orientation o only
 add ``-2 o s <a, alpha> u``.  One operator pass per root therefore gives
-the sign, the eigenvalue-two residual and the orientation-reversed fit.
-For roots with |<alpha, a>| <= GAMMA_TOL both signs work and +1 is kept,
-so the choice never follows round-off in ``a``.
+the sign, the eigenvalue-two residual and the orientation-reversed fit:
+the fits share ``<u, u>``, ``<u, W u>`` and ``max |u|`` and differ only
+in the multiple of u they add.  For roots with |<alpha, a>| <= GAMMA_TOL
+both signs work and +1 is kept, so the choice never follows round-off in
+``a``.  Profiles and fits run on the float columns of the stack, and every
+maximum of |residual| is NaN when a residual is.
 
 The eigenspace decomposition, which needs only ``a`` and the roots, is
 :func:`toric_soliton.roots.assemble_decomposition`.
@@ -21,15 +24,16 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import MalformedInputError
 from .operators import (
     EquivariantFunction,
     Jet,
     OperatorContext,
+    affine_exp_jet,
+    apply_to_jet,
+    dot,
+    max_abs,
     profile_coordinate,
-    weighted_laplacian,
 )
 from .potentials import Stack
 from .polytope import DelzantPolytope
@@ -43,30 +47,15 @@ class RootFunction(NamedTuple):
     mode_sign: int
     profile: EquivariantFunction
 
-    @property
-    def alpha(self) -> np.ndarray:
-        return np.array(self.root.alpha, dtype=float)
-
 
 def build_root_function(ctx: OperatorContext, root: DemazureRoot, mode_sign: int = 1) -> RootFunction:
-    """Assemble the root profile with analytic derivatives through grad phi and G."""
+    """Assemble the root profile (<x, b> + 1) exp(-<alpha, grad phi>) with analytic derivatives."""
     if mode_sign not in (1, -1):
         raise MalformedInputError(f"mode_sign must be +1 or -1, got {mode_sign}")
-    alpha = np.array(root.alpha, dtype=float)
-    normal = np.array(ctx.polytope.facets[root.distinguished_facet].normal, dtype=float)
+    normal = ctx.polytope.facets[root.distinguished_facet].normal
 
     def jet(s: Stack) -> Jet:
-        e = np.exp(-(s.grad @ alpha))
-        w = s.points @ normal + 1.0
-        galpha = s.G @ alpha
-        dgalpha = np.einsum("mjlk,l->mjk", s.dG, alpha)
-        matrix = (
-            -np.einsum("i,mj->mij", normal, galpha)
-            - np.einsum("mi,j->mij", galpha, normal)
-            - w[:, None, None] * dgalpha
-            + w[:, None, None] * np.einsum("mi,mj->mij", galpha, galpha)
-        )
-        return w * e, (normal - w[:, None] * galpha) * e[:, None], matrix * e[:, None, None]
+        return affine_exp_jet(normal, 1.0, root.alpha, s)
 
     mode = tuple(int(mode_sign * c) for c in root.alpha)
     return RootFunction(root=root, mode_sign=mode_sign, profile=EquivariantFunction(mode, jet))
@@ -86,23 +75,24 @@ class BoundaryProductForm(NamedTuple):
     prefactor: float
     exponents: tuple[float, ...]
 
-    def values(self, points) -> np.ndarray:
-        """The form (m,) on an (m, n) batch of points of the closed polytope."""
-        ell = np.maximum(self.polytope.facet_values_many(np.asarray(points, dtype=float)), 0.0)
-        result = np.full(len(ell), self.prefactor)
-        for column, exponent in zip(ell.T, self.exponents):
-            if exponent != 0.0:
-                result = result * column**exponent
-        return result
+    def values(self, points) -> list[float]:
+        """The form at each (x1, x2) point of the closed polytope."""
+        out = []
+        for ell in self.polytope.facet_values_many(points):
+            result = self.prefactor
+            for value, exponent in zip(ell, self.exponents):
+                if exponent != 0.0:
+                    result = result * max(value, 0.0) ** exponent
+            out.append(result)
+        return out
 
 
 def boundary_product_form(p: DelzantPolytope, root: DemazureRoot) -> BoundaryProductForm:
     """Closed-form boundary extension of the canonical-potential root profile."""
     if not p.is_algebraic:
         raise MalformedInputError("boundary product form requires an algebraic polytope")
-    normal_sum = np.sum(p.normal_matrix, axis=0)
-    alpha = np.array(root.alpha, dtype=float)
-    prefactor = math.exp(-0.5 * float(alpha @ normal_sum))
+    normal_sum = [sum(column) for column in zip(*p.normal_matrix)]
+    prefactor = math.exp(-0.5 * dot(root.alpha, normal_sum))
     exponents = []
     for idx, pairing in enumerate(root.pairings):
         if idx == root.distinguished_facet:
@@ -112,19 +102,21 @@ def boundary_product_form(p: DelzantPolytope, root: DemazureRoot) -> BoundaryPro
     return BoundaryProductForm(polytope=p, root=root, prefactor=prefactor, exponents=tuple(exponents))
 
 
-def _eigen_stats(values: np.ndarray, applied: np.ndarray) -> dict[str, float]:
-    scale = float(np.max(np.abs(values)))
-    return {
-        "max_rel_residual": float(np.max(np.abs(applied - 2.0 * values))) / scale,
-        "fitted_eigenvalue": float(values @ applied / (values @ values)),
-    }
+class _Fit(NamedTuple):
+    """The least-squares eigenvalue of an operator W on a profile u, from the columns of u and W u."""
 
+    u: list[float]
+    wu: list[float]
+    peak: float  # max |u|
+    eigenvalue: float  # <u, W u> / <u, u>
 
-def _reversed_fit(values: np.ndarray, applied: np.ndarray) -> tuple[float, float]:
-    shifted = applied - 2.0 * values
-    gamma = float(values @ shifted / (values @ values))
-    fit_residual = float(np.max(np.abs(shifted - gamma * values))) / float(np.max(np.abs(values)))
-    return gamma, fit_residual
+    @classmethod
+    def of(cls, u: list[float], wu: list[float]) -> _Fit:
+        return cls(u, wu, max_abs(u), dot(u, wu) / dot(u, u))
+
+    def residual(self, eigenvalue: float) -> float:
+        """max |W u - eigenvalue u| / max |u|."""
+        return max_abs([w - eigenvalue * v for v, w in zip(self.u, self.wu)]) / self.peak
 
 
 class RootCheck(NamedTuple):
@@ -149,18 +141,18 @@ def check_root(ctx: OperatorContext, root: DemazureRoot, s: Stack) -> RootCheck:
     relative residual of that fit.
     """
     positive = build_root_function(ctx, root, 1)
-    values = positive.profile.jet(s)[0]
-    sign_free = weighted_laplacian(ctx, positive.profile, s)
-    pairing = float(np.array(root.alpha, dtype=float) @ ctx.a)
+    jet = positive.profile.jet(s)
+    fit = _Fit.of(jet[0], apply_to_jet(s, jet, positive.profile.mode, ctx.a))
+    pairing = dot(root.alpha, ctx.a)
     sign = 1
     if abs(pairing) > GAMMA_TOL:
-        fitted = float(values @ sign_free / (values @ values))
-        sign = 1 if abs(fitted - 2.0 * pairing - 2.0) <= abs(fitted + 2.0 * pairing - 2.0) else -1
+        sign = 1 if abs(fit.eigenvalue - 2.0 * pairing - 2.0) <= abs(fit.eigenvalue + 2.0 * pairing - 2.0) else -1
     rf = positive if sign == 1 else build_root_function(ctx, root, sign)
-    term = 2.0 * sign * pairing * values
-    gamma_hat, gamma_fit = _reversed_fit(values, sign_free + term)
-    return RootCheck(function=rf, stats=_eigen_stats(values, sign_free - term),
-                     gamma_hat=gamma_hat, gamma_fit=gamma_fit)
+    term = 2.0 * sign * pairing
+    stats = {"max_rel_residual": fit.residual(2.0 + term), "fitted_eigenvalue": fit.eigenvalue - term}
+    # the orientation-reversed operator W + term fits the eigenvalue 2 + gamma_hat with the residual of W
+    return RootCheck(function=rf, stats=stats, gamma_hat=fit.eigenvalue + term - 2.0,
+                     gamma_fit=fit.residual(fit.eigenvalue))
 
 
 def affine_block(ctx: OperatorContext, s: Stack) -> list[dict]:
@@ -174,11 +166,12 @@ def affine_block(ctx: OperatorContext, s: Stack) -> list[dict]:
     records = []
     for i in range(n):
         f = profile_coordinate(i, n)
-        stats = _eigen_stats(f.jet(s)[0], weighted_laplacian(ctx, f, s))
+        jet = f.jet(s)
+        fit = _Fit.of(jet[0], apply_to_jet(s, jet, f.mode, ctx.a))
         records.append({
             "basis": f"x_{i + 1}",
             "mode": (0,) * n,
-            "fitted_eigenvalue": stats["fitted_eigenvalue"],
-            "max_rel_residual": stats["max_rel_residual"],
+            "fitted_eigenvalue": fit.eigenvalue,
+            "max_rel_residual": fit.residual(2.0),
         })
     return records

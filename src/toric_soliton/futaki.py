@@ -16,8 +16,8 @@ spectrum is positive), and for the blown-up plane the first component of
 equation (see :mod:`toric_soliton.calabi`).  The moment-image drift
 covector used by the differential operators is ``-a``.
 
-The solve is plain Python on floats and tuples, so ``soliton`` and
-``decompose`` never import numpy.  It integrates on the nodes of
+The solve is plain Python on floats and tuples, like every other stage,
+so no command imports numpy.  It integrates on the nodes of
 :func:`~toric_soliton.quadrature.polygon_rule` in ray form, one exponent
 slope per ray: 0.12-0.52 ms a call at orders 10-22 against 0.17-1.00 ms
 for a loop over the nodes (2-core Xeon).  The surface is two-dimensional,
@@ -27,14 +27,11 @@ so the Newton step and the definiteness check are 2x2 closed forms.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import NonConvergenceError
 from .polytope import DelzantPolytope, normalize_algebraic
 from .quadrature import line_rule, triangulate
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MAX_NEWTON_ITERATIONS = 60
 MAX_QUADRATURE_ORDER = 40
@@ -52,12 +49,6 @@ class SolitonData(NamedTuple):
     residuals: tuple[float, ...]
     iterations: tuple[dict, ...]
     quadrature_order: int
-
-    @property
-    def a_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.a)
 
 
 def weighted_volume(p: DelzantPolytope, a, order: int = 10) -> tuple[float, Vector, Matrix]:

@@ -11,17 +11,18 @@ shift ``+4 <a, k> u`` away.
 
 Evaluation surface.  Operators read the potential only through a
 :class:`~toric_soliton.potentials.Stack` and evaluate on all of its points
-at once: a profile's ``jet`` gives ``(u, du, d2u)`` arrays of shapes
-``(m,)``, ``(m, n)`` and ``(m, n, n)`` on a stack, and every operator
-(``laplacian``, ``weighted_laplacian``, ``complex_weighted_laplacian``,
-``scalar_curvature``, ``gradients`` ...) returns arrays with the same
-leading batch axis; one point is a stack of one.  The finite-difference
-oracle reads potential values and profile values alone, all in arrays on
-one nine-point stencil: phi from one batched ``values`` call per step
-size, and every profile value from one stack of the context potential.
-The context, :class:`OperatorContext`, is a named tuple that reads ``a``
-as a float array and checks that its potential lives on its polytope
-when constructed.
+at once, in plain float columns laid out like the stack's: a profile's
+``jet`` gives ``(u, (u1, u2), (u11, u12, u22))``, one column of m floats
+each, and every operator (``laplacian``, ``weighted_laplacian``,
+``complex_weighted_laplacian``, ``scalar_curvature`` ...) returns a
+column of m values; one point is a stack of one.  The components of
+``gradients`` and ``ricci_and_lie_components`` are columns too, indexed
+component first.  The finite-difference oracle reads potential values and
+profile values alone, on one nine-point stencil: phi from one batched
+``values`` call per step size, and every profile value from one stack of
+the context potential.  The context, :class:`OperatorContext`, is a named
+tuple that reads ``a`` as a tuple of floats and checks that its potential
+lives on its polytope when constructed.
 
 Sign conventions.  The plain Laplacian is the positive-spectrum operator
 ``-sum_ij d_i(H_ij d_j u)`` (constants are harmonic, ``x^2`` on the flat
@@ -37,16 +38,16 @@ a soliton and keeps the solitonic spectrum 2 <alpha, a> non-negative.
 
 from __future__ import annotations
 
+import math
+from operator import mul
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .errors import MalformedInputError
 from .polytope import DelzantPolytope
-from .potentials import PhiSidePotential, Stack, SymplecticPotential
+from .potentials import Column, PhiSidePotential, Stack, SymplecticPotential, as_pairs, inverse
 
-#: (u, du, d2u) on a batch, shapes (m,), (m, n), (m, n, n)
-Jet = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: (u, (u1, u2), (u11, u12, u22)) on a batch, one column of m floats each
+Jet = tuple[Column, tuple[Column, Column], tuple[Column, Column, Column]]
 
 
 class EquivariantFunction(NamedTuple):
@@ -59,37 +60,66 @@ class EquivariantFunction(NamedTuple):
     mode: tuple[int, ...]
     jet: Callable[[Stack], Jet]
 
-    @property
-    def mode_array(self) -> np.ndarray:
-        return np.array(self.mode, dtype=float)
+
+def max_abs(values) -> float:
+    """max |v| over a column; 0.0 for none, and NaN when any entry is NaN."""
+    magnitudes = list(map(abs, values))
+    total = sum(magnitudes)
+    return total if total != total else max(magnitudes, default=0.0)
+
+
+def dot(u, v) -> float:
+    return sum(map(mul, u, v))
+
+
+def affine_jet(b, c: float, s: Stack) -> Jet:
+    """The jet of <x, b> + c on the stack."""
+    b1, b2 = (float(v) for v in b)
+    m = s.size
+    zero = [0.0] * m
+    return [b1 * x + b2 * y + c for x, y in zip(*s.points)], ([b1] * m, [b2] * m), (zero, zero, zero)
+
+
+def affine_exp_jet(b, c: float, alpha, s: Stack) -> Jet:
+    """The jet of w exp(-<alpha, grad phi>) with w = <x, b> + c, through G and dG.
+
+    With e = exp(-<alpha, grad phi>) and g = G alpha: de = -g e and
+    d_j d_k e = (g_j g_k - d_k g_j) e, so
+    d(w e) = (b - w g) e and d_j d_k (w e) = (w (g_j g_k - d_k g_j) - b_j g_k - b_k g_j) e.
+    """
+    (b1, b2), (a1, a2) = (float(v) for v in b), (float(v) for v in alpha)
+    exp = math.exp
+    e = [exp(-(p * a1 + q * a2)) for p, q in zip(*s.grad)]
+    w = [b1 * x + b2 * y + c for x, y in zip(*s.points)]
+    g11, g12, g22 = s.G
+    ga1 = [a1 * p + a2 * q for p, q in zip(g11, g12)]
+    ga2 = [a1 * q + a2 * r for q, r in zip(g12, g22)]
+    d1g11, d1g12, _, d2g11, d2g12, d2g22 = s.dG
+    return (
+        [v * x for v, x in zip(w, e)],
+        ([(b1 - v * p) * x for v, p, x in zip(w, ga1, e)], [(b2 - v * q) * x for v, q, x in zip(w, ga2, e)]),
+        ([(v * (p * p - (a1 * d11 + a2 * d12)) - 2.0 * b1 * p) * x
+          for v, p, d11, d12, x in zip(w, ga1, d1g11, d1g12, e)],
+         [(v * (p * q - (a1 * d11 + a2 * d12)) - b1 * q - b2 * p) * x
+          for v, p, q, d11, d12, x in zip(w, ga1, ga2, d2g11, d2g12, e)],
+         [(v * (q * q - (a1 * d12 + a2 * d22)) - 2.0 * b2 * q) * x
+          for v, q, d12, d22, x in zip(w, ga2, d2g12, d2g22, e)]),
+    )
 
 
 def profile_constant(c: float, n: int, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
     mode = mode if mode is not None else (0,) * n
-
-    def jet(s) -> Jet:
-        m = len(s.points)
-        return np.full(m, float(c)), np.zeros((m, n)), np.zeros((m, n, n))
-
-    return EquivariantFunction(mode, jet)
+    return EquivariantFunction(mode, lambda s: affine_jet((0.0, 0.0), float(c), s))
 
 
 def profile_linear(b) -> EquivariantFunction:
     """Torus-invariant profile <x, b>."""
-    b = np.asarray(b, dtype=float)
-    n = len(b)
-
-    def jet(s) -> Jet:
-        m = len(s.points)
-        return s.points @ b, np.broadcast_to(b, (m, n)).copy(), np.zeros((m, n, n))
-
-    return EquivariantFunction((0,) * n, jet)
+    b = tuple(float(v) for v in b)
+    return EquivariantFunction((0,) * len(b), lambda s: affine_jet(b, 0.0, s))
 
 
 def profile_coordinate(i: int, n: int) -> EquivariantFunction:
-    b = np.zeros(n)
-    b[i] = 1.0
-    return profile_linear(b)
+    return profile_linear([1.0 if j == i else 0.0 for j in range(n)])
 
 
 def profile_product(u: EquivariantFunction, v: EquivariantFunction) -> EquivariantFunction:
@@ -98,12 +128,14 @@ def profile_product(u: EquivariantFunction, v: EquivariantFunction) -> Equivaria
         raise MalformedInputError("profile products are defined for torus-invariant factors")
 
     def jet(s) -> Jet:
-        (fu, du, d2u), (fv, dv, d2v) = u.jet(s), v.jet(s)
+        (fu, (f1, f2), (f11, f12, f22)), (gu, (g1, g2), (g11, g12, g22)) = u.jet(s), v.jet(s)
         return (
-            fu * fv,
-            du * fv[:, None] + fu[:, None] * dv,
-            d2u * fv[:, None, None] + fu[:, None, None] * d2v
-            + np.einsum("mi,mj->mij", du, dv) + np.einsum("mi,mj->mij", dv, du),
+            [p * q for p, q in zip(fu, gu)],
+            ([a * q + p * b for a, p, b, q in zip(f1, fu, g1, gu)],
+             [a * q + p * b for a, p, b, q in zip(f2, fu, g2, gu)]),
+            ([a * q + p * b + 2.0 * c * d for a, q, p, b, c, d in zip(f11, gu, fu, g11, f1, g1)],
+             [a * q + p * b + c * d + e * r for a, q, p, b, c, d, e, r in zip(f12, gu, fu, g12, f1, g2, g1, f2)],
+             [a * q + p * b + 2.0 * c * d for a, q, p, b, c, d in zip(f22, gu, fu, g22, f2, g2)]),
         )
 
     return EquivariantFunction(u.mode, jet)
@@ -111,35 +143,29 @@ def profile_product(u: EquivariantFunction, v: EquivariantFunction) -> Equivaria
 
 def profile_exp_pairing(alpha, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
     """Profile exp(-<alpha, grad phi>) with derivatives through G and dG."""
-    alpha = np.asarray(alpha, dtype=float)
-    n = len(alpha)
-    mode = mode if mode is not None else (0,) * n
-
-    def jet(s: Stack) -> Jet:
-        e = np.exp(-(s.grad @ alpha))
-        galpha = s.G @ alpha
-        dgalpha = np.einsum("mjlk,l->mjk", s.dG, alpha)
-        outer = np.einsum("mi,mj->mij", galpha, galpha)
-        return e, -galpha * e[:, None], (outer - dgalpha) * e[:, None, None]
-
-    return EquivariantFunction(mode, jet)
+    alpha = tuple(float(c) for c in alpha)
+    mode = mode if mode is not None else (0,) * len(alpha)
+    return EquivariantFunction(mode, lambda s: affine_exp_jet((0.0, 0.0), 1.0, alpha, s))
 
 
 class OperatorContext(NamedTuple("OperatorContext", [
-    ("polytope", DelzantPolytope), ("potential", SymplecticPotential), ("a", np.ndarray),
+    ("polytope", DelzantPolytope), ("potential", SymplecticPotential), ("a", tuple[float, ...]),
 ])):
     """Polytope, potential stack, and fan-side soliton vector.
 
-    Construction reads ``a`` as a float array of shape (n,) and checks
-    that the potential lives on the same polytope.
+    Construction reads ``a`` as a tuple of n floats and checks that the
+    potential lives on the same polytope.
     """
 
     __slots__ = ()
 
     def __new__(cls, polytope: DelzantPolytope, potential: SymplecticPotential, a) -> OperatorContext:
-        a = np.asarray(a, dtype=float)
-        if a.shape != (polytope.dim,):
-            raise MalformedInputError(f"soliton vector has shape {a.shape}, expected ({polytope.dim},)")
+        try:
+            a = tuple(float(c) for c in a)
+        except (TypeError, ValueError):
+            a = None
+        if a is None or len(a) != polytope.dim:
+            raise MalformedInputError(f"soliton vector must be {polytope.dim} numbers")
         # facet order may differ between equal polytopes (e.g. user input vs
         # the built-in blow-up trapezoid), so compare as sets
         same = (
@@ -154,106 +180,153 @@ class OperatorContext(NamedTuple("OperatorContext", [
 # -- operators -------------------------------------------------------------------
 
 
-def laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> np.ndarray:
+def apply_to_jet(s: Stack, jet: Jet, mode: tuple[int, ...], a=(0.0, 0.0), shift: float = 0.0) -> list[float]:
+    """-div(H grad u) + (k^T G k + shift) u - 2 a^T H grad u on every stack point, from the jet of u.
+
+    The plain Laplacian on mode k has a = 0 and no shift, the weighted one
+    the context's a, and the complex weighted one also shift = -2 <a, k>.
+    """
+    u, (u1, u2), (u11, u12, u22) = jet
+    d1h11, d1h12, _, _, d2h12, d2h22 = s.dH
+    k1, k2 = mode
+    a1, a2 = a
+    c11, c12, c22 = k1 * k1, 2.0 * k1 * k2, k2 * k2
+    # sum_ij d_i(H_ij d_j u) = sum_j (sum_i d_i H_ij) d_j u + sum_ij H_ij d_i d_j u
+    return [
+        (c11 * g11 + c12 * g12 + c22 * g22 + shift) * v
+        - ((p + q + 2.0 * (a1 * h11 + a2 * h12)) * v1 + (r + t + 2.0 * (a1 * h12 + a2 * h22)) * v2
+           + (h11 * w11 + 2.0 * h12 * w12 + h22 * w22))
+        for p, q, r, t, v, v1, v2, w11, w12, w22, h11, h12, h22, g11, g12, g22
+        in zip(d1h11, d2h12, d1h12, d2h22, u, u1, u2, u11, u12, u22, *s.H, *s.G)
+    ]
+
+
+def laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> list[float]:
     """Plain Laplacian on the mode, -div(H grad u) + (k^T G k) u, on every stack point."""
-    u, du, d2u = f.jet(s)
-    k = f.mode_array
-    # sum_ij d_i(H_ij d_j u) = sum_j (sum_i dH[i,j,i]) d_j u + sum_ij H_ij d_i d_j u
-    divergence = np.einsum("miji,mj->m", s.dH, du) + np.einsum("mij,mij->m", s.H, d2u)
-    return -divergence + np.einsum("i,mij,j->m", k, s.G, k) * u
+    return apply_to_jet(s, f.jet(s), f.mode)
 
 
-def weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> np.ndarray:
+def weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> list[float]:
     """Weighted Laplacian: plain plus the moment-image drift -2 a^T H grad u."""
-    drift = -2.0 * np.einsum("i,mij,mj->m", ctx.a, s.H, f.jet(s)[1])
-    return laplacian(ctx, f, s) + drift
+    return apply_to_jet(s, f.jet(s), f.mode, ctx.a)
 
 
-def complex_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> np.ndarray:
+def complex_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> list[float]:
     """Complex weighted Laplacian (real part).
 
     On mode k the angular sector contributes (k^T G k - 2 <a, k>) u in
     total; the conjugate structure's operator is this one plus the
     conjugate shift 4 <a, k> u.
     """
-    shift = -2.0 * float(ctx.a @ f.mode_array)
-    return weighted_laplacian(ctx, f, s) + shift * f.jet(s)[0]
+    return apply_to_jet(s, f.jet(s), f.mode, ctx.a, -2.0 * dot(ctx.a, f.mode))
 
 
 def product_rule_defects(ctx: OperatorContext, u: EquivariantFunction, v: EquivariantFunction,
-                         s: Stack) -> np.ndarray:
+                         s: Stack) -> list[float]:
     """Delta(uv) - v Delta u - u Delta v + 2 grad u^T H grad v for torus-invariant profiles."""
-    fu, du, _ = u.jet(s)
-    fv, dv, _ = v.jet(s)
+    ju, jv = u.jet(s), v.jet(s)
     lhs = weighted_laplacian(ctx, profile_product(u, v), s)
-    rhs = (
-        fv * weighted_laplacian(ctx, u, s)
-        + fu * weighted_laplacian(ctx, v, s)
-        - 2.0 * np.einsum("mi,mij,mj->m", du, s.H, dv)
-    )
-    return lhs - rhs
+    (fu, (u1, u2), _), (fv, (v1, v2), _) = ju, jv
+    return [
+        left - (q * lu + p * lv - 2.0 * (x1 * (h11 * y1 + h12 * y2) + x2 * (h12 * y1 + h22 * y2)))
+        for left, p, q, lu, lv, x1, x2, y1, y2, h11, h12, h22
+        in zip(lhs, fu, fv, apply_to_jet(s, ju, u.mode, ctx.a), apply_to_jet(s, jv, v.mode, ctx.a),
+               u1, u2, v1, v2, *s.H)
+    ]
 
 
-def scalar_curvature(s: Stack) -> np.ndarray:
+def scalar_curvature(s: Stack) -> list[float]:
     """Abreu scalar curvature -sum_ij d^2 H_ij / dx_i dx_j on every stack point."""
-    return -np.einsum("mijij->m", s.d2H)
+    d2h = s.d2H
+    return [-(p + q + q + r) for p, q, r in zip(d2h[0], d2h[4], d2h[8])]
 
 
-def soliton_residuals(ctx: OperatorContext, s: Stack, scal_mean: float) -> np.ndarray:
+def soliton_residuals(ctx: OperatorContext, s: Stack, scal_mean: float) -> list[float]:
     """Defect Scal(x) - scal_mean + 2 Delta^g <x, a> of the soliton equation on every stack point."""
-    laplacian_linear = -(np.einsum("miji->mj", s.dH) @ ctx.a)
-    return scalar_curvature(s) - scal_mean + 2.0 * laplacian_linear
+    a1, a2 = ctx.a
+    d1h11, d1h12, _, _, d2h12, d2h22 = s.dH
+    # Delta^g <x, a> = -sum_ij a_j d_i H_ij
+    return [
+        scal - scal_mean - 2.0 * ((p + q) * a1 + (r + t) * a2)
+        for scal, p, q, r, t in zip(scalar_curvature(s), d1h11, d2h12, d1h12, d2h22)
+    ]
 
 
-def gradients(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Riemannian and symplectic gradients as (x-components, t-components), each (m, n)."""
-    u, du, _ = f.jet(s)
-    dt = 1j * u[:, None] * f.mode_array  # angular derivatives with the phase factor set to one
+def gradients(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> dict:
+    """Riemannian and symplectic gradients as (x-components, t-components), each a pair of columns."""
+    u, (u1, u2), _ = f.jet(s)
+    k1, k2 = f.mode
+    # angular derivatives with the phase factor set to one
+    t1, t2 = [1j * v * k1 for v in u], [1j * v * k2 for v in u]
+    g11, g12, g22 = s.G
+    h11, h12, h22 = s.H
     return {
-        "riemannian": (np.einsum("mij,mj->mi", s.H, du), np.einsum("mij,mj->mi", s.G, dt)),
-        "symplectic": (-dt, du.astype(complex)),
+        "riemannian": (
+            ([p * a + q * b for p, q, a, b in zip(h11, h12, u1, u2)],
+             [q * a + r * b for q, r, a, b in zip(h12, h22, u1, u2)]),
+            ([p * a + q * b for p, q, a, b in zip(g11, g12, t1, t2)],
+             [q * a + r * b for q, r, a, b in zip(g12, g22, t1, t2)]),
+        ),
+        "symplectic": (([-c for c in t1], [-c for c in t2]), ([complex(c) for c in u1], [complex(c) for c in u2])),
     }
 
 
-def ricci_and_lie_components(ctx: OperatorContext, s: Stack) -> tuple[np.ndarray, np.ndarray]:
-    """Ricci components and the Lie-derivative components of the soliton field, each (m, n, n).
+def ricci_and_lie_components(ctx: OperatorContext, s: Stack) -> tuple:
+    """Ricci components and the Lie-derivative components of the soliton field.
 
+    Each is ``((c11, c12), (c21, c22))``, a column per entry.
     Ric[k, l] = -(1/2) sum_i d^2 H_li / dx_i dx_k; the Lie components use
     the moment-image drift covector (-a), which makes the soliton identity
     Ric - Lie = identity hold with the fan-side vector stored in the context.
     """
-    ric = -0.5 * np.einsum("mliik->mkl", s.d2H)
-    lie = np.einsum("i,milk->mkl", ctx.a, s.dH)
+    d11h11, d11h12, _, d12h11, d12h12, d12h22, _, d22h12, d22h22 = s.d2H
+    d1h11, d1h12, d1h22, d2h11, d2h12, d2h22 = s.dH
+    a1, a2 = ctx.a
+
+    def half_sum(p, q):
+        return [-0.5 * (x + y) for x, y in zip(p, q)]
+
+    def pairing(p, q):
+        return [a1 * x + a2 * y for x, y in zip(p, q)]
+
+    ric = ((half_sum(d11h11, d12h12), half_sum(d11h12, d12h22)),
+           (half_sum(d12h11, d22h12), half_sum(d12h12, d22h22)))
+    lie = ((pairing(d1h11, d1h12), pairing(d1h12, d1h22)),
+           (pairing(d2h11, d2h12), pairing(d2h12, d2h22)))
     return ric, lie
 
 
 # -- finite-difference oracle ------------------------------------------------
 
-#: the nine-point stencil in units of the step, offset (a, b) at row 3 (a + 1) + (b + 1),
-#: so values on it reshape to (3, 3, ...) with the value at (a, b) in entry [a + 1, b + 1]
-_STENCIL = np.array([(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)], dtype=float)
+#: the nine-point stencil in units of the step, offset (a, b) at index 3 (a + 1) + (b + 1)
+_STENCIL = tuple((a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0))
 
 
-def _first_differences(v: np.ndarray, h: float) -> np.ndarray:
-    """Central first differences (..., 2) at the centre of values v (3, 3, ...) on the stencil."""
-    return np.stack([(v[2, 1] - v[0, 1]) / (2.0 * h), (v[1, 2] - v[1, 0]) / (2.0 * h)], axis=-1)
+def _first_differences(v, h: float) -> tuple[float, float]:
+    """Central first differences at the centre of nine values v on the stencil."""
+    return (v[7] - v[1]) / (2.0 * h), (v[5] - v[3]) / (2.0 * h)
 
 
-def _second_differences(v: np.ndarray, h: float) -> np.ndarray:
-    """Central second differences (..., 2, 2) at the centre of values v (3, 3, ...) on the stencil."""
-    out = np.empty(v.shape[2:] + (2, 2))
-    out[..., 0, 0] = (v[2, 1] - 2.0 * v[1, 1] + v[0, 1]) / h**2
-    out[..., 1, 1] = (v[1, 2] - 2.0 * v[1, 1] + v[1, 0]) / h**2
-    out[..., 0, 1] = out[..., 1, 0] = (v[2, 2] - v[2, 0] - v[0, 2] + v[0, 0]) / (4.0 * h**2)
-    return out
+def _second_differences(v, h: float) -> tuple[float, float, float]:
+    """Central second differences (11, 12, 22) at the centre of nine values v on the stencil."""
+    return (
+        (v[7] - 2.0 * v[4] + v[1]) / h**2,
+        (v[8] - v[6] - v[2] + v[0]) / (4.0 * h**2),
+        (v[5] - 2.0 * v[4] + v[3]) / h**2,
+    )
 
 
-def _fd_metric(potential: PhiSidePotential, centers: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(G, H), each (c, 2, 2), at (c, 2) centres from one batch of phi values on their stencils."""
-    points = centers + h * _STENCIL[:, None]
-    phi = potential.values(points.reshape(-1, 2)).reshape(3, 3, -1)
-    g = _second_differences(phi, h)
-    return g, np.linalg.inv(g)
+def _around(centers, h: float) -> list[tuple[float, float]]:
+    """The stencil of step h around every centre, stencil-major: point s of centre c at 9 s + c."""
+    return [(x + h * a, y + h * b) for a, b in _STENCIL for x, y in centers]
+
+
+def _fd_metric(potential: PhiSidePotential, centers, h: float) -> tuple:
+    """G and H, (11, 12, 22) columns over the centres, from one batch of phi values on their stencils."""
+    phi = potential.values(_around(centers, h))
+    n = len(centers)
+    g = tuple(zip(*(_second_differences(phi[c::n], h) for c in range(n))))
+    return g, inverse(g)[0]
 
 
 def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x) -> tuple[float, float]:
@@ -272,25 +345,27 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x) ->
     """
     if not isinstance(ctx.potential, PhiSidePotential):
         raise MalformedInputError("the finite-difference oracle needs a potential with closed-form values")
-    x = np.asarray(x, dtype=float)
-    ell = ctx.potential.require_interior(x[None])[0]
-    distance = float((ell / np.linalg.norm(ctx.polytope.normal_matrix, axis=1)).min())
+    x = as_pairs([x])
+    ell = ctx.potential.require_interior(x)[0]
+    distance = min(v / math.sqrt(a * a + b * b) for v, (a, b) in zip(ell, ctx.polytope.normal_matrix))
 
     h = 0.005 * distance
-    centers = x + h * _STENCIL
-    g, inv = _fd_metric(ctx.potential, centers, h)
-    u = f.jet(ctx.potential.stack((centers + h * _STENCIL[:, None]).reshape(-1, 2)))[0].reshape(3, 3, 3, 3)
-    grad_u = _first_differences(u, h)
-    flux = np.einsum("cij,cj->ci", inv, grad_u.reshape(-1, 2)).reshape(3, 3, 2)
-    k = f.mode_array
-    u0, grad0 = u[1, 1, 1, 1], grad_u[1, 1]
+    centers = _around(x, h)
+    g, (h11, h12, h22) = _fd_metric(ctx.potential, centers, h)
+    u = f.jet(ctx.potential.stack(_around(centers, h)))[0]
+    du1, du2 = zip(*(_first_differences(u[c::9], h) for c in range(9)))
+    flux1 = [p * a + q * b for p, q, a, b in zip(h11, h12, du1, du2)]
+    flux2 = [q * a + r * b for q, r, a, b in zip(h12, h22, du1, du2)]
+    divergence = _first_differences(flux1, h)[0] + _first_differences(flux2, h)[1]
+    # x is the centre of the stencil, point 4, and u there is point 4 of centre 4
+    (k1, k2), (a1, a2), (g11, g12, g22) = f.mode, ctx.a, (c[4] for c in g)
     weighted = (
-        -float(np.trace(_first_differences(flux, h)))
-        + (float(k @ g[4] @ k) - 2.0 * float(ctx.a @ k)) * u0
-        - 2.0 * float(ctx.a @ inv[4] @ grad0)
+        -divergence
+        + (((k1 * g11 + k2 * g12) * k1 + (k1 * g12 + k2 * g22) * k2) - 2.0 * (a1 * k1 + a2 * k2)) * u[40]
+        - 2.0 * ((a1 * h11[4] + a2 * h12[4]) * du1[4] + (a1 * h12[4] + a2 * h22[4]) * du2[4])
     )
 
     h3 = 0.02 * distance
-    inv3 = _fd_metric(ctx.potential, x + h3 * _STENCIL, h3)[1].reshape(3, 3, 2, 2)
-    abreu = -float(np.einsum("ijij->", _second_differences(inv3, h3)))
+    h11, h12, h22 = _fd_metric(ctx.potential, _around(x, h3), h3)[1]
+    abreu = -(_second_differences(h11, h3)[0] + 2.0 * _second_differences(h12, h3)[1] + _second_differences(h22, h3)[2])
     return weighted, abreu

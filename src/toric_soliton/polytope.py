@@ -11,7 +11,8 @@ metric evaluation, reports), so an offset or vertex coordinate outside
 the float range is rejected at construction.  So is a number the
 interpreter could not write back as text: an integer literal, or the
 exact numerator or denominator of an offset, of more than ``MAX_DIGITS``
-digits.
+digits.  The float geometry that the analysis reads (facet values, normal
+rows, the interior grid) is plain tuples and lists of floats.
 
 The records (:class:`Facet`, :class:`PrivilegedCenter`,
 :class:`DelzantVerdict`) are ``typing.NamedTuple`` classes, as are those
@@ -28,7 +29,7 @@ import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DegenerateVertexError,
@@ -40,9 +41,6 @@ from .errors import (
     UnboundedPolytopeError,
     UnsupportedDimensionError,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: tolerance for the privileged-center residual
 CENTER_TOL = 1e-9
@@ -165,6 +163,12 @@ def _to_float(value: Fraction, what: str) -> float:
         return float(value)
     except OverflowError:
         raise MalformedInputError(f"{what} (about {_magnitude(value)}) is beyond the float range") from None
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """The floats of ``numpy.linspace(start, stop, num)``: ``start + i * step``, the last one ``stop``."""
+    step = (stop - start) / max(num - 1, 1)
+    return [stop if 0 < i == num - 1 else start + i * step for i in range(num)]
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
@@ -294,35 +298,15 @@ class DelzantPolytope:
                 raise RedundantFacetError(f"facet {i} (normal {self.facets[i].normal}) supports no (n-1)-face")
 
     # -- basic geometry -----------------------------------------------------
-    # The float arrays are built on first use, so validation and root
-    # enumeration never import numpy.
 
     @cached_property
-    def _vertex_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self._vertex_floats)
-
-    @cached_property
-    def _normal_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([f.normal for f in self.facets], dtype=float)
-
-    @cached_property
-    def _offset_vector(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self._offset_floats)
-
-    @property
-    def vertices(self) -> np.ndarray:
-        """Vertex coordinates as a float array of shape (v, n), sorted lexicographically."""
-        return self._vertex_array.copy()
+    def _facet_coefficients(self) -> tuple[tuple[float, float, float], ...]:
+        """(a, b, c) of each facet value L(x) = a x1 + b x2 + c, as floats."""
+        return tuple((float(f.normal[0]), float(f.normal[1]), c) for f, c in zip(self.facets, self._offset_floats))
 
     @property
     def vertex_points(self) -> tuple[tuple[float, ...], ...]:
-        """Vertex coordinates as float tuples, sorted lexicographically (no numpy)."""
+        """Vertex coordinates as float tuples, sorted lexicographically."""
         return self._vertex_floats
 
     @property
@@ -331,17 +315,19 @@ class DelzantPolytope:
         return self._vertex_data
 
     @property
-    def normal_matrix(self) -> np.ndarray:
-        return self._normal_matrix.copy()
+    def normal_matrix(self) -> tuple[tuple[float, ...], ...]:
+        """The facet normals as float rows, one per facet."""
+        return tuple((a, b) for a, b, _ in self._facet_coefficients)
 
     @property
     def is_algebraic(self) -> bool:
         """True when every offset equals one (privileged center at the origin)."""
         return all(f.offset == 1 for f in self.facets)
 
-    def facet_values_many(self, pts: np.ndarray) -> np.ndarray:
-        """Facet values for an array of points of shape (m, n) -> (m, d)."""
-        return pts @ self._normal_matrix.T + self._offset_vector
+    def facet_values_many(self, pts) -> list[tuple[float, ...]]:
+        """The facet values (L_1(x), ..., L_d(x)) of each (x1, x2) point."""
+        coefficients = self._facet_coefficients
+        return [tuple([a * x + b * y + c for a, b, c in coefficients]) for x, y in pts]
 
     @property
     def spread(self) -> float:
@@ -351,17 +337,19 @@ class DelzantPolytope:
     def interior_margin(self, margin_fraction: float = 0.05) -> float:
         return margin_fraction * self.spread
 
-    def interior_grid(self, n: int = 21, margin_fraction: float = 0.05) -> np.ndarray:
-        """Tensor grid over the bounding box clipped to {min_r L_r >= margin}."""
-        import numpy as np
+    def interior_grid(self, n: int = 21, margin_fraction: float = 0.05) -> list[tuple[float, float]]:
+        """Tensor grid over the bounding box clipped to {min_r L_r >= margin}.
 
-        verts = self._vertex_array
-        lo, hi = verts.min(axis=0), verts.max(axis=0)
-        axes = [np.linspace(lo[i], hi[i], n) for i in range(self.dim)]
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
+        The axes are the floats of ``numpy.linspace`` over the vertex box,
+        and the points run x1 outer, x2 inner, as in an ``ij`` meshgrid.
+        """
+        xs, ys = zip(*self._vertex_floats)
         margin = self.interior_margin(margin_fraction)
-        keep = self.facet_values_many(mesh).min(axis=1) >= margin
-        return mesh[keep]
+        coefficients = self._facet_coefficients
+        return [
+            (x, y) for x in linspace(min(xs), max(xs), n) for y in linspace(min(ys), max(ys), n)
+            if min([a * x + b * y + c for a, b, c in coefficients]) >= margin
+        ]
 
     # -- equality and serialization ------------------------------------------
 

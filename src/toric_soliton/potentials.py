@@ -1,39 +1,50 @@
 """Symplectic potentials and their derivative stacks.
 
-A potential is evaluated only through its :class:`Stack`, a named tuple of
-arrays: on an ``(m, n)`` batch of interior points it holds the gradient,
-the Hessian ``G``, its inverse ``H``, ``dG``, ``dH`` and ``d2H`` with a
-leading batch axis.  :meth:`SymplecticPotential.stack` runs one interior
-check and one batched 2x2 inverse per batch, so each formula exists once
-and a single point is a batch of one.  Two families implement it:
+A potential is evaluated only through its :class:`Stack`: on a batch of m
+interior points it holds the gradient, the Hessian ``G``, its inverse
+``H``, ``dG``, ``dH`` and ``d2H`` as plain float columns, one
+``array('d')`` of m values per component.  Polytopes are two-dimensional,
+so a symmetric 2x2 field is stored once, as its entries ``(11, 12, 22)``,
+and its derivatives are derivative-major:
+
+* ``points`` and ``grad``: ``(x1, x2)`` and ``(d1 phi, d2 phi)``;
+* ``G`` and ``H``: ``(11, 12, 22)``;
+* ``dG`` and ``dH``: ``d1`` of ``(11, 12, 22)``, then ``d2`` of them;
+* ``d2H``: ``d11``, then ``d12``, then ``d22`` of ``(11, 12, 22)``.
+
+:meth:`SymplecticPotential.stack` runs one interior check per batch and
+then evaluates every formula column by column, on blocks of ``BLOCK``
+points whose list columns are copied into the arrays, so each formula
+exists once and a single point is a batch of one.  Every derivative of the
+other side comes from closed-form 2x2 algebra on the adjugate (see
+``_inverse_jet``), in either direction.  Two families implement it:
 
 * potentials given on the convex-function side (Guillemin, quadratic
-  models) supply the gradient, ``G`` and its derivatives analytically
-  and derive the ``H`` stack by matrix calculus;
+  models) supply the gradient, ``G``, ``dG`` and ``d2G`` analytically;
   they also expose the values of ``phi`` on a batch, which only the
   finite-difference oracle reads;
 * metrics given on the inverse side (:class:`CalabiPotential`, the
   one-point blow-up soliton built on the closed forms of
-  :mod:`toric_soliton.calabi`) supply the gradient, ``H`` and its
-  derivatives analytically and derive the ``G`` stack.
+  :mod:`toric_soliton.calabi`) supply the gradient, ``H``, ``dH`` and
+  ``d2H`` analytically.
+
+A stack built with ``gradient=False`` skips the gradient, which only the
+root profiles read; its ``grad`` is None.
 
 :func:`gradient_by_line_integral` recovers a gradient from ``G`` alone, on
 the Gauss-Legendre rule of :mod:`toric_soliton.quadrature`; it is kept as
 the independent oracle for closed-form gradients.
 
-Index conventions, after the batch axis: ``dG[i, j, k] = d G_ij / d x_k``
-and ``d2H[i, j, k, l] = d^2 H_ij / d x_k d x_l``.
-
-Stacks are arrays, so this module imports numpy; only ``verify`` builds a
-potential, and it is the one command that loads numpy.
+Everything here is plain Python on floats, so no command imports numpy.
 """
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
-from typing import NamedTuple
-
-import numpy as np
+from array import array
+from operator import add, sub
+from typing import NamedTuple, Sequence
 
 from .calabi import (
     ALPHA1,
@@ -50,33 +61,124 @@ from .quadrature import gauss_legendre
 #: points with any facet value at or below this are treated as boundary
 BOUNDARY_TOL = 1e-12
 
+#: one float per point of a batch
+Column = Sequence[float]
+#: (x, y) pairs as plain floats
+Pairs = list[tuple[float, float]]
+
 
 class Stack(NamedTuple):
-    """Derivative stack of a potential on a batch of m interior points."""
+    """Derivative stack of a potential on m interior points, one float column per component."""
 
-    points: np.ndarray  # (m, n)
-    grad: np.ndarray  # (m, n)
-    G: np.ndarray  # (m, n, n)
-    H: np.ndarray  # (m, n, n)
-    dG: np.ndarray  # (m, n, n, n)
-    dH: np.ndarray  # (m, n, n, n)
-    d2H: np.ndarray  # (m, n, n, n, n)
+    points: tuple[Column, Column]  # x1, x2
+    grad: tuple[Column, Column] | None  # d1 phi, d2 phi; None when built without the gradient
+    G: tuple[Column, Column, Column]  # 11, 12, 22
+    H: tuple[Column, Column, Column]
+    dG: tuple[Column, ...]  # d1 (11, 12, 22), d2 (11, 12, 22)
+    dH: tuple[Column, ...]
+    d2H: tuple[Column, ...]  # d11 (11, 12, 22), d12 (...), d22 (...)
 
-    def select(self, index) -> "Stack":
-        """The stack on a subset of its points (any numpy index of the batch axis)."""
-        return Stack(*(f[index] for f in self))
+    @property
+    def size(self) -> int:
+        """The number of points m."""
+        return len(self.points[0])
+
+    def select(self, index) -> Stack:
+        """The stack on a subset of its points: a slice, or a sequence of point indices."""
+        if isinstance(index, slice):
+            def pick(column):
+                return column[index]
+        else:
+            index = list(index)
+
+            def pick(column):
+                return array("d", [column[i] for i in index])
+        return Stack(*(None if field is None else tuple(map(pick, field)) for field in self))
 
 
-def _inverse_2x2(m: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of a batch of 2x2 matrices, shape (m, 2, 2)."""
-    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
-    adjugate = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
-    return adjugate / (a * d - b * c)[:, None, None]
+def as_pairs(points) -> Pairs:
+    """Float (x, y) pairs of a nonempty sequence of points (numpy arrays included)."""
+    try:
+        pairs = [(float(x), float(y)) for x, y in points]
+    except (TypeError, ValueError) as exc:
+        raise MalformedInputError(f"points must be a sequence of (x, y) pairs: {exc}") from None
+    if not pairs:
+        raise MalformedInputError("no points to evaluate")
+    return pairs
 
 
-def _congruence_derivative(inverse: np.ndarray, d_matrix: np.ndarray) -> np.ndarray:
-    """d(M^-1) = -M^-1 dM M^-1 over the batch."""
-    return -np.einsum("mia,mabk,mbj->mijk", inverse, d_matrix, inverse)
+#: points per block: a block's columns are lists, freed once copied into the stack's arrays
+BLOCK = 4096
+#: the number of columns of each stack field after ``points``
+_WIDTHS = (2, 3, 3, 6, 6, 9)
+
+
+def _combine(terms, m: int) -> list[float]:
+    """The column sum of c * column over the (c, column) terms, zero coefficients skipped."""
+    total = None
+    for c, column in terms:
+        if c == 0.0:
+            continue
+        if total is None:
+            total = [c * v for v in column]
+        elif c == 1.0:
+            total = list(map(add, total, column))
+        elif c == -1.0:
+            total = list(map(sub, total, column))
+        else:
+            total = [t + c * v for t, v in zip(total, column)]
+    return [0.0] * m if total is None else total
+
+
+# -- closed-form 2x2 algebra on columns; a symmetric matrix is (11, 12, 22) ------
+
+
+#: the adjugate of (m11, m12, m22) is (m22, -m12, m11): these signs on the reversed entries
+_ADJUGATE_SIGNS = (1.0, -1.0, 1.0)
+
+
+def inverse(m) -> tuple[tuple[list[float], list[float], list[float]], list[float]]:
+    """The inverse (11, 12, 22) of a symmetric 2x2 field, its adjugate over its determinant, and the determinant."""
+    m11, m12, m22 = m
+    det = [p * r - q * q for p, q, r in zip(m11, m12, m22)]
+    return tuple([sign * a / d for a, d in zip(column, det)] for sign, column in zip(_ADJUGATE_SIGNS, m[::-1])), det
+
+
+def _inverse_jet(m, dm, d2m=None) -> tuple:
+    """The inverse N = M^-1 of a symmetric 2x2 field with dN, and with d2N when d2M is given.
+
+    By the adjugate: N = A / D with A = (m22, -m12, m11) and D = det M, so
+    dN_k = (dA_k - N dD_k) / D and
+    d2N_kl = (d2A_kl - dN_l dD_k - dN_k dD_l - N d2D_kl) / D, where
+    dD_k = A : dM_k and d2D_kl = A : d2M_kl + dA_l : dM_k, with
+    P : Q = p11 q11 + 2 p12 q12 + p22 q22.
+    """
+    n, det = inverse(m)
+    m11, m12, m22 = m
+
+    def over_det(derivative, products):
+        """(dA_e - products_e) / D for each entry e, dA read from a derivative of M."""
+        return tuple([(sign * a - t) / d for a, t, d in zip(column, terms, det)]
+                     for sign, column, terms in zip(_ADJUGATE_SIGNS, derivative[::-1], products))
+
+    first = (dm[:3], dm[3:])
+    d_det = [[dp * r + p * dr - 2.0 * q * dq for p, q, r, dp, dq, dr in zip(m11, m12, m22, *d)] for d in first]
+    dn = [over_det(d, [[x * e for x, e in zip(entry, dd)] for entry in n]) for d, dd in zip(first, d_det)]
+    if d2m is None:
+        return n, (*dn[0], *dn[1])
+    d2n = []
+    for (k, l), d2 in zip(((0, 0), (0, 1), (1, 1)), (d2m[:3], d2m[3:6], d2m[6:])):
+        (pk, qk, rk), (pl, ql, rl) = first[k], first[l]
+        d2_det = [
+            ppkl * r + p * rrkl - 2.0 * q * qqkl + pk_ * rl_ + pl_ * rk_ - 2.0 * qk_ * ql_
+            for p, q, r, ppkl, qqkl, rrkl, pk_, qk_, rk_, pl_, ql_, rl_ in zip(m11, m12, m22, *d2, pk, qk, rk, pl, ql, rl)
+        ]
+        products = [
+            [xl * ek + xk * el + x * e for xl, ek, xk, el, x, e in zip(dn[l][i], d_det[k], dn[k][i], d_det[l], n[i], d2_det)]
+            for i in range(3)
+        ]
+        d2n += over_det(d2, products)
+    return n, (*dn[0], *dn[1]), tuple(d2n)
 
 
 class SymplecticPotential(ABC):
@@ -84,53 +186,56 @@ class SymplecticPotential(ABC):
 
     polytope: DelzantPolytope
 
-    def require_interior(self, points: np.ndarray) -> np.ndarray:
-        """Facet values (m, d) of an (m, n) batch of points, all of which must be interior."""
-        if points.ndim != 2 or points.shape[1] != self.polytope.dim:
-            raise MalformedInputError(f"points have shape {points.shape}, expected (m, {self.polytope.dim})")
-        values = self.polytope.facet_values_many(points)
-        lowest = values.min(axis=1)
-        worst = int(np.argmin(lowest))
-        if not lowest[worst] > BOUNDARY_TOL:
-            raise BoundaryEvaluationError(
-                f"point {tuple(points[worst].tolist())} is not interior (min facet value {lowest[worst]:.3e})"
-            )
-        return values
+    def require_interior(self, points: Pairs) -> list[tuple[float, ...]]:
+        """Facet values of a batch of (x, y) pairs, every one of which must be interior."""
+        rows = self.polytope.facet_values_many(points)
+        for point, row in zip(points, rows):
+            lowest = min(row)
+            if not lowest > BOUNDARY_TOL:
+                raise BoundaryEvaluationError(f"point {point} is not interior (min facet value {lowest:.3e})")
+        return rows
 
-    def stack(self, points) -> Stack:
-        """The derivative stack on an (m, n) batch of interior points."""
-        points = np.asarray(points, dtype=float)
-        return self._stack(points, self.require_interior(points))
+    def stack(self, points, *, gradient: bool = True) -> Stack:
+        """The derivative stack on a batch of interior (x, y) points; ``gradient=False`` skips ``grad``."""
+        pairs = as_pairs(points)
+        facet_values = self.require_interior(pairs)
+        columns = [array("d") for _ in range(sum(_WIDTHS) - (0 if gradient else 2))]
+        for start in range(0, len(pairs), BLOCK):
+            end = start + BLOCK
+            for column, values in zip(columns, self._columns(pairs[start:end], facet_values[start:end], gradient)):
+                column.extend(values)
+        fields = [] if gradient else [None]
+        for width in _WIDTHS[0 if gradient else 1:]:
+            fields.append(tuple(columns[:width]))
+            del columns[:width]
+        points = (array("d", [x for x, _ in pairs]), array("d", [y for _, y in pairs]))
+        return Stack(points, *fields)
 
     @abstractmethod
-    def _stack(self, points: np.ndarray, facet_values: np.ndarray) -> Stack: ...
+    def _columns(self, pairs: Pairs, facet_values: list[tuple[float, ...]], gradient: bool) -> list:
+        """The stack's columns on a block, grad (if built), G, H, dG, dH and d2H in order."""
 
 
 class PhiSidePotential(SymplecticPotential):
-    """Stack driven by analytic grad, G, dG, d2G; the H side is derived."""
+    """Stack driven by analytic grad, G, dG and d2G; the H side is derived."""
 
-    def values(self, points) -> np.ndarray:
-        """phi (m,) on an (m, n) batch of interior points."""
-        points = np.asarray(points, dtype=float)
-        return self._values(points, self.require_interior(points))
-
-    @abstractmethod
-    def _values(self, points: np.ndarray, facet_values: np.ndarray) -> np.ndarray: ...
+    def values(self, points) -> list[float]:
+        """phi on a batch of interior (x, y) points."""
+        pairs = as_pairs(points)
+        value = self._value
+        return [value(x, y, ell) for (x, y), ell in zip(pairs, self.require_interior(pairs))]
 
     @abstractmethod
-    def _phi_derivatives(self, points: np.ndarray, facet_values: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(grad, G, dG, d2G) on the batch, shapes (m, n) ... (m, n, n, n, n)."""
+    def _value(self, x: float, y: float, ell: tuple[float, ...]) -> float: ...
 
-    def _stack(self, points: np.ndarray, facet_values: np.ndarray) -> Stack:
-        grad, g, dg, d2g = self._phi_derivatives(points, facet_values)
-        h = _inverse_2x2(g)
-        dh = _congruence_derivative(h, dg)
-        d2h = -(
-            np.einsum("mial,mabk,mbj->mijkl", dh, dg, h)
-            + np.einsum("mia,mabkl,mbj->mijkl", h, d2g, h)
-            + np.einsum("mia,mabk,mbjl->mijkl", h, dg, dh)
-        )
-        return Stack(points, grad, g, h, dg, dh, d2h)
+    @abstractmethod
+    def _phi_columns(self, pairs: Pairs, facet_values: list[tuple[float, ...]], gradient: bool) -> tuple:
+        """(grad or (), G, dG, d2G) on a block, in the stack's layouts."""
+
+    def _columns(self, pairs, facet_values, gradient):
+        grad, g, dg, d2g = self._phi_columns(pairs, facet_values, gradient)
+        h, dh, d2h = _inverse_jet(g, dg, d2g)
+        return [*grad, *g, *h, *dg, *dh, *d2h]
 
 
 class GuilleminPotential(PhiSidePotential):
@@ -138,98 +243,107 @@ class GuilleminPotential(PhiSidePotential):
 
     def __init__(self, polytope: DelzantPolytope):
         self.polytope = polytope
-        self._normals = polytope.normal_matrix  # (d, n)
+        self._normals = polytope.normal_matrix
 
-    def _values(self, points, ell):
-        return 0.5 * np.sum(ell * np.log(ell), axis=1)
+    def _value(self, x, y, ell):
+        # summed in facet order, as a plain loop: the second differences of the
+        # finite-difference oracle magnify any change in the rounding of phi
+        total = 0.0
+        for v in ell:
+            total += v * math.log(v)
+        return 0.5 * total
 
-    def _phi_derivatives(self, points, ell):
-        nu = self._normals
-        grad = 0.5 * ((1.0 + np.log(ell)) @ nu)
-        g = 0.5 * np.einsum("ri,rj,mr->mij", nu, nu, 1.0 / ell)
-        dg = -0.5 * np.einsum("ri,rj,rk,mr->mijk", nu, nu, nu, ell**-2)
-        d2g = np.einsum("ri,rj,rk,rl,mr->mijkl", nu, nu, nu, nu, ell**-3)
-        return grad, g, dg, d2g
+    def _phi_columns(self, pairs, facet_values, gradient):
+        # G = (1/2) sum_r nu nu^T / L_r, dG = -(1/2) sum_r nu^3 / L_r^2, d2G = sum_r nu^4 / L_r^3
+        m = len(pairs)
+        ells = list(zip(*facet_values))
+        inverse = [[1.0 / v for v in ell] for ell in ells]
+        squares = [[v * v for v in r] for r in inverse]
+        cubes = [[v * w for v, w in zip(r2, r)] for r2, r in zip(squares, inverse)]
+
+        def moments(scale, degree, columns):
+            """scale sum_r a_r^i b_r^(degree - i) columns_r for i = degree, ..., 0, with nu_r = (a_r, b_r)."""
+            return [_combine([(scale * a**i * b ** (degree - i), c) for (a, b), c in zip(self._normals, columns)], m)
+                    for i in range(degree, -1, -1)]
+
+        g = tuple(moments(0.5, 2, inverse))
+        t111, t112, t122, t222 = moments(-0.5, 3, squares)
+        q1111, q1112, q1122, q1222, q2222 = moments(1.0, 4, cubes)
+        grad = ()
+        if gradient:
+            logs = [[0.5 * (1.0 + math.log(v)) for v in ell] for ell in ells]
+            grad = tuple(_combine([(nu[i], c) for nu, c in zip(self._normals, logs)], m) for i in (0, 1))
+        return (
+            grad,
+            g,
+            (t111, t112, t122, t112, t122, t222),
+            (q1111, q1112, q1122, q1112, q1122, q1222, q1122, q1222, q2222),
+        )
 
 
 class QuadraticPotential(PhiSidePotential):
     """phi = (1/2) x^T M x; the flat model when M is the identity."""
 
-    def __init__(self, polytope: DelzantPolytope, matrix: np.ndarray | None = None):
+    def __init__(self, polytope: DelzantPolytope, matrix=None):
         self.polytope = polytope
-        n = polytope.dim
-        m = np.eye(n) if matrix is None else np.asarray(matrix, dtype=float)
-        if np.linalg.eigvalsh(0.5 * (m + m.T))[0] <= 0.0:
+        (m11, m12), (m21, m22) = ((1.0, 0.0), (0.0, 1.0)) if matrix is None else matrix
+        sym = (float(m11), 0.5 * (float(m12) + float(m21)), float(m22))
+        # a symmetric 2x2 matrix is positive definite iff its trace and determinant are positive
+        if not (sym[0] + sym[2] > 0.0 and sym[0] * sym[2] - sym[1] * sym[1] > 0.0):
             raise LossOfConvexityError("quadratic potential requires a positive definite matrix")
-        self._matrix = 0.5 * (m + m.T)
+        self._matrix = sym
 
-    def _values(self, points, facet_values):
-        return 0.5 * np.einsum("mi,ij,mj->m", points, self._matrix, points)
+    def _value(self, x, y, ell):
+        m11, m12, m22 = self._matrix
+        return 0.5 * (x * (m11 * x + m12 * y) + y * (m12 * x + m22 * y))
 
-    def _phi_derivatives(self, points, facet_values):
-        m, n = points.shape
-        return (
-            points @ self._matrix,
-            np.broadcast_to(self._matrix, (m, n, n)).copy(),
-            np.zeros((m, n, n, n)),
-            np.zeros((m, n, n, n, n)),
-        )
+    def _phi_columns(self, pairs, facet_values, gradient):
+        m11, m12, m22 = self._matrix
+        m = len(pairs)
+        grad = ()
+        if gradient:
+            grad = ([m11 * x + m12 * y for x, y in pairs], [m12 * x + m22 * y for x, y in pairs])
+        zero = [0.0] * m
+        return grad, ([m11] * m, [m12] * m, [m22] * m), (zero,) * 6, (zero,) * 9
 
 
 class HSidePotential(SymplecticPotential):
-    """Stack driven by analytic grad, H, dH, d2H; the G side is derived."""
+    """Stack driven by analytic grad, H, dH and d2H; the G side is derived."""
 
     @abstractmethod
-    def _h_derivatives(self, points: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(grad, H, dH, d2H) on the batch, shapes (m, n) ... (m, n, n, n, n)."""
+    def _h_columns(self, pairs: Pairs, gradient: bool) -> tuple:
+        """(grad or (), H, dH, d2H) on a block, in the stack's layouts."""
 
-    def _stack(self, points: np.ndarray, facet_values: np.ndarray) -> Stack:
-        grad, h, dh, d2h = self._h_derivatives(points)
-        g = _inverse_2x2(h)
-        return Stack(points, grad, g, h, _congruence_derivative(g, dh), dh, d2h)
+    def _columns(self, pairs, facet_values, gradient):
+        grad, h, dh, d2h = self._h_columns(pairs, gradient)
+        g, dg = _inverse_jet(h, dh)
+        return [*grad, *g, *h, *dg, *dh, *d2h]
 
 
-def _calabi_entry_partials(s: CalabiSoliton, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """H, dH and d2H on an (m, 2) batch of points of tau."""
-    x = mu[:, 0]
-    y = mu[:, 1] / x
-    a_val, a1d, a2d = profile_A(s, x)
+def _calabi_h_jet(s: CalabiSoliton, t: float, mu2: float):
+    """H, dH and d2H at the point (t, mu2) of tau, in the stack's layouts."""
+    y = mu2 / t
+    a_val, a1d, a2d = profile_A(s, t)
     b_val, b1d, b2d = profile_B(s, y)
-
-    # (f, f_x, f_y, f_xx, f_xy, f_yy) per entry in the rectangle coordinates
-    ax = a1d / x - a_val / x**2
-    axx = a2d / x - 2.0 * a1d / x**2 + 2.0 * a_val / x**3
-    entries = {
-        (0, 0): (a_val / x, ax, 0.0, axx, 0.0, 0.0),
-        (0, 1): (y * a_val / x, y * ax, a_val / x, y * axx, ax, 0.0),
-        (1, 1): (
-            x * b_val + y * y * a_val / x,
-            b_val + y * y * ax,
-            x * b1d + 2.0 * y * a_val / x,
-            y * y * axx,
-            b1d + 2.0 * y * ax,
-            x * b2d + 2.0 * a_val / x,
-        ),
-    }
-
-    m = len(mu)
-    h = np.zeros((m, 2, 2))
-    dh = np.zeros((m, 2, 2, 2))
-    d2h = np.zeros((m, 2, 2, 2, 2))
-    for (i, j), (f, fx, fy, fxx, fxy, fyy) in entries.items():
+    ax = a1d / t - a_val / t**2
+    axx = a2d / t - 2.0 * a1d / t**2 + 2.0 * a_val / t**3
+    # (f, f_x, f_y, f_xx, f_xy, f_yy) of each entry 11, 12, 22 in the rectangle coordinates (x, y)
+    entries = (
+        (a_val / t, ax, 0.0, axx, 0.0, 0.0),
+        (y * a_val / t, y * ax, a_val / t, y * axx, ax, 0.0),
+        (t * b_val + y * y * a_val / t, b_val + y * y * ax, t * b1d + 2.0 * y * a_val / t,
+         y * y * axx, b1d + 2.0 * y * ax, t * b2d + 2.0 * a_val / t),
+    )
+    h, d1, d2, d11, d12, d22 = [], [], [], [], [], []
+    for f, fx, fy, fxx, fxy, fyy in entries:
         # chain rule through y = mu2 / mu1
-        d1 = fx - (y / x) * fy
-        d2 = fy / x
-        d11 = fxx - 2.0 * (y / x) * fxy + (y / x) ** 2 * fyy + 2.0 * y / x**2 * fy
-        d12 = -fy / x**2 + fxy / x - y * fyy / x**2
-        d22 = fyy / x**2
-        for (r, c) in {(i, j), (j, i)}:
-            h[:, r, c] = f
-            dh[:, r, c, 0], dh[:, r, c, 1] = d1, d2
-            d2h[:, r, c, 0, 0] = d11
-            d2h[:, r, c, 0, 1] = d2h[:, r, c, 1, 0] = d12
-            d2h[:, r, c, 1, 1] = d22
-    return h, dh, d2h
+        h.append(f)
+        d1.append(fx - (y / t) * fy)
+        d2.append(fy / t)
+        d11.append(fxx - 2.0 * (y / t) * fxy + (y / t) ** 2 * fyy + 2.0 * y / t**2 * fy)
+        d12.append(-fy / t**2 + fxy / t - y * fyy / t**2)
+        d22.append(fyy / t**2)
+    return h, (*d1, *d2), (*d11, *d12, *d22)
 
 
 class CalabiPotential(HSidePotential):
@@ -244,67 +358,80 @@ class CalabiPotential(HSidePotential):
     def __init__(self, soliton: CalabiSoliton | None = None):
         self.soliton = soliton or CalabiSoliton.solve()
         self.polytope = blowup_trapezoid()
-        self.base_point = np.zeros(2)
+        self.base_point = (0.0, 0.0)
         # t / A(t) has simple poles at the ends of [ALPHA1, ALPHA2], residue t / A'(t)
         self._poles = tuple((end, end / profile_A(self.soliton, end)[1]) for end in (ALPHA1, ALPHA2))
-        self._f_rule = tuple(np.array(t) for t in gauss_legendre(48))
+        self._f_rule = tuple(zip(*gauss_legendre(48)))
 
-    def _h_derivatives(self, points):
-        mu = from_algebraic_coordinates(points)
-        return (self._gradient(mu), *_calabi_entry_partials(self.soliton, mu))
+    def _h_columns(self, pairs, gradient):
+        mus = [from_algebraic_coordinates(p) for p in pairs]
+        h, dh, d2h = (list(zip(*field)) for field in zip(*(_calabi_h_jet(self.soliton, t, mu2) for t, mu2 in mus)))
+        grad = ()
+        if gradient:
+            # F depends on mu1 alone: a tensor grid has one value of it per column
+            f_of = dict.fromkeys(t for t, _ in mus)
+            f_of = dict(zip(f_of, self._f_values(list(f_of))))
+            t0, mu20 = from_algebraic_coordinates(self.base_point)
+            y0 = mu20 / t0
+            c1, c2 = 0.5 * math.log(1.0 - y0), 0.5 * math.log(y0 / (1.0 - y0))
+            ys = [mu2 / t for t, mu2 in mus]
+            grad = ([f_of[t] + 0.5 * math.log(1.0 - y) - c1 for (t, _), y in zip(mus, ys)],
+                    [0.5 * math.log(y / (1.0 - y)) - c2 for y in ys])
+        return grad, h, dh, d2h
 
-    def _gradient(self, mu: np.ndarray) -> np.ndarray:
-        """Closed-form gradient on an (m, 2) batch of points of tau.
+    def _f_values(self, ts: list[float]) -> list[float]:
+        """F(t) - F(t0) at each t, with F'(t) = t / A(t) and t0 the base point's mu1.
 
         Integrating the rows of G in closed form gives
         grad_2 = (1/2) log(y / (1 - y)) + c2 and
-        grad_1 = F(mu1) + (1/2) log(1 - y) + c1 with F'(t) = t / A(t).
+        grad_1 = F(mu1) + (1/2) log(1 - y) + c1.
         The poles of t / A at alpha1 and alpha2 integrate to logarithms;
-        the smooth rest of F, from the base point to every mu1, is one
-        array of 48-node Gauss-Legendre sums, accurate up to the boundary.
-        Constants are fixed by the gauge grad(base) = 0.
+        the smooth rest of F, from the base point to t, is a 48-node
+        Gauss-Legendre sum, accurate up to the boundary.  Constants are
+        fixed by the gauge grad(base) = 0.
         """
-        base = from_algebraic_coordinates(self.base_point)
-        t0, y0 = base[0], base[1] / base[0]
-        t, y = mu[:, 0], mu[:, 1] / mu[:, 0]
-        mid, half = 0.5 * (t0 + t), 0.5 * (t - t0)
-        nodes, weights = self._f_rule
-        ts = mid[:, None] + half[:, None] * nodes
-        smooth = ts / profile_A(self.soliton, ts)[0] - sum(c / (ts - end) for end, c in self._poles)
-        f = half * (smooth @ weights) + sum(c * np.log((t - end) / (t0 - end)) for end, c in self._poles)
-        return np.stack([
-            f + 0.5 * np.log(1.0 - y) - 0.5 * np.log(1.0 - y0),
-            0.5 * np.log(y / (1.0 - y)) - 0.5 * np.log(y0 / (1.0 - y0)),
-        ], axis=1)
+        t0 = from_algebraic_coordinates(self.base_point)[0]
+        out = []
+        for t in ts:
+            mid, half = 0.5 * (t0 + t), 0.5 * (t - t0)
+            smooth = 0.0
+            for node, weight in self._f_rule:
+                u = mid + half * node
+                smooth += weight * (u / profile_A(self.soliton, u)[0] - sum(c / (u - end) for end, c in self._poles))
+            out.append(half * smooth + sum(c * math.log((t - end) / (t0 - end)) for end, c in self._poles))
+        return out
 
 
-def gradient_by_line_integral(potential: SymplecticPotential, x, x0) -> np.ndarray:
+def gradient_by_line_integral(potential: SymplecticPotential, x, x0) -> tuple[float, float]:
     """Recover grad phi(x) - grad phi(x0) from the Hessian field G alone.
 
     Integrates G(x0 + s (x - x0)) (x - x0) over s in [0, 1] with composite
     16-node Gauss-Legendre panels, doubling the panel count (at most ten
     times) until the result is stable to 1e-12 relative.  Each level reads
-    G from one stack on all of its nodes and never the stack's gradient, so
-    the result is an independent check of closed-form gradients.  Both ends
-    must be interior; by convexity the whole segment then is.
+    G from one stack on all of its nodes, built without the gradient, so
+    the result is an independent check of closed-form gradients.  Both
+    ends must be interior; by convexity the whole segment then is.
     """
-    x = np.asarray(x, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
-    potential.require_interior(np.array([x0, x]))
-    direction = x - x0
-    if np.allclose(direction, 0.0):
-        return np.zeros_like(x)
-    nodes, weights = (np.array(t) for t in gauss_legendre(16))
+    (x1, x2), (a1, a2) = as_pairs([x, x0])
+    potential.require_interior([(a1, a2), (x1, x2)])
+    d1, d2 = x1 - a1, x2 - a2
+    if abs(d1) <= 1e-8 and abs(d2) <= 1e-8:
+        return 0.0, 0.0
+    nodes, weights = gauss_legendre(16)
 
-    def composite(panels: int) -> np.ndarray:
-        s = (np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)).ravel() / panels
-        g = potential.stack(x0 + s[:, None] * direction).G
-        return (np.tile(weights, panels) * (0.5 / panels)) @ (g @ direction)
+    def composite(panels: int) -> tuple[float, float]:
+        s = [(p + 0.5 * (node + 1.0)) / panels for p in range(panels) for node in nodes]
+        g11, g12, g22 = potential.stack([(a1 + si * d1, a2 + si * d2) for si in s], gradient=False).G
+        scale = 0.5 / panels
+        w = [wi * scale for wi in weights] * panels
+        return (sum([wi * (p * d1 + q * d2) for wi, p, q in zip(w, g11, g12)]),
+                sum([wi * (q * d1 + r * d2) for wi, q, r in zip(w, g12, g22)]))
 
     previous = composite(1)
     for level in range(1, 11):
         current = composite(2**level)
-        if np.max(np.abs(current - previous)) <= 1e-12 * (1.0 + np.max(np.abs(current))):
+        change = max(abs(current[0] - previous[0]), abs(current[1] - previous[1]))
+        if change <= 1e-12 * (1.0 + max(abs(current[0]), abs(current[1]))):
             return current
         previous = current
     return previous
@@ -313,4 +440,3 @@ def gradient_by_line_integral(potential: SymplecticPotential, x, x0) -> np.ndarr
 def guillemin(p: DelzantPolytope) -> GuilleminPotential:
     """The canonical potential of a Delzant polytope."""
     return GuilleminPotential(p)
-

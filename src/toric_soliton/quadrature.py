@@ -6,24 +6,20 @@ exactness.  Weights are positive, node generation is deterministic, and
 the nodes of the whole polygon form one set in fixed triangle order, so an
 integral is one dot product.
 
-The Gauss-Legendre nodes and the triangulation are plain Python floats,
-so the Futaki solve (:mod:`toric_soliton.futaki`) runs on this rule
-without numpy.  numpy is needed only by the two array-facing functions:
-:func:`polygon_rule`, which lays the rule out as that node set, and
-:func:`integrate`, which evaluates on it.
+Everything is plain Python on floats: the Gauss-Legendre nodes, the
+triangulation, the node set of :func:`polygon_rule` and the weighted sum
+of :func:`integrate`, so neither the Futaki solve
+(:mod:`toric_soliton.futaki`) nor ``verify`` needs numpy here.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import UnsupportedDimensionError
 from .polytope import DelzantPolytope
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: relative tolerance for the triangulation area identity
 AREA_TOL = 1e-12
@@ -141,35 +137,36 @@ def triangulate(p: DelzantPolytope) -> Triangulation:
     return tiling
 
 
-def polygon_rule(p: DelzantPolytope, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every node and weight of the order-``order`` rule on the polygon, as arrays.
+def polygon_rule(p: DelzantPolytope, order: int) -> tuple[list[Point], list[float]]:
+    """Every node and weight of the order-``order`` rule on the polygon.
 
     The node (u_i, v_j) of the tensor rule :func:`line_rule` maps to the
     reference simplex at (xi, eta) = (u_i (1 - v_j), u_i v_j) with weight
     w_i w_j u_i, and on to each fan triangle (c, v_1, v_2) of
     :func:`triangulate` at (1 - xi - eta) c + xi v_1 + eta v_2 with that
-    weight times twice the triangle's area.  Returns points (N, 2) and
-    weights (N,), N = d (order + 3)^2 for d facets, triangle by triangle;
-    the weights are positive and sum to the polygon's area.
+    weight times twice the triangle's area.  Returns the N = d (order + 3)^2
+    nodes as (x1, x2) pairs and their weights, for d facets, triangle by
+    triangle; the weights are positive and sum to the polygon's area.
     """
-    import numpy as np
-
-    u, w = (np.array(t) for t in line_rule(order))
-    xi, eta = np.outer(u, 1.0 - u).ravel(), np.outer(u, u).ravel()
-    barycentric = np.stack([1.0 - xi - eta, xi, eta], axis=1)
-    simplices = triangulate(p).simplices
-    points = barycentric @ np.array(simplices)
-    jac = np.array([2.0 * _triangle_area(tri) for tri in simplices])
-    weights = np.outer(jac, np.outer(w * u, w).ravel())
-    return points.reshape(-1, 2), weights.ravel()
+    u, w = line_rule(order)
+    reference = [(ui * (1.0 - uj), ui * uj, wi * ui * wj) for ui, wi in zip(u, w) for uj, wj in zip(u, w)]
+    points, weights = [], []
+    for tri in triangulate(p).simplices:
+        (cx, cy), (ax, ay), (bx, by) = tri
+        jac = 2.0 * _triangle_area(tri)
+        for xi, eta, weight in reference:
+            rest = 1.0 - xi - eta
+            points.append((rest * cx + xi * ax + eta * bx, rest * cy + xi * ay + eta * by))
+            weights.append(jac * weight)
+    return points, weights
 
 
 def integrate(p: DelzantPolytope, f: Callable, order: int = 10) -> float:
     """Integrate a smooth scalar field over the polytope.
 
     Exact for polynomials of total degree up to ``order`` on each fan
-    triangle.  ``f`` is called once, with the (N, 2) array of every node
-    of :func:`polygon_rule`, and returns the N values there.
+    triangle.  ``f`` is called once, with the list of every node of
+    :func:`polygon_rule`, and returns the N values there.
     """
     points, weights = polygon_rule(p, order)
-    return float(weights @ f(points))
+    return sum([w * v for w, v in zip(weights, f(points))])

@@ -5,23 +5,22 @@ rounded to 15 significant digits at serialization time. Golden files pin
 the structure exactly (keys and their order, list order, ints, strings,
 bools and null) and the floats to a tolerance: quantities that vanish by
 symmetry come out as round-off whose sign and last digits differ between
-numpy and BLAS builds.
+math libraries.
 
 ``verify`` is driven by one ordered list of ``(name, value, threshold)``
 checks from :func:`verify_checks`: the affine block, the mean scalar
 curvature, the soliton equation, four checks per root, the mode
 identities and product rule, the finite-difference oracle, the gamma
 positivity and semisimple pairings, and the boundary product form.  Grid
-checks reduce their per-point residuals to ``max |r|``.  The two checks
-that need more than the derivative stack are gated on the potential's
-type alone.
+checks reduce their per-point residuals to ``max |r|``, and a NaN anywhere
+makes that maximum NaN, so its check fails.  The two checks that need
+more than the derivative stack are gated on the potential's type alone.
 
 The submodules past the exact lattice work are bound as lazily loaded
 modules and called qualified, so ``roots`` executes none of them,
-``soliton`` and ``decompose`` only ``futaki`` and ``quadrature``, whose
-Futaki solve is plain Python, and ``calabi`` only ``calabi``, whose closed
-forms run on floats.  numpy itself is imported here only by the one
-report that computes with arrays: ``verify``.
+``soliton`` and ``decompose`` only ``futaki`` and ``quadrature``, and
+``calabi`` only ``calabi``.  Every report, ``verify`` included, computes
+on plain Python floats; no command imports numpy.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .polytope import (
     DelzantPolytope,
     blowup_trapezoid,
     delzant_check,
+    linspace,
     normalize_algebraic,
     privileged_center,
 )
@@ -149,18 +149,19 @@ def _check_potential(normalized: DelzantPolytope, potential_kind: str) -> None:
 
 
 def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
-    """Mean of Abreu's scalar curvature over the polygon, from one stack on every quadrature node."""
+    """Mean of Abreu's scalar curvature over the polygon, from one stack on every quadrature node.
+
+    The curvature reads only ``d2H``, so the stack is built without the gradient.
+    """
     total = quadrature.integrate(
-        ctx.polytope, lambda pts: operators.scalar_curvature(ctx.potential.stack(pts)), order=order
+        ctx.polytope, lambda pts: operators.scalar_curvature(ctx.potential.stack(pts, gradient=False)), order=order
     )
     return total / quadrature.triangulate(ctx.polytope).total_area
 
 
 def _peak(*residuals) -> float:
-    """max |r| over per-point residual arrays; 0.0 for none, and a NaN anywhere propagates."""
-    import numpy as np
-
-    return float(np.max([np.max(np.abs(r)) for r in residuals], initial=0.0))
+    """max |r| over per-point residual columns; 0.0 for none, and a NaN anywhere propagates."""
+    return operators.max_abs([operators.max_abs(r) for r in residuals])
 
 
 def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: futaki.SolitonData,
@@ -175,13 +176,12 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     ``PhiSidePotential``), and the boundary product form is the closed
     form of the canonical potential's root profiles (a ``GuilleminPotential``).
     """
-    import numpy as np
-
     n = ctx.polytope.dim
     affine = eigenbasis.affine_block(ctx, stack)
     scal_mean = _scal_mean(ctx, order)
     checks = [
-        ("affine_eigenfunctions_max_rel_residual", max(rec["max_rel_residual"] for rec in affine), 1e-6),
+        ("affine_eigenfunctions_max_rel_residual", operators.max_abs(rec["max_rel_residual"] for rec in affine),
+         1e-6),
         ("abreu_mean_minus_2n_lambda", scal_mean - 2.0 * n * soliton.lam, 1e-4),
         ("soliton_pde_max_residual", _peak(operators.soliton_residuals(ctx, stack, scal_mean)), 1e-6),
     ]
@@ -194,30 +194,33 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
             (f"eigen_value_root_{tag}", result.stats["fitted_eigenvalue"] - 2.0, 1e-6),
             (f"anti_holomorphic_fit_root_{tag}", result.gamma_fit, 1e-6),
             (f"anti_holomorphic_root_{tag}",
-             abs(result.gamma_hat) - 4.0 * abs(float(result.function.alpha @ ctx.a)), 1e-6),
+             abs(result.gamma_hat) - 4.0 * abs(operators.dot(result.function.root.alpha, ctx.a)), 1e-6),
         ]
 
     # mode-diagonal identities and the product rule on a sample of grid points
-    sample = stack.select(slice(None, None, max(1, len(stack.points) // 16)))
+    sample = stack.select(slice(None, None, max(1, stack.size // 16)))
     identity, product = [], []
     for root in rootset.roots[:3]:
-        alpha = np.array(root.alpha, dtype=float)
+        a1, a2 = root.alpha
         pure_mode = operators.profile_constant(1.0, n, mode=root.alpha)
-        radial = operators.profile_exp_pairing(alpha)
-        null = operators.profile_exp_pairing(alpha, mode=root.alpha)
-        t_expected = np.einsum("i,mij,j->m", alpha, sample.G, alpha) - 2.0 * float(ctx.a @ alpha)
+        radial = operators.profile_exp_pairing(root.alpha)
+        null = operators.profile_exp_pairing(root.alpha, mode=root.alpha)
+        shift = 2.0 * operators.dot(ctx.a, root.alpha)
+        t_expected = [a1 * a1 * g11 + 2.0 * a1 * a2 * g12 + a2 * a2 * g22 - shift for g11, g12, g22 in zip(*sample.G)]
         lhs_t = operators.complex_weighted_laplacian(ctx, pure_mode, sample)
         lhs_x = operators.complex_weighted_laplacian(ctx, radial, sample)
         lhs_null = operators.complex_weighted_laplacian(ctx, null, sample)
-        identity += [lhs_t - t_expected, lhs_x + t_expected * radial.jet(sample)[0], lhs_null]
+        identity += [[v - t for v, t in zip(lhs_t, t_expected)],
+                     [v + t * u for v, t, u in zip(lhs_x, t_expected, radial.jet(sample)[0])],
+                     lhs_null]
         product.append(operators.product_rule_defects(ctx, operators.profile_coordinate(0, n), radial, sample))
     checks += [("mode_identity_max_defect", _peak(*identity), 1e-8),
                ("product_rule_max_defect", _peak(*product), 1e-8)]
 
     # without roots the coordinate profile x_1 stands in for a root profile
     if isinstance(ctx.potential, potentials.PhiSidePotential):
-        middle = len(stack.points) // 2
-        x0, at_x0 = stack.points[middle], stack.select([middle])
+        middle = stack.size // 2
+        x0, at_x0 = (stack.points[0][middle], stack.points[1][middle]), stack.select([middle])
         profile = results[0].function.profile if results else operators.profile_coordinate(0, n)
         analytic = float(operators.complex_weighted_laplacian(ctx, profile, at_x0)[0])
         oracle, abreu_fd = operators.finite_difference_oracle(ctx, profile, x0)
@@ -226,14 +229,15 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
                    ("fd_oracle_abreu_rel", (abreu_fd - abreu_an) / max(1.0, abs(abreu_an)), 1e-3)]
 
     gamma_values = assemble_decomposition(soliton.a, rootset).gamma_values
-    semisimple = (abs(float(np.array(r.alpha) @ ctx.a)) for r in rootset.semisimple)
+    semisimple = (abs(operators.dot(r.alpha, ctx.a)) for r in rootset.semisimple)
     checks += [("gamma_positivity_min", min(0.0, min(gamma_values)), 1e-9),
                ("semisimple_pairings_max", max(semisimple, default=0.0), 1e-9)]
 
     if isinstance(ctx.potential, potentials.GuilleminPotential):
+        points = list(zip(*sample.points))
         defects = (
-            eigenbasis.boundary_product_form(ctx.polytope, r.function.root).values(sample.points)
-            - r.function.profile.jet(sample)[0]
+            [v - u for v, u in zip(eigenbasis.boundary_product_form(ctx.polytope, r.function.root).values(points),
+                                   r.function.profile.jet(sample)[0])]
             for r in results
         )
         checks.append(("boundary_form_interior_match", _peak(*defects), 1e-10))
@@ -254,8 +258,10 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         raise MalformedInputError(f"grid {grid_n} with margin {margin} has no interior point")
     # the affine eigenfunction fits need points off one line (on a line through the origin
     # the largest |x_i| they divide by is 0); collinear points have a singular scatter matrix
-    spread = grid - grid.mean(axis=0)
-    (sxx, sxy), (_, syy) = spread.T @ spread
+    mx, my = (sum(axis) / len(grid) for axis in zip(*grid))
+    sxx = sum([(x - mx) ** 2 for x, _ in grid])
+    syy = sum([(y - my) ** 2 for _, y in grid])
+    sxy = sum([(x - mx) * (y - my) for x, y in grid])
     if sxx * syy - sxy * sxy <= 1e-12 * (sxx + syy) ** 2:
         raise MalformedInputError(
             f"grid {grid_n} with margin {margin} keeps {len(grid)} point(s), all on one line"
@@ -263,7 +269,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
     rootset = enumerate_roots(normalized)
     soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
     potential = potentials.guillemin(normalized) if potential_kind == "guillemin" else potentials.CalabiPotential()
-    ctx = operators.OperatorContext(polytope=normalized, potential=potential, a=soliton.a_array)
+    ctx = operators.OperatorContext(polytope=normalized, potential=potential, a=soliton.a)
     listed, root_checks, scal_mean = verify_checks(ctx, rootset, soliton, potential.stack(grid), order)
     checks = [
         {"name": name, "value": float(value), "threshold": threshold, "passed": bool(abs(value) <= threshold)}
@@ -292,7 +298,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
                 "lambda_hat": r.stats["fitted_eigenvalue"],
                 "max_rel_residual": r.stats["max_rel_residual"],
                 "gamma_hat": r.gamma_hat,
-                "gamma": 2.0 * float(r.function.alpha @ ctx.a),
+                "gamma": 2.0 * operators.dot(r.function.root.alpha, ctx.a),
             }
             for r in root_checks
         ],
@@ -351,12 +357,6 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
     }
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """The floats of ``numpy.linspace(start, stop, num)``: ``start + i * step``, the last one ``stop``."""
-    step = (stop - start) / max(num - 1, 1)
-    return [stop if 0 < i == num - 1 else start + i * step for i in range(num)]
-
-
 def calabi_report(grid_points: int = 50) -> dict:
     """Solve the blow-up closed forms and report residual diagnostics.
 
@@ -364,7 +364,7 @@ def calabi_report(grid_points: int = 50) -> dict:
     ``numpy.linspace(ALPHA1, ALPHA2, grid_points)``.
     """
     soliton = calabi.CalabiSoliton.solve()
-    xs = _linspace(calabi.ALPHA1, calabi.ALPHA2, grid_points)
+    xs = linspace(calabi.ALPHA1, calabi.ALPHA2, grid_points)
     ode = max(abs(calabi.ode_residual(soliton, x)) for x in xs)
     return {
         "command": "calabi",

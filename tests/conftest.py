@@ -1,4 +1,11 @@
-"""Shared fixtures: the two worked examples plus a product-of-lines square."""
+"""Shared fixtures: the two worked examples plus a product-of-lines square.
+
+The package computes on plain float columns; numpy is the tests' oracle.
+``expand`` turns a :class:`~toric_soliton.Stack` into the arrays
+``(m, 2)`` ... ``(m, 2, 2, 2, 2)`` with the batch axis first, ``batch``
+does the same for any nested tuple of columns, and ``column_jet`` and
+``array_jet`` translate profile jets between the two layouts.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +13,8 @@ import json
 
 import numpy as np
 import pytest
+
+from typing import NamedTuple
 
 from toric_soliton import (
     CalabiPotential,
@@ -74,7 +83,7 @@ def blowup_soliton(blowup):
 
 @pytest.fixture(scope="session")
 def cp2_ctx(cp2, cp2_soliton):
-    return OperatorContext(polytope=cp2, potential=guillemin(cp2), a=cp2_soliton.a_array)
+    return OperatorContext(polytope=cp2, potential=guillemin(cp2), a=cp2_soliton.a)
 
 
 @pytest.fixture(scope="session")
@@ -87,13 +96,13 @@ def blowup_ctx(blowup, blowup_soliton, calabi_soliton):
     return OperatorContext(
         polytope=blowup,
         potential=CalabiPotential(calabi_soliton),
-        a=blowup_soliton.a_array,
+        a=blowup_soliton.a,
     )
 
 
 @pytest.fixture(scope="session")
 def blowup_guillemin_ctx(blowup, blowup_soliton):
-    return OperatorContext(polytope=blowup, potential=guillemin(blowup), a=blowup_soliton.a_array)
+    return OperatorContext(polytope=blowup, potential=guillemin(blowup), a=blowup_soliton.a)
 
 
 @pytest.fixture(scope="session")
@@ -119,12 +128,69 @@ def blowup_grid(blowup):
 def interior_points(polytope, count: int, seed: int = 0, margin_fraction: float = 0.05) -> np.ndarray:
     """Deterministic rejection sample of interior points."""
     rng = np.random.default_rng(seed)
-    verts = polytope.vertices
+    verts = np.array(polytope.vertex_points)
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     margin = polytope.interior_margin(margin_fraction)
     points = []
     while len(points) < count:
         candidate = lo + (hi - lo) * rng.random(polytope.dim)
-        if polytope.facet_values_many(candidate[None]).min() >= margin:
+        if min(polytope.facet_values_many([candidate])[0]) >= margin:
             points.append(candidate)
     return np.array(points)
+
+
+def batch(columns) -> np.ndarray:
+    """A nested tuple of columns, component indices outermost, as an array with the batch axis first."""
+    return np.moveaxis(np.asarray(columns), -1, 0)
+
+
+def symmetric(c11, c12, c22) -> np.ndarray:
+    """The (m, 2, 2) array of a symmetric field stored as its columns 11, 12 and 22."""
+    c11, c12, c22 = (np.asarray(c) for c in (c11, c12, c22))
+    return np.stack([np.stack([c11, c12], axis=-1), np.stack([c12, c22], axis=-1)], axis=-2)
+
+
+class ArrayStack(NamedTuple):
+    """A stack as arrays: ``dG[m, i, j, k] = d_k G_ij`` and ``d2H[m, i, j, k, l] = d_k d_l H_ij``."""
+
+    points: np.ndarray
+    grad: np.ndarray | None
+    G: np.ndarray
+    H: np.ndarray
+    dG: np.ndarray
+    dH: np.ndarray
+    d2H: np.ndarray
+
+
+def expand(s) -> ArrayStack:
+    """The stack's columns as the arrays (m, 2), (m, 2), (m, 2, 2) ... (m, 2, 2, 2, 2)."""
+
+    def first(d):
+        return np.stack([symmetric(*d[:3]), symmetric(*d[3:])], axis=-1)
+
+    t11, t12, t22 = symmetric(*s.d2H[:3]), symmetric(*s.d2H[3:6]), symmetric(*s.d2H[6:])
+    return ArrayStack(
+        points=batch(s.points),
+        grad=None if s.grad is None else batch(s.grad),
+        G=symmetric(*s.G),
+        H=symmetric(*s.H),
+        dG=first(s.dG),
+        dH=first(s.dH),
+        d2H=np.stack([np.stack([t11, t12], axis=-1), np.stack([t12, t22], axis=-1)], axis=-2),
+    )
+
+
+def array_jet(jet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A jet of columns as the arrays u (m,), du (m, 2) and d2u (m, 2, 2)."""
+    u, du, d2u = jet
+    return np.asarray(u), batch(du), symmetric(*d2u)
+
+
+def column_jet(jet):
+    """A jet written on arrays, reading ``expand(s)`` and returning (m,), (m, 2), (m, 2, 2), as a column jet."""
+
+    def wrapped(s):
+        u, du, d2u = jet(expand(s))
+        return list(u), (list(du[:, 0]), list(du[:, 1])), (list(d2u[:, 0, 0]), list(d2u[:, 0, 1]), list(d2u[:, 1, 1]))
+
+    return wrapped

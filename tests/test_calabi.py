@@ -26,8 +26,9 @@ from toric_soliton.calabi import (
     mean_scalar_curvature,
     soliton_equation,
 )
-from toric_soliton.report import _linspace, calabi_report
-from conftest import interior_points
+from toric_soliton.polytope import linspace
+from toric_soliton.report import calabi_report
+from conftest import expand, interior_points
 
 
 def to_algebraic_coordinates(mu) -> np.ndarray:
@@ -36,8 +37,19 @@ def to_algebraic_coordinates(mu) -> np.ndarray:
 
 
 def tau_stack(soliton: CalabiSoliton, mu):
-    """The Calabi potential's derivative stack at the rows of mu, points of the trapezoid tau."""
-    return CalabiPotential(soliton).stack(to_algebraic_coordinates(np.atleast_2d(mu)))
+    """The Calabi potential's derivative stack at the rows of mu, points of the trapezoid tau, as arrays."""
+    return expand(CalabiPotential(soliton).stack(to_algebraic_coordinates(np.atleast_2d(mu))))
+
+
+def array_profile_A(s: CalabiSoliton, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed form of A and its derivatives evaluated on a numpy array, the oracle of the float code."""
+    a, c = s.a1, s.a1 * s.a1 - 0.5
+    e, scale = np.exp(-2.0 * a * (xs - 1.0)), -1.0 / a**3
+    return (
+        scale * (c * e + a * a * xs * xs - (2.0 * a * a + a) * xs + (a + 0.5)),
+        scale * (-2.0 * a * c * e + 2.0 * a * a * xs - (2.0 * a * a + a)),
+        scale * (4.0 * a * a * c * e + 2.0 * a * a),
+    )
 
 
 def test_parameter_validation():
@@ -48,7 +60,7 @@ def test_parameter_validation():
     # ... and (x, y) -> (x, x y) maps their rectangle onto the blow-up trapezoid
     corners = [(x, x * y) for x in (calabi.ALPHA1, calabi.ALPHA2) for y in (calabi.BETA1, calabi.BETA2)]
     expected = {tuple(v) for v in to_algebraic_coordinates(corners).tolist()}
-    assert {tuple(v) for v in blowup_trapezoid().vertices.tolist()} == expected
+    assert set(blowup_trapezoid().vertex_points) == expected
 
 
 def test_m_and_mean_curvature():
@@ -93,8 +105,10 @@ def test_profile_A_domain(calabi_soliton):
 @pytest.mark.parametrize("x", [0.5, float("nan"), np.array([2.0, 3.5]), np.array([np.nan])],
                          ids=["float-below", "float-nan", "array-above", "array-nan"])
 def test_profile_A_domain_on_floats_and_arrays(calabi_soliton, x):
+    # a batch is evaluated point by point; its first point outside the interval is rejected
     with pytest.raises(BoundaryEvaluationError):
-        profile_A(calabi_soliton, x)
+        for value in np.atleast_1d(x):
+            profile_A(calabi_soliton, float(value))
 
 
 def test_profile_A_slopes(calabi_soliton):
@@ -127,9 +141,9 @@ def test_ode_residual_with_correct_mean(calabi_soliton):
 
 
 def test_profile_A_float_branch_matches_array_branch(calabi_soliton):
-    # one formula serves both; only exp is taken from math for a float and from
-    # numpy for an array, so the branches agree to round-off of the terms summed
-    # (relative to their size: the sum cancels near the ends, where A vanishes)
+    # the float code and the same formula on numpy arrays, with exp from math and
+    # from numpy, agree to round-off of the terms summed (relative to their size:
+    # the sum cancels near the ends, where A vanishes)
     xs = np.linspace(calabi.ALPHA1, calabi.ALPHA2, 1002)[1:-1]
     a = calabi_soliton.a1
     c, e, scale = a * a - 0.5, np.exp(-2.0 * a * (xs - 1.0)), abs(a) ** -3
@@ -138,7 +152,7 @@ def test_profile_A_float_branch_matches_array_branch(calabi_soliton):
         scale * (2.0 * abs(a * c) * e + 2.0 * a * a * xs + abs(2.0 * a * a + a)),
         scale * (4.0 * a * a * abs(c) * e + 2.0 * a * a),
     )
-    on_array = profile_A(calabi_soliton, xs)
+    on_array = array_profile_A(calabi_soliton, xs)
     on_floats = np.array([profile_A(calabi_soliton, x) for x in xs.tolist()]).T
     assert all(type(v) is float for v in profile_A(calabi_soliton, 2.0))
     for floats, array, size in zip(on_floats, on_array, sizes):
@@ -148,7 +162,7 @@ def test_profile_A_float_branch_matches_array_branch(calabi_soliton):
 def test_report_grid_is_numpy_linspace():
     for num in range(501):
         for start, stop in ((calabi.ALPHA1, calabi.ALPHA2), (0.1, 0.7), (-3.0, 1e-3)):
-            assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+            assert linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
 
 
 @pytest.mark.parametrize("grid", [1, 2, 25, 100, 500])
@@ -156,11 +170,13 @@ def test_calabi_report_matches_array_evaluation(calabi_soliton, grid):
     # oracle: the same closed forms on numpy arrays, sampled on numpy.linspace
     report = calabi_report(grid)
     xs = np.linspace(calabi.ALPHA1, calabi.ALPHA2, grid)
-    ode = np.max(np.abs(ode_residual(calabi_soliton, xs)))
+    _, first, second = array_profile_A(calabi_soliton, xs)
+    ode = np.max(np.abs(-second - 2.0 * calabi_soliton.a1 * first - xs * calabi_soliton.scal_mean - calabi_soliton.m))
     assert type(report["ode_max_residual"]) is float
     assert abs(report["ode_max_residual"] - ode) <= 1e-14
-    a_val, a_slope, _ = profile_A(calabi_soliton, np.array([calabi.ALPHA1, calabi.ALPHA2]))
-    b_val, b_slope, _ = profile_B(calabi_soliton, np.array([calabi.BETA1, calabi.BETA2]))
+    a_val, a_slope, _ = array_profile_A(calabi_soliton, np.array([calabi.ALPHA1, calabi.ALPHA2]))
+    ys = np.array([calabi.BETA1, calabi.BETA2])
+    b_val, b_slope = -2.0 * ys * ys + 2.0 * ys, -4.0 * ys + 2.0
     expected = {
         "A_alpha1": abs(a_val[0]),
         "A_alpha2": abs(a_val[1]),
@@ -198,8 +214,8 @@ def test_h_matrix_positive_definite_at_center_image(calabi_soliton):
 def test_g_h_inverse_identity(calabi_soliton, blowup):
     # the closed-form G against the H the stack assembles from the profiles
     points = interior_points(blowup, 20, seed=11)
-    for x, h in zip(points, CalabiPotential(calabi_soliton).stack(points).H):
-        g = g_matrix(calabi_soliton, from_algebraic_coordinates(x))
+    for x, h in zip(points, expand(CalabiPotential(calabi_soliton).stack(points)).H):
+        g = np.array(g_matrix(calabi_soliton, from_algebraic_coordinates(x)))
         assert np.max(np.abs(g @ h - np.eye(2))) <= 1e-10
 
 
@@ -245,15 +261,15 @@ def test_abreu_curvature_closed_form(calabi_soliton):
 def test_coordinate_translation():
     assert np.allclose(from_algebraic_coordinates([0.0, 0.0]), [2.0, 1.0])
     assert np.allclose(from_algebraic_coordinates([-1.0, -1.0]), [1.0, 0.0])
-    assert np.allclose(from_algebraic_coordinates([[1.0, 2.0]]), [[3.0, 3.0]])
+    assert np.allclose(from_algebraic_coordinates(np.array([1.0, 2.0])), [3.0, 3.0])
 
 
 def test_potential_gradient_matches_semi_closed_form(blowup):
     # the production gradient is the closed form; the line integral of G is its oracle
     pot = CalabiPotential()
     pts = interior_points(blowup, 6, seed=12)
-    for x, closed in zip(pts, pot.stack(pts).grad):
-        line = gradient_by_line_integral(pot, x, pot.base_point)
+    for x, closed in zip(pts, expand(pot.stack(pts)).grad):
+        line = np.array(gradient_by_line_integral(pot, x, pot.base_point))
         assert np.max(np.abs(line - closed)) <= 1e-9
 
 
@@ -269,3 +285,20 @@ def test_soliton_reuses_params(calabi_soliton):
     assert calabi_soliton.scal_mean == mean_scalar_curvature()
     assert calabi_soliton.a[1] == 0.0
     assert calabi_soliton.a[0] == calabi_soliton.a1
+
+
+def test_gradient_evaluates_f_once_per_grid_column(blowup, monkeypatch):
+    # F depends on mu1 alone, so a tensor grid asks for it once per distinct x1
+    pot = CalabiPotential()
+    f_values = CalabiPotential._f_values
+    asked = []
+
+    def counting(self, ts):
+        asked.extend(ts)
+        return f_values(self, ts)
+
+    monkeypatch.setattr(CalabiPotential, "_f_values", counting)
+    grid = blowup.interior_grid(21, 0.05)
+    pot.stack(grid)
+    assert sorted(asked) == sorted({x + calabi.ALGEBRAIC_SHIFT[0] for x, _ in grid})
+    assert len(asked) <= 21

@@ -282,7 +282,7 @@ def test_large_offsets_are_bounded(capsys, tmp_path, offset):
     path = tmp_path / "polytope.json"
     path.write_text(cp2_with_offsets(offset))
     lam = float(offset)
-    assert {tuple(v) for v in parse_polytope(path.read_text()).vertices.tolist()} == {
+    assert set(parse_polytope(path.read_text()).vertex_points) == {
         (-lam, -lam), (-lam, 2 * lam), (2 * lam, -lam),
     }
     code, out = run(capsys, "roots", str(path), "--format", "json")

@@ -1,8 +1,8 @@
-"""Import set of each command: only ``verify`` loads numpy.
+"""Import set of each command: no command loads numpy.
 
-No command loads ``dataclasses`` (records are ``NamedTuple`` classes), the
-numpy-free commands load no ``inspect`` either, and no command loads
-``numpy.polynomial``.  Each case runs in a fresh interpreter, so nothing
+No command loads ``dataclasses`` (records are ``NamedTuple`` classes) or
+``inspect``, and every command exits as usual in an interpreter where
+``import numpy`` fails.  Each case runs in a fresh interpreter, so nothing
 an earlier test imported can hide a module load.
 """
 
@@ -59,10 +59,14 @@ print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules, "executed": exe
 """
 
 
-def fresh(*argv: str) -> dict:
+#: the probe in an interpreter where ``import numpy`` raises ImportError
+BLOCKED_PROBE = 'import sys\nsys.modules["numpy"] = None\n' + PROBE
+
+
+def fresh(*argv: str, probe: str = PROBE) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     args = [json.dumps(list(argv))] if argv else []
-    proc = subprocess.run([sys.executable, "-c", PROBE, *args], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -156,17 +160,41 @@ def test_calabi_loads_no_numpy(grid, fmt):
         assert f"toric_soliton.{name}" not in result["executed"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", str(DATA / "cp2.json"), "--grid", "5"),
-    ("verify", str(DATA / "blowup.json"), "--potential", "calabi", "--grid", "5"),
-], ids=["verify", "verify-calabi"])
-def test_array_commands_load_numpy(argv):
-    # numpy itself loads inspect, but no Gauss rule comes from numpy.polynomial
-    result = fresh(*argv)
-    assert result["exit"] == 0
-    assert result["numpy"] is True
-    assert "dataclasses" not in result["loaded"]
-    assert "numpy.polynomial" not in result["loaded"]
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "cp2.json"), 0),
+    (("verify", "blowup.json", "--potential", "calabi"), 0),
+    (("verify", "bl3.json"), 4),
+], ids=["guillemin", "calabi", "failing-bl3"])
+def test_verify_loads_no_numpy(argv, code, fmt):
+    # the stacks, operators and checks run on floats, the failing control included
+    command, document, *flags = argv
+    result = fresh(command, str(DATA / document), *flags, "--format", fmt)
+    assert result["exit"] == code
+    assert_numpy_free(result)
+    for name in ("potentials", "operators", "eigenbasis"):
+        assert f"toric_soliton.{name}" in result["executed"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("roots", "cp2.json"), 0),
+    (("soliton", "blowup.json"), 0),
+    (("decompose", "blowup.json", "--potential", "calabi"), 0),
+    (("calabi", "--grid", "50"), 0),
+    (("verify", "cp2.json"), 0),
+    (("verify", "blowup.json", "--potential", "guillemin"), 4),
+    (("verify", "blowup.json", "--potential", "calabi"), 0),
+    (("verify", "bl3.json"), 4),
+    (("verify", "square.json", "--grid", "27"), 0),
+    (("verify", "not_fano.json"), 2),
+    (("soliton", "non_delzant.json"), 2),
+], ids=["roots", "soliton", "decompose", "calabi", "verify", "verify-blowup-guillemin", "verify-calabi",
+        "verify-bl3", "verify-square", "verify-not-fano", "soliton-non-delzant"])
+def test_every_command_runs_with_numpy_blocked(argv, code):
+    # the probe's own ``sys.modules["numpy"] = None`` is the only numpy entry
+    result = fresh(*(str(DATA / a) if a.endswith(".json") else a for a in argv), probe=BLOCKED_PROBE)
+    assert result["exit"] == code
+    assert result["loaded"] == []
 
 
 def test_soliton_executes_no_potential_module():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,7 +107,7 @@ def test_square_vertices(square):
 def test_vertices_have_exactly_n_active_facets(cp2, blowup, square):
     for p in (cp2, blowup, square):
         for vertex, (_, active) in zip(p.vertex_points, p.vertex_data):
-            values = p.facet_values_many(np.array([vertex]))[0]
+            values = np.array(p.facet_values_many(np.array([vertex]))[0])
             assert len(active) == p.dim
             near_zero = np.abs(values) <= 1e-9
             assert near_zero.sum() == p.dim
@@ -194,7 +195,7 @@ def test_normalize_scales_offsets():
     ]))
     normalized = normalize_algebraic(p)
     assert normalized.is_algebraic
-    assert {tuple(v) for v in normalized.vertices.tolist()} == {(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
+    assert set(normalized.vertex_points) == {(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)}
     assert normalize_algebraic(normalized) is normalized
 
 
@@ -217,10 +218,34 @@ def test_interior_grid_margin(cp2):
     margin = cp2.interior_margin(0.05)
     assert margin == pytest.approx(0.15)
     assert len(grid) > 0
-    assert np.all(cp2.facet_values_many(grid).min(axis=1) >= margin - 1e-12)
+    assert np.all(np.array(cp2.facet_values_many(grid)).min(axis=1) >= margin - 1e-12)
 
 
 def test_to_dict_round_trip(cp2, blowup):
     for p in (cp2, blowup):
         again = parse_polytope(json.dumps(p.to_dict()))
         assert again == p
+
+
+DOCUMENTS = ("cp2", "blowup", "square", "bl3", "non_delzant", "not_fano")
+
+
+def numpy_interior_grid(p, n: int, margin_fraction: float) -> np.ndarray:
+    """The oracle: numpy.linspace axes over the vertex box, an ij meshgrid, the margin filter."""
+    verts = np.array(p.vertex_points)
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    axes = [np.linspace(lo[i], hi[i], n) for i in range(2)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    normals = np.array([f.normal for f in p.facets], dtype=float)
+    offsets = np.array([float(f.offset) for f in p.facets])
+    return mesh[(mesh @ normals.T + offsets).min(axis=1) >= p.interior_margin(margin_fraction)]
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_interior_grid_matches_numpy_construction(name):
+    # the same points in the same order, float for float
+    p = parse_polytope((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    for margin in (0.05, 0.3):
+        for n in range(1, 61):
+            expected = [tuple(row) for row in numpy_interior_grid(p, n, margin).tolist()]
+            assert p.interior_grid(n, margin) == expected, (n, margin)

@@ -15,7 +15,7 @@ from toric_soliton import (
     gradient_by_line_integral,
     guillemin,
 )
-from conftest import interior_points
+from conftest import expand, interior_points
 
 
 def finite_difference_jacobian(field, points, h):
@@ -27,7 +27,7 @@ def finite_difference_jacobian(field, points, h):
 def test_guillemin_closed_form_at_origin(cp2):
     pot = guillemin(cp2)
     origin = np.zeros(2)
-    s = pot.stack(origin[None])
+    s = expand(pot.stack(origin[None]))
     assert pot.values(origin[None])[0] == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(s.grad[0], 0.0, atol=1e-15)
     assert np.allclose(s.G[0], 0.5 * np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -38,9 +38,9 @@ def test_guillemin_gradient_closed_form(cp2):
     # gradient components are half log-ratios of facet values
     pot = guillemin(cp2)
     pts = interior_points(cp2, 10, seed=1)
-    l1, l2, l3 = cp2.facet_values_many(pts).T
+    l1, l2, l3 = np.array(cp2.facet_values_many(pts)).T
     expected = 0.5 * np.stack([np.log(l1 / l3), np.log(l2 / l3)], axis=1)
-    assert np.allclose(pot.stack(pts).grad, expected, atol=1e-13)
+    assert np.allclose(expand(pot.stack(pts)).grad, expected, atol=1e-13)
 
 
 def test_boundary_evaluation_rejected(cp2):
@@ -55,9 +55,9 @@ def test_values_match_row_by_row(cp2, blowup):
     for p in (cp2, blowup):
         pot = guillemin(p)
         pts = interior_points(p, 12, seed=3)
-        batch = pot.values(pts)
+        batch = np.array(pot.values(pts))
         rows = [pot.values(x[None])[0] for x in pts]
-        closed = [0.5 * sum(ell * math.log(ell) for ell in row) for row in p.facet_values_many(pts).tolist()]
+        closed = [0.5 * sum(ell * math.log(ell) for ell in row) for row in p.facet_values_many(pts)]
         assert batch.shape == (12,)
         assert np.allclose(batch, rows, rtol=0.0, atol=1e-15)
         assert np.allclose(batch, closed, rtol=0.0, atol=1e-13)
@@ -71,7 +71,7 @@ def test_stack_rejects_a_bare_point(cp2):
 
 def test_hessian_inverse_identity(cp2, blowup):
     for p in (cp2, blowup):
-        s = guillemin(p).stack(interior_points(p, 20, seed=2))
+        s = expand(guillemin(p).stack(interior_points(p, 20, seed=2)))
         assert np.max(np.abs(s.G @ s.H - np.eye(2))) <= 1e-10
         assert np.all(np.linalg.eigvalsh(s.G)[:, 0] > 0)
 
@@ -81,8 +81,8 @@ def test_hessian_matches_finite_differences(cp2):
     margin = cp2.interior_margin(0.05)
     step = 1e-5 * margin
     pts = interior_points(cp2, 20, seed=3)
-    fd = finite_difference_jacobian(lambda q: pot.stack(q).grad, pts, step)
-    assert np.max(np.abs(fd - pot.stack(pts).G)) <= 1e-6
+    fd = finite_difference_jacobian(lambda q: expand(pot.stack(q)).grad, pts, step)
+    assert np.max(np.abs(fd - expand(pot.stack(pts)).G)) <= 1e-6
 
 
 def test_inv_hessian_derivative_matches_finite_differences(cp2):
@@ -90,21 +90,21 @@ def test_inv_hessian_derivative_matches_finite_differences(cp2):
     margin = cp2.interior_margin(0.05)
     step = 1e-5 * margin
     pts = interior_points(cp2, 20, seed=4)
-    fd = finite_difference_jacobian(lambda q: pot.stack(q).H, pts, step)
-    assert np.max(np.abs(fd - pot.stack(pts).dH)) <= 1e-5
+    fd = finite_difference_jacobian(lambda q: expand(pot.stack(q)).H, pts, step)
+    assert np.max(np.abs(fd - expand(pot.stack(pts)).dH)) <= 1e-5
 
 
 def test_inv_hessian_second_matches_finite_differences(cp2):
     pot = guillemin(cp2)
     step = 1e-4
     pts = interior_points(cp2, 5, seed=5)
-    fd = finite_difference_jacobian(lambda q: pot.stack(q).dH, pts, step)
-    assert np.max(np.abs(fd - pot.stack(pts).d2H)) <= 1e-5
+    fd = finite_difference_jacobian(lambda q: expand(pot.stack(q)).dH, pts, step)
+    assert np.max(np.abs(fd - expand(pot.stack(pts)).d2H)) <= 1e-5
 
 
 def test_third_derivative_tensor_symmetry(cp2, blowup):
     for p in (cp2, blowup):
-        dg = guillemin(p).stack(interior_points(p, 10, seed=6)).dG
+        dg = expand(guillemin(p).stack(interior_points(p, 10, seed=6))).dG
         for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)):
             assert np.max(np.abs(dg - np.transpose(dg, perm))) <= 1e-9
 
@@ -114,7 +114,7 @@ def test_det_h_degenerates_toward_facet(cp2):
     # walk toward facet 0 (normal e1) along its inward normal
     target = np.array([-1.0, 0.2])
     walk = target + np.linspace(0.5, 1e-3, 8)[:, None] * np.array([1.0, 0.0])
-    dets = np.linalg.det(pot.stack(walk).H)
+    dets = np.linalg.det(expand(pot.stack(walk)).H)
     assert all(d > 0 for d in dets)
     assert all(dets[i + 1] < dets[i] for i in range(len(dets) - 5, len(dets) - 1))
     assert dets[-1] < 1e-2 * dets[0]
@@ -131,8 +131,8 @@ def test_line_integral_matches_guillemin_gradient(cp2):
     pot = guillemin(cp2)
     x0 = np.zeros(2)
     for x in interior_points(cp2, 8, seed=10):
-        recovered = gradient_by_line_integral(pot, x, x0)
-        grad = pot.stack(np.array([x, x0])).grad
+        recovered = np.array(gradient_by_line_integral(pot, x, x0))
+        grad = expand(pot.stack(np.array([x, x0]))).grad
         assert np.max(np.abs(recovered - (grad[0] - grad[1]))) <= 1e-9
 
 
@@ -141,8 +141,8 @@ def test_line_integral_path_independence(cp2):
     x0 = np.array([0.1, 0.1])
     mid = np.array([-0.4, 0.3])
     x = np.array([0.5, -0.7])
-    direct = gradient_by_line_integral(pot, x, x0)
-    via = gradient_by_line_integral(pot, mid, x0) + gradient_by_line_integral(pot, x, mid)
+    direct = np.array(gradient_by_line_integral(pot, x, x0))
+    via = np.add(gradient_by_line_integral(pot, mid, x0), gradient_by_line_integral(pot, x, mid))
     assert np.max(np.abs(direct - via)) <= 1e-9
 
 
@@ -154,7 +154,7 @@ def test_line_integral_segment_exits_interior(cp2):
 
 def test_quadratic_potential_stack(square):
     pot = QuadraticPotential(square)
-    s = pot.stack(np.array([[0.2, -0.1]]))
+    s = expand(pot.stack(np.array([[0.2, -0.1]])))
     assert np.allclose(s.G, np.eye(2))
     assert np.allclose(s.H, np.eye(2))
     assert np.allclose(s.dH, 0.0)

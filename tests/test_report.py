@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import pytest
 
-from toric_soliton import OperatorContext, guillemin, parse_polytope
+from toric_soliton import CalabiPotential, OperatorContext, guillemin, operators, parse_polytope
 from toric_soliton.potentials import HSidePotential
 from toric_soliton.report import (
     _scal_mean,
@@ -30,14 +31,14 @@ class StackOnlyPotential(HSidePotential):
         self.polytope = polytope
         self._canonical = guillemin(polytope)
 
-    def _h_derivatives(self, points):
-        s = self._canonical.stack(points)
-        return s.grad, s.H, s.dH, s.d2H
+    def _h_columns(self, pairs, gradient):
+        s = self._canonical.stack(pairs, gradient=gradient)
+        return s.grad or (), s.H, s.dH, s.d2H
 
 
 def test_stack_only_potential_runs_every_stack_check(cp2, cp2_roots, cp2_soliton, cp2_grid, cp2_ctx):
     potential = StackOnlyPotential(cp2)
-    ctx = OperatorContext(polytope=cp2, potential=potential, a=cp2_soliton.a_array)
+    ctx = OperatorContext(polytope=cp2, potential=potential, a=cp2_soliton.a)
     checks, root_checks, _ = verify_checks(ctx, cp2_roots, cp2_soliton, potential.stack(cp2_grid), 10)
     names = [name for name, _, _ in checks]
     assert len(names) == 3 + 4 * len(cp2_roots.roots) + 2 + 2 == 31
@@ -56,12 +57,12 @@ def test_scal_mean_builds_one_stack_on_every_node(cp2, cp2_soliton):
     sizes = []
     stack = potential.stack
 
-    def counting(points):
+    def counting(points, **options):
         sizes.append(len(points))
-        return stack(points)
+        return stack(points, **options)
 
     potential.stack = counting
-    ctx = OperatorContext(polytope=cp2, potential=potential, a=cp2_soliton.a_array)
+    ctx = OperatorContext(polytope=cp2, potential=potential, a=cp2_soliton.a)
     assert _scal_mean(ctx, 10) == pytest.approx(4.0 * cp2_soliton.lam, abs=1e-10)
     assert sizes == [3 * 13**2]
 
@@ -95,3 +96,31 @@ def test_report_leaves_are_plain_json_types():
     for label, report in _reports():
         odd = {type(leaf).__name__ for leaf in _leaves(report) if type(leaf) not in plain}
         assert not odd, (label, odd)
+
+
+def test_scal_mean_with_calabi_evaluates_no_gradient(blowup, blowup_soliton, monkeypatch):
+    # the curvature reads d2H alone, so the quadrature stack skips the Gauss sums of the gradient
+    potential = CalabiPotential()
+    calls = []
+    monkeypatch.setattr(CalabiPotential, "_f_values", lambda self, ts: calls.append(ts) or [0.0] * len(ts))
+    ctx = OperatorContext(polytope=blowup, potential=potential, a=blowup_soliton.a)
+    assert _scal_mean(ctx, 10) == pytest.approx(potential.soliton.scal_mean, abs=1e-4)
+    assert calls == []
+
+
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+def test_nan_residual_fails_its_check(monkeypatch, where):
+    # a NaN anywhere in a per-point residual makes the check's value NaN and fails it
+    residuals = operators.soliton_residuals
+
+    def with_nan(ctx, s, scal_mean):
+        values = residuals(ctx, s, scal_mean)
+        values[where] = math.nan
+        return values
+
+    monkeypatch.setattr(operators, "soliton_residuals", with_nan)
+    report = verify_report(parse_polytope((DATA / "cp2.json").read_text()))
+    check = next(c for c in report["checks"] if c["name"] == "soliton_pde_max_residual")
+    assert math.isnan(check["value"])
+    assert check["passed"] is False
+    assert report["first_failed"] == "soliton_pde_max_residual"
