@@ -65,7 +65,7 @@ _EXPORTS = {
         "enumerate_roots",
     ),
     "quadrature": ("Triangulation", "integrate", "polygon_rule", "triangulate"),
-    "futaki": ("SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume"),
+    "futaki": ("SolitonData", "solve_soliton_vector", "weighted_volume"),
     "potentials": (
         "CalabiPotential",
         "GuilleminPotential",

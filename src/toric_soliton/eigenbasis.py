@@ -36,7 +36,7 @@ from .operators import (
     profile_coordinate,
 )
 from .potentials import Stack
-from .polytope import DelzantPolytope
+from .polytope import DIM, DelzantPolytope
 from .roots import GAMMA_TOL, DemazureRoot
 
 
@@ -162,15 +162,14 @@ def affine_block(ctx: OperatorContext, s: Stack) -> list[dict]:
     coordinates with torus mode zero, so the real and imaginary parts
     satisfy the same radial equation.
     """
-    n = ctx.polytope.dim
     records = []
-    for i in range(n):
-        f = profile_coordinate(i, n)
+    for i in range(DIM):
+        f = profile_coordinate(i)
         jet = f.jet(s)
         fit = _Fit.of(jet[0], apply_to_jet(s, jet, f.mode, ctx.a))
         records.append({
             "basis": f"x_{i + 1}",
-            "mode": (0,) * n,
+            "mode": f.mode,
             "fitted_eigenvalue": fit.eigenvalue,
             "max_rel_residual": fit.residual(2.0),
         })

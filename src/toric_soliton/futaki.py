@@ -227,8 +227,3 @@ def solve_soliton_vector(p: DelzantPolytope, tol: float = 1e-10, order: int = 10
         iterations=tuple(trace),
         quadrature_order=order,
     )
-
-
-def einstein_constant(scal_mean: float, n: int) -> float:
-    """Einstein constant from the mean scalar curvature: scal_mean / (2n)."""
-    return scal_mean / (2.0 * n)

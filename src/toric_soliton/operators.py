@@ -43,7 +43,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import MalformedInputError
-from .polytope import DelzantPolytope
+from .polytope import DIM, DelzantPolytope
 from .potentials import Column, PhiSidePotential, Stack, SymplecticPotential, as_pairs, inverse
 
 #: (u, (u1, u2), (u11, u12, u22)) on a batch, one column of m floats each
@@ -107,19 +107,18 @@ def affine_exp_jet(b, c: float, alpha, s: Stack) -> Jet:
     )
 
 
-def profile_constant(c: float, n: int, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
-    mode = mode if mode is not None else (0,) * n
+def profile_constant(c: float, mode: tuple[int, ...] = (0,) * DIM) -> EquivariantFunction:
     return EquivariantFunction(mode, lambda s: affine_jet((0.0, 0.0), float(c), s))
 
 
 def profile_linear(b) -> EquivariantFunction:
     """Torus-invariant profile <x, b>."""
     b = tuple(float(v) for v in b)
-    return EquivariantFunction((0,) * len(b), lambda s: affine_jet(b, 0.0, s))
+    return EquivariantFunction((0,) * DIM, lambda s: affine_jet(b, 0.0, s))
 
 
-def profile_coordinate(i: int, n: int) -> EquivariantFunction:
-    return profile_linear([1.0 if j == i else 0.0 for j in range(n)])
+def profile_coordinate(i: int) -> EquivariantFunction:
+    return profile_linear([1.0 if j == i else 0.0 for j in range(DIM)])
 
 
 def profile_product(u: EquivariantFunction, v: EquivariantFunction) -> EquivariantFunction:
@@ -141,10 +140,9 @@ def profile_product(u: EquivariantFunction, v: EquivariantFunction) -> Equivaria
     return EquivariantFunction(u.mode, jet)
 
 
-def profile_exp_pairing(alpha, mode: tuple[int, ...] | None = None) -> EquivariantFunction:
+def profile_exp_pairing(alpha, mode: tuple[int, ...] = (0,) * DIM) -> EquivariantFunction:
     """Profile exp(-<alpha, grad phi>) with derivatives through G and dG."""
     alpha = tuple(float(c) for c in alpha)
-    mode = mode if mode is not None else (0,) * len(alpha)
     return EquivariantFunction(mode, lambda s: affine_exp_jet((0.0, 0.0), 1.0, alpha, s))
 
 
@@ -153,7 +151,7 @@ class OperatorContext(NamedTuple("OperatorContext", [
 ])):
     """Polytope, potential stack, and fan-side soliton vector.
 
-    Construction reads ``a`` as a tuple of n floats and checks that the
+    Construction reads ``a`` as a tuple of two floats and checks that the
     potential lives on the same polytope.
     """
 
@@ -164,15 +162,11 @@ class OperatorContext(NamedTuple("OperatorContext", [
             a = tuple(float(c) for c in a)
         except (TypeError, ValueError):
             a = None
-        if a is None or len(a) != polytope.dim:
-            raise MalformedInputError(f"soliton vector must be {polytope.dim} numbers")
+        if a is None or len(a) != DIM:
+            raise MalformedInputError(f"soliton vector must be {DIM} numbers")
         # facet order may differ between equal polytopes (e.g. user input vs
         # the built-in blow-up trapezoid), so compare as sets
-        same = (
-            potential.polytope.dim == polytope.dim
-            and frozenset(potential.polytope.facets) == frozenset(polytope.facets)
-        )
-        if not same:
+        if frozenset(potential.polytope.facets) != frozenset(polytope.facets):
             raise MalformedInputError("potential and context polytopes disagree")
         return super().__new__(cls, polytope, potential, a)
 

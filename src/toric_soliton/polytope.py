@@ -1,18 +1,30 @@
-"""Delzant polytopes for toric Fano surfaces.
+"""Delzant polygons for toric Fano surfaces.
 
-A polytope is stored by its facet data ``{x : <nu_r, x> + lambda_r >= 0}``
-with primitive integer normals ``nu_r`` and rational offsets ``lambda_r``.
-Offsets are kept as exact ``Fraction`` values, and validation is exact
-integer and rational geometry in dimension two: boundedness from
-the recession cone, the interior from the pairwise facet intersections,
-and vertices, the privileged center and the algebraic normalization from
-exact solves.  Floats appear only at the analysis boundary (quadrature,
-metric evaluation, reports), so an offset or vertex coordinate outside
-the float range is rejected at construction.  So is a number the
-interpreter could not write back as text: an integer literal, or the
-exact numerator or denominator of an offset, of more than ``MAX_DIGITS``
-digits.  The float geometry that the analysis reads (facet values, normal
-rows, the interior grid) is plain tuples and lists of floats.
+A polygon is stored by its facet data ``{x : <nu_r, x> + lambda_r >= 0}``
+with primitive integer normals ``nu_r`` and rational offsets ``lambda_r``,
+kept as exact ``Fraction`` values.  Every polytope has dimension two
+(``DIM``): the moment images of toric surfaces.
+
+Validation is exact.  Boundedness comes from the recession cone.  The
+rest comes from one integer form of the facet system: with ``q`` the
+least common denominator of the offsets, facet r is the integer row
+``(a_r, b_r, l_r) = (nu_r, lambda_r q)``.  Two rows meet where Cramer's
+rule puts them, ``(b m - d l, c l - a m) / (q det)`` with
+``det = a d - b c``, and facet r has the sign of
+``a_r X + b_r Y + l_r det`` there (``det > 0``), so feasibility, the
+active facets and the interior are integer sign tests.  Only the points
+kept become ``Fraction`` values, each solved from the integer rows of
+its own two facets.  The privileged center is the same 2x2 solve on the
+difference rows ``L_j - L_i`` and ``L_k - L_i`` of the first facet triple
+whose normals allow it, and its residual over all facets is exact.
+
+Floats appear only at the analysis boundary (quadrature, metric
+evaluation, reports), so an offset or vertex coordinate outside the float
+range is rejected at construction.  So is a number the interpreter could
+not write back as text: an integer literal, or the exact numerator or
+denominator of an offset, of more than ``MAX_DIGITS`` digits.  The float
+geometry that the analysis reads (facet values, normal rows, the interior
+grid) is plain tuples and lists of floats.
 
 The records (:class:`Facet`, :class:`PrivilegedCenter`,
 :class:`DelzantVerdict`) are ``typing.NamedTuple`` classes, as are those
@@ -41,6 +53,9 @@ from .errors import (
     UnboundedPolytopeError,
     UnsupportedDimensionError,
 )
+
+#: the dimension of every polytope: the moment images of toric surfaces
+DIM = 2
 
 #: tolerance for the privileged-center residual
 CENTER_TOL = 1e-9
@@ -72,13 +87,6 @@ class Facet(NamedTuple("Facet", [("normal", tuple[int, ...]), ("offset", Fractio
         if math.gcd(*(abs(c) for c in normal)) != 1:
             raise NonPrimitiveNormalError(f"facet normal {normal} is not primitive")
         return super().__new__(cls, normal, _as_fraction(offset))
-
-    def value(self, x: Sequence) -> Fraction | float:
-        """Affine facet function L(x) = <normal, x> + offset."""
-        acc = self.offset
-        for c, xi in zip(self.normal, x):
-            acc = acc + c * xi
-        return acc
 
 
 class PrivilegedCenter(NamedTuple):
@@ -171,22 +179,43 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
     return [stop if 0 < i == num - 1 else start + i * step for i in range(num)]
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system by Gaussian elimination; None if singular."""
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pivot_val = aug[col][col]
-        aug[col] = [v / pivot_val for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
+#: an affine function <normal, x> + offset, as a :class:`Facet` is
+Affine = tuple[tuple[int, ...], Fraction]
+#: an integer row (a, b, l) of the affine function a x + b y + l
+Row = tuple[int, int, int]
+
+
+def _integer_system(facets: Sequence[Affine]) -> tuple[int, tuple[Row, ...]]:
+    """The affine functions ``<(a, b), x> + lambda`` over the integers.
+
+    Returns ``q``, the least common denominator of the offsets, and the
+    row ``(a, b, lambda q)`` of each function: ``q`` times the function
+    at ``(x, y) / q``.
+    """
+    q = math.lcm(*(offset.denominator for _, offset in facets))
+    return q, tuple((*normal, offset.numerator * (q // offset.denominator)) for normal, offset in facets)
+
+
+def _cramer(first: Row, second: Row) -> Row:
+    """``(x, y, det)`` with ``a x + b y + l det = 0`` on both rows ``(a, b, l)``, and ``det >= 0``.
+
+    ``det`` is zero when the rows are parallel; otherwise ``(x, y) / det``
+    is their one common zero ``a u + b v + l = 0``.
+    """
+    (a, b, l), (c, d, m) = first, second
+    x, y, det = b * m - d * l, c * l - a * m, a * d - b * c
+    return (-x, -y, -det) if det < 0 else (x, y, det)
+
+
+def _meet(first: Affine, second: Affine) -> tuple[Fraction, Fraction]:
+    """The exact common zero of two affine functions ``(normal, offset)`` with independent normals.
+
+    Cramer's rule on the integer system of these two functions alone, so
+    the numbers stay as small as their own offsets.
+    """
+    q, rows = _integer_system((first, second))
+    x, y, det = _cramer(*rows)
+    return Fraction(x, q * det), Fraction(y, q * det)
 
 
 def _int_det(matrix: list[tuple[int, ...]]) -> int:
@@ -219,7 +248,7 @@ class DelzantPolytope:
     boundedness (a nonzero recession direction is rejected, even when the
     system is also infeasible), nonempty interior (some feasible facet
     intersection, and not all of them on one line), float range of offsets
-    and vertex coordinates, simplicity (exactly n facets through each
+    and vertex coordinates, simplicity (exactly two facets through each
     vertex) and non-redundancy.  Primitivity is checked by :class:`Facet`.
     Unimodularity of vertex normal bases is *not* enforced here;
     :func:`delzant_check` reports it.
@@ -230,8 +259,8 @@ class DelzantPolytope:
     def __init__(self, dim: int, facets: Iterable[Facet]):
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise MalformedInputError(f"dim must be a positive integer, got {dim!r}")
-        if dim != 2:
-            raise UnsupportedDimensionError(f"polytopes of dim 2 only, got dim {dim}")
+        if dim != DIM:
+            raise UnsupportedDimensionError(f"polytopes of dim {DIM} only, got dim {dim}")
         facets = tuple(facets)
         if len(facets) <= dim:
             raise MalformedInputError(f"need more than {dim} facets, got {len(facets)}")
@@ -241,6 +270,7 @@ class DelzantPolytope:
         self.dim = dim
         self.facets = facets
         self._check_bounded()
+        self._integer_system = _integer_system(facets)
         self._vertex_data = self._enumerate_vertices()
         self._offset_floats = tuple(_to_float(f.offset, f"offset of facet {i}") for i, f in enumerate(facets))
         self._vertex_floats = tuple(
@@ -248,33 +278,32 @@ class DelzantPolytope:
         )
         self._check_simple()
         self._check_facets_supported()
-        self._center: PrivilegedCenter | None = None
-        self._center_error: NotFanoError | None = None
 
     # -- construction checks ------------------------------------------------
 
     def _check_bounded(self) -> None:
         normals = [f.normal for f in self.facets]
         for v in _recession_directions(normals):
-            if all(sum(a * b for a, b in zip(nu, v)) >= 0 for nu in normals):
+            if all(a * v[0] + b * v[1] >= 0 for a, b in normals):
                 raise UnboundedPolytopeError(f"region unbounded in direction {v}")
 
     def _enumerate_vertices(self) -> tuple[tuple[tuple[Fraction, ...], frozenset[int]], ...]:
-        """Exact points where n facets meet inside the region, with their active sets.
+        """Exact points where two facets meet inside the region, with their active sets.
 
         In a bounded region these are exactly the vertices.  Raises
         :class:`EmptyInteriorError` when there is none (infeasible) or when
         they all lie on one point or line (empty interior).
         """
+        _, rows = self._integer_system
         found: dict[tuple[Fraction, ...], frozenset[int]] = {}
-        for subset in itertools.combinations(range(len(self.facets)), self.dim):
-            rows = [[Fraction(c) for c in self.facets[i].normal] for i in subset]
-            point = _solve_exact(rows, [-self.facets[i].offset for i in subset])
-            if point is None:
+        for i, j in itertools.combinations(range(len(rows)), 2):
+            x, y, det = _cramer(rows[i], rows[j])
+            if det == 0:
                 continue
-            values = [f.value(point) for f in self.facets]
-            if all(v >= 0 for v in values):
-                found[tuple(point)] = frozenset(i for i, v in enumerate(values) if v == 0)
+            # facet r at the meeting point is (a x + b y + l det) / (q det): a sign test on integers
+            values = [a * x + b * y + l * det for a, b, l in rows]
+            if min(values) >= 0:
+                found[_meet(self.facets[i], self.facets[j])] = frozenset(r for r, v in enumerate(values) if v == 0)
         if not found:
             raise EmptyInteriorError("facet inequalities are infeasible")
         if not _spans_full_dimension(list(found)):
@@ -283,7 +312,7 @@ class DelzantPolytope:
 
     def _check_simple(self) -> None:
         for (_, active), point in zip(self._vertex_data, self._vertex_floats):
-            if len(active) > self.dim:
+            if len(active) > DIM:
                 raise DegenerateVertexError(
                     f"{len(active)} facets meet at vertex {point}; polytope is not simple"
                 )
@@ -294,7 +323,7 @@ class DelzantPolytope:
             for i in active:
                 counts[i] += 1
         for i, c in enumerate(counts):
-            if c < self.dim:
+            if c < DIM:
                 raise RedundantFacetError(f"facet {i} (normal {self.facets[i].normal}) supports no (n-1)-face")
 
     # -- basic geometry -----------------------------------------------------
@@ -354,14 +383,10 @@ class DelzantPolytope:
     # -- equality and serialization ------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, DelzantPolytope)
-            and self.dim == other.dim
-            and self.facets == other.facets
-        )
+        return isinstance(other, DelzantPolytope) and self.facets == other.facets
 
     def __hash__(self) -> int:
-        return hash((self.dim, self.facets))
+        return hash(self.facets)
 
     def __repr__(self) -> str:
         return f"DelzantPolytope(dim={self.dim}, facets={len(self.facets)}, vertices={len(self._vertex_data)})"
@@ -435,46 +460,37 @@ def delzant_check(p: DelzantPolytope) -> DelzantVerdict:
 def privileged_center(p: DelzantPolytope) -> PrivilegedCenter:
     """Solve L_1(x) = ... = L_d(x) = c with c > 0.
 
-    The overdetermined system is solved exactly on a full-rank subsystem;
-    the remaining rows must agree to ``CENTER_TOL``.  Raises
+    The overdetermined system is solved exactly on the first facet triple
+    ``(i, j, k)`` whose differences ``L_j - L_i`` and ``L_k - L_i`` have
+    independent normals: ``x`` is their common zero and ``c = L_i(x)``.
+    The remaining rows must agree to ``CENTER_TOL``.  Raises
     :class:`NotFanoError` when no consistent positive common value exists.
     """
-    if p._center is not None:
-        return p._center
-    if p._center_error is not None:
-        raise p._center_error
-    d, n = len(p.facets), p.dim
-    # unknowns (x, c): <nu_r, x> - c = -lambda_r
-    rows = [[Fraction(c) for c in f.normal] + [Fraction(-1)] for f in p.facets]
-    rhs = [-f.offset for f in p.facets]
-    solution = None
-    for subset in itertools.combinations(range(d), n + 1):
-        candidate = _solve_exact([rows[i] for i in subset], [rhs[i] for i in subset])
-        if candidate is not None:
-            solution = candidate
+    q, rows = p._integer_system
+    for i, j, k in itertools.combinations(range(len(rows)), 3):
+        a, b, l = rows[i]
+        differences = [(r - a, s - b, t - l) for r, s, t in rows]
+        x, y, det = _cramer(differences[j], differences[k])
+        if det != 0:
             break
-    error: NotFanoError | None = None
-    if solution is None:
-        error = NotFanoError("facet system is rank deficient; no unique center")
     else:
-        point, value = tuple(solution[:n]), solution[n]
-        residual = max(abs(f.value(point) - value) for f in p.facets)
-        if residual > CENTER_TOL:
-            error = NotFanoError(f"no common facet value (residual {_magnitude(residual)})")
-        elif value <= 0:
-            error = NotFanoError(f"common facet value {float(value):.6g} is not positive")
-    if error is not None:
-        p._center_error = error
-        raise error
-    center = PrivilegedCenter(
+        raise NotFanoError("facet system is rank deficient; no unique center")
+    # L_r - L_i is (a x + b y + l det) / (q det) at the common zero, on its difference row (a, b, l)
+    residual = Fraction(max(abs(a * x + b * y + l * det) for a, b, l in differences), q * det)
+    if residual > CENTER_TOL:
+        raise NotFanoError(f"no common facet value (residual {_magnitude(residual)})")
+    (u, v), offset = p.facets[i]
+    point = _meet(*(((c - u, d - v), other - offset) for (c, d), other in (p.facets[j], p.facets[k])))
+    value = u * point[0] + v * point[1] + offset
+    if value <= 0:
+        raise NotFanoError(f"common facet value {float(value):.6g} is not positive")
+    return PrivilegedCenter(
         point=tuple(_to_float(c, "privileged center coordinate") for c in point),
         common_value=_to_float(value, "privileged center value"),
         exact_point=point,
         exact_value=value,
         residual=float(residual),
     )
-    p._center = center
-    return center
 
 
 def normalize_algebraic(p: DelzantPolytope) -> DelzantPolytope:
@@ -484,10 +500,10 @@ def normalize_algebraic(p: DelzantPolytope) -> DelzantPolytope:
     """
     if p.is_algebraic:
         return p
-    center = privileged_center(p)
+    privileged_center(p)  # raises NotFanoError without a center
     # x -> (x - p0)/c turns every inequality into <nu_r, x'> + 1 >= 0.
     facets = [Facet(normal=f.normal, offset=Fraction(1)) for f in p.facets]
-    return DelzantPolytope(p.dim, facets)
+    return DelzantPolytope(DIM, facets)
 
 
 def blowup_trapezoid() -> DelzantPolytope:

@@ -5,7 +5,7 @@ rounded to 15 significant digits at serialization time. Golden files pin
 the structure exactly (keys and their order, list order, ints, strings,
 bools and null) and the floats to a tolerance: quantities that vanish by
 symmetry come out as round-off whose sign and last digits differ between
-math libraries.
+Python versions (the built-in ``sum`` is compensated from 3.12 on).
 
 ``verify`` is driven by one ordered list of ``(name, value, threshold)``
 checks from :func:`verify_checks`: the affine block, the mean scalar
@@ -31,6 +31,7 @@ from typing import Any
 from . import __version__, calabi, eigenbasis, futaki, operators, potentials, quadrature
 from .errors import MalformedInputError
 from .polytope import (
+    DIM,
     DelzantPolytope,
     blowup_trapezoid,
     delzant_check,
@@ -81,8 +82,8 @@ def _polytope_section(p: DelzantPolytope, normalized: DelzantPolytope) -> dict:
     }
 
 
-def _roots_section(rootset: RootSet, n: int) -> dict:
-    dims = automorphism_dimensions(rootset, n)
+def _roots_section(rootset: RootSet) -> dict:
+    dims = automorphism_dimensions(rootset)
     return {
         "roots": [
             {
@@ -123,7 +124,7 @@ def roots_report(p: DelzantPolytope) -> dict:
     return {
         "command": "roots",
         "polytope": _polytope_section(p, normalized),
-        **_roots_section(rootset, p.dim),
+        **_roots_section(rootset),
     }
 
 
@@ -176,13 +177,12 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     ``PhiSidePotential``), and the boundary product form is the closed
     form of the canonical potential's root profiles (a ``GuilleminPotential``).
     """
-    n = ctx.polytope.dim
     affine = eigenbasis.affine_block(ctx, stack)
     scal_mean = _scal_mean(ctx, order)
     checks = [
         ("affine_eigenfunctions_max_rel_residual", operators.max_abs(rec["max_rel_residual"] for rec in affine),
          1e-6),
-        ("abreu_mean_minus_2n_lambda", scal_mean - 2.0 * n * soliton.lam, 1e-4),
+        ("abreu_mean_minus_2n_lambda", scal_mean - 2.0 * DIM * soliton.lam, 1e-4),
         ("soliton_pde_max_residual", _peak(operators.soliton_residuals(ctx, stack, scal_mean)), 1e-6),
     ]
 
@@ -202,7 +202,7 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     identity, product = [], []
     for root in rootset.roots[:3]:
         a1, a2 = root.alpha
-        pure_mode = operators.profile_constant(1.0, n, mode=root.alpha)
+        pure_mode = operators.profile_constant(1.0, mode=root.alpha)
         radial = operators.profile_exp_pairing(root.alpha)
         null = operators.profile_exp_pairing(root.alpha, mode=root.alpha)
         shift = 2.0 * operators.dot(ctx.a, root.alpha)
@@ -213,7 +213,7 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
         identity += [[v - t for v, t in zip(lhs_t, t_expected)],
                      [v + t * u for v, t, u in zip(lhs_x, t_expected, radial.jet(sample)[0])],
                      lhs_null]
-        product.append(operators.product_rule_defects(ctx, operators.profile_coordinate(0, n), radial, sample))
+        product.append(operators.product_rule_defects(ctx, operators.profile_coordinate(0), radial, sample))
     checks += [("mode_identity_max_defect", _peak(*identity), 1e-8),
                ("product_rule_max_defect", _peak(*product), 1e-8)]
 
@@ -221,7 +221,7 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     if isinstance(ctx.potential, potentials.PhiSidePotential):
         middle = stack.size // 2
         x0, at_x0 = (stack.points[0][middle], stack.points[1][middle]), stack.select([middle])
-        profile = results[0].function.profile if results else operators.profile_coordinate(0, n)
+        profile = results[0].function.profile if results else operators.profile_coordinate(0)
         analytic = float(operators.complex_weighted_laplacian(ctx, profile, at_x0)[0])
         oracle, abreu_fd = operators.finite_difference_oracle(ctx, profile, x0)
         abreu_an = float(operators.scalar_curvature(at_x0)[0])
@@ -286,7 +286,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
             "version": __version__,
         },
         "polytope": _polytope_section(p, normalized),
-        **_roots_section(rootset, normalized.dim),
+        **_roots_section(rootset),
         "soliton": _soliton_section(soliton),
         "scal_mean": scal_mean,
         "grid_points": int(len(grid)),
@@ -351,7 +351,7 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
         "command": "decompose",
         "config": {"potential": potential_kind, "tol": tol, "grid": grid_n, "order": order},
         "polytope": _polytope_section(p, normalized),
-        **_roots_section(rootset, p.dim),
+        **_roots_section(rootset),
         "soliton": _soliton_section(soliton),
         "decomposition": blocks,
     }

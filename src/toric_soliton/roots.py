@@ -9,7 +9,7 @@ ceiling, so the roots of each facet are one integer interval of ``k``.
 
 Given the soliton vector ``a``, the roots cluster by gamma = 2 <alpha, a>
 into the solitonic eigenspace decomposition; the affine block (complex
-dimension n) joins the gamma = 0 cluster.  With the fan-side soliton
+dimension two) joins the gamma = 0 cluster.  With the fan-side soliton
 vector all gamma are non-negative.
 """
 
@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from .errors import MalformedInputError, UnboundedRootRegionError
-from .polytope import DelzantPolytope
+from .polytope import DIM, DelzantPolytope
 
 
 class DemazureRoot(NamedTuple):
@@ -112,11 +112,11 @@ def _split(roots: tuple[DemazureRoot, ...]) -> RootSet:
     return RootSet(roots=roots, semisimple=semi, unipotent=unip)
 
 
-def automorphism_dimensions(rootset: RootSet, n: int) -> AutomorphismDimensions:
-    """Complex dimensions n + |R|, n + |S|, |U| of the automorphism algebra."""
+def automorphism_dimensions(rootset: RootSet) -> AutomorphismDimensions:
+    """Complex dimensions 2 + |R|, 2 + |S|, |U| of the automorphism algebra."""
     return AutomorphismDimensions(
-        dim_eta=n + len(rootset.roots),
-        dim_reductive=n + len(rootset.semisimple),
+        dim_eta=DIM + len(rootset.roots),
+        dim_reductive=DIM + len(rootset.semisimple),
         dim_unipotent=len(rootset.unipotent),
     )
 
@@ -140,13 +140,12 @@ class SolitonDecomposition(NamedTuple):
 def assemble_decomposition(a, rootset: RootSet) -> SolitonDecomposition:
     """Cluster roots by gamma = 2 <alpha, a> and attach the affine block at zero.
 
-    ``a`` is the soliton vector; its length is the dimension n.  Blocks
+    ``a`` is the soliton vector.  Blocks
     are ordered by ascending gamma and the members of each block by
     ascending alpha, so neither order follows the sign of round-off in a.
     Gammas within ``GAMMA_TOL`` of each other share a block.
     """
     a = tuple(float(c) for c in a)
-    n = len(a)
     entries = sorted(
         ((2.0 * sum(c * x for c, x in zip(root.alpha, a)), root) for root in rootset.roots),
         key=lambda item: item[0],
@@ -173,25 +172,25 @@ def assemble_decomposition(a, rootset: RootSet) -> SolitonDecomposition:
             "gamma": representative,
             "roots": roots,
             "includes_affine": includes_affine,
-            "complex_dimension": len(roots) + (n if includes_affine else 0),
+            "complex_dimension": len(roots) + (DIM if includes_affine else 0),
         })
     if not has_zero:
         blocks.insert(0, {
             "gamma": 0.0,
             "roots": (),
             "includes_affine": True,
-            "complex_dimension": n,
+            "complex_dimension": DIM,
         })
     blocks.sort(key=lambda b: b["gamma"])
     return SolitonDecomposition(
-        dim=n,
+        dim=DIM,
         blocks=tuple(blocks),
         gamma_values=tuple(b["gamma"] for b in blocks),
     )
 
 
 def brute_force_roots(p: DelzantPolytope, radius: int | None = None) -> list[tuple[int, ...]]:
-    """Independent oracle: scan the integer box [-B, B]^n against the definition.
+    """Independent oracle: scan the integer box [-B, B]^2 against the definition.
 
     Default B = 1 + the ceiling of the largest exact vertex coordinate
     magnitude.  Used by the test suite to confirm the exact line
@@ -201,7 +200,7 @@ def brute_force_roots(p: DelzantPolytope, radius: int | None = None) -> list[tup
         radius = 1 + max(math.ceil(abs(c)) for pt, _ in p.vertex_data for c in pt)
     normals = [f.normal for f in p.facets]
     found = []
-    for alpha in itertools.product(range(-radius, radius + 1), repeat=p.dim):
+    for alpha in itertools.product(range(-radius, radius + 1), repeat=DIM):
         pairings = [sum(a * c for a, c in zip(alpha, nu)) for nu in normals]
         ones = [i for i, v in enumerate(pairings) if v == 1]
         if len(ones) != 1:

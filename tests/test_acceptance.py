@@ -64,8 +64,8 @@ def test_criterion_01_demazure_roots_exact(cp2, blowup):
 
 
 def test_criterion_02_automorphism_dimensions(cp2_roots, blowup_roots):
-    cp2_dims = automorphism_dimensions(cp2_roots, 2)
-    blowup_dims = automorphism_dimensions(blowup_roots, 2)
+    cp2_dims = automorphism_dimensions(cp2_roots)
+    blowup_dims = automorphism_dimensions(blowup_roots)
     ok = (cp2_dims.dim_eta, len(cp2_roots.semisimple), len(cp2_roots.unipotent)) == (8, 6, 0)
     ok = ok and (blowup_dims.dim_eta, len(blowup_roots.semisimple), len(blowup_roots.unipotent)) == (6, 2, 2)
     report(2, "dim eta = 8 and 6 with splits (6,0) and (2,2)", ok)
@@ -104,7 +104,7 @@ def test_criterion_06_affine_eigenfunctions(cp2_ctx, cp2_grid, blowup_ctx, blowu
     for ctx, grid in ((cp2_ctx, cp2_grid), (blowup_ctx, blowup_grid)):
         s = ctx.potential.stack(grid)
         for i in range(2):
-            f = profile_coordinate(i, 2)
+            f = profile_coordinate(i)
             values = np.array(grid)[:, i]
             lhs = weighted_laplacian(ctx, f, s)
             worst = max(worst, np.max(np.abs(lhs - 2.0 * values)) / np.max(np.abs(values)))
@@ -141,7 +141,7 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
         s = ctx.potential.stack(ctx.polytope.interior_grid(9, 0.1)[::4])
         for root in enumerate_roots(ctx.polytope).roots[:3]:
             alpha = np.array(root.alpha, dtype=float)
-            pure = profile_constant(1.0, 2, mode=root.alpha)
+            pure = profile_constant(1.0, mode=root.alpha)
             radial = profile_exp_pairing(alpha)
             null = profile_exp_pairing(alpha, mode=root.alpha)
             coeff = np.einsum("i,mij,j->m", alpha, expand(s).G, alpha) - 2.0 * float(ctx.a @ alpha)
@@ -150,7 +150,7 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
                 complex_weighted_laplacian(ctx, radial, s) + coeff * np.array(radial.jet(s)[0])
             )) <= 1e-8
             ok = ok and np.max(np.abs(complex_weighted_laplacian(ctx, null, s))) <= 1e-8
-            ok = ok and np.max(np.abs(product_rule_defects(ctx, profile_coordinate(0, 2), radial, s))) <= 1e-8
+            ok = ok and np.max(np.abs(product_rule_defects(ctx, profile_coordinate(0), radial, s))) <= 1e-8
     # finite-difference oracle against the analytic stack (closed-form potential)
     x0 = np.array([0.2, -0.15])
     at_x0 = cp2_ctx.potential.stack(x0[None])

@@ -1,10 +1,11 @@
-"""Exact 2-D polygon kernel: LP oracle, lattice metamorphisms, dimension and range limits."""
+"""Exact 2-D polygon kernel: LP and elimination oracles, lattice metamorphisms, dimension and range limits."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from toric_soliton import (
     DelzantPolytope,
     EmptyInteriorError,
     Facet,
+    NotFanoError,
     RedundantFacetError,
     UnboundedPolytopeError,
     UnboundedRootRegionError,
@@ -28,6 +30,7 @@ from toric_soliton import (
     parse_polytope,
     privileged_center,
 )
+from toric_soliton.polytope import CENTER_TOL
 from toric_soliton.roots import _facet_roots, brute_force_roots
 
 DATA = Path(__file__).parent / "data"
@@ -162,7 +165,112 @@ def test_lattice_images_transform_covariantly(name, g, data, shift, scale):
         (apply(g, r.alpha), perm.index(r.distinguished_facet)) for r in base_roots.roots
     }
     assert {r.alpha for r in roots.unipotent} == {apply(g, r.alpha) for r in base_roots.unipotent}
-    assert automorphism_dimensions(roots, 2) == automorphism_dimensions(base_roots, 2)
+    assert automorphism_dimensions(roots) == automorphism_dimensions(base_roots)
+
+
+def eliminate(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """Solve a square rational system by Gauss-Jordan elimination; None if singular."""
+    n = len(rows)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                aug[r] = [v - aug[r][col] * w for v, w in zip(aug[r], aug[col])]
+    return [aug[r][n] for r in range(n)]
+
+
+def facet_value(f: Facet, x) -> Fraction:
+    return f.offset + sum(c * xi for c, xi in zip(f.normal, x))
+
+
+def oracle_vertex_data(facets: list[Facet]):
+    """Every feasible pairwise facet intersection with its active set, by elimination."""
+    found = {}
+    for pair in itertools.combinations(facets, 2):
+        point = eliminate([[Fraction(c) for c in f.normal] for f in pair], [-f.offset for f in pair])
+        if point is not None and all(facet_value(f, point) >= 0 for f in facets):
+            found[tuple(point)] = frozenset(i for i, f in enumerate(facets) if facet_value(f, point) == 0)
+    return tuple(sorted(found.items()))
+
+
+def oracle_center(facets: list[Facet]):
+    """(point, value, float residual) of L_1 = ... = L_d = c on the first nonsingular 3x3 subsystem, or the error text."""
+    rows = [[Fraction(c) for c in f.normal] + [Fraction(-1)] for f in facets]
+    for triple in itertools.combinations(range(len(facets)), 3):
+        solution = eliminate([rows[i] for i in triple], [-facets[i].offset for i in triple])
+        if solution is not None:
+            break
+    else:
+        return "facet system is rank deficient; no unique center"
+    point, value = tuple(solution[:2]), solution[2]
+    residual = max(abs(facet_value(f, point) - value) for f in facets)
+    if residual > CENTER_TOL:
+        return f"no common facet value (residual {Decimal(residual.numerator) / Decimal(residual.denominator):.3e})"
+    if value <= 0:
+        return f"common facet value {float(value):.6g} is not positive"
+    return point, value, float(residual)
+
+
+def center_or_error(p: DelzantPolytope):
+    try:
+        center = privileged_center(p)
+    except NotFanoError as exc:
+        return str(exc)
+    return center.exact_point, center.exact_value, center.residual
+
+
+#: 4299-digit denominators drawn from two small integers, so an example stays small
+HUGE = st.tuples(st.integers(0, 10**9), st.integers(1, 10**9)).map(lambda uv: 10**4298 + uv[0] * 10**2000 + uv[1])
+
+
+@st.composite
+def perturbed_images(draw) -> list[Facet]:
+    """A lattice image of a Fano surface with permuted facets, its offsets exact,
+    perturbed off the Fano locus, or given 4299-digit denominators."""
+    base = SURFACES[draw(st.sampled_from(sorted(SURFACES)))]
+    perm = draw(st.permutations(range(len(base.facets))))
+    kind = draw(st.sampled_from(["exact", "perturbed", "huge"]))
+    if kind == "huge":
+        image = transformed(base, draw(st.sampled_from(UNIMODULAR)), perm, (0, 0), 1)
+        # k / q with k of a few units keeps the center (residual about 1e-4298); k = +-q // m moves it
+        shifts = []
+        for q in draw(st.lists(HUGE, min_size=len(perm), max_size=len(perm))):
+            k = draw(st.one_of(st.integers(-3, 3), st.integers(20, 100).map(lambda m: q // m),
+                               st.integers(20, 100).map(lambda m: -(q // m))))
+            shifts.append(Fraction(k, q))
+    else:
+        image = transformed(base, draw(st.sampled_from(UNIMODULAR)), perm,
+                            draw(st.tuples(small_fractions, small_fractions)),
+                            draw(st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=5)))
+        tiny = st.fractions(min_value=Fraction(-1, 20), max_value=Fraction(1, 20), max_denominator=40)
+        shifts = [draw(tiny) if kind == "perturbed" else 0 for _ in perm]
+    return [Facet(f.normal, f.offset + e) for f, e in zip(image.facets, shifts)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(facets=perturbed_images())
+def test_geometry_matches_elimination(facets):
+    p = DelzantPolytope(2, facets)
+    assert p.vertex_data == oracle_vertex_data(facets)
+    assert center_or_error(p) == oracle_center(facets)
+
+
+def test_hexagon_with_4299_digit_denominators():
+    denominators = [10**4298 + 7 * r + 1 for r in range(6)]
+    facets = [Facet(f.normal, 1 + Fraction(1, q)) for f, q in zip(SURFACES["bl3"].facets, denominators)]
+    assert {len(str(f.offset.denominator)) for f in facets} == {4299} and len(set(denominators)) == 6
+    p = DelzantPolytope(2, facets)
+    assert len(p.vertex_data) == 6 and p.vertex_data == oracle_vertex_data(facets)
+    center = privileged_center(p)
+    assert (center.exact_point, center.exact_value, center.residual) == oracle_center(facets)
+    # accepted: the exact residual is far below CENTER_TOL, and its float underflows
+    residual = max(abs(facet_value(f, center.exact_point) - center.exact_value) for f in facets)
+    assert 0 < residual < Fraction(1, 10**4000) and center.residual == 0.0
 
 
 def test_unbounded_rejection_names_the_direction():

@@ -1,13 +1,16 @@
 """Fuzzed exit-code contract: every document and flag value ends in 0, 2, 3 or 4.
 
 Documents are JSON-like: bad types, NaN, infinite and huge offsets,
-non-primitive or zero normals, too few facets, dimensions other than two,
-and truncated text, next to well-formed Fano polygons with arbitrary
-offsets so the soliton solve runs too.  Flag values include ``--order``
-far past its maximum.  ``verify`` runs both potentials on the Fano
-polygons and the blow-up trapezoid over small grids and margins that are
-zero, negative or NaN, and ``calabi`` over ``--grid``.  ``cli.main`` runs
-in process; no exception may escape it and no traceback may reach stderr.
+offsets with 40-digit denominators, non-primitive or zero normals, too
+few facets, dimensions other than two, and truncated text, next to
+well-formed Fano polygons with arbitrary offsets so the soliton solve runs
+too.  ``roots``, ``soliton`` and ``decompose`` (with both ``--potential``
+values and any ``--grid``) run on every document.  Flag values include
+``--order`` and ``--grid`` far past their maxima.  ``verify`` runs both
+potentials on the Fano polygons and the blow-up trapezoid over small grids
+and margins that are zero, negative or NaN, and ``calabi`` over
+``--grid``.  ``cli.main`` runs in process; no exception may escape it and
+no traceback may reach stderr.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ def _exact(value):
 offsets = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=7).map(_exact),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**40).map(_exact),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([1, 1, 1e300, -1e300, 1e308, 10**400, "3/0", "one", None, True, [1]]),
 )
@@ -99,9 +103,14 @@ soliton_flags = st.tuples(
     st.one_of(st.just([]), tolerances.map(lambda t: [f"--tol={t!r}"])),
     st.one_of(st.just([]), orders.map(lambda k: [f"--order={k}"])),
 ).map(lambda parts: [flag for part in parts for flag in part])
+grids = st.one_of(st.integers(-2, 12), st.sampled_from([MAX_GRID, MAX_GRID + 1, 10**10]))
+decompose_flags = st.tuples(
+    soliton_flags, st.sampled_from(["guillemin", "calabi"]), st.one_of(st.just(None), grids),
+).map(lambda args: [*args[0], f"--potential={args[1]}", *([] if args[2] is None else [f"--grid={args[2]}"])])
 command_lines = st.one_of(
     st.tuples(st.just("roots"), st.sampled_from([[], ["--format=json"]])),
     st.tuples(st.just("soliton"), soliton_flags),
+    st.tuples(st.just("decompose"), decompose_flags),
 )
 
 
@@ -112,7 +121,6 @@ margins = st.one_of(st.sampled_from([0.05, 0.3, 0.0, -0.1, float("nan")]), st.fl
 verify_flags = st.tuples(
     st.sampled_from(["guillemin", "calabi"]), st.integers(1, 12), margins,
 ).map(lambda args: [f"--potential={args[0]}", f"--grid={args[1]}", f"--margin={args[2]!r}"])
-calabi_grids = st.one_of(st.integers(-2, 12), st.sampled_from([MAX_GRID, MAX_GRID + 1, 10**10]))
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +166,6 @@ def test_verify_exit_codes_hold_for_any_grid_and_margin(workdir, text, flags):
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(grid=calabi_grids, fmt=st.sampled_from(["json", "text"]))
+@given(grid=grids, fmt=st.sampled_from(["json", "text"]))
 def test_calabi_exit_codes_hold_for_any_grid(grid, fmt):
     assert_contract("calabi", ["calabi", f"--grid={grid}", f"--format={fmt}"])

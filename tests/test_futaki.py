@@ -10,7 +10,6 @@ import pytest
 
 from toric_soliton import (
     automorphism_dimensions,
-    einstein_constant,
     enumerate_roots,
     integrate,
     normalize_algebraic,
@@ -132,13 +131,6 @@ def test_futaki_residuals_reported(blowup_soliton):
     assert len(blowup_soliton.iterations) >= 2
 
 
-def test_einstein_constant():
-    assert einstein_constant(4.0, 2) == 1.0
-    assert einstein_constant(0.0, 5) == 0.0
-    for n in (1, 2, 3, 7):
-        assert einstein_constant(2.0 * n, n) == 1.0
-
-
 #: canonical algebraic polygons of the five smooth toric Fano surfaces (every
 #: offset 1) with their root counts (all, semisimple, unipotent), the complex
 #: dimensions (eta, reductive, unipotent) of the automorphism algebra, and
@@ -185,7 +177,7 @@ def test_five_surface_soliton_table(surface):
         rootset = enumerate_roots(p)
         assert rootset.alphas() == brute_force_roots(p)
         assert (len(rootset.roots), len(rootset.semisimple), len(rootset.unipotent)) == counts
-        assert automorphism_dimensions(rootset, 2) == dimensions
+        assert automorphism_dimensions(rootset) == dimensions
     soliton = solve_soliton_vector(polygon(normals))
     assert np.allclose(np.abs(soliton.a), magnitudes, rtol=0.0, atol=1e-6)
     signs = SIGNS.get(surface, (1, 1))

@@ -31,7 +31,7 @@ EXPORTS = (
     "delzant_check", "normalize_algebraic", "parse_polytope", "privileged_center",
     "AutomorphismDimensions", "DemazureRoot", "RootSet", "automorphism_dimensions", "enumerate_roots",
     "Triangulation", "integrate", "polygon_rule", "triangulate",
-    "SolitonData", "einstein_constant", "solve_soliton_vector", "weighted_volume",
+    "SolitonData", "solve_soliton_vector", "weighted_volume",
     "GuilleminPotential", "QuadraticPotential", "Stack",
     "SymplecticPotential", "gradient_by_line_integral", "guillemin",
     "CalabiPotential", "CalabiSoliton", "blowup_trapezoid",

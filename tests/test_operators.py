@@ -74,7 +74,7 @@ def bump_profile(center, radius) -> EquivariantFunction:
 
 
 def test_constants_are_harmonic(cp2_ctx, blowup_ctx, flat_ctx):
-    one = profile_constant(1.0, 2)
+    one = profile_constant(1.0)
     for ctx, x in ((cp2_ctx, [0.1, 0.2]), (blowup_ctx, [0.3, -0.4]), (flat_ctx, [0.5, 0.5])):
         assert laplacian(ctx, one, ctx.potential.stack(np.array([x])))[0] == 0.0
 
@@ -86,7 +86,7 @@ def test_flat_model_square_coordinate(flat_ctx):
 
 
 def test_cp2_coordinate_at_origin(cp2_ctx):
-    f = profile_coordinate(0, 2)
+    f = profile_coordinate(0)
     s = cp2_ctx.potential.stack(np.zeros((1, 2)))
     assert laplacian(cp2_ctx, f, s)[0] == pytest.approx(0.0, abs=1e-13)
 
@@ -96,7 +96,7 @@ def test_lemma_4_1_cp2(cp2_ctx, cp2_grid):
     s = cp2_ctx.potential.stack(cp2_grid)
     grid = np.array(cp2_grid)
     for i in range(2):
-        f = profile_coordinate(i, 2)
+        f = profile_coordinate(i)
         worst = np.max(np.abs(weighted_laplacian(cp2_ctx, f, s) - 2.0 * grid[:, i]))
         assert worst / np.max(np.abs(grid[:, i])) <= 1e-6
 
@@ -126,7 +126,7 @@ def test_mode_diagonal_identities(ctx_name, request):
     s = ctx.potential.stack(interior_points(ctx.polytope, 12, seed=14))
     for alpha in [r.alpha for r in enumerate_roots(ctx.polytope).roots]:
         alpha_arr = np.array(alpha, dtype=float)
-        pure = profile_constant(1.0, 2, mode=alpha)
+        pure = profile_constant(1.0, mode=alpha)
         radial = profile_exp_pairing(alpha)
         null = profile_exp_pairing(alpha, mode=alpha)
         coeff = np.einsum("i,mij,j->m", alpha_arr, expand(s).G, alpha_arr) - 2.0 * float(ctx.a @ alpha_arr)
@@ -139,14 +139,14 @@ def test_mode_diagonal_identities(ctx_name, request):
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_product_rule(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
-    u = profile_coordinate(0, 2)
-    v = profile_coordinate(1, 2)
+    u = profile_coordinate(0)
+    v = profile_coordinate(1)
     w = profile_exp_pairing([1, 0] if ctx_name == "cp2_ctx" else [0, 1])
     s = ctx.potential.stack(interior_points(ctx.polytope, 20, seed=15))
     assert np.max(np.abs(product_rule_defects(ctx, u, v, s))) <= 1e-8
     assert np.max(np.abs(product_rule_defects(ctx, u, w, s))) <= 1e-8
     one = ctx.potential.stack(interior_points(ctx.polytope, 1, seed=16))
-    trivial = product_rule_defects(ctx, profile_constant(1.0, 2), profile_constant(1.0, 2), one)
+    trivial = product_rule_defects(ctx, profile_constant(1.0), profile_constant(1.0), one)
     assert trivial[0] == 0.0
 
 
@@ -162,11 +162,11 @@ def test_gradients_linear_profile(cp2_ctx):
 
 
 def test_gradients_flat_model(flat_ctx):
-    f = profile_coordinate(0, 2)
+    f = profile_coordinate(0)
     s = flat_ctx.potential.stack(np.array([[0.1, 0.1]]))
     result = gradients(flat_ctx, f, s)
     assert np.allclose(batch(result["riemannian"][0]), [1.0, 0.0])
-    zero = gradients(flat_ctx, profile_constant(2.0, 2), s)
+    zero = gradients(flat_ctx, profile_constant(2.0), s)
     assert np.allclose(batch(zero["riemannian"][0]), 0.0)
     assert np.allclose(batch(zero["symplectic"][1]), 0.0)
 
@@ -246,7 +246,7 @@ def test_fd_oracle_weighted_on_root_functions(cp2, cp2_ctx, cp2_grid):
 
 
 def test_fd_oracle_abreu(cp2_ctx):
-    f = profile_constant(1.0, 2)
+    f = profile_constant(1.0)
     for x in (np.array([0.0, 0.0]), np.array([0.3, -0.2])):
         oracle = finite_difference_oracle(cp2_ctx, f, x)[1]
         assert abs(oracle - 4.0) / 4.0 <= 1e-3
@@ -263,12 +263,12 @@ def test_fd_oracle_flat_model_exact(flat_ctx):
 
 def test_fd_oracle_rejects_boundary_point(cp2_ctx):
     with pytest.raises(BoundaryEvaluationError):
-        finite_difference_oracle(cp2_ctx, profile_constant(1.0, 2), np.array([3.0, 0.0]))
+        finite_difference_oracle(cp2_ctx, profile_constant(1.0), np.array([3.0, 0.0]))
 
 
 def test_fd_oracle_rejects_malformed_point(cp2_ctx):
     with pytest.raises(MalformedInputError):
-        finite_difference_oracle(cp2_ctx, profile_constant(1.0, 2), np.zeros(3))
+        finite_difference_oracle(cp2_ctx, profile_constant(1.0), np.zeros(3))
 
 
 def test_fd_oracle_is_batched(cp2):

@@ -121,7 +121,7 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
         "DelzantVerdict": delzant_check(cp2),
         "DemazureRoot": cp2_roots.roots[0],
         "RootSet": cp2_roots,
-        "AutomorphismDimensions": automorphism_dimensions(cp2_roots, 2),
+        "AutomorphismDimensions": automorphism_dimensions(cp2_roots),
         "SolitonDecomposition": assemble_decomposition(cp2_soliton.a, cp2_roots),
         "Triangulation": triangulate(cp2),
         "SolitonData": cp2_soliton,

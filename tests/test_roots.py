@@ -63,11 +63,11 @@ def test_split_blowup(blowup_roots):
 
 
 def test_automorphism_dimensions(cp2_roots, blowup_roots, square):
-    cp2_dims = automorphism_dimensions(cp2_roots, 2)
+    cp2_dims = automorphism_dimensions(cp2_roots)
     assert (cp2_dims.dim_eta, cp2_dims.dim_reductive, cp2_dims.dim_unipotent) == (8, 8, 0)
-    blowup_dims = automorphism_dimensions(blowup_roots, 2)
+    blowup_dims = automorphism_dimensions(blowup_roots)
     assert (blowup_dims.dim_eta, blowup_dims.dim_reductive, blowup_dims.dim_unipotent) == (6, 4, 2)
-    square_dims = automorphism_dimensions(enumerate_roots(square), 2)
+    square_dims = automorphism_dimensions(enumerate_roots(square))
     assert square_dims.dim_eta == 6
 
 
