@@ -13,13 +13,8 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import (
-    MalformedInputError,
-    NonConvergenceError,
-    NotFanoError,
-    ToricSolitonError,
-)
-from .polytope import DelzantPolytope, delzant_check, parse_polytope, privileged_center
+from .errors import MalformedInputError, NonConvergenceError, ToricSolitonError
+from .polytope import DelzantPolytope, delzant_check, parse_polytope
 from .report import (
     calabi_report,
     decompose_report,
@@ -44,7 +39,11 @@ MAX_GRID = 500
 
 
 def _load_polytope(path: str) -> DelzantPolytope:
-    """Read and fully validate a polytope: parse, Delzant and Fano (privileged center)."""
+    """Read and validate a polytope: parse and Delzant.
+
+    Fano (the privileged center) is checked by ``normalize_algebraic``, the
+    first step of every report.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -56,7 +55,6 @@ def _load_polytope(path: str) -> DelzantPolytope:
         raise MalformedInputError(
             f"polytope is not Delzant: vertex {bad[0][0]} has determinant {bad[0][1]}"
         )
-    privileged_center(p)
     return p
 
 
@@ -152,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     except NonConvergenceError as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER
-    except (NotFanoError, ToricSolitonError) as exc:
+    except ToricSolitonError as exc:
         sys.stderr.write(f"rejected: {exc}\n")
         return EXIT_GEOMETRY
     except OSError as exc:

@@ -52,7 +52,7 @@ def build_root_function(ctx: OperatorContext, root: DemazureRoot, mode_sign: int
     """Assemble the root profile (<x, b> + 1) exp(-<alpha, grad phi>) with analytic derivatives."""
     if mode_sign not in (1, -1):
         raise MalformedInputError(f"mode_sign must be +1 or -1, got {mode_sign}")
-    normal = ctx.polytope.facets[root.distinguished_facet].normal
+    normal = ctx.potential.polytope.facets[root.distinguished_facet].normal
 
     def jet(s: Stack) -> Jet:
         return affine_exp_jet(normal, 1.0, root.alpha, s)

@@ -21,8 +21,8 @@ component first.  The finite-difference oracle reads potential values and
 profile values alone, on one nine-point stencil: phi from one batched
 ``values`` call per step size, and every profile value from one stack of
 the context potential.  The context, :class:`OperatorContext`, is a named
-tuple that reads ``a`` as a tuple of floats and checks that its potential
-lives on its polytope when constructed.
+tuple of the potential and ``a``, read as a tuple of floats; the polygon
+is the potential's own.
 
 Sign conventions.  The plain Laplacian is the positive-spectrum operator
 ``-sum_ij d_i(H_ij d_j u)`` (constants are harmonic, ``x^2`` on the flat
@@ -43,7 +43,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .errors import MalformedInputError
-from .polytope import DIM, DelzantPolytope
+from .polytope import DIM
 from .potentials import Column, PhiSidePotential, Stack, SymplecticPotential, as_pairs, inverse
 
 #: (u, (u1, u2), (u11, u12, u22)) on a batch, one column of m floats each
@@ -147,28 +147,23 @@ def profile_exp_pairing(alpha, mode: tuple[int, ...] = (0,) * DIM) -> Equivarian
 
 
 class OperatorContext(NamedTuple("OperatorContext", [
-    ("polytope", DelzantPolytope), ("potential", SymplecticPotential), ("a", tuple[float, ...]),
+    ("potential", SymplecticPotential), ("a", tuple[float, ...]),
 ])):
-    """Polytope, potential stack, and fan-side soliton vector.
+    """Potential, whose polygon the operators read, and fan-side soliton vector.
 
-    Construction reads ``a`` as a tuple of two floats and checks that the
-    potential lives on the same polytope.
+    Construction reads ``a`` as a tuple of two floats.
     """
 
     __slots__ = ()
 
-    def __new__(cls, polytope: DelzantPolytope, potential: SymplecticPotential, a) -> OperatorContext:
+    def __new__(cls, potential: SymplecticPotential, a) -> OperatorContext:
         try:
             a = tuple(float(c) for c in a)
         except (TypeError, ValueError):
             a = None
         if a is None or len(a) != DIM:
             raise MalformedInputError(f"soliton vector must be {DIM} numbers")
-        # facet order may differ between equal polytopes (e.g. user input vs
-        # the built-in blow-up trapezoid), so compare as sets
-        if frozenset(potential.polytope.facets) != frozenset(polytope.facets):
-            raise MalformedInputError("potential and context polytopes disagree")
-        return super().__new__(cls, polytope, potential, a)
+        return super().__new__(cls, potential, a)
 
 
 # -- operators -------------------------------------------------------------------
@@ -341,7 +336,7 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x) ->
         raise MalformedInputError("the finite-difference oracle needs a potential with closed-form values")
     x = as_pairs([x])
     ell = ctx.potential.require_interior(x)[0]
-    distance = min(v / math.sqrt(a * a + b * b) for v, (a, b) in zip(ell, ctx.polytope.normal_matrix))
+    distance = min(v / math.sqrt(a * a + b * b) for v, (a, b) in zip(ell, ctx.potential.polytope.normal_matrix))
 
     h = 0.005 * distance
     centers = _around(x, h)

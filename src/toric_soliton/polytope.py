@@ -243,31 +243,28 @@ def _spans_full_dimension(points: list[tuple[Fraction, ...]]) -> bool:
 class DelzantPolytope:
     """Bounded simple polygon with primitive integer facet normals.
 
-    Construction validates the facet data exactly, in this order:
-    dimension (2; any other raises :class:`UnsupportedDimensionError`),
-    boundedness (a nonzero recession direction is rejected, even when the
-    system is also infeasible), nonempty interior (some feasible facet
-    intersection, and not all of them on one line), float range of offsets
-    and vertex coordinates, simplicity (exactly two facets through each
-    vertex) and non-redundancy.  Primitivity is checked by :class:`Facet`.
+    Construction validates the facet data exactly, in this order: more
+    than ``DIM`` facets, each normal of length ``DIM``, boundedness (a
+    nonzero recession direction is rejected, even when the system is also
+    infeasible), nonempty interior (some feasible facet intersection, and
+    not all of them on one line), float range of offsets and vertex
+    coordinates, simplicity (exactly two facets through each vertex) and
+    non-redundancy.  Primitivity is checked by :class:`Facet`, and the
+    document's ``dim`` (2; any other raises
+    :class:`UnsupportedDimensionError`) by :func:`parse_polytope`.
     Unimodularity of vertex normal bases is *not* enforced here;
     :func:`delzant_check` reports it.
 
     Instances are immutable after construction and safe to share.
     """
 
-    def __init__(self, dim: int, facets: Iterable[Facet]):
-        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-            raise MalformedInputError(f"dim must be a positive integer, got {dim!r}")
-        if dim != DIM:
-            raise UnsupportedDimensionError(f"polytopes of dim {DIM} only, got dim {dim}")
+    def __init__(self, facets: Iterable[Facet]):
         facets = tuple(facets)
-        if len(facets) <= dim:
-            raise MalformedInputError(f"need more than {dim} facets, got {len(facets)}")
+        if len(facets) <= DIM:
+            raise MalformedInputError(f"need more than {DIM} facets, got {len(facets)}")
         for f in facets:
-            if len(f.normal) != dim:
-                raise MalformedInputError(f"facet normal {f.normal} has wrong dimension (expected {dim})")
-        self.dim = dim
+            if len(f.normal) != DIM:
+                raise MalformedInputError(f"facet normal {f.normal} has wrong dimension (expected {DIM})")
         self.facets = facets
         self._check_bounded()
         self._integer_system = _integer_system(facets)
@@ -389,11 +386,11 @@ class DelzantPolytope:
         return hash(self.facets)
 
     def __repr__(self) -> str:
-        return f"DelzantPolytope(dim={self.dim}, facets={len(self.facets)}, vertices={len(self._vertex_data)})"
+        return f"DelzantPolytope(facets={len(self.facets)}, vertices={len(self._vertex_data)})"
 
     def to_dict(self) -> dict:
         return {
-            "dim": self.dim,
+            "dim": DIM,
             "facets": [
                 {
                     "normal": list(f.normal),
@@ -412,7 +409,9 @@ def parse_polytope(source: str | bytes | dict) -> DelzantPolytope:
 
     The document is JSON of the form
     ``{"dim": n, "facets": [{"normal": [int, ...], "offset": number|"p/q"}, ...]}``.
-    Decimal offsets are read exactly (no binary-float round trip).
+    Decimal offsets are read exactly (no binary-float round trip).  The
+    document's ``dim`` is checked once the facets are built: a positive
+    integer, and ``DIM``.
     """
     if isinstance(source, (str, bytes)):
         try:
@@ -441,7 +440,11 @@ def parse_polytope(source: str | bytes | dict) -> DelzantPolytope:
         if not isinstance(normal, list):
             raise MalformedInputError(f"facet normal must be a list, got {normal!r}")
         facets.append(Facet(normal=tuple(normal), offset=_as_fraction(entry["offset"])))
-    return DelzantPolytope(dim, facets)
+    if dim < 1:
+        raise MalformedInputError(f"dim must be a positive integer, got {dim!r}")
+    if dim != DIM:
+        raise UnsupportedDimensionError(f"polytopes of dim {DIM} only, got dim {dim}")
+    return DelzantPolytope(facets)
 
 
 def delzant_check(p: DelzantPolytope) -> DelzantVerdict:
@@ -463,8 +466,11 @@ def privileged_center(p: DelzantPolytope) -> PrivilegedCenter:
     The overdetermined system is solved exactly on the first facet triple
     ``(i, j, k)`` whose differences ``L_j - L_i`` and ``L_k - L_i`` have
     independent normals: ``x`` is their common zero and ``c = L_i(x)``.
-    The remaining rows must agree to ``CENTER_TOL``.  Raises
-    :class:`NotFanoError` when no consistent positive common value exists.
+    The remaining rows must agree to ``CENTER_TOL`` (1e-9), measured
+    exactly: offsets within that distance of a Fano polygon's are accepted,
+    and :func:`normalize_algebraic` then normalizes them to that polygon.
+    Raises :class:`NotFanoError` when no consistent positive common value
+    exists.
     """
     q, rows = p._integer_system
     for i, j, k in itertools.combinations(range(len(rows)), 3):
@@ -503,15 +509,21 @@ def normalize_algebraic(p: DelzantPolytope) -> DelzantPolytope:
     privileged_center(p)  # raises NotFanoError without a center
     # x -> (x - p0)/c turns every inequality into <nu_r, x'> + 1 >= 0.
     facets = [Facet(normal=f.normal, offset=Fraction(1)) for f in p.facets]
-    return DelzantPolytope(DIM, facets)
+    return DelzantPolytope(facets)
 
 
 def blowup_trapezoid() -> DelzantPolytope:
     """The algebraic trapezoid of the one-point blow-up of the plane."""
     one = Fraction(1)
-    return DelzantPolytope(2, [
+    return DelzantPolytope([
         Facet((0, 1), one),
         Facet((-1, 0), one),
         Facet((1, 0), one),
         Facet((1, -1), one),
     ])
+
+
+def require_blowup_trapezoid(p: DelzantPolytope) -> None:
+    """Reject any polygon but the algebraic blow-up trapezoid, whose facets may come in any order."""
+    if frozenset(p.facets) != frozenset(blowup_trapezoid().facets):
+        raise MalformedInputError("the closed-form soliton potential is only available for the blow-up trapezoid")

@@ -28,6 +28,12 @@ other side comes from closed-form 2x2 algebra on the adjugate (see
   :mod:`toric_soliton.calabi`) supply the gradient, ``H``, ``dH`` and
   ``d2H`` analytically.
 
+Every potential is built on the caller's polygon and keeps it as
+``polytope``, the one polygon that operators and checks read.  The Calabi
+potential accepts only the algebraic blow-up trapezoid, in any facet
+order, and rejects any other polygon with the message of the report's
+potential check.
+
 A stack built with ``gradient=False`` skips the gradient, which only the
 root profiles read; its ``grad`` is None.
 
@@ -55,7 +61,7 @@ from .calabi import (
     profile_B,
 )
 from .errors import BoundaryEvaluationError, LossOfConvexityError, MalformedInputError
-from .polytope import DelzantPolytope, blowup_trapezoid
+from .polytope import DelzantPolytope, require_blowup_trapezoid
 from .quadrature import gauss_legendre
 
 #: points with any facet value at or below this are treated as boundary
@@ -349,16 +355,18 @@ def _calabi_h_jet(s: CalabiSoliton, t: float, mu2: float):
 class CalabiPotential(HSidePotential):
     """Derivative stack of the blow-up soliton metric on the algebraic trapezoid.
 
-    The stack lives in algebraic coordinates (the trapezoid translated so
-    the privileged center is the origin); the metric data is evaluated at
-    the translated point.  The gradient has gauge zero at the origin, which
-    rescales root profiles by harmless positive constants.
+    Built on the caller's polygon, which must be the algebraic blow-up
+    trapezoid (in any facet order).  The stack lives in algebraic
+    coordinates (the trapezoid translated so the privileged center is the
+    origin); the metric data is evaluated at the translated point.  The
+    gradient has gauge zero at the origin, which rescales root profiles by
+    harmless positive constants.
     """
 
-    def __init__(self, soliton: CalabiSoliton | None = None):
+    def __init__(self, polytope: DelzantPolytope, soliton: CalabiSoliton | None = None):
+        require_blowup_trapezoid(polytope)
+        self.polytope = polytope
         self.soliton = soliton or CalabiSoliton.solve()
-        self.polytope = blowup_trapezoid()
-        self.base_point = (0.0, 0.0)
         # t / A(t) has simple poles at the ends of [ALPHA1, ALPHA2], residue t / A'(t)
         self._poles = tuple((end, end / profile_A(self.soliton, end)[1]) for end in (ALPHA1, ALPHA2))
         self._f_rule = tuple(zip(*gauss_legendre(48)))
@@ -371,7 +379,7 @@ class CalabiPotential(HSidePotential):
             # F depends on mu1 alone: a tensor grid has one value of it per column
             f_of = dict.fromkeys(t for t, _ in mus)
             f_of = dict(zip(f_of, self._f_values(list(f_of))))
-            t0, mu20 = from_algebraic_coordinates(self.base_point)
+            t0, mu20 = from_algebraic_coordinates((0.0, 0.0))
             y0 = mu20 / t0
             c1, c2 = 0.5 * math.log(1.0 - y0), 0.5 * math.log(y0 / (1.0 - y0))
             ys = [mu2 / t for t, mu2 in mus]
@@ -380,17 +388,17 @@ class CalabiPotential(HSidePotential):
         return grad, h, dh, d2h
 
     def _f_values(self, ts: list[float]) -> list[float]:
-        """F(t) - F(t0) at each t, with F'(t) = t / A(t) and t0 the base point's mu1.
+        """F(t) - F(t0) at each t, with F'(t) = t / A(t) and t0 the origin's mu1.
 
         Integrating the rows of G in closed form gives
         grad_2 = (1/2) log(y / (1 - y)) + c2 and
         grad_1 = F(mu1) + (1/2) log(1 - y) + c1.
         The poles of t / A at alpha1 and alpha2 integrate to logarithms;
-        the smooth rest of F, from the base point to t, is a 48-node
+        the smooth rest of F, from the origin to t, is a 48-node
         Gauss-Legendre sum, accurate up to the boundary.  Constants are
-        fixed by the gauge grad(base) = 0.
+        fixed by the gauge grad(0) = 0.
         """
-        t0 = from_algebraic_coordinates(self.base_point)[0]
+        t0 = from_algebraic_coordinates((0.0, 0.0))[0]
         out = []
         for t in ts:
             mid, half = 0.5 * (t0 + t), 0.5 * (t - t0)

@@ -33,13 +33,13 @@ from .errors import MalformedInputError
 from .polytope import (
     DIM,
     DelzantPolytope,
-    blowup_trapezoid,
     delzant_check,
     linspace,
     normalize_algebraic,
     privileged_center,
+    require_blowup_trapezoid,
 )
-from .roots import RootSet, assemble_decomposition, automorphism_dimensions, enumerate_roots
+from .roots import RootSet, SolitonDecomposition, assemble_decomposition, automorphism_dimensions, enumerate_roots
 
 
 def format_float(x: float) -> float:
@@ -143,10 +143,8 @@ def _check_potential(normalized: DelzantPolytope, potential_kind: str) -> None:
     """Reject a potential kind that is unknown or not available on this polygon."""
     if potential_kind not in ("guillemin", "calabi"):
         raise MalformedInputError(f"unknown potential kind {potential_kind!r}")
-    if potential_kind == "calabi" and frozenset(normalized.facets) != frozenset(blowup_trapezoid().facets):
-        raise MalformedInputError(
-            "the closed-form soliton potential is only available for the blow-up trapezoid"
-        )
+    if potential_kind == "calabi":
+        require_blowup_trapezoid(normalized)
 
 
 def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
@@ -155,9 +153,10 @@ def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
     The curvature reads only ``d2H``, so the stack is built without the gradient.
     """
     total = quadrature.integrate(
-        ctx.polytope, lambda pts: operators.scalar_curvature(ctx.potential.stack(pts, gradient=False)), order=order
+        ctx.potential.polytope, lambda pts: operators.scalar_curvature(ctx.potential.stack(pts, gradient=False)),
+        order=order,
     )
-    return total / quadrature.triangulate(ctx.polytope).total_area
+    return total / quadrature.triangulate(ctx.potential.polytope).total_area
 
 
 def _peak(*residuals) -> float:
@@ -166,16 +165,18 @@ def _peak(*residuals) -> float:
 
 
 def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: futaki.SolitonData,
-                  stack: potentials.Stack, order: int
+                  decomposition: SolitonDecomposition, stack: potentials.Stack, order: int
                   ) -> tuple[list[tuple[str, float, float]], list[eigenbasis.RootCheck], float]:
     """The ordered ``(name, value, threshold)`` checks of ``verify`` on the grid ``stack``.
 
-    Also returns the per-root :func:`~toric_soliton.eigenbasis.check_root`
-    results and the mean scalar curvature.  Every check reads the
-    potential through its stack, except two gated on the potential's
-    type: the finite-difference oracle needs closed-form phi values (a
-    ``PhiSidePotential``), and the boundary product form is the closed
-    form of the canonical potential's root profiles (a ``GuilleminPotential``).
+    ``decomposition`` is that of ``soliton.a`` over ``rootset``, whose
+    gamma values the positivity check reads.  Also returns the per-root
+    :func:`~toric_soliton.eigenbasis.check_root` results and the mean
+    scalar curvature.  Every check reads the potential through its stack,
+    except two gated on the potential's type: the finite-difference oracle
+    needs closed-form phi values (a ``PhiSidePotential``), and the boundary
+    product form is the closed form of the canonical potential's root
+    profiles (a ``GuilleminPotential``).
     """
     affine = eigenbasis.affine_block(ctx, stack)
     scal_mean = _scal_mean(ctx, order)
@@ -228,15 +229,14 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
         checks += [("fd_oracle_weighted_rel", (oracle - analytic) / max(1.0, abs(analytic)), 1e-4),
                    ("fd_oracle_abreu_rel", (abreu_fd - abreu_an) / max(1.0, abs(abreu_an)), 1e-3)]
 
-    gamma_values = assemble_decomposition(soliton.a, rootset).gamma_values
     semisimple = (abs(operators.dot(r.alpha, ctx.a)) for r in rootset.semisimple)
-    checks += [("gamma_positivity_min", min(0.0, min(gamma_values)), 1e-9),
+    checks += [("gamma_positivity_min", min(0.0, min(decomposition.gamma_values)), 1e-9),
                ("semisimple_pairings_max", max(semisimple, default=0.0), 1e-9)]
 
     if isinstance(ctx.potential, potentials.GuilleminPotential):
-        points = list(zip(*sample.points))
+        polygon, points = ctx.potential.polytope, list(zip(*sample.points))
         defects = (
-            [v - u for v, u in zip(eigenbasis.boundary_product_form(ctx.polytope, r.function.root).values(points),
+            [v - u for v, u in zip(eigenbasis.boundary_product_form(polygon, r.function.root).values(points),
                                    r.function.profile.jet(sample)[0])]
             for r in results
         )
@@ -268,9 +268,10 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         )
     rootset = enumerate_roots(normalized)
     soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
-    potential = potentials.guillemin(normalized) if potential_kind == "guillemin" else potentials.CalabiPotential()
-    ctx = operators.OperatorContext(polytope=normalized, potential=potential, a=soliton.a)
-    listed, root_checks, scal_mean = verify_checks(ctx, rootset, soliton, potential.stack(grid), order)
+    potential = potentials.guillemin(normalized) if potential_kind == "guillemin" else potentials.CalabiPotential(normalized)
+    ctx = operators.OperatorContext(potential=potential, a=soliton.a)
+    decomposition = assemble_decomposition(soliton.a, rootset)
+    listed, root_checks, scal_mean = verify_checks(ctx, rootset, soliton, decomposition, potential.stack(grid), order)
     checks = [
         {"name": name, "value": float(value), "threshold": threshold, "passed": bool(abs(value) <= threshold)}
         for name, value, threshold in listed
@@ -302,7 +303,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
             }
             for r in root_checks
         ],
-        "decomposition": _decomposition_section(assemble_decomposition(soliton.a, rootset)),
+        "decomposition": _decomposition_section(decomposition),
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
         "first_failed": next((c["name"] for c in checks if not c["passed"]), None),

@@ -8,9 +8,10 @@ and every other facet bounds ``k`` from one side by an exact floor or
 ceiling, so the roots of each facet are one integer interval of ``k``.
 
 Given the soliton vector ``a``, the roots cluster by gamma = 2 <alpha, a>
-into the solitonic eigenspace decomposition; the affine block (complex
-dimension two) joins the gamma = 0 cluster.  With the fan-side soliton
-vector all gamma are non-negative.
+into the solitonic eigenspace decomposition.  The clusters are seeded with
+the affine block (complex dimension two) at gamma = 0, which every root
+with |gamma| <= ``GAMMA_TOL`` joins, so the block dimensions add up to
+dim eta.  With the fan-side soliton vector all gamma are non-negative.
 """
 
 from __future__ import annotations
@@ -126,9 +127,8 @@ GAMMA_TOL = 1e-9
 
 
 class SolitonDecomposition(NamedTuple):
-    """Eigenvalue clusters gamma = 2 <alpha, a> with the affine block at zero."""
+    """Eigenvalue clusters gamma = 2 <alpha, a>, one of them the affine block at zero."""
 
-    dim: int
     blocks: tuple[dict, ...]
     gamma_values: tuple[float, ...]
 
@@ -138,12 +138,14 @@ class SolitonDecomposition(NamedTuple):
 
 
 def assemble_decomposition(a, rootset: RootSet) -> SolitonDecomposition:
-    """Cluster roots by gamma = 2 <alpha, a> and attach the affine block at zero.
+    """Cluster roots by gamma = 2 <alpha, a> around the affine block at gamma = 0.
 
-    ``a`` is the soliton vector.  Blocks
-    are ordered by ascending gamma and the members of each block by
+    ``a`` is the soliton vector.  The affine block has gamma 0.0 exactly
+    and holds every root with |gamma| <= ``GAMMA_TOL``.  The other roots,
+    in ascending gamma, join the cluster before them when within
+    ``GAMMA_TOL`` of its first member; a cluster's gamma is its mean.
+    Blocks are ordered by ascending gamma and the members of each block by
     ascending alpha, so neither order follows the sign of round-off in a.
-    Gammas within ``GAMMA_TOL`` of each other share a block.
     """
     a = tuple(float(c) for c in a)
     entries = sorted(
@@ -151,42 +153,29 @@ def assemble_decomposition(a, rootset: RootSet) -> SolitonDecomposition:
         key=lambda item: item[0],
     )
 
+    affine: list = []
     clusters: list[list] = []
     for gamma, root in entries:
-        if clusters and abs(gamma - clusters[-1][0][0]) <= GAMMA_TOL:
+        if abs(gamma) <= GAMMA_TOL:
+            affine.append((gamma, root))
+        elif clusters and abs(gamma - clusters[-1][0][0]) <= GAMMA_TOL:
             clusters[-1].append((gamma, root))
         else:
             clusters.append([(gamma, root)])
 
     blocks = []
-    has_zero = False
-    for cluster in clusters:
+    for cluster in (affine, *clusters):
         cluster.sort(key=lambda item: item[1].alpha)
-        representative = sum(g for g, _ in cluster) / len(cluster)
-        if abs(representative) <= GAMMA_TOL:
-            representative = 0.0
-        includes_affine = representative == 0.0
-        has_zero = has_zero or includes_affine
+        includes_affine = cluster is affine
         roots = tuple(r for _, r in cluster)
         blocks.append({
-            "gamma": representative,
+            "gamma": 0.0 if includes_affine else sum(g for g, _ in cluster) / len(cluster),
             "roots": roots,
             "includes_affine": includes_affine,
             "complex_dimension": len(roots) + (DIM if includes_affine else 0),
         })
-    if not has_zero:
-        blocks.insert(0, {
-            "gamma": 0.0,
-            "roots": (),
-            "includes_affine": True,
-            "complex_dimension": DIM,
-        })
     blocks.sort(key=lambda b: b["gamma"])
-    return SolitonDecomposition(
-        dim=DIM,
-        blocks=tuple(blocks),
-        gamma_values=tuple(b["gamma"] for b in blocks),
-    )
+    return SolitonDecomposition(blocks=tuple(blocks), gamma_values=tuple(b["gamma"] for b in blocks))
 
 
 def brute_force_roots(p: DelzantPolytope, radius: int | None = None) -> list[tuple[int, ...]]:

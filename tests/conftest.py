@@ -83,7 +83,7 @@ def blowup_soliton(blowup):
 
 @pytest.fixture(scope="session")
 def cp2_ctx(cp2, cp2_soliton):
-    return OperatorContext(polytope=cp2, potential=guillemin(cp2), a=cp2_soliton.a)
+    return OperatorContext(potential=guillemin(cp2), a=cp2_soliton.a)
 
 
 @pytest.fixture(scope="session")
@@ -94,15 +94,14 @@ def calabi_soliton():
 @pytest.fixture(scope="session")
 def blowup_ctx(blowup, blowup_soliton, calabi_soliton):
     return OperatorContext(
-        polytope=blowup,
-        potential=CalabiPotential(calabi_soliton),
+        potential=CalabiPotential(blowup, calabi_soliton),
         a=blowup_soliton.a,
     )
 
 
 @pytest.fixture(scope="session")
 def blowup_guillemin_ctx(blowup, blowup_soliton):
-    return OperatorContext(polytope=blowup, potential=guillemin(blowup), a=blowup_soliton.a)
+    return OperatorContext(potential=guillemin(blowup), a=blowup_soliton.a)
 
 
 @pytest.fixture(scope="session")
@@ -133,7 +132,7 @@ def interior_points(polytope, count: int, seed: int = 0, margin_fraction: float 
     margin = polytope.interior_margin(margin_fraction)
     points = []
     while len(points) < count:
-        candidate = lo + (hi - lo) * rng.random(polytope.dim)
+        candidate = lo + (hi - lo) * rng.random(2)
         if min(polytope.facet_values_many([candidate])[0]) >= margin:
             points.append(candidate)
     return np.array(points)

@@ -114,7 +114,7 @@ def test_criterion_06_affine_eigenfunctions(cp2_ctx, cp2_grid, blowup_ctx, blowu
 def test_criterion_07_soliton_equation(blowup, blowup_ctx, blowup_grid):
     s = blowup_ctx.potential.stack(blowup_grid)
     worst = np.max(np.abs(soliton_residuals(blowup_ctx, s, 4.0)))
-    halved = OperatorContext(polytope=blowup, potential=blowup_ctx.potential, a=np.divide(blowup_ctx.a, 2.0))
+    halved = OperatorContext(potential=blowup_ctx.potential, a=np.divide(blowup_ctx.a, 2.0))
     control = np.max(np.abs(soliton_residuals(halved, s, 4.0)))
     ok = worst <= 1e-6 and control > 1e-2
     report(7, f"soliton equation holds ({worst:.2e}); halved coefficient fails ({control:.2e})", ok)
@@ -124,7 +124,7 @@ def test_criterion_08_eigenfunctions(cp2, cp2_ctx, cp2_grid, blowup_ctx, blowup_
     ok = True
     for ctx, grid in ((cp2_ctx, cp2_grid), (blowup_ctx, blowup_grid)):
         s = ctx.potential.stack(grid)
-        for root in enumerate_roots(ctx.polytope).roots:
+        for root in enumerate_roots(ctx.potential.polytope).roots:
             stats = check_root(ctx, root, s).stats
             ok = ok and stats["max_rel_residual"] <= 1e-6
             ok = ok and abs(stats["fitted_eigenvalue"] - 2.0) <= 1e-6
@@ -138,8 +138,8 @@ def test_criterion_08_eigenfunctions(cp2, cp2_ctx, cp2_grid, blowup_ctx, blowup_
 def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
     ok = True
     for ctx in (cp2_ctx, blowup_ctx):
-        s = ctx.potential.stack(ctx.polytope.interior_grid(9, 0.1)[::4])
-        for root in enumerate_roots(ctx.polytope).roots[:3]:
+        s = ctx.potential.stack(ctx.potential.polytope.interior_grid(9, 0.1)[::4])
+        for root in enumerate_roots(ctx.potential.polytope).roots[:3]:
             alpha = np.array(root.alpha, dtype=float)
             pure = profile_constant(1.0, mode=root.alpha)
             radial = profile_exp_pairing(alpha)
@@ -154,7 +154,7 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
     # finite-difference oracle against the analytic stack (closed-form potential)
     x0 = np.array([0.2, -0.15])
     at_x0 = cp2_ctx.potential.stack(x0[None])
-    rootset = enumerate_roots(cp2_ctx.polytope)
+    rootset = enumerate_roots(cp2_ctx.potential.polytope)
     rf = build_root_function(cp2_ctx, rootset.roots[0], mode_sign=1)
     analytic = complex_weighted_laplacian(cp2_ctx, rf.profile, at_x0)[0]
     oracle, abreu_fd = finite_difference_oracle(cp2_ctx, rf.profile, x0)
@@ -164,9 +164,9 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
 
 
 def test_criterion_10_decomposition(cp2_ctx, blowup_ctx, blowup_soliton):
-    cp2_dec = assemble_decomposition(cp2_ctx.a, enumerate_roots(cp2_ctx.polytope))
+    cp2_dec = assemble_decomposition(cp2_ctx.a, enumerate_roots(cp2_ctx.potential.polytope))
     ok = cp2_dec.gamma_values == (0.0,) and cp2_dec.blocks[0]["complex_dimension"] == 8
-    blowup_rootset = enumerate_roots(blowup_ctx.polytope)
+    blowup_rootset = enumerate_roots(blowup_ctx.potential.polytope)
     blowup_dec = assemble_decomposition(blowup_ctx.a, blowup_rootset)
     dims = {round(b["gamma"], 12): b["complex_dimension"] for b in blowup_dec.blocks}
     expected_gamma = round(-2.0 * blowup_soliton.a[0], 12)
@@ -181,7 +181,7 @@ def test_criterion_10_decomposition(cp2_ctx, blowup_ctx, blowup_soliton):
 def test_criterion_11_anti_holomorphic_eigenvalues(blowup_ctx, blowup_grid):
     ok = True
     s = blowup_ctx.potential.stack(blowup_grid)
-    for root in enumerate_roots(blowup_ctx.polytope).roots:
+    for root in enumerate_roots(blowup_ctx.potential.polytope).roots:
         result = check_root(blowup_ctx, root, s)
         expected = 4.0 * abs(float(np.array(root.alpha) @ blowup_ctx.a))
         ok = ok and result.gamma_fit <= 1e-6 and abs(abs(result.gamma_hat) - expected) <= 1e-6

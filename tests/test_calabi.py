@@ -38,7 +38,7 @@ def to_algebraic_coordinates(mu) -> np.ndarray:
 
 def tau_stack(soliton: CalabiSoliton, mu):
     """The Calabi potential's derivative stack at the rows of mu, points of the trapezoid tau, as arrays."""
-    return expand(CalabiPotential(soliton).stack(to_algebraic_coordinates(np.atleast_2d(mu))))
+    return expand(CalabiPotential(blowup_trapezoid(), soliton).stack(to_algebraic_coordinates(np.atleast_2d(mu))))
 
 
 def array_profile_A(s: CalabiSoliton, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -214,7 +214,7 @@ def test_h_matrix_positive_definite_at_center_image(calabi_soliton):
 def test_g_h_inverse_identity(calabi_soliton, blowup):
     # the closed-form G against the H the stack assembles from the profiles
     points = interior_points(blowup, 20, seed=11)
-    for x, h in zip(points, expand(CalabiPotential(calabi_soliton).stack(points)).H):
+    for x, h in zip(points, expand(CalabiPotential(blowup, calabi_soliton).stack(points)).H):
         g = np.array(g_matrix(calabi_soliton, from_algebraic_coordinates(x)))
         assert np.max(np.abs(g @ h - np.eye(2))) <= 1e-10
 
@@ -266,15 +266,15 @@ def test_coordinate_translation():
 
 def test_potential_gradient_matches_semi_closed_form(blowup):
     # the production gradient is the closed form; the line integral of G is its oracle
-    pot = CalabiPotential()
+    pot = CalabiPotential(blowup)
     pts = interior_points(blowup, 6, seed=12)
     for x, closed in zip(pts, expand(pot.stack(pts)).grad):
-        line = np.array(gradient_by_line_integral(pot, x, pot.base_point))
+        line = np.array(gradient_by_line_integral(pot, x, (0.0, 0.0)))
         assert np.max(np.abs(line - closed)) <= 1e-9
 
 
 def test_potential_interior_guard(blowup):
-    pot = CalabiPotential()
+    pot = CalabiPotential(blowup)
     with pytest.raises(BoundaryEvaluationError):
         pot.stack(np.array([[1.0, 2.0]]))
 
@@ -289,7 +289,7 @@ def test_soliton_reuses_params(calabi_soliton):
 
 def test_gradient_evaluates_f_once_per_grid_column(blowup, monkeypatch):
     # F depends on mu1 alone, so a tensor grid asks for it once per distinct x1
-    pot = CalabiPotential()
+    pot = CalabiPotential(blowup)
     f_values = CalabiPotential._f_values
     asked = []
 

@@ -8,11 +8,12 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from toric_soliton import parse_polytope
+from toric_soliton import assemble_decomposition, parse_polytope, privileged_center
 from toric_soliton.cli import MAX_GRID, MAX_ORDER, main
 
 DATA = Path(__file__).parent / "data"
@@ -490,6 +491,68 @@ def test_decompose_blowup_blocks_invariant_under_facet_permutation(capsys, tmp_p
         json.loads(out)["decomposition"], golden["decomposition"], golden["config"]["tol"], "$.decomposition"
     )
     assert difference is None, difference
+
+
+@pytest.mark.parametrize("permutation", [(3, 2, 1, 0), (1, 2, 3, 0), (2, 0, 3, 1)],
+                         ids=lambda p: "".join(map(str, p)))
+def test_calabi_on_a_permuted_trapezoid(capsys, tmp_path, permutation):
+    # the Calabi potential is built on the polygon as read, so its facet order changes no check
+    doc = json.loads((DATA / "blowup.json").read_text())
+    permuted = tmp_path / "blowup.json"
+    permuted.write_text(json.dumps({**doc, "facets": [doc["facets"][i] for i in permutation]}))
+    assert run(capsys, "decompose", str(permuted), "--potential", "calabi")[0] == 0
+    checks = []
+    for path in (DATA / "blowup.json", permuted):
+        code, out = run(capsys, "verify", str(path), "--potential", "calabi", "--format", "json")
+        assert code == 0
+        checks.append(json.loads(out)["checks"])
+    assert checks[0] == checks[1]
+
+
+def calls_of(argv: list[str], *functions) -> tuple[int, Counter]:
+    """Exit code of ``main(argv)`` and how often each function ran, under whatever name it was called."""
+    names = {f.__code__: f.__name__ for f in functions}
+    counts: Counter = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            counts[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(None)
+    return code, counts
+
+
+#: facet documents whose offsets are not all one, so normalization solves the center
+SHIFTED = {
+    "cp2": {"dim": 2, "facets": [{"normal": [1, 0], "offset": 1}, {"normal": [0, 1], "offset": 2},
+                                 {"normal": [-1, -1], "offset": "1/2"}]},
+    "blowup": {"dim": 2, "facets": [{**facet, "offset": 2}
+                                    for facet in json.loads((DATA / "blowup.json").read_text())["facets"]]},
+}
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("cp2", ("roots",)),
+    ("cp2", ("soliton",)),
+    ("cp2", ("decompose",)),
+    ("cp2", ("verify",)),
+    ("blowup", ("decompose", "--potential", "calabi")),
+    ("blowup", ("verify", "--potential", "calabi")),
+], ids=["roots", "soliton", "decompose", "verify", "decompose-calabi", "verify-calabi"])
+def test_each_command_solves_the_center_at_most_twice(capsys, tmp_path, name, argv):
+    # normalization and the report's polytope section each solve it; loading only parses and checks Delzant
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(SHIFTED[name]))
+    command, *flags = argv
+    code, counts = calls_of([command, str(path), *flags], privileged_center, assemble_decomposition)
+    capsys.readouterr()
+    assert code == 0
+    assert 1 <= counts["privileged_center"] <= 2
+    assert counts["assemble_decomposition"] == (1 if command in ("verify", "decompose") else 0)
 
 
 def test_decompose_square_single_block(capsys):

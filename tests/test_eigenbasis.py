@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,16 +13,21 @@ from toric_soliton import (
     OperatorContext,
     affine_block,
     assemble_decomposition,
+    automorphism_dimensions,
     boundary_product_form,
     build_root_function,
     check_root,
     complex_weighted_laplacian,
     enumerate_roots,
     guillemin,
+    parse_polytope,
     solve_soliton_vector,
 )
 from toric_soliton.operators import EquivariantFunction
+from toric_soliton.roots import GAMMA_TOL
 from conftest import array_jet, column_jet, interior_points
+
+DATA = Path(__file__).parent / "data"
 
 
 # the canonical-potential profiles on the simplex, indexed by root
@@ -61,10 +68,10 @@ def test_blowup_profile_closed_form_up_to_gauge(blowup, blowup_ctx):
 def test_profile_derivatives_match_finite_differences(cp2_ctx, blowup_ctx):
     step = 1e-6
     for ctx, alpha in ((cp2_ctx, (1, -1)), (blowup_ctx, (-1, 0))):
-        rootset = enumerate_roots(ctx.polytope)
+        rootset = enumerate_roots(ctx.potential.polytope)
         root = next(r for r in rootset.roots if r.alpha == alpha)
         rf = build_root_function(ctx, root, mode_sign=1)
-        pts = interior_points(ctx.polytope, 5, seed=22)
+        pts = interior_points(ctx.potential.polytope, 5, seed=22)
         _, grad, hess = array_jet(rf.profile.jet(ctx.potential.stack(pts)))
         shifted = [(array_jet(rf.profile.jet(ctx.potential.stack(pts + step * e))),
                     array_jet(rf.profile.jet(ctx.potential.stack(pts - step * e)))) for e in np.eye(2)]
@@ -77,8 +84,8 @@ def test_profile_derivatives_match_finite_differences(cp2_ctx, blowup_ctx):
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_eigenvalue_two_for_all_roots(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
-    s = ctx.potential.stack(ctx.polytope.interior_grid(21, 0.05))
-    for root in enumerate_roots(ctx.polytope).roots:
+    s = ctx.potential.stack(ctx.potential.polytope.interior_grid(21, 0.05))
+    for root in enumerate_roots(ctx.potential.polytope).roots:
         stats = check_root(ctx, root, s).stats
         assert stats["max_rel_residual"] <= 1e-6
         assert stats["fitted_eigenvalue"] == pytest.approx(2.0, abs=1e-6)
@@ -87,7 +94,7 @@ def test_eigenvalue_two_for_all_roots(ctx_name, request):
 def test_wrong_mode_sign_discriminates(blowup_ctx, blowup_grid):
     # on a root with <alpha, a> != 0 the flipped mode is an exact eigenfunction
     # with eigenvalue 2 + 4 <alpha, a>, never 2
-    rootset = enumerate_roots(blowup_ctx.polytope)
+    rootset = enumerate_roots(blowup_ctx.potential.polytope)
     root = next(r for r in rootset.roots if r.alpha == (-1, 0))
     pairing = float(np.array(root.alpha) @ blowup_ctx.a)
     assert abs(pairing) > 1e-3
@@ -108,10 +115,10 @@ def test_wrong_mode_sign_discriminates(blowup_ctx, blowup_grid):
 def test_dropping_the_affine_shift_breaks_the_eigenvalue(cp2_ctx, cp2_grid):
     # the +1 in the profile is exactly the distinguished-facet pairing; without
     # it the fitted eigenvalue drifts away from two (negative control)
-    rootset = enumerate_roots(cp2_ctx.polytope)
+    rootset = enumerate_roots(cp2_ctx.potential.polytope)
     root = rootset.roots[0]
     rf = build_root_function(cp2_ctx, root, mode_sign=1)
-    normal = np.array(cp2_ctx.polytope.facets[root.distinguished_facet].normal, dtype=float)
+    normal = np.array(cp2_ctx.potential.polytope.facets[root.distinguished_facet].normal, dtype=float)
     alpha = np.array(root.alpha, dtype=float)
     potential = cp2_ctx.potential
 
@@ -172,7 +179,7 @@ def test_boundary_product_form_on_closed_polytope(cp2):
 
 
 def test_anti_holomorphic_eigenvalues_blowup(blowup_ctx, blowup_grid):
-    rootset = enumerate_roots(blowup_ctx.polytope)
+    rootset = enumerate_roots(blowup_ctx.potential.polytope)
     s = blowup_ctx.potential.stack(blowup_grid)
     for root in rootset.roots:
         result = check_root(blowup_ctx, root, s)
@@ -188,7 +195,7 @@ def test_anti_holomorphic_eigenvalues_blowup(blowup_ctx, blowup_grid):
 
 def test_anti_holomorphic_eigenvalues_cp2(cp2_ctx, cp2_grid):
     s = cp2_ctx.potential.stack(cp2_grid)
-    for root in enumerate_roots(cp2_ctx.polytope).roots:
+    for root in enumerate_roots(cp2_ctx.potential.polytope).roots:
         result = check_root(cp2_ctx, root, s)
         assert result.gamma_fit <= 1e-6
         assert abs(result.gamma_hat) <= 1e-9
@@ -196,7 +203,7 @@ def test_anti_holomorphic_eigenvalues_cp2(cp2_ctx, cp2_grid):
 
 def test_anti_holomorphic_rejects_bad_fit(blowup, blowup_soliton, blowup_grid):
     # the canonical potential is not the soliton metric here: the fit must fail
-    ctx = OperatorContext(polytope=blowup, potential=guillemin(blowup), a=blowup_soliton.a)
+    ctx = OperatorContext(potential=guillemin(blowup), a=blowup_soliton.a)
     rootset = enumerate_roots(blowup)
     root = next(r for r in rootset.roots if r.alpha == (-1, 0))
     result = check_root(ctx, root, ctx.potential.stack(blowup_grid))
@@ -204,7 +211,7 @@ def test_anti_holomorphic_rejects_bad_fit(blowup, blowup_soliton, blowup_grid):
 
 
 def test_decomposition_cp2(cp2_ctx):
-    rootset = enumerate_roots(cp2_ctx.polytope)
+    rootset = enumerate_roots(cp2_ctx.potential.polytope)
     decomposition = assemble_decomposition(cp2_ctx.a, rootset)
     assert decomposition.gamma_values == (0.0,)
     block = decomposition.blocks[0]
@@ -214,7 +221,7 @@ def test_decomposition_cp2(cp2_ctx):
 
 
 def test_decomposition_blowup(blowup_ctx, blowup_soliton):
-    rootset = enumerate_roots(blowup_ctx.polytope)
+    rootset = enumerate_roots(blowup_ctx.potential.polytope)
     decomposition = assemble_decomposition(blowup_ctx.a, rootset)
     assert len(decomposition.blocks) == 2
     zero_block, positive_block = decomposition.blocks
@@ -241,7 +248,7 @@ def test_decomposition_square(square):
 
 
 def test_clustering_stable_under_tolerance(blowup_ctx, monkeypatch):
-    rootset = enumerate_roots(blowup_ctx.polytope)
+    rootset = enumerate_roots(blowup_ctx.potential.polytope)
     base = assemble_decomposition(blowup_ctx.a, rootset)
     monkeypatch.setattr("toric_soliton.roots.GAMMA_TOL", 1e-6)
     loose = assemble_decomposition(blowup_ctx.a, rootset)
@@ -272,6 +279,28 @@ def test_decomposition_independent_of_round_off_in_a(example, shift, cp2_ctx, cp
     assert perturbed.gamma_values == pytest.approx(base.gamma_values, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["cp2", "square", "bl3"])
+@settings(max_examples=60, deadline=None)
+@given(unit=st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0)))
+def test_near_zero_a_gives_one_affine_block(name, unit):
+    # with |a|_inf <= GAMMA_TOL / (4 max |alpha|) every |gamma| is at most GAMMA_TOL: one affine
+    # block holds every root, however the gammas spread inside the tolerance
+    rootset = enumerate_roots(parse_polytope((DATA / f"{name}.json").read_text()))
+    bound = GAMMA_TOL / (4 * max((abs(c) for r in rootset.roots for c in r.alpha), default=1))
+    decomposition = assemble_decomposition([bound * u for u in unit], rootset)
+    assert [b["includes_affine"] for b in decomposition.blocks] == [True]
+    assert decomposition.total_complex_dimension == automorphism_dimensions(rootset).dim_eta
+
+
+@pytest.mark.parametrize("name", ["cp2", "square"])
+def test_gammas_spread_over_the_tolerance_give_one_affine_block(name):
+    # gammas from -1e-9 to 1e-9: a chain from the lowest once split them into two zero blocks
+    rootset = enumerate_roots(parse_polytope((DATA / f"{name}.json").read_text()))
+    decomposition = assemble_decomposition((2.6e-10, -2.4e-10), rootset)
+    assert [b["includes_affine"] for b in decomposition.blocks].count(True) == 1
+    assert decomposition.total_complex_dimension == automorphism_dimensions(rootset).dim_eta
+
+
 @pytest.mark.parametrize("example", ["cp2", "blowup"])
 @settings(max_examples=40, deadline=None)
 @given(shift=st.lists(st.floats(min_value=-1e-14, max_value=1e-14), min_size=2, max_size=2))
@@ -280,7 +309,7 @@ def test_mode_sign_independent_of_round_off_in_a(example, shift, cp2_ctx, cp2_ro
     # for <alpha, a> = 0 both mode signs are eigenfunctions and their fitted
     # eigenvalues differ only by noise; the choice may not follow its sign
     ctx, rootset = {"cp2": (cp2_ctx, cp2_roots), "blowup": (blowup_ctx, blowup_roots)}[example]
-    grid = ctx.potential.stack(ctx.polytope.interior_grid(15, 0.05))
+    grid = ctx.potential.stack(ctx.potential.polytope.interior_grid(15, 0.05))
     shifted = ctx._replace(a=ctx.a + np.array(shift))
     for root in rootset.roots:
         assert check_root(shifted, root, grid).function.mode_sign == 1
@@ -290,7 +319,7 @@ def test_mode_sign_independent_of_round_off_in_a(example, shift, cp2_ctx, cp2_ro
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_affine_block_eigenvalue_two(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
-    records = affine_block(ctx, ctx.potential.stack(ctx.polytope.interior_grid(21, 0.05)))
+    records = affine_block(ctx, ctx.potential.stack(ctx.potential.polytope.interior_grid(21, 0.05)))
     assert len(records) == 2
     for record in records:
         assert record["mode"] == (0, 0)
@@ -301,7 +330,7 @@ def test_affine_block_eigenvalue_two(ctx_name, request):
 def test_conjugate_root_function_satisfies_conjugate_equation(cp2_ctx, cp2_grid):
     # flipped mode sign solves the conjugate equation, the operator plus the conjugate
     # shift +4 <a, k> u, with the same bound
-    rootset = enumerate_roots(cp2_ctx.polytope)
+    rootset = enumerate_roots(cp2_ctx.potential.polytope)
     s = cp2_ctx.potential.stack(cp2_grid)
     for root in rootset.roots[:3]:
         rf = build_root_function(cp2_ctx, root, mode_sign=-1)

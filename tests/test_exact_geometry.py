@@ -19,6 +19,8 @@ from toric_soliton import (
     DelzantPolytope,
     EmptyInteriorError,
     Facet,
+    MalformedInputError,
+    NonPrimitiveNormalError,
     NotFanoError,
     RedundantFacetError,
     UnboundedPolytopeError,
@@ -47,7 +49,7 @@ def linprog():
 
 def exact_verdict(facets: list[Facet]) -> str:
     try:
-        DelzantPolytope(2, facets)
+        DelzantPolytope(facets)
     except UnboundedPolytopeError:
         return "unbounded"
     except EmptyInteriorError:
@@ -127,7 +129,7 @@ def transformed(p: DelzantPolytope, g, perm, shift, scale) -> DelzantPolytope:
         f = p.facets[i]
         nu = tuple(row[0] * f.normal[0] + row[1] * f.normal[1] for row in inv_t)
         facets.append(Facet(normal=nu, offset=scale * f.offset - nu[0] * shift[0] - nu[1] * shift[1]))
-    return DelzantPolytope(2, facets)
+    return DelzantPolytope(facets)
 
 
 def apply(g, v):
@@ -255,7 +257,7 @@ def perturbed_images(draw) -> list[Facet]:
 @settings(max_examples=40, deadline=None)
 @given(facets=perturbed_images())
 def test_geometry_matches_elimination(facets):
-    p = DelzantPolytope(2, facets)
+    p = DelzantPolytope(facets)
     assert p.vertex_data == oracle_vertex_data(facets)
     assert center_or_error(p) == oracle_center(facets)
 
@@ -264,7 +266,7 @@ def test_hexagon_with_4299_digit_denominators():
     denominators = [10**4298 + 7 * r + 1 for r in range(6)]
     facets = [Facet(f.normal, 1 + Fraction(1, q)) for f, q in zip(SURFACES["bl3"].facets, denominators)]
     assert {len(str(f.offset.denominator)) for f in facets} == {4299} and len(set(denominators)) == 6
-    p = DelzantPolytope(2, facets)
+    p = DelzantPolytope(facets)
     assert len(p.vertex_data) == 6 and p.vertex_data == oracle_vertex_data(facets)
     center = privileged_center(p)
     assert (center.exact_point, center.exact_value, center.residual) == oracle_center(facets)
@@ -275,14 +277,14 @@ def test_hexagon_with_4299_digit_denominators():
 
 def test_unbounded_rejection_names_the_direction():
     with pytest.raises(UnboundedPolytopeError, match=r"direction \(1, 0\)"):
-        DelzantPolytope(2, [Facet((1, 0), 1), Facet((0, 1), 1), Facet((0, -1), 1)])
+        DelzantPolytope([Facet((1, 0), 1), Facet((0, 1), 1), Facet((0, -1), 1)])
 
 
 def test_infeasible_and_flat_systems_have_empty_interior():
     with pytest.raises(EmptyInteriorError, match="infeasible"):
-        DelzantPolytope(2, [Facet((1, 0), -1), Facet((0, 1), 0), Facet((-1, -1), 0)])
+        DelzantPolytope([Facet((1, 0), -1), Facet((0, 1), 0), Facet((-1, -1), 0)])
     with pytest.raises(EmptyInteriorError, match="empty interior"):
-        DelzantPolytope(2, [Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -1), 0)])
+        DelzantPolytope([Facet((1, 0), 0), Facet((0, 1), 0), Facet((-1, -1), 0)])
 
 
 def test_tiny_polygon_is_accepted():
@@ -297,12 +299,29 @@ def test_tiny_polygon_is_accepted():
 
 def test_dimension_one_is_unsupported():
     with pytest.raises(UnsupportedDimensionError, match="got dim 1"):
-        DelzantPolytope(1, [Facet((1,), Fraction(1, 3)), Facet((-1,), 2)])
+        parse_polytope(json.dumps({"dim": 1, "facets": [{"normal": [1], "offset": "1/3"},
+                                                        {"normal": [-1], "offset": 2}]}))
 
 
 def test_dimension_three_is_unsupported():
+    normals = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
     with pytest.raises(UnsupportedDimensionError, match="got dim 3"):
-        DelzantPolytope(3, [Facet((1, 0, 0), 1), Facet((0, 1, 0), 1), Facet((0, 0, 1), 1), Facet((-1, -1, -1), 1)])
+        parse_polytope(json.dumps({"dim": 3, "facets": [{"normal": n, "offset": 1} for n in normals]}))
+
+
+@pytest.mark.parametrize("dim, normals, error, message", [
+    (0, [[1, 0], [0, 1], [-1, -1]], MalformedInputError, "dim must be a positive integer, got 0"),
+    (-1, [[2, 0], [0, 1], [-1, -1]], NonPrimitiveNormalError, "facet normal (2, 0) is not primitive"),
+    (0, [[1], [-1]], MalformedInputError, "dim must be a positive integer, got 0"),
+    (3, [[1, 0], [0, 1]], UnsupportedDimensionError, "polytopes of dim 2 only, got dim 3"),
+    (2, [[1, 0], [0, 1]], MalformedInputError, "need more than 2 facets, got 2"),
+    (2, [[1, 0], [0, 1], [-1, -1, 0]], MalformedInputError,
+     "facet normal (-1, -1, 0) has wrong dimension (expected 2)"),
+], ids=["zero", "facet-before-dim", "zero-before-shape", "dim-before-count", "count", "normal-length"])
+def test_document_dim_is_checked_after_the_facets(dim, normals, error, message):
+    with pytest.raises(error) as info:
+        parse_polytope(json.dumps({"dim": dim, "facets": [{"normal": n, "offset": 1} for n in normals]}))
+    assert str(info.value) == message
 
 
 def test_root_region_without_a_bound_is_unbounded():

@@ -36,7 +36,7 @@ from conftest import batch, column_jet, expand, interior_points
 
 @pytest.fixture(scope="module")
 def flat_ctx(square):
-    return OperatorContext(polytope=square, potential=QuadraticPotential(square), a=np.zeros(2))
+    return OperatorContext(potential=QuadraticPotential(square), a=np.zeros(2))
 
 
 def square_profile(i: int, n: int) -> EquivariantFunction:
@@ -111,7 +111,7 @@ def test_lemma_4_1_blowup(blowup_ctx, blowup_grid):
 
 
 def test_weighted_equals_plain_for_zero_vector(cp2, cp2_ctx):
-    ctx0 = OperatorContext(polytope=cp2, potential=cp2_ctx.potential, a=np.zeros(2))
+    ctx0 = OperatorContext(potential=cp2_ctx.potential, a=np.zeros(2))
     f = profile_exp_pairing([1, 0])
     s = cp2_ctx.potential.stack(interior_points(cp2, 5, seed=13))
     assert np.array_equal(weighted_laplacian(ctx0, f, s), laplacian(ctx0, f, s))
@@ -123,8 +123,8 @@ def test_mode_diagonal_identities(ctx_name, request):
     from toric_soliton import enumerate_roots
 
     ctx = request.getfixturevalue(ctx_name)
-    s = ctx.potential.stack(interior_points(ctx.polytope, 12, seed=14))
-    for alpha in [r.alpha for r in enumerate_roots(ctx.polytope).roots]:
+    s = ctx.potential.stack(interior_points(ctx.potential.polytope, 12, seed=14))
+    for alpha in [r.alpha for r in enumerate_roots(ctx.potential.polytope).roots]:
         alpha_arr = np.array(alpha, dtype=float)
         pure = profile_constant(1.0, mode=alpha)
         radial = profile_exp_pairing(alpha)
@@ -142,10 +142,10 @@ def test_product_rule(ctx_name, request):
     u = profile_coordinate(0)
     v = profile_coordinate(1)
     w = profile_exp_pairing([1, 0] if ctx_name == "cp2_ctx" else [0, 1])
-    s = ctx.potential.stack(interior_points(ctx.polytope, 20, seed=15))
+    s = ctx.potential.stack(interior_points(ctx.potential.polytope, 20, seed=15))
     assert np.max(np.abs(product_rule_defects(ctx, u, v, s))) <= 1e-8
     assert np.max(np.abs(product_rule_defects(ctx, u, w, s))) <= 1e-8
-    one = ctx.potential.stack(interior_points(ctx.polytope, 1, seed=16))
+    one = ctx.potential.stack(interior_points(ctx.potential.polytope, 1, seed=16))
     trivial = product_rule_defects(ctx, profile_constant(1.0), profile_constant(1.0), one)
     assert trivial[0] == 0.0
 
@@ -173,7 +173,7 @@ def test_gradients_flat_model(flat_ctx):
 
 def test_gradients_of_a_mode_carry_the_angular_part(cp2_ctx):
     # on mode k the t-components are i k u, rotated by G on the Riemannian side
-    s = cp2_ctx.potential.stack(interior_points(cp2_ctx.polytope, 4, seed=21))
+    s = cp2_ctx.potential.stack(interior_points(cp2_ctx.potential.polytope, 4, seed=21))
     f = profile_exp_pairing([1, 0], mode=(1, 0))
     u = np.array(f.jet(s)[0])
     result = {key: tuple(map(batch, value)) for key, value in gradients(cp2_ctx, f, s).items()}
@@ -200,14 +200,14 @@ def test_abreu_blowup_nonconstant_with_mean_four(blowup, blowup_ctx):
 
 
 def test_ricci_identity_cp2(cp2_ctx):
-    s = cp2_ctx.potential.stack(interior_points(cp2_ctx.polytope, 8, seed=18))
+    s = cp2_ctx.potential.stack(interior_points(cp2_ctx.potential.polytope, 8, seed=18))
     ric, lie = map(batch, ricci_and_lie_components(cp2_ctx, s))
     assert np.max(np.abs(ric - np.eye(2))) <= 1e-6
     assert np.max(np.abs(lie)) <= 1e-9
 
 
 def test_soliton_identity_blowup(blowup_ctx):
-    s = blowup_ctx.potential.stack(interior_points(blowup_ctx.polytope, 12, seed=19))
+    s = blowup_ctx.potential.stack(interior_points(blowup_ctx.potential.polytope, 12, seed=19))
     ric, lie = map(batch, ricci_and_lie_components(blowup_ctx, s))
     assert ric.shape == lie.shape == (12, 2, 2)
     assert np.max(np.abs(ric - lie - np.eye(2))) <= 1e-6
@@ -226,7 +226,7 @@ def test_soliton_residual_both_examples(cp2_ctx, cp2_grid, blowup_ctx, blowup_gr
 
 
 def test_soliton_residual_negative_control(blowup, blowup_ctx, blowup_grid):
-    halved = OperatorContext(polytope=blowup, potential=blowup_ctx.potential, a=np.divide(blowup_ctx.a, 2.0))
+    halved = OperatorContext(potential=blowup_ctx.potential, a=np.divide(blowup_ctx.a, 2.0))
     worst = np.max(np.abs(soliton_residuals(halved, blowup_ctx.potential.stack(blowup_grid), 4.0)))
     assert worst > 1e-2
 
@@ -286,7 +286,7 @@ def test_fd_oracle_is_batched(cp2):
         return wrapper
 
     pot.values, pot.stack = counting("values"), counting("stack")
-    ctx = OperatorContext(polytope=cp2, potential=pot, a=np.zeros(2))
+    ctx = OperatorContext(potential=pot, a=np.zeros(2))
     finite_difference_oracle(ctx, profile_exp_pairing((1, 0)), np.array([0.1, -0.2]))
     assert calls == {"values": 2, "stack": 1}
 
@@ -297,7 +297,7 @@ def test_conjugation_symmetry(blowup_ctx):
     alpha = (-1, 0)
     u_plus = profile_exp_pairing(alpha, mode=alpha)
     u_minus = profile_exp_pairing(alpha, mode=tuple(-c for c in alpha))
-    s = blowup_ctx.potential.stack(interior_points(blowup_ctx.polytope, 8, seed=20))
+    s = blowup_ctx.potential.stack(interior_points(blowup_ctx.potential.polytope, 8, seed=20))
     plus = complex_weighted_laplacian(blowup_ctx, u_plus, s)
     conjugate_shift = 4.0 * float(np.dot(blowup_ctx.a, u_minus.mode)) * np.array(u_minus.jet(s)[0])
     minus = complex_weighted_laplacian(blowup_ctx, u_minus, s) + conjugate_shift
@@ -315,13 +315,13 @@ def test_weighted_symmetry_under_refinement(ctx_name, request):
     else:
         u = bump_profile([0.0, -0.3], 0.4)
         v = bump_profile([0.2, -0.2], 0.4)
-    verts = np.array(ctx.polytope.vertex_points)
+    verts = np.array(ctx.potential.polytope.vertex_points)
     lo, hi = verts.min(axis=0), verts.max(axis=0)
 
     def antisymmetric_sum(n):
         axes = [np.linspace(lo[i], hi[i], n) for i in range(2)]
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-        keep = np.array(ctx.polytope.facet_values_many(mesh)).min(axis=1) > 1e-9
+        keep = np.array(ctx.potential.polytope.facet_values_many(mesh)).min(axis=1) > 1e-9
         pts = mesh[keep]
         cell = (hi[0] - lo[0]) * (hi[1] - lo[1]) / (n - 1) ** 2
         s = ctx.potential.stack(pts)

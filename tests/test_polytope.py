@@ -108,9 +108,9 @@ def test_vertices_have_exactly_n_active_facets(cp2, blowup, square):
     for p in (cp2, blowup, square):
         for vertex, (_, active) in zip(p.vertex_points, p.vertex_data):
             values = np.array(p.facet_values_many(np.array([vertex]))[0])
-            assert len(active) == p.dim
+            assert len(active) == 2
             near_zero = np.abs(values) <= 1e-9
-            assert near_zero.sum() == p.dim
+            assert near_zero.sum() == 2
             assert np.all(values[~near_zero] > 1e-9)
 
 

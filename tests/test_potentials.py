@@ -9,6 +9,8 @@ import pytest
 
 from toric_soliton import (
     BoundaryEvaluationError,
+    CalabiPotential,
+    DelzantPolytope,
     LossOfConvexityError,
     MalformedInputError,
     QuadraticPotential,
@@ -161,3 +163,21 @@ def test_quadratic_potential_stack(square):
     assert np.allclose(s.d2H, 0.0)
     with pytest.raises(LossOfConvexityError):
         QuadraticPotential(square, matrix=-np.eye(2))
+
+
+@pytest.mark.parametrize("name", ["cp2", "square"])
+def test_calabi_potential_rejects_another_polygon(request, name):
+    # the same test and message as verify's and decompose's potential check
+    with pytest.raises(MalformedInputError) as info:
+        CalabiPotential(request.getfixturevalue(name))
+    assert str(info.value) == "the closed-form soliton potential is only available for the blow-up trapezoid"
+
+
+def test_calabi_potential_keeps_the_callers_facet_order(blowup, calabi_soliton):
+    reversed_trapezoid = DelzantPolytope(blowup.facets[::-1])
+    pot = CalabiPotential(reversed_trapezoid, calabi_soliton)
+    assert pot.polytope is reversed_trapezoid
+    assert pot.soliton is calabi_soliton
+    points = interior_points(blowup, 5, seed=3)
+    canonical = CalabiPotential(blowup, calabi_soliton)
+    assert expand(pot.stack(points)).H.tolist() == expand(canonical.stack(points)).H.tolist()

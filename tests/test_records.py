@@ -6,7 +6,6 @@ validate their fields when constructed.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 import numpy as np
@@ -17,18 +16,16 @@ from toric_soliton import (
     MalformedInputError,
     NonPrimitiveNormalError,
     OperatorContext,
-    QuadraticPotential,
     assemble_decomposition,
     automorphism_dimensions,
     boundary_product_form,
     check_root,
     delzant_check,
     guillemin,
-    parse_polytope,
     privileged_center,
     triangulate,
 )
-from conftest import CP2_DOC, expand
+from conftest import expand
 
 
 @pytest.mark.parametrize("normal, error, message", [
@@ -85,7 +82,7 @@ def test_facets_compare_and_hash_as_tuples():
 
 
 def test_operator_context_reads_a_as_a_float_array(cp2):
-    ctx = OperatorContext(cp2, guillemin(cp2), np.array([0, 1]))
+    ctx = OperatorContext(guillemin(cp2), np.array([0, 1]))
     assert ctx.a == (0.0, 1.0)
     assert all(type(c) is float for c in ctx.a)
 
@@ -94,20 +91,8 @@ def test_operator_context_reads_a_as_a_float_array(cp2):
                          ids=["three", "one", "matrix", "scalar"])
 def test_operator_context_rejects_a_of_the_wrong_shape(cp2, a):
     with pytest.raises(MalformedInputError) as info:
-        OperatorContext(polytope=cp2, potential=guillemin(cp2), a=a)
+        OperatorContext(potential=guillemin(cp2), a=a)
     assert "soliton vector must be 2 numbers" in str(info.value)
-
-
-def test_operator_context_rejects_a_potential_on_another_polytope(cp2, square):
-    with pytest.raises(MalformedInputError) as info:
-        OperatorContext(polytope=cp2, potential=QuadraticPotential(square), a=np.zeros(2))
-    assert "potential and context polytopes disagree" in str(info.value)
-
-
-def test_operator_context_accepts_permuted_facets(cp2):
-    permuted = parse_polytope(json.dumps({**CP2_DOC, "facets": CP2_DOC["facets"][::-1]}))
-    ctx = OperatorContext(polytope=permuted, potential=guillemin(cp2), a=np.zeros(2))
-    assert ctx.polytope is permuted
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from toric_soliton import CalabiPotential, OperatorContext, guillemin, operators, parse_polytope
+from toric_soliton import CalabiPotential, OperatorContext, assemble_decomposition, guillemin, operators, parse_polytope
 from toric_soliton.potentials import HSidePotential
 from toric_soliton.report import (
     _scal_mean,
@@ -38,15 +38,17 @@ class StackOnlyPotential(HSidePotential):
 
 def test_stack_only_potential_runs_every_stack_check(cp2, cp2_roots, cp2_soliton, cp2_grid, cp2_ctx):
     potential = StackOnlyPotential(cp2)
-    ctx = OperatorContext(polytope=cp2, potential=potential, a=cp2_soliton.a)
-    checks, root_checks, _ = verify_checks(ctx, cp2_roots, cp2_soliton, potential.stack(cp2_grid), 10)
+    ctx = OperatorContext(potential=potential, a=cp2_soliton.a)
+    cp2_decomposition = assemble_decomposition(cp2_soliton.a, cp2_roots)
+    checks, root_checks, _ = verify_checks(ctx, cp2_roots, cp2_soliton, cp2_decomposition, potential.stack(cp2_grid), 10)
     names = [name for name, _, _ in checks]
     assert len(names) == 3 + 4 * len(cp2_roots.roots) + 2 + 2 == 31
     assert not set(GATED) & set(names)
     assert [name for name, value, threshold in checks if not abs(value) <= threshold] == []
     assert len(root_checks) == len(cp2_roots.roots)
     # the same checks, in the same order, as for the canonical potential less its gated ones
-    canonical, _, _ = verify_checks(cp2_ctx, cp2_roots, cp2_soliton, cp2_ctx.potential.stack(cp2_grid), 10)
+    canonical, _, _ = verify_checks(cp2_ctx, cp2_roots, cp2_soliton, cp2_decomposition,
+                                    cp2_ctx.potential.stack(cp2_grid), 10)
     assert names == [name for name, _, _ in canonical if name not in GATED]
     assert len(canonical) == len(names) + len(GATED)
 
@@ -62,7 +64,7 @@ def test_scal_mean_builds_one_stack_on_every_node(cp2, cp2_soliton):
         return stack(points, **options)
 
     potential.stack = counting
-    ctx = OperatorContext(polytope=cp2, potential=potential, a=cp2_soliton.a)
+    ctx = OperatorContext(potential=potential, a=cp2_soliton.a)
     assert _scal_mean(ctx, 10) == pytest.approx(4.0 * cp2_soliton.lam, abs=1e-10)
     assert sizes == [3 * 13**2]
 
@@ -100,10 +102,10 @@ def test_report_leaves_are_plain_json_types():
 
 def test_scal_mean_with_calabi_evaluates_no_gradient(blowup, blowup_soliton, monkeypatch):
     # the curvature reads d2H alone, so the quadrature stack skips the Gauss sums of the gradient
-    potential = CalabiPotential()
+    potential = CalabiPotential(blowup)
     calls = []
     monkeypatch.setattr(CalabiPotential, "_f_values", lambda self, ts: calls.append(ts) or [0.0] * len(ts))
-    ctx = OperatorContext(polytope=blowup, potential=potential, a=blowup_soliton.a)
+    ctx = OperatorContext(potential=potential, a=blowup_soliton.a)
     assert _scal_mean(ctx, 10) == pytest.approx(potential.soliton.scal_mean, abs=1e-4)
     assert calls == []
 
