@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import MalformedInputError, NonConvergenceError, ToricSolitonError
-from .polytope import DelzantPolytope, delzant_check, parse_polytope
+from .polytope import DelzantPolytope, parse_polytope
 from .report import (
     calabi_report,
     decompose_report,
@@ -39,23 +39,16 @@ MAX_GRID = 500
 
 
 def _load_polytope(path: str) -> DelzantPolytope:
-    """Read and validate a polytope: parse and Delzant.
+    """Read and parse a polytope document.
 
-    Fano (the privileged center) is checked by ``normalize_algebraic``, the
-    first step of every report.
+    Delzant and Fano (the privileged center) are checked by the report
+    builder, in that order, before anything else it computes.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"document is not UTF-8 text: {exc}") from exc
-    p = parse_polytope(text)
-    verdict = delzant_check(p)
-    if not verdict.passed:
-        bad = verdict.failures()
-        raise MalformedInputError(
-            f"polytope is not Delzant: vertex {bad[0][0]} has determinant {bad[0][1]}"
-        )
-    return p
+    return parse_polytope(text)
 
 
 def _check_arguments(args: argparse.Namespace) -> None:

@@ -7,6 +7,11 @@ bools and null) and the floats to a tolerance: quantities that vanish by
 symmetry come out as round-off whose sign and last digits differ between
 Python versions (the built-in ``sum`` is compensated from 3.12 on).
 
+Each polygon report builder starts with :func:`_prepare`, the one place
+a command's polygon facts are computed, each once: the Delzant verdict,
+the privileged center, the normalized polygon and the ``polytope``
+section.  The builder's own checks follow.
+
 ``verify`` is driven by one ordered list of ``(name, value, threshold)``
 checks from :func:`verify_checks`: the affine block, the mean scalar
 curvature, the soliton equation, four checks per root, the mode
@@ -33,9 +38,9 @@ from .errors import MalformedInputError
 from .polytope import (
     DIM,
     DelzantPolytope,
+    Facet,
     delzant_check,
     linspace,
-    normalize_algebraic,
     privileged_center,
     require_blowup_trapezoid,
 )
@@ -61,10 +66,22 @@ def to_json(report: dict) -> str:
     return json.dumps(_round_floats(report), indent=2)
 
 
-def _polytope_section(p: DelzantPolytope, normalized: DelzantPolytope) -> dict:
-    center = privileged_center(p)
+def _prepare(p: DelzantPolytope) -> tuple[DelzantPolytope, dict]:
+    """The normalized polygon and the report's ``polytope`` section, each fact computed once.
+
+    Raises :class:`MalformedInputError` on a polygon that is not Delzant,
+    then :class:`NotFanoError` (from :func:`privileged_center`) on one
+    without a privileged center.  The normalized polygon is the one
+    :func:`normalize_algebraic` builds, every offset one (an algebraic
+    input as it is), without a second center solve.
+    """
     verdict = delzant_check(p)
-    return {
+    if not verdict.passed:
+        vertex, det = verdict.failures()[0]
+        raise MalformedInputError(f"polytope is not Delzant: vertex {vertex} has determinant {det}")
+    center = privileged_center(p)
+    normalized = p if p.is_algebraic else DelzantPolytope(Facet(f.normal, 1) for f in p.facets)
+    return normalized, {
         "input": p.to_dict(),
         "normalized": normalized.to_dict(),
         "privileged_center": {
@@ -119,22 +136,22 @@ def _soliton_section(soliton: futaki.SolitonData) -> dict:
 
 
 def roots_report(p: DelzantPolytope) -> dict:
-    normalized = normalize_algebraic(p)
+    normalized, polytope = _prepare(p)
     rootset = enumerate_roots(normalized)
     return {
         "command": "roots",
-        "polytope": _polytope_section(p, normalized),
+        "polytope": polytope,
         **_roots_section(rootset),
     }
 
 
 def soliton_report(p: DelzantPolytope, tol: float = 1e-10, order: int = 10) -> dict:
-    normalized = normalize_algebraic(p)
+    normalized, polytope = _prepare(p)
     soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
     return {
         "command": "soliton",
         "config": {"tol": tol, "order": order},
-        "polytope": _polytope_section(p, normalized),
+        "polytope": polytope,
         "soliton": _soliton_section(soliton),
     }
 
@@ -251,7 +268,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
     The report carries one record per check, each with a value, threshold
     and pass flag; the overall outcome is the conjunction.
     """
-    normalized = normalize_algebraic(p)
+    normalized, polytope = _prepare(p)
     _check_potential(normalized, potential_kind)
     grid = normalized.interior_grid(grid_n, margin)
     if len(grid) == 0:
@@ -286,7 +303,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
             "order": order,
             "version": __version__,
         },
-        "polytope": _polytope_section(p, normalized),
+        "polytope": polytope,
         **_roots_section(rootset),
         "soliton": _soliton_section(soliton),
         "scal_mean": scal_mean,
@@ -338,7 +355,7 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
     ``calabi`` request on any polygon but the blow-up trapezoid is still
     rejected.
     """
-    normalized = normalize_algebraic(p)
+    normalized, polytope = _prepare(p)
     _check_potential(normalized, potential_kind)
     rootset = enumerate_roots(normalized)
     soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
@@ -351,7 +368,7 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
     return {
         "command": "decompose",
         "config": {"potential": potential_kind, "tol": tol, "grid": grid_n, "order": order},
-        "polytope": _polytope_section(p, normalized),
+        "polytope": polytope,
         **_roots_section(rootset),
         "soliton": _soliton_section(soliton),
         "decomposition": blocks,

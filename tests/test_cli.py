@@ -13,8 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from toric_soliton import assemble_decomposition, parse_polytope, privileged_center
+from toric_soliton import (
+    MalformedInputError,
+    assemble_decomposition,
+    delzant_check,
+    parse_polytope,
+    privileged_center,
+)
 from toric_soliton.cli import MAX_GRID, MAX_ORDER, main
+from toric_soliton.report import roots_report
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,9 +47,20 @@ def test_roots_blowup_dimensions(capsys):
     assert "eta 6, reductive 4, unipotent 2" in out
 
 
-def test_non_delzant_rejected(capsys):
-    code, _ = run(capsys, "roots", str(DATA / "non_delzant.json"))
-    assert code == 2
+NOT_DELZANT = "polytope is not Delzant: vertex (-1.0, 1.0) has determinant -2"
+
+
+@pytest.mark.parametrize("command", ["roots", "soliton", "decompose", "verify"])
+def test_non_delzant_rejected(capsys, command):
+    code = main([command, str(DATA / "non_delzant.json")])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"rejected: {NOT_DELZANT}\n")
+
+
+def test_non_delzant_library_call_raises():
+    with pytest.raises(MalformedInputError) as excinfo:
+        roots_report(parse_polytope((DATA / "non_delzant.json").read_text()))
+    assert str(excinfo.value) == NOT_DELZANT
 
 
 def test_not_fano_rejected(capsys):
@@ -526,12 +544,15 @@ def calls_of(argv: list[str], *functions) -> tuple[int, Counter]:
     return code, counts
 
 
-#: facet documents whose offsets are not all one, so normalization solves the center
+#: facet documents whose offsets are not all one, so the normalized polygon differs from the input
 SHIFTED = {
     "cp2": {"dim": 2, "facets": [{"normal": [1, 0], "offset": 1}, {"normal": [0, 1], "offset": 2},
                                  {"normal": [-1, -1], "offset": "1/2"}]},
     "blowup": {"dim": 2, "facets": [{**facet, "offset": 2}
                                     for facet in json.loads((DATA / "blowup.json").read_text())["facets"]]},
+    # the bl3 hexagon with offsets 1 + 1/q, q of 4299 digits: each center solve costs about 20 ms
+    "hexagon": {"dim": 2, "facets": [{**facet, "offset": f"{q + 1}/{q}"} for facet, q in zip(
+        json.loads((DATA / "bl3.json").read_text())["facets"], (10**4298 + 7 * r + 1 for r in range(6)))]},
 }
 
 
@@ -542,16 +563,19 @@ SHIFTED = {
     ("cp2", ("verify",)),
     ("blowup", ("decompose", "--potential", "calabi")),
     ("blowup", ("verify", "--potential", "calabi")),
-], ids=["roots", "soliton", "decompose", "verify", "decompose-calabi", "verify-calabi"])
-def test_each_command_solves_the_center_at_most_twice(capsys, tmp_path, name, argv):
-    # normalization and the report's polytope section each solve it; loading only parses and checks Delzant
+    ("hexagon", ("roots",)),
+    ("hexagon", ("soliton",)),
+], ids=["roots", "soliton", "decompose", "verify", "decompose-calabi", "verify-calabi",
+        "hexagon-roots", "hexagon-soliton"])
+def test_each_command_checks_delzant_and_solves_the_center_once(capsys, tmp_path, name, argv):
+    # the report builder's preparation is the only caller of both; loading only parses
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(SHIFTED[name]))
     command, *flags = argv
-    code, counts = calls_of([command, str(path), *flags], privileged_center, assemble_decomposition)
+    code, counts = calls_of([command, str(path), *flags], delzant_check, privileged_center, assemble_decomposition)
     capsys.readouterr()
     assert code == 0
-    assert 1 <= counts["privileged_center"] <= 2
+    assert counts["delzant_check"] == counts["privileged_center"] == 1
     assert counts["assemble_decomposition"] == (1 if command in ("verify", "decompose") else 0)
 
 
