@@ -13,22 +13,24 @@ Evaluation surface.  Operators read the potential only through a
 :class:`~toric_soliton.potentials.Stack` and evaluate on all of its points
 at once, in plain float columns laid out like the stack's: a profile's
 ``jet`` gives ``(u, (u1, u2), (u11, u12, u22))``, one column of m floats
-each, and every operator (``laplacian``, ``weighted_laplacian``,
+each, and every operator (``weighted_laplacian``,
 ``complex_weighted_laplacian``, ``scalar_curvature`` ...) returns a
 column of m values; one point is a stack of one.  The components of
-``gradients`` and ``ricci_and_lie_components`` are columns too, indexed
-component first.  The finite-difference oracle reads potential values and
-profile values alone, on one nine-point stencil: phi from one batched
-``values`` call per step size, and every profile value from one stack of
-the context potential.  The context, :class:`OperatorContext`, is a named
-tuple of the potential and ``a``, read as a tuple of floats; the polygon
-is the potential's own.
+``ricci_and_lie_components`` are columns too, indexed component first.
+Every value is a real float: the angular sector enters through the real
+coefficients above, so no operator needs complex arithmetic.  The
+finite-difference oracle reads potential values and profile values alone,
+on one nine-point stencil: phi from one batched ``values`` call per step
+size, and every profile value from one stack of the context potential.
+The context, :class:`OperatorContext`, is a named tuple of the potential
+and ``a``, read as a tuple of floats; the polygon is the potential's own.
 
 Sign conventions.  The plain Laplacian is the positive-spectrum operator
 ``-sum_ij d_i(H_ij d_j u)`` (constants are harmonic, ``x^2`` on the flat
-model maps to ``-2``).  The context stores the fan-side soliton vector
-``a`` (see :mod:`toric_soliton.futaki`); the drift covector on the moment
-image is its negative, so the weighted Laplacian is
+model maps to ``-2``); it is ``weighted_laplacian`` in a context with
+``a = 0``, and has no function of its own.  The context stores the
+fan-side soliton vector ``a`` (see :mod:`toric_soliton.futaki`); the drift
+covector on the moment image is its negative, so the weighted Laplacian is
 
     Delta^{g,a} u = Delta^g u - 2 sum_ij a_i H_ij d_j u,
 
@@ -169,11 +171,11 @@ class OperatorContext(NamedTuple("OperatorContext", [
 # -- operators -------------------------------------------------------------------
 
 
-def apply_to_jet(s: Stack, jet: Jet, mode: tuple[int, ...], a=(0.0, 0.0), shift: float = 0.0) -> list[float]:
+def apply_to_jet(s: Stack, jet: Jet, mode: tuple[int, ...], a, shift: float = 0.0) -> list[float]:
     """-div(H grad u) + (k^T G k + shift) u - 2 a^T H grad u on every stack point, from the jet of u.
 
-    The plain Laplacian on mode k has a = 0 and no shift, the weighted one
-    the context's a, and the complex weighted one also shift = -2 <a, k>.
+    The weighted Laplacian on mode k has the context's a and no shift, and
+    the complex weighted one also shift = -2 <a, k>.
     """
     u, (u1, u2), (u11, u12, u22) = jet
     d1h11, d1h12, _, _, d2h12, d2h22 = s.dH
@@ -190,13 +192,8 @@ def apply_to_jet(s: Stack, jet: Jet, mode: tuple[int, ...], a=(0.0, 0.0), shift:
     ]
 
 
-def laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> list[float]:
-    """Plain Laplacian on the mode, -div(H grad u) + (k^T G k) u, on every stack point."""
-    return apply_to_jet(s, f.jet(s), f.mode)
-
-
 def weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> list[float]:
-    """Weighted Laplacian: plain plus the moment-image drift -2 a^T H grad u."""
+    """Weighted Laplacian: -div(H grad u) + (k^T G k) u plus the moment-image drift -2 a^T H grad u."""
     return apply_to_jet(s, f.jet(s), f.mode, ctx.a)
 
 
@@ -239,25 +236,6 @@ def soliton_residuals(ctx: OperatorContext, s: Stack, scal_mean: float) -> list[
         scal - scal_mean - 2.0 * ((p + q) * a1 + (r + t) * a2)
         for scal, p, q, r, t in zip(scalar_curvature(s), d1h11, d2h12, d1h12, d2h22)
     ]
-
-
-def gradients(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> dict:
-    """Riemannian and symplectic gradients as (x-components, t-components), each a pair of columns."""
-    u, (u1, u2), _ = f.jet(s)
-    k1, k2 = f.mode
-    # angular derivatives with the phase factor set to one
-    t1, t2 = [1j * v * k1 for v in u], [1j * v * k2 for v in u]
-    g11, g12, g22 = s.G
-    h11, h12, h22 = s.H
-    return {
-        "riemannian": (
-            ([p * a + q * b for p, q, a, b in zip(h11, h12, u1, u2)],
-             [q * a + r * b for q, r, a, b in zip(h12, h22, u1, u2)]),
-            ([p * a + q * b for p, q, a, b in zip(g11, g12, t1, t2)],
-             [q * a + r * b for q, r, a, b in zip(g12, g22, t1, t2)]),
-        ),
-        "symplectic": (([-c for c in t1], [-c for c in t2]), ([complex(c) for c in u1], [complex(c) for c in u2])),
-    }
 
 
 def ricci_and_lie_components(ctx: OperatorContext, s: Stack) -> tuple:

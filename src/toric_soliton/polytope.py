@@ -404,7 +404,7 @@ class DelzantPolytope:
 # -- module-level operations ----------------------------------------------
 
 
-def parse_polytope(source: str | bytes | dict) -> DelzantPolytope:
+def parse_polytope(source: str | bytes) -> DelzantPolytope:
     """Parse and validate a polytope document.
 
     The document is JSON of the form
@@ -413,17 +413,14 @@ def parse_polytope(source: str | bytes | dict) -> DelzantPolytope:
     document's ``dim`` is checked once the facets are built: a positive
     integer, and ``DIM``.
     """
-    if isinstance(source, (str, bytes)):
-        try:
-            doc = json.loads(source, parse_float=_parse_fraction, parse_int=_parse_int)
-        except json.JSONDecodeError as exc:
-            raise MalformedInputError(f"invalid JSON: {exc}") from exc
-        except RecursionError as exc:
-            raise MalformedInputError("invalid JSON: arrays or objects nested too deeply") from exc
-    elif isinstance(source, dict):
-        doc = source
-    else:
+    if not isinstance(source, (str, bytes)):
         raise MalformedInputError(f"unsupported source type {type(source)!r}")
+    try:
+        doc = json.loads(source, parse_float=_parse_fraction, parse_int=_parse_int)
+    except json.JSONDecodeError as exc:
+        raise MalformedInputError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInputError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict) or "dim" not in doc or "facets" not in doc:
         raise MalformedInputError("document must be an object with 'dim' and 'facets'")
     dim = doc["dim"]

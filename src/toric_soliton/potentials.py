@@ -360,13 +360,14 @@ class CalabiPotential(HSidePotential):
     coordinates (the trapezoid translated so the privileged center is the
     origin); the metric data is evaluated at the translated point.  The
     gradient has gauge zero at the origin, which rescales root profiles by
-    harmless positive constants.
+    harmless positive constants.  Construction solves the soliton's
+    coefficient, ``CalabiSoliton.solve()``, kept as ``soliton``.
     """
 
-    def __init__(self, polytope: DelzantPolytope, soliton: CalabiSoliton | None = None):
+    def __init__(self, polytope: DelzantPolytope):
         require_blowup_trapezoid(polytope)
         self.polytope = polytope
-        self.soliton = soliton or CalabiSoliton.solve()
+        self.soliton = CalabiSoliton.solve()
         # t / A(t) has simple poles at the ends of [ALPHA1, ALPHA2], residue t / A'(t)
         self._poles = tuple((end, end / profile_A(self.soliton, end)[1]) for end in (ALPHA1, ALPHA2))
         self._f_rule = tuple(zip(*gauss_legendre(48)))
@@ -444,7 +445,3 @@ def gradient_by_line_integral(potential: SymplecticPotential, x, x0) -> tuple[fl
         previous = current
     return previous
 
-
-def guillemin(p: DelzantPolytope) -> GuilleminPotential:
-    """The canonical potential of a Delzant polytope."""
-    return GuilleminPotential(p)

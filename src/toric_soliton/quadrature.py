@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .errors import UnsupportedDimensionError
+from .errors import MalformedInputError, UnsupportedDimensionError
 from .polytope import DelzantPolytope
 
 #: relative tolerance for the triangulation area identity
@@ -74,7 +74,7 @@ def gauss_legendre(m: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     weights ``2 / ((1 - x^2) P_m'(x)^2)`` are scaled to sum to 2.
     """
     if m < 1:
-        raise ValueError("number of Gauss points must be >= 1")
+        raise MalformedInputError(f"number of Gauss points must be at least 1, got {m}")
 
     def legendre(x: float) -> tuple[float, float]:
         previous, current = 1.0, x
@@ -115,7 +115,7 @@ def line_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     so the solver's order-escalation loop terminates early.
     """
     if order < 1:
-        raise ValueError("quadrature order must be >= 1")
+        raise MalformedInputError(f"quadrature order must be at least 1, got {order}")
     nodes, weights = gauss_legendre(order + 3)
     return tuple(0.5 * (x + 1.0) for x in nodes), tuple(0.5 * w for w in weights)
 

@@ -285,7 +285,8 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         )
     rootset = enumerate_roots(normalized)
     soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
-    potential = potentials.guillemin(normalized) if potential_kind == "guillemin" else potentials.CalabiPotential(normalized)
+    family = potentials.GuilleminPotential if potential_kind == "guillemin" else potentials.CalabiPotential
+    potential = family(normalized)
     ctx = operators.OperatorContext(potential=potential, a=soliton.a)
     decomposition = assemble_decomposition(soliton.a, rootset)
     listed, root_checks, scal_mean = verify_checks(ctx, rootset, soliton, decomposition, potential.stack(grid), order)

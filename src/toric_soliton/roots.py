@@ -39,9 +39,6 @@ class RootSet(NamedTuple):
     semisimple: tuple[DemazureRoot, ...]
     unipotent: tuple[DemazureRoot, ...]
 
-    def alphas(self) -> list[tuple[int, ...]]:
-        return [r.alpha for r in self.roots]
-
 
 class AutomorphismDimensions(NamedTuple):
     """Complex dimensions of the holomorphic vector field decomposition."""
@@ -178,15 +175,14 @@ def assemble_decomposition(a, rootset: RootSet) -> SolitonDecomposition:
     return SolitonDecomposition(blocks=tuple(blocks), gamma_values=tuple(b["gamma"] for b in blocks))
 
 
-def brute_force_roots(p: DelzantPolytope, radius: int | None = None) -> list[tuple[int, ...]]:
+def brute_force_roots(p: DelzantPolytope) -> list[tuple[int, ...]]:
     """Independent oracle: scan the integer box [-B, B]^2 against the definition.
 
-    Default B = 1 + the ceiling of the largest exact vertex coordinate
-    magnitude.  Used by the test suite to confirm the exact line
-    enumeration misses nothing.
+    B = 1 + the ceiling of the largest exact vertex coordinate magnitude.
+    Used by the test suite to confirm the exact line enumeration misses
+    nothing.
     """
-    if radius is None:
-        radius = 1 + max(math.ceil(abs(c)) for pt, _ in p.vertex_data for c in pt)
+    radius = 1 + max(math.ceil(abs(c)) for pt, _ in p.vertex_data for c in pt)
     normals = [f.normal for f in p.facets]
     found = []
     for alpha in itertools.product(range(-radius, radius + 1), repeat=DIM):

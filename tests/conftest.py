@@ -16,15 +16,12 @@ import pytest
 
 from typing import NamedTuple
 
-from toric_soliton import (
-    CalabiPotential,
-    CalabiSoliton,
-    OperatorContext,
-    enumerate_roots,
-    guillemin,
-    parse_polytope,
-    solve_soliton_vector,
-)
+from toric_soliton.calabi import CalabiSoliton
+from toric_soliton.futaki import solve_soliton_vector
+from toric_soliton.operators import OperatorContext
+from toric_soliton.polytope import parse_polytope
+from toric_soliton.potentials import CalabiPotential, GuilleminPotential
+from toric_soliton.roots import enumerate_roots
 
 CP2_DOC = {
     "dim": 2,
@@ -83,7 +80,7 @@ def blowup_soliton(blowup):
 
 @pytest.fixture(scope="session")
 def cp2_ctx(cp2, cp2_soliton):
-    return OperatorContext(potential=guillemin(cp2), a=cp2_soliton.a)
+    return OperatorContext(potential=GuilleminPotential(cp2), a=cp2_soliton.a)
 
 
 @pytest.fixture(scope="session")
@@ -92,16 +89,13 @@ def calabi_soliton():
 
 
 @pytest.fixture(scope="session")
-def blowup_ctx(blowup, blowup_soliton, calabi_soliton):
-    return OperatorContext(
-        potential=CalabiPotential(blowup, calabi_soliton),
-        a=blowup_soliton.a,
-    )
+def blowup_ctx(blowup, blowup_soliton):
+    return OperatorContext(potential=CalabiPotential(blowup), a=blowup_soliton.a)
 
 
 @pytest.fixture(scope="session")
 def blowup_guillemin_ctx(blowup, blowup_soliton):
-    return OperatorContext(potential=guillemin(blowup), a=blowup_soliton.a)
+    return OperatorContext(potential=GuilleminPotential(blowup), a=blowup_soliton.a)
 
 
 @pytest.fixture(scope="session")

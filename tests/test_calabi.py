@@ -5,28 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from toric_soliton import (
-    BoundaryEvaluationError,
-    CalabiPotential,
-    CalabiSoliton,
-    NonConvergenceError,
-    blowup_trapezoid,
-    gradient_by_line_integral,
-    ode_residual,
-    profile_A,
-    profile_B,
-    solve_a1,
-)
 from toric_soliton import calabi
 from toric_soliton.calabi import (
+    CalabiSoliton,
     boundary_residuals,
     from_algebraic_coordinates,
     g_matrix,
     m_constant,
     mean_scalar_curvature,
+    ode_residual,
+    profile_A,
+    profile_B,
     soliton_equation,
+    solve_a1,
 )
-from toric_soliton.polytope import linspace
+from toric_soliton.errors import BoundaryEvaluationError, MalformedInputError, NonConvergenceError
+from toric_soliton.polytope import blowup_trapezoid, linspace
+from toric_soliton.potentials import CalabiPotential, gradient_by_line_integral
 from toric_soliton.report import calabi_report
 from conftest import expand, interior_points
 
@@ -36,9 +31,9 @@ def to_algebraic_coordinates(mu) -> np.ndarray:
     return np.asarray(mu, dtype=float) - calabi.ALGEBRAIC_SHIFT
 
 
-def tau_stack(soliton: CalabiSoliton, mu):
+def tau_stack(mu):
     """The Calabi potential's derivative stack at the rows of mu, points of the trapezoid tau, as arrays."""
-    return expand(CalabiPotential(blowup_trapezoid(), soliton).stack(to_algebraic_coordinates(np.atleast_2d(mu))))
+    return expand(CalabiPotential(blowup_trapezoid()).stack(to_algebraic_coordinates(np.atleast_2d(mu))))
 
 
 def array_profile_A(s: CalabiSoliton, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,6 +106,11 @@ def test_profile_A_domain_on_floats_and_arrays(calabi_soliton, x):
             profile_A(calabi_soliton, float(value))
 
 
+def test_profile_A_rejects_a_zero_coefficient(calabi_soliton):
+    with pytest.raises(MalformedInputError, match="nonzero soliton coefficient"):
+        profile_A(calabi_soliton._replace(a1=0.0), 2.0)
+
+
 def test_profile_A_slopes(calabi_soliton):
     _, slope_lo, _ = profile_A(calabi_soliton, 1.0)
     _, slope_hi, _ = profile_A(calabi_soliton, 3.0)
@@ -136,7 +136,7 @@ def test_boundary_residuals_all_small(calabi_soliton):
 
 def test_ode_residual_with_correct_mean(calabi_soliton):
     xs = np.linspace(1.0, 3.0, 50)
-    worst = max(abs(ode_residual(calabi_soliton, float(x), scal_mean=4.0)) for x in xs)
+    worst = max(abs(ode_residual(calabi_soliton, float(x))) for x in xs)
     assert worst <= 1e-9
 
 
@@ -195,7 +195,7 @@ def test_calabi_report_matches_array_evaluation(calabi_soliton, grid):
 def test_ode_residual_with_sign_flipped_mean_is_8x(calabi_soliton):
     # the other printed sign leaves a linear defect 8x
     for x in (1.2, 2.0, 2.8):
-        defect = ode_residual(calabi_soliton, x, scal_mean=-4.0)
+        defect = ode_residual(calabi_soliton._replace(scal_mean=-4.0), x)
         assert defect == pytest.approx(8.0 * x, rel=1e-10)
 
 
@@ -205,8 +205,8 @@ def test_b_side_ode(calabi_soliton):
         assert second - calabi_soliton.m == 0.0
 
 
-def test_h_matrix_positive_definite_at_center_image(calabi_soliton):
-    h = tau_stack(calabi_soliton, [2.0, 1.0]).H[0]
+def test_h_matrix_positive_definite_at_center_image():
+    h = tau_stack([2.0, 1.0]).H[0]
     assert np.allclose(h, h.T)
     assert np.linalg.eigvalsh(h)[0] > 0.0
 
@@ -214,13 +214,13 @@ def test_h_matrix_positive_definite_at_center_image(calabi_soliton):
 def test_g_h_inverse_identity(calabi_soliton, blowup):
     # the closed-form G against the H the stack assembles from the profiles
     points = interior_points(blowup, 20, seed=11)
-    for x, h in zip(points, expand(CalabiPotential(blowup, calabi_soliton).stack(points)).H):
+    for x, h in zip(points, expand(CalabiPotential(blowup).stack(points)).H):
         g = np.array(g_matrix(calabi_soliton, from_algebraic_coordinates(x)))
         assert np.max(np.abs(g @ h - np.eye(2))) <= 1e-10
 
 
-def test_det_h_degenerates_on_lower_edge(calabi_soliton):
-    dets = np.linalg.det(tau_stack(calabi_soliton, [[2.0, 2.0 * y] for y in (0.4, 0.2, 0.1, 0.05, 0.01)]).H)
+def test_det_h_degenerates_on_lower_edge():
+    dets = np.linalg.det(tau_stack([[2.0, 2.0 * y] for y in (0.4, 0.2, 0.1, 0.05, 0.01)]).H)
     assert all(d > 0 for d in dets)
     assert all(b < a for a, b in zip(dets, dets[1:]))
     assert dets[-1] < 0.05 * dets[0]
@@ -228,18 +228,20 @@ def test_det_h_degenerates_on_lower_edge(calabi_soliton):
 
 def test_h_matrix_boundary_rejected(calabi_soliton):
     with pytest.raises(BoundaryEvaluationError):
-        tau_stack(calabi_soliton, [0.5, 0.2])
+        tau_stack([0.5, 0.2])
     with pytest.raises(BoundaryEvaluationError):
-        tau_stack(calabi_soliton, [2.0, 2.0])
+        tau_stack([2.0, 2.0])
     with pytest.raises(BoundaryEvaluationError):
         g_matrix(calabi_soliton, [2.0, 2.0])
+    with pytest.raises(BoundaryEvaluationError, match="mu1 = 0.5 outside"):
+        g_matrix(calabi_soliton, [0.5, 0.2])
 
 
-def test_derivatives_match_finite_differences(calabi_soliton):
+def test_derivatives_match_finite_differences():
     step = 1e-6
     for mu in (np.array([1.7, 0.9]), np.array([2.4, 1.3])):
         offsets = [(0.0, 0.0), (step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)]
-        s = tau_stack(calabi_soliton, mu + np.array(offsets))
+        s = tau_stack(mu + np.array(offsets))
         for k in range(2):
             plus, minus = 1 + 2 * k, 2 + 2 * k
             fd = (s.H[plus] - s.H[minus]) / (2 * step)
@@ -251,7 +253,7 @@ def test_derivatives_match_finite_differences(calabi_soliton):
 def test_abreu_curvature_closed_form(calabi_soliton):
     # -sum d2H_ij/dmu_i dmu_j collapses to -(A'' + B'')/mu1
     for mu in (np.array([1.5, 0.7]), np.array([2.5, 1.1])):
-        d2h = tau_stack(calabi_soliton, mu).d2H[0]
+        d2h = tau_stack(mu).d2H[0]
         s = -(d2h[0, 0, 0, 0] + d2h[0, 1, 0, 1] + d2h[1, 0, 1, 0] + d2h[1, 1, 1, 1])
         _, _, a2 = profile_A(calabi_soliton, float(mu[0]))
         _, _, b2 = profile_B(calabi_soliton, float(mu[1] / mu[0]))
@@ -283,8 +285,6 @@ def test_soliton_reuses_params(calabi_soliton):
     # m and the mean curvature are the formulas on the fixed labels
     assert calabi_soliton.m == m_constant()
     assert calabi_soliton.scal_mean == mean_scalar_curvature()
-    assert calabi_soliton.a[1] == 0.0
-    assert calabi_soliton.a[0] == calabi_soliton.a1
 
 
 def test_gradient_evaluates_f_once_per_grid_column(blowup, monkeypatch):

@@ -13,15 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from toric_soliton import (
-    MalformedInputError,
-    assemble_decomposition,
-    delzant_check,
-    parse_polytope,
-    privileged_center,
-)
 from toric_soliton.cli import MAX_GRID, MAX_ORDER, main
+from toric_soliton.errors import MalformedInputError
+from toric_soliton.polytope import delzant_check, parse_polytope, privileged_center
 from toric_soliton.report import roots_report
+from toric_soliton.roots import assemble_decomposition
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -182,13 +178,14 @@ def cp2_with_first(key: str, value: str) -> str:
     (("decompose",), cp2_with_first("normal", "1e-4400"), "has more than 4300 digits in its numerator or denominator"),
     (("roots",), b"\xff\xfe" + CP2_TEXT.encode("utf-16-le"), "document is not UTF-8 text"),
     (("soliton",), "[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
+    (("roots",), CP2_TEXT.replace('"normal": [1, 0]', '"normal": 5', 1), "facet normal must be a list, got 5"),
 ], ids=["grid-1", "grid-2", "margin-0.9", "soliton-order-0", "verify-order-0", "decompose-order-0",
         "offset-nan", "offset-infinity", "dim-true", "decompose-grid-negative", "offset-1e400",
         "vertex-2e308", "dim-3", "dim-1", "tol-nan", "tol-negative", "tol-inf",
         "margin-zero", "margin-negative", "margin-nan", "margin-inf",
         "offset-integer-4301-digits", "normal-integer-4301-digits", "offset-1e-4400", "offset-string-1e-5000",
         "offset-1e-4300", "offset-string-exponent-huge", "offset-mantissa-5001-digits", "normal-1e-4400",
-        "utf16-byte-order-mark", "nested-100000-arrays"])
+        "utf16-byte-order-mark", "nested-100000-arrays", "normal-not-a-list"])
 def test_rejected_arguments_and_documents_exit_two(capsys, tmp_path, argv, document, needle):
     path = tmp_path / "polytope.json"
     if isinstance(document, bytes):

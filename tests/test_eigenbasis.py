@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -9,22 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_soliton import (
-    OperatorContext,
-    affine_block,
-    assemble_decomposition,
-    automorphism_dimensions,
-    boundary_product_form,
-    build_root_function,
-    check_root,
-    complex_weighted_laplacian,
-    enumerate_roots,
-    guillemin,
-    parse_polytope,
-    solve_soliton_vector,
-)
-from toric_soliton.operators import EquivariantFunction
-from toric_soliton.roots import GAMMA_TOL
+from toric_soliton.eigenbasis import affine_block, boundary_product_form, build_root_function, check_root
+from toric_soliton.errors import MalformedInputError
+from toric_soliton.futaki import solve_soliton_vector
+from toric_soliton.operators import EquivariantFunction, OperatorContext, complex_weighted_laplacian
+from toric_soliton.polytope import DelzantPolytope, parse_polytope
+from toric_soliton.potentials import GuilleminPotential
+from toric_soliton.roots import GAMMA_TOL, assemble_decomposition, automorphism_dimensions, enumerate_roots
 from conftest import array_jet, column_jet, interior_points
 
 DATA = Path(__file__).parent / "data"
@@ -203,7 +195,7 @@ def test_anti_holomorphic_eigenvalues_cp2(cp2_ctx, cp2_grid):
 
 def test_anti_holomorphic_rejects_bad_fit(blowup, blowup_soliton, blowup_grid):
     # the canonical potential is not the soliton metric here: the fit must fail
-    ctx = OperatorContext(potential=guillemin(blowup), a=blowup_soliton.a)
+    ctx = OperatorContext(potential=GuilleminPotential(blowup), a=blowup_soliton.a)
     rootset = enumerate_roots(blowup)
     root = next(r for r in rootset.roots if r.alpha == (-1, 0))
     result = check_root(ctx, root, ctx.potential.stack(blowup_grid))
@@ -338,3 +330,14 @@ def test_conjugate_root_function_satisfies_conjugate_equation(cp2_ctx, cp2_grid)
         conjugate_shift = 4.0 * float(np.dot(cp2_ctx.a, rf.profile.mode)) * values
         applied = complex_weighted_laplacian(cp2_ctx, rf.profile, s) + conjugate_shift
         assert np.max(np.abs(applied - 2.0 * values)) / np.max(np.abs(values)) <= 1e-6
+
+
+def test_root_function_rejects_a_zero_mode_sign(cp2_ctx, cp2_roots):
+    with pytest.raises(MalformedInputError, match=r"mode_sign must be \+1 or -1, got 0"):
+        build_root_function(cp2_ctx, cp2_roots.roots[0], mode_sign=0)
+
+
+def test_boundary_product_form_rejects_a_non_algebraic_polygon(cp2, cp2_roots):
+    scaled = DelzantPolytope([f._replace(offset=Fraction(2)) for f in cp2.facets])
+    with pytest.raises(MalformedInputError, match="requires an algebraic polytope"):
+        boundary_product_form(scaled, cp2_roots.roots[0])

@@ -14,11 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_soliton import (
+from toric_soliton.errors import (
     DegenerateVertexError,
-    DelzantPolytope,
     EmptyInteriorError,
-    Facet,
     MalformedInputError,
     NonPrimitiveNormalError,
     NotFanoError,
@@ -26,14 +24,16 @@ from toric_soliton import (
     UnboundedPolytopeError,
     UnboundedRootRegionError,
     UnsupportedDimensionError,
-    automorphism_dimensions,
-    enumerate_roots,
+)
+from toric_soliton.polytope import (
+    CENTER_TOL,
+    DelzantPolytope,
+    Facet,
     normalize_algebraic,
     parse_polytope,
     privileged_center,
 )
-from toric_soliton.polytope import CENTER_TOL
-from toric_soliton.roots import _facet_roots, brute_force_roots
+from toric_soliton.roots import _facet_roots, automorphism_dimensions, brute_force_roots, enumerate_roots
 
 DATA = Path(__file__).parent / "data"
 SURFACES = {name: parse_polytope((DATA / f"{name}.json").read_text()) for name in ("cp2", "blowup", "bl3", "square")}
@@ -161,7 +161,7 @@ def test_lattice_images_transform_covariantly(name, g, data, shift, scale):
     assert center.exact_point == shift and center.exact_value == scale
 
     roots = enumerate_roots(normalize_algebraic(image))
-    assert sorted(roots.alphas()) == brute_force_roots(normalize_algebraic(image))
+    assert sorted(r.alpha for r in roots.roots) == brute_force_roots(normalize_algebraic(image))
     base_roots = enumerate_roots(base)
     assert {(r.alpha, r.distinguished_facet) for r in roots.roots} == {
         (apply(g, r.alpha), perm.index(r.distinguished_facet)) for r in base_roots.roots

@@ -8,18 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toric_soliton import (
-    automorphism_dimensions,
-    enumerate_roots,
-    integrate,
-    normalize_algebraic,
-    parse_polytope,
-    solve_soliton_vector,
-    weighted_volume,
-)
 from toric_soliton import futaki
-from toric_soliton.calabi import solve_a1, soliton_equation
-from toric_soliton.roots import brute_force_roots
+from toric_soliton.calabi import soliton_equation, solve_a1
+from toric_soliton.futaki import solve_soliton_vector, weighted_volume
+from toric_soliton.polytope import normalize_algebraic, parse_polytope
+from toric_soliton.quadrature import integrate
+from toric_soliton.roots import automorphism_dimensions, brute_force_roots, enumerate_roots
 
 
 def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
@@ -175,7 +169,7 @@ def test_five_surface_soliton_table(surface):
     for p in (polygon(normals), normalize_algebraic(lattice_image(normals))):
         # the counts are lattice invariants; the exhaustive box scan is the oracle for the roots
         rootset = enumerate_roots(p)
-        assert rootset.alphas() == brute_force_roots(p)
+        assert [r.alpha for r in rootset.roots] == brute_force_roots(p)
         assert (len(rootset.roots), len(rootset.semisimple), len(rootset.unipotent)) == counts
         assert automorphism_dimensions(rootset) == dimensions
     soliton = solve_soliton_vector(polygon(normals))

@@ -5,32 +5,26 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from toric_soliton import (
-    BoundaryEvaluationError,
-    GuilleminPotential,
-    MalformedInputError,
-    OperatorContext,
-    QuadraticPotential,
-    check_root,
-    complex_weighted_laplacian,
-    finite_difference_oracle,
-    gradients,
-    integrate,
-    laplacian,
-    product_rule_defects,
-    ricci_and_lie_components,
-    scalar_curvature,
-    soliton_residuals,
-    weighted_laplacian,
-)
+from toric_soliton.eigenbasis import check_root
+from toric_soliton.errors import BoundaryEvaluationError, MalformedInputError
 from toric_soliton.operators import (
     EquivariantFunction,
+    OperatorContext,
+    complex_weighted_laplacian,
+    finite_difference_oracle,
+    product_rule_defects,
     profile_constant,
     profile_coordinate,
     profile_exp_pairing,
     profile_linear,
     profile_product,
+    ricci_and_lie_components,
+    scalar_curvature,
+    soliton_residuals,
+    weighted_laplacian,
 )
+from toric_soliton.potentials import GuilleminPotential, QuadraticPotential
+from toric_soliton.quadrature import integrate
 from conftest import batch, column_jet, expand, interior_points
 
 
@@ -76,19 +70,19 @@ def bump_profile(center, radius) -> EquivariantFunction:
 def test_constants_are_harmonic(cp2_ctx, blowup_ctx, flat_ctx):
     one = profile_constant(1.0)
     for ctx, x in ((cp2_ctx, [0.1, 0.2]), (blowup_ctx, [0.3, -0.4]), (flat_ctx, [0.5, 0.5])):
-        assert laplacian(ctx, one, ctx.potential.stack(np.array([x])))[0] == 0.0
+        assert weighted_laplacian(ctx, one, ctx.potential.stack(np.array([x])))[0] == 0.0
 
 
 def test_flat_model_square_coordinate(flat_ctx):
     f = square_profile(0, 2)
     s = flat_ctx.potential.stack(np.array([[0.3, -0.2]]))
-    assert laplacian(flat_ctx, f, s)[0] == pytest.approx(-2.0, abs=1e-14)
+    assert weighted_laplacian(flat_ctx, f, s)[0] == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_cp2_coordinate_at_origin(cp2_ctx):
     f = profile_coordinate(0)
     s = cp2_ctx.potential.stack(np.zeros((1, 2)))
-    assert laplacian(cp2_ctx, f, s)[0] == pytest.approx(0.0, abs=1e-13)
+    assert weighted_laplacian(cp2_ctx, f, s)[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_lemma_4_1_cp2(cp2_ctx, cp2_grid):
@@ -110,17 +104,10 @@ def test_lemma_4_1_blowup(blowup_ctx, blowup_grid):
         assert np.max(np.abs(lhs - 2.0 * values)) / np.max(np.abs(values)) <= 1e-6
 
 
-def test_weighted_equals_plain_for_zero_vector(cp2, cp2_ctx):
-    ctx0 = OperatorContext(potential=cp2_ctx.potential, a=np.zeros(2))
-    f = profile_exp_pairing([1, 0])
-    s = cp2_ctx.potential.stack(interior_points(cp2, 5, seed=13))
-    assert np.array_equal(weighted_laplacian(ctx0, f, s), laplacian(ctx0, f, s))
-
-
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_mode_diagonal_identities(ctx_name, request):
     # angular sector on a pure mode; radial exponential; their null product
-    from toric_soliton import enumerate_roots
+    from toric_soliton.roots import enumerate_roots
 
     ctx = request.getfixturevalue(ctx_name)
     s = ctx.potential.stack(interior_points(ctx.potential.polytope, 12, seed=14))
@@ -148,38 +135,6 @@ def test_product_rule(ctx_name, request):
     one = ctx.potential.stack(interior_points(ctx.potential.polytope, 1, seed=16))
     trivial = product_rule_defects(ctx, profile_constant(1.0), profile_constant(1.0), one)
     assert trivial[0] == 0.0
-
-
-def test_gradients_linear_profile(cp2_ctx):
-    b = np.array([0.7, -0.3])
-    f = profile_linear(b)
-    s = cp2_ctx.potential.stack(np.array([[0.2, 0.1]]))
-    result = {key: tuple(map(batch, value)) for key, value in gradients(cp2_ctx, f, s).items()}
-    assert np.allclose(result["riemannian"][0], expand(s).H @ b)
-    assert np.allclose(result["riemannian"][1], 0.0)
-    assert np.allclose(result["symplectic"][0], 0.0)
-    assert np.allclose(result["symplectic"][1], b)
-
-
-def test_gradients_flat_model(flat_ctx):
-    f = profile_coordinate(0)
-    s = flat_ctx.potential.stack(np.array([[0.1, 0.1]]))
-    result = gradients(flat_ctx, f, s)
-    assert np.allclose(batch(result["riemannian"][0]), [1.0, 0.0])
-    zero = gradients(flat_ctx, profile_constant(2.0), s)
-    assert np.allclose(batch(zero["riemannian"][0]), 0.0)
-    assert np.allclose(batch(zero["symplectic"][1]), 0.0)
-
-
-def test_gradients_of_a_mode_carry_the_angular_part(cp2_ctx):
-    # on mode k the t-components are i k u, rotated by G on the Riemannian side
-    s = cp2_ctx.potential.stack(interior_points(cp2_ctx.potential.polytope, 4, seed=21))
-    f = profile_exp_pairing([1, 0], mode=(1, 0))
-    u = np.array(f.jet(s)[0])
-    result = {key: tuple(map(batch, value)) for key, value in gradients(cp2_ctx, f, s).items()}
-    assert result["riemannian"][0].shape == (4, 2)
-    assert np.allclose(result["symplectic"][0], -1j * u[:, None] * np.array([1.0, 0.0]))
-    assert np.allclose(result["riemannian"][1], 1j * u[:, None] * expand(s).G[:, :, 0])
 
 
 def test_abreu_cp2_constant_four(cp2_ctx, cp2_grid):
@@ -232,7 +187,7 @@ def test_soliton_residual_negative_control(blowup, blowup_ctx, blowup_grid):
 
 
 def test_fd_oracle_weighted_on_root_functions(cp2, cp2_ctx, cp2_grid):
-    from toric_soliton import enumerate_roots
+    from toric_soliton.roots import enumerate_roots
 
     rootset = enumerate_roots(cp2)
     x = np.array([0.15, -0.1])
@@ -269,6 +224,17 @@ def test_fd_oracle_rejects_boundary_point(cp2_ctx):
 def test_fd_oracle_rejects_malformed_point(cp2_ctx):
     with pytest.raises(MalformedInputError):
         finite_difference_oracle(cp2_ctx, profile_constant(1.0), np.zeros(3))
+
+
+def test_fd_oracle_rejects_a_potential_without_phi_values(blowup_ctx):
+    # the Calabi metric is given by H, so there are no values of phi to difference
+    with pytest.raises(MalformedInputError, match="closed-form values"):
+        finite_difference_oracle(blowup_ctx, profile_constant(1.0), np.array([0.1, -0.2]))
+
+
+def test_profile_product_rejects_a_moded_factor():
+    with pytest.raises(MalformedInputError, match="torus-invariant factors"):
+        profile_product(profile_constant(1.0, mode=(1, 0)), profile_coordinate(0))
 
 
 def test_fd_oracle_is_batched(cp2):

@@ -11,18 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_soliton import (
+from toric_soliton.errors import (
     DegenerateVertexError,
     EmptyInteriorError,
     MalformedInputError,
     NonPrimitiveNormalError,
     NotFanoError,
     UnboundedPolytopeError,
-    delzant_check,
-    normalize_algebraic,
-    parse_polytope,
-    privileged_center,
 )
+from toric_soliton.polytope import delzant_check, normalize_algebraic, parse_polytope, privileged_center
 from conftest import BLOWUP_DOC, CP2_DOC, SQUARE_DOC
 
 
@@ -75,6 +72,10 @@ def test_parse_rejects_malformed():
         parse_polytope(json.dumps({"facets": []}))
     with pytest.raises(MalformedInputError):
         parse_polytope(doc([{"normal": [1, 0]}]))
+    with pytest.raises(MalformedInputError, match="facet normal must be a list, got 5"):
+        parse_polytope(doc([{"normal": 5, "offset": 1}]))
+    with pytest.raises(MalformedInputError, match="unsupported source type <class 'dict'>"):
+        parse_polytope(CP2_DOC)
 
 
 def test_rational_offsets_parse_exactly():

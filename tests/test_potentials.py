@@ -7,15 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from toric_soliton import (
-    BoundaryEvaluationError,
+from toric_soliton.errors import BoundaryEvaluationError, LossOfConvexityError, MalformedInputError
+from toric_soliton.polytope import DelzantPolytope
+from toric_soliton.potentials import (
     CalabiPotential,
-    DelzantPolytope,
-    LossOfConvexityError,
-    MalformedInputError,
+    GuilleminPotential,
     QuadraticPotential,
     gradient_by_line_integral,
-    guillemin,
 )
 from conftest import expand, interior_points
 
@@ -27,7 +25,7 @@ def finite_difference_jacobian(field, points, h):
 
 
 def test_guillemin_closed_form_at_origin(cp2):
-    pot = guillemin(cp2)
+    pot = GuilleminPotential(cp2)
     origin = np.zeros(2)
     s = expand(pot.stack(origin[None]))
     assert pot.values(origin[None])[0] == pytest.approx(0.0, abs=1e-15)
@@ -38,7 +36,7 @@ def test_guillemin_closed_form_at_origin(cp2):
 
 def test_guillemin_gradient_closed_form(cp2):
     # gradient components are half log-ratios of facet values
-    pot = guillemin(cp2)
+    pot = GuilleminPotential(cp2)
     pts = interior_points(cp2, 10, seed=1)
     l1, l2, l3 = np.array(cp2.facet_values_many(pts)).T
     expected = 0.5 * np.stack([np.log(l1 / l3), np.log(l2 / l3)], axis=1)
@@ -46,7 +44,7 @@ def test_guillemin_gradient_closed_form(cp2):
 
 
 def test_boundary_evaluation_rejected(cp2):
-    pot = guillemin(cp2)
+    pot = GuilleminPotential(cp2)
     with pytest.raises(BoundaryEvaluationError):
         pot.values(np.array([[0.0, 0.0], [-1.0, -1.0]]))
     with pytest.raises(BoundaryEvaluationError):
@@ -55,7 +53,7 @@ def test_boundary_evaluation_rejected(cp2):
 
 def test_values_match_row_by_row(cp2, blowup):
     for p in (cp2, blowup):
-        pot = guillemin(p)
+        pot = GuilleminPotential(p)
         pts = interior_points(p, 12, seed=3)
         batch = np.array(pot.values(pts))
         rows = [pot.values(x[None])[0] for x in pts]
@@ -68,18 +66,23 @@ def test_values_match_row_by_row(cp2, blowup):
 def test_stack_rejects_a_bare_point(cp2):
     # a single point is a batch of one, shape (1, n)
     with pytest.raises(MalformedInputError):
-        guillemin(cp2).stack(np.zeros(2))
+        GuilleminPotential(cp2).stack(np.zeros(2))
+
+
+def test_stack_rejects_an_empty_batch(cp2):
+    with pytest.raises(MalformedInputError, match="no points to evaluate"):
+        GuilleminPotential(cp2).stack([])
 
 
 def test_hessian_inverse_identity(cp2, blowup):
     for p in (cp2, blowup):
-        s = expand(guillemin(p).stack(interior_points(p, 20, seed=2)))
+        s = expand(GuilleminPotential(p).stack(interior_points(p, 20, seed=2)))
         assert np.max(np.abs(s.G @ s.H - np.eye(2))) <= 1e-10
         assert np.all(np.linalg.eigvalsh(s.G)[:, 0] > 0)
 
 
 def test_hessian_matches_finite_differences(cp2):
-    pot = guillemin(cp2)
+    pot = GuilleminPotential(cp2)
     margin = cp2.interior_margin(0.05)
     step = 1e-5 * margin
     pts = interior_points(cp2, 20, seed=3)
@@ -88,7 +91,7 @@ def test_hessian_matches_finite_differences(cp2):
 
 
 def test_inv_hessian_derivative_matches_finite_differences(cp2):
-    pot = guillemin(cp2)
+    pot = GuilleminPotential(cp2)
     margin = cp2.interior_margin(0.05)
     step = 1e-5 * margin
     pts = interior_points(cp2, 20, seed=4)
@@ -97,7 +100,7 @@ def test_inv_hessian_derivative_matches_finite_differences(cp2):
 
 
 def test_inv_hessian_second_matches_finite_differences(cp2):
-    pot = guillemin(cp2)
+    pot = GuilleminPotential(cp2)
     step = 1e-4
     pts = interior_points(cp2, 5, seed=5)
     fd = finite_difference_jacobian(lambda q: expand(pot.stack(q)).dH, pts, step)
@@ -106,13 +109,13 @@ def test_inv_hessian_second_matches_finite_differences(cp2):
 
 def test_third_derivative_tensor_symmetry(cp2, blowup):
     for p in (cp2, blowup):
-        dg = expand(guillemin(p).stack(interior_points(p, 10, seed=6))).dG
+        dg = expand(GuilleminPotential(p).stack(interior_points(p, 10, seed=6))).dG
         for perm in ((0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)):
             assert np.max(np.abs(dg - np.transpose(dg, perm))) <= 1e-9
 
 
 def test_det_h_degenerates_toward_facet(cp2):
-    pot = guillemin(cp2)
+    pot = GuilleminPotential(cp2)
     # walk toward facet 0 (normal e1) along its inward normal
     target = np.array([-1.0, 0.2])
     walk = target + np.linspace(0.5, 1e-3, 8)[:, None] * np.array([1.0, 0.0])
@@ -130,7 +133,7 @@ def test_line_integral_constant_hessian(square):
 
 
 def test_line_integral_matches_guillemin_gradient(cp2):
-    pot = guillemin(cp2)
+    pot = GuilleminPotential(cp2)
     x0 = np.zeros(2)
     for x in interior_points(cp2, 8, seed=10):
         recovered = np.array(gradient_by_line_integral(pot, x, x0))
@@ -139,7 +142,7 @@ def test_line_integral_matches_guillemin_gradient(cp2):
 
 
 def test_line_integral_path_independence(cp2):
-    pot = guillemin(cp2)
+    pot = GuilleminPotential(cp2)
     x0 = np.array([0.1, 0.1])
     mid = np.array([-0.4, 0.3])
     x = np.array([0.5, -0.7])
@@ -149,7 +152,7 @@ def test_line_integral_path_independence(cp2):
 
 
 def test_line_integral_segment_exits_interior(cp2):
-    pot = guillemin(cp2)
+    pot = GuilleminPotential(cp2)
     with pytest.raises(BoundaryEvaluationError):
         gradient_by_line_integral(pot, np.array([3.0, 0.0]), np.zeros(2))
 
@@ -175,9 +178,9 @@ def test_calabi_potential_rejects_another_polygon(request, name):
 
 def test_calabi_potential_keeps_the_callers_facet_order(blowup, calabi_soliton):
     reversed_trapezoid = DelzantPolytope(blowup.facets[::-1])
-    pot = CalabiPotential(reversed_trapezoid, calabi_soliton)
+    pot = CalabiPotential(reversed_trapezoid)
     assert pot.polytope is reversed_trapezoid
-    assert pot.soliton is calabi_soliton
+    assert pot.soliton == calabi_soliton
     points = interior_points(blowup, 5, seed=3)
-    canonical = CalabiPotential(blowup, calabi_soliton)
+    canonical = CalabiPotential(blowup)
     assert expand(pot.stack(points)).H.tolist() == expand(canonical.stack(points)).H.tolist()

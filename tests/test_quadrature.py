@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toric_soliton import integrate, parse_polytope, polygon_rule, triangulate
-from toric_soliton.errors import UnsupportedDimensionError
-from toric_soliton.quadrature import gauss_legendre, line_rule
+from toric_soliton.errors import MalformedInputError, UnsupportedDimensionError
+from toric_soliton.polytope import parse_polytope
+from toric_soliton.quadrature import gauss_legendre, integrate, line_rule, polygon_rule, triangulate
 
 
 def reference_monomial_integral(i: int, j: int) -> float:
@@ -119,7 +119,7 @@ def test_linearity(cp2, coeffs):
 def test_rejects_other_dimensions():
     import json
 
-    from toric_soliton import parse_polytope
+    from toric_soliton.polytope import parse_polytope
 
     with pytest.raises(UnsupportedDimensionError):
         parse_polytope(json.dumps({
@@ -135,6 +135,17 @@ def test_polynomial_exactness_on_polygon(blowup):
         return pts[:, 0] ** 2 * pts[:, 1] ** 2
 
     assert integrate(blowup, f, 4) == pytest.approx(integrate(blowup, f, 14), abs=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: integrate(p, lambda points: [1.0] * len(points), 0),
+    lambda p: line_rule(0),
+    lambda p: gauss_legendre(0),
+], ids=["integrate", "line-rule", "gauss-legendre"])
+def test_order_below_one_is_malformed_input(cp2, call):
+    # a package error, caught by ``ToricSolitonError`` like every other rejection
+    with pytest.raises(MalformedInputError, match="at least 1, got 0"):
+        call(cp2)
 
 
 def test_gauss_legendre_matches_numpy():

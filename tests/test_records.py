@@ -11,20 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toric_soliton import (
-    Facet,
-    MalformedInputError,
-    NonPrimitiveNormalError,
-    OperatorContext,
-    assemble_decomposition,
-    automorphism_dimensions,
-    boundary_product_form,
-    check_root,
-    delzant_check,
-    guillemin,
-    privileged_center,
-    triangulate,
-)
+from toric_soliton.eigenbasis import boundary_product_form, check_root
+from toric_soliton.errors import MalformedInputError, NonPrimitiveNormalError
+from toric_soliton.operators import OperatorContext
+from toric_soliton.polytope import Facet, delzant_check, privileged_center
+from toric_soliton.potentials import GuilleminPotential
+from toric_soliton.quadrature import triangulate
+from toric_soliton.roots import assemble_decomposition, automorphism_dimensions
 from conftest import expand
 
 
@@ -82,7 +75,7 @@ def test_facets_compare_and_hash_as_tuples():
 
 
 def test_operator_context_reads_a_as_a_float_array(cp2):
-    ctx = OperatorContext(guillemin(cp2), np.array([0, 1]))
+    ctx = OperatorContext(GuilleminPotential(cp2), np.array([0, 1]))
     assert ctx.a == (0.0, 1.0)
     assert all(type(c) is float for c in ctx.a)
 
@@ -91,7 +84,7 @@ def test_operator_context_reads_a_as_a_float_array(cp2):
                          ids=["three", "one", "matrix", "scalar"])
 def test_operator_context_rejects_a_of_the_wrong_shape(cp2, a):
     with pytest.raises(MalformedInputError) as info:
-        OperatorContext(potential=guillemin(cp2), a=a)
+        OperatorContext(potential=GuilleminPotential(cp2), a=a)
     assert "soliton vector must be 2 numbers" in str(info.value)
 
 
@@ -149,7 +142,7 @@ def test_records_are_immutable_named_tuples(records, name):
 ], ids=["slice", "integers", "mask", "one"])
 def test_stack_select_keeps_every_batch_shape(cp2, index):
     # a mask selects through the indices of its true entries
-    stack = guillemin(cp2).stack(cp2.interior_grid(8, 0.05))
+    stack = GuilleminPotential(cp2).stack(cp2.interior_grid(8, 0.05))
     assert stack.size == 15
     selected = stack.select(np.flatnonzero(index) if getattr(index, "dtype", None) == bool else index)
     arrays, parts = expand(stack), expand(selected)

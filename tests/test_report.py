@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from toric_soliton import CalabiPotential, OperatorContext, assemble_decomposition, guillemin, operators, parse_polytope
-from toric_soliton.potentials import HSidePotential
+from toric_soliton import operators
+from toric_soliton.errors import MalformedInputError
+from toric_soliton.operators import OperatorContext
+from toric_soliton.polytope import parse_polytope
+from toric_soliton.potentials import CalabiPotential, GuilleminPotential, HSidePotential
 from toric_soliton.report import (
     _scal_mean,
     calabi_report,
@@ -18,6 +21,7 @@ from toric_soliton.report import (
     verify_checks,
     verify_report,
 )
+from toric_soliton.roots import assemble_decomposition
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,7 +33,7 @@ class StackOnlyPotential(HSidePotential):
 
     def __init__(self, polytope):
         self.polytope = polytope
-        self._canonical = guillemin(polytope)
+        self._canonical = GuilleminPotential(polytope)
 
     def _h_columns(self, pairs, gradient):
         s = self._canonical.stack(pairs, gradient=gradient)
@@ -55,7 +59,7 @@ def test_stack_only_potential_runs_every_stack_check(cp2, cp2_roots, cp2_soliton
 
 def test_scal_mean_builds_one_stack_on_every_node(cp2, cp2_soliton):
     # Abreu's mean on the Kähler-Einstein P^2 is 2 n lambda, from one stack of all 3 * 13^2 nodes
-    potential = guillemin(cp2)
+    potential = GuilleminPotential(cp2)
     sizes = []
     stack = potential.stack
 
@@ -126,3 +130,14 @@ def test_nan_residual_fails_its_check(monkeypatch, where):
     assert math.isnan(check["value"])
     assert check["passed"] is False
     assert report["first_failed"] == "soliton_pde_max_residual"
+
+
+@pytest.mark.parametrize("build", [soliton_report, verify_report], ids=["soliton", "verify"])
+def test_order_below_one_is_malformed_input(cp2, build):
+    with pytest.raises(MalformedInputError, match="quadrature order must be at least 1, got 0"):
+        build(cp2, order=0)
+
+
+def test_verify_rejects_an_unknown_potential_kind(cp2):
+    with pytest.raises(MalformedInputError, match="unknown potential kind 'fitted'"):
+        verify_report(cp2, potential_kind="fitted")

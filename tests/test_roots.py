@@ -7,13 +7,9 @@ import json
 import numpy as np
 import pytest
 
-from toric_soliton import (
-    MalformedInputError,
-    automorphism_dimensions,
-    enumerate_roots,
-    parse_polytope,
-)
-from toric_soliton.roots import brute_force_roots
+from toric_soliton.errors import MalformedInputError
+from toric_soliton.polytope import parse_polytope
+from toric_soliton.roots import automorphism_dimensions, brute_force_roots, enumerate_roots
 
 
 CP2_EXPECTED = {(1, 0), (1, -1), (0, 1), (-1, 1), (-1, 0), (0, -1)}
@@ -21,16 +17,16 @@ BLOWUP_EXPECTED = {(0, 1), (-1, 0), (-1, -1), (0, -1)}
 
 
 def test_cp2_roots_exact(cp2_roots):
-    assert set(cp2_roots.alphas()) == CP2_EXPECTED
+    assert {r.alpha for r in cp2_roots.roots} == CP2_EXPECTED
 
 
 def test_blowup_roots_exact(blowup_roots):
-    assert set(blowup_roots.alphas()) == BLOWUP_EXPECTED
+    assert {r.alpha for r in blowup_roots.roots} == BLOWUP_EXPECTED
 
 
 def test_square_roots(square):
     rootset = enumerate_roots(square)
-    assert set(rootset.alphas()) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert {r.alpha for r in rootset.roots} == {(1, 0), (-1, 0), (0, 1), (0, -1)}
     assert len(rootset.semisimple) == 4
     assert len(rootset.unipotent) == 0
 
@@ -38,7 +34,7 @@ def test_square_roots(square):
 def test_brute_force_oracle_agreement(cp2, blowup, square):
     for p in (cp2, blowup, square):
         rootset = enumerate_roots(p)
-        assert sorted(rootset.alphas()) == brute_force_roots(p)
+        assert sorted(r.alpha for r in rootset.roots) == brute_force_roots(p)
 
 
 def test_distinguished_facet_pairing(cp2_roots, blowup_roots):
@@ -107,7 +103,7 @@ def test_roots_transform_contragrediently(blowup, u):
             for f in blowup.facets
         ],
     }))
-    mapped_roots = set(enumerate_roots(mapped).alphas())
+    mapped_roots = {r.alpha for r in enumerate_roots(mapped).roots}
     expected = {tuple(int(c) for c in u @ np.array(alpha)) for alpha in BLOWUP_EXPECTED}
     assert mapped_roots == expected
 
