@@ -136,10 +136,8 @@ def main(argv: list[str] | None = None) -> int:
                 _load_polytope(args.polytope), potential_kind=args.potential,
                 tol=args.tol, grid_n=args.grid, order=args.order,
             )
-        elif args.command == "calabi":
+        else:  # calabi
             report = calabi_report(grid_points=args.grid)
-        else:  # pragma: no cover
-            raise MalformedInputError(f"unknown command {args.command!r}")
     except NonConvergenceError as exc:
         sys.stderr.write(f"solver failure: {exc}\n")
         return EXIT_SOLVER

@@ -1,19 +1,18 @@
 """Root eigenfunctions and the solitonic eigenspace decomposition.
 
 Each Demazure root alpha with distinguished facet normal b carries the
-profile ``(<x, b> + 1) exp(-<alpha, grad phi>)``; together with a torus
-mode ``+alpha`` or ``-alpha`` it is an eigenfunction of the complex
-weighted Laplacian with eigenvalue two.  Which mode sign realizes the
-eigenvalue depends on conventions that differ between sources, so the
-sign is selected operationally.  Both signs share the profile and the
-sign-independent part of the operator; mode sign s and orientation o only
-add ``-2 o s <a, alpha> u``.  One operator pass per root therefore gives
-the sign, the eigenvalue-two residual and the orientation-reversed fit:
-the fits share ``<u, u>``, ``<u, W u>`` and ``max |u|`` and differ only
-in the multiple of u they add.  For roots with |<alpha, a>| <= GAMMA_TOL
-both signs work and +1 is kept, so the choice never follows round-off in
-``a``.  Profiles and fits run on the float columns of the stack, and every
-maximum of |residual| is NaN when a residual is.
+eigenfunction ``(<x, b> + 1) exp(-<alpha, grad phi> + i <alpha, t>)`` of
+the complex weighted Laplacian with eigenvalue two: the root profile on
+torus mode +alpha, fixed by construction.  On that mode the operator is
+``W u - 2 <alpha, a> u``, with W its sign-independent part, and the
+orientation-reversed operator is ``W u + 2 <alpha, a> u``.  One operator
+pass per root therefore gives the eigenvalue-two residual and the
+orientation-reversed fit: the fits share ``<u, u>``, ``<u, W u>`` and
+``max |u|`` and differ only in the multiple of u they add.  A profile on
+the wrong mode fits the eigenvalue ``2 + 4 <alpha, a>`` and fails the
+eigenvalue-two check wherever ``<alpha, a>`` is not zero.  Profiles and
+fits run on the float columns of the stack, and every maximum of
+|residual| is NaN when a residual is.
 
 The eigenspace decomposition, which needs only ``a`` and the roots, is
 :func:`toric_soliton.roots.assemble_decomposition`.
@@ -37,28 +36,17 @@ from .operators import (
 )
 from .potentials import Stack
 from .polytope import DIM, DelzantPolytope
-from .roots import GAMMA_TOL, DemazureRoot
+from .roots import DemazureRoot
 
 
-class RootFunction(NamedTuple):
-    """Eigenfunction candidate attached to a Demazure root."""
-
-    root: DemazureRoot
-    mode_sign: int
-    profile: EquivariantFunction
-
-
-def build_root_function(ctx: OperatorContext, root: DemazureRoot, mode_sign: int = 1) -> RootFunction:
-    """Assemble the root profile (<x, b> + 1) exp(-<alpha, grad phi>) with analytic derivatives."""
-    if mode_sign not in (1, -1):
-        raise MalformedInputError(f"mode_sign must be +1 or -1, got {mode_sign}")
+def build_root_function(ctx: OperatorContext, root: DemazureRoot) -> EquivariantFunction:
+    """The root profile (<x, b> + 1) exp(-<alpha, grad phi>) on mode +alpha, with analytic derivatives."""
     normal = ctx.potential.polytope.facets[root.distinguished_facet].normal
 
     def jet(s: Stack) -> Jet:
         return affine_exp_jet(normal, 1.0, root.alpha, s)
 
-    mode = tuple(int(mode_sign * c) for c in root.alpha)
-    return RootFunction(root=root, mode_sign=mode_sign, profile=EquivariantFunction(mode, jet))
+    return EquivariantFunction(root.alpha, jet)
 
 
 class BoundaryProductForm(NamedTuple):
@@ -120,38 +108,33 @@ class _Fit(NamedTuple):
 
 
 class RootCheck(NamedTuple):
-    """Selected root function with its eigenvalue-two statistics and reversed fit."""
+    """A root profile with its eigenvalue-two statistics and orientation-reversed fit."""
 
-    function: RootFunction
-    stats: dict[str, float]
+    root: DemazureRoot
+    profile: EquivariantFunction
+    max_rel_residual: float
+    fitted_eigenvalue: float
     gamma_hat: float
     gamma_fit: float
 
 
 def check_root(ctx: OperatorContext, root: DemazureRoot, s: Stack) -> RootCheck:
-    """Mode sign, eigenvalue-two residual and orientation-reversed fit from one operator pass.
+    """Eigenvalue-two residual and orientation-reversed fit of a root profile from one operator pass.
 
-    The sign-independent part W u (the weighted Laplacian on mode alpha,
-    including alpha^T G alpha u) is applied once; mode sign s and
-    orientation o add -2 o s <a, alpha> u.  The sign whose fitted
-    eigenvalue lies closer to two is kept, and +1 whenever
-    |<alpha, a>| <= GAMMA_TOL, where both signs are eigenfunctions.
+    The sign-independent part W u (the weighted Laplacian on the profile's
+    mode k, including k^T G k u) is applied once; the operator adds -term u
+    and its orientation reversal +term u, with term = 2 <k, a>.
     ``gamma_hat`` is the least-squares eigenvalue of the orientation-reversed
-    operator minus two, with magnitude 4 |<alpha, a>|, and ``gamma_fit`` the
+    operator minus two, 4 <alpha, a> on a soliton, and ``gamma_fit`` the
     relative residual of that fit.
     """
-    positive = build_root_function(ctx, root, 1)
-    jet = positive.profile.jet(s)
-    fit = _Fit.of(jet[0], apply_to_jet(s, jet, positive.profile.mode, ctx.a))
-    pairing = dot(root.alpha, ctx.a)
-    sign = 1
-    if abs(pairing) > GAMMA_TOL:
-        sign = 1 if abs(fit.eigenvalue - 2.0 * pairing - 2.0) <= abs(fit.eigenvalue + 2.0 * pairing - 2.0) else -1
-    rf = positive if sign == 1 else build_root_function(ctx, root, sign)
-    term = 2.0 * sign * pairing
-    stats = {"max_rel_residual": fit.residual(2.0 + term), "fitted_eigenvalue": fit.eigenvalue - term}
+    profile = build_root_function(ctx, root)
+    jet = profile.jet(s)
+    fit = _Fit.of(jet[0], apply_to_jet(s, jet, profile.mode, ctx.a))
+    term = 2.0 * dot(profile.mode, ctx.a)
     # the orientation-reversed operator W + term fits the eigenvalue 2 + gamma_hat with the residual of W
-    return RootCheck(function=rf, stats=stats, gamma_hat=fit.eigenvalue + term - 2.0,
+    return RootCheck(root=root, profile=profile, max_rel_residual=fit.residual(2.0 + term),
+                     fitted_eigenvalue=fit.eigenvalue - term, gamma_hat=fit.eigenvalue + term - 2.0,
                      gamma_fit=fit.residual(fit.eigenvalue))
 
 

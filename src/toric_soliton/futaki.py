@@ -2,19 +2,20 @@
 
 Sign convention.  The input polytope is the moment image P; the fan-side
 (algebraic) polytope is its reflection -P.  The soliton vector reported
-here is the fan-side one: it is the unique minimizer of the strictly
+here is the fan-side one (Wang-Zhu): the unique minimizer of the strictly
 convex functional
 
     W(a) = integral over P of exp(+2 <a, x>) dv
          = integral over -P of exp(-2 <a, x>) dv,
 
-so the vanishing gradient is the weighted-moment condition on the
-fan-side polytope.  With this convention the nonzero pairings
-2 <alpha, a> with the Demazure roots are non-negative (the solitonic
-spectrum is positive), and for the blown-up plane the first component of
-``a`` is the negative root of the one-point blow-up transcendental
-equation (see :mod:`toric_soliton.calabi`).  The moment-image drift
-covector used by the differential operators is ``-a``.
+which :func:`weighted_volume` evaluates as written, with no change of
+sign anywhere in the solve; its vanishing gradient is the weighted-moment
+condition on the fan-side polytope.  With this convention the nonzero
+pairings 2 <alpha, a> with the Demazure roots are non-negative (the
+solitonic spectrum is positive), and for the blown-up plane the first
+component of ``a`` is the negative root of the one-point blow-up
+transcendental equation (see :mod:`toric_soliton.calabi`).  The
+moment-image drift covector used by the differential operators is ``-a``.
 
 The solve is plain Python on floats and tuples, like every other stage,
 so no command imports numpy.  It integrates on the nodes of
@@ -52,18 +53,18 @@ class SolitonData(NamedTuple):
 
 
 def weighted_volume(p: DelzantPolytope, a, order: int = 10) -> tuple[float, Vector, Matrix]:
-    """V(a) = int_P exp(-2<a,x>) dv with gradient and Hessian in a.
+    """W(a) = int_P exp(2<a,x>) dv with gradient and Hessian in a.
 
-    Returns (V, grad V, hess V) where grad V = -2 int x w dv and
-    hess V = 4 int x x^T w dv; the Hessian is a Gram matrix of the
+    Returns (W, grad W, hess W) where grad W = 2 int x w dv and
+    hess W = 4 int x x^T w dv; the Hessian is a Gram matrix of the
     coordinates and therefore symmetric positive definite.
 
     The moments are taken on the collapsed Gauss rule of
     :mod:`toric_soliton.quadrature` in ray form.  Each fan triangle
     (c, v_1, v_2) has its angular nodes t_j on the edge, d_j = (1 - t_j)
     (v_1 - c) + t_j (v_2 - c), and its radial nodes u_i on the ray
-    x = c + u d_j, where the weight is exp(-2<a,c>) exp(k_j u) with
-    k_j = -2<a,d_j>.  So the ray contributes S_p = sum_i w_i u_i^(1+p)
+    x = c + u d_j, where the weight is exp(2<a,c>) exp(k_j u) with
+    k_j = 2<a,d_j>.  So the ray contributes S_p = sum_i w_i u_i^(1+p)
     exp(k_j u_i), p = 0, 1, 2, to the moments of {1, x, x x^T}:
     S_0, c S_0 + d S_1 and c c^T S_0 + (c d^T + d c^T) S_1 + d d^T S_2.
     """
@@ -80,7 +81,7 @@ def weighted_volume(p: DelzantPolytope, a, order: int = 10) -> tuple[float, Vect
         for t, wt in zip(u, w):
             dx = (1.0 - t) * e1x + t * e2x
             dy = (1.0 - t) * e1y + t * e2y
-            k = -2.0 * (a1 * dx + a2 * dy)
+            k = 2.0 * (a1 * dx + a2 * dy)
             s0 = s1 = s2 = 0.0
             for ui, wu in radial:
                 term = wu * exp(k * ui)
@@ -98,21 +99,21 @@ def weighted_volume(p: DelzantPolytope, a, order: int = 10) -> tuple[float, Vect
             mxy += dx * dy * s2
             myy += dy * dy * s2
     # shift the ray moments (about c) to moments about the origin
-    scale = exp(-2.0 * (a1 * cx + a2 * cy))
+    scale = exp(2.0 * (a1 * cx + a2 * cy))
     value = scale * m0
     ix = scale * (cx * m0 + mx)
     iy = scale * (cy * m0 + my)
     ixx = scale * (cx * cx * m0 + 2.0 * cx * mx + mxx)
     ixy = scale * (cx * cy * m0 + cx * my + cy * mx + mxy)
     iyy = scale * (cy * cy * m0 + 2.0 * cy * my + myy)
-    return value, (-2.0 * ix, -2.0 * iy), ((4.0 * ixx, 4.0 * ixy), (4.0 * ixy, 4.0 * iyy))
+    return value, (2.0 * ix, 2.0 * iy), ((4.0 * ixx, 4.0 * ixy), (4.0 * ixy, 4.0 * iyy))
 
 
 FanSideVolume = Callable[[Vector, int], tuple[float, Vector, Matrix]]
 
 
 def _fan_side_volume(p: DelzantPolytope) -> FanSideVolume:
-    """W(a) = V(-a) at order, each (a, order) evaluated once.
+    """:func:`weighted_volume` of ``p`` at (a, order), each (a, order) evaluated once.
 
     The line search accepts a point that the next Newton step starts
     from, the polish starts from the last Newton point and the residuals
@@ -124,9 +125,7 @@ def _fan_side_volume(p: DelzantPolytope) -> FanSideVolume:
     def volume(a: Vector, order: int) -> tuple[float, Vector, Matrix]:
         key = (a, order)
         if key not in memo:
-            # chain rule: the gradient flips sign, the Hessian is unchanged
-            value, (g1, g2), hess = weighted_volume(p, (-a[0], -a[1]), order=order)
-            memo[key] = value, (-g1, -g2), hess
+            memo[key] = weighted_volume(p, a, order=order)
         return memo[key]
 
     return volume
@@ -154,13 +153,7 @@ def _newton_minimize(volume: FanSideVolume, a0: Vector, tol: float, order: int,
     for iteration in range(MAX_NEWTON_ITERATIONS):
         value, grad, hess = volume(a, order)
         grad_norm = _norm(grad)
-        trace.append({
-            "iteration": iteration,
-            "order": order,
-            "volume": value,
-            "grad_norm": grad_norm,
-            "a": a,
-        })
+        trace.append({"iteration": iteration, "order": order, "grad_norm": grad_norm})
         if grad_norm / value <= tol:
             break
         if _smallest_eigenvalue(hess) <= 0:

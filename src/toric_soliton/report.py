@@ -128,10 +128,7 @@ def _soliton_section(soliton: futaki.SolitonData) -> dict:
         "residuals_affine_basis": list(soliton.residuals),
         "newton_iterations": len(soliton.iterations),
         "quadrature_order": soliton.quadrature_order,
-        "iterations": [
-            {"iteration": t["iteration"], "order": t["order"], "grad_norm": t["grad_norm"]}
-            for t in soliton.iterations
-        ],
+        "iterations": list(soliton.iterations),
     }
 
 
@@ -206,13 +203,13 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
 
     results = [eigenbasis.check_root(ctx, root, stack) for root in rootset.roots]
     for result in results:
-        tag = "_".join(str(c) for c in result.function.root.alpha)
+        tag = "_".join(str(c) for c in result.root.alpha)
         checks += [
-            (f"eigen_residual_root_{tag}", result.stats["max_rel_residual"], 1e-6),
-            (f"eigen_value_root_{tag}", result.stats["fitted_eigenvalue"] - 2.0, 1e-6),
+            (f"eigen_residual_root_{tag}", result.max_rel_residual, 1e-6),
+            (f"eigen_value_root_{tag}", result.fitted_eigenvalue - 2.0, 1e-6),
             (f"anti_holomorphic_fit_root_{tag}", result.gamma_fit, 1e-6),
             (f"anti_holomorphic_root_{tag}",
-             abs(result.gamma_hat) - 4.0 * abs(operators.dot(result.function.root.alpha, ctx.a)), 1e-6),
+             abs(result.gamma_hat) - 4.0 * abs(operators.dot(result.root.alpha, ctx.a)), 1e-6),
         ]
 
     # mode-diagonal identities and the product rule on a sample of grid points
@@ -239,7 +236,7 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     if isinstance(ctx.potential, potentials.PhiSidePotential):
         middle = stack.size // 2
         x0, at_x0 = (stack.points[0][middle], stack.points[1][middle]), stack.select([middle])
-        profile = results[0].function.profile if results else operators.profile_coordinate(0)
+        profile = results[0].profile if results else operators.profile_coordinate(0)
         analytic = float(operators.complex_weighted_laplacian(ctx, profile, at_x0)[0])
         oracle, abreu_fd = operators.finite_difference_oracle(ctx, profile, x0)
         abreu_an = float(operators.scalar_curvature(at_x0)[0])
@@ -253,8 +250,8 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     if isinstance(ctx.potential, potentials.GuilleminPotential):
         polygon, points = ctx.potential.polytope, list(zip(*sample.points))
         defects = (
-            [v - u for v, u in zip(eigenbasis.boundary_product_form(polygon, r.function.root).values(points),
-                                   r.function.profile.jet(sample)[0])]
+            [v - u for v, u in zip(eigenbasis.boundary_product_form(polygon, r.root).values(points),
+                                   r.profile.jet(sample)[0])]
             for r in results
         )
         checks.append(("boundary_form_interior_match", _peak(*defects), 1e-10))
@@ -311,13 +308,13 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         "grid_points": int(len(grid)),
         "root_records": [
             {
-                "alpha": list(r.function.root.alpha),
-                "rho_alpha": r.function.root.distinguished_facet,
-                "mode_sign": r.function.mode_sign,
-                "lambda_hat": r.stats["fitted_eigenvalue"],
-                "max_rel_residual": r.stats["max_rel_residual"],
+                "alpha": list(r.root.alpha),
+                "rho_alpha": r.root.distinguished_facet,
+                "mode_sign": 1,  # every root profile is on mode +alpha
+                "lambda_hat": r.fitted_eigenvalue,
+                "max_rel_residual": r.max_rel_residual,
                 "gamma_hat": r.gamma_hat,
-                "gamma": 2.0 * operators.dot(r.function.root.alpha, ctx.a),
+                "gamma": 2.0 * operators.dot(r.root.alpha, ctx.a),
             }
             for r in root_checks
         ],

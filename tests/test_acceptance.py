@@ -121,13 +121,13 @@ def test_criterion_08_eigenfunctions(cp2, cp2_ctx, cp2_grid, blowup_ctx, blowup_
     for ctx, grid in ((cp2_ctx, cp2_grid), (blowup_ctx, blowup_grid)):
         s = ctx.potential.stack(grid)
         for root in enumerate_roots(ctx.potential.polytope).roots:
-            stats = check_root(ctx, root, s).stats
-            ok = ok and stats["max_rel_residual"] <= 1e-6
-            ok = ok and abs(stats["fitted_eigenvalue"] - 2.0) <= 1e-6
+            result = check_root(ctx, root, s)
+            ok = ok and result.max_rel_residual <= 1e-6
+            ok = ok and abs(result.fitted_eigenvalue - 2.0) <= 1e-6
     for root in enumerate_roots(cp2).roots:
-        rf = build_root_function(cp2_ctx, root, mode_sign=1)
+        profile = build_root_function(cp2_ctx, root)
         closed = CP2_CLOSED_FORMS[root.alpha](np.array(cp2.facet_values_many(cp2_grid[::7])).T)
-        ok = ok and np.max(np.abs(rf.profile.jet(cp2_ctx.potential.stack(cp2_grid[::7]))[0] - closed)) <= 1e-10
+        ok = ok and np.max(np.abs(profile.jet(cp2_ctx.potential.stack(cp2_grid[::7]))[0] - closed)) <= 1e-10
     report(8, "all root functions have eigenvalue two; plane profiles match the closed forms", ok)
 
 
@@ -151,9 +151,9 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
     x0 = np.array([0.2, -0.15])
     at_x0 = cp2_ctx.potential.stack(x0[None])
     rootset = enumerate_roots(cp2_ctx.potential.polytope)
-    rf = build_root_function(cp2_ctx, rootset.roots[0], mode_sign=1)
-    analytic = complex_weighted_laplacian(cp2_ctx, rf.profile, at_x0)[0]
-    oracle, abreu_fd = finite_difference_oracle(cp2_ctx, rf.profile, x0)
+    profile = build_root_function(cp2_ctx, rootset.roots[0])
+    analytic = complex_weighted_laplacian(cp2_ctx, profile, at_x0)[0]
+    oracle, abreu_fd = finite_difference_oracle(cp2_ctx, profile, x0)
     ok = ok and abs(oracle - analytic) / max(1.0, abs(analytic)) <= 1e-4
     ok = ok and abs(abreu_fd - scalar_curvature(at_x0)[0]) / 4.0 <= 1e-3
     report(9, "mode identities, product rule, and FD-oracle agreement", ok)
@@ -191,8 +191,8 @@ def test_criterion_12_boundary_extension(cp2, cp2_ctx, cp2_grid):
     sample = cp2_grid[::5]
     for root in enumerate_roots(cp2).roots:
         form = boundary_product_form(cp2, root)
-        rf = build_root_function(cp2_ctx, root, mode_sign=1)
-        ok = ok and np.max(np.abs(np.subtract(form.values(sample), rf.profile.jet(cp2_ctx.potential.stack(sample))[0]))) <= 1e-10
+        profile = build_root_function(cp2_ctx, root)
+        ok = ok and np.max(np.abs(np.subtract(form.values(sample), profile.jet(cp2_ctx.potential.stack(sample))[0]))) <= 1e-10
         ok = ok and bool(np.all(np.isfinite(form.values(list(ring) + edge_midpoints))))
         for idx in (i for i, e in enumerate(form.exponents) if e > 0.0):
             # midpoint of the facet's edge lies on it; the form vanishes there

@@ -37,9 +37,9 @@ def test_cp2_profiles_match_closed_forms(cp2, cp2_ctx):
     rootset = enumerate_roots(cp2)
     pts = interior_points(cp2, 25, seed=21)
     for root in rootset.roots:
-        rf = build_root_function(cp2_ctx, root, mode_sign=1)
+        profile = build_root_function(cp2_ctx, root)
         expected = CP2_CLOSED_FORMS[root.alpha](np.array(cp2.facet_values_many(pts)).T)
-        assert np.max(np.abs(rf.profile.jet(cp2_ctx.potential.stack(pts))[0] - expected)) <= 1e-10
+        assert np.max(np.abs(profile.jet(cp2_ctx.potential.stack(pts))[0] - expected)) <= 1e-10
 
 
 def test_blowup_profile_closed_form_up_to_gauge(blowup, blowup_ctx):
@@ -48,11 +48,11 @@ def test_blowup_profile_closed_form_up_to_gauge(blowup, blowup_ctx):
     from toric_soliton.calabi import from_algebraic_coordinates
 
     root = next(r for r in enumerate_roots(blowup).roots if r.alpha == (0, 1))
-    rf = build_root_function(blowup_ctx, root, mode_sign=1)
+    profile = build_root_function(blowup_ctx, root)
     pts = interior_points(blowup, 12, seed=24)
     mu = np.array([from_algebraic_coordinates(x) for x in pts])
     y = mu[:, 1] / mu[:, 0]
-    ratios = rf.profile.jet(blowup_ctx.potential.stack(pts))[0] / (mu[:, 0] * np.sqrt(y * (1.0 - y)))
+    ratios = profile.jet(blowup_ctx.potential.stack(pts))[0] / (mu[:, 0] * np.sqrt(y * (1.0 - y)))
     assert ratios[0] > 0.0
     assert np.max(np.abs(ratios - ratios[0])) <= 1e-9 * ratios[0]
 
@@ -62,11 +62,11 @@ def test_profile_derivatives_match_finite_differences(cp2_ctx, blowup_ctx):
     for ctx, alpha in ((cp2_ctx, (1, -1)), (blowup_ctx, (-1, 0))):
         rootset = enumerate_roots(ctx.potential.polytope)
         root = next(r for r in rootset.roots if r.alpha == alpha)
-        rf = build_root_function(ctx, root, mode_sign=1)
+        profile = build_root_function(ctx, root)
         pts = interior_points(ctx.potential.polytope, 5, seed=22)
-        _, grad, hess = array_jet(rf.profile.jet(ctx.potential.stack(pts)))
-        shifted = [(array_jet(rf.profile.jet(ctx.potential.stack(pts + step * e))),
-                    array_jet(rf.profile.jet(ctx.potential.stack(pts - step * e)))) for e in np.eye(2)]
+        _, grad, hess = array_jet(profile.jet(ctx.potential.stack(pts)))
+        shifted = [(array_jet(profile.jet(ctx.potential.stack(pts + step * e))),
+                    array_jet(profile.jet(ctx.potential.stack(pts - step * e)))) for e in np.eye(2)]
         fd_grad = np.stack([(plus[0] - minus[0]) / (2 * step) for plus, minus in shifted], axis=-1)
         assert np.max(np.abs(fd_grad - grad)) <= 1e-5
         fd_hess = np.stack([(plus[1] - minus[1]) / (2 * step) for plus, minus in shifted], axis=-1)
@@ -78,30 +78,32 @@ def test_eigenvalue_two_for_all_roots(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
     s = ctx.potential.stack(ctx.potential.polytope.interior_grid(21, 0.05))
     for root in enumerate_roots(ctx.potential.polytope).roots:
-        stats = check_root(ctx, root, s).stats
-        assert stats["max_rel_residual"] <= 1e-6
-        assert stats["fitted_eigenvalue"] == pytest.approx(2.0, abs=1e-6)
+        result = check_root(ctx, root, s)
+        assert result.max_rel_residual <= 1e-6
+        assert result.fitted_eigenvalue == pytest.approx(2.0, abs=1e-6)
 
 
-def test_wrong_mode_sign_discriminates(blowup_ctx, blowup_grid):
-    # on a root with <alpha, a> != 0 the flipped mode is an exact eigenfunction
-    # with eigenvalue 2 + 4 <alpha, a>, never 2
+@pytest.mark.parametrize("alpha", [(-1, -1), (-1, 0)], ids=["-1_-1", "-1_0"])
+def test_wrong_mode_sign_discriminates(alpha, blowup_ctx, blowup_grid):
+    # on a unipotent root <alpha, a> != 0, and the profile on mode -alpha is an exact
+    # eigenfunction with eigenvalue 2 + 4 <alpha, a>, never 2
     rootset = enumerate_roots(blowup_ctx.potential.polytope)
-    root = next(r for r in rootset.roots if r.alpha == (-1, 0))
+    root = next(r for r in rootset.roots if r.alpha == alpha)
     pairing = float(np.array(root.alpha) @ blowup_ctx.a)
     assert abs(pairing) > 1e-3
-    right = build_root_function(blowup_ctx, root, mode_sign=1)
-    wrong = build_root_function(blowup_ctx, root, mode_sign=-1)
+    right = build_root_function(blowup_ctx, root)
+    assert right.mode == alpha
+    wrong = EquivariantFunction(tuple(-c for c in alpha), right.jet)
     s = blowup_ctx.potential.stack(blowup_grid)
-    u = np.array(right.profile.jet(s)[0])  # both signs share the profile
-    right_fit = u @ np.array(complex_weighted_laplacian(blowup_ctx, right.profile, s)) / (u @ u)
-    wrong_fit = u @ np.array(complex_weighted_laplacian(blowup_ctx, wrong.profile, s)) / (u @ u)
+    u = np.array(right.jet(s)[0])  # both modes share the profile
+    right_fit = u @ np.array(complex_weighted_laplacian(blowup_ctx, right, s)) / (u @ u)
+    wrong_fit = u @ np.array(complex_weighted_laplacian(blowup_ctx, wrong, s)) / (u @ u)
     assert right_fit == pytest.approx(2.0, abs=1e-9)
     assert wrong_fit == pytest.approx(2.0 + 4.0 * pairing, abs=1e-9)
     assert abs(wrong_fit - 2.0) > 1.0
-    chosen = check_root(blowup_ctx, root, s)
-    assert chosen.function.mode_sign == 1
-    assert chosen.stats["fitted_eigenvalue"] == pytest.approx(right_fit, abs=1e-12)
+    checked = check_root(blowup_ctx, root, s)
+    assert checked.profile.mode == alpha
+    assert checked.fitted_eigenvalue == pytest.approx(right_fit, abs=1e-12)
 
 
 def test_dropping_the_affine_shift_breaks_the_eigenvalue(cp2_ctx, cp2_grid):
@@ -109,7 +111,7 @@ def test_dropping_the_affine_shift_breaks_the_eigenvalue(cp2_ctx, cp2_grid):
     # it the fitted eigenvalue drifts away from two (negative control)
     rootset = enumerate_roots(cp2_ctx.potential.polytope)
     root = rootset.roots[0]
-    rf = build_root_function(cp2_ctx, root, mode_sign=1)
+    profile = build_root_function(cp2_ctx, root)
     normal = np.array(cp2_ctx.potential.polytope.facets[root.distinguished_facet].normal, dtype=float)
     alpha = np.array(root.alpha, dtype=float)
     potential = cp2_ctx.potential
@@ -124,7 +126,7 @@ def test_dropping_the_affine_shift_breaks_the_eigenvalue(cp2_ctx, cp2_grid):
                   - w[:, None, None] * dgalpha + w[:, None, None] * np.einsum("mi,mj->mij", galpha, galpha))
         return w * e, (normal - w[:, None] * galpha) * e[:, None], matrix * e[:, None, None]
 
-    bare = EquivariantFunction(mode=rf.profile.mode, jet=bare_jet)
+    bare = EquivariantFunction(mode=profile.mode, jet=bare_jet)
     s = potential.stack(cp2_grid)
     u = np.array(bare.jet(s)[0])
     applied = np.array(complex_weighted_laplacian(cp2_ctx, bare, s))
@@ -138,8 +140,8 @@ def test_boundary_product_form_matches_interior(cp2, cp2_ctx):
     pts = interior_points(cp2, 25, seed=23)
     for root in rootset.roots:
         form = boundary_product_form(cp2, root)
-        rf = build_root_function(cp2_ctx, root, mode_sign=1)
-        assert np.max(np.abs(np.subtract(form.values(pts), rf.profile.jet(cp2_ctx.potential.stack(pts))[0]))) <= 1e-10
+        profile = build_root_function(cp2_ctx, root)
+        assert np.max(np.abs(np.subtract(form.values(pts), profile.jet(cp2_ctx.potential.stack(pts))[0]))) <= 1e-10
 
 
 def test_boundary_product_form_exponents(cp2):
@@ -293,21 +295,6 @@ def test_gammas_spread_over_the_tolerance_give_one_affine_block(name):
     assert decomposition.total_complex_dimension == automorphism_dimensions(rootset).dim_eta
 
 
-@pytest.mark.parametrize("example", ["cp2", "blowup"])
-@settings(max_examples=40, deadline=None)
-@given(shift=st.lists(st.floats(min_value=-1e-14, max_value=1e-14), min_size=2, max_size=2))
-def test_mode_sign_independent_of_round_off_in_a(example, shift, cp2_ctx, cp2_roots,
-                                                 blowup_ctx, blowup_roots):
-    # for <alpha, a> = 0 both mode signs are eigenfunctions and their fitted
-    # eigenvalues differ only by noise; the choice may not follow its sign
-    ctx, rootset = {"cp2": (cp2_ctx, cp2_roots), "blowup": (blowup_ctx, blowup_roots)}[example]
-    grid = ctx.potential.stack(ctx.potential.polytope.interior_grid(15, 0.05))
-    shifted = ctx._replace(a=ctx.a + np.array(shift))
-    for root in rootset.roots:
-        assert check_root(shifted, root, grid).function.mode_sign == 1
-        assert check_root(ctx, root, grid).function.mode_sign == 1
-
-
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_affine_block_eigenvalue_two(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
@@ -320,21 +307,17 @@ def test_affine_block_eigenvalue_two(ctx_name, request):
 
 
 def test_conjugate_root_function_satisfies_conjugate_equation(cp2_ctx, cp2_grid):
-    # flipped mode sign solves the conjugate equation, the operator plus the conjugate
-    # shift +4 <a, k> u, with the same bound
+    # the profile on mode -alpha solves the conjugate equation, the operator plus the
+    # conjugate shift +4 <a, k> u, with the same bound
     rootset = enumerate_roots(cp2_ctx.potential.polytope)
     s = cp2_ctx.potential.stack(cp2_grid)
     for root in rootset.roots[:3]:
-        rf = build_root_function(cp2_ctx, root, mode_sign=-1)
-        values = np.array(rf.profile.jet(s)[0])
-        conjugate_shift = 4.0 * float(np.dot(cp2_ctx.a, rf.profile.mode)) * values
-        applied = complex_weighted_laplacian(cp2_ctx, rf.profile, s) + conjugate_shift
+        profile = build_root_function(cp2_ctx, root)
+        conjugate = EquivariantFunction(tuple(-c for c in root.alpha), profile.jet)
+        values = np.array(conjugate.jet(s)[0])
+        conjugate_shift = 4.0 * float(np.dot(cp2_ctx.a, conjugate.mode)) * values
+        applied = complex_weighted_laplacian(cp2_ctx, conjugate, s) + conjugate_shift
         assert np.max(np.abs(applied - 2.0 * values)) / np.max(np.abs(values)) <= 1e-6
-
-
-def test_root_function_rejects_a_zero_mode_sign(cp2_ctx, cp2_roots):
-    with pytest.raises(MalformedInputError, match=r"mode_sign must be \+1 or -1, got 0"):
-        build_root_function(cp2_ctx, cp2_roots.roots[0], mode_sign=0)
 
 
 def test_boundary_product_form_rejects_a_non_algebraic_polygon(cp2, cp2_roots):

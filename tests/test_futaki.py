@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,7 @@ def test_weighted_volume_blowup_matches_polygon_moments(blowup):
     assert area == pytest.approx(4.0, abs=1e-14)
     value, grad, _ = weighted_volume(blowup, [0.0, 0.0])
     assert value == pytest.approx(area, abs=1e-12)
-    assert np.allclose(grad, -2.0 * moments, atol=1e-12)
+    assert np.allclose(grad, 2.0 * moments, atol=1e-12)
     assert np.linalg.norm(grad) > 0.1  # the weighted centroid is away from the center
 
 
@@ -50,7 +51,7 @@ def test_weighted_volume_hessian_positive_definite(cp2, blowup):
     rng = np.random.default_rng(3)
     for p in (cp2, blowup):
         for _ in range(5):
-            a = rng.uniform(-0.8, 0.8, size=2)
+            a = -rng.uniform(-0.8, 0.8, size=2)
             _, _, hess = weighted_volume(p, a)
             assert np.linalg.eigvalsh(hess)[0] > 0
 
@@ -180,10 +181,68 @@ def test_five_surface_soliton_table(surface):
     assert np.allclose(image.a, NORMAL_MAP @ np.array(soliton.a), rtol=0.0, atol=1e-9)
 
 
+def exact_fan_side_volume(mpmath, vertices, a, terms=40):
+    """W(a) = int_P exp(2<a,x>) dv over the fan triangles (0, v_i, v_i+1) in mpmath's precision.
+
+    Over a triangle T with vertex values l_i of an affine l, int_T exp(l) =
+    2|T| sum_k h_k(l_0, l_1, l_2) / (k + 2)!, with h_k the complete
+    homogeneous symmetric polynomials; here l_0 = 0 at the origin, so
+    h_k(0, l_1, l_2) = h_k(l_1, l_2) = l_2 h_k-1(l_1, l_2) + l_1^k.
+    """
+    total = 0
+    for v1, v2 in zip(vertices, vertices[1:] + vertices[:1]):
+        area = (v1[0] * v2[1] - v1[1] * v2[0]) / 2
+        assert area > 0
+        l1, l2 = (2 * (a[0] * v[0] + a[1] * v[1]) for v in (v1, v2))
+        power = h = mpmath.mpf(1)  # l1^k and h_k(l1, l2)
+        series, factorial = 0, 2  # factorial = (k + 2)!
+        for k in range(terms):
+            series += h / factorial
+            power *= l1
+            h = h * l2 + power
+            factorial *= k + 3
+        total += 2 * area * series
+    return total
+
+
+@pytest.mark.parametrize("surface", FIVE_SURFACES)
+def test_soliton_vector_matches_exact_series_newton(surface):
+    # oracle: a Newton solve of grad W = 0 at 30 digits on the series above, with central
+    # differences of W (steps 1e-10 and 1e-7 leave errors near 1e-20 and 1e-14 at 30 digits)
+    mpmath = pytest.importorskip("mpmath")
+    normals = sorted(FIVE_SURFACES[surface][0], key=lambda nu: math.atan2(nu[1], nu[0]))
+    with mpmath.workdps(30):
+        vertices = []
+        for nu, mu in zip(normals, normals[1:] + normals[:1]):
+            # the corner <nu, x> = <mu, x> = -1 by Cramer's rule; the normals turn counterclockwise
+            det = nu[0] * mu[1] - nu[1] * mu[0]
+            vertices.append((mpmath.mpf(nu[1] - mu[1]) / det, mpmath.mpf(mu[0] - nu[0]) / det))
+        volume = lambda a: exact_fan_side_volume(mpmath, vertices, a)
+        h, k = mpmath.mpf("1e-10"), mpmath.mpf("1e-7")
+        a = [mpmath.mpf(0), mpmath.mpf(0)]
+        for _ in range(12):
+            shifted = lambda d1, d2: volume((a[0] + d1, a[1] + d2))
+            g1 = (shifted(h, 0) - shifted(-h, 0)) / (2 * h)
+            g2 = (shifted(0, h) - shifted(0, -h)) / (2 * h)
+            centre = volume(a)
+            h11 = (shifted(k, 0) - 2 * centre + shifted(-k, 0)) / k**2
+            h22 = (shifted(0, k) - 2 * centre + shifted(0, -k)) / k**2
+            h12 = (shifted(k, k) - shifted(k, -k) - shifted(-k, k) + shifted(-k, -k)) / (4 * k**2)
+            det = h11 * h22 - h12 * h12
+            step = ((h22 * g1 - h12 * g2) / det, (h11 * g2 - h12 * g1) / det)
+            a = [a[0] - step[0], a[1] - step[1]]
+            if max(abs(step[0]), abs(step[1])) <= mpmath.mpf("1e-18"):
+                break
+        else:
+            pytest.fail("the 30-digit Newton solve did not converge")
+        exact = [float(c) for c in a]
+    assert np.allclose(solve_soliton_vector(polygon(FIVE_SURFACES[surface][0])).a, exact, rtol=0.0, atol=1e-12)
+
+
 @pytest.mark.parametrize("imaged", [False, True], ids=["canonical", "image"])
 @pytest.mark.parametrize("surface", FIVE_SURFACES)
 def test_ray_form_matches_array_quadrature(surface, imaged):
-    # oracle: the moments of exp(-2<a,x>) {1, x_i, x_i x_j} from integrate on the same rule;
+    # oracle: the moments of exp(2<a,x>) {1, x_i, x_i x_j} from integrate on the same rule;
     # the fan centre of a canonical polygon is the origin, that of its image is not
     normals = FIVE_SURFACES[surface][0]
     p = lattice_image(normals) if imaged else polygon(normals)
@@ -194,13 +253,13 @@ def test_ray_form_matches_array_quadrature(surface, imaged):
         def moment(*axes):
             def integrand(pts):
                 pts = np.array(pts)
-                return np.prod(pts[:, list(axes)], axis=1) * np.exp(-2.0 * pts @ a)
+                return np.prod(pts[:, list(axes)], axis=1) * np.exp(2.0 * pts @ a)
 
             return integrate(p, integrand, order)
 
         value, grad, hess = weighted_volume(p, a, order)
         expected_value = moment()
-        expected_grad = [-2.0 * moment(i) for i in range(2)]
+        expected_grad = [2.0 * moment(i) for i in range(2)]
         expected_hess = [[4.0 * moment(i, j) for j in range(2)] for i in range(2)]
         assert abs(value - expected_value) <= 1e-13 * expected_value
         assert np.allclose(grad, expected_grad, rtol=1e-13, atol=1e-13 * expected_value)

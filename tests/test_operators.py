@@ -194,9 +194,9 @@ def test_fd_oracle_weighted_on_root_functions(cp2, cp2_ctx, cp2_grid):
     sample = cp2_ctx.potential.stack(cp2_grid[:24])
     at_x = cp2_ctx.potential.stack(x[None])
     for root in rootset.roots:
-        rf = check_root(cp2_ctx, root, sample).function
-        analytic = complex_weighted_laplacian(cp2_ctx, rf.profile, at_x)[0]
-        oracle = finite_difference_oracle(cp2_ctx, rf.profile, x)[0]
+        profile = check_root(cp2_ctx, root, sample).profile
+        analytic = complex_weighted_laplacian(cp2_ctx, profile, at_x)[0]
+        oracle = finite_difference_oracle(cp2_ctx, profile, x)[0]
         assert abs(oracle - analytic) / max(1.0, abs(analytic)) <= 1e-4
 
 

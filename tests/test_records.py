@@ -104,9 +104,8 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
         "Triangulation": triangulate(cp2),
         "SolitonData": cp2_soliton,
         "Stack": stack,
-        "EquivariantFunction": check.function.profile,
+        "EquivariantFunction": check.profile,
         "OperatorContext": cp2_ctx,
-        "RootFunction": check.function,
         "BoundaryProductForm": boundary_product_form(cp2, cp2_roots.roots[0]),
         "RootCheck": check,
         "CalabiSoliton": calabi_soliton,
@@ -116,7 +115,7 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
 RECORD_TYPES = (
     "Facet", "PrivilegedCenter", "DelzantVerdict", "DemazureRoot", "RootSet", "AutomorphismDimensions",
     "SolitonDecomposition", "Triangulation", "SolitonData", "Stack",
-    "EquivariantFunction", "OperatorContext", "RootFunction", "BoundaryProductForm", "RootCheck",
+    "EquivariantFunction", "OperatorContext", "BoundaryProductForm", "RootCheck",
     "CalabiSoliton",
 )
 
