@@ -6,11 +6,10 @@ The moment image is a trapezoid, the diffeomorphic image of the rectangle
 with radial profiles A and B, written in closed form for these labels;
 the matrix ``H`` of the associated potential is assembled from them (in
 :mod:`toric_soliton.potentials`) and all its derivatives are analytic,
-so every operator check on this example runs with exact formulas.  No
-finite-difference cross-check covers them: the finite-difference oracle
-reads values of phi, which this metric, given by ``H``, does not have, so
-``finite_difference_oracle`` raises on it and ``verify`` skips both of
-its finite-difference checks for it.
+so every operator check on this example runs with exact formulas.
+``finite_difference_oracle`` cross-checks them against values of ``H``
+alone, as for any potential; ``verify`` does not list its two checks for
+this metric.
 
 Two sign wrinkles are resolved here once and for all:
 

@@ -19,9 +19,10 @@ column of m values; one point is a stack of one.  The components of
 ``ricci_and_lie_components`` are columns too, indexed component first.
 Every value is a real float: the angular sector enters through the real
 coefficients above, so no operator needs complex arithmetic.  The
-finite-difference oracle reads potential values and profile values alone,
-on one nine-point stencil: phi from one batched ``values`` call per step
-size, and every profile value from one stack of the context potential.
+finite-difference oracle reads stacks too, on nine-point stencils: one
+stack of 81 points for the profile values and ``H`` and ``G`` at the
+stencil centres, and one of nine points for the ``H`` values whose second
+differences give the Abreu curvature.
 The context, :class:`OperatorContext`, is a named tuple of the potential
 and ``a``, read as a tuple of floats; the polygon is the potential's own.
 
@@ -46,7 +47,7 @@ from typing import Callable, NamedTuple
 
 from .errors import MalformedInputError
 from .polytope import DIM
-from .potentials import Column, PhiSidePotential, Stack, SymplecticPotential, as_pairs, inverse
+from .potentials import Column, Stack, SymplecticPotential, as_pairs
 
 #: (u, (u1, u2), (u11, u12, u22)) on a batch, one column of m floats each
 Jet = tuple[Column, tuple[Column, Column], tuple[Column, Column, Column]]
@@ -288,44 +289,37 @@ def _around(centers, h: float) -> list[tuple[float, float]]:
     return [(x + h * a, y + h * b) for a, b in _STENCIL for x, y in centers]
 
 
-def _fd_metric(potential: PhiSidePotential, centers, h: float) -> tuple:
-    """G and H, (11, 12, 22) columns over the centres, from one batch of phi values on their stencils."""
-    phi = potential.values(_around(centers, h))
-    n = len(centers)
-    g = tuple(zip(*(_second_differences(phi[c::n], h) for c in range(n))))
-    return g, inverse(g)[0]
-
-
 def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x) -> tuple[float, float]:
     """Re-evaluate the complex weighted Laplacian of f and the Abreu curvature at x.
 
-    Returns ``(complex_weighted, abreu)``, computed from potential values
-    and profile values alone, so both are independent of the analytic
-    derivative stack.  The metric comes from second differences of phi on
-    the nine-point stencil around each centre.  The complex weighted term
+    Returns ``(complex_weighted, abreu)``, computed from values of the
+    profile, ``H`` and ``G`` alone, so both are independent of the
+    analytic derivatives ``dH``, ``d2H`` and the operator assembly.  Every
+    value comes from one of two stacks of the context potential, so the
+    oracle runs on either potential family.  The complex weighted term
     takes first differences of u and of the flux ``H grad u`` over the
-    stencil of step ``h = 0.005 d`` around x, with every value of u read
-    from one stack of the context potential; the Abreu term takes second
-    differences of ``H`` over the stencil of step ``0.02 d``.  Here ``d``
-    is the distance from x to the boundary.  The potential must have
-    closed-form values (the convex-function side).
+    stencil of step ``h = 0.005 d`` around x: one 81-point stack on the
+    stencils around its nine centres gives every value of u, and ``H``
+    and ``G`` at the centres.  The Abreu term takes second differences of
+    ``H`` from one nine-point stack, without the gradient, on the stencil
+    of step ``0.02 d``.  Here ``d`` is the distance from x to the boundary.
     """
-    if not isinstance(ctx.potential, PhiSidePotential):
-        raise MalformedInputError("the finite-difference oracle needs a potential with closed-form values")
     x = as_pairs([x])
     ell = ctx.potential.require_interior(x)[0]
     distance = min(v / math.sqrt(a * a + b * b) for v, (a, b) in zip(ell, ctx.potential.polytope.normal_matrix))
 
     h = 0.005 * distance
-    centers = _around(x, h)
-    g, (h11, h12, h22) = _fd_metric(ctx.potential, centers, h)
-    u = f.jet(ctx.potential.stack(_around(centers, h)))[0]
+    s = ctx.potential.stack(_around(_around(x, h), h))
+    u = f.jet(s)[0]
+    # stencil point 4 is the offset (0, 0), so the nine centres are points 36 to 44
+    centres = s.select(slice(36, 45))
+    h11, h12, h22 = centres.H
     du1, du2 = zip(*(_first_differences(u[c::9], h) for c in range(9)))
     flux1 = [p * a + q * b for p, q, a, b in zip(h11, h12, du1, du2)]
     flux2 = [q * a + r * b for q, r, a, b in zip(h12, h22, du1, du2)]
     divergence = _first_differences(flux1, h)[0] + _first_differences(flux2, h)[1]
-    # x is the centre of the stencil, point 4, and u there is point 4 of centre 4
-    (k1, k2), (a1, a2), (g11, g12, g22) = f.mode, ctx.a, (c[4] for c in g)
+    # x is centre 4, point 40 of the stack
+    (k1, k2), (a1, a2), (g11, g12, g22) = f.mode, ctx.a, (c[4] for c in centres.G)
     weighted = (
         -divergence
         + (((k1 * g11 + k2 * g12) * k1 + (k1 * g12 + k2 * g22) * k2) - 2.0 * (a1 * k1 + a2 * k2)) * u[40]
@@ -333,6 +327,6 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x) ->
     )
 
     h3 = 0.02 * distance
-    h11, h12, h22 = _fd_metric(ctx.potential, _around(x, h3), h3)[1]
+    h11, h12, h22 = ctx.potential.stack(_around(x, h3), gradient=False).H
     abreu = -(_second_differences(h11, h3)[0] + 2.0 * _second_differences(h12, h3)[1] + _second_differences(h22, h3)[2])
     return weighted, abreu

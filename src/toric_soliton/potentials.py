@@ -21,8 +21,6 @@ other side comes from closed-form 2x2 algebra on the adjugate (see
 
 * potentials given on the convex-function side (Guillemin, quadratic
   models) supply the gradient, ``G``, ``dG`` and ``d2G`` analytically;
-  they also expose the values of ``phi`` on a batch, which only the
-  finite-difference oracle reads;
 * metrics given on the inverse side (:class:`CalabiPotential`, the
   one-point blow-up soliton built on the closed forms of
   :mod:`toric_soliton.calabi`) supply the gradient, ``H``, ``dH`` and
@@ -143,13 +141,6 @@ def _combine(terms, m: int) -> list[float]:
 _ADJUGATE_SIGNS = (1.0, -1.0, 1.0)
 
 
-def inverse(m) -> tuple[tuple[list[float], list[float], list[float]], list[float]]:
-    """The inverse (11, 12, 22) of a symmetric 2x2 field, its adjugate over its determinant, and the determinant."""
-    m11, m12, m22 = m
-    det = [p * r - q * q for p, q, r in zip(m11, m12, m22)]
-    return tuple([sign * a / d for a, d in zip(column, det)] for sign, column in zip(_ADJUGATE_SIGNS, m[::-1])), det
-
-
 def _inverse_jet(m, dm, d2m=None) -> tuple:
     """The inverse N = M^-1 of a symmetric 2x2 field with dN, and with d2N when d2M is given.
 
@@ -159,8 +150,9 @@ def _inverse_jet(m, dm, d2m=None) -> tuple:
     dD_k = A : dM_k and d2D_kl = A : d2M_kl + dA_l : dM_k, with
     P : Q = p11 q11 + 2 p12 q12 + p22 q22.
     """
-    n, det = inverse(m)
     m11, m12, m22 = m
+    det = [p * r - q * q for p, q, r in zip(m11, m12, m22)]
+    n = tuple([sign * a / d for a, d in zip(column, det)] for sign, column in zip(_ADJUGATE_SIGNS, m[::-1]))
 
     def over_det(derivative, products):
         """(dA_e - products_e) / D for each entry e, dA read from a derivative of M."""
@@ -225,15 +217,6 @@ class SymplecticPotential(ABC):
 class PhiSidePotential(SymplecticPotential):
     """Stack driven by analytic grad, G, dG and d2G; the H side is derived."""
 
-    def values(self, points) -> list[float]:
-        """phi on a batch of interior (x, y) points."""
-        pairs = as_pairs(points)
-        value = self._value
-        return [value(x, y, ell) for (x, y), ell in zip(pairs, self.require_interior(pairs))]
-
-    @abstractmethod
-    def _value(self, x: float, y: float, ell: tuple[float, ...]) -> float: ...
-
     @abstractmethod
     def _phi_columns(self, pairs: Pairs, facet_values: list[tuple[float, ...]], gradient: bool) -> tuple:
         """(grad or (), G, dG, d2G) on a block, in the stack's layouts."""
@@ -250,14 +233,6 @@ class GuilleminPotential(PhiSidePotential):
     def __init__(self, polytope: DelzantPolytope):
         self.polytope = polytope
         self._normals = polytope.normal_matrix
-
-    def _value(self, x, y, ell):
-        # summed in facet order, as a plain loop: the second differences of the
-        # finite-difference oracle magnify any change in the rounding of phi
-        total = 0.0
-        for v in ell:
-            total += v * math.log(v)
-        return 0.5 * total
 
     def _phi_columns(self, pairs, facet_values, gradient):
         # G = (1/2) sum_r nu nu^T / L_r, dG = -(1/2) sum_r nu^3 / L_r^2, d2G = sum_r nu^4 / L_r^3
@@ -298,10 +273,6 @@ class QuadraticPotential(PhiSidePotential):
         if not (sym[0] + sym[2] > 0.0 and sym[0] * sym[2] - sym[1] * sym[1] > 0.0):
             raise LossOfConvexityError("quadratic potential requires a positive definite matrix")
         self._matrix = sym
-
-    def _value(self, x, y, ell):
-        m11, m12, m22 = self._matrix
-        return 0.5 * (x * (m11 * x + m12 * y) + y * (m12 * x + m22 * y))
 
     def _phi_columns(self, pairs, facet_values, gradient):
         m11, m12, m22 = self._matrix

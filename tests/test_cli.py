@@ -93,6 +93,13 @@ def test_verify_cp2_guillemin_passes(capsys):
     assert report["all_passed"] is True
 
 
+@pytest.mark.parametrize("document, grid", [("cp2.json", "40"), ("square.json", "32")])
+def test_verify_kahler_einstein_controls_pass_on_a_fine_grid(capsys, document, grid):
+    # the FD oracle's Abreu term differences H, not phi, so phi's rounding cannot fail a true soliton
+    code, out = run(capsys, "verify", str(DATA / document), "--grid", grid, "--margin", "0.02", "--format", "json")
+    assert (code, json.loads(out)["first_failed"]) == (0, None)
+
+
 def test_verify_blowup_calabi_passes(capsys):
     code, out = run(capsys, "verify", str(DATA / "blowup.json"), "--potential", "calabi", "--format", "json")
     assert code == 0

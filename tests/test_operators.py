@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import math
+import random
+
 import numpy as np
 import pytest
 
-from toric_soliton.eigenbasis import check_root
+from toric_soliton.eigenbasis import build_root_function, check_root
 from toric_soliton.errors import BoundaryEvaluationError, MalformedInputError
 from toric_soliton.operators import (
     EquivariantFunction,
@@ -25,6 +28,7 @@ from toric_soliton.operators import (
 )
 from toric_soliton.potentials import GuilleminPotential, QuadraticPotential
 from toric_soliton.quadrature import integrate
+from toric_soliton.roots import enumerate_roots
 from conftest import batch, column_jet, expand, interior_points
 
 
@@ -107,8 +111,6 @@ def test_lemma_4_1_blowup(blowup_ctx, blowup_grid):
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_mode_diagonal_identities(ctx_name, request):
     # angular sector on a pure mode; radial exponential; their null product
-    from toric_soliton.roots import enumerate_roots
-
     ctx = request.getfixturevalue(ctx_name)
     s = ctx.potential.stack(interior_points(ctx.potential.polytope, 12, seed=14))
     for alpha in [r.alpha for r in enumerate_roots(ctx.potential.polytope).roots]:
@@ -187,8 +189,6 @@ def test_soliton_residual_negative_control(blowup, blowup_ctx, blowup_grid):
 
 
 def test_fd_oracle_weighted_on_root_functions(cp2, cp2_ctx, cp2_grid):
-    from toric_soliton.roots import enumerate_roots
-
     rootset = enumerate_roots(cp2)
     x = np.array([0.15, -0.1])
     sample = cp2_ctx.potential.stack(cp2_grid[:24])
@@ -201,10 +201,76 @@ def test_fd_oracle_weighted_on_root_functions(cp2, cp2_ctx, cp2_grid):
 
 
 def test_fd_oracle_abreu(cp2_ctx):
+    # H is quadratic on P^2, so its second differences are exact up to rounding
     f = profile_constant(1.0)
     for x in (np.array([0.0, 0.0]), np.array([0.3, -0.2])):
         oracle = finite_difference_oracle(cp2_ctx, f, x)[1]
-        assert abs(oracle - 4.0) / 4.0 <= 1e-3
+        assert abs(oracle - 4.0) / 4.0 <= 1e-9
+
+
+def fd_check_values(ctx, f, x) -> tuple[float, float]:
+    """The relative values of verify's two FD checks at x: the oracle against the analytic stack."""
+    at_x = ctx.potential.stack([x])
+    analytic, abreu = complex_weighted_laplacian(ctx, f, at_x)[0], scalar_curvature(at_x)[0]
+    oracle, abreu_fd = finite_difference_oracle(ctx, f, x)
+    return (oracle - analytic) / max(1.0, abs(analytic)), (abreu_fd - abreu) / max(1.0, abs(abreu))
+
+
+def grid_middle(polytope) -> tuple[float, float]:
+    """The point at which verify runs the oracle on its default grid."""
+    grid = polytope.interior_grid(21, 0.05)
+    return grid[len(grid) // 2]
+
+
+class PerturbedStacks:
+    """A potential whose stacks carry ``change`` applied to every entry of one field."""
+
+    def __init__(self, potential, field: str, change):
+        self.polytope, self.require_interior = potential.polytope, potential.require_interior
+        self._stack, self._field, self._change = potential.stack, field, change
+
+    def stack(self, points, **options):
+        s = self._stack(points, **options)
+        return s._replace(**{self._field: tuple([self._change(v) for v in c] for c in getattr(s, self._field))})
+
+
+def test_fd_oracle_on_the_calabi_metric(blowup_ctx, blowup_roots):
+    # the soliton metric is given by H, which is all of the potential the oracle differences
+    x = grid_middle(blowup_ctx.potential.polytope)
+    for root in blowup_roots.roots:
+        weighted, abreu = fd_check_values(blowup_ctx, build_root_function(blowup_ctx, root), x)
+        assert abs(weighted) <= 1e-4 and abs(abreu) <= 1e-3, root.alpha
+
+
+@pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
+def test_fd_checks_catch_a_shifted_derivative(ctx_name, request):
+    # the oracle reads H and G only, so an error in dH or d2H moves the analytic side alone
+    ctx = request.getfixturevalue(ctx_name)
+    f, x = profile_coordinate(0), grid_middle(ctx.potential.polytope)
+    weighted, abreu = fd_check_values(ctx, f, x)
+    assert abs(weighted) <= 1e-4 and abs(abreu) <= 1e-3
+
+    def shifted(field):
+        return OperatorContext(PerturbedStacks(ctx.potential, field, lambda v: v + 1e-2), ctx.a)
+
+    weighted, abreu = fd_check_values(shifted("d2H"), f, x)
+    assert abs(weighted) <= 1e-4 and abs(abreu) > 1e-3
+    weighted, abreu = fd_check_values(shifted("dH"), f, x)
+    assert abs(weighted) > 1e-4 and abs(abreu) <= 1e-3
+
+
+@pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
+def test_fd_oracle_is_stable_under_one_ulp_of_H(ctx_name, request):
+    # the Abreu term takes second differences of H, so one ulp of H reaches it magnified by h^-2 only
+    ctx = request.getfixturevalue(ctx_name)
+    rng = random.Random(24)
+    jittered = OperatorContext(
+        PerturbedStacks(ctx.potential, "H", lambda v: v + rng.choice((-1.0, 1.0)) * math.ulp(v)), ctx.a)
+    x = grid_middle(ctx.potential.polytope)
+    for root in enumerate_roots(ctx.potential.polytope).roots:
+        f = build_root_function(ctx, root)
+        base, moved = finite_difference_oracle(ctx, f, x), finite_difference_oracle(jittered, f, x)
+        assert max(abs(b - m) for b, m in zip(base, moved)) < 1e-10, root.alpha
 
 
 def test_fd_oracle_flat_model_exact(flat_ctx):
@@ -226,35 +292,27 @@ def test_fd_oracle_rejects_malformed_point(cp2_ctx):
         finite_difference_oracle(cp2_ctx, profile_constant(1.0), np.zeros(3))
 
 
-def test_fd_oracle_rejects_a_potential_without_phi_values(blowup_ctx):
-    # the Calabi metric is given by H, so there are no values of phi to difference
-    with pytest.raises(MalformedInputError, match="closed-form values"):
-        finite_difference_oracle(blowup_ctx, profile_constant(1.0), np.array([0.1, -0.2]))
-
-
 def test_profile_product_rejects_a_moded_factor():
     with pytest.raises(MalformedInputError, match="torus-invariant factors"):
         profile_product(profile_constant(1.0, mode=(1, 0)), profile_coordinate(0))
 
 
 def test_fd_oracle_is_batched(cp2):
-    # the oracle reads phi in one batch per step size and every profile value from one stack
+    # the oracle reads everything from two stacks: 81 points on the nested stencil of the
+    # weighted term, and the Abreu term's 9 without the gradient; no value of phi
     pot = GuilleminPotential(cp2)
-    calls = {"values": 0, "stack": 0}
+    calls = []
+    stack = pot.stack
 
-    def counting(name):
-        method = getattr(pot, name)
+    def counting(points, **options):
+        calls.append((len(points), options))
+        return stack(points, **options)
 
-        def wrapper(points):
-            calls[name] += 1
-            return method(points)
-
-        return wrapper
-
-    pot.values, pot.stack = counting("values"), counting("stack")
+    pot.stack = counting
     ctx = OperatorContext(potential=pot, a=np.zeros(2))
     finite_difference_oracle(ctx, profile_exp_pairing((1, 0)), np.array([0.1, -0.2]))
-    assert calls == {"values": 2, "stack": 1}
+    assert calls == [(81, {}), (9, {"gradient": False})]
+    assert not hasattr(pot, "values")
 
 
 def test_conjugation_symmetry(blowup_ctx):

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from toric_soliton.errors import BoundaryEvaluationError, LossOfConvexityError, MalformedInputError
-from toric_soliton.polytope import DelzantPolytope
+from toric_soliton.polytope import DelzantPolytope, parse_polytope
 from toric_soliton.potentials import (
     CalabiPotential,
     GuilleminPotential,
@@ -28,7 +29,6 @@ def test_guillemin_closed_form_at_origin(cp2):
     pot = GuilleminPotential(cp2)
     origin = np.zeros(2)
     s = expand(pot.stack(origin[None]))
-    assert pot.values(origin[None])[0] == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(s.grad[0], 0.0, atol=1e-15)
     assert np.allclose(s.G[0], 0.5 * np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert np.allclose(s.H[0], (2.0 / 3.0) * np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -46,21 +46,24 @@ def test_guillemin_gradient_closed_form(cp2):
 def test_boundary_evaluation_rejected(cp2):
     pot = GuilleminPotential(cp2)
     with pytest.raises(BoundaryEvaluationError):
-        pot.values(np.array([[0.0, 0.0], [-1.0, -1.0]]))
-    with pytest.raises(BoundaryEvaluationError):
         pot.stack(np.array([[0.0, 0.0], [5.0, 5.0]]))
 
 
-def test_values_match_row_by_row(cp2, blowup):
-    for p in (cp2, blowup):
-        pot = GuilleminPotential(p)
+def test_G_is_the_hessian_of_phi(cp2, blowup):
+    # the package never evaluates phi = (1/2) sum_r L_r log L_r; its central second differences check G
+    bl3 = parse_polytope((Path(__file__).parent / "data" / "bl3.json").read_text())
+    h = 1e-4
+    e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
+    for p in (cp2, blowup, bl3):
+        def phi(points):
+            return np.array([0.5 * sum(ell * math.log(ell) for ell in row) for row in p.facet_values_many(points)])
+
         pts = interior_points(p, 12, seed=3)
-        batch = np.array(pot.values(pts))
-        rows = [pot.values(x[None])[0] for x in pts]
-        closed = [0.5 * sum(ell * math.log(ell) for ell in row) for row in p.facet_values_many(pts)]
-        assert batch.shape == (12,)
-        assert np.allclose(batch, rows, rtol=0.0, atol=1e-15)
-        assert np.allclose(batch, closed, rtol=0.0, atol=1e-13)
+        centre = phi(pts)
+        g11 = (phi(pts + e1) - 2.0 * centre + phi(pts - e1)) / h**2
+        g12 = (phi(pts + e1 + e2) - phi(pts + e1 - e2) - phi(pts - e1 + e2) + phi(pts - e1 - e2)) / (4.0 * h**2)
+        g22 = (phi(pts + e2) - 2.0 * centre + phi(pts - e2)) / h**2
+        assert np.max(np.abs(np.array(GuilleminPotential(p).stack(pts).G) - [g11, g12, g22])) <= 1e-5
 
 
 def test_stack_rejects_a_bare_point(cp2):

@@ -29,7 +29,7 @@ GATED = ("fd_oracle_weighted_rel", "fd_oracle_abreu_rel", "boundary_form_interio
 
 
 class StackOnlyPotential(HSidePotential):
-    """The canonical metric, offered only through its inverse-side stack (no phi values)."""
+    """The canonical metric, offered only through its inverse-side stack (not a ``GuilleminPotential``)."""
 
     def __init__(self, polytope):
         self.polytope = polytope
