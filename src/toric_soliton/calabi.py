@@ -1,8 +1,9 @@
 """Closed-form soliton metric on the plane blown up at a point.
 
-The moment image is a trapezoid, the diffeomorphic image of the rectangle
-[ALPHA1, ALPHA2] x [BETA1, BETA2] = [1, 3] x [0, 1] under
-(x, y) -> (x, x y).  The metric is separable in the rectangle coordinates
+The moment image is the trapezoid
+:func:`~toric_soliton.polytope.blowup_trapezoid`, the diffeomorphic image
+of the rectangle [ALPHA1, ALPHA2] x [BETA1, BETA2] = [1, 3] x [0, 1]
+under (x, y) -> (x, x y).  The metric is separable in the rectangle coordinates
 with radial profiles A and B, written in closed form for these labels;
 the matrix ``H`` of the associated potential is assembled from them (in
 :mod:`toric_soliton.potentials`) and all its derivatives are analytic,
@@ -33,7 +34,7 @@ import math
 from typing import NamedTuple
 
 from .errors import BoundaryEvaluationError, MalformedInputError, NonConvergenceError
-from .polytope import blowup_trapezoid  # noqa: F401  (the trapezoid these labels describe)
+from .polytope import blowup_trapezoid  # noqa: F401  (perfbench/test_perfbench.py imports it from here)
 
 #: translation taking the trapezoid tau to algebraic coordinates
 ALGEBRAIC_SHIFT = (2.0, 1.0)

@@ -16,6 +16,7 @@ from pathlib import Path
 from .errors import MalformedInputError, NonConvergenceError, ToricSolitonError
 from .polytope import DelzantPolytope, parse_polytope
 from .report import (
+    POTENTIAL_KINDS,
     calabi_report,
     decompose_report,
     render_text,
@@ -83,7 +84,7 @@ def _add_common(parser: argparse.ArgumentParser, with_potential_flags: bool = Fa
     parser.add_argument("--order", type=int, default=10,
                         help=f"quadrature exactness order, 1 to {MAX_ORDER} (default 10)")
     if with_potential_flags:
-        parser.add_argument("--potential", choices=("guillemin", "calabi"), default="guillemin")
+        parser.add_argument("--potential", choices=POTENTIAL_KINDS, default="guillemin")
         parser.add_argument("--grid", type=int, default=21,
                             help=f"interior grid resolution, 1 to {MAX_GRID} (default 21)")
 

@@ -1,15 +1,19 @@
 """High-order quadrature over 2-D Delzant polytopes.
 
-The polygon is fan-triangulated from its centroid and each triangle is
-integrated with a collapsed-square Gauss rule of prescribed polynomial
-exactness.  Weights are positive, node generation is deterministic, and
-the nodes of the whole polygon form one set in fixed triangle order, so an
-integral is one dot product.
+One rule integrates every polygon: :func:`fan_rule`.  The polygon is
+fan-triangulated from its vertex centroid c, and each fan triangle
+(c, v_1, v_2) carries a collapsed-square Gauss rule of prescribed
+polynomial exactness in ray form: angular nodes t_j on the edge give the
+rays d_j = (1 - t_j) (v_1 - c) + t_j (v_2 - c), and radial nodes u_i on
+[0, 1] the points c + u_i d_j along each ray.  The Futaki solve
+(:mod:`toric_soliton.futaki`) sums along the rays; :func:`polygon_rule`
+expands the same rule into one node set in fixed ray order, so an
+integral is one dot product.  Weights are positive and node generation
+is deterministic.
 
-Everything is plain Python on floats: the Gauss-Legendre nodes, the
-triangulation, the node set of :func:`polygon_rule` and the weighted sum
-of :func:`integrate`, so neither the Futaki solve
-(:mod:`toric_soliton.futaki`) nor ``verify`` needs numpy here.
+Everything is plain Python on floats: the Gauss-Legendre nodes, the fan
+rule, the node set and the weighted sum of :func:`integrate`, so neither
+the Futaki solve nor ``verify`` needs numpy here.
 """
 
 from __future__ import annotations
@@ -18,43 +22,31 @@ import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from .errors import MalformedInputError, UnsupportedDimensionError
+from .errors import MalformedInputError
 from .polytope import DelzantPolytope
-
-#: relative tolerance for the triangulation area identity
-AREA_TOL = 1e-12
 
 Point = tuple[float, float]
 
 
-class Triangulation(NamedTuple):
-    """Fan triangulation of a convex polygon; tiles with positive areas.
+class FanRule(NamedTuple):
+    """The order-``order`` collapsed Gauss rule on the fan triangles of a polygon, in ray form.
 
-    Each simplex is ``(center, v_i, v_{i+1})`` with the vertices in
-    counterclockwise order.
+    ``rays`` holds one ``(dx, dy, J w_j)`` per angular node, triangle by
+    triangle with the vertices counterclockwise: the ray d_j from
+    ``center`` and its angular weight times J, twice the triangle's area.
+    ``radial`` holds the pairs ``(u_i, w_i u_i)`` of the radial nodes, the
+    factor u_i being the Jacobian of the collapse.  The node c + u_i d_j
+    has weight w_i u_i J w_j, and ``area`` is the sum of J / 2.
     """
 
-    simplices: tuple[tuple[Point, Point, Point], ...]
-
-    @property
-    def total_area(self) -> float:
-        return float(sum(_triangle_area(t) for t in self.simplices))
-
-
-def _triangle_area(tri) -> float:
-    a, b, c = tri
-    return 0.5 * abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]))
+    center: Point
+    rays: tuple[tuple[float, float, float], ...]
+    radial: tuple[tuple[float, float], ...]
+    area: float
 
 
 def _centroid(points) -> Point:
     return (sum(x for x, _ in points) / len(points), sum(y for _, y in points) / len(points))
-
-
-def polygon_area(ring) -> float:
-    """Shoelace area of a polygon given cyclically ordered vertices."""
-    nxt = ring[1:] + ring[:1]
-    return 0.5 * abs(sum(x * yn for (x, _), (_, yn) in zip(ring, nxt))
-                     - sum(xn * y for (_, y), (xn, _) in zip(ring, nxt)))
 
 
 def cyclic_vertices(p: DelzantPolytope) -> list[Point]:
@@ -120,44 +112,37 @@ def line_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(0.5 * (x + 1.0) for x in nodes), tuple(0.5 * w for w in weights)
 
 
-def triangulate(p: DelzantPolytope) -> Triangulation:
-    """Fan triangulation from the vertex centroid over boundary edges."""
+def fan_rule(p: DelzantPolytope, order: int) -> FanRule:
+    """The order-``order`` rule on the fan triangles of ``p`` from its vertex centroid.
+
+    Both axes use :func:`line_rule`.  The centroid of a convex polygon's
+    vertices is strictly interior, so every fan triangle has positive area
+    and the triangles tile the polygon.
+    """
+    u, w = line_rule(order)
     ring = cyclic_vertices(p)
-    center = _centroid(ring)
-    tris = []
-    for i in range(len(ring)):
-        tri = (center, ring[i], ring[(i + 1) % len(ring)])
-        if _triangle_area(tri) <= 0.0:
-            raise UnsupportedDimensionError("degenerate triangle in fan triangulation")
-        tris.append(tri)
-    tiling = Triangulation(simplices=tuple(tris))
-    reference = polygon_area(ring)
-    if abs(tiling.total_area - reference) > AREA_TOL * max(1.0, reference):
-        raise AssertionError("triangulation does not tile the polygon")
-    return tiling
+    cx, cy = _centroid(ring)
+    rays, halves = [], []
+    for (ax, ay), (bx, by) in zip(ring, ring[1:] + ring[:1]):
+        e1x, e1y, e2x, e2y = ax - cx, ay - cy, bx - cx, by - cy
+        jac = abs(e1x * e2y - e2x * e1y)
+        halves.append(0.5 * jac)
+        rays.extend(((1.0 - t) * e1x + t * e2x, (1.0 - t) * e1y + t * e2y, jac * wt) for t, wt in zip(u, w))
+    radial = tuple(zip(u, tuple(wi * ui for wi, ui in zip(w, u))))
+    return FanRule(center=(cx, cy), rays=tuple(rays), radial=radial, area=sum(halves))
 
 
 def polygon_rule(p: DelzantPolytope, order: int) -> tuple[list[Point], list[float]]:
-    """Every node and weight of the order-``order`` rule on the polygon.
+    """Every node and weight of :func:`fan_rule` on the polygon.
 
-    The node (u_i, v_j) of the tensor rule :func:`line_rule` maps to the
-    reference simplex at (xi, eta) = (u_i (1 - v_j), u_i v_j) with weight
-    w_i w_j u_i, and on to each fan triangle (c, v_1, v_2) of
-    :func:`triangulate` at (1 - xi - eta) c + xi v_1 + eta v_2 with that
-    weight times twice the triangle's area.  Returns the N = d (order + 3)^2
-    nodes as (x1, x2) pairs and their weights, for d facets, triangle by
-    triangle; the weights are positive and sum to the polygon's area.
+    Returns the N = d (order + 3)^2 nodes c + u_i d_j as (x1, x2) pairs
+    and their weights w_i u_i J w_j, for d facets, ray by ray and along
+    each ray outwards; the weights are positive and sum to the polygon's
+    area.
     """
-    u, w = line_rule(order)
-    reference = [(ui * (1.0 - uj), ui * uj, wi * ui * wj) for ui, wi in zip(u, w) for uj, wj in zip(u, w)]
-    points, weights = [], []
-    for tri in triangulate(p).simplices:
-        (cx, cy), (ax, ay), (bx, by) = tri
-        jac = 2.0 * _triangle_area(tri)
-        for xi, eta, weight in reference:
-            rest = 1.0 - xi - eta
-            points.append((rest * cx + xi * ax + eta * bx, rest * cy + xi * ay + eta * by))
-            weights.append(jac * weight)
+    (cx, cy), rays, radial, _ = fan_rule(p, order)
+    points = [(cx + ui * dx, cy + ui * dy) for dx, dy, _ in rays for ui, _ in radial]
+    weights = [wu * jw for _, _, jw in rays for _, wu in radial]
     return points, weights
 
 

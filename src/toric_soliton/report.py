@@ -47,6 +47,9 @@ from .polytope import (
 )
 from .roots import RootSet, SolitonDecomposition, assemble_decomposition, automorphism_dimensions, enumerate_roots
 
+#: the ``--potential`` kinds of ``verify`` and ``decompose``
+POTENTIAL_KINDS = ("guillemin", "calabi")
+
 
 def format_float(x: float) -> float:
     """Round-trip a float through 15 significant digits."""
@@ -156,7 +159,7 @@ def soliton_report(p: DelzantPolytope, tol: float = 1e-10, order: int = 10) -> d
 
 def _check_potential(normalized: DelzantPolytope, potential_kind: str) -> None:
     """Reject a potential kind that is unknown or not available on this polygon."""
-    if potential_kind not in ("guillemin", "calabi"):
+    if potential_kind not in POTENTIAL_KINDS:
         raise MalformedInputError(f"unknown potential kind {potential_kind!r}")
     if potential_kind == "calabi":
         require_blowup_trapezoid(normalized)
@@ -171,7 +174,7 @@ def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
         ctx.potential.polytope, lambda pts: operators.scalar_curvature(ctx.potential.stack(pts, gradient=False)),
         order=order,
     )
-    return total / quadrature.triangulate(ctx.potential.polytope).total_area
+    return total / quadrature.fan_rule(ctx.potential.polytope, order).area
 
 
 def _peak(*residuals) -> float:
@@ -375,7 +378,7 @@ def calabi_report(grid_points: int = 50) -> dict:
     """Solve the blow-up closed forms and report residual diagnostics.
 
     The ODE residual is sampled on floats, at the points of
-    ``numpy.linspace(ALPHA1, ALPHA2, grid_points)``.
+    ``polytope.linspace(ALPHA1, ALPHA2, grid_points)``.
     """
     soliton = calabi.CalabiSoliton.solve()
     xs = linspace(calabi.ALPHA1, calabi.ALPHA2, grid_points)

@@ -266,10 +266,15 @@ def test_ray_form_matches_array_quadrature(surface, imaged):
         assert np.allclose(hess, expected_hess, rtol=1e-13, atol=1e-13 * expected_value)
 
 
-@pytest.mark.parametrize("surface, calls", [("P2", 4), ("Bl1P2", 9), ("Bl3P2", 5)])
+@pytest.mark.parametrize("surface, calls", [
+    ("P2", 4), ("P1xP1", 4), ("Bl1P2", 9), ("Bl2P2", 12), ("Bl3P2", 5), ("Bl2P2-image", 9),
+])
 def test_solve_evaluates_each_point_once(surface, calls, monkeypatch):
     # the next Newton step starts at the accepted line-search point, the polish at
-    # the last Newton point and the residuals at the final point: none is evaluated twice
+    # the last Newton point and the residuals at the final point: none is evaluated twice,
+    # and the number of points evaluated is pinned
+    name, _, imaged = surface.partition("-")
+    normals = FIVE_SURFACES[name][0]
     evaluated = []
 
     def counting(p, a, order=10):
@@ -277,6 +282,6 @@ def test_solve_evaluates_each_point_once(surface, calls, monkeypatch):
         return weighted_volume(p, a, order)
 
     monkeypatch.setattr(futaki, "weighted_volume", counting)
-    solve_soliton_vector(polygon(FIVE_SURFACES[surface][0]))
+    solve_soliton_vector(lattice_image(normals) if imaged else polygon(normals))
     assert len(evaluated) == calls
     assert len(set(evaluated)) == calls

@@ -1,9 +1,10 @@
-"""Triangulation and quadrature exactness."""
+"""The fan rule: its tiling of the polygon, its node set and its exactness."""
 
 from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,10 @@ from hypothesis import strategies as st
 
 from toric_soliton.errors import MalformedInputError, UnsupportedDimensionError
 from toric_soliton.polytope import parse_polytope
-from toric_soliton.quadrature import gauss_legendre, integrate, line_rule, polygon_rule, triangulate
+from toric_soliton.quadrature import cyclic_vertices, fan_rule, gauss_legendre, integrate, line_rule, polygon_rule
+from test_futaki import FIVE_SURFACES, lattice_image
+
+DATA = Path(__file__).parent / "data"
 
 
 def reference_monomial_integral(i: int, j: int) -> float:
@@ -21,22 +25,36 @@ def reference_monomial_integral(i: int, j: int) -> float:
     return math.factorial(i) * math.factorial(j) / math.factorial(i + j + 2)
 
 
+def exact_area(p) -> Fraction:
+    """Shoelace area of the exact vertices, taken counterclockwise around their centroid."""
+    ring = [vertex for vertex, _ in p.vertex_data]
+    cx, cy = (sum(axis) / len(ring) for axis in zip(*ring))
+    ring.sort(key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
+    return sum(x * yn - xn * y for (x, y), (xn, yn) in zip(ring, ring[1:] + ring[:1])) / 2
+
+
 def test_triangulation_areas(cp2, blowup, square):
+    # one fan triangle per edge, order + 3 rays each, and the triangles' areas add up to the polygon's
     for p, (count, area) in ((cp2, (3, 4.5)), (blowup, (4, 4.0)), (square, (4, 4.0))):
-        tiling = triangulate(p)
-        assert len(tiling.simplices) == count
-        assert tiling.total_area == pytest.approx(area, abs=1e-12)
+        rule = fan_rule(p, 6)
+        assert len(rule.rays) == count * 9
+        assert len(rule.radial) == 9
+        assert rule.area == pytest.approx(area, abs=1e-12)
 
 
-def test_polygon_rule_weights_positive_and_sum_to_area(cp2, blowup, square):
-    for p, area in ((cp2, 4.5), (blowup, 4.0), (square, 4.0)):
+def test_polygon_rule_weights_positive_and_sum_to_area():
+    # the shipped Fano polygons and the lattice image of each Fano surface
+    shipped = [parse_polytope((DATA / f"{name}.json").read_text()) for name in ("cp2", "blowup", "square", "bl3")]
+    for p in shipped + [lattice_image(normals) for normals, *_ in FIVE_SURFACES.values()]:
         facets = len(p.facets)
+        area = float(exact_area(p))
+        assert fan_rule(p, 4).area == pytest.approx(area, rel=1e-12, abs=1e-12)
         for order in (1, 4, 10, 16):
             points, weights = map(np.array, polygon_rule(p, order))
             assert points.shape == (facets * (order + 3) ** 2, 2)
             assert weights.shape == (facets * (order + 3) ** 2,)
             assert np.all(weights > 0)
-            assert weights.sum() == pytest.approx(area, abs=1e-12)
+            assert weights.sum() == pytest.approx(area, rel=1e-12, abs=1e-12)
             assert np.all(np.min(p.facet_values_many(points), axis=1) > 0)
 
 
@@ -157,25 +175,33 @@ def test_gauss_legendre_matches_numpy():
 
 
 def test_triangulation_is_plain_floats(blowup):
-    # the Futaki solve runs on this tiling without numpy
-    for tri in triangulate(blowup).simplices:
-        assert all(type(c) is float for vertex in tri for c in vertex)
+    # the Futaki solve runs on this fan rule without numpy
+    rule = fan_rule(blowup, 6)
+    assert all(type(c) is float for c in rule.center)
+    assert all(type(c) is float for ray in rule.rays for c in ray)
+    assert all(type(c) is float for pair in rule.radial for c in pair)
+    assert type(rule.area) is float
 
 
 def numpy_polygon_rule(p, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle: the collapsed tensor rule mapped to every fan triangle with numpy outer products."""
+    """The oracle: the collapsed tensor rule on every fan triangle with numpy broadcasting.
+
+    The rays d = (1 - t) (v_1 - c) + t (v_2 - c) of each edge (v_1, v_2),
+    triangle by triangle, carry the nodes c + u d in ray order.
+    """
     u, w = (np.array(t) for t in line_rule(order))
-    xi, eta = np.outer(u, 1.0 - u).ravel(), np.outer(u, u).ravel()
-    barycentric = np.stack([1.0 - xi - eta, xi, eta], axis=1)
-    simplices = np.array(triangulate(p).simplices)
-    edges = simplices[:, 1:] - simplices[:, :1]
-    jac = np.abs(edges[:, 0, 0] * edges[:, 1, 1] - edges[:, 1, 0] * edges[:, 0, 1])
-    return (barycentric @ simplices).reshape(-1, 2), np.outer(jac, np.outer(w * u, w).ravel()).ravel()
+    ring = np.array(cyclic_vertices(p))
+    center = ring.mean(axis=0)
+    e1, e2 = ring - center, np.roll(ring, -1, axis=0) - center
+    jac = np.abs(e1[:, 0] * e2[:, 1] - e2[:, 0] * e1[:, 1])
+    rays = (e1[:, None, :] * (1.0 - u)[:, None] + e2[:, None, :] * u[:, None]).reshape(-1, 2)
+    points = center + rays[:, None, :] * u[:, None]
+    return points.reshape(-1, 2), np.outer(np.outer(jac, w).ravel(), w * u).ravel()
 
 
 @pytest.mark.parametrize("name", ["cp2", "blowup", "square", "bl3", "non_delzant", "not_fano"])
 def test_polygon_rule_matches_numpy_build(name):
-    p = parse_polytope((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    p = parse_polytope((DATA / f"{name}.json").read_text())
     for order in (1, 4, 10, 16, 22):
         points, weights = polygon_rule(p, order)
         expected_points, expected_weights = numpy_polygon_rule(p, order)
