@@ -31,11 +31,11 @@ EXIT_GEOMETRY = 2
 EXIT_SOLVER = 3
 EXIT_VERIFICATION = 4
 
-#: largest accepted ``--order``; the Futaki solve at it takes about 1 s, and
-#: ``verify`` at it about 4 s and up to 0.21 GB (one stack on up to 6 * 203^2 nodes)
+#: largest accepted ``--order``; the Futaki solve at it takes about 0.2 s, and
+#: ``verify`` at it about 2-3 s and up to 0.19 GB (one stack on up to 6 * 203^2 nodes)
 MAX_ORDER = 200
-#: largest accepted ``--grid``; ``verify`` at it takes about 6-7 s and up to 0.2 GB
-#: (shared 2-core Xeon)
+#: largest accepted ``--grid``; ``verify`` at it takes about 2-3 s and up to 0.13 GB
+#: (Bl3P2 on a shared 2-core Xeon, fresh process)
 MAX_GRID = 500
 
 

@@ -24,8 +24,9 @@ integrates with, summing along its rays, one exponent slope per ray:
 0.12-0.52 ms a call at orders 10-22 against 0.17-1.00 ms for a loop over
 the nodes (2-core Xeon).  The surface is two-dimensional, so the Newton
 step and the definiteness check are 2x2 closed forms.  The Newton loop
-carries the last ``(W, grad W, hess W)`` it computed, so each point of a
-solve is evaluated once.
+builds the fan rule once per quadrature order and carries the last
+``(W, grad W, hess W)`` it computed, so each point of a solve is evaluated
+once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import NamedTuple
 
 from .errors import NonConvergenceError
 from .polytope import DelzantPolytope, normalize_algebraic
-from .quadrature import fan_rule
+from .quadrature import FanRule, fan_rule
 
 MAX_NEWTON_ITERATIONS = 60
 MAX_QUADRATURE_ORDER = 40
@@ -57,21 +58,22 @@ class SolitonData(NamedTuple):
     quadrature_order: int
 
 
-def weighted_volume(p: DelzantPolytope, a, order: int = 10) -> Volume:
-    """W(a) = int_P exp(2<a,x>) dv with gradient and Hessian in a.
+def weighted_volume(rule: FanRule, a) -> Volume:
+    """W(a) = int_P exp(2<a,x>) dv with gradient and Hessian in a, on the polygon's fan rule.
 
     Returns (W, grad W, hess W) where grad W = 2 int x w dv and
     hess W = 4 int x x^T w dv; the Hessian is a Gram matrix of the
     coordinates and therefore symmetric positive definite.
 
-    The moments are taken on :func:`~toric_soliton.quadrature.fan_rule`
-    along its rays: the node c + u d_j has weight exp(2<a,c>) exp(k_j u)
-    with k_j = 2<a,d_j>, so the ray contributes S_p = J w_j sum_i w_i
+    The moments are taken on ``rule``, the
+    :func:`~toric_soliton.quadrature.fan_rule` of P, along its rays: the
+    node c + u d_j has weight exp(2<a,c>) exp(k_j u) with
+    k_j = 2<a,d_j>, so the ray contributes S_p = J w_j sum_i w_i
     u_i^(1+p) exp(k_j u_i), p = 0, 1, 2, to the moments of {1, x, x x^T}:
     S_0, c S_0 + d S_1 and c c^T S_0 + (c d^T + d c^T) S_1 + d d^T S_2.
     """
     a1, a2 = (float(c) for c in a)
-    (cx, cy), rays, radial, _ = fan_rule(p, order)
+    (cx, cy), rays, radial, _ = rule
     exp = math.exp
     m0 = mx = my = mxx = mxy = myy = 0.0
     for dx, dy, jw in rays:
@@ -123,12 +125,14 @@ def _newton_minimize(p: DelzantPolytope, a: Vector, tol: float, order: int,
                      trace: list[dict]) -> tuple[Vector, Volume]:
     """Minimize W at one quadrature order from ``a``; the minimizer and its :func:`weighted_volume`.
 
-    Newton steps with step halving until |grad W| / W <= tol, then a
-    quadratic polish.  Each point is evaluated once: an accepted
+    Every evaluation reads the one fan rule of ``p`` at ``order``.  Newton
+    steps with step halving until |grad W| / W <= tol, then a quadratic
+    polish.  Each point is evaluated once: an accepted
     line-search trial is the next iterate, and the polish and the caller
     read the evaluation already held.
     """
-    volume = weighted_volume(p, a, order)
+    rule = fan_rule(p, order)
+    volume = weighted_volume(rule, a)
     for iteration in range(MAX_NEWTON_ITERATIONS):
         value, grad, hess = volume
         grad_norm = _norm(grad)
@@ -141,7 +145,7 @@ def _newton_minimize(p: DelzantPolytope, a: Vector, tol: float, order: int,
         t = 1.0
         while t > 1e-12:
             candidate = (a[0] + t * step[0], a[1] + t * step[1])
-            trial = weighted_volume(p, candidate, order)
+            trial = weighted_volume(rule, candidate)
             if trial[0] < value:
                 break
             t *= 0.5
@@ -159,7 +163,7 @@ def _newton_minimize(p: DelzantPolytope, a: Vector, tol: float, order: int,
             break
         step = _newton_step(hess, grad)
         candidate = (a[0] + step[0], a[1] + step[1])
-        trial = weighted_volume(p, candidate, order)
+        trial = weighted_volume(rule, candidate)
         if _norm(trial[1]) < grad_norm:
             a, volume = candidate, trial
         else:

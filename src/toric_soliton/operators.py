@@ -14,10 +14,10 @@ Evaluation surface.  Operators read the potential only through a
 at once, in plain float columns laid out like the stack's: a profile's
 ``jet`` gives ``(u, (u1, u2), (u11, u12, u22))``, one column of m floats
 each, and every operator (``weighted_laplacian``,
-``complex_weighted_laplacian``, ``scalar_curvature`` ...) returns a
-column of m values; one point is a stack of one.  The components of
-``ricci_and_lie_components`` are columns too, indexed component first.
-Every value is a real float: the angular sector enters through the real
+``complex_weighted_laplacian``, ``soliton_residuals`` ...) returns a
+column of m values; one point is a stack of one.  Abreu's scalar
+curvature is no operator: it is the stack's own ``scal`` column.  Every
+value is a real float: the angular sector enters through the real
 coefficients above, so no operator needs complex arithmetic.  The
 finite-difference oracle reads stacks too, on nine-point stencils: one
 stack of 81 points for the profile values and ``H`` and ``G`` at the
@@ -222,12 +222,6 @@ def product_rule_defects(ctx: OperatorContext, u: EquivariantFunction, v: Equiva
     ]
 
 
-def scalar_curvature(s: Stack) -> list[float]:
-    """Abreu scalar curvature -sum_ij d^2 H_ij / dx_i dx_j on every stack point."""
-    d2h = s.d2H
-    return [-(p + q + q + r) for p, q, r in zip(d2h[0], d2h[4], d2h[8])]
-
-
 def soliton_residuals(ctx: OperatorContext, s: Stack, scal_mean: float) -> list[float]:
     """Defect Scal(x) - scal_mean + 2 Delta^g <x, a> of the soliton equation on every stack point."""
     a1, a2 = ctx.a
@@ -235,33 +229,8 @@ def soliton_residuals(ctx: OperatorContext, s: Stack, scal_mean: float) -> list[
     # Delta^g <x, a> = -sum_ij a_j d_i H_ij
     return [
         scal - scal_mean - 2.0 * ((p + q) * a1 + (r + t) * a2)
-        for scal, p, q, r, t in zip(scalar_curvature(s), d1h11, d2h12, d1h12, d2h22)
+        for scal, p, q, r, t in zip(s.scal, d1h11, d2h12, d1h12, d2h22)
     ]
-
-
-def ricci_and_lie_components(ctx: OperatorContext, s: Stack) -> tuple:
-    """Ricci components and the Lie-derivative components of the soliton field.
-
-    Each is ``((c11, c12), (c21, c22))``, a column per entry.
-    Ric[k, l] = -(1/2) sum_i d^2 H_li / dx_i dx_k; the Lie components use
-    the moment-image drift covector (-a), which makes the soliton identity
-    Ric - Lie = identity hold with the fan-side vector stored in the context.
-    """
-    d11h11, d11h12, _, d12h11, d12h12, d12h22, _, d22h12, d22h22 = s.d2H
-    d1h11, d1h12, d1h22, d2h11, d2h12, d2h22 = s.dH
-    a1, a2 = ctx.a
-
-    def half_sum(p, q):
-        return [-0.5 * (x + y) for x, y in zip(p, q)]
-
-    def pairing(p, q):
-        return [a1 * x + a2 * y for x, y in zip(p, q)]
-
-    ric = ((half_sum(d11h11, d12h12), half_sum(d11h12, d12h22)),
-           (half_sum(d12h11, d22h12), half_sum(d12h12, d22h22)))
-    lie = ((pairing(d1h11, d1h12), pairing(d1h12, d1h22)),
-           (pairing(d2h11, d2h12), pairing(d2h12, d2h22)))
-    return ric, lie
 
 
 # -- finite-difference oracle ------------------------------------------------
@@ -294,7 +263,7 @@ def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x) ->
 
     Returns ``(complex_weighted, abreu)``, computed from values of the
     profile, ``H`` and ``G`` alone, so both are independent of the
-    analytic derivatives ``dH``, ``d2H`` and the operator assembly.  Every
+    analytic ``dH``, ``scal`` and the operator assembly.  Every
     value comes from one of two stacks of the context potential, so the
     oracle runs on either potential family.  The complex weighted term
     takes first differences of u and of the flux ``H grad u`` over the

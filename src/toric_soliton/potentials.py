@@ -2,15 +2,19 @@
 
 A potential is evaluated only through its :class:`Stack`: on a batch of m
 interior points it holds the gradient, the Hessian ``G``, its inverse
-``H``, ``dG``, ``dH`` and ``d2H`` as plain float columns, one
-``array('d')`` of m values per component.  Polytopes are two-dimensional,
-so a symmetric 2x2 field is stored once, as its entries ``(11, 12, 22)``,
-and its derivatives are derivative-major:
+``H``, ``dG``, ``dH`` and Abreu's scalar curvature ``scal`` as plain float
+columns, one ``array('d')`` of m values per component.  Polytopes are
+two-dimensional, so a symmetric 2x2 field is stored once, as its entries
+``(11, 12, 22)``, and its derivatives are derivative-major:
 
 * ``points`` and ``grad``: ``(x1, x2)`` and ``(d1 phi, d2 phi)``;
 * ``G`` and ``H``: ``(11, 12, 22)``;
 * ``dG`` and ``dH``: ``d1`` of ``(11, 12, 22)``, then ``d2`` of them;
-* ``d2H``: ``d11``, then ``d12``, then ``d22`` of ``(11, 12, 22)``.
+* ``scal``: the one column ``-sum_ij d_i d_j H_ij``.
+
+The stack reaches fourth order in the potential only through ``scal``, so
+each family computes just the three second derivatives of ``H`` that it
+contracts, ``d11 H11``, ``d12 H12`` and ``d22 H22`` (see ``_abreu``).
 
 :meth:`SymplecticPotential.stack` runs one interior check per batch and
 then evaluates every formula column by column, on blocks of ``BLOCK``
@@ -24,7 +28,7 @@ other side comes from closed-form 2x2 algebra on the adjugate (see
 * metrics given on the inverse side (:class:`CalabiPotential`, the
   one-point blow-up soliton built on the closed forms of
   :mod:`toric_soliton.calabi`) supply the gradient, ``H``, ``dH`` and
-  ``d2H`` analytically.
+  the three second derivatives of ``H`` analytically.
 
 Every potential is built on the caller's polygon and keeps it as
 ``polytope``, the one polygon that operators and checks read.  The Calabi
@@ -80,7 +84,7 @@ class Stack(NamedTuple):
     H: tuple[Column, Column, Column]
     dG: tuple[Column, ...]  # d1 (11, 12, 22), d2 (11, 12, 22)
     dH: tuple[Column, ...]
-    d2H: tuple[Column, ...]  # d11 (11, 12, 22), d12 (...), d22 (...)
+    scal: Column  # Abreu's scalar curvature -sum_ij d_i d_j H_ij
 
     @property
     def size(self) -> int:
@@ -97,7 +101,8 @@ class Stack(NamedTuple):
 
             def pick(column):
                 return array("d", [column[i] for i in index])
-        return Stack(*(None if field is None else tuple(map(pick, field)) for field in self))
+        *fields, scal = self
+        return Stack(*(None if field is None else tuple(map(pick, field)) for field in fields), pick(scal))
 
 
 def as_pairs(points) -> Pairs:
@@ -113,8 +118,8 @@ def as_pairs(points) -> Pairs:
 
 #: points per block: a block's columns are lists, freed once copied into the stack's arrays
 BLOCK = 4096
-#: the number of columns of each stack field after ``points``
-_WIDTHS = (2, 3, 3, 6, 6, 9)
+#: the number of columns of each stack field from ``grad`` to ``dH``; ``scal`` is one more
+_WIDTHS = (2, 3, 3, 6, 6)
 
 
 def _combine(terms, m: int) -> list[float]:
@@ -141,6 +146,11 @@ def _combine(terms, m: int) -> list[float]:
 _ADJUGATE_SIGNS = (1.0, -1.0, 1.0)
 
 
+def _abreu(d11h11: Column, d12h12: Column, d22h22: Column) -> list[float]:
+    """Abreu's scalar curvature -sum_ij d_i d_j H_ij from the three second derivatives it reads."""
+    return [-(p + q + q + r) for p, q, r in zip(d11h11, d12h12, d22h22)]
+
+
 def _inverse_jet(m, dm, d2m=None) -> tuple:
     """The inverse N = M^-1 of a symmetric 2x2 field with dN, and with d2N when d2M is given.
 
@@ -148,34 +158,33 @@ def _inverse_jet(m, dm, d2m=None) -> tuple:
     dN_k = (dA_k - N dD_k) / D and
     d2N_kl = (d2A_kl - dN_l dD_k - dN_k dD_l - N d2D_kl) / D, where
     dD_k = A : dM_k and d2D_kl = A : d2M_kl + dA_l : dM_k, with
-    P : Q = p11 q11 + 2 p12 q12 + p22 q22.
+    P : Q = p11 q11 + 2 p12 q12 + p22 q22.  Of d2N only the entries
+    ``(d11 N11, d12 N12, d22 N22)`` are formed, the ones :func:`_abreu` reads.
     """
     m11, m12, m22 = m
     det = [p * r - q * q for p, q, r in zip(m11, m12, m22)]
     n = tuple([sign * a / d for a, d in zip(column, det)] for sign, column in zip(_ADJUGATE_SIGNS, m[::-1]))
 
-    def over_det(derivative, products):
-        """(dA_e - products_e) / D for each entry e, dA read from a derivative of M."""
-        return tuple([(sign * a - t) / d for a, t, d in zip(column, terms, det)]
-                     for sign, column, terms in zip(_ADJUGATE_SIGNS, derivative[::-1], products))
+    def over_det(i, derivative, products):
+        """(dA_i - products) / D for entry i, dA_i read from a derivative of M."""
+        return [(_ADJUGATE_SIGNS[i] * a - t) / d for a, t, d in zip(derivative[2 - i], products, det)]
 
     first = (dm[:3], dm[3:])
     d_det = [[dp * r + p * dr - 2.0 * q * dq for p, q, r, dp, dq, dr in zip(m11, m12, m22, *d)] for d in first]
-    dn = [over_det(d, [[x * e for x, e in zip(entry, dd)] for entry in n]) for d, dd in zip(first, d_det)]
+    dn = [[over_det(i, d, [x * e for x, e in zip(n[i], dd)]) for i in range(3)] for d, dd in zip(first, d_det)]
     if d2m is None:
         return n, (*dn[0], *dn[1])
     d2n = []
-    for (k, l), d2 in zip(((0, 0), (0, 1), (1, 1)), (d2m[:3], d2m[3:6], d2m[6:])):
+    # entry i of d2N_kl for (k, l) = (0, 0), (0, 1), (1, 1): d11 N11, d12 N12, d22 N22
+    for i, (k, l), d2 in zip(range(3), ((0, 0), (0, 1), (1, 1)), (d2m[:3], d2m[3:6], d2m[6:])):
         (pk, qk, rk), (pl, ql, rl) = first[k], first[l]
         d2_det = [
             ppkl * r + p * rrkl - 2.0 * q * qqkl + pk_ * rl_ + pl_ * rk_ - 2.0 * qk_ * ql_
             for p, q, r, ppkl, qqkl, rrkl, pk_, qk_, rk_, pl_, ql_, rl_ in zip(m11, m12, m22, *d2, pk, qk, rk, pl, ql, rl)
         ]
-        products = [
-            [xl * ek + xk * el + x * e for xl, ek, xk, el, x, e in zip(dn[l][i], d_det[k], dn[k][i], d_det[l], n[i], d2_det)]
-            for i in range(3)
-        ]
-        d2n += over_det(d2, products)
+        products = [xl * ek + xk * el + x * e
+                    for xl, ek, xk, el, x, e in zip(dn[l][i], d_det[k], dn[k][i], d_det[l], n[i], d2_det)]
+        d2n.append(over_det(i, d2, products))
     return n, (*dn[0], *dn[1]), tuple(d2n)
 
 
@@ -197,7 +206,7 @@ class SymplecticPotential(ABC):
         """The derivative stack on a batch of interior (x, y) points; ``gradient=False`` skips ``grad``."""
         pairs = as_pairs(points)
         facet_values = self.require_interior(pairs)
-        columns = [array("d") for _ in range(sum(_WIDTHS) - (0 if gradient else 2))]
+        columns = [array("d") for _ in range(sum(_WIDTHS) + 1 - (0 if gradient else 2))]
         for start in range(0, len(pairs), BLOCK):
             end = start + BLOCK
             for column, values in zip(columns, self._columns(pairs[start:end], facet_values[start:end], gradient)):
@@ -207,11 +216,11 @@ class SymplecticPotential(ABC):
             fields.append(tuple(columns[:width]))
             del columns[:width]
         points = (array("d", [x for x, _ in pairs]), array("d", [y for _, y in pairs]))
-        return Stack(points, *fields)
+        return Stack(points, *fields, columns[0])
 
     @abstractmethod
     def _columns(self, pairs: Pairs, facet_values: list[tuple[float, ...]], gradient: bool) -> list:
-        """The stack's columns on a block, grad (if built), G, H, dG, dH and d2H in order."""
+        """The stack's columns on a block, grad (if built), G, H, dG, dH and scal in order."""
 
 
 class PhiSidePotential(SymplecticPotential):
@@ -224,7 +233,7 @@ class PhiSidePotential(SymplecticPotential):
     def _columns(self, pairs, facet_values, gradient):
         grad, g, dg, d2g = self._phi_columns(pairs, facet_values, gradient)
         h, dh, d2h = _inverse_jet(g, dg, d2g)
-        return [*grad, *g, *h, *dg, *dh, *d2h]
+        return [*grad, *g, *h, *dg, *dh, _abreu(*d2h)]
 
 
 class GuilleminPotential(PhiSidePotential):
@@ -285,42 +294,37 @@ class QuadraticPotential(PhiSidePotential):
 
 
 class HSidePotential(SymplecticPotential):
-    """Stack driven by analytic grad, H, dH and d2H; the G side is derived."""
+    """Stack driven by analytic grad, H, dH and the second derivatives scal reads; the G side is derived."""
 
     @abstractmethod
     def _h_columns(self, pairs: Pairs, gradient: bool) -> tuple:
-        """(grad or (), H, dH, d2H) on a block, in the stack's layouts."""
+        """(grad or (), H, dH, (d11 H11, d12 H12, d22 H22)) on a block, in the stack's layouts."""
 
     def _columns(self, pairs, facet_values, gradient):
         grad, h, dh, d2h = self._h_columns(pairs, gradient)
         g, dg = _inverse_jet(h, dh)
-        return [*grad, *g, *h, *dg, *dh, *d2h]
+        return [*grad, *g, *h, *dg, *dh, _abreu(*d2h)]
 
 
 def _calabi_h_jet(s: CalabiSoliton, t: float, mu2: float):
-    """H, dH and d2H at the point (t, mu2) of tau, in the stack's layouts."""
+    """H, dH and (d11 H11, d12 H12, d22 H22) at the point (t, mu2) of tau, in the stack's layouts."""
     y = mu2 / t
     a_val, a1d, a2d = profile_A(s, t)
     b_val, b1d, b2d = profile_B(s, y)
     ax = a1d / t - a_val / t**2
     axx = a2d / t - 2.0 * a1d / t**2 + 2.0 * a_val / t**3
-    # (f, f_x, f_y, f_xx, f_xy, f_yy) of each entry 11, 12, 22 in the rectangle coordinates (x, y)
+    # (f, f_x, f_y) of each entry 11, 12, 22 in the rectangle coordinates (x, y)
     entries = (
-        (a_val / t, ax, 0.0, axx, 0.0, 0.0),
-        (y * a_val / t, y * ax, a_val / t, y * axx, ax, 0.0),
-        (t * b_val + y * y * a_val / t, b_val + y * y * ax, t * b1d + 2.0 * y * a_val / t,
-         y * y * axx, b1d + 2.0 * y * ax, t * b2d + 2.0 * a_val / t),
+        (a_val / t, ax, 0.0),
+        (y * a_val / t, y * ax, a_val / t),
+        (t * b_val + y * y * a_val / t, b_val + y * y * ax, t * b1d + 2.0 * y * a_val / t),
     )
-    h, d1, d2, d11, d12, d22 = [], [], [], [], [], []
-    for f, fx, fy, fxx, fxy, fyy in entries:
-        # chain rule through y = mu2 / mu1
-        h.append(f)
-        d1.append(fx - (y / t) * fy)
-        d2.append(fy / t)
-        d11.append(fxx - 2.0 * (y / t) * fxy + (y / t) ** 2 * fyy + 2.0 * y / t**2 * fy)
-        d12.append(-fy / t**2 + fxy / t - y * fyy / t**2)
-        d22.append(fyy / t**2)
-    return h, (*d1, *d2), (*d11, *d12, *d22)
+    # chain rule through y = mu2 / mu1
+    h = [f for f, _, _ in entries]
+    dh = (*(fx - (y / t) * fy for _, fx, fy in entries), *(fy / t for _, _, fy in entries))
+    # d11 = f_xx - 2 (y/t) f_xy + (y/t)^2 f_yy + 2 y f_y / t^2, d12 = f_xy / t - (f_y + y f_yy) / t^2 and
+    # d22 = f_yy / t^2, with f_y = f_xy = f_yy = 0 on entry 11 and f_yy = 0 on entry 12
+    return h, dh, (axx, -(a_val / t) / t**2 + ax / t, (t * b2d + 2.0 * a_val / t) / t**2)
 
 
 class CalabiPotential(HSidePotential):

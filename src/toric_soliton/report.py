@@ -168,11 +168,10 @@ def _check_potential(normalized: DelzantPolytope, potential_kind: str) -> None:
 def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
     """Mean of Abreu's scalar curvature over the polygon, from one stack on every quadrature node.
 
-    The curvature reads only ``d2H``, so the stack is built without the gradient.
+    The curvature is the stack's ``scal`` column, so the stack is built without the gradient.
     """
     total = quadrature.integrate(
-        ctx.potential.polytope, lambda pts: operators.scalar_curvature(ctx.potential.stack(pts, gradient=False)),
-        order=order,
+        ctx.potential.polytope, lambda pts: ctx.potential.stack(pts, gradient=False).scal, order=order,
     )
     return total / quadrature.fan_rule(ctx.potential.polytope, order).area
 
@@ -245,7 +244,7 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
         profile = results[0].profile if results else operators.profile_coordinate(0)
         analytic = float(operators.complex_weighted_laplacian(ctx, profile, at_x0)[0])
         oracle, abreu_fd = operators.finite_difference_oracle(ctx, profile, x0)
-        abreu_an = float(operators.scalar_curvature(at_x0)[0])
+        abreu_an = at_x0.scal[0]
         checks += [("fd_oracle_weighted_rel", (oracle - analytic) / max(1.0, abs(analytic)), 1e-4),
                    ("fd_oracle_abreu_rel", (abreu_fd - abreu_an) / max(1.0, abs(abreu_an)), 1e-3)]
 

@@ -144,7 +144,7 @@ def symmetric(c11, c12, c22) -> np.ndarray:
 
 
 class ArrayStack(NamedTuple):
-    """A stack as arrays: ``dG[m, i, j, k] = d_k G_ij`` and ``d2H[m, i, j, k, l] = d_k d_l H_ij``."""
+    """A stack as arrays: ``dG[m, i, j, k] = d_k G_ij`` and ``scal[m]``."""
 
     points: np.ndarray
     grad: np.ndarray | None
@@ -152,16 +152,15 @@ class ArrayStack(NamedTuple):
     H: np.ndarray
     dG: np.ndarray
     dH: np.ndarray
-    d2H: np.ndarray
+    scal: np.ndarray
 
 
 def expand(s) -> ArrayStack:
-    """The stack's columns as the arrays (m, 2), (m, 2), (m, 2, 2) ... (m, 2, 2, 2, 2)."""
+    """The stack's columns as the arrays (m, 2), (m, 2), (m, 2, 2), (m, 2, 2), (m, 2, 2, 2), (m, 2, 2, 2), (m,)."""
 
     def first(d):
         return np.stack([symmetric(*d[:3]), symmetric(*d[3:])], axis=-1)
 
-    t11, t12, t22 = symmetric(*s.d2H[:3]), symmetric(*s.d2H[3:6]), symmetric(*s.d2H[6:])
     return ArrayStack(
         points=batch(s.points),
         grad=None if s.grad is None else batch(s.grad),
@@ -169,7 +168,7 @@ def expand(s) -> ArrayStack:
         H=symmetric(*s.H),
         dG=first(s.dG),
         dH=first(s.dH),
-        d2H=np.stack([np.stack([t11, t12], axis=-1), np.stack([t12, t22], axis=-1)], axis=-2),
+        scal=np.asarray(s.scal),
     )
 
 

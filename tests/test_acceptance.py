@@ -25,7 +25,6 @@ from toric_soliton.operators import (
     profile_constant,
     profile_coordinate,
     profile_exp_pairing,
-    scalar_curvature,
     soliton_residuals,
     weighted_laplacian,
 )
@@ -89,8 +88,8 @@ def test_criterion_04_calabi_closed_forms(calabi_soliton):
 
 
 def test_criterion_05_abreu_curvature(cp2_ctx, cp2_grid, blowup, blowup_ctx):
-    pointwise = np.max(np.abs(np.array(scalar_curvature(cp2_ctx.potential.stack(cp2_grid))) - 4.0))
-    mean = integrate(blowup, lambda pts: scalar_curvature(blowup_ctx.potential.stack(pts)), 10) / 4.0
+    pointwise = np.max(np.abs(np.array(cp2_ctx.potential.stack(cp2_grid).scal) - 4.0))
+    mean = integrate(blowup, lambda pts: blowup_ctx.potential.stack(pts).scal, 10) / 4.0
     ok = pointwise <= 1e-6 and abs(mean - 4.0) <= 1e-4
     report(5, "plane curvature constant 4 pointwise; blow-up mean curvature 4", ok)
 
@@ -155,7 +154,7 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
     analytic = complex_weighted_laplacian(cp2_ctx, profile, at_x0)[0]
     oracle, abreu_fd = finite_difference_oracle(cp2_ctx, profile, x0)
     ok = ok and abs(oracle - analytic) / max(1.0, abs(analytic)) <= 1e-4
-    ok = ok and abs(abreu_fd - scalar_curvature(at_x0)[0]) / 4.0 <= 1e-3
+    ok = ok and abs(abreu_fd - at_x0.scal[0]) / 4.0 <= 1e-3
     report(9, "mode identities, product rule, and FD-oracle agreement", ok)
 
 

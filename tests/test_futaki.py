@@ -13,7 +13,7 @@ from toric_soliton import futaki
 from toric_soliton.calabi import soliton_equation, solve_a1
 from toric_soliton.futaki import solve_soliton_vector, weighted_volume
 from toric_soliton.polytope import normalize_algebraic, parse_polytope
-from toric_soliton.quadrature import integrate
+from toric_soliton.quadrature import fan_rule, integrate
 from toric_soliton.roots import automorphism_dimensions, brute_force_roots, enumerate_roots
 
 
@@ -29,7 +29,7 @@ def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def test_weighted_volume_cp2_at_zero(cp2):
-    value, grad, hess = weighted_volume(cp2, [0.0, 0.0])
+    value, grad, hess = weighted_volume(fan_rule(cp2, 10), [0.0, 0.0])
     assert value == pytest.approx(4.5, abs=1e-12)
     assert np.allclose(grad, 0.0, atol=1e-12)
     hess = np.asarray(hess)
@@ -41,7 +41,7 @@ def test_weighted_volume_blowup_matches_polygon_moments(blowup):
     ring = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 2.0], [-1.0, 0.0]])
     area, moments = polygon_moments(ring)
     assert area == pytest.approx(4.0, abs=1e-14)
-    value, grad, _ = weighted_volume(blowup, [0.0, 0.0])
+    value, grad, _ = weighted_volume(fan_rule(blowup, 10), [0.0, 0.0])
     assert value == pytest.approx(area, abs=1e-12)
     assert np.allclose(grad, 2.0 * moments, atol=1e-12)
     assert np.linalg.norm(grad) > 0.1  # the weighted centroid is away from the center
@@ -52,7 +52,7 @@ def test_weighted_volume_hessian_positive_definite(cp2, blowup):
     for p in (cp2, blowup):
         for _ in range(5):
             a = -rng.uniform(-0.8, 0.8, size=2)
-            _, _, hess = weighted_volume(p, a)
+            _, _, hess = weighted_volume(fan_rule(p, 10), a)
             assert np.linalg.eigvalsh(hess)[0] > 0
 
 
@@ -257,7 +257,7 @@ def test_ray_form_matches_array_quadrature(surface, imaged):
 
             return integrate(p, integrand, order)
 
-        value, grad, hess = weighted_volume(p, a, order)
+        value, grad, hess = weighted_volume(fan_rule(p, order), a)
         expected_value = moment()
         expected_grad = [2.0 * moment(i) for i in range(2)]
         expected_hess = [[4.0 * moment(i, j) for j in range(2)] for i in range(2)]
@@ -277,11 +277,29 @@ def test_solve_evaluates_each_point_once(surface, calls, monkeypatch):
     normals = FIVE_SURFACES[name][0]
     evaluated = []
 
-    def counting(p, a, order=10):
-        evaluated.append((tuple(a), order))
-        return weighted_volume(p, a, order)
+    def counting(rule, a):
+        evaluated.append((tuple(a), rule.radial))
+        return weighted_volume(rule, a)
 
     monkeypatch.setattr(futaki, "weighted_volume", counting)
     solve_soliton_vector(lattice_image(normals) if imaged else polygon(normals))
     assert len(evaluated) == calls
     assert len(set(evaluated)) == calls
+
+
+@pytest.mark.parametrize("surface", list(FIVE_SURFACES))
+@pytest.mark.parametrize("imaged", [False, True])
+def test_solve_builds_one_fan_rule_per_order(surface, imaged, monkeypatch):
+    # every Newton evaluation at one order reads the same rule, built once
+    built = []
+
+    def counting(p, order):
+        built.append(order)
+        return fan_rule(p, order)
+
+    monkeypatch.setattr(futaki, "fan_rule", counting)
+    normals = FIVE_SURFACES[surface][0]
+    soliton = solve_soliton_vector(lattice_image(normals) if imaged else polygon(normals))
+    visited = sorted({step["order"] for step in soliton.iterations})
+    assert sorted(built) == visited
+    assert len(visited) >= 2

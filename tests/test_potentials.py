@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -102,12 +104,36 @@ def test_inv_hessian_derivative_matches_finite_differences(cp2):
     assert np.max(np.abs(fd - expand(pot.stack(pts)).dH)) <= 1e-5
 
 
-def test_inv_hessian_second_matches_finite_differences(cp2):
-    pot = GuilleminPotential(cp2)
-    step = 1e-4
-    pts = interior_points(cp2, 5, seed=5)
-    fd = finite_difference_jacobian(lambda q: expand(pot.stack(q)).dH, pts, step)
-    assert np.max(np.abs(fd - expand(pot.stack(pts)).d2H)) <= 1e-5
+def bl3_lattice_image():
+    """Bl3P2 under x' = (5/2) (A x + b), A = ((2, 1), (1, 1)), b = (1/2, -1/3): normals A^-T nu."""
+    facets = []
+    for a, b in ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)):
+        nu = (a - b, 2 * b - a)
+        offset = Fraction(5, 2) * (1 - Fraction(nu[0], 2) + Fraction(nu[1], 3))
+        facets.append({"normal": list(nu), "offset": str(offset)})
+    return parse_polytope(json.dumps({"dim": 2, "facets": facets}))
+
+
+def abreu_by_second_differences(potential, points, h) -> np.ndarray:
+    """-(D11 H11 + 2 D12 H12 + D22 H22) from central second differences of H values alone."""
+    offsets = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
+    stencil = np.concatenate([points + h * np.array(o) for o in offsets])
+    h11, h12, h22 = (np.asarray(c).reshape(9, len(points)) for c in potential.stack(stencil, gradient=False).H)
+    d11 = (h11[7] - 2.0 * h11[4] + h11[1]) / h**2
+    d12 = (h12[8] - h12[6] - h12[2] + h12[0]) / (4.0 * h**2)
+    d22 = (h22[5] - 2.0 * h22[4] + h22[3]) / h**2
+    return -(d11 + 2.0 * d12 + d22)
+
+
+@pytest.mark.parametrize("case", ["guillemin-cp2", "guillemin-blowup", "guillemin-bl3-image", "calabi-blowup"])
+def test_scal_matches_second_differences_of_H(case, cp2, blowup):
+    family, name = case.split("-", 1)
+    polygon = {"cp2": cp2, "blowup": blowup, "bl3-image": bl3_lattice_image()}[name]
+    potential = (GuilleminPotential if family == "guillemin" else CalabiPotential)(polygon)
+    pts = interior_points(polygon, 12, seed=5)
+    scal = expand(potential.stack(pts)).scal
+    fd = abreu_by_second_differences(potential, pts, 1e-3 * polygon.interior_margin(0.05))
+    assert np.max(np.abs(fd - scal) / np.maximum(1.0, np.abs(scal))) <= 1e-5
 
 
 def test_third_derivative_tensor_symmetry(cp2, blowup):
@@ -166,7 +192,9 @@ def test_quadratic_potential_stack(square):
     assert np.allclose(s.G, np.eye(2))
     assert np.allclose(s.H, np.eye(2))
     assert np.allclose(s.dH, 0.0)
-    assert np.allclose(s.d2H, 0.0)
+    # H is constant, so Abreu's curvature is exactly zero for any positive definite matrix
+    for matrix in (None, ((2.0, 0.5), (0.5, 1.0))):
+        assert list(QuadraticPotential(square, matrix=matrix).stack(interior_points(square, 6, seed=7)).scal) == [0.0] * 6
     with pytest.raises(LossOfConvexityError):
         QuadraticPotential(square, matrix=-np.eye(2))
 

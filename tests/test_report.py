@@ -37,7 +37,9 @@ class StackOnlyPotential(HSidePotential):
 
     def _h_columns(self, pairs, gradient):
         s = self._canonical.stack(pairs, gradient=gradient)
-        return s.grad or (), s.H, s.dH, s.d2H
+        # the second derivatives (-scal, 0, 0) contract back to scal
+        zero = [0.0] * s.size
+        return s.grad or (), s.H, s.dH, ([-v for v in s.scal], zero, zero)
 
 
 def test_stack_only_potential_runs_every_stack_check(cp2, cp2_roots, cp2_soliton, cp2_grid, cp2_ctx):
@@ -105,7 +107,7 @@ def test_report_leaves_are_plain_json_types():
 
 
 def test_scal_mean_with_calabi_evaluates_no_gradient(blowup, blowup_soliton, monkeypatch):
-    # the curvature reads d2H alone, so the quadrature stack skips the Gauss sums of the gradient
+    # the curvature reads scal alone, so the quadrature stack skips the Gauss sums of the gradient
     potential = CalabiPotential(blowup)
     calls = []
     monkeypatch.setattr(CalabiPotential, "_f_values", lambda self, ts: calls.append(ts) or [0.0] * len(ts))
