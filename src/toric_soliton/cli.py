@@ -31,8 +31,9 @@ EXIT_GEOMETRY = 2
 EXIT_SOLVER = 3
 EXIT_VERIFICATION = 4
 
-#: largest accepted ``--order``; the Futaki solve at it takes about 0.2 s, and
-#: ``verify`` at it about 2-3 s and up to 0.19 GB (one stack on up to 6 * 203^2 nodes)
+#: largest accepted ``--order``, which only ``verify`` reads, for the mean curvature:
+#: at it ``verify`` takes about 2 s and up to 74 MB on Bl3P2 (6 * 203^2 nodes, stacked
+#: ``potentials.BLOCK`` at a time)
 MAX_ORDER = 200
 #: largest accepted ``--grid``; ``verify`` at it takes about 2-3 s and up to 0.13 GB
 #: (Bl3P2 on a shared 2-core Xeon, fresh process)
@@ -81,8 +82,6 @@ def _add_common(parser: argparse.ArgumentParser, with_potential_flags: bool = Fa
     parser.add_argument("polytope", help="path to the polytope JSON document")
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument("--tol", type=float, default=1e-10, help="solver tolerance (default 1e-10)")
-    parser.add_argument("--order", type=int, default=10,
-                        help=f"quadrature exactness order, 1 to {MAX_ORDER} (default 10)")
     if with_potential_flags:
         parser.add_argument("--potential", choices=POTENTIAL_KINDS, default="guillemin")
         parser.add_argument("--grid", type=int, default=21,
@@ -106,6 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="full verification report for a potential")
     _add_common(p_verify, with_potential_flags=True)
+    p_verify.add_argument("--order", type=int, default=10,
+                          help=f"quadrature exactness order of the mean curvature, 1 to {MAX_ORDER} (default 10)")
     p_verify.add_argument("--margin", type=float, default=0.05,
                           help="interior margin as a fraction of the coordinate spread (default 0.05)")
 
@@ -126,17 +127,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "roots":
             report = roots_report(_load_polytope(args.polytope))
         elif args.command == "soliton":
-            report = soliton_report(_load_polytope(args.polytope), tol=args.tol, order=args.order)
+            report = soliton_report(_load_polytope(args.polytope), tol=args.tol)
         elif args.command == "verify":
             report = verify_report(
                 _load_polytope(args.polytope), potential_kind=args.potential,
                 tol=args.tol, grid_n=args.grid, margin=args.margin, order=args.order,
             )
         elif args.command == "decompose":
-            report = decompose_report(
-                _load_polytope(args.polytope), potential_kind=args.potential,
-                tol=args.tol, grid_n=args.grid, order=args.order,
-            )
+            report = decompose_report(_load_polytope(args.polytope), potential_kind=args.potential,
+                                      tol=args.tol, grid_n=args.grid)
         else:  # calabi
             report = calabi_report(grid_points=args.grid)
     except NonConvergenceError as exc:

@@ -8,43 +8,54 @@ convex functional
     W(a) = integral over P of exp(+2 <a, x>) dv
          = integral over -P of exp(-2 <a, x>) dv,
 
-which :func:`weighted_volume` evaluates as written, with no change of
-sign anywhere in the solve; its vanishing gradient is the weighted-moment
-condition on the fan-side polytope.  With this convention the nonzero
-pairings 2 <alpha, a> with the Demazure roots are non-negative (the
-solitonic spectrum is positive), and for the blown-up plane the first
-component of ``a`` is the negative root of the one-point blow-up
-transcendental equation (see :mod:`toric_soliton.calabi`).  The
-moment-image drift covector used by the differential operators is ``-a``.
+evaluated as written, with no change of sign anywhere in the solve; its
+vanishing gradient is the weighted-moment condition on the fan-side
+polytope.  With this convention the nonzero pairings 2 <alpha, a> with
+the Demazure roots are non-negative (the solitonic spectrum is
+positive), and for the blown-up plane the first component of ``a`` is the
+negative root of the one-point blow-up transcendental equation (see
+:mod:`toric_soliton.calabi`).  The moment-image drift covector used by
+the differential operators is ``-a``.
 
-The solve is plain Python on floats and tuples, like every other stage,
-so no command imports numpy.  It integrates on
-:func:`~toric_soliton.quadrature.fan_rule`, the rule ``verify``
-integrates with, summing along its rays, one exponent slope per ray:
-0.12-0.52 ms a call at orders 10-22 against 0.17-1.00 ms for a loop over
-the nodes (2-core Xeon).  The surface is two-dimensional, so the Newton
-step and the definiteness check are 2x2 closed forms.  The Newton loop
-builds the fan rule once per quadrature order and carries the last
-``(W, grad W, hess W)`` it computed, so each point of a solve is evaluated
-once.
+The solve is exact up to one scalar root.  Every lattice automorphism M
+of P (:func:`~toric_soliton.polytope.lattice_automorphisms`) leaves W
+invariant under a -> M a, so the minimizer lies on the lattice that the
+whole group fixes, the image of the group sum R = sum M (Wang-Zhu,
+Adv. Math. 188, 2004).  When R = 0, ``a`` is (0.0, 0.0) with no
+iteration.  Otherwise a primitive column b of R spans it, and ``a = s b``
+with s the minimizer of
+
+    W(s b) = integral of exp(2 s t) rho(t) dt,
+
+where rho is the Duistermaat-Heckman density of P along b: the
+push-forward of dv under t = <b, x>, which is piecewise linear with
+breakpoints at the vertex levels <b, v> (:func:`line_density`).  On each
+piece W, its first two derivatives in s and the first moment
+int x exp(2 s t) dv are closed forms in ``I_m(y) = int_0^1 u^m e^(y u)
+du``, m <= 3 (:func:`exp_moments`), so the solve reads no quadrature.
+The scalar Newton iteration carries the last evaluation, so each point is
+evaluated once and the reported residuals reuse the final one.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NonConvergenceError
-from .polytope import DelzantPolytope, normalize_algebraic
-from .quadrature import FanRule, fan_rule
+from .polytope import DelzantPolytope, lattice_automorphisms, normalize_algebraic
 
 MAX_NEWTON_ITERATIONS = 60
-MAX_QUADRATURE_ORDER = 40
 
-Vector = tuple[float, float]
-Matrix = tuple[Vector, Vector]
-#: (W, grad W, hess W) at one point
-Volume = tuple[float, Vector, Matrix]
+#: terms of the |y| < 2 series of :func:`exp_moments`: the k-th is at most 2^k / k!, below 1e-21 at k = 30
+SERIES_TERMS = 30
+
+#: (W, dW/ds, d2W/ds2, (int x_1 w dv, int x_2 w dv)) at one point s, with w = exp(2 s <b, x>)
+Volume = tuple[float, float, float, tuple[float, float]]
+#: the pieces (t0, h, rho0, drho, m0x, m0y, dmx, dmy) of a density: on t = t0 + h u, 0 <= u <= 1,
+#: the density is rho0 + drho u and the chord midpoint (m0x + dmx u, m0y + dmy u)
+Density = tuple[tuple[float, ...], ...]
 
 
 class SolitonData(NamedTuple):
@@ -55,152 +66,169 @@ class SolitonData(NamedTuple):
     futaki_residual: float
     residuals: tuple[float, ...]
     iterations: tuple[dict, ...]
-    quadrature_order: int
 
 
-def weighted_volume(rule: FanRule, a) -> Volume:
-    """W(a) = int_P exp(2<a,x>) dv with gradient and Hessian in a, on the polygon's fan rule.
+def fixed_direction(group) -> tuple[int, int] | None:
+    """A primitive generator b of the lattice that every matrix of ``group`` fixes; None when it is 0.
 
-    Returns (W, grad W, hess W) where grad W = 2 int x w dv and
-    hess W = 4 int x x^T w dv; the Hessian is a Gram matrix of the
-    coordinates and therefore symmetric positive definite.
-
-    The moments are taken on ``rule``, the
-    :func:`~toric_soliton.quadrature.fan_rule` of P, along its rays: the
-    node c + u d_j has weight exp(2<a,c>) exp(k_j u) with
-    k_j = 2<a,d_j>, so the ray contributes S_p = J w_j sum_i w_i
-    u_i^(1+p) exp(k_j u_i), p = 0, 1, 2, to the moments of {1, x, x x^T}:
-    S_0, c S_0 + d S_1 and c c^T S_0 + (c d^T + d c^T) S_1 + d d^T S_2.
+    That lattice is the image of the group sum R, so b is the first
+    nonzero column of R divided by the gcd of its entries.
     """
-    a1, a2 = (float(c) for c in a)
-    (cx, cy), rays, radial, _ = rule
-    exp = math.exp
-    m0 = mx = my = mxx = mxy = myy = 0.0
-    for dx, dy, jw in rays:
-        k = 2.0 * (a1 * dx + a2 * dy)
-        s0 = s1 = s2 = 0.0
-        for ui, wu in radial:
-            term = wu * exp(k * ui)
-            s0 += term
-            term *= ui
-            s1 += term
-            s2 += term * ui
-        s0 *= jw
-        s1 *= jw
-        s2 *= jw
-        m0 += s0
-        mx += dx * s1
-        my += dy * s1
-        mxx += dx * dx * s2
-        mxy += dx * dy * s2
-        myy += dy * dy * s2
-    # shift the ray moments (about c) to moments about the origin
-    scale = exp(2.0 * (a1 * cx + a2 * cy))
-    value = scale * m0
-    ix = scale * (cx * m0 + mx)
-    iy = scale * (cy * m0 + my)
-    ixx = scale * (cx * cx * m0 + 2.0 * cx * mx + mxx)
-    ixy = scale * (cx * cy * m0 + cx * my + cy * mx + mxy)
-    iyy = scale * (cy * cy * m0 + 2.0 * cy * my + myy)
-    return value, (2.0 * ix, 2.0 * iy), ((4.0 * ixx, 4.0 * ixy), (4.0 * ixy, 4.0 * iyy))
+    for b in zip(*[[sum(m[i][j] for m in group) for j in range(2)] for i in range(2)]):
+        if b != (0, 0):
+            g = math.gcd(*b)
+            return b[0] // g, b[1] // g
+    return None
 
 
-def _norm(v: Vector) -> float:
-    return math.sqrt(v[0] * v[0] + v[1] * v[1])
+def chords(p: DelzantPolytope, b: tuple[int, int]) -> list[tuple[Fraction, Fraction, tuple[Fraction, Fraction]]]:
+    """The exact ``(t, rho(t), m(t))`` at each vertex level t = <b, v> of ``p``, ascending in t.
 
-
-def _smallest_eigenvalue(h: Matrix) -> float:
-    (h11, h12), (_, h22) = h
-    return 0.5 * (h11 + h22) - math.hypot(0.5 * (h11 - h22), h12)
-
-
-def _newton_step(h: Matrix, g: Vector) -> Vector:
-    """The solution s of h s = -g (Cramer's rule)."""
-    (h11, h12), (h21, h22) = h
-    det = h11 * h22 - h12 * h21
-    return (h12 * g[1] - h22 * g[0]) / det, (h21 * g[0] - h11 * g[1]) / det
-
-
-def _newton_minimize(p: DelzantPolytope, a: Vector, tol: float, order: int,
-                     trace: list[dict]) -> tuple[Vector, Volume]:
-    """Minimize W at one quadrature order from ``a``; the minimizer and its :func:`weighted_volume`.
-
-    Every evaluation reads the one fan rule of ``p`` at ``order``.  Newton
-    steps with step halving until |grad W| / W <= tol, then a quadratic
-    polish.  Each point is evaluated once: an accepted
-    line-search trial is the next iterate, and the polish and the caller
-    read the evaluation already held.
+    With x = (t b + sigma b_perp) / |b|^2 and b_perp = (-b_2, b_1), the map
+    (t, sigma / |b|^2) -> x has Jacobian 1, so rho(t) is the extent of
+    sigma / |b|^2 on the chord <b, x> = t and m(t) is the chord's
+    midpoint.  Facet <nu, x> + lambda >= 0 reads
+    t <nu, b> + sigma <nu, b_perp> + lambda |b|^2 >= 0 there, a lower bound
+    on sigma when <nu, b_perp> > 0 and an upper one when it is negative.
     """
-    rule = fan_rule(p, order)
-    volume = weighted_volume(rule, a)
+    b1, b2 = b
+    norm2 = b1 * b1 + b2 * b2
+    rows = [(nu1 * b1 + nu2 * b2, nu2 * b1 - nu1 * b2, offset * norm2) for (nu1, nu2), offset in p.facets]
+    result = []
+    for t in sorted({b1 * v[0] + b2 * v[1] for v, _ in p.vertex_data}):
+        low = max(-(t * a + lam) / c for a, c, lam in rows if c > 0)
+        high = min(-(t * a + lam) / c for a, c, lam in rows if c < 0)
+        mid = (low + high) / 2
+        result.append((t, (high - low) / norm2, ((t * b1 - mid * b2) / norm2, (t * b2 + mid * b1) / norm2)))
+    return result
+
+
+def line_density(p: DelzantPolytope, b: tuple[int, int]) -> Density:
+    """The Duistermaat-Heckman density of ``p`` along ``b`` as float pieces between its :func:`chords`.
+
+    Each exact quantity (a level, a step, a density value or slope, a
+    midpoint or its slope) becomes a float once, through ``Fraction``, so
+    no exact integer such as |b|^2 is ever converted on its own.
+    """
+    exact = chords(p, b)
+    pieces = []
+    for (t0, rho0, (m0x, m0y)), (t1, rho1, (m1x, m1y)) in zip(exact, exact[1:]):
+        pieces.append(tuple(float(c) for c in (t0, t1 - t0, rho0, rho1 - rho0, m0x, m0y, m1x - m0x, m1y - m0y)))
+    return tuple(pieces)
+
+
+def exp_moments(y: float) -> tuple[float, ...]:
+    """``(I_0, I_1, I_2, I_3)`` at ``y``, with ``I_m(y) = int_0^1 u^m exp(y u) du``.
+
+    For |y| >= 2, the recursion ``I_0 = expm1(y) / y`` and
+    ``I_m = (e^y - m I_(m-1)) / y``.  For |y| < 2, a series of positive
+    terms in x = |y|: ``sum_k x^k / (k! (m + k + 1))`` when y >= 0, and
+    ``e^y sum_k m! x^k / (m + k + 1)!`` when y < 0, where the first
+    would alternate; ``m! k! / (m + k)! = 1 / C(m + k, m)``.
+    """
+    if abs(y) >= 2.0:
+        e = math.exp(y)
+        moments = [math.expm1(y) / y]
+        for m in (1, 2, 3):
+            moments.append((e - m * moments[-1]) / y)
+        return tuple(moments)
+    sums, term = [0.0] * 4, 1.0  # x^k / k!
+    for k in range(SERIES_TERMS):
+        for m in range(4):
+            sums[m] += term / ((m + k + 1) * (math.comb(m + k, m) if y < 0.0 else 1))
+        term *= abs(y) / (k + 1)
+    return tuple(sums) if y >= 0.0 else tuple(math.exp(y) * v for v in sums)
+
+
+def weighted_volume(density: Density, s: float) -> Volume:
+    """W(s b) = int_P exp(2 s <b, x>) dv with dW/ds, d2W/ds2 and the first moment, from ``density``.
+
+    On a piece t = t0 + h u with density rho0 + drho u, the weight is
+    h exp(2 s t0) exp(y u), y = 2 s h, so the piece contributes
+    h exp(2 s t0) (rho0 I_j + drho I_(j+1)) to int u^j rho, j = 0, 1, 2;
+    W' = 2 int t rho and W'' = 4 int t^2 rho follow by t = t0 + h u, and
+    the first moment from the chord midpoint, int x w dv = int m rho.
+    The sums are plain loops, the same on every Python version.
+    """
+    value = slope = curvature = mx = my = 0.0
+    for t0, h, rho0, drho, m0x, m0y, dmx, dmy in density:
+        i0, i1, i2, i3 = exp_moments(2.0 * s * h)
+        scale = h * math.exp(2.0 * s * t0)
+        # r_j = int over the piece of u^j rho w dt
+        r0, r1, r2 = (scale * (rho0 * lower + drho * upper) for lower, upper in ((i0, i1), (i1, i2), (i2, i3)))
+        value += r0
+        slope += t0 * r0 + h * r1
+        curvature += t0 * t0 * r0 + 2.0 * t0 * h * r1 + h * h * r2
+        mx += m0x * r0 + dmx * r1
+        my += m0y * r0 + dmy * r1
+    return value, 2.0 * slope, 4.0 * curvature, (mx, my)
+
+
+def _minimize(density: Density, tol: float, trace: list[dict]) -> tuple[float, Volume]:
+    """The minimizer s of W(s b) from s = 0, with its :func:`weighted_volume`.
+
+    Newton steps with step halving until |dW/ds| / W <= tol, then up to
+    three full steps while |dW/ds| falls; each Newton step appends its
+    |dW/ds| to ``trace`` as ``grad_norm``.  W is strictly convex in s, so
+    dW/ds has one root.  Each point is evaluated once: an accepted trial
+    is the next iterate, and the polish and the caller read the
+    evaluation already held.
+    """
+    s = 0.0
+    volume = weighted_volume(density, s)
     for iteration in range(MAX_NEWTON_ITERATIONS):
-        value, grad, hess = volume
-        grad_norm = _norm(grad)
-        trace.append({"iteration": iteration, "order": order, "grad_norm": grad_norm})
-        if grad_norm / value <= tol:
+        value, slope, curvature, _ = volume
+        trace.append({"iteration": iteration, "grad_norm": abs(slope)})
+        if abs(slope) <= tol * value:
             break
-        if _smallest_eigenvalue(hess) <= 0:
-            raise NonConvergenceError("weighted-volume Hessian lost positive definiteness")
-        step = _newton_step(hess, grad)
-        t = 1.0
-        while t > 1e-12:
-            candidate = (a[0] + t * step[0], a[1] + t * step[1])
-            trial = weighted_volume(rule, candidate)
+        step, t = -slope / curvature, 1.0
+        while True:
+            candidate = s + t * step
+            if t <= 1e-12 or candidate == s:
+                raise NonConvergenceError("damping underflow in Newton line search")
+            trial = weighted_volume(density, candidate)
             if trial[0] < value:
                 break
             t *= 0.5
-        else:
-            raise NonConvergenceError("damping underflow in Newton line search")
-        a, volume = candidate, trial
+        s, volume = candidate, trial
     else:
         raise NonConvergenceError(f"no convergence after {MAX_NEWTON_ITERATIONS} Newton iterations")
-    # Quadratic polish to the quadrature noise floor, so that minimizers at
-    # successive orders can be compared well below the user tolerance.
+    # quadratic polish to the round-off floor, well below the user tolerance
     for _ in range(3):
-        _, grad, hess = volume
-        grad_norm = _norm(grad)
-        if grad_norm == 0.0:
+        _, slope, curvature, _ = volume
+        candidate = s - slope / curvature
+        if candidate == s:
             break
-        step = _newton_step(hess, grad)
-        candidate = (a[0] + step[0], a[1] + step[1])
-        trial = weighted_volume(rule, candidate)
-        if _norm(trial[1]) < grad_norm:
-            a, volume = candidate, trial
-        else:
+        trial = weighted_volume(density, candidate)
+        if not abs(trial[1]) < abs(slope):
             break
-    return a, volume
+        s, volume = candidate, trial
+    return s, volume
 
 
-def solve_soliton_vector(p: DelzantPolytope, tol: float = 1e-10, order: int = 10) -> SolitonData:
-    """Solve the weighted-moment condition for the soliton vector.
+def solve_soliton_vector(p: DelzantPolytope, tol: float = 1e-10) -> SolitonData:
+    """Solve the weighted-moment condition for the soliton vector on the group's fixed lattice.
 
-    Non-algebraic input is normalized first.  Newton iteration starts at
-    zero with step halving; the quadrature order is raised until two
-    successive orders agree to 0.1 tol.  Existence and uniqueness hold for
-    any valid Fano input, so non-convergence signals numerical trouble.
+    Non-algebraic input is normalized first.  Every accepted polygon has a
+    nontrivial lattice automorphism group, so its fixed lattice is 0 or a
+    line; a polygon whose group is trivial (reachable only with a
+    non-Delzant polygon from the library) raises
+    :class:`NonConvergenceError`.  The residuals are |int x_i w dv| / W at
+    the reported ``a``, over the affine basis {1, x_1, x_2}; the constant's
+    is exactly 0.
     """
     p = normalize_algebraic(p)
+    group = lattice_automorphisms(p)
+    if len(group) == 1:
+        raise NonConvergenceError("the polygon has no lattice automorphism but the identity, "
+                                  "so the soliton vector has no fixed line to be solved on")
     trace: list[dict] = []
-    a, _ = _newton_minimize(p, (0.0, 0.0), tol, order, trace)
-    cap = max(MAX_QUADRATURE_ORDER, order + 12)
-    while order + 6 <= cap:
-        refined, volume = _newton_minimize(p, a, tol, order + 6, trace)
-        agreed = max(abs(refined[0] - a[0]), abs(refined[1] - a[1])) <= 0.1 * tol
-        a, order = refined, order + 6
-        if agreed:
-            break
+    b = fixed_direction(group)
+    if b is None:  # a = 0 exactly; the residuals there read the density along any direction
+        s, b, volume = 0.0, (0, 0), weighted_volume(line_density(p, (1, 0)), 0.0)
     else:
-        raise NonConvergenceError("quadrature orders failed to agree at the maximum order")
-
-    value, grad, _ = volume
-    # Defect of the weighted-moment condition over the affine basis {1, x_1..x_n}:
-    # the constant is exact, each coordinate defect is |int x_i w| / V = |grad_i| / (2V).
-    residuals = (0.0,) + tuple(float(abs(g)) / (2.0 * value) for g in grad)
-    return SolitonData(
-        a=tuple(float(c) for c in a),
-        lam=1.0,
-        futaki_residual=max(residuals),
-        residuals=residuals,
-        iterations=tuple(trace),
-        quadrature_order=order,
-    )
+        s, volume = _minimize(line_density(p, b), tol, trace)
+    value, _, _, moment = volume
+    residuals = (0.0, abs(moment[0]) / value, abs(moment[1]) / value)
+    return SolitonData(a=(s * b[0] + 0.0, s * b[1] + 0.0), lam=1.0, futaki_residual=max(residuals),
+                       residuals=residuals, iterations=tuple(trace))

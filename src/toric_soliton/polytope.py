@@ -496,6 +496,37 @@ def privileged_center(p: DelzantPolytope) -> PrivilegedCenter:
     )
 
 
+#: a 2x2 integer matrix as its rows
+IntMatrix = tuple[tuple[int, int], tuple[int, int]]
+
+
+def lattice_automorphisms(p: DelzantPolytope) -> tuple[IntMatrix, ...]:
+    """The integer matrices M that permute the facet normals of ``p``, the identity first.
+
+    Such an M maps the normal pair of a vertex onto the normal pair of a
+    vertex, so the candidates send the first vertex's pair (nu_i, nu_j)
+    onto each vertex's pair, in both orders: M = [nu_k nu_l] [nu_i nu_j]^-1,
+    kept when it is integer and permutes the normals.  When every offset
+    is one, M^T maps ``p`` onto itself, so M ranges over the lattice
+    automorphisms of the polygon acting on normals.
+    """
+    normals = [f.normal for f in p.facets]
+    pairs = [[normals[i] for i in sorted(active)] for _, active in p.vertex_data]
+    (a, c), (b, d) = pairs[0]
+    det = a * d - b * c
+    found = []
+    for first, second in pairs:
+        for (p1, p2), (q1, q2) in ((first, second), (second, first)):
+            # [nu_k nu_l] times the adjugate of [nu_i nu_j], over its determinant
+            entries = (p1 * d - q1 * c, q1 * a - p1 * b, p2 * d - q2 * c, q2 * a - p2 * b)
+            if any(e % det for e in entries):
+                continue
+            m11, m12, m21, m22 = (e // det for e in entries)
+            if sorted((m11 * x + m12 * y, m21 * x + m22 * y) for x, y in normals) == sorted(normals):
+                found.append(((m11, m12), (m21, m22)))
+    return tuple(found)
+
+
 def normalize_algebraic(p: DelzantPolytope) -> DelzantPolytope:
     """Translate the center to the origin and scale all offsets to one.
 

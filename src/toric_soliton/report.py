@@ -24,8 +24,9 @@ they run for the canonical potential only.
 
 The submodules past the exact lattice work are bound as lazily loaded
 modules and called qualified, so ``roots`` executes none of them,
-``soliton`` and ``decompose`` only ``futaki`` and ``quadrature``, and
-``calabi`` only ``calabi``.  Every report, ``verify`` included, computes
+``soliton`` and ``decompose`` only ``futaki``, and ``calabi`` only
+``calabi``; ``verify`` alone executes ``quadrature``, for the mean
+scalar curvature.  Every report, ``verify`` included, computes
 on plain Python floats; no command imports numpy.
 """
 
@@ -131,7 +132,6 @@ def _soliton_section(soliton: futaki.SolitonData) -> dict:
         "futaki_residual": soliton.futaki_residual,
         "residuals_affine_basis": list(soliton.residuals),
         "newton_iterations": len(soliton.iterations),
-        "quadrature_order": soliton.quadrature_order,
         "iterations": list(soliton.iterations),
     }
 
@@ -146,12 +146,12 @@ def roots_report(p: DelzantPolytope) -> dict:
     }
 
 
-def soliton_report(p: DelzantPolytope, tol: float = 1e-10, order: int = 10) -> dict:
+def soliton_report(p: DelzantPolytope, tol: float = 1e-10) -> dict:
     normalized, polytope = _prepare(p)
-    soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
+    soliton = futaki.solve_soliton_vector(normalized, tol=tol)
     return {
         "command": "soliton",
-        "config": {"tol": tol, "order": order},
+        "config": {"tol": tol},
         "polytope": polytope,
         "soliton": _soliton_section(soliton),
     }
@@ -166,14 +166,19 @@ def _check_potential(normalized: DelzantPolytope, potential_kind: str) -> None:
 
 
 def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
-    """Mean of Abreu's scalar curvature over the polygon, from one stack on every quadrature node.
+    """Mean of Abreu's scalar curvature over the polygon on its order-``order`` quadrature rule.
 
-    The curvature is the stack's ``scal`` column, so the stack is built without the gradient.
+    The curvature is the stack's ``scal`` column, so each stack is built
+    without the gradient, on ``potentials.BLOCK`` nodes at a time: only
+    one block's columns are held at once.  The products ``w scal`` are
+    collected in node order and summed once.
     """
-    total = quadrature.integrate(
-        ctx.potential.polytope, lambda pts: ctx.potential.stack(pts, gradient=False).scal, order=order,
-    )
-    return total / quadrature.fan_rule(ctx.potential.polytope, order).area
+    points, weights, area = quadrature.polygon_rule(ctx.potential.polytope, order)
+    products = []
+    for start in range(0, len(points), potentials.BLOCK):
+        block = slice(start, start + potentials.BLOCK)
+        products += [w * v for w, v in zip(weights[block], ctx.potential.stack(points[block], gradient=False).scal)]
+    return sum(products) / area
 
 
 def _peak(*residuals) -> float:
@@ -286,7 +291,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
             f"grid {grid_n} with margin {margin} keeps {len(grid)} point(s), all on one line"
         )
     rootset = enumerate_roots(normalized)
-    soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
+    soliton = futaki.solve_soliton_vector(normalized, tol=tol)
     family = potentials.GuilleminPotential if potential_kind == "guillemin" else potentials.CalabiPotential
     potential = family(normalized)
     ctx = operators.OperatorContext(potential=potential, a=soliton.a)
@@ -346,7 +351,7 @@ def _decomposition_section(decomposition) -> dict:
 
 
 def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: float = 1e-10,
-                     grid_n: int = 21, order: int = 10) -> dict:
+                     grid_n: int = 21) -> dict:
     """Cluster the roots by gamma = 2 <alpha, a>; no potential is built.
 
     ``potential_kind`` and ``grid_n`` are echoed into ``config``; a
@@ -356,7 +361,7 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
     normalized, polytope = _prepare(p)
     _check_potential(normalized, potential_kind)
     rootset = enumerate_roots(normalized)
-    soliton = futaki.solve_soliton_vector(normalized, tol=tol, order=order)
+    soliton = futaki.solve_soliton_vector(normalized, tol=tol)
     decomposition = assemble_decomposition(soliton.a, rootset)
     semisimple = {r.alpha for r in rootset.semisimple}
     blocks = _decomposition_section(decomposition)
@@ -365,7 +370,7 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
         block["unipotent_roots"] = [list(r.alpha) for r in raw["roots"] if r.alpha not in semisimple]
     return {
         "command": "decompose",
-        "config": {"potential": potential_kind, "tol": tol, "grid": grid_n, "order": order},
+        "config": {"potential": potential_kind, "tol": tol, "grid": grid_n},
         "polytope": polytope,
         **_roots_section(rootset),
         "soliton": _soliton_section(soliton),
@@ -452,9 +457,7 @@ def _text_soliton(lines: list[str], section: dict) -> None:
         f"futaki residual {_fmt(section['futaki_residual'])} over affine basis "
         + _vec(section["residuals_affine_basis"])
     )
-    lines.append(
-        f"newton iterations {section['newton_iterations']}, quadrature order {section['quadrature_order']}"
-    )
+    lines.append(f"newton iterations {section['newton_iterations']}")
 
 
 def _text_decomposition(lines: list[str], section: dict) -> None:

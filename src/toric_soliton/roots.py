@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from typing import NamedTuple
 
-from .errors import MalformedInputError, UnboundedRootRegionError
+from .errors import MalformedInputError, NonConvergenceError, UnboundedRootRegionError
 from .polytope import DIM, DelzantPolytope
 
 
@@ -143,8 +144,18 @@ def assemble_decomposition(a, rootset: RootSet) -> SolitonDecomposition:
     ``GAMMA_TOL`` of its first member; a cluster's gamma is its mean.
     Blocks are ordered by ascending gamma and the members of each block by
     ascending alpha, so neither order follows the sign of round-off in a.
+    Raises :class:`NonConvergenceError` when a gamma's rounding bound
+    ``2 eps sum_i |alpha_i a_i|`` exceeds a tenth of ``GAMMA_TOL``, which
+    lattice images with normal entries near a thousand reach.
     """
     a = tuple(float(c) for c in a)
+    # each gamma sums 2 alpha_i a_i in floats, so the rounding of a reaches it as about
+    # eps sum |2 alpha_i a_i|; past a tenth of the tolerance the clusters would follow round-off
+    bound = 2.0 * sys.float_info.epsilon * max((sum(abs(c * x) for c, x in zip(r.alpha, a)) for r in rootset.roots),
+                                               default=0.0)
+    if not bound <= 0.1 * GAMMA_TOL:
+        raise NonConvergenceError(f"a root's gamma is resolved only to {bound:.1e} in floats, "
+                                  f"above a tenth of the clustering tolerance {GAMMA_TOL:g}")
     entries = sorted(
         ((2.0 * sum(c * x for c, x in zip(root.alpha, a)), root) for root in rootset.roots),
         key=lambda item: item[0],

@@ -21,6 +21,7 @@ from toric_soliton.futaki import solve_soliton_vector
 from toric_soliton.operators import OperatorContext
 from toric_soliton.polytope import parse_polytope
 from toric_soliton.potentials import CalabiPotential, GuilleminPotential
+from toric_soliton.quadrature import polygon_rule
 from toric_soliton.roots import enumerate_roots
 
 CP2_DOC = {
@@ -118,6 +119,23 @@ def blowup_grid(blowup):
     return blowup.interior_grid(21, 0.05)
 
 
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def fibonacci_image(n: int, normals=tuple(tuple(f["normal"]) for f in BLOWUP_DOC["facets"])) -> dict:
+    """The F(n) image of a polygon document: each normal mapped by [[F(n+1), F(n)], [F(n), F(n-1)]], offsets 1.
+
+    The matrix has determinant (-1)^n, so the image is lattice-equivalent;
+    its entries have about 0.21 n digits.
+    """
+    (m11, m12), (m21, m22) = (fibonacci(n + 1), fibonacci(n)), (fibonacci(n), fibonacci(n - 1))
+    return {"dim": 2, "facets": [{"normal": [m11 * x + m12 * y, m21 * x + m22 * y], "offset": 1} for x, y in normals]}
+
+
 def interior_points(polytope, count: int, seed: int = 0, margin_fraction: float = 0.05) -> np.ndarray:
     """Deterministic rejection sample of interior points."""
     rng = np.random.default_rng(seed)
@@ -130,6 +148,16 @@ def interior_points(polytope, count: int, seed: int = 0, margin_fraction: float 
         if min(polytope.facet_values_many([candidate])[0]) >= margin:
             points.append(candidate)
     return np.array(points)
+
+
+def integrate(polytope, f, order: int = 10) -> float:
+    """The integral of a field over the polygon on :func:`polygon_rule`.
+
+    ``f`` is called once, with the list of every node, and returns the
+    values there.
+    """
+    points, weights, _ = polygon_rule(polytope, order)
+    return sum([w * v for w, v in zip(weights, f(points))])
 
 
 def batch(columns) -> np.ndarray:

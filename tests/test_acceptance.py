@@ -28,7 +28,6 @@ from toric_soliton.operators import (
     soliton_residuals,
     weighted_laplacian,
 )
-from toric_soliton.quadrature import integrate
 from toric_soliton.report import calabi_report
 from toric_soliton.roots import (
     assemble_decomposition,
@@ -37,7 +36,7 @@ from toric_soliton.roots import (
     enumerate_roots,
 )
 from test_eigenbasis import CP2_CLOSED_FORMS
-from conftest import expand
+from conftest import expand, integrate
 
 
 def report(index: int, description: str, passed: bool) -> None:

@@ -18,6 +18,7 @@ from toric_soliton.errors import MalformedInputError
 from toric_soliton.polytope import delzant_check, parse_polytope, privileged_center
 from toric_soliton.report import roots_report
 from toric_soliton.roots import assemble_decomposition
+from conftest import fibonacci_image
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -154,9 +155,7 @@ def cp2_with_first(key: str, value: str) -> str:
     (("verify", "--grid", "1"), CP2_TEXT, "grid 1 "),
     (("verify", "--grid", "2"), CP2_TEXT, "grid 2 "),
     (("verify", "--margin", "0.9"), CP2_TEXT, "margin 0.9 "),
-    (("soliton", "--order", "0"), CP2_TEXT, "--order must be at least 1, got 0"),
     (("verify", "--order", "0"), CP2_TEXT, "--order must be at least 1, got 0"),
-    (("decompose", "--order", "0"), CP2_TEXT, "--order must be at least 1, got 0"),
     (("soliton",), CP2_TEXT.replace('"offset": 1}', '"offset": NaN}', 1), "got nan"),
     (("soliton",), CP2_TEXT.replace('"offset": 1}', '"offset": Infinity}', 1), "got inf"),
     (("soliton",), CP2_TEXT.replace('"dim": 2', '"dim": true'), "got True"),
@@ -186,7 +185,7 @@ def cp2_with_first(key: str, value: str) -> str:
     (("roots",), b"\xff\xfe" + CP2_TEXT.encode("utf-16-le"), "document is not UTF-8 text"),
     (("soliton",), "[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
     (("roots",), CP2_TEXT.replace('"normal": [1, 0]', '"normal": 5', 1), "facet normal must be a list, got 5"),
-], ids=["grid-1", "grid-2", "margin-0.9", "soliton-order-0", "verify-order-0", "decompose-order-0",
+], ids=["grid-1", "grid-2", "margin-0.9", "verify-order-0",
         "offset-nan", "offset-infinity", "dim-true", "decompose-grid-negative", "offset-1e400",
         "vertex-2e308", "dim-3", "dim-1", "tol-nan", "tol-negative", "tol-inf",
         "margin-zero", "margin-negative", "margin-nan", "margin-inf",
@@ -255,16 +254,13 @@ def test_verify_rejects_a_grid_on_one_line(capsys, tmp_path, document, potential
 
 
 @pytest.mark.parametrize("argv, needle", [
-    (("soliton", "cp2", "--order", str(MAX_ORDER + 1)), f"--order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
-    (("decompose", "cp2", "--order", str(MAX_ORDER + 1)), f"--order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
+    (("verify", "cp2", "--order", str(MAX_ORDER + 1)), f"--order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
     (("verify", "cp2", "--grid", str(MAX_GRID + 1)), f"--grid must be at most {MAX_GRID}, got {MAX_GRID + 1}"),
     (("calabi", "--grid", str(MAX_GRID + 1)), f"--grid must be at most {MAX_GRID}, got {MAX_GRID + 1}"),
-    (("soliton", "cp2", "--order", "1000000"), "--order must be at most"),
-    (("decompose", "cp2", "--order", "1000000"), "--order must be at most"),
+    (("verify", "cp2", "--order", "1000000"), "--order must be at most"),
     (("verify", "cp2", "--grid", "1000000"), "--grid must be at most"),
     (("calabi", "--grid", "10000000000"), "got 10000000000"),
-], ids=["soliton-order", "decompose-order", "verify-grid", "calabi-grid",
-        "soliton-order-huge", "decompose-order-huge", "verify-grid-huge", "calabi-grid-huge"])
+], ids=["verify-order", "verify-grid", "calabi-grid", "verify-order-huge", "verify-grid-huge", "calabi-grid-huge"])
 def test_flag_values_over_the_maximum_exit_two(capsys, argv, needle):
     # the huge values once escaped main with numpy's _ArrayMemoryError
     argv = [str(DATA / "cp2.json") if a == "cp2" else a for a in argv]
@@ -276,13 +272,66 @@ def test_flag_values_over_the_maximum_exit_two(capsys, argv, needle):
 
 
 def test_largest_order_is_accepted(capsys):
-    code, out = run(capsys, "soliton", str(DATA / "cp2.json"), "--order", str(MAX_ORDER), "--format", "json")
+    # only verify reads --order, for the mean curvature on 3 * 203^2 nodes here
+    code, out = run(capsys, "verify", str(DATA / "cp2.json"), "--order", str(MAX_ORDER), "--format", "json")
     assert code == 0
     assert json.loads(out)["config"]["order"] == MAX_ORDER
 
 
+@pytest.mark.parametrize("command", ["soliton", "decompose"])
+def test_the_solve_takes_no_order_flag(capsys, command):
+    # the soliton vector is solved in closed form, so no quadrature order reaches it
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(DATA / "cp2.json"), "--order", "10"])
+    err = capsys.readouterr().err
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --order 10" in err
+    assert "Traceback" not in err
+
+
+def test_fibonacci_image_decomposes_with_the_canonical_gammas(capsys, tmp_path):
+    # the F(12) image, normals mapped by [[233, 144], [144, 89]]: the 2-D quadrature solve
+    # once exited 3 on it with damping underflow
+    path = tmp_path / "image.json"
+    path.write_text(json.dumps(fibonacci_image(12)))
+    code, out = run(capsys, "decompose", str(path), "--format", "json")
+    assert code == 0
+    golden = json.loads((GOLDEN / "blowup_decompose.json").read_text())["decomposition"]
+    blocks = json.loads(out)["decomposition"]["blocks"]
+    assert [b["complex_dimension"] for b in blocks] == [b["complex_dimension"] for b in golden["blocks"]]
+    for block, expected in zip(blocks, golden["blocks"]):
+        assert block["gamma"] == pytest.approx(expected["gamma"], rel=0.0, abs=1e-10)
+
+
+#: exit code and stderr start of each command on the F(n) images of Bl1P2 below
+FIBONACCI_OUTCOMES = {
+    "soliton": (0, ""),
+    "decompose": (3, "solver failure: a root's gamma is resolved only to "),
+    "verify": (2, "rejected: grid 21 with margin 0.05 has no interior point"),
+}
+
+
+@pytest.mark.parametrize("n", [24, 340, 745], ids=["F24", "F340", "F745"])
+def test_fibonacci_images_past_float_resolution_end_in_the_contract(capsys, tmp_path, n):
+    # entries of 5, 71 and 156 digits: a is solved on the fixed line, but the roots' gammas in
+    # floats no longer resolve the clusters, so decompose is a solver failure, and the tensor
+    # grid of verify keeps no point of images this thin; F(340) once escaped main with a
+    # ZeroDivisionError, and |b|^2 as a float overflows at F(745)
+    path = tmp_path / "image.json"
+    path.write_text(json.dumps(fibonacci_image(n)))
+    for command, (expected, message) in FIBONACCI_OUTCOMES.items():
+        exit_code = main([command, str(path), "--format", "json"])
+        out, err = capsys.readouterr()
+        assert exit_code == expected, (command, err)
+        assert err.startswith(message)
+        assert "Traceback" not in err
+        if command == "soliton":
+            a = json.loads(out)["soliton"]["a"]
+            assert all(math.isfinite(c) and c != 0.0 for c in a)
+
+
 def test_help_states_the_maxima(capsys):
-    for command, maximum in (("soliton", MAX_ORDER), ("verify", MAX_GRID), ("calabi", MAX_GRID)):
+    for command, maximum in (("verify", MAX_ORDER), ("verify", MAX_GRID), ("calabi", MAX_GRID)):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         out = " ".join(capsys.readouterr().out.split())

@@ -6,10 +6,10 @@ few facets, dimensions other than two, and truncated text, next to
 well-formed Fano polygons with arbitrary offsets so the soliton solve runs
 too.  ``roots``, ``soliton`` and ``decompose`` (with both ``--potential``
 values and any ``--grid``) run on every document.  Flag values include
-``--order`` and ``--grid`` far past their maxima.  ``verify`` runs both
-potentials on the Fano polygons and the blow-up trapezoid over small grids
-and margins that are zero, negative or NaN, and ``calabi`` over
-``--grid``.  ``cli.main`` runs in process; no exception may escape it and
+``--grid`` far past its maximum.  ``verify`` runs both potentials on the
+Fano polygons and the blow-up trapezoid over small grids, margins that
+are zero, negative or NaN, and ``--order`` values up to far past its
+maximum, and ``calabi`` over ``--grid``.  ``cli.main`` runs in process; no exception may escape it and
 no traceback may reach stderr.
 """
 
@@ -101,7 +101,6 @@ orders = st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(-2, 0),
 soliton_flags = st.tuples(
     st.sampled_from([[], ["--format=json"]]),
     st.one_of(st.just([]), tolerances.map(lambda t: [f"--tol={t!r}"])),
-    st.one_of(st.just([]), orders.map(lambda k: [f"--order={k}"])),
 ).map(lambda parts: [flag for part in parts for flag in part])
 grids = st.one_of(st.integers(-2, 12), st.sampled_from([MAX_GRID, MAX_GRID + 1, 10**10]))
 decompose_flags = st.tuples(
@@ -119,8 +118,9 @@ unit_polygons = st.sampled_from(FANO_NORMALS + (TRAPEZOID_NORMALS,)).map(
 )
 margins = st.one_of(st.sampled_from([0.05, 0.3, 0.0, -0.1, float("nan")]), st.floats(-0.2, 0.6))
 verify_flags = st.tuples(
-    st.sampled_from(["guillemin", "calabi"]), st.integers(1, 12), margins,
-).map(lambda args: [f"--potential={args[0]}", f"--grid={args[1]}", f"--margin={args[2]!r}"])
+    st.sampled_from(["guillemin", "calabi"]), st.integers(1, 12), margins, st.one_of(st.just(None), orders),
+).map(lambda args: [f"--potential={args[0]}", f"--grid={args[1]}", f"--margin={args[2]!r}",
+                    *([] if args[3] is None else [f"--order={args[3]}"])])
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toric_soliton import futaki
+from toric_soliton import futaki, quadrature
 from toric_soliton.calabi import soliton_equation, solve_a1
-from toric_soliton.futaki import solve_soliton_vector, weighted_volume
-from toric_soliton.polytope import normalize_algebraic, parse_polytope
-from toric_soliton.quadrature import fan_rule, integrate
+from toric_soliton.errors import NonConvergenceError
+from toric_soliton.futaki import (
+    chords,
+    exp_moments,
+    fixed_direction,
+    line_density,
+    solve_soliton_vector,
+    weighted_volume,
+)
+from toric_soliton.polytope import DelzantPolytope, Facet, lattice_automorphisms, normalize_algebraic, parse_polytope
 from toric_soliton.roots import automorphism_dimensions, brute_force_roots, enumerate_roots
+from conftest import integrate
 
 
 def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
@@ -29,11 +37,13 @@ def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def test_weighted_volume_cp2_at_zero(cp2):
-    value, grad, hess = weighted_volume(fan_rule(cp2, 10), [0.0, 0.0])
-    assert value == pytest.approx(4.5, abs=1e-12)
-    assert np.allclose(grad, 0.0, atol=1e-12)
-    hess = np.asarray(hess)
-    assert np.allclose(hess, hess.T)
+    # at s = 0 the weight is 1: W is the area, and the centroid of the simplex is the origin
+    for b in ((1, 0), (1, 1), (2, -1)):
+        value, slope, curvature, moment = weighted_volume(line_density(cp2, b), 0.0)
+        assert value == pytest.approx(4.5, abs=1e-12)
+        assert slope == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(moment, 0.0, atol=1e-12)
+        assert curvature > 0.0
 
 
 def test_weighted_volume_blowup_matches_polygon_moments(blowup):
@@ -41,19 +51,27 @@ def test_weighted_volume_blowup_matches_polygon_moments(blowup):
     ring = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 2.0], [-1.0, 0.0]])
     area, moments = polygon_moments(ring)
     assert area == pytest.approx(4.0, abs=1e-14)
-    value, grad, _ = weighted_volume(fan_rule(blowup, 10), [0.0, 0.0])
-    assert value == pytest.approx(area, abs=1e-12)
-    assert np.allclose(grad, 2.0 * moments, atol=1e-12)
-    assert np.linalg.norm(grad) > 0.1  # the weighted centroid is away from the center
+    for b in ((1, 0), (0, 1), (1, 1)):
+        value, slope, _, moment = weighted_volume(line_density(blowup, b), 0.0)
+        assert value == pytest.approx(area, abs=1e-12)
+        assert np.allclose(moment, moments, atol=1e-12)
+        assert slope == pytest.approx(2.0 * float(np.dot(b, moments)), abs=1e-12)
+    assert np.linalg.norm(moments) > 0.1  # the centroid is away from the center
 
 
 def test_weighted_volume_hessian_positive_definite(cp2, blowup):
+    # W(s b) is strictly convex in s, and its derivatives match central differences
     rng = np.random.default_rng(3)
     for p in (cp2, blowup):
-        for _ in range(5):
-            a = -rng.uniform(-0.8, 0.8, size=2)
-            _, _, hess = weighted_volume(fan_rule(p, 10), a)
-            assert np.linalg.eigvalsh(hess)[0] > 0
+        for b in ((1, 0), (1, 1)):
+            density = line_density(p, b)
+            for s in rng.uniform(-0.8, 0.8, size=5):
+                value, slope, curvature, _ = weighted_volume(density, s)
+                assert curvature > 0
+                h = 1e-5
+                (up, up_slope, _, _), (down, down_slope, _, _) = (weighted_volume(density, s + d) for d in (h, -h))
+                assert (up - down) / (2 * h) == pytest.approx(slope, rel=1e-8, abs=1e-9)
+                assert (up_slope - down_slope) / (2 * h) == pytest.approx(curvature, rel=1e-8)
 
 
 def test_cp2_soliton_vector_vanishes(cp2_soliton):
@@ -241,34 +259,42 @@ def test_soliton_vector_matches_exact_series_newton(surface):
 
 @pytest.mark.parametrize("imaged", [False, True], ids=["canonical", "image"])
 @pytest.mark.parametrize("surface", FIVE_SURFACES)
-def test_ray_form_matches_array_quadrature(surface, imaged):
-    # oracle: the moments of exp(2<a,x>) {1, x_i, x_i x_j} from integrate on the same rule;
-    # the fan centre of a canonical polygon is the origin, that of its image is not
+def test_density_matches_polygon_quadrature(surface, imaged):
+    # oracle: the moments of exp(2 s <b, x>) {1, t, t^2, x_1, x_2}, t = <b, x>, on the 2-D
+    # polygon rule; the fixed direction, or two directions where the fixed lattice is 0
     normals = FIVE_SURFACES[surface][0]
-    p = lattice_image(normals) if imaged else polygon(normals)
+    p = normalize_algebraic(lattice_image(normals) if imaged else polygon(normals))
+    fixed = fixed_direction(lattice_automorphisms(p))
     rng = np.random.default_rng(list(FIVE_SURFACES).index(surface))
-    for order in (4, 10, 16):
-        a = rng.uniform(-0.8, 0.8, size=2)
+    for b in [fixed] if fixed else [(1, 0), (1, 2)]:
+        density = line_density(p, b)
+        for s in rng.uniform(-0.8, 0.8, size=3):
 
-        def moment(*axes):
-            def integrand(pts):
-                pts = np.array(pts)
-                return np.prod(pts[:, list(axes)], axis=1) * np.exp(2.0 * pts @ a)
+            def moment(weight):
+                def integrand(pts):
+                    pts = np.array(pts, dtype=float)
+                    t = pts @ np.array(b, dtype=float)
+                    return weight(pts, t) * np.exp(2.0 * s * t)
 
-            return integrate(p, integrand, order)
+                return integrate(p, integrand, 22)
 
-        value, grad, hess = weighted_volume(fan_rule(p, order), a)
-        expected_value = moment()
-        expected_grad = [2.0 * moment(i) for i in range(2)]
-        expected_hess = [[4.0 * moment(i, j) for j in range(2)] for i in range(2)]
-        assert abs(value - expected_value) <= 1e-13 * expected_value
-        assert np.allclose(grad, expected_grad, rtol=1e-13, atol=1e-13 * expected_value)
-        assert np.allclose(hess, expected_hess, rtol=1e-13, atol=1e-13 * expected_value)
+            value, slope, curvature, first = weighted_volume(density, s)
+            scale = moment(lambda pts, t: 1.0)
+            assert value == pytest.approx(scale, rel=1e-13)
+            assert slope == pytest.approx(2.0 * moment(lambda pts, t: t), rel=1e-12, abs=1e-13 * scale)
+            assert curvature == pytest.approx(4.0 * moment(lambda pts, t: t * t), rel=1e-12)
+            for i in range(2):
+                expected = moment(lambda pts, t: pts[:, i])
+                assert first[i] == pytest.approx(expected, rel=1e-12, abs=1e-13 * scale)
 
 
-@pytest.mark.parametrize("surface, calls", [
-    ("P2", 4), ("P1xP1", 4), ("Bl1P2", 9), ("Bl2P2", 12), ("Bl3P2", 5), ("Bl2P2-image", 9),
-])
+#: points evaluated per solve: one at a = 0 for the residuals where the fixed lattice is 0,
+#: and the Newton iterates and polish along the fixed line on Bl1P2 and Bl2P2
+EVALUATIONS = [("P2", 1), ("P1xP1", 1), ("Bl1P2", 5), ("Bl2P2", 7), ("Bl3P2", 1),
+               ("Bl1P2-image", 5), ("Bl2P2-image", 7), ("Bl3P2-image", 1)]
+
+
+@pytest.mark.parametrize("surface, calls", EVALUATIONS, ids=[f"{name}-{calls}" for name, calls in EVALUATIONS])
 def test_solve_evaluates_each_point_once(surface, calls, monkeypatch):
     # the next Newton step starts at the accepted line-search point, the polish at
     # the last Newton point and the residuals at the final point: none is evaluated twice,
@@ -277,9 +303,9 @@ def test_solve_evaluates_each_point_once(surface, calls, monkeypatch):
     normals = FIVE_SURFACES[name][0]
     evaluated = []
 
-    def counting(rule, a):
-        evaluated.append((tuple(a), rule.radial))
-        return weighted_volume(rule, a)
+    def counting(density, s):
+        evaluated.append((density, s))
+        return weighted_volume(density, s)
 
     monkeypatch.setattr(futaki, "weighted_volume", counting)
     solve_soliton_vector(lattice_image(normals) if imaged else polygon(normals))
@@ -289,17 +315,101 @@ def test_solve_evaluates_each_point_once(surface, calls, monkeypatch):
 
 @pytest.mark.parametrize("surface", list(FIVE_SURFACES))
 @pytest.mark.parametrize("imaged", [False, True])
-def test_solve_builds_one_fan_rule_per_order(surface, imaged, monkeypatch):
-    # every Newton evaluation at one order reads the same rule, built once
-    built = []
+def test_solve_reads_no_quadrature(surface, imaged, monkeypatch):
+    # the solve is closed-form on the density: no quadrature rule is built
+    def refuse(*args):
+        raise AssertionError("the solve built a quadrature rule")
 
-    def counting(p, order):
-        built.append(order)
-        return fan_rule(p, order)
-
-    monkeypatch.setattr(futaki, "fan_rule", counting)
+    for name in ("polygon_rule", "line_rule", "gauss_legendre"):
+        monkeypatch.setattr(quadrature, name, refuse)
     normals = FIVE_SURFACES[surface][0]
     soliton = solve_soliton_vector(lattice_image(normals) if imaged else polygon(normals))
-    visited = sorted({step["order"] for step in soliton.iterations})
-    assert sorted(built) == visited
-    assert len(visited) >= 2
+    assert soliton.futaki_residual <= 1e-12
+    assert "quadrature" not in vars(futaki)
+
+
+@pytest.mark.parametrize("imaged", [False, True], ids=["canonical", "image"])
+@pytest.mark.parametrize("surface", ["P2", "P1xP1", "Bl3P2"])
+def test_symmetric_soliton_vector_is_exactly_zero(surface, imaged):
+    # the group fixes only 0, so a is (0.0, 0.0) bit for bit, with no sign on either zero
+    normals = FIVE_SURFACES[surface][0]
+    soliton = solve_soliton_vector(lattice_image(normals) if imaged else polygon(normals))
+    assert soliton.a == (0.0, 0.0)
+    assert [math.copysign(1.0, c) for c in soliton.a] == [1.0, 1.0]
+    assert soliton.iterations == ()
+    assert soliton.futaki_residual <= 1e-15
+
+
+@pytest.mark.parametrize("surface, b", [("Bl1P2", (1, 0)), ("Bl2P2", (1, 1))])
+def test_soliton_vector_matches_a_40_digit_root_along_the_fixed_line(surface, b):
+    # oracle: the root of dW/ds at 45 digits, W(s b) from the exact fan-triangle series
+    mpmath = pytest.importorskip("mpmath")
+    normals = sorted(FIVE_SURFACES[surface][0], key=lambda nu: math.atan2(nu[1], nu[0]))
+    with mpmath.workdps(45):
+        vertices = []
+        for nu, mu in zip(normals, normals[1:] + normals[:1]):
+            det = nu[0] * mu[1] - nu[1] * mu[0]
+            vertices.append((mpmath.mpf(nu[1] - mu[1]) / det, mpmath.mpf(mu[0] - nu[0]) / det))
+
+        def slope(s):
+            return mpmath.diff(lambda q: exact_fan_side_volume(mpmath, vertices, (q * b[0], q * b[1]), terms=60), s)
+
+        root = mpmath.findroot(slope, mpmath.mpf(SIGNS[surface][0]) * FIVE_SURFACES[surface][3][0])
+        for p in (polygon(FIVE_SURFACES[surface][0]), lattice_image(FIVE_SURFACES[surface][0])):
+            assert fixed_direction(lattice_automorphisms(normalize_algebraic(p))) in (b, tuple(NORMAL_MAP @ b))
+        a = solve_soliton_vector(polygon(FIVE_SURFACES[surface][0])).a
+        assert max(abs(mpmath.mpf(c) - root * e) for c, e in zip(a, b)) <= 1e-15
+
+
+def shoelace(p) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """The exact area and first moments of ``p`` from its vertices, counterclockwise around their centroid."""
+    ring = [vertex for vertex, _ in p.vertex_data]
+    cx, cy = (sum(axis) / len(ring) for axis in zip(*ring))
+    ring.sort(key=lambda v: math.atan2(v[1] - cy, v[0] - cx))
+    area = mx = my = Fraction(0)
+    for (x, y), (xn, yn) in zip(ring, ring[1:] + ring[:1]):
+        cross = x * yn - xn * y
+        area += cross / 2
+        mx += (x + xn) * cross / 6
+        my += (y + yn) * cross / 6
+    return area, (mx, my)
+
+
+@pytest.mark.parametrize("imaged", [False, True], ids=["canonical", "image"])
+@pytest.mark.parametrize("surface", FIVE_SURFACES)
+def test_density_integrates_to_the_exact_area_and_moments(surface, imaged):
+    # rho and the chord midpoint m are linear between the vertex levels, so Simpson's rule is
+    # exact on each piece: int rho = |P|, int t rho = <b, int x> and int m rho = int x, in Fractions
+    normals = FIVE_SURFACES[surface][0]
+    p = normalize_algebraic(lattice_image(normals) if imaged else polygon(normals))
+    area, moments = shoelace(p)
+    for b in ((1, 0), (0, 1), (2, -1), fixed_direction(lattice_automorphisms(p)) or (1, 1)):
+        exact = chords(p, b)
+        assert [t for t, _, _ in exact] == sorted({b[0] * v[0] + b[1] * v[1] for v, _ in p.vertex_data})
+        total, first, along = Fraction(0), [Fraction(0), Fraction(0)], Fraction(0)
+        for (t0, r0, m0), (t1, r1, m1) in zip(exact, exact[1:]):
+            h, tm, rm = t1 - t0, (t0 + t1) / 2, (r0 + r1) / 2
+            total += h * rm
+            along += h * (t0 * r0 + 4 * tm * rm + t1 * r1) / 6
+            for i in range(2):
+                first[i] += h * (m0[i] * r0 + 4 * (m0[i] + m1[i]) / 2 * rm + m1[i] * r1) / 6
+        assert total == area
+        assert along == b[0] * moments[0] + b[1] * moments[1]
+        assert first == list(moments)
+
+
+@pytest.mark.parametrize("y", [0.0, 0.5, 1.99, 2.0, 2.01, 10.0, 50.0, -0.5, -1.99, -2.0, -2.01, -10.0, -50.0])
+def test_exp_moments_match_mpmath_quadrature(y):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for m, value in enumerate(exp_moments(y)):
+            expected = mpmath.quad(lambda u: u**m * mpmath.exp(y * u), [0, 1])
+            assert abs(value - expected) <= 1e-15 * expected, (m, value, float(expected))
+
+
+def test_trivial_group_is_a_solver_failure():
+    # a non-Delzant quadrilateral whose normals no lattice map but the identity permutes
+    p = DelzantPolytope([Facet(nu, 1) for nu in ((1, 0), (0, 1), (-1, -2), (-2, 1))])
+    assert lattice_automorphisms(p) == (((1, 0), (0, 1)),)
+    with pytest.raises(NonConvergenceError, match="no lattice automorphism but the identity"):
+        solve_soliton_vector(p)

@@ -101,7 +101,8 @@ def test_solve_loads_no_numpy(argv, fmt):
     assert result["exit"] == 0
     assert_numpy_free(result)
     assert "toric_soliton.futaki" in result["executed"]
-    for name in ("potentials", "operators", "eigenbasis", "calabi"):
+    # the solve is closed-form, so no quadrature rule is built either
+    for name in ("quadrature", "potentials", "operators", "eigenbasis", "calabi"):
         assert f"toric_soliton.{name}" not in result["executed"]
 
 
@@ -177,6 +178,6 @@ def test_soliton_executes_no_potential_module():
     result = fresh("soliton", str(DATA / "blowup.json"), "--format", "json")
     assert result["exit"] == 0
     assert "toric_soliton.futaki" in result["executed"]
-    for name in ("potentials", "operators", "eigenbasis", "calabi"):
+    for name in ("quadrature", "potentials", "operators", "eigenbasis", "calabi"):
         assert f"toric_soliton.{name}" not in result["executed"]
 

@@ -25,9 +25,8 @@ from toric_soliton.operators import (
     weighted_laplacian,
 )
 from toric_soliton.potentials import GuilleminPotential, QuadraticPotential
-from toric_soliton.quadrature import integrate
 from toric_soliton.roots import enumerate_roots
-from conftest import column_jet, expand, interior_points
+from conftest import column_jet, expand, integrate, interior_points
 
 
 @pytest.fixture(scope="module")

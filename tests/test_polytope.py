@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -19,8 +20,16 @@ from toric_soliton.errors import (
     NotFanoError,
     UnboundedPolytopeError,
 )
-from toric_soliton.polytope import delzant_check, normalize_algebraic, parse_polytope, privileged_center
+from toric_soliton.futaki import fixed_direction
+from toric_soliton.polytope import (
+    delzant_check,
+    lattice_automorphisms,
+    normalize_algebraic,
+    parse_polytope,
+    privileged_center,
+)
 from conftest import BLOWUP_DOC, CP2_DOC, SQUARE_DOC
+from test_futaki import FIVE_SURFACES, NORMAL_MAP, lattice_image, polygon
 
 
 def doc(facets, dim=2):
@@ -250,3 +259,44 @@ def test_interior_grid_matches_numpy_construction(name):
         for n in range(1, 61):
             expected = [tuple(row) for row in numpy_interior_grid(p, n, margin).tolist()]
             assert p.interior_grid(n, margin) == expected, (n, margin)
+
+
+def permutes_normals(m, normals) -> bool:
+    return sorted(tuple(int(c) for c in np.array(m) @ nu) for nu in normals) == sorted(normals)
+
+
+#: group order and fixed direction of each canonical polygon
+GROUPS = {"P2": (6, None), "P1xP1": (8, None), "Bl1P2": (2, (1, 0)), "Bl2P2": (2, (1, 1)), "Bl3P2": (12, None)}
+
+
+@pytest.mark.parametrize("surface", FIVE_SURFACES)
+def test_lattice_automorphisms_match_a_brute_force_scan(surface):
+    # oracle: every integer matrix with entries in [-2, 2] that permutes the normals
+    normals = FIVE_SURFACES[surface][0]
+    group = lattice_automorphisms(polygon(normals))
+    scan = {m for m in itertools.product(*[[(a, b) for a in range(-2, 3) for b in range(-2, 3)]] * 2)
+            if permutes_normals(m, normals)}
+    assert group[0] == ((1, 0), (0, 1))
+    assert len(set(group)) == len(group)
+    assert set(group) == scan
+    assert (len(group), fixed_direction(group)) == GROUPS[surface]
+
+
+@pytest.mark.parametrize("surface", FIVE_SURFACES)
+def test_lattice_automorphisms_are_conjugated_on_a_lattice_image(surface):
+    # the image's normals are N nu, so its group is N M N^-1, and its fixed lattice N times the fixed lattice
+    normals = FIVE_SURFACES[surface][0]
+    image = normalize_algebraic(lattice_image(normals))
+    inverse = np.round(np.linalg.inv(NORMAL_MAP)).astype(int)
+    conjugated = {tuple(map(tuple, (NORMAL_MAP @ np.array(m) @ inverse).tolist()))
+                  for m in lattice_automorphisms(polygon(normals))}
+    group = lattice_automorphisms(image)
+    assert set(group) == conjugated
+    assert all(permutes_normals(m, [f.normal for f in image.facets]) for m in group)
+    fixed = fixed_direction(group)
+    expected = GROUPS[surface][1]
+    if expected is None:
+        assert fixed is None
+    else:
+        assert fixed in (tuple(int(c) for c in NORMAL_MAP @ expected), tuple(int(c) for c in -(NORMAL_MAP @ expected)))
+

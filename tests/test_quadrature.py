@@ -1,4 +1,4 @@
-"""The fan rule: its tiling of the polygon, its node set and its exactness."""
+"""The polygon rule: its tiling of the polygon, its node set and its exactness."""
 
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from toric_soliton.errors import MalformedInputError, UnsupportedDimensionError
 from toric_soliton.polytope import parse_polytope
-from toric_soliton.quadrature import cyclic_vertices, fan_rule, gauss_legendre, integrate, line_rule, polygon_rule
+from toric_soliton.quadrature import cyclic_vertices, gauss_legendre, line_rule, polygon_rule
+from conftest import integrate
 from test_futaki import FIVE_SURFACES, lattice_image
 
 DATA = Path(__file__).parent / "data"
@@ -34,12 +35,12 @@ def exact_area(p) -> Fraction:
 
 
 def test_triangulation_areas(cp2, blowup, square):
-    # one fan triangle per edge, order + 3 rays each, and the triangles' areas add up to the polygon's
+    # one fan triangle per edge, order + 3 rays of order + 3 nodes each, and the triangles'
+    # areas add up to the polygon's
     for p, (count, area) in ((cp2, (3, 4.5)), (blowup, (4, 4.0)), (square, (4, 4.0))):
-        rule = fan_rule(p, 6)
-        assert len(rule.rays) == count * 9
-        assert len(rule.radial) == 9
-        assert rule.area == pytest.approx(area, abs=1e-12)
+        points, weights, rule_area = polygon_rule(p, 6)
+        assert len(points) == len(weights) == count * 9 * 9
+        assert rule_area == pytest.approx(area, abs=1e-12)
 
 
 def test_polygon_rule_weights_positive_and_sum_to_area():
@@ -48,9 +49,9 @@ def test_polygon_rule_weights_positive_and_sum_to_area():
     for p in shipped + [lattice_image(normals) for normals, *_ in FIVE_SURFACES.values()]:
         facets = len(p.facets)
         area = float(exact_area(p))
-        assert fan_rule(p, 4).area == pytest.approx(area, rel=1e-12, abs=1e-12)
+        assert polygon_rule(p, 4)[2] == pytest.approx(area, rel=1e-12, abs=1e-12)
         for order in (1, 4, 10, 16):
-            points, weights = map(np.array, polygon_rule(p, order))
+            points, weights = map(np.array, polygon_rule(p, order)[:2])
             assert points.shape == (facets * (order + 3) ** 2, 2)
             assert weights.shape == (facets * (order + 3) ** 2,)
             assert np.all(weights > 0)
@@ -64,7 +65,7 @@ def test_rule_exact_on_reference_monomials(order):
     simplex = parse_polytope(json.dumps({"dim": 2, "facets": [
         {"normal": [1, 0], "offset": 0}, {"normal": [0, 1], "offset": 0}, {"normal": [-1, -1], "offset": 1},
     ]}))
-    points, weights = map(np.array, polygon_rule(simplex, order))
+    points, weights = map(np.array, polygon_rule(simplex, order)[:2])
     x, y = points[:, 0], points[:, 1]
     for i in range(order + 1):
         for j in range(order + 1 - i):
@@ -175,12 +176,11 @@ def test_gauss_legendre_matches_numpy():
 
 
 def test_triangulation_is_plain_floats(blowup):
-    # the Futaki solve runs on this fan rule without numpy
-    rule = fan_rule(blowup, 6)
-    assert all(type(c) is float for c in rule.center)
-    assert all(type(c) is float for ray in rule.rays for c in ray)
-    assert all(type(c) is float for pair in rule.radial for c in pair)
-    assert type(rule.area) is float
+    # verify's mean curvature runs on this node set without numpy
+    points, weights, area = polygon_rule(blowup, 6)
+    assert all(type(c) is float for point in points for c in point)
+    assert all(type(w) is float for w in weights)
+    assert type(area) is float
 
 
 def numpy_polygon_rule(p, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +203,7 @@ def numpy_polygon_rule(p, order: int) -> tuple[np.ndarray, np.ndarray]:
 def test_polygon_rule_matches_numpy_build(name):
     p = parse_polytope((DATA / f"{name}.json").read_text())
     for order in (1, 4, 10, 16, 22):
-        points, weights = polygon_rule(p, order)
+        points, weights, _ = polygon_rule(p, order)
         expected_points, expected_weights = numpy_polygon_rule(p, order)
         assert np.max(np.abs(np.array(points) - expected_points)) <= 1e-15
         assert np.max(np.abs(np.array(weights) - expected_weights)) <= 1e-15

@@ -16,7 +16,6 @@ from toric_soliton.errors import MalformedInputError, NonPrimitiveNormalError
 from toric_soliton.operators import OperatorContext
 from toric_soliton.polytope import Facet, delzant_check, privileged_center
 from toric_soliton.potentials import GuilleminPotential
-from toric_soliton.quadrature import fan_rule
 from toric_soliton.roots import assemble_decomposition, automorphism_dimensions
 from conftest import expand
 
@@ -101,7 +100,6 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
         "RootSet": cp2_roots,
         "AutomorphismDimensions": automorphism_dimensions(cp2_roots),
         "SolitonDecomposition": assemble_decomposition(cp2_soliton.a, cp2_roots),
-        "FanRule": fan_rule(cp2, 4),
         "SolitonData": cp2_soliton,
         "Stack": stack,
         "EquivariantFunction": check.profile,
@@ -114,7 +112,7 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
 
 RECORD_TYPES = (
     "Facet", "PrivilegedCenter", "DelzantVerdict", "DemazureRoot", "RootSet", "AutomorphismDimensions",
-    "SolitonDecomposition", "FanRule", "SolitonData", "Stack",
+    "SolitonDecomposition", "SolitonData", "Stack",
     "EquivariantFunction", "OperatorContext", "BoundaryProductForm", "RootCheck",
     "CalabiSoliton",
 )

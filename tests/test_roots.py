@@ -7,9 +7,17 @@ import json
 import numpy as np
 import pytest
 
-from toric_soliton.errors import MalformedInputError
+from toric_soliton.errors import MalformedInputError, NonConvergenceError
+from toric_soliton.futaki import solve_soliton_vector
 from toric_soliton.polytope import parse_polytope
-from toric_soliton.roots import automorphism_dimensions, brute_force_roots, enumerate_roots
+from toric_soliton.roots import (
+    GAMMA_TOL,
+    assemble_decomposition,
+    automorphism_dimensions,
+    brute_force_roots,
+    enumerate_roots,
+)
+from conftest import fibonacci_image
 
 
 CP2_EXPECTED = {(1, 0), (1, -1), (0, 1), (-1, 1), (-1, 0), (0, -1)}
@@ -111,3 +119,19 @@ def test_roots_transform_contragrediently(blowup, u):
 def test_centrally_symmetric_has_no_unipotent_part(square):
     rootset = enumerate_roots(square)
     assert rootset.unipotent == ()
+
+
+@pytest.mark.parametrize("n, resolved", [(2, True), (10, True), (12, True), (24, False)])
+def test_gamma_rounding_bound_rejects_a_coarse_soliton_vector(blowup, blowup_roots, n, resolved):
+    # gamma = 2 <alpha, a> in floats errs by about eps sum |2 alpha_i a_i|, which grows with the
+    # image's entries; past a tenth of GAMMA_TOL the clusters would follow round-off
+    p = parse_polytope(json.dumps(fibonacci_image(n)))
+    rootset, a = enumerate_roots(p), solve_soliton_vector(p).a
+    if resolved:
+        gammas = sorted(assemble_decomposition(a, rootset).gamma_values)
+        canonical = sorted(assemble_decomposition(solve_soliton_vector(blowup).a, blowup_roots).gamma_values)
+        assert np.allclose(gammas, canonical, rtol=0.0, atol=0.1 * GAMMA_TOL)
+    else:
+        with pytest.raises(NonConvergenceError, match="resolved only to .* in floats"):
+            assemble_decomposition(a, rootset)
+
