@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--margin", type=float, default=0.05,
                           help="interior margin as a fraction of the coordinate spread (default 0.05)")
 
-    p_dec = sub.add_parser("decompose", help="eigenvalue clustering of the solitonic decomposition")
+    p_dec = sub.add_parser("decompose", help="eigenvalue blocks of the solitonic decomposition")
     _add_common(p_dec, with_potential_flags=True)
 
     p_cal = sub.add_parser("calabi", help="closed-form blow-up soliton profiles and residuals")

@@ -14,7 +14,8 @@ eigenvalue-two check wherever ``<alpha, a>`` is not zero.  Profiles and
 fits run on the float columns of the stack, and every maximum of
 |residual| is NaN when a residual is.
 
-The eigenspace decomposition, which needs only ``a`` and the roots, is
+The eigenspace decomposition, which needs only the roots and the solve's
+``a = s b``, grouped by the integer ``<alpha, b>``, is
 :func:`toric_soliton.roots.assemble_decomposition`.
 """
 

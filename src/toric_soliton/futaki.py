@@ -59,9 +59,16 @@ Density = tuple[tuple[float, ...], ...]
 
 
 class SolitonData(NamedTuple):
-    """Solved soliton vector with Einstein constant and diagnostics."""
+    """Solved soliton vector a = s b with Einstein constant and diagnostics.
+
+    ``b`` is the primitive generator of the group's fixed lattice, None
+    when that lattice is 0; ``a`` is ``(s b_1 + 0.0, s b_2 + 0.0)``, or
+    ``(0.0, 0.0)`` with ``s = 0.0`` when ``b`` is None.
+    """
 
     a: tuple[float, ...]
+    s: float
+    b: tuple[int, int] | None
     lam: float
     futaki_residual: float
     residuals: tuple[float, ...]
@@ -225,10 +232,11 @@ def solve_soliton_vector(p: DelzantPolytope, tol: float = 1e-10) -> SolitonData:
     trace: list[dict] = []
     b = fixed_direction(group)
     if b is None:  # a = 0 exactly; the residuals there read the density along any direction
-        s, b, volume = 0.0, (0, 0), weighted_volume(line_density(p, (1, 0)), 0.0)
+        s, a, volume = 0.0, (0.0, 0.0), weighted_volume(line_density(p, (1, 0)), 0.0)
     else:
         s, volume = _minimize(line_density(p, b), tol, trace)
+        a = (s * b[0] + 0.0, s * b[1] + 0.0)
     value, _, _, moment = volume
     residuals = (0.0, abs(moment[0]) / value, abs(moment[1]) / value)
-    return SolitonData(a=(s * b[0] + 0.0, s * b[1] + 0.0), lam=1.0, futaki_residual=max(residuals),
-                       residuals=residuals, iterations=tuple(trace))
+    return SolitonData(a=a, s=s, b=b, lam=1.0, futaki_residual=max(residuals), residuals=residuals,
+                       iterations=tuple(trace))

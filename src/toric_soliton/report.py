@@ -191,7 +191,7 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
                   ) -> tuple[list[tuple[str, float, float]], list[eigenbasis.RootCheck], float]:
     """The ordered ``(name, value, threshold)`` checks of ``verify`` on the grid ``stack``.
 
-    ``decomposition`` is that of ``soliton.a`` over ``rootset``, whose
+    ``decomposition`` is that of ``soliton`` over ``rootset``, whose
     gamma values the positivity check reads.  Also returns the per-root
     :func:`~toric_soliton.eigenbasis.check_root` results and the mean
     scalar curvature.  Every check reads the potential through its stack.
@@ -295,12 +295,13 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
     family = potentials.GuilleminPotential if potential_kind == "guillemin" else potentials.CalabiPotential
     potential = family(normalized)
     ctx = operators.OperatorContext(potential=potential, a=soliton.a)
-    decomposition = assemble_decomposition(soliton.a, rootset)
+    decomposition = assemble_decomposition(soliton, rootset)
     listed, root_checks, scal_mean = verify_checks(ctx, rootset, soliton, decomposition, potential.stack(grid), order)
     checks = [
         {"name": name, "value": float(value), "threshold": threshold, "passed": bool(abs(value) <= threshold)}
         for name, value, threshold in listed
     ]
+    gamma = {root.alpha: block["gamma"] for block in decomposition.blocks for root in block["roots"]}
     return {
         "command": "verify",
         "config": {
@@ -323,7 +324,7 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
                 "lambda_hat": r.fitted_eigenvalue,
                 "max_rel_residual": r.max_rel_residual,
                 "gamma_hat": r.gamma_hat,
-                "gamma": 2.0 * operators.dot(r.root.alpha, ctx.a),
+                "gamma": gamma[r.root.alpha],
             }
             for r in root_checks
         ],
@@ -352,7 +353,7 @@ def _decomposition_section(decomposition) -> dict:
 
 def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: float = 1e-10,
                      grid_n: int = 21) -> dict:
-    """Cluster the roots by gamma = 2 <alpha, a>; no potential is built.
+    """Group the roots into blocks of gamma = 2 <alpha, a>; no potential is built.
 
     ``potential_kind`` and ``grid_n`` are echoed into ``config``; a
     ``calabi`` request on any polygon but the blow-up trapezoid is still
@@ -362,7 +363,7 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
     _check_potential(normalized, potential_kind)
     rootset = enumerate_roots(normalized)
     soliton = futaki.solve_soliton_vector(normalized, tol=tol)
-    decomposition = assemble_decomposition(soliton.a, rootset)
+    decomposition = assemble_decomposition(soliton, rootset)
     semisimple = {r.alpha for r in rootset.semisimple}
     blocks = _decomposition_section(decomposition)
     for block, raw in zip(blocks["blocks"], decomposition.blocks):

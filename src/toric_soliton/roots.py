@@ -7,21 +7,23 @@ Enumeration is exact and exhaustive: the lattice points of the line
 and every other facet bounds ``k`` from one side by an exact floor or
 ceiling, so the roots of each facet are one integer interval of ``k``.
 
-Given the soliton vector ``a``, the roots cluster by gamma = 2 <alpha, a>
-into the solitonic eigenspace decomposition.  The clusters are seeded with
-the affine block (complex dimension two) at gamma = 0, which every root
-with |gamma| <= ``GAMMA_TOL`` joins, so the block dimensions add up to
+Given the soliton vector ``a = s b``, with b the integer generator of the
+lattice that the polygon's lattice automorphisms fix, gamma = 2 <alpha, a>
+is 2 s k with k = <alpha, b> an exact integer.  The roots group by k into
+the solitonic eigenspace decomposition: a semisimple root's Weyl
+reflection fixes b, so k = 0 on it, and the k = 0 block also holds the
+affine block (complex dimension two), so the block dimensions add up to
 dim eta.  With the fan-side soliton vector all gamma are non-negative.
+No tolerance is involved.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
 from typing import NamedTuple
 
-from .errors import MalformedInputError, NonConvergenceError, UnboundedRootRegionError
+from .errors import MalformedInputError, UnboundedRootRegionError
 from .polytope import DIM, DelzantPolytope
 
 
@@ -34,7 +36,7 @@ class DemazureRoot(NamedTuple):
 
 
 class RootSet(NamedTuple):
-    """All roots of a polytope, split into semisimple and unipotent parts."""
+    """All roots of a polytope in ascending alpha, split into semisimple and unipotent parts."""
 
     roots: tuple[DemazureRoot, ...]
     semisimple: tuple[DemazureRoot, ...]
@@ -120,12 +122,8 @@ def automorphism_dimensions(rootset: RootSet) -> AutomorphismDimensions:
     )
 
 
-#: clustering tolerance for eigenvalue grouping
-GAMMA_TOL = 1e-9
-
-
 class SolitonDecomposition(NamedTuple):
-    """Eigenvalue clusters gamma = 2 <alpha, a>, one of them the affine block at zero."""
+    """Eigenvalue blocks gamma = 2 <alpha, a>, one of them the affine block at zero."""
 
     blocks: tuple[dict, ...]
     gamma_values: tuple[float, ...]
@@ -135,55 +133,31 @@ class SolitonDecomposition(NamedTuple):
         return sum(b["complex_dimension"] for b in self.blocks)
 
 
-def assemble_decomposition(a, rootset: RootSet) -> SolitonDecomposition:
-    """Cluster roots by gamma = 2 <alpha, a> around the affine block at gamma = 0.
+def assemble_decomposition(soliton, rootset: RootSet) -> SolitonDecomposition:
+    """Group the roots by the integer k = <alpha, b> of the soliton vector ``a = s b``.
 
-    ``a`` is the soliton vector.  The affine block has gamma 0.0 exactly
-    and holds every root with |gamma| <= ``GAMMA_TOL``.  The other roots,
-    in ascending gamma, join the cluster before them when within
-    ``GAMMA_TOL`` of its first member; a cluster's gamma is its mean.
-    Blocks are ordered by ascending gamma and the members of each block by
-    ascending alpha, so neither order follows the sign of round-off in a.
-    Raises :class:`NonConvergenceError` when a gamma's rounding bound
-    ``2 eps sum_i |alpha_i a_i|`` exceeds a tenth of ``GAMMA_TOL``, which
-    lattice images with normal entries near a thousand reach.
+    ``soliton`` is the :class:`~toric_soliton.futaki.SolitonData` of the
+    solve; k is 0 on every root when its ``b`` is None (``a = 0``).  The
+    k = 0 block holds the affine block.  Each block's gamma is
+    ``2.0 * s * k + 0.0``, one rounding and never -0.0.  Blocks are
+    ordered by ascending gamma and the members of each block by ascending
+    alpha, the order of ``rootset.roots``.
     """
-    a = tuple(float(c) for c in a)
-    # each gamma sums 2 alpha_i a_i in floats, so the rounding of a reaches it as about
-    # eps sum |2 alpha_i a_i|; past a tenth of the tolerance the clusters would follow round-off
-    bound = 2.0 * sys.float_info.epsilon * max((sum(abs(c * x) for c, x in zip(r.alpha, a)) for r in rootset.roots),
-                                               default=0.0)
-    if not bound <= 0.1 * GAMMA_TOL:
-        raise NonConvergenceError(f"a root's gamma is resolved only to {bound:.1e} in floats, "
-                                  f"above a tenth of the clustering tolerance {GAMMA_TOL:g}")
-    entries = sorted(
-        ((2.0 * sum(c * x for c, x in zip(root.alpha, a)), root) for root in rootset.roots),
-        key=lambda item: item[0],
+    s, b = soliton.s, soliton.b
+    levels: dict[int, list[DemazureRoot]] = {0: []}
+    for root in rootset.roots:
+        k = 0 if b is None else root.alpha[0] * b[0] + root.alpha[1] * b[1]
+        levels.setdefault(k, []).append(root)
+    blocks = sorted(
+        ({
+            "gamma": 2.0 * s * k + 0.0,
+            "roots": tuple(members),
+            "includes_affine": k == 0,
+            "complex_dimension": len(members) + (DIM if k == 0 else 0),
+        } for k, members in levels.items()),
+        key=lambda block: block["gamma"],
     )
-
-    affine: list = []
-    clusters: list[list] = []
-    for gamma, root in entries:
-        if abs(gamma) <= GAMMA_TOL:
-            affine.append((gamma, root))
-        elif clusters and abs(gamma - clusters[-1][0][0]) <= GAMMA_TOL:
-            clusters[-1].append((gamma, root))
-        else:
-            clusters.append([(gamma, root)])
-
-    blocks = []
-    for cluster in (affine, *clusters):
-        cluster.sort(key=lambda item: item[1].alpha)
-        includes_affine = cluster is affine
-        roots = tuple(r for _, r in cluster)
-        blocks.append({
-            "gamma": 0.0 if includes_affine else sum(g for g, _ in cluster) / len(cluster),
-            "roots": roots,
-            "includes_affine": includes_affine,
-            "complex_dimension": len(roots) + (DIM if includes_affine else 0),
-        })
-    blocks.sort(key=lambda b: b["gamma"])
-    return SolitonDecomposition(blocks=tuple(blocks), gamma_values=tuple(b["gamma"] for b in blocks))
+    return SolitonDecomposition(blocks=tuple(blocks), gamma_values=tuple(block["gamma"] for block in blocks))
 
 
 def brute_force_roots(p: DelzantPolytope) -> list[tuple[int, ...]]:

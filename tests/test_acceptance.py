@@ -157,11 +157,11 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
     report(9, "mode identities, product rule, and FD-oracle agreement", ok)
 
 
-def test_criterion_10_decomposition(cp2_ctx, blowup_ctx, blowup_soliton):
-    cp2_dec = assemble_decomposition(cp2_ctx.a, enumerate_roots(cp2_ctx.potential.polytope))
+def test_criterion_10_decomposition(cp2_ctx, cp2_soliton, blowup_ctx, blowup_soliton):
+    cp2_dec = assemble_decomposition(cp2_soliton, enumerate_roots(cp2_ctx.potential.polytope))
     ok = cp2_dec.gamma_values == (0.0,) and cp2_dec.blocks[0]["complex_dimension"] == 8
     blowup_rootset = enumerate_roots(blowup_ctx.potential.polytope)
-    blowup_dec = assemble_decomposition(blowup_ctx.a, blowup_rootset)
+    blowup_dec = assemble_decomposition(blowup_soliton, blowup_rootset)
     dims = {round(b["gamma"], 12): b["complex_dimension"] for b in blowup_dec.blocks}
     expected_gamma = round(-2.0 * blowup_soliton.a[0], 12)
     ok = ok and dims == {0.0: 4, expected_gamma: 2} and expected_gamma > 0

@@ -306,17 +306,18 @@ def test_fibonacci_image_decomposes_with_the_canonical_gammas(capsys, tmp_path):
 #: exit code and stderr start of each command on the F(n) images of Bl1P2 below
 FIBONACCI_OUTCOMES = {
     "soliton": (0, ""),
-    "decompose": (3, "solver failure: a root's gamma is resolved only to "),
+    "decompose": (0, ""),
     "verify": (2, "rejected: grid 21 with margin 0.05 has no interior point"),
 }
 
 
 @pytest.mark.parametrize("n", [24, 340, 745], ids=["F24", "F340", "F745"])
-def test_fibonacci_images_past_float_resolution_end_in_the_contract(capsys, tmp_path, n):
-    # entries of 5, 71 and 156 digits: a is solved on the fixed line, but the roots' gammas in
-    # floats no longer resolve the clusters, so decompose is a solver failure, and the tensor
-    # grid of verify keeps no point of images this thin; F(340) once escaped main with a
-    # ZeroDivisionError, and |b|^2 as a float overflows at F(745)
+def test_deep_fibonacci_images_end_in_the_contract(capsys, tmp_path, n):
+    # entries of 5, 71 and 156 digits: a is solved on the fixed line and the roots group by the
+    # integer <alpha, b>, so decompose gives the canonical blocks, but the tensor grid of verify
+    # keeps no point of images this thin; F(340) once escaped main with a ZeroDivisionError,
+    # |b|^2 as a float overflows at F(745), and gamma = 2 <alpha, a> in floats once ended
+    # decompose in a solver failure from F(15) on
     path = tmp_path / "image.json"
     path.write_text(json.dumps(fibonacci_image(n)))
     for command, (expected, message) in FIBONACCI_OUTCOMES.items():
@@ -328,6 +329,8 @@ def test_fibonacci_images_past_float_resolution_end_in_the_contract(capsys, tmp_
         if command == "soliton":
             a = json.loads(out)["soliton"]["a"]
             assert all(math.isfinite(c) and c != 0.0 for c in a)
+        if command == "decompose":
+            assert [b["complex_dimension"] for b in json.loads(out)["decomposition"]["blocks"]] == [4, 2]
 
 
 def test_help_states_the_maxima(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from toric_soliton.futaki import solve_soliton_vector
 from toric_soliton.operators import EquivariantFunction, OperatorContext, complex_weighted_laplacian
 from toric_soliton.polytope import DelzantPolytope, parse_polytope
 from toric_soliton.potentials import GuilleminPotential
-from toric_soliton.roots import GAMMA_TOL, assemble_decomposition, automorphism_dimensions, enumerate_roots
+from toric_soliton.roots import assemble_decomposition, automorphism_dimensions, enumerate_roots
 from conftest import array_jet, column_jet, interior_points
 
 DATA = Path(__file__).parent / "data"
@@ -204,9 +205,9 @@ def test_anti_holomorphic_rejects_bad_fit(blowup, blowup_soliton, blowup_grid):
     assert result.gamma_fit > 1e-6
 
 
-def test_decomposition_cp2(cp2_ctx):
+def test_decomposition_cp2(cp2_ctx, cp2_soliton):
     rootset = enumerate_roots(cp2_ctx.potential.polytope)
-    decomposition = assemble_decomposition(cp2_ctx.a, rootset)
+    decomposition = assemble_decomposition(cp2_soliton, rootset)
     assert decomposition.gamma_values == (0.0,)
     block = decomposition.blocks[0]
     assert block["includes_affine"]
@@ -216,7 +217,7 @@ def test_decomposition_cp2(cp2_ctx):
 
 def test_decomposition_blowup(blowup_ctx, blowup_soliton):
     rootset = enumerate_roots(blowup_ctx.potential.polytope)
-    decomposition = assemble_decomposition(blowup_ctx.a, rootset)
+    decomposition = assemble_decomposition(blowup_soliton, rootset)
     assert len(decomposition.blocks) == 2
     zero_block, positive_block = decomposition.blocks
     assert zero_block["gamma"] == 0.0
@@ -236,20 +237,9 @@ def test_decomposition_blowup(blowup_ctx, blowup_soliton):
 
 def test_decomposition_square(square):
     soliton = solve_soliton_vector(square)
-    decomposition = assemble_decomposition(soliton.a, enumerate_roots(square))
+    decomposition = assemble_decomposition(soliton, enumerate_roots(square))
     assert decomposition.gamma_values == (0.0,)
     assert decomposition.total_complex_dimension == 6
-
-
-def test_clustering_stable_under_tolerance(blowup_ctx, monkeypatch):
-    rootset = enumerate_roots(blowup_ctx.potential.polytope)
-    base = assemble_decomposition(blowup_ctx.a, rootset)
-    monkeypatch.setattr("toric_soliton.roots.GAMMA_TOL", 1e-6)
-    loose = assemble_decomposition(blowup_ctx.a, rootset)
-    assert [b["complex_dimension"] for b in base.blocks] == [b["complex_dimension"] for b in loose.blocks]
-    assert [sorted(r.alpha for r in b["roots"]) for b in base.blocks] == [
-        sorted(r.alpha for r in b["roots"]) for b in loose.blocks
-    ]
 
 
 def _block_layout(decomposition):
@@ -261,37 +251,36 @@ def _block_layout(decomposition):
 
 @pytest.mark.parametrize("example", ["cp2", "blowup"])
 @settings(max_examples=40, deadline=None)
-@given(shift=st.lists(st.floats(min_value=-1e-14, max_value=1e-14), min_size=2, max_size=2))
-def test_decomposition_independent_of_round_off_in_a(example, shift, cp2_ctx, cp2_roots,
-                                                    blowup_ctx, blowup_roots):
-    # components of a that vanish by symmetry come out as +-1e-17 noise;
-    # neither the blocks nor the order of their members may follow its sign
-    ctx, rootset = {"cp2": (cp2_ctx, cp2_roots), "blowup": (blowup_ctx, blowup_roots)}[example]
-    base = assemble_decomposition(ctx.a, rootset)
-    perturbed = assemble_decomposition(ctx.a + np.array(shift), rootset)
-    assert _block_layout(perturbed) == _block_layout(base)
-    assert perturbed.gamma_values == pytest.approx(base.gamma_values, abs=1e-12)
+@given(s=st.floats(min_value=-1e6, max_value=1e6).filter(lambda v: v != 0.0))
+def test_decomposition_independent_of_round_off_in_a(example, s, cp2_roots, blowup_roots, blowup_soliton):
+    # a = s b, so round-off in a is round-off in s: for a fixed b the blocks, as root sets in
+    # their order, follow only the sign of s, and each gamma is 2 s <alpha, b> in one rounding.
+    # The solve fixes only 0 on P^2; b = (2, 1) stands in there to give five levels
+    rootset, b = {"cp2": (cp2_roots, (2, 1)), "blowup": (blowup_roots, blowup_soliton.b)}[example]
+    soliton = blowup_soliton._replace(s=s, b=b)
+    decomposition = assemble_decomposition(soliton, rootset)
+    unit = assemble_decomposition(soliton._replace(s=math.copysign(1.0, s)), rootset)
+    assert _block_layout(decomposition) == _block_layout(unit)
+    assert len(decomposition.blocks) == {"cp2": 5, "blowup": 2}[example]
+    for block in decomposition.blocks:
+        for root in block["roots"]:
+            k = root.alpha[0] * b[0] + root.alpha[1] * b[1]
+            assert block["includes_affine"] == (k == 0)
+            assert block["gamma"] == 2.0 * s * k + 0.0
 
 
-@pytest.mark.parametrize("name", ["cp2", "square", "bl3"])
-@settings(max_examples=60, deadline=None)
-@given(unit=st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0)))
-def test_near_zero_a_gives_one_affine_block(name, unit):
-    # with |a|_inf <= GAMMA_TOL / (4 max |alpha|) every |gamma| is at most GAMMA_TOL: one affine
-    # block holds every root, however the gammas spread inside the tolerance
+@pytest.mark.parametrize("name", ["cp2", "square", "bl3", "blowup"])
+@settings(max_examples=40, deadline=None)
+@given(s=st.floats(min_value=-1e6, max_value=1e6))
+def test_a_fixed_only_at_zero_gives_one_affine_block(name, s, blowup_soliton):
+    # b = None (the lattice automorphisms fix only 0, a = 0): every root pairs to k = 0 with it,
+    # so one affine block at gamma +0.0 holds them all, for s of either sign; on Bl1P2 the
+    # solve's b is not None, and dropping it puts the unipotent roots in the affine block
     rootset = enumerate_roots(parse_polytope((DATA / f"{name}.json").read_text()))
-    bound = GAMMA_TOL / (4 * max((abs(c) for r in rootset.roots for c in r.alpha), default=1))
-    decomposition = assemble_decomposition([bound * u for u in unit], rootset)
+    decomposition = assemble_decomposition(blowup_soliton._replace(s=s, b=None), rootset)
     assert [b["includes_affine"] for b in decomposition.blocks] == [True]
-    assert decomposition.total_complex_dimension == automorphism_dimensions(rootset).dim_eta
-
-
-@pytest.mark.parametrize("name", ["cp2", "square"])
-def test_gammas_spread_over_the_tolerance_give_one_affine_block(name):
-    # gammas from -1e-9 to 1e-9: a chain from the lowest once split them into two zero blocks
-    rootset = enumerate_roots(parse_polytope((DATA / f"{name}.json").read_text()))
-    decomposition = assemble_decomposition((2.6e-10, -2.4e-10), rootset)
-    assert [b["includes_affine"] for b in decomposition.blocks].count(True) == 1
+    assert [math.copysign(1.0, g) for g in decomposition.gamma_values] == [1.0]
+    assert decomposition.gamma_values == (0.0,)
     assert decomposition.total_complex_dimension == automorphism_dimensions(rootset).dim_eta
 
 

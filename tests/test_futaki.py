@@ -21,8 +21,8 @@ from toric_soliton.futaki import (
     weighted_volume,
 )
 from toric_soliton.polytope import DelzantPolytope, Facet, lattice_automorphisms, normalize_algebraic, parse_polytope
-from toric_soliton.roots import automorphism_dimensions, brute_force_roots, enumerate_roots
-from conftest import integrate
+from toric_soliton.roots import assemble_decomposition, automorphism_dimensions, brute_force_roots, enumerate_roots
+from conftest import fibonacci_image, integrate
 
 
 def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:
@@ -328,12 +328,48 @@ def test_solve_reads_no_quadrature(surface, imaged, monkeypatch):
     assert "quadrature" not in vars(futaki)
 
 
+def reductive_defect(soliton, rootset) -> int:
+    """The number of roots with <alpha, b> = 0 (all of them when b is None) less the semisimple ones."""
+    b = soliton.b
+    level_zero = [r for r in rootset.roots if b is None or r.alpha[0] * b[0] + r.alpha[1] * b[1] == 0]
+    return len(level_zero) - len(rootset.semisimple)
+
+
+@pytest.mark.parametrize("surface", FIVE_SURFACES)
+def test_semisimple_roots_are_the_roots_orthogonal_to_the_fixed_line(surface):
+    # a semisimple pair's Weyl reflection is a lattice automorphism and fixes b, so <alpha, b> = 0
+    # on it, and gamma = 2 s <alpha, b> > 0 on every unipotent root: the fixed line of
+    # lattice_automorphisms and the split of enumerate_roots share no code
+    normals = FIVE_SURFACES[surface][0]
+    polygons = [polygon(normals), normalize_algebraic(lattice_image(normals))]
+    if surface in ("Bl1P2", "Bl2P2"):
+        polygons += [parse_polytope(json.dumps(fibonacci_image(n, normals))) for n in (2, 12, 24, 340, 745)]
+    for p in polygons:
+        rootset, soliton = enumerate_roots(p), solve_soliton_vector(p)
+        assert reductive_defect(soliton, rootset) == 0
+        b = soliton.b
+        assert soliton.a == ((0.0, 0.0) if b is None else (soliton.s * b[0] + 0.0, soliton.s * b[1] + 0.0))
+        assert all(soliton.s * (r.alpha[0] * b[0] + r.alpha[1] * b[1]) > 0 for r in rootset.unipotent)
+        affine = next(block for block in assemble_decomposition(soliton, rootset).blocks if block["includes_affine"])
+        assert affine["roots"] == rootset.semisimple
+
+
+def test_dropping_the_fixed_line_on_bl1p2_leaves_a_reductive_defect_of_two():
+    # with b taken as None (a = 0) both unipotent roots join the gamma = 0 block
+    p = polygon(FIVE_SURFACES["Bl1P2"][0])
+    rootset, soliton = enumerate_roots(p), solve_soliton_vector(p)
+    assert reductive_defect(soliton._replace(b=None), rootset) == 2
+    blocks = assemble_decomposition(soliton._replace(s=0.0, b=None), rootset).blocks
+    assert [b["complex_dimension"] for b in blocks] == [6]
+
+
 @pytest.mark.parametrize("imaged", [False, True], ids=["canonical", "image"])
 @pytest.mark.parametrize("surface", ["P2", "P1xP1", "Bl3P2"])
 def test_symmetric_soliton_vector_is_exactly_zero(surface, imaged):
     # the group fixes only 0, so a is (0.0, 0.0) bit for bit, with no sign on either zero
     normals = FIVE_SURFACES[surface][0]
     soliton = solve_soliton_vector(lattice_image(normals) if imaged else polygon(normals))
+    assert (soliton.s, soliton.b) == (0.0, None)
     assert soliton.a == (0.0, 0.0)
     assert [math.copysign(1.0, c) for c in soliton.a] == [1.0, 1.0]
     assert soliton.iterations == ()

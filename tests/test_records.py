@@ -99,7 +99,7 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
         "DemazureRoot": cp2_roots.roots[0],
         "RootSet": cp2_roots,
         "AutomorphismDimensions": automorphism_dimensions(cp2_roots),
-        "SolitonDecomposition": assemble_decomposition(cp2_soliton.a, cp2_roots),
+        "SolitonDecomposition": assemble_decomposition(cp2_soliton, cp2_roots),
         "SolitonData": cp2_soliton,
         "Stack": stack,
         "EquivariantFunction": check.profile,

@@ -46,7 +46,7 @@ class StackOnlyPotential(HSidePotential):
 def test_stack_only_potential_runs_every_stack_check(cp2, cp2_roots, cp2_soliton, cp2_grid, cp2_ctx):
     potential = StackOnlyPotential(cp2)
     ctx = OperatorContext(potential=potential, a=cp2_soliton.a)
-    cp2_decomposition = assemble_decomposition(cp2_soliton.a, cp2_roots)
+    cp2_decomposition = assemble_decomposition(cp2_soliton, cp2_roots)
     checks, root_checks, _ = verify_checks(ctx, cp2_roots, cp2_soliton, cp2_decomposition, potential.stack(cp2_grid), 10)
     names = [name for name, _, _ in checks]
     assert len(names) == 3 + 4 * len(cp2_roots.roots) + 2 + 2 == 31

@@ -7,17 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from toric_soliton.errors import MalformedInputError, NonConvergenceError
+from toric_soliton.errors import MalformedInputError
 from toric_soliton.futaki import solve_soliton_vector
 from toric_soliton.polytope import parse_polytope
 from toric_soliton.roots import (
-    GAMMA_TOL,
     assemble_decomposition,
     automorphism_dimensions,
     brute_force_roots,
     enumerate_roots,
 )
-from conftest import fibonacci_image
+from conftest import fibonacci, fibonacci_image
 
 
 CP2_EXPECTED = {(1, 0), (1, -1), (0, 1), (-1, 1), (-1, 0), (0, -1)}
@@ -121,17 +120,28 @@ def test_centrally_symmetric_has_no_unipotent_part(square):
     assert rootset.unipotent == ()
 
 
-@pytest.mark.parametrize("n, resolved", [(2, True), (10, True), (12, True), (24, False)])
-def test_gamma_rounding_bound_rejects_a_coarse_soliton_vector(blowup, blowup_roots, n, resolved):
-    # gamma = 2 <alpha, a> in floats errs by about eps sum |2 alpha_i a_i|, which grows with the
-    # image's entries; past a tenth of GAMMA_TOL the clusters would follow round-off
-    p = parse_polytope(json.dumps(fibonacci_image(n)))
-    rootset, a = enumerate_roots(p), solve_soliton_vector(p).a
-    if resolved:
-        gammas = sorted(assemble_decomposition(a, rootset).gamma_values)
-        canonical = sorted(assemble_decomposition(solve_soliton_vector(blowup).a, blowup_roots).gamma_values)
-        assert np.allclose(gammas, canonical, rtol=0.0, atol=0.1 * GAMMA_TOL)
-    else:
-        with pytest.raises(NonConvergenceError, match="resolved only to .* in floats"):
-            assemble_decomposition(a, rootset)
+#: normals of the canonical Bl1P2 and Bl2P2 polygons, every offset one
+BLOWUP_NORMALS = {
+    "Bl1P2": ((0, 1), (-1, 0), (1, 0), (1, -1)),
+    "Bl2P2": ((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1)),
+}
 
+
+@pytest.mark.parametrize("surface", BLOWUP_NORMALS)
+@pytest.mark.parametrize("n", [2, 10, 12, 24, 340, 745], ids=lambda n: f"F{n}")
+def test_fibonacci_images_give_the_canonical_blocks(surface, n):
+    # gamma = 2 s <alpha, b> with <alpha, b> an exact integer, so the blocks follow the lattice
+    # map and gamma rounds once on every image, entries of up to 156 digits included
+    normals = BLOWUP_NORMALS[surface]
+    canonical = parse_polytope(json.dumps({"dim": 2, "facets": [{"normal": list(nu), "offset": 1} for nu in normals]}))
+    image = parse_polytope(json.dumps(fibonacci_image(n, normals)))
+    expected = assemble_decomposition(solve_soliton_vector(canonical), enumerate_roots(canonical))
+    blocks = assemble_decomposition(solve_soliton_vector(image), enumerate_roots(image)).blocks
+    # normals map by M = [[F(n+1), F(n)], [F(n), F(n-1)]], so roots by M^-T and M^T maps them back
+    (m11, m12), (m21, m22) = (fibonacci(n + 1), fibonacci(n)), (fibonacci(n), fibonacci(n - 1))
+    assert [b["complex_dimension"] for b in blocks] == [b["complex_dimension"] for b in expected.blocks]
+    for block, want in zip(blocks, expected.blocks):
+        pulled = {(m11 * a1 + m21 * a2, m12 * a1 + m22 * a2) for a1, a2 in (r.alpha for r in block["roots"])}
+        assert pulled == {r.alpha for r in want["roots"]}
+        assert block["includes_affine"] == want["includes_affine"]
+        assert block["gamma"] == pytest.approx(want["gamma"], rel=1e-14, abs=0.0)
