@@ -31,10 +31,6 @@ EXIT_GEOMETRY = 2
 EXIT_SOLVER = 3
 EXIT_VERIFICATION = 4
 
-#: largest accepted ``--order``, which only ``verify`` reads, for the mean curvature:
-#: at it ``verify`` takes about 2 s and up to 74 MB on Bl3P2 (6 * 203^2 nodes, stacked
-#: ``potentials.BLOCK`` at a time)
-MAX_ORDER = 200
 #: largest accepted ``--grid``; ``verify`` at it takes about 2-3 s and up to 0.13 GB
 #: (Bl3P2 on a shared 2-core Xeon, fresh process)
 MAX_GRID = 500
@@ -55,11 +51,9 @@ def _load_polytope(path: str) -> DelzantPolytope:
 
 def _check_arguments(args: argparse.Namespace) -> None:
     """Reject flag values the pipeline cannot use, naming the value."""
-    _check_range("--order", getattr(args, "order", 1), MAX_ORDER)
-    for flag in ("tol", "margin"):
-        value = getattr(args, flag, 1.0)
-        if not (value > 0.0 and math.isfinite(value)):
-            raise MalformedInputError(f"--{flag} must be finite and positive, got {value}")
+    margin = getattr(args, "margin", 1.0)
+    if not (margin > 0.0 and math.isfinite(margin)):
+        raise MalformedInputError(f"--margin must be finite and positive, got {margin}")
     if args.command in ("verify", "decompose", "calabi"):
         _check_range("--grid", args.grid, MAX_GRID)
 
@@ -81,7 +75,6 @@ def _emit(report: dict, fmt: str) -> None:
 def _add_common(parser: argparse.ArgumentParser, with_potential_flags: bool = False) -> None:
     parser.add_argument("polytope", help="path to the polytope JSON document")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--tol", type=float, default=1e-10, help="solver tolerance (default 1e-10)")
     if with_potential_flags:
         parser.add_argument("--potential", choices=POTENTIAL_KINDS, default="guillemin")
         parser.add_argument("--grid", type=int, default=21,
@@ -97,16 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_roots = sub.add_parser("roots", help="normalized polytope, Demazure roots, automorphism dimensions")
-    p_roots.add_argument("polytope")
-    p_roots.add_argument("--format", choices=("text", "json"), default="text")
+    _add_common(p_roots)
 
     p_soliton = sub.add_parser("soliton", help="solve the weighted-moment condition for the soliton vector")
     _add_common(p_soliton)
 
     p_verify = sub.add_parser("verify", help="full verification report for a potential")
     _add_common(p_verify, with_potential_flags=True)
-    p_verify.add_argument("--order", type=int, default=10,
-                          help=f"quadrature exactness order of the mean curvature, 1 to {MAX_ORDER} (default 10)")
     p_verify.add_argument("--margin", type=float, default=0.05,
                           help="interior margin as a fraction of the coordinate spread (default 0.05)")
 
@@ -127,15 +117,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "roots":
             report = roots_report(_load_polytope(args.polytope))
         elif args.command == "soliton":
-            report = soliton_report(_load_polytope(args.polytope), tol=args.tol)
+            report = soliton_report(_load_polytope(args.polytope))
         elif args.command == "verify":
-            report = verify_report(
-                _load_polytope(args.polytope), potential_kind=args.potential,
-                tol=args.tol, grid_n=args.grid, margin=args.margin, order=args.order,
-            )
+            report = verify_report(_load_polytope(args.polytope), potential_kind=args.potential,
+                                   grid_n=args.grid, margin=args.margin)
         elif args.command == "decompose":
             report = decompose_report(_load_polytope(args.polytope), potential_kind=args.potential,
-                                      tol=args.tol, grid_n=args.grid)
+                                      grid_n=args.grid)
         else:  # calabi
             report = calabi_report(grid_points=args.grid)
     except NonConvergenceError as exc:

@@ -48,6 +48,10 @@ from .polytope import DelzantPolytope, lattice_automorphisms, normalize_algebrai
 
 MAX_NEWTON_ITERATIONS = 60
 
+#: the Newton stop |dW/ds| / W of :func:`_minimize`; its polish reaches the round-off floor from
+#: any stop up to 1e-1, so this sets the length of the ``iterations`` trace and not ``a``
+NEWTON_TOL = 1e-10
+
 #: terms of the |y| < 2 series of :func:`exp_moments`: the k-th is at most 2^k / k!, below 1e-21 at k = 30
 SERIES_TERMS = 30
 
@@ -171,22 +175,22 @@ def weighted_volume(density: Density, s: float) -> Volume:
     return value, 2.0 * slope, 4.0 * curvature, (mx, my)
 
 
-def _minimize(density: Density, tol: float, trace: list[dict]) -> tuple[float, Volume]:
+def _minimize(density: Density, trace: list[dict]) -> tuple[float, Volume]:
     """The minimizer s of W(s b) from s = 0, with its :func:`weighted_volume`.
 
-    Newton steps with step halving until |dW/ds| / W <= tol, then up to
-    three full steps while |dW/ds| falls; each Newton step appends its
-    |dW/ds| to ``trace`` as ``grad_norm``.  W is strictly convex in s, so
-    dW/ds has one root.  Each point is evaluated once: an accepted trial
-    is the next iterate, and the polish and the caller read the
-    evaluation already held.
+    Newton steps with step halving until |dW/ds| / W <= ``NEWTON_TOL``,
+    then up to three full steps while |dW/ds| falls, which end on the
+    round-off floor; each Newton step appends its |dW/ds| to ``trace`` as
+    ``grad_norm``.  W is strictly convex in s, so dW/ds has one root.
+    Each point is evaluated once: an accepted trial is the next iterate,
+    and the polish and the caller read the evaluation already held.
     """
     s = 0.0
     volume = weighted_volume(density, s)
     for iteration in range(MAX_NEWTON_ITERATIONS):
         value, slope, curvature, _ = volume
         trace.append({"iteration": iteration, "grad_norm": abs(slope)})
-        if abs(slope) <= tol * value:
+        if abs(slope) <= NEWTON_TOL * value:
             break
         step, t = -slope / curvature, 1.0
         while True:
@@ -200,7 +204,7 @@ def _minimize(density: Density, tol: float, trace: list[dict]) -> tuple[float, V
         s, volume = candidate, trial
     else:
         raise NonConvergenceError(f"no convergence after {MAX_NEWTON_ITERATIONS} Newton iterations")
-    # quadratic polish to the round-off floor, well below the user tolerance
+    # quadratic polish to the round-off floor, well below NEWTON_TOL
     for _ in range(3):
         _, slope, curvature, _ = volume
         candidate = s - slope / curvature
@@ -213,7 +217,7 @@ def _minimize(density: Density, tol: float, trace: list[dict]) -> tuple[float, V
     return s, volume
 
 
-def solve_soliton_vector(p: DelzantPolytope, tol: float = 1e-10) -> SolitonData:
+def solve_soliton_vector(p: DelzantPolytope) -> SolitonData:
     """Solve the weighted-moment condition for the soliton vector on the group's fixed lattice.
 
     Non-algebraic input is normalized first.  Every accepted polygon has a
@@ -234,7 +238,7 @@ def solve_soliton_vector(p: DelzantPolytope, tol: float = 1e-10) -> SolitonData:
     if b is None:  # a = 0 exactly; the residuals there read the density along any direction
         s, a, volume = 0.0, (0.0, 0.0), weighted_volume(line_density(p, (1, 0)), 0.0)
     else:
-        s, volume = _minimize(line_density(p, b), tol, trace)
+        s, volume = _minimize(line_density(p, b), trace)
         a = (s * b[0] + 0.0, s * b[1] + 0.0)
     value, _, _, moment = volume
     residuals = (0.0, abs(moment[0]) / value, abs(moment[1]) / value)

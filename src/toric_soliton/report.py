@@ -20,7 +20,11 @@ positivity and semisimple pairings, and the boundary product form.  Grid
 checks reduce their per-point residuals to ``max |r|``, and a NaN anywhere
 makes that maximum NaN, so its check fails.  The finite-difference
 oracle and the boundary product form are gated on the potential's type:
-they run for the canonical potential only.
+they run for the canonical potential only.  A report's ``config`` echoes
+the command's flags.  The Newton stop (``futaki.NEWTON_TOL``) and the
+order of the curvature rule (:data:`SCAL_ORDER`) are constants, not
+flags: no stop moves ``a`` past round-off, and a higher order only adds
+round-off to the mean curvature.
 
 The submodules past the exact lattice work are bound as lazily loaded
 modules and called qualified, so ``roots`` executes none of them,
@@ -146,12 +150,11 @@ def roots_report(p: DelzantPolytope) -> dict:
     }
 
 
-def soliton_report(p: DelzantPolytope, tol: float = 1e-10) -> dict:
+def soliton_report(p: DelzantPolytope) -> dict:
     normalized, polytope = _prepare(p)
-    soliton = futaki.solve_soliton_vector(normalized, tol=tol)
+    soliton = futaki.solve_soliton_vector(normalized)
     return {
         "command": "soliton",
-        "config": {"tol": tol},
         "polytope": polytope,
         "soliton": _soliton_section(soliton),
     }
@@ -165,20 +168,21 @@ def _check_potential(normalized: DelzantPolytope, potential_kind: str) -> None:
         require_blowup_trapezoid(normalized)
 
 
-def _scal_mean(ctx: operators.OperatorContext, order: int) -> float:
-    """Mean of Abreu's scalar curvature over the polygon on its order-``order`` quadrature rule.
+#: exactness order of the rule :func:`_scal_mean` integrates on, d (SCAL_ORDER + 3)^2 nodes for d
+#: facets, at most 6 * 13^2 = 1014; the mean is within 1e-9 of 2 n lambda on the five surfaces and
+#: the Calabi trapezoid, and a higher order only adds round-off
+SCAL_ORDER = 10
 
-    The curvature is the stack's ``scal`` column, so each stack is built
-    without the gradient, on ``potentials.BLOCK`` nodes at a time: only
-    one block's columns are held at once.  The products ``w scal`` are
-    collected in node order and summed once.
+
+def _scal_mean(ctx: operators.OperatorContext) -> float:
+    """Mean of Abreu's scalar curvature over the polygon on its order-``SCAL_ORDER`` quadrature rule.
+
+    The curvature is the stack's ``scal`` column, so the one stack over
+    every node is built without the gradient.  The products ``w scal``
+    are summed once in node order.
     """
-    points, weights, area = quadrature.polygon_rule(ctx.potential.polytope, order)
-    products = []
-    for start in range(0, len(points), potentials.BLOCK):
-        block = slice(start, start + potentials.BLOCK)
-        products += [w * v for w, v in zip(weights[block], ctx.potential.stack(points[block], gradient=False).scal)]
-    return sum(products) / area
+    points, weights, area = quadrature.polygon_rule(ctx.potential.polytope, SCAL_ORDER)
+    return sum([w * v for w, v in zip(weights, ctx.potential.stack(points, gradient=False).scal)]) / area
 
 
 def _peak(*residuals) -> float:
@@ -187,7 +191,7 @@ def _peak(*residuals) -> float:
 
 
 def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: futaki.SolitonData,
-                  decomposition: SolitonDecomposition, stack: potentials.Stack, order: int
+                  decomposition: SolitonDecomposition, stack: potentials.Stack
                   ) -> tuple[list[tuple[str, float, float]], list[eigenbasis.RootCheck], float]:
     """The ordered ``(name, value, threshold)`` checks of ``verify`` on the grid ``stack``.
 
@@ -200,7 +204,7 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     closed form of that potential's root profiles.
     """
     affine = eigenbasis.affine_block(ctx, stack)
-    scal_mean = _scal_mean(ctx, order)
+    scal_mean = _scal_mean(ctx)
     checks = [
         ("affine_eigenfunctions_max_rel_residual", operators.max_abs(rec["max_rel_residual"] for rec in affine),
          1e-6),
@@ -268,8 +272,8 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     return checks, results, scal_mean
 
 
-def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: float = 1e-10,
-                  grid_n: int = 21, margin: float = 0.05, order: int = 10) -> dict:
+def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", grid_n: int = 21,
+                  margin: float = 0.05) -> dict:
     """Run :func:`verify_checks` on the interior grid and assemble the report.
 
     The report carries one record per check, each with a value, threshold
@@ -291,12 +295,12 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
             f"grid {grid_n} with margin {margin} keeps {len(grid)} point(s), all on one line"
         )
     rootset = enumerate_roots(normalized)
-    soliton = futaki.solve_soliton_vector(normalized, tol=tol)
+    soliton = futaki.solve_soliton_vector(normalized)
     family = potentials.GuilleminPotential if potential_kind == "guillemin" else potentials.CalabiPotential
     potential = family(normalized)
     ctx = operators.OperatorContext(potential=potential, a=soliton.a)
     decomposition = assemble_decomposition(soliton, rootset)
-    listed, root_checks, scal_mean = verify_checks(ctx, rootset, soliton, decomposition, potential.stack(grid), order)
+    listed, root_checks, scal_mean = verify_checks(ctx, rootset, soliton, decomposition, potential.stack(grid))
     checks = [
         {"name": name, "value": float(value), "threshold": threshold, "passed": bool(abs(value) <= threshold)}
         for name, value, threshold in listed
@@ -306,10 +310,8 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: fl
         "command": "verify",
         "config": {
             "potential": potential_kind,
-            "tol": tol,
             "grid": grid_n,
             "margin": margin,
-            "order": order,
             "version": __version__,
         },
         "polytope": polytope,
@@ -351,8 +353,7 @@ def _decomposition_section(decomposition) -> dict:
     }
 
 
-def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol: float = 1e-10,
-                     grid_n: int = 21) -> dict:
+def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", grid_n: int = 21) -> dict:
     """Group the roots into blocks of gamma = 2 <alpha, a>; no potential is built.
 
     ``potential_kind`` and ``grid_n`` are echoed into ``config``; a
@@ -362,7 +363,7 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
     normalized, polytope = _prepare(p)
     _check_potential(normalized, potential_kind)
     rootset = enumerate_roots(normalized)
-    soliton = futaki.solve_soliton_vector(normalized, tol=tol)
+    soliton = futaki.solve_soliton_vector(normalized)
     decomposition = assemble_decomposition(soliton, rootset)
     semisimple = {r.alpha for r in rootset.semisimple}
     blocks = _decomposition_section(decomposition)
@@ -371,7 +372,7 @@ def decompose_report(p: DelzantPolytope, potential_kind: str = "guillemin", tol:
         block["unipotent_roots"] = [list(r.alpha) for r in raw["roots"] if r.alpha not in semisimple]
     return {
         "command": "decompose",
-        "config": {"potential": potential_kind, "tol": tol, "grid": grid_n},
+        "config": {"potential": potential_kind, "grid": grid_n},
         "polytope": polytope,
         **_roots_section(rootset),
         "soliton": _soliton_section(soliton),

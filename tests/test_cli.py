@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from toric_soliton.cli import MAX_GRID, MAX_ORDER, main
+from toric_soliton.cli import MAX_GRID, main
 from toric_soliton.errors import MalformedInputError
 from toric_soliton.polytope import delzant_check, parse_polytope, privileged_center
 from toric_soliton.report import roots_report
@@ -155,7 +155,6 @@ def cp2_with_first(key: str, value: str) -> str:
     (("verify", "--grid", "1"), CP2_TEXT, "grid 1 "),
     (("verify", "--grid", "2"), CP2_TEXT, "grid 2 "),
     (("verify", "--margin", "0.9"), CP2_TEXT, "margin 0.9 "),
-    (("verify", "--order", "0"), CP2_TEXT, "--order must be at least 1, got 0"),
     (("soliton",), CP2_TEXT.replace('"offset": 1}', '"offset": NaN}', 1), "got nan"),
     (("soliton",), CP2_TEXT.replace('"offset": 1}', '"offset": Infinity}', 1), "got inf"),
     (("soliton",), CP2_TEXT.replace('"dim": 2', '"dim": true'), "got True"),
@@ -165,9 +164,6 @@ def cp2_with_first(key: str, value: str) -> str:
     (("roots",), cp2_with_offsets("1e308"), "vertex coordinate (about 2.000e+308) is beyond the float range"),
     (("roots",), SIMPLEX_3D_TEXT, "got dim 3"),
     (("roots",), INTERVAL_TEXT, "got dim 1"),
-    (("soliton", "--tol", "nan"), CP2_TEXT, "--tol must be finite and positive, got nan"),
-    (("verify", "--tol", "-1"), CP2_TEXT, "--tol must be finite and positive, got -1.0"),
-    (("decompose", "--tol", "inf"), CP2_TEXT, "--tol must be finite and positive, got inf"),
     (("verify", "--margin", "0"), CP2_TEXT, "--margin must be finite and positive, got 0.0"),
     (("verify", "--margin", "-0.1"), CP2_TEXT, "--margin must be finite and positive, got -0.1"),
     (("verify", "--margin", "nan"), CP2_TEXT, "--margin must be finite and positive, got nan"),
@@ -185,9 +181,9 @@ def cp2_with_first(key: str, value: str) -> str:
     (("roots",), b"\xff\xfe" + CP2_TEXT.encode("utf-16-le"), "document is not UTF-8 text"),
     (("soliton",), "[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
     (("roots",), CP2_TEXT.replace('"normal": [1, 0]', '"normal": 5', 1), "facet normal must be a list, got 5"),
-], ids=["grid-1", "grid-2", "margin-0.9", "verify-order-0",
+], ids=["grid-1", "grid-2", "margin-0.9",
         "offset-nan", "offset-infinity", "dim-true", "decompose-grid-negative", "offset-1e400",
-        "vertex-2e308", "dim-3", "dim-1", "tol-nan", "tol-negative", "tol-inf",
+        "vertex-2e308", "dim-3", "dim-1",
         "margin-zero", "margin-negative", "margin-nan", "margin-inf",
         "offset-integer-4301-digits", "normal-integer-4301-digits", "offset-1e-4400", "offset-string-1e-5000",
         "offset-1e-4300", "offset-string-exponent-huge", "offset-mantissa-5001-digits", "normal-1e-4400",
@@ -254,13 +250,11 @@ def test_verify_rejects_a_grid_on_one_line(capsys, tmp_path, document, potential
 
 
 @pytest.mark.parametrize("argv, needle", [
-    (("verify", "cp2", "--order", str(MAX_ORDER + 1)), f"--order must be at most {MAX_ORDER}, got {MAX_ORDER + 1}"),
     (("verify", "cp2", "--grid", str(MAX_GRID + 1)), f"--grid must be at most {MAX_GRID}, got {MAX_GRID + 1}"),
     (("calabi", "--grid", str(MAX_GRID + 1)), f"--grid must be at most {MAX_GRID}, got {MAX_GRID + 1}"),
-    (("verify", "cp2", "--order", "1000000"), "--order must be at most"),
     (("verify", "cp2", "--grid", "1000000"), "--grid must be at most"),
     (("calabi", "--grid", "10000000000"), "got 10000000000"),
-], ids=["verify-order", "verify-grid", "calabi-grid", "verify-order-huge", "verify-grid-huge", "calabi-grid-huge"])
+], ids=["verify-grid", "calabi-grid", "verify-grid-huge", "calabi-grid-huge"])
 def test_flag_values_over_the_maximum_exit_two(capsys, argv, needle):
     # the huge values once escaped main with numpy's _ArrayMemoryError
     argv = [str(DATA / "cp2.json") if a == "cp2" else a for a in argv]
@@ -271,21 +265,18 @@ def test_flag_values_over_the_maximum_exit_two(capsys, argv, needle):
     assert needle in err
 
 
-def test_largest_order_is_accepted(capsys):
-    # only verify reads --order, for the mean curvature on 3 * 203^2 nodes here
-    code, out = run(capsys, "verify", str(DATA / "cp2.json"), "--order", str(MAX_ORDER), "--format", "json")
-    assert code == 0
-    assert json.loads(out)["config"]["order"] == MAX_ORDER
-
-
-@pytest.mark.parametrize("command", ["soliton", "decompose"])
-def test_the_solve_takes_no_order_flag(capsys, command):
-    # the soliton vector is solved in closed form, so no quadrature order reaches it
+@pytest.mark.parametrize("command, flag", [
+    ("soliton", "--order"), ("decompose", "--order"), ("verify", "--order"),
+    ("soliton", "--tol"), ("verify", "--tol"), ("decompose", "--tol"),
+], ids=["soliton", "decompose", "verify", "soliton-tol", "verify-tol", "decompose-tol"])
+def test_the_solve_takes_no_order_flag(capsys, command, flag):
+    # the soliton vector is solved in closed form and polished to round-off, and the mean
+    # curvature's rule has one order, so neither a quadrature order nor a tolerance is a flag
     with pytest.raises(SystemExit) as exit_info:
-        main([command, str(DATA / "cp2.json"), "--order", "10"])
+        main([command, str(DATA / "cp2.json"), flag, "10"])
     err = capsys.readouterr().err
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: --order 10" in err
+    assert f"unrecognized arguments: {flag} 10" in err
     assert "Traceback" not in err
 
 
@@ -334,7 +325,7 @@ def test_deep_fibonacci_images_end_in_the_contract(capsys, tmp_path, n):
 
 
 def test_help_states_the_maxima(capsys):
-    for command, maximum in (("verify", MAX_ORDER), ("verify", MAX_GRID), ("calabi", MAX_GRID)):
+    for command, maximum in (("verify", MAX_GRID), ("calabi", MAX_GRID)):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         out = " ".join(capsys.readouterr().out.split())
@@ -471,9 +462,10 @@ def first_difference(actual, expected, abs_tol: float, path: str = "$") -> str |
     return None if actual == expected else f"{path}: {actual!r} != {expected!r}"
 
 
-#: absolute float floors of the reports without a solver tolerance: roots floats are
-#: exact rationals, and the calabi residuals are round-off near 1e-14
-ABS_TOL_WITHOUT_CONFIG = {"roots": 0.0, "calabi": 1e-12}
+#: absolute float floor of each command's golden floats: verify and decompose at the Newton
+#: stop ``futaki.NEWTON_TOL``, roots floats are exact rationals, and the calabi residuals are
+#: round-off near 1e-14
+GOLDEN_ABS_TOL = {"verify": 1e-10, "decompose": 1e-10, "roots": 0.0, "calabi": 1e-12}
 
 
 GOLDEN_ROWS = [
@@ -500,8 +492,7 @@ def test_golden_reports(capsys, name, argv, exit_code):
     if os.environ.get("REGEN_GOLDEN"):
         golden_path.write_text(out)
     golden = json.loads(golden_path.read_text())
-    abs_tol = golden["config"]["tol"] if "config" in golden else ABS_TOL_WITHOUT_CONFIG[golden["command"]]
-    difference = first_difference(json.loads(out), golden, abs_tol)
+    difference = first_difference(json.loads(out), golden, GOLDEN_ABS_TOL[golden["command"]])
     assert difference is None, difference
 
 
@@ -562,7 +553,7 @@ def test_decompose_blowup_blocks_invariant_under_facet_permutation(capsys, tmp_p
     assert code == 0
     golden = json.loads((GOLDEN / "blowup_decompose.json").read_text())
     difference = first_difference(
-        json.loads(out)["decomposition"], golden["decomposition"], golden["config"]["tol"], "$.decomposition"
+        json.loads(out)["decomposition"], golden["decomposition"], GOLDEN_ABS_TOL["decompose"], "$.decomposition"
     )
     assert difference is None, difference
 

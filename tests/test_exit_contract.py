@@ -7,10 +7,10 @@ well-formed Fano polygons with arbitrary offsets so the soliton solve runs
 too.  ``roots``, ``soliton`` and ``decompose`` (with both ``--potential``
 values and any ``--grid``) run on every document.  Flag values include
 ``--grid`` far past its maximum.  ``verify`` runs both potentials on the
-Fano polygons and the blow-up trapezoid over small grids, margins that
-are zero, negative or NaN, and ``--order`` values up to far past its
-maximum, and ``calabi`` over ``--grid``.  ``cli.main`` runs in process; no exception may escape it and
-no traceback may reach stderr.
+Fano polygons and the blow-up trapezoid over small grids and margins that
+are zero, negative or NaN, and ``calabi`` over ``--grid``.  ``cli.main``
+runs in process; no exception may escape it and no traceback may reach
+stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from toric_soliton.cli import MAX_GRID, MAX_ORDER, main
+from toric_soliton.cli import MAX_GRID, main
 
 #: facet normals of the five smooth toric Fano surfaces
 FANO_NORMALS = (
@@ -91,24 +91,14 @@ def document_texts(draw) -> str:
     return text
 
 
-tolerances = st.one_of(
-    st.sampled_from([1e-10, 1e-6, 1e-3, 1.0, 1e-300]),
-    st.sampled_from([0.0, -1.0, float("nan"), float("inf")]),
-    st.floats(allow_nan=True, allow_infinity=True),
-)
-orders = st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(-2, 0),
-                   st.sampled_from([MAX_ORDER + 1, 10**6, 10**18]))
-soliton_flags = st.tuples(
-    st.sampled_from([[], ["--format=json"]]),
-    st.one_of(st.just([]), tolerances.map(lambda t: [f"--tol={t!r}"])),
-).map(lambda parts: [flag for part in parts for flag in part])
+formats = st.sampled_from([[], ["--format=json"]])
 grids = st.one_of(st.integers(-2, 12), st.sampled_from([MAX_GRID, MAX_GRID + 1, 10**10]))
 decompose_flags = st.tuples(
-    soliton_flags, st.sampled_from(["guillemin", "calabi"]), st.one_of(st.just(None), grids),
+    formats, st.sampled_from(["guillemin", "calabi"]), st.one_of(st.just(None), grids),
 ).map(lambda args: [*args[0], f"--potential={args[1]}", *([] if args[2] is None else [f"--grid={args[2]}"])])
 command_lines = st.one_of(
-    st.tuples(st.just("roots"), st.sampled_from([[], ["--format=json"]])),
-    st.tuples(st.just("soliton"), soliton_flags),
+    st.tuples(st.just("roots"), formats),
+    st.tuples(st.just("soliton"), formats),
     st.tuples(st.just("decompose"), decompose_flags),
 )
 
@@ -117,10 +107,9 @@ unit_polygons = st.sampled_from(FANO_NORMALS + (TRAPEZOID_NORMALS,)).map(
     lambda ns: json.dumps({"dim": 2, "facets": [{"normal": list(n), "offset": 1} for n in ns]})
 )
 margins = st.one_of(st.sampled_from([0.05, 0.3, 0.0, -0.1, float("nan")]), st.floats(-0.2, 0.6))
-verify_flags = st.tuples(
-    st.sampled_from(["guillemin", "calabi"]), st.integers(1, 12), margins, st.one_of(st.just(None), orders),
-).map(lambda args: [f"--potential={args[0]}", f"--grid={args[1]}", f"--margin={args[2]!r}",
-                    *([] if args[3] is None else [f"--order={args[3]}"])])
+verify_flags = st.tuples(st.sampled_from(["guillemin", "calabi"]), st.integers(1, 12), margins).map(
+    lambda args: [f"--potential={args[0]}", f"--grid={args[1]}", f"--margin={args[2]!r}"]
+)
 
 
 @pytest.fixture(scope="module")

@@ -449,3 +449,22 @@ def test_trivial_group_is_a_solver_failure():
     assert lattice_automorphisms(p) == (((1, 0), (0, 1)),)
     with pytest.raises(NonConvergenceError, match="no lattice automorphism but the identity"):
         solve_soliton_vector(p)
+
+
+@pytest.mark.parametrize("surface", [*FIVE_SURFACES, *(f"{name}-F{n}" for name in ("Bl1P2", "Bl2P2")
+                                                        for n in (2, 12, 340))])
+def test_newton_stop_moves_no_bit_of_a(surface, monkeypatch):
+    # the polish after the Newton stop reaches the round-off floor from any stop up to 1e-1,
+    # so NEWTON_TOL sets only the length of the iterations trace: a is the same bit for bit
+    # from a stop of 1e-6 down, and within 4e-15 relative above it
+    name, _, image = surface.partition("-F")
+    normals = FIVE_SURFACES[name][0]
+    p = parse_polytope(json.dumps(fibonacci_image(int(image), normals))) if image else polygon(normals)
+    reference = solve_soliton_vector(p).a
+    for exponent in range(1, 13):
+        monkeypatch.setattr(futaki, "NEWTON_TOL", 10.0 ** -exponent)
+        a = solve_soliton_vector(p).a
+        if exponent >= 6:
+            assert a == reference, exponent
+        else:
+            assert max(abs(x - y) for x, y in zip(a, reference)) <= 4e-15 * max(map(abs, reference)), exponent

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from pathlib import Path
 
@@ -11,8 +12,7 @@ from toric_soliton import operators
 from toric_soliton.errors import MalformedInputError
 from toric_soliton.operators import OperatorContext
 from toric_soliton.polytope import parse_polytope
-from toric_soliton.potentials import BLOCK, CalabiPotential, GuilleminPotential, HSidePotential
-from toric_soliton.quadrature import polygon_rule
+from toric_soliton.potentials import CalabiPotential, GuilleminPotential, HSidePotential
 from toric_soliton.report import (
     _scal_mean,
     calabi_report,
@@ -47,7 +47,7 @@ def test_stack_only_potential_runs_every_stack_check(cp2, cp2_roots, cp2_soliton
     potential = StackOnlyPotential(cp2)
     ctx = OperatorContext(potential=potential, a=cp2_soliton.a)
     cp2_decomposition = assemble_decomposition(cp2_soliton, cp2_roots)
-    checks, root_checks, _ = verify_checks(ctx, cp2_roots, cp2_soliton, cp2_decomposition, potential.stack(cp2_grid), 10)
+    checks, root_checks, _ = verify_checks(ctx, cp2_roots, cp2_soliton, cp2_decomposition, potential.stack(cp2_grid))
     names = [name for name, _, _ in checks]
     assert len(names) == 3 + 4 * len(cp2_roots.roots) + 2 + 2 == 31
     assert not set(GATED) & set(names)
@@ -55,14 +55,31 @@ def test_stack_only_potential_runs_every_stack_check(cp2, cp2_roots, cp2_soliton
     assert len(root_checks) == len(cp2_roots.roots)
     # the same checks, in the same order, as for the canonical potential less its gated ones
     canonical, _, _ = verify_checks(cp2_ctx, cp2_roots, cp2_soliton, cp2_decomposition,
-                                    cp2_ctx.potential.stack(cp2_grid), 10)
+                                    cp2_ctx.potential.stack(cp2_grid))
     assert names == [name for name, _, _ in canonical if name not in GATED]
     assert len(canonical) == len(names) + len(GATED)
 
 
-def test_scal_mean_builds_one_stack_on_every_node(cp2, cp2_soliton):
-    # Abreu's mean on the Kähler-Einstein P^2 is 2 n lambda, from one stack of all 3 * 13^2 nodes
-    potential = GuilleminPotential(cp2)
+#: facet normals (every offset 1) of the five smooth toric Fano surfaces and the potential
+#: family each carries below: Guillemin's on all five, and Calabi's on the blow-up trapezoid
+SCAL_MEAN_POLYGONS = {
+    "P2": (((1, 0), (0, 1), (-1, -1)), GuilleminPotential),
+    "P1xP1": (((1, 0), (-1, 0), (0, 1), (0, -1)), GuilleminPotential),
+    "Bl1P2": (((0, 1), (-1, 0), (1, 0), (1, -1)), GuilleminPotential),
+    "Bl2P2": (((1, 0), (0, 1), (-1, -1), (-1, 0), (0, -1)), GuilleminPotential),
+    "Bl3P2": (((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)), GuilleminPotential),
+    "Bl1P2-calabi": (((0, 1), (-1, 0), (1, 0), (1, -1)), CalabiPotential),
+}
+
+
+@pytest.mark.parametrize("name", SCAL_MEAN_POLYGONS)
+def test_scal_mean_builds_one_stack_on_every_node(name):
+    # Abreu's mean is 2 n lambda = 4 on every Fano polygon and for any potential; the rule of
+    # fixed order 10 reaches it to 1e-9 from one stack of all d * 13^2 nodes (7.3e-10 on Bl3P2)
+    normals, family = SCAL_MEAN_POLYGONS[name]
+    potential = family(parse_polytope(json.dumps(
+        {"dim": 2, "facets": [{"normal": list(n), "offset": 1} for n in normals]}
+    )))
     sizes = []
     stack = potential.stack
 
@@ -71,29 +88,9 @@ def test_scal_mean_builds_one_stack_on_every_node(cp2, cp2_soliton):
         return stack(points, **options)
 
     potential.stack = counting
-    ctx = OperatorContext(potential=potential, a=cp2_soliton.a)
-    assert _scal_mean(ctx, 10) == pytest.approx(4.0 * cp2_soliton.lam, abs=1e-10)
-    assert sizes == [3 * 13**2]
-
-
-def test_scal_mean_sums_block_by_block_as_one_stack():
-    # at order 60 Bl3P2 has 6 * 63^2 = 23 814 nodes, so the mean stacks several blocks;
-    # the products w scal are summed once in node order, as on one stack of every node
-    p = parse_polytope((DATA / "bl3.json").read_text())
-    potential = GuilleminPotential(p)
-    sizes = []
-    stack = potential.stack
-
-    def counting(points, **options):
-        sizes.append(len(points))
-        return stack(points, **options)
-
-    potential.stack = counting
-    points, weights, area = polygon_rule(p, 60)
-    assert len(points) == 23_814
-    single = sum([w * v for w, v in zip(weights, stack(points, gradient=False).scal)]) / area
-    assert _scal_mean(OperatorContext(potential=potential, a=(0.0, 0.0)), 60) == single
-    assert sizes == [BLOCK] * 5 + [23_814 - 5 * BLOCK]
+    scal_mean = _scal_mean(OperatorContext(potential=potential, a=(0.0, 0.0)))
+    assert abs(scal_mean - 4.0) <= 1e-9
+    assert sizes == [len(normals) * 13**2]
 
 
 def _leaves(obj):
@@ -133,7 +130,7 @@ def test_scal_mean_with_calabi_evaluates_no_gradient(blowup, blowup_soliton, mon
     calls = []
     monkeypatch.setattr(CalabiPotential, "_f_values", lambda self, ts: calls.append(ts) or [0.0] * len(ts))
     ctx = OperatorContext(potential=potential, a=blowup_soliton.a)
-    assert _scal_mean(ctx, 10) == pytest.approx(potential.soliton.scal_mean, abs=1e-4)
+    assert _scal_mean(ctx) == pytest.approx(potential.soliton.scal_mean, abs=1e-4)
     assert calls == []
 
 
@@ -153,12 +150,6 @@ def test_nan_residual_fails_its_check(monkeypatch, where):
     assert math.isnan(check["value"])
     assert check["passed"] is False
     assert report["first_failed"] == "soliton_pde_max_residual"
-
-
-@pytest.mark.parametrize("build", [verify_report], ids=["verify"])
-def test_order_below_one_is_malformed_input(cp2, build):
-    with pytest.raises(MalformedInputError, match="quadrature order must be at least 1, got 0"):
-        build(cp2, order=0)
 
 
 def test_verify_rejects_an_unknown_potential_kind(cp2):
