@@ -1,9 +1,12 @@
 """Root eigenfunctions and the solitonic eigenspace decomposition.
 
-Each Demazure root alpha with distinguished facet normal b carries the
-eigenfunction ``(<x, b> + 1) exp(-<alpha, grad phi> + i <alpha, t>)`` of
+Each Demazure root alpha with distinguished facet normal nu carries the
+eigenfunction ``(<x, nu> + 1) exp(-<alpha, grad phi> + i <alpha, t>)`` of
 the complex weighted Laplacian with eigenvalue two: the root profile on
-torus mode +alpha, fixed by construction.  On that mode the operator is
+torus mode +alpha, fixed by construction.  It is the
+:class:`~toric_soliton.operators.Profile` ``(nu, 1, alpha, alpha)``,
+read from the polygon alone; the affine block's profiles are the
+coordinates ``(e_i, 0, 0, 0)``.  On mode +alpha the operator is
 ``W u - 2 <alpha, a> u``, with W its sign-independent part, and the
 orientation-reversed operator is ``W u + 2 <alpha, a> u``.  One operator
 pass per root therefore gives the eigenvalue-two residual and the
@@ -12,7 +15,9 @@ orientation-reversed fit: the fits share ``<u, u>``, ``<u, W u>`` and
 the wrong mode fits the eigenvalue ``2 + 4 <alpha, a>`` and fails the
 eigenvalue-two check wherever ``<alpha, a>`` is not zero.  Profiles and
 fits run on the float columns of the stack, and every maximum of
-|residual| is NaN when a residual is.
+|residual| is NaN when a residual is.  For the canonical potential each
+root profile also has a closed form that extends to the closed polygon,
+:func:`boundary_product_form`.
 
 The eigenspace decomposition, which needs only the roots and the solve's
 ``a = s b``, grouped by the integer ``<alpha, b>``, is
@@ -25,70 +30,40 @@ import math
 from typing import NamedTuple
 
 from .errors import MalformedInputError
-from .operators import (
-    EquivariantFunction,
-    Jet,
-    OperatorContext,
-    affine_exp_jet,
-    apply_to_jet,
-    dot,
-    max_abs,
-    profile_coordinate,
-)
+from .operators import COORDINATES, OperatorContext, Profile, apply_to_jet, dot, max_abs
 from .potentials import Stack
-from .polytope import DIM, DelzantPolytope
+from .polytope import DelzantPolytope
 from .roots import DemazureRoot
 
 
-def build_root_function(ctx: OperatorContext, root: DemazureRoot) -> EquivariantFunction:
-    """The root profile (<x, b> + 1) exp(-<alpha, grad phi>) on mode +alpha, with analytic derivatives."""
-    normal = ctx.potential.polytope.facets[root.distinguished_facet].normal
-
-    def jet(s: Stack) -> Jet:
-        return affine_exp_jet(normal, 1.0, root.alpha, s)
-
-    return EquivariantFunction(root.alpha, jet)
+def build_root_function(p: DelzantPolytope, root: DemazureRoot) -> Profile:
+    """The root profile (<x, nu> + 1) exp(-<alpha, grad phi>) on mode +alpha, nu the distinguished facet normal."""
+    return Profile(p.facets[root.distinguished_facet].normal, 1.0, root.alpha, root.alpha)
 
 
-class BoundaryProductForm(NamedTuple):
-    """Globally continuous closed form of a root profile for the canonical potential.
+def boundary_product_form(p: DelzantPolytope, root: DemazureRoot, points) -> list[float]:
+    """The closed form of the canonical-potential root profile at each (x1, x2) point of the closed polytope.
 
-    The profile equals ``prefactor * prod_rho L_rho(x)^exponent[rho]`` with
-    all exponents non-negative: one half on the distinguished facet and
-    ``-pairing/2`` elsewhere.  It extends continuously to the closed
-    polytope and vanishes exactly on the facets with positive exponent.
+    The profile equals ``exp(-<alpha, sum_rho nu_rho> / 2) prod_rho
+    L_rho(x)^e_rho`` with every exponent non-negative: one half on the
+    distinguished facet and ``-pairing/2`` elsewhere.  It extends
+    continuously to the closed polytope and vanishes exactly on the facets
+    with positive exponent.
     """
-
-    polytope: DelzantPolytope
-    root: DemazureRoot
-    prefactor: float
-    exponents: tuple[float, ...]
-
-    def values(self, points) -> list[float]:
-        """The form at each (x1, x2) point of the closed polytope."""
-        out = []
-        for ell in self.polytope.facet_values_many(points):
-            result = self.prefactor
-            for value, exponent in zip(ell, self.exponents):
-                if exponent != 0.0:
-                    result = result * max(value, 0.0) ** exponent
-            out.append(result)
-        return out
-
-
-def boundary_product_form(p: DelzantPolytope, root: DemazureRoot) -> BoundaryProductForm:
-    """Closed-form boundary extension of the canonical-potential root profile."""
     if not p.is_algebraic:
         raise MalformedInputError("boundary product form requires an algebraic polytope")
     normal_sum = [sum(column) for column in zip(*p.normal_matrix)]
     prefactor = math.exp(-0.5 * dot(root.alpha, normal_sum))
-    exponents = []
-    for idx, pairing in enumerate(root.pairings):
-        if idx == root.distinguished_facet:
-            exponents.append(0.5)
-        else:
-            exponents.append(-0.5 * pairing)
-    return BoundaryProductForm(polytope=p, root=root, prefactor=prefactor, exponents=tuple(exponents))
+    exponents = [0.5 if idx == root.distinguished_facet else -0.5 * pairing
+                 for idx, pairing in enumerate(root.pairings)]
+    out = []
+    for ell in p.facet_values_many(points):
+        result = prefactor
+        for value, exponent in zip(ell, exponents):
+            if exponent != 0.0:
+                result = result * max(value, 0.0) ** exponent
+        out.append(result)
+    return out
 
 
 class _Fit(NamedTuple):
@@ -112,7 +87,7 @@ class RootCheck(NamedTuple):
     """A root profile with its eigenvalue-two statistics and orientation-reversed fit."""
 
     root: DemazureRoot
-    profile: EquivariantFunction
+    profile: Profile
     max_rel_residual: float
     fitted_eigenvalue: float
     gamma_hat: float
@@ -129,7 +104,7 @@ def check_root(ctx: OperatorContext, root: DemazureRoot, s: Stack) -> RootCheck:
     operator minus two, 4 <alpha, a> on a soliton, and ``gamma_fit`` the
     relative residual of that fit.
     """
-    profile = build_root_function(ctx, root)
+    profile = build_root_function(ctx.potential.polytope, root)
     jet = profile.jet(s)
     fit = _Fit.of(jet[0], apply_to_jet(s, jet, profile.mode, ctx.a))
     term = 2.0 * dot(profile.mode, ctx.a)
@@ -147,8 +122,7 @@ def affine_block(ctx: OperatorContext, s: Stack) -> list[dict]:
     satisfy the same radial equation.
     """
     records = []
-    for i in range(DIM):
-        f = profile_coordinate(i)
+    for i, f in enumerate(COORDINATES):
         jet = f.jet(s)
         fit = _Fit.of(jet[0], apply_to_jet(s, jet, f.mode, ctx.a))
         records.append({

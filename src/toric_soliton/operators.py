@@ -9,13 +9,21 @@ term, so every evaluation reduces to x-space.  The conjugate complex
 structure flips the sign of that term: its operator is the conjugate
 shift ``+4 <a, k> u`` away.
 
+Profiles are data.  Every function that ``verify`` evaluates belongs to
+one family, ``(<x, b> + c) exp(-<alpha, grad phi>)`` on mode k, the
+named tuple :class:`Profile` ``(b, c, alpha, mode)`` with one jet
+formula: the coordinates (:data:`COORDINATES`), the constant and the
+pure exponentials of the mode identities, and the root eigenfunctions of
+:mod:`toric_soliton.eigenbasis`.  An operator reads a function only
+through its ``mode`` and ``jet``, so any pair of those plugs in.
+
 Evaluation surface.  Operators read the potential only through a
 :class:`~toric_soliton.potentials.Stack` and evaluate on all of its points
 at once, in plain float columns laid out like the stack's: a profile's
 ``jet`` gives ``(u, (u1, u2), (u11, u12, u22))``, one column of m floats
-each, and every operator (``weighted_laplacian``,
-``complex_weighted_laplacian``, ``soliton_residuals`` ...) returns a
-column of m values; one point is a stack of one.  Abreu's scalar
+each, and every operator (``complex_weighted_laplacian``,
+``product_rule_defects``, ``soliton_residuals``) returns a column of m
+values; one point is a stack of one.  Abreu's scalar
 curvature is no operator: it is the stack's own ``scal`` column.  Every
 value is a real float: the angular sector enters through the real
 coefficients above, so no operator needs complex arithmetic.  The
@@ -28,10 +36,11 @@ and ``a``, read as a tuple of floats; the polygon is the potential's own.
 
 Sign conventions.  The plain Laplacian is the positive-spectrum operator
 ``-sum_ij d_i(H_ij d_j u)`` (constants are harmonic, ``x^2`` on the flat
-model maps to ``-2``); it is ``weighted_laplacian`` in a context with
-``a = 0``, and has no function of its own.  The context stores the
+model maps to ``-2``); it is ``complex_weighted_laplacian`` on mode 0 in
+a context with ``a = 0``, and has no function of its own.  The context stores the
 fan-side soliton vector ``a`` (see :mod:`toric_soliton.futaki`); the drift
-covector on the moment image is its negative, so the weighted Laplacian is
+covector on the moment image is its negative, so the weighted Laplacian,
+``complex_weighted_laplacian`` on mode 0, is
 
     Delta^{g,a} u = Delta^g u - 2 sum_ij a_i H_ij d_j u,
 
@@ -43,7 +52,7 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import MalformedInputError
 from .polytope import DIM
@@ -51,17 +60,6 @@ from .potentials import Column, Stack, SymplecticPotential, as_pairs
 
 #: (u, (u1, u2), (u11, u12, u22)) on a batch, one column of m floats each
 Jet = tuple[Column, tuple[Column, Column], tuple[Column, Column, Column]]
-
-
-class EquivariantFunction(NamedTuple):
-    """Torus mode k plus a radial profile with analytic derivatives.
-
-    ``jet`` evaluates the profile on a whole stack, so a profile that
-    reads the potential sees it only through the stack it is given.
-    """
-
-    mode: tuple[int, ...]
-    jet: Callable[[Stack], Jet]
 
 
 def max_abs(values) -> float:
@@ -75,78 +73,48 @@ def dot(u, v) -> float:
     return sum(map(mul, u, v))
 
 
-def affine_jet(b, c: float, s: Stack) -> Jet:
-    """The jet of <x, b> + c on the stack."""
-    b1, b2 = (float(v) for v in b)
-    m = s.size
-    zero = [0.0] * m
-    return [b1 * x + b2 * y + c for x, y in zip(*s.points)], ([b1] * m, [b2] * m), (zero, zero, zero)
+class Profile(NamedTuple):
+    """The function (<x, b> + c) exp(-<alpha, grad phi>) on torus mode k, as data.
 
-
-def affine_exp_jet(b, c: float, alpha, s: Stack) -> Jet:
-    """The jet of w exp(-<alpha, grad phi>) with w = <x, b> + c, through G and dG.
-
-    With e = exp(-<alpha, grad phi>) and g = G alpha: de = -g e and
-    d_j d_k e = (g_j g_k - d_k g_j) e, so
-    d(w e) = (b - w g) e and d_j d_k (w e) = (w (g_j g_k - d_k g_j) - b_j g_k - b_k g_j) e.
+    Every function that ``verify`` evaluates is one: the coordinate
+    ``x_i`` is ``(e_i, 0, 0, 0)``, and the root eigenfunction of the root
+    alpha with distinguished facet normal nu is ``(nu, 1, alpha, alpha)``.
+    Operators read only ``mode`` and ``jet``.
     """
-    (b1, b2), (a1, a2) = (float(v) for v in b), (float(v) for v in alpha)
-    exp = math.exp
-    e = [exp(-(p * a1 + q * a2)) for p, q in zip(*s.grad)]
-    w = [b1 * x + b2 * y + c for x, y in zip(*s.points)]
-    g11, g12, g22 = s.G
-    ga1 = [a1 * p + a2 * q for p, q in zip(g11, g12)]
-    ga2 = [a1 * q + a2 * r for q, r in zip(g12, g22)]
-    d1g11, d1g12, _, d2g11, d2g12, d2g22 = s.dG
-    return (
-        [v * x for v, x in zip(w, e)],
-        ([(b1 - v * p) * x for v, p, x in zip(w, ga1, e)], [(b2 - v * q) * x for v, q, x in zip(w, ga2, e)]),
-        ([(v * (p * p - (a1 * d11 + a2 * d12)) - 2.0 * b1 * p) * x
-          for v, p, d11, d12, x in zip(w, ga1, d1g11, d1g12, e)],
-         [(v * (p * q - (a1 * d11 + a2 * d12)) - b1 * q - b2 * p) * x
-          for v, p, q, d11, d12, x in zip(w, ga1, ga2, d2g11, d2g12, e)],
-         [(v * (q * q - (a1 * d12 + a2 * d22)) - 2.0 * b2 * q) * x
-          for v, q, d12, d22, x in zip(w, ga2, d2g12, d2g22, e)]),
-    )
 
+    b: tuple[int, ...]
+    c: float
+    alpha: tuple[int, ...]
+    mode: tuple[int, ...]
 
-def profile_constant(c: float, mode: tuple[int, ...] = (0,) * DIM) -> EquivariantFunction:
-    return EquivariantFunction(mode, lambda s: affine_jet((0.0, 0.0), float(c), s))
+    def jet(self, s: Stack) -> Jet:
+        """The jet of w e on the stack, with w = <x, b> + c and e = exp(-<alpha, grad phi>), through G and dG.
 
-
-def profile_linear(b) -> EquivariantFunction:
-    """Torus-invariant profile <x, b>."""
-    b = tuple(float(v) for v in b)
-    return EquivariantFunction((0,) * DIM, lambda s: affine_jet(b, 0.0, s))
-
-
-def profile_coordinate(i: int) -> EquivariantFunction:
-    return profile_linear([1.0 if j == i else 0.0 for j in range(DIM)])
-
-
-def profile_product(u: EquivariantFunction, v: EquivariantFunction) -> EquivariantFunction:
-    """Product of two torus-invariant profiles."""
-    if any(u.mode) or any(v.mode):
-        raise MalformedInputError("profile products are defined for torus-invariant factors")
-
-    def jet(s) -> Jet:
-        (fu, (f1, f2), (f11, f12, f22)), (gu, (g1, g2), (g11, g12, g22)) = u.jet(s), v.jet(s)
+        With g = G alpha: de = -g e and d_j d_k e = (g_j g_k - d_k g_j) e, so
+        d(w e) = (b - w g) e and d_j d_k (w e) = (w (g_j g_k - d_k g_j) - b_j g_k - b_k g_j) e.
+        """
+        (b1, b2), c, (a1, a2) = (float(v) for v in self.b), self.c, (float(v) for v in self.alpha)
+        exp = math.exp
+        e = [exp(-(p * a1 + q * a2)) for p, q in zip(*s.grad)]
+        w = [b1 * x + b2 * y + c for x, y in zip(*s.points)]
+        g11, g12, g22 = s.G
+        ga1 = [a1 * p + a2 * q for p, q in zip(g11, g12)]
+        ga2 = [a1 * q + a2 * r for q, r in zip(g12, g22)]
+        d1g11, d1g12, _, d2g11, d2g12, d2g22 = s.dG
         return (
-            [p * q for p, q in zip(fu, gu)],
-            ([a * q + p * b for a, p, b, q in zip(f1, fu, g1, gu)],
-             [a * q + p * b for a, p, b, q in zip(f2, fu, g2, gu)]),
-            ([a * q + p * b + 2.0 * c * d for a, q, p, b, c, d in zip(f11, gu, fu, g11, f1, g1)],
-             [a * q + p * b + c * d + e * r for a, q, p, b, c, d, e, r in zip(f12, gu, fu, g12, f1, g2, g1, f2)],
-             [a * q + p * b + 2.0 * c * d for a, q, p, b, c, d in zip(f22, gu, fu, g22, f2, g2)]),
+            [v * x for v, x in zip(w, e)],
+            ([(b1 - v * p) * x for v, p, x in zip(w, ga1, e)], [(b2 - v * q) * x for v, q, x in zip(w, ga2, e)]),
+            ([(v * (p * p - (a1 * d11 + a2 * d12)) - 2.0 * b1 * p) * x
+              for v, p, d11, d12, x in zip(w, ga1, d1g11, d1g12, e)],
+             [(v * (p * q - (a1 * d11 + a2 * d12)) - b1 * q - b2 * p) * x
+              for v, p, q, d11, d12, x in zip(w, ga1, ga2, d2g11, d2g12, e)],
+             [(v * (q * q - (a1 * d12 + a2 * d22)) - 2.0 * b2 * q) * x
+              for v, q, d12, d22, x in zip(w, ga2, d2g12, d2g22, e)]),
         )
 
-    return EquivariantFunction(u.mode, jet)
 
-
-def profile_exp_pairing(alpha, mode: tuple[int, ...] = (0,) * DIM) -> EquivariantFunction:
-    """Profile exp(-<alpha, grad phi>) with derivatives through G and dG."""
-    alpha = tuple(float(c) for c in alpha)
-    return EquivariantFunction(mode, lambda s: affine_exp_jet((0.0, 0.0), 1.0, alpha, s))
+#: the coordinate functions x_1 and x_2
+COORDINATES = (Profile((1, 0), 0.0, (0, 0), (0, 0)), Profile((0, 1), 0.0, (0, 0), (0, 0)))
 
 
 class OperatorContext(NamedTuple("OperatorContext", [
@@ -193,32 +161,35 @@ def apply_to_jet(s: Stack, jet: Jet, mode: tuple[int, ...], a, shift: float = 0.
     ]
 
 
-def weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> list[float]:
-    """Weighted Laplacian: -div(H grad u) + (k^T G k) u plus the moment-image drift -2 a^T H grad u."""
-    return apply_to_jet(s, f.jet(s), f.mode, ctx.a)
-
-
-def complex_weighted_laplacian(ctx: OperatorContext, f: EquivariantFunction, s: Stack) -> list[float]:
+def complex_weighted_laplacian(ctx: OperatorContext, f: Profile, s: Stack) -> list[float]:
     """Complex weighted Laplacian (real part).
 
     On mode k the angular sector contributes (k^T G k - 2 <a, k>) u in
     total; the conjugate structure's operator is this one plus the
-    conjugate shift 4 <a, k> u.
+    conjugate shift 4 <a, k> u.  On mode 0 it is the weighted Laplacian.
     """
     return apply_to_jet(s, f.jet(s), f.mode, ctx.a, -2.0 * dot(ctx.a, f.mode))
 
 
-def product_rule_defects(ctx: OperatorContext, u: EquivariantFunction, v: EquivariantFunction,
-                         s: Stack) -> list[float]:
+def product_rule_defects(ctx: OperatorContext, u: Profile, v: Profile, s: Stack) -> list[float]:
     """Delta(uv) - v Delta u - u Delta v + 2 grad u^T H grad v for torus-invariant profiles."""
+    if any(u.mode) or any(v.mode):
+        raise MalformedInputError("profile products are defined for torus-invariant factors")
     ju, jv = u.jet(s), v.jet(s)
-    lhs = weighted_laplacian(ctx, profile_product(u, v), s)
-    (fu, (u1, u2), _), (fv, (v1, v2), _) = ju, jv
+    (fu, (u1, u2), (u11, u12, u22)), (fv, (v1, v2), (v11, v12, v22)) = ju, jv
+    product = (
+        [p * q for p, q in zip(fu, fv)],
+        ([a * q + p * b for a, p, b, q in zip(u1, fu, v1, fv)],
+         [a * q + p * b for a, p, b, q in zip(u2, fu, v2, fv)]),
+        ([a * q + p * b + 2.0 * c * d for a, q, p, b, c, d in zip(u11, fv, fu, v11, u1, v1)],
+         [a * q + p * b + c * d + e * r for a, q, p, b, c, d, e, r in zip(u12, fv, fu, v12, u1, v2, v1, u2)],
+         [a * q + p * b + 2.0 * c * d for a, q, p, b, c, d in zip(u22, fv, fu, v22, u2, v2)]),
+    )
     return [
         left - (q * lu + p * lv - 2.0 * (x1 * (h11 * y1 + h12 * y2) + x2 * (h12 * y1 + h22 * y2)))
         for left, p, q, lu, lv, x1, x2, y1, y2, h11, h12, h22
-        in zip(lhs, fu, fv, apply_to_jet(s, ju, u.mode, ctx.a), apply_to_jet(s, jv, v.mode, ctx.a),
-               u1, u2, v1, v2, *s.H)
+        in zip(apply_to_jet(s, product, u.mode, ctx.a), fu, fv, apply_to_jet(s, ju, u.mode, ctx.a),
+               apply_to_jet(s, jv, v.mode, ctx.a), u1, u2, v1, v2, *s.H)
     ]
 
 
@@ -258,7 +229,7 @@ def _around(centers, h: float) -> list[tuple[float, float]]:
     return [(x + h * a, y + h * b) for a, b in _STENCIL for x, y in centers]
 
 
-def finite_difference_oracle(ctx: OperatorContext, f: EquivariantFunction, x) -> tuple[float, float]:
+def finite_difference_oracle(ctx: OperatorContext, f: Profile, x) -> tuple[float, float]:
     """Re-evaluate the complex weighted Laplacian of f and the Abreu curvature at x.
 
     Returns ``(complex_weighted, abreu)``, computed from values of the

@@ -23,8 +23,9 @@ exists once and a single point is a batch of one.  Every derivative of the
 other side comes from closed-form 2x2 algebra on the adjugate (see
 ``_inverse_jet``), in either direction.  Two families implement it:
 
-* potentials given on the convex-function side (Guillemin, quadratic
-  models) supply the gradient, ``G``, ``dG`` and ``d2G`` analytically;
+* potentials given on the convex-function side
+  (:class:`GuilleminPotential`) supply the gradient, ``G``, ``dG`` and
+  ``d2G`` analytically;
 * metrics given on the inverse side (:class:`CalabiPotential`, the
   one-point blow-up soliton built on the closed forms of
   :mod:`toric_soliton.calabi`) supply the gradient, ``H``, ``dH`` and
@@ -37,7 +38,8 @@ order, and rejects any other polygon with the message of the report's
 potential check.
 
 A stack built with ``gradient=False`` skips the gradient, which only the
-root profiles read; its ``grad`` is None.
+jets of :class:`~toric_soliton.operators.Profile` read; its ``grad`` is
+None.
 
 :func:`gradient_by_line_integral` recovers a gradient from ``G`` alone, on
 the Gauss-Legendre rule of :mod:`toric_soliton.quadrature`; it is kept as
@@ -62,7 +64,7 @@ from .calabi import (
     profile_A,
     profile_B,
 )
-from .errors import BoundaryEvaluationError, LossOfConvexityError, MalformedInputError
+from .errors import BoundaryEvaluationError, MalformedInputError
 from .polytope import DelzantPolytope, require_blowup_trapezoid
 from .quadrature import gauss_legendre
 
@@ -269,28 +271,6 @@ class GuilleminPotential(PhiSidePotential):
             (t111, t112, t122, t112, t122, t222),
             (q1111, q1112, q1122, q1112, q1122, q1222, q1122, q1222, q2222),
         )
-
-
-class QuadraticPotential(PhiSidePotential):
-    """phi = (1/2) x^T M x; the flat model when M is the identity."""
-
-    def __init__(self, polytope: DelzantPolytope, matrix=None):
-        self.polytope = polytope
-        (m11, m12), (m21, m22) = ((1.0, 0.0), (0.0, 1.0)) if matrix is None else matrix
-        sym = (float(m11), 0.5 * (float(m12) + float(m21)), float(m22))
-        # a symmetric 2x2 matrix is positive definite iff its trace and determinant are positive
-        if not (sym[0] + sym[2] > 0.0 and sym[0] * sym[2] - sym[1] * sym[1] > 0.0):
-            raise LossOfConvexityError("quadratic potential requires a positive definite matrix")
-        self._matrix = sym
-
-    def _phi_columns(self, pairs, facet_values, gradient):
-        m11, m12, m22 = self._matrix
-        m = len(pairs)
-        grad = ()
-        if gradient:
-            grad = ([m11 * x + m12 * y for x, y in pairs], [m12 * x + m22 * y for x, y in pairs])
-        zero = [0.0] * m
-        return grad, ([m11] * m, [m12] * m, [m22] * m), (zero,) * 6, (zero,) * 9
 
 
 class HSidePotential(SymplecticPotential):

@@ -83,8 +83,11 @@ def line_rule(order: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     ``order + 3`` points are used: a monomial xi^i eta^j with i + j <=
     order pulls back along the Duffy map (xi, eta) = (u(1-v), uv) to
     u^(i+j+1) times a degree-(i+j) polynomial in v, so ceil((order+2)/2)
-    points per axis give the stated polynomial exactness; the extra points
-    resolve unit-scale exponential weights to ~1e-12 already at order 6.
+    points per axis give the stated polynomial exactness.  The three extra
+    points once resolved the Futaki solve's exponential weights, which no
+    longer go through quadrature; the rule's one reader is the mean scalar
+    curvature of ``report._scal_mean``, through :func:`polygon_rule`.  They
+    stay, so its node set, and every bit of that mean, are unchanged.
     """
     if order < 1:
         raise MalformedInputError(f"quadrature order must be at least 1, got {order}")

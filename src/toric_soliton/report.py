@@ -228,9 +228,9 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     identity, product = [], []
     for root in rootset.roots[:3]:
         a1, a2 = root.alpha
-        pure_mode = operators.profile_constant(1.0, mode=root.alpha)
-        radial = operators.profile_exp_pairing(root.alpha)
-        null = operators.profile_exp_pairing(root.alpha, mode=root.alpha)
+        pure_mode = operators.Profile((0, 0), 1.0, (0, 0), root.alpha)
+        radial = operators.Profile((0, 0), 1.0, root.alpha, (0, 0))
+        null = operators.Profile((0, 0), 1.0, root.alpha, root.alpha)
         shift = 2.0 * operators.dot(ctx.a, root.alpha)
         t_expected = [a1 * a1 * g11 + 2.0 * a1 * a2 * g12 + a2 * a2 * g22 - shift for g11, g12, g22 in zip(*sample.G)]
         lhs_t = operators.complex_weighted_laplacian(ctx, pure_mode, sample)
@@ -239,7 +239,7 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
         identity += [[v - t for v, t in zip(lhs_t, t_expected)],
                      [v + t * u for v, t, u in zip(lhs_x, t_expected, radial.jet(sample)[0])],
                      lhs_null]
-        product.append(operators.product_rule_defects(ctx, operators.profile_coordinate(0), radial, sample))
+        product.append(operators.product_rule_defects(ctx, operators.COORDINATES[0], radial, sample))
     checks += [("mode_identity_max_defect", _peak(*identity), 1e-8),
                ("product_rule_max_defect", _peak(*product), 1e-8)]
 
@@ -250,7 +250,7 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     if canonical:
         middle = stack.size // 2
         x0, at_x0 = (stack.points[0][middle], stack.points[1][middle]), stack.select([middle])
-        profile = results[0].profile if results else operators.profile_coordinate(0)
+        profile = results[0].profile if results else operators.COORDINATES[0]
         analytic = float(operators.complex_weighted_laplacian(ctx, profile, at_x0)[0])
         oracle, abreu_fd = operators.finite_difference_oracle(ctx, profile, x0)
         abreu_an = at_x0.scal[0]
@@ -264,8 +264,7 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     if canonical:
         polygon, points = ctx.potential.polytope, list(zip(*sample.points))
         defects = (
-            [v - u for v, u in zip(eigenbasis.boundary_product_form(polygon, r.root).values(points),
-                                   r.profile.jet(sample)[0])]
+            [v - u for v, u in zip(eigenbasis.boundary_product_form(polygon, r.root, points), r.profile.jet(sample)[0])]
             for r in results
         )
         checks.append(("boundary_form_interior_match", _peak(*defects), 1e-10))

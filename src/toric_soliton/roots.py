@@ -19,8 +19,6 @@ No tolerance is involved.
 
 from __future__ import annotations
 
-import itertools
-import math
 from typing import NamedTuple
 
 from .errors import MalformedInputError, UnboundedRootRegionError
@@ -158,23 +156,3 @@ def assemble_decomposition(soliton, rootset: RootSet) -> SolitonDecomposition:
         key=lambda block: block["gamma"],
     )
     return SolitonDecomposition(blocks=tuple(blocks), gamma_values=tuple(block["gamma"] for block in blocks))
-
-
-def brute_force_roots(p: DelzantPolytope) -> list[tuple[int, ...]]:
-    """Independent oracle: scan the integer box [-B, B]^2 against the definition.
-
-    B = 1 + the ceiling of the largest exact vertex coordinate magnitude.
-    Used by the test suite to confirm the exact line enumeration misses
-    nothing.
-    """
-    radius = 1 + max(math.ceil(abs(c)) for pt, _ in p.vertex_data for c in pt)
-    normals = [f.normal for f in p.facets]
-    found = []
-    for alpha in itertools.product(range(-radius, radius + 1), repeat=DIM):
-        pairings = [sum(a * c for a, c in zip(alpha, nu)) for nu in normals]
-        ones = [i for i, v in enumerate(pairings) if v == 1]
-        if len(ones) != 1:
-            continue
-        if all(v <= 0 for i, v in enumerate(pairings) if i != ones[0]):
-            found.append(alpha)
-    return sorted(found)

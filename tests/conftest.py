@@ -5,6 +5,11 @@ The package computes on plain float columns; numpy is the tests' oracle.
 ``(m, 2)`` ... ``(m, 2, 2, 2, 2)`` with the batch axis first, ``batch``
 does the same for any nested tuple of columns, and ``column_jet`` and
 ``array_jet`` translate profile jets between the two layouts.
+
+Operators read a function only through its ``mode`` and ``jet``, so a
+test's own function is a :class:`JetFunction` of the two; ``affine_jet``
+is the closed form of the affine functions, the oracle for the
+``alpha = 0`` profiles.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import json
 import numpy as np
 import pytest
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from toric_soliton.calabi import CalabiSoliton
 from toric_soliton.futaki import solve_soliton_vector
@@ -158,6 +163,21 @@ def integrate(polytope, f, order: int = 10) -> float:
     """
     points, weights, _ = polygon_rule(polytope, order)
     return sum([w * v for w, v in zip(weights, f(points))])
+
+
+class JetFunction(NamedTuple):
+    """A function on torus mode k given by its jet on a stack, as the operators read it."""
+
+    mode: tuple[int, ...]
+    jet: Callable
+
+
+def affine_jet(b, c: float, s):
+    """The jet of <x, b> + c on the stack, in closed form."""
+    b1, b2 = (float(v) for v in b)
+    m = s.size
+    zero = [0.0] * m
+    return [b1 * x + b2 * y + c for x, y in zip(*s.points)], ([b1] * m, [b2] * m), (zero, zero, zero)
 
 
 def batch(columns) -> np.ndarray:

@@ -18,25 +18,19 @@ import pytest
 from toric_soliton.calabi import m_constant, ode_residual, profile_A, profile_B, soliton_equation, solve_a1
 from toric_soliton.eigenbasis import boundary_product_form, build_root_function, check_root
 from toric_soliton.operators import (
+    COORDINATES,
     OperatorContext,
+    Profile,
     complex_weighted_laplacian,
     finite_difference_oracle,
     product_rule_defects,
-    profile_constant,
-    profile_coordinate,
-    profile_exp_pairing,
     soliton_residuals,
-    weighted_laplacian,
 )
 from toric_soliton.report import calabi_report
-from toric_soliton.roots import (
-    assemble_decomposition,
-    automorphism_dimensions,
-    brute_force_roots,
-    enumerate_roots,
-)
+from toric_soliton.roots import assemble_decomposition, automorphism_dimensions, enumerate_roots
 from test_eigenbasis import CP2_CLOSED_FORMS
 from conftest import expand, integrate
+from oracles import brute_force_roots
 
 
 def report(index: int, description: str, passed: bool) -> None:
@@ -97,10 +91,9 @@ def test_criterion_06_affine_eigenfunctions(cp2_ctx, cp2_grid, blowup_ctx, blowu
     worst = 0.0
     for ctx, grid in ((cp2_ctx, cp2_grid), (blowup_ctx, blowup_grid)):
         s = ctx.potential.stack(grid)
-        for i in range(2):
-            f = profile_coordinate(i)
+        for i, f in enumerate(COORDINATES):
             values = np.array(grid)[:, i]
-            lhs = weighted_laplacian(ctx, f, s)
+            lhs = complex_weighted_laplacian(ctx, f, s)
             worst = max(worst, np.max(np.abs(lhs - 2.0 * values)) / np.max(np.abs(values)))
     report(6, f"weighted Laplacian doubles both coordinates (max rel err {worst:.2e})", worst <= 1e-6)
 
@@ -123,7 +116,7 @@ def test_criterion_08_eigenfunctions(cp2, cp2_ctx, cp2_grid, blowup_ctx, blowup_
             ok = ok and result.max_rel_residual <= 1e-6
             ok = ok and abs(result.fitted_eigenvalue - 2.0) <= 1e-6
     for root in enumerate_roots(cp2).roots:
-        profile = build_root_function(cp2_ctx, root)
+        profile = build_root_function(cp2, root)
         closed = CP2_CLOSED_FORMS[root.alpha](np.array(cp2.facet_values_many(cp2_grid[::7])).T)
         ok = ok and np.max(np.abs(profile.jet(cp2_ctx.potential.stack(cp2_grid[::7]))[0] - closed)) <= 1e-10
     report(8, "all root functions have eigenvalue two; plane profiles match the closed forms", ok)
@@ -135,21 +128,21 @@ def test_criterion_09_operator_identities(cp2_ctx, blowup_ctx):
         s = ctx.potential.stack(ctx.potential.polytope.interior_grid(9, 0.1)[::4])
         for root in enumerate_roots(ctx.potential.polytope).roots[:3]:
             alpha = np.array(root.alpha, dtype=float)
-            pure = profile_constant(1.0, mode=root.alpha)
-            radial = profile_exp_pairing(alpha)
-            null = profile_exp_pairing(alpha, mode=root.alpha)
+            pure = Profile((0, 0), 1.0, (0, 0), root.alpha)
+            radial = Profile((0, 0), 1.0, root.alpha, (0, 0))
+            null = Profile((0, 0), 1.0, root.alpha, root.alpha)
             coeff = np.einsum("i,mij,j->m", alpha, expand(s).G, alpha) - 2.0 * float(ctx.a @ alpha)
             ok = ok and np.max(np.abs(complex_weighted_laplacian(ctx, pure, s) - coeff)) <= 1e-8
             ok = ok and np.max(np.abs(
                 complex_weighted_laplacian(ctx, radial, s) + coeff * np.array(radial.jet(s)[0])
             )) <= 1e-8
             ok = ok and np.max(np.abs(complex_weighted_laplacian(ctx, null, s))) <= 1e-8
-            ok = ok and np.max(np.abs(product_rule_defects(ctx, profile_coordinate(0), radial, s))) <= 1e-8
+            ok = ok and np.max(np.abs(product_rule_defects(ctx, COORDINATES[0], radial, s))) <= 1e-8
     # finite-difference oracle against the analytic stack (closed-form potential)
     x0 = np.array([0.2, -0.15])
     at_x0 = cp2_ctx.potential.stack(x0[None])
     rootset = enumerate_roots(cp2_ctx.potential.polytope)
-    profile = build_root_function(cp2_ctx, rootset.roots[0])
+    profile = build_root_function(cp2_ctx.potential.polytope, rootset.roots[0])
     analytic = complex_weighted_laplacian(cp2_ctx, profile, at_x0)[0]
     oracle, abreu_fd = finite_difference_oracle(cp2_ctx, profile, x0)
     ok = ok and abs(oracle - analytic) / max(1.0, abs(analytic)) <= 1e-4
@@ -188,13 +181,14 @@ def test_criterion_12_boundary_extension(cp2, cp2_ctx, cp2_grid):
     edge_midpoints = [(ring[i] + ring[(i + 1) % len(ring)]) / 2.0 for i in range(len(ring))]
     sample = cp2_grid[::5]
     for root in enumerate_roots(cp2).roots:
-        form = boundary_product_form(cp2, root)
-        profile = build_root_function(cp2_ctx, root)
-        ok = ok and np.max(np.abs(np.subtract(form.values(sample), profile.jet(cp2_ctx.potential.stack(sample))[0]))) <= 1e-10
-        ok = ok and bool(np.all(np.isfinite(form.values(list(ring) + edge_midpoints))))
-        for idx in (i for i, e in enumerate(form.exponents) if e > 0.0):
+        profile = build_root_function(cp2, root)
+        form = boundary_product_form(cp2, root, sample)
+        ok = ok and np.max(np.abs(np.subtract(form, profile.jet(cp2_ctx.potential.stack(sample))[0]))) <= 1e-10
+        ok = ok and bool(np.all(np.isfinite(boundary_product_form(cp2, root, list(ring) + edge_midpoints))))
+        # the exponents are positive on the distinguished facet and where the pairing is nonzero
+        for idx in (i for i, v in enumerate(root.pairings) if i == root.distinguished_facet or v != 0):
             # midpoint of the facet's edge lies on it; the form vanishes there
             normal = np.array(cp2.facets[idx].normal, dtype=float)
             on_facet = [m for m in edge_midpoints if abs(normal @ m + float(cp2.facets[idx].offset)) <= 1e-12]
-            ok = ok and bool(np.all(np.array(form.values(on_facet)) == 0.0))
+            ok = ok and bool(np.all(np.array(boundary_product_form(cp2, root, on_facet)) == 0.0))
     report(12, "boundary form finite on the closed polytope, vanishing exactly on predicted facets", ok)

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from toric_soliton.eigenbasis import affine_block, boundary_product_form, build_root_function, check_root
 from toric_soliton.errors import MalformedInputError
 from toric_soliton.futaki import solve_soliton_vector
-from toric_soliton.operators import EquivariantFunction, OperatorContext, complex_weighted_laplacian
+from toric_soliton.operators import OperatorContext, Profile, complex_weighted_laplacian
 from toric_soliton.polytope import DelzantPolytope, parse_polytope
 from toric_soliton.potentials import GuilleminPotential
 from toric_soliton.roots import assemble_decomposition, automorphism_dimensions, enumerate_roots
-from conftest import array_jet, column_jet, interior_points
+from conftest import JetFunction, array_jet, column_jet, interior_points
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,9 +38,18 @@ def test_cp2_profiles_match_closed_forms(cp2, cp2_ctx):
     rootset = enumerate_roots(cp2)
     pts = interior_points(cp2, 25, seed=21)
     for root in rootset.roots:
-        profile = build_root_function(cp2_ctx, root)
+        profile = build_root_function(cp2, root)
         expected = CP2_CLOSED_FORMS[root.alpha](np.array(cp2.facet_values_many(pts)).T)
         assert np.max(np.abs(profile.jet(cp2_ctx.potential.stack(pts))[0] - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["cp2", "square", "blowup", "bl3", "bl2_image", "bl1_deep_image"])
+def test_root_function_is_data_read_from_the_polygon(name):
+    # the root profile (<x, nu> + 1) exp(-<alpha, grad phi>) on mode +alpha, nu the distinguished normal
+    p = parse_polytope((DATA / f"{name}.json").read_text())
+    for root in enumerate_roots(p).roots:
+        nu = p.facets[root.distinguished_facet].normal
+        assert build_root_function(p, root) == Profile(nu, 1.0, root.alpha, root.alpha)
 
 
 def test_blowup_profile_closed_form_up_to_gauge(blowup, blowup_ctx):
@@ -49,7 +58,7 @@ def test_blowup_profile_closed_form_up_to_gauge(blowup, blowup_ctx):
     from toric_soliton.calabi import from_algebraic_coordinates
 
     root = next(r for r in enumerate_roots(blowup).roots if r.alpha == (0, 1))
-    profile = build_root_function(blowup_ctx, root)
+    profile = build_root_function(blowup, root)
     pts = interior_points(blowup, 12, seed=24)
     mu = np.array([from_algebraic_coordinates(x) for x in pts])
     y = mu[:, 1] / mu[:, 0]
@@ -63,7 +72,7 @@ def test_profile_derivatives_match_finite_differences(cp2_ctx, blowup_ctx):
     for ctx, alpha in ((cp2_ctx, (1, -1)), (blowup_ctx, (-1, 0))):
         rootset = enumerate_roots(ctx.potential.polytope)
         root = next(r for r in rootset.roots if r.alpha == alpha)
-        profile = build_root_function(ctx, root)
+        profile = build_root_function(ctx.potential.polytope, root)
         pts = interior_points(ctx.potential.polytope, 5, seed=22)
         _, grad, hess = array_jet(profile.jet(ctx.potential.stack(pts)))
         shifted = [(array_jet(profile.jet(ctx.potential.stack(pts + step * e))),
@@ -92,9 +101,9 @@ def test_wrong_mode_sign_discriminates(alpha, blowup_ctx, blowup_grid):
     root = next(r for r in rootset.roots if r.alpha == alpha)
     pairing = float(np.array(root.alpha) @ blowup_ctx.a)
     assert abs(pairing) > 1e-3
-    right = build_root_function(blowup_ctx, root)
+    right = build_root_function(blowup_ctx.potential.polytope, root)
     assert right.mode == alpha
-    wrong = EquivariantFunction(tuple(-c for c in alpha), right.jet)
+    wrong = right._replace(mode=tuple(-c for c in alpha))
     s = blowup_ctx.potential.stack(blowup_grid)
     u = np.array(right.jet(s)[0])  # both modes share the profile
     right_fit = u @ np.array(complex_weighted_laplacian(blowup_ctx, right, s)) / (u @ u)
@@ -112,7 +121,7 @@ def test_dropping_the_affine_shift_breaks_the_eigenvalue(cp2_ctx, cp2_grid):
     # it the fitted eigenvalue drifts away from two (negative control)
     rootset = enumerate_roots(cp2_ctx.potential.polytope)
     root = rootset.roots[0]
-    profile = build_root_function(cp2_ctx, root)
+    profile = build_root_function(cp2_ctx.potential.polytope, root)
     normal = np.array(cp2_ctx.potential.polytope.facets[root.distinguished_facet].normal, dtype=float)
     alpha = np.array(root.alpha, dtype=float)
     potential = cp2_ctx.potential
@@ -127,7 +136,7 @@ def test_dropping_the_affine_shift_breaks_the_eigenvalue(cp2_ctx, cp2_grid):
                   - w[:, None, None] * dgalpha + w[:, None, None] * np.einsum("mi,mj->mij", galpha, galpha))
         return w * e, (normal - w[:, None] * galpha) * e[:, None], matrix * e[:, None, None]
 
-    bare = EquivariantFunction(mode=profile.mode, jet=bare_jet)
+    bare = JetFunction(mode=profile.mode, jet=bare_jet)
     s = potential.stack(cp2_grid)
     u = np.array(bare.jet(s)[0])
     applied = np.array(complex_weighted_laplacian(cp2_ctx, bare, s))
@@ -140,37 +149,45 @@ def test_boundary_product_form_matches_interior(cp2, cp2_ctx):
     rootset = enumerate_roots(cp2)
     pts = interior_points(cp2, 25, seed=23)
     for root in rootset.roots:
-        form = boundary_product_form(cp2, root)
-        profile = build_root_function(cp2_ctx, root)
-        assert np.max(np.abs(np.subtract(form.values(pts), profile.jet(cp2_ctx.potential.stack(pts))[0]))) <= 1e-10
+        form = boundary_product_form(cp2, root, pts)
+        profile = build_root_function(cp2, root)
+        assert np.max(np.abs(np.subtract(form, profile.jet(cp2_ctx.potential.stack(pts))[0]))) <= 1e-10
 
 
 def test_boundary_product_form_exponents(cp2):
-    rootset = enumerate_roots(cp2)
-    for root in rootset.roots:
-        form = boundary_product_form(cp2, root)
-        for idx, exponent in enumerate(form.exponents):
-            if idx == root.distinguished_facet:
-                assert exponent == 0.5
-            else:
-                assert exponent == -0.5 * root.pairings[idx]
-                assert exponent >= 0.0
-                # zero exactly when the pairing vanishes: no dependence on that facet
-                assert (exponent == 0.0) == (root.pairings[idx] == 0)
+    # exponent one half on the distinguished facet and -pairing/2 on the others: sqrt(l_i l_j) on the simplex
+    pts = interior_points(cp2, 25, seed=27)
+    ells = np.array(cp2.facet_values_many(pts)).T
+    for root in enumerate_roots(cp2).roots:
+        assert np.max(np.abs(boundary_product_form(cp2, root, pts) - CP2_CLOSED_FORMS[root.alpha](ells))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["cp2", "square", "blowup", "bl3"])
+def test_boundary_product_form_vanishes_on_the_predicted_facets(name):
+    # the exponents are non-negative and zero exactly where the pairing vanishes, so at each
+    # edge midpoint the form is zero on the distinguished facet and the nonzero-pairing facets,
+    # and positive on the others: it does not depend on them
+    p = parse_polytope((DATA / f"{name}.json").read_text())
+    # the midpoint of facet idx's edge, from the two vertices on it
+    midpoints = [np.mean([pt for pt, facets in p.vertex_data if idx in facets], axis=0).astype(float)
+                 for idx in range(len(p.facets))]
+    for root in enumerate_roots(p).roots:
+        values = boundary_product_form(p, root, midpoints)
+        for idx, value in enumerate(values):
+            vanishes = idx == root.distinguished_facet or root.pairings[idx] != 0
+            assert (value == 0.0) == vanishes and value >= 0.0, (root.alpha, idx)
 
 
 def test_boundary_product_form_on_closed_polytope(cp2):
     rootset = enumerate_roots(cp2)
     root = next(r for r in rootset.roots if r.alpha == (1, 0))
-    form = boundary_product_form(cp2, root)
     # finite everywhere on the closed polytope, including the vertices
-    assert np.all(np.isfinite(form.values(cp2.vertex_points)))
-    # vanishes exactly on the facets with positive exponent
-    assert {i for i, e in enumerate(form.exponents) if e > 0.0} == {0, 2}
-    assert list(form.values([[-1.0, 0.0], [0.5, 0.5]])) == [0.0, 0.0]  # on facets 0 and 2
+    assert np.all(np.isfinite(boundary_product_form(cp2, root, cp2.vertex_points)))
+    # vanishes exactly on the facets with positive exponent, the distinguished facet 0 and facet 2
+    assert boundary_product_form(cp2, root, [[-1.0, 0.0], [0.5, 0.5]]) == [0.0, 0.0]
     # strictly positive on the open part of the pairing-zero facet
     edge_point = [0.5, -1.0]  # interior of facet 1
-    assert form.values([edge_point])[0] > 0.0
+    assert boundary_product_form(cp2, root, [edge_point])[0] > 0.0
 
 
 def test_anti_holomorphic_eigenvalues_blowup(blowup_ctx, blowup_grid):
@@ -301,8 +318,8 @@ def test_conjugate_root_function_satisfies_conjugate_equation(cp2_ctx, cp2_grid)
     rootset = enumerate_roots(cp2_ctx.potential.polytope)
     s = cp2_ctx.potential.stack(cp2_grid)
     for root in rootset.roots[:3]:
-        profile = build_root_function(cp2_ctx, root)
-        conjugate = EquivariantFunction(tuple(-c for c in root.alpha), profile.jet)
+        profile = build_root_function(cp2_ctx.potential.polytope, root)
+        conjugate = profile._replace(mode=tuple(-c for c in root.alpha))
         values = np.array(conjugate.jet(s)[0])
         conjugate_shift = 4.0 * float(np.dot(cp2_ctx.a, conjugate.mode)) * values
         applied = complex_weighted_laplacian(cp2_ctx, conjugate, s) + conjugate_shift
@@ -312,4 +329,4 @@ def test_conjugate_root_function_satisfies_conjugate_equation(cp2_ctx, cp2_grid)
 def test_boundary_product_form_rejects_a_non_algebraic_polygon(cp2, cp2_roots):
     scaled = DelzantPolytope([f._replace(offset=Fraction(2)) for f in cp2.facets])
     with pytest.raises(MalformedInputError, match="requires an algebraic polytope"):
-        boundary_product_form(scaled, cp2_roots.roots[0])
+        boundary_product_form(scaled, cp2_roots.roots[0], [[0.0, 0.0]])

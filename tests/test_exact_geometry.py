@@ -33,7 +33,8 @@ from toric_soliton.polytope import (
     parse_polytope,
     privileged_center,
 )
-from toric_soliton.roots import _facet_roots, automorphism_dimensions, brute_force_roots, enumerate_roots
+from toric_soliton.roots import _facet_roots, automorphism_dimensions, enumerate_roots
+from oracles import brute_force_roots
 
 DATA = Path(__file__).parent / "data"
 SURFACES = {name: parse_polytope((DATA / f"{name}.json").read_text()) for name in ("cp2", "blowup", "bl3", "square")}

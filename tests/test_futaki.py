@@ -21,8 +21,9 @@ from toric_soliton.futaki import (
     weighted_volume,
 )
 from toric_soliton.polytope import DelzantPolytope, Facet, lattice_automorphisms, normalize_algebraic, parse_polytope
-from toric_soliton.roots import assemble_decomposition, automorphism_dimensions, brute_force_roots, enumerate_roots
+from toric_soliton.roots import assemble_decomposition, automorphism_dimensions, enumerate_roots
 from conftest import fibonacci_image, integrate
+from oracles import brute_force_roots
 
 
 def polygon_moments(vertices: np.ndarray) -> tuple[float, np.ndarray]:

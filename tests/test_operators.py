@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,22 +12,24 @@ import pytest
 from toric_soliton.eigenbasis import build_root_function, check_root
 from toric_soliton.errors import BoundaryEvaluationError, MalformedInputError
 from toric_soliton.operators import (
-    EquivariantFunction,
+    COORDINATES,
     OperatorContext,
+    Profile,
     complex_weighted_laplacian,
     finite_difference_oracle,
     product_rule_defects,
-    profile_constant,
-    profile_coordinate,
-    profile_exp_pairing,
-    profile_linear,
-    profile_product,
     soliton_residuals,
-    weighted_laplacian,
 )
-from toric_soliton.potentials import GuilleminPotential, QuadraticPotential
+from toric_soliton.polytope import normalize_algebraic, parse_polytope
+from toric_soliton.potentials import CalabiPotential, GuilleminPotential
 from toric_soliton.roots import enumerate_roots
-from conftest import column_jet, expand, integrate, interior_points
+from conftest import JetFunction, affine_jet, column_jet, expand, integrate, interior_points
+from oracles import QuadraticPotential
+
+DATA = Path(__file__).parent / "data"
+
+#: the constant function 1 on mode 0
+ONE = Profile((0, 0), 1.0, (0, 0), (0, 0))
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +37,7 @@ def flat_ctx(square):
     return OperatorContext(potential=QuadraticPotential(square), a=np.zeros(2))
 
 
-def square_profile(i: int, n: int) -> EquivariantFunction:
+def square_profile(i: int, n: int) -> JetFunction:
     @column_jet
     def jet(s):
         m = len(s.points)
@@ -44,10 +47,10 @@ def square_profile(i: int, n: int) -> EquivariantFunction:
         hess[:, i, i] = 2.0
         return s.points[:, i] ** 2, grad, hess
 
-    return EquivariantFunction(mode=(0,) * n, jet=jet)
+    return JetFunction(mode=(0,) * n, jet=jet)
 
 
-def bump_profile(center, radius) -> EquivariantFunction:
+def bump_profile(center, radius) -> JetFunction:
     """Smooth compactly supported bump with analytic derivatives."""
     center = np.asarray(center, dtype=float)
     r2 = radius * radius
@@ -65,44 +68,61 @@ def bump_profile(center, radius) -> EquivariantFunction:
         hess = fpp[:, None, None] * np.einsum("mi,mj->mij", dq, dq) + fp[:, None, None] * 2.0 * np.eye(2) / r2
         return f, fp[:, None] * dq, hess
 
-    return EquivariantFunction(mode=(0, 0), jet=jet)
+    return JetFunction(mode=(0, 0), jet=jet)
 
 
 def test_constants_are_harmonic(cp2_ctx, blowup_ctx, flat_ctx):
-    one = profile_constant(1.0)
     for ctx, x in ((cp2_ctx, [0.1, 0.2]), (blowup_ctx, [0.3, -0.4]), (flat_ctx, [0.5, 0.5])):
-        assert weighted_laplacian(ctx, one, ctx.potential.stack(np.array([x])))[0] == 0.0
+        assert complex_weighted_laplacian(ctx, ONE, ctx.potential.stack(np.array([x])))[0] == 0.0
 
 
 def test_flat_model_square_coordinate(flat_ctx):
     f = square_profile(0, 2)
     s = flat_ctx.potential.stack(np.array([[0.3, -0.2]]))
-    assert weighted_laplacian(flat_ctx, f, s)[0] == pytest.approx(-2.0, abs=1e-14)
+    assert complex_weighted_laplacian(flat_ctx, f, s)[0] == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_cp2_coordinate_at_origin(cp2_ctx):
-    f = profile_coordinate(0)
     s = cp2_ctx.potential.stack(np.zeros((1, 2)))
-    assert weighted_laplacian(cp2_ctx, f, s)[0] == pytest.approx(0.0, abs=1e-13)
+    assert complex_weighted_laplacian(cp2_ctx, COORDINATES[0], s)[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_lemma_4_1_cp2(cp2_ctx, cp2_grid):
     # affine moment-map components are eigenfunctions with eigenvalue two
     s = cp2_ctx.potential.stack(cp2_grid)
     grid = np.array(cp2_grid)
-    for i in range(2):
-        f = profile_coordinate(i)
-        worst = np.max(np.abs(weighted_laplacian(cp2_ctx, f, s) - 2.0 * grid[:, i]))
+    for i, f in enumerate(COORDINATES):
+        worst = np.max(np.abs(complex_weighted_laplacian(cp2_ctx, f, s) - 2.0 * grid[:, i]))
         assert worst / np.max(np.abs(grid[:, i])) <= 1e-6
 
 
 def test_lemma_4_1_blowup(blowup_ctx, blowup_grid):
     s = blowup_ctx.potential.stack(blowup_grid)
-    for b in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        f = profile_linear(b)
-        values = np.array(blowup_grid) @ b
-        lhs = weighted_laplacian(blowup_ctx, f, s)
+    for b in ((1, 0), (0, 1), (2, -3)):
+        f = Profile(b, 0.0, (0, 0), (0, 0))
+        values = np.array(blowup_grid) @ np.array(b)
+        lhs = complex_weighted_laplacian(blowup_ctx, f, s)
         assert np.max(np.abs(lhs - 2.0 * values)) / np.max(np.abs(values)) <= 1e-6
+
+
+@pytest.mark.parametrize("name, family", [
+    *((name, GuilleminPotential) for name in ("cp2", "square", "blowup", "bl3", "bl2_image")),
+    ("blowup", CalabiPotential),
+], ids=lambda v: v if isinstance(v, str) else v.__name__.removesuffix("Potential").lower())
+def test_alpha_zero_profiles_are_the_affine_closed_form(name, family):
+    # exp(-<0, grad phi>) is exactly one, so the one jet formula gives the affine closed form
+    # (<x, b> + c, b, 0) entry for entry, on any mode and either potential family
+    polygon = normalize_algebraic(parse_polytope((DATA / f"{name}.json").read_text()))
+    # positive combinations of the vertices, since the lattice images are too thin for a grid
+    rng, vertices = random.Random(26), polygon.vertex_points
+    weights = [[rng.uniform(0.1, 1.0) for _ in vertices] for _ in range(40)]
+    s = family(polygon).stack([[sum(w * v[i] for w, v in zip(ws, vertices)) / sum(ws) for i in range(2)]
+                               for ws in weights])
+    profiles = [*COORDINATES, ONE, ONE._replace(mode=(1, -1)), Profile((2, -3), -0.5, (0, 0), (0, 0))]
+    assert [f.b for f in COORDINATES] == [(1, 0), (0, 1)]
+    for f in profiles:
+        assert f.alpha == (0, 0)
+        assert f.jet(s) == affine_jet(f.b, f.c, s), f
 
 
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
@@ -112,9 +132,9 @@ def test_mode_diagonal_identities(ctx_name, request):
     s = ctx.potential.stack(interior_points(ctx.potential.polytope, 12, seed=14))
     for alpha in [r.alpha for r in enumerate_roots(ctx.potential.polytope).roots]:
         alpha_arr = np.array(alpha, dtype=float)
-        pure = profile_constant(1.0, mode=alpha)
-        radial = profile_exp_pairing(alpha)
-        null = profile_exp_pairing(alpha, mode=alpha)
+        pure = Profile((0, 0), 1.0, (0, 0), alpha)
+        radial = Profile((0, 0), 1.0, alpha, (0, 0))
+        null = radial._replace(mode=alpha)
         coeff = np.einsum("i,mij,j->m", alpha_arr, expand(s).G, alpha_arr) - 2.0 * float(ctx.a @ alpha_arr)
         assert complex_weighted_laplacian(ctx, pure, s) == pytest.approx(coeff, abs=1e-8)
         value = radial.jet(s)[0]
@@ -125,14 +145,13 @@ def test_mode_diagonal_identities(ctx_name, request):
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_product_rule(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
-    u = profile_coordinate(0)
-    v = profile_coordinate(1)
-    w = profile_exp_pairing([1, 0] if ctx_name == "cp2_ctx" else [0, 1])
+    u, v = COORDINATES
+    w = Profile((0, 0), 1.0, (1, 0) if ctx_name == "cp2_ctx" else (0, 1), (0, 0))
     s = ctx.potential.stack(interior_points(ctx.potential.polytope, 20, seed=15))
     assert np.max(np.abs(product_rule_defects(ctx, u, v, s))) <= 1e-8
     assert np.max(np.abs(product_rule_defects(ctx, u, w, s))) <= 1e-8
     one = ctx.potential.stack(interior_points(ctx.potential.polytope, 1, seed=16))
-    trivial = product_rule_defects(ctx, profile_constant(1.0), profile_constant(1.0), one)
+    trivial = product_rule_defects(ctx, ONE, ONE, one)
     assert trivial[0] == 0.0
 
 
@@ -215,9 +234,8 @@ def test_fd_oracle_weighted_on_root_functions(cp2, cp2_ctx, cp2_grid):
 
 def test_fd_oracle_abreu(cp2_ctx):
     # H is quadratic on P^2, so its second differences are exact up to rounding
-    f = profile_constant(1.0)
     for x in (np.array([0.0, 0.0]), np.array([0.3, -0.2])):
-        oracle = finite_difference_oracle(cp2_ctx, f, x)[1]
+        oracle = finite_difference_oracle(cp2_ctx, ONE, x)[1]
         assert abs(oracle - 4.0) / 4.0 <= 1e-9
 
 
@@ -254,7 +272,7 @@ def test_fd_oracle_on_the_calabi_metric(blowup_ctx, blowup_roots):
     # the soliton metric is given by H, which is all of the potential the oracle differences
     x = grid_middle(blowup_ctx.potential.polytope)
     for root in blowup_roots.roots:
-        weighted, abreu = fd_check_values(blowup_ctx, build_root_function(blowup_ctx, root), x)
+        weighted, abreu = fd_check_values(blowup_ctx, build_root_function(blowup_ctx.potential.polytope, root), x)
         assert abs(weighted) <= 1e-4 and abs(abreu) <= 1e-3, root.alpha
 
 
@@ -262,7 +280,7 @@ def test_fd_oracle_on_the_calabi_metric(blowup_ctx, blowup_roots):
 def test_fd_checks_catch_a_shifted_derivative(ctx_name, request):
     # the oracle reads H and G only, so an error in dH or scal moves the analytic side alone
     ctx = request.getfixturevalue(ctx_name)
-    f, x = profile_coordinate(0), grid_middle(ctx.potential.polytope)
+    f, x = COORDINATES[0], grid_middle(ctx.potential.polytope)
     weighted, abreu = fd_check_values(ctx, f, x)
     assert abs(weighted) <= 1e-4 and abs(abreu) <= 1e-3
 
@@ -284,7 +302,7 @@ def test_fd_oracle_is_stable_under_one_ulp_of_H(ctx_name, request):
         PerturbedStacks(ctx.potential, "H", lambda v: v + rng.choice((-1.0, 1.0)) * math.ulp(v)), ctx.a)
     x = grid_middle(ctx.potential.polytope)
     for root in enumerate_roots(ctx.potential.polytope).roots:
-        f = build_root_function(ctx, root)
+        f = build_root_function(ctx.potential.polytope, root)
         base, moved = finite_difference_oracle(ctx, f, x), finite_difference_oracle(jittered, f, x)
         assert max(abs(b - m) for b, m in zip(base, moved)) < 1e-10, root.alpha
 
@@ -300,17 +318,21 @@ def test_fd_oracle_flat_model_exact(flat_ctx):
 
 def test_fd_oracle_rejects_boundary_point(cp2_ctx):
     with pytest.raises(BoundaryEvaluationError):
-        finite_difference_oracle(cp2_ctx, profile_constant(1.0), np.array([3.0, 0.0]))
+        finite_difference_oracle(cp2_ctx, ONE, np.array([3.0, 0.0]))
 
 
 def test_fd_oracle_rejects_malformed_point(cp2_ctx):
     with pytest.raises(MalformedInputError):
-        finite_difference_oracle(cp2_ctx, profile_constant(1.0), np.zeros(3))
+        finite_difference_oracle(cp2_ctx, ONE, np.zeros(3))
 
 
-def test_profile_product_rejects_a_moded_factor():
-    with pytest.raises(MalformedInputError, match="torus-invariant factors"):
-        profile_product(profile_constant(1.0, mode=(1, 0)), profile_coordinate(0))
+def test_product_rule_defects_reject_a_moded_factor(cp2_ctx):
+    # the product rule holds for torus-invariant factors only, so a factor on a nonzero mode is malformed
+    s = cp2_ctx.potential.stack(interior_points(cp2_ctx.potential.polytope, 3, seed=25))
+    moded = ONE._replace(mode=(1, 0))
+    for u, v in ((moded, COORDINATES[0]), (COORDINATES[0], moded)):
+        with pytest.raises(MalformedInputError, match="torus-invariant factors"):
+            product_rule_defects(cp2_ctx, u, v, s)
 
 
 def test_fd_oracle_is_batched(cp2):
@@ -326,7 +348,7 @@ def test_fd_oracle_is_batched(cp2):
 
     pot.stack = counting
     ctx = OperatorContext(potential=pot, a=np.zeros(2))
-    finite_difference_oracle(ctx, profile_exp_pairing((1, 0)), np.array([0.1, -0.2]))
+    finite_difference_oracle(ctx, Profile((0, 0), 1.0, (1, 0), (0, 0)), np.array([0.1, -0.2]))
     assert calls == [(81, {}), (9, {"gradient": False})]
     assert not hasattr(pot, "values")
 
@@ -335,8 +357,8 @@ def test_conjugation_symmetry(blowup_ctx):
     # the conjugate operator (the conjugate shift +4 <a, k> u added) on the conjugate
     # mode equals the conjugate of the operator on the mode
     alpha = (-1, 0)
-    u_plus = profile_exp_pairing(alpha, mode=alpha)
-    u_minus = profile_exp_pairing(alpha, mode=tuple(-c for c in alpha))
+    u_plus = Profile((0, 0), 1.0, alpha, alpha)
+    u_minus = u_plus._replace(mode=tuple(-c for c in alpha))
     s = blowup_ctx.potential.stack(interior_points(blowup_ctx.potential.polytope, 8, seed=20))
     plus = complex_weighted_laplacian(blowup_ctx, u_plus, s)
     conjugate_shift = 4.0 * float(np.dot(blowup_ctx.a, u_minus.mode)) * np.array(u_minus.jet(s)[0])
@@ -368,8 +390,8 @@ def test_weighted_symmetry_under_refinement(ctx_name, request):
         uv, vv = np.array(u.jet(s)[0]), np.array(v.jet(s)[0])
         support = (uv != 0.0) | (vv != 0.0)
         pts, uv, vv, s = pts[support], uv[support], vv[support], s.select(np.flatnonzero(support))
-        du = np.array(weighted_laplacian(ctx, u, s))
-        dv = np.array(weighted_laplacian(ctx, v, s))
+        du = np.array(complex_weighted_laplacian(ctx, u, s))
+        dv = np.array(complex_weighted_laplacian(ctx, v, s))
         weight = np.exp(2.0 * (pts @ np.array(ctx.a)))
         total = np.sum((du * vv - uv * dv) * weight * cell)
         scale = np.sum((np.abs(du * vv) + np.abs(uv * dv)) * weight * cell)

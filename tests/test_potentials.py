@@ -12,13 +12,9 @@ import pytest
 
 from toric_soliton.errors import BoundaryEvaluationError, LossOfConvexityError, MalformedInputError
 from toric_soliton.polytope import DelzantPolytope, parse_polytope
-from toric_soliton.potentials import (
-    CalabiPotential,
-    GuilleminPotential,
-    QuadraticPotential,
-    gradient_by_line_integral,
-)
+from toric_soliton.potentials import CalabiPotential, GuilleminPotential, gradient_by_line_integral
 from conftest import expand, interior_points
+from oracles import QuadraticPotential
 
 
 def finite_difference_jacobian(field, points, h):

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from toric_soliton.eigenbasis import boundary_product_form, check_root
+from toric_soliton.eigenbasis import check_root
 from toric_soliton.errors import MalformedInputError, NonPrimitiveNormalError
 from toric_soliton.operators import OperatorContext
 from toric_soliton.polytope import Facet, delzant_check, privileged_center
@@ -102,9 +102,8 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
         "SolitonDecomposition": assemble_decomposition(cp2_soliton, cp2_roots),
         "SolitonData": cp2_soliton,
         "Stack": stack,
-        "EquivariantFunction": check.profile,
+        "Profile": check.profile,
         "OperatorContext": cp2_ctx,
-        "BoundaryProductForm": boundary_product_form(cp2, cp2_roots.roots[0]),
         "RootCheck": check,
         "CalabiSoliton": calabi_soliton,
     }
@@ -113,7 +112,7 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
 RECORD_TYPES = (
     "Facet", "PrivilegedCenter", "DelzantVerdict", "DemazureRoot", "RootSet", "AutomorphismDimensions",
     "SolitonDecomposition", "SolitonData", "Stack",
-    "EquivariantFunction", "OperatorContext", "BoundaryProductForm", "RootCheck",
+    "Profile", "OperatorContext", "RootCheck",
     "CalabiSoliton",
 )
 

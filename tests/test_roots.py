@@ -10,13 +10,9 @@ import pytest
 from toric_soliton.errors import MalformedInputError
 from toric_soliton.futaki import solve_soliton_vector
 from toric_soliton.polytope import parse_polytope
-from toric_soliton.roots import (
-    assemble_decomposition,
-    automorphism_dimensions,
-    brute_force_roots,
-    enumerate_roots,
-)
+from toric_soliton.roots import assemble_decomposition, automorphism_dimensions, enumerate_roots
 from conftest import fibonacci, fibonacci_image
+from oracles import brute_force_roots
 
 
 CP2_EXPECTED = {(1, 0), (1, -1), (0, 1), (-1, 1), (-1, 0), (0, -1)}
