@@ -169,19 +169,3 @@ def boundary_residuals(s: CalabiSoliton) -> dict[str, float]:
 def from_algebraic_coordinates(x) -> tuple[float, float]:
     """The point of tau at the algebraic point x = (x1, x2)."""
     return float(x[0]) + ALGEBRAIC_SHIFT[0], float(x[1]) + ALGEBRAIC_SHIFT[1]
-
-
-def g_matrix(s: CalabiSoliton, mu) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Closed-form inverse of H at an interior point of tau, the oracle for the stack's G."""
-    x = float(mu[0])
-    if not (ALPHA1 < x < ALPHA2):
-        raise BoundaryEvaluationError(f"mu1 = {x} outside ({ALPHA1}, {ALPHA2})")
-    y = float(mu[1]) / x
-    if not (BETA1 < y < BETA2):
-        raise BoundaryEvaluationError(f"mu2/mu1 = {y} outside ({BETA1}, {BETA2})")
-    a_val, _, _ = profile_A(s, x)
-    b_val, _, _ = profile_B(s, y)
-    return (
-        (x / a_val + y * y / (x * b_val), -y / (x * b_val)),
-        (-y / (x * b_val), 1.0 / (x * b_val)),
-    )

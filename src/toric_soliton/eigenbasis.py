@@ -6,18 +6,20 @@ the complex weighted Laplacian with eigenvalue two: the root profile on
 torus mode +alpha, fixed by construction.  It is the
 :class:`~toric_soliton.operators.Profile` ``(nu, 1, alpha, alpha)``,
 read from the polygon alone; the affine block's profiles are the
-coordinates ``(e_i, 0, 0, 0)``.  On mode +alpha the operator is
-``W u - 2 <alpha, a> u``, with W its sign-independent part, and the
-orientation-reversed operator is ``W u + 2 <alpha, a> u``.  One operator
-pass per root therefore gives the eigenvalue-two residual and the
+coordinates ``(e_i, 0, 0, 0)``.  Together they span the eigenvalue-two
+space, and :func:`fit` checks each of them the same way, into one
+record, :class:`EigenFit`.  On mode k the operator is ``W u - 2 <k, a> u``,
+with W its sign-independent part, and the orientation-reversed operator
+is ``W u + 2 <k, a> u``; on mode zero the two coincide.  One operator
+pass per profile therefore gives the eigenvalue-two residual and the
 orientation-reversed fit: the fits share ``<u, u>``, ``<u, W u>`` and
-``max |u|`` and differ only in the multiple of u they add.  A profile on
-the wrong mode fits the eigenvalue ``2 + 4 <alpha, a>`` and fails the
-eigenvalue-two check wherever ``<alpha, a>`` is not zero.  Profiles and
-fits run on the float columns of the stack, and every maximum of
-|residual| is NaN when a residual is.  For the canonical potential each
-root profile also has a closed form that extends to the closed polygon,
-:func:`boundary_product_form`.
+``max |u|`` and differ only in the multiple of u they add.  A root
+profile on the wrong mode fits the eigenvalue ``2 + 4 <alpha, a>`` and
+fails the eigenvalue-two check wherever ``<alpha, a>`` is not zero.
+Profiles and fits run on the float columns of the stack, and every
+maximum of |residual| is NaN when a residual is.  For the canonical
+potential each root profile also has a closed form that extends to the
+closed polygon, :func:`boundary_product_form`.
 
 The eigenspace decomposition, which needs only the roots and the solve's
 ``a = s b``, grouped by the integer ``<alpha, b>``, is
@@ -66,27 +68,9 @@ def boundary_product_form(p: DelzantPolytope, root: DemazureRoot, points) -> lis
     return out
 
 
-class _Fit(NamedTuple):
-    """The least-squares eigenvalue of an operator W on a profile u, from the columns of u and W u."""
+class EigenFit(NamedTuple):
+    """A profile with its eigenvalue-two residual and orientation-reversed fit."""
 
-    u: list[float]
-    wu: list[float]
-    peak: float  # max |u|
-    eigenvalue: float  # <u, W u> / <u, u>
-
-    @classmethod
-    def of(cls, u: list[float], wu: list[float]) -> _Fit:
-        return cls(u, wu, max_abs(u), dot(u, wu) / dot(u, u))
-
-    def residual(self, eigenvalue: float) -> float:
-        """max |W u - eigenvalue u| / max |u|."""
-        return max_abs([w - eigenvalue * v for v, w in zip(self.u, self.wu)]) / self.peak
-
-
-class RootCheck(NamedTuple):
-    """A root profile with its eigenvalue-two statistics and orientation-reversed fit."""
-
-    root: DemazureRoot
     profile: Profile
     max_rel_residual: float
     fitted_eigenvalue: float
@@ -94,41 +78,39 @@ class RootCheck(NamedTuple):
     gamma_fit: float
 
 
-def check_root(ctx: OperatorContext, root: DemazureRoot, s: Stack) -> RootCheck:
-    """Eigenvalue-two residual and orientation-reversed fit of a root profile from one operator pass.
+def fit(ctx: OperatorContext, profile: Profile, s: Stack) -> EigenFit:
+    """Eigenvalue-two residual and orientation-reversed fit of a profile from one operator pass.
 
     The sign-independent part W u (the weighted Laplacian on the profile's
     mode k, including k^T G k u) is applied once; the operator adds -term u
-    and its orientation reversal +term u, with term = 2 <k, a>.
-    ``gamma_hat`` is the least-squares eigenvalue of the orientation-reversed
-    operator minus two, 4 <alpha, a> on a soliton, and ``gamma_fit`` the
+    and its orientation reversal +term u, with term = 2 <k, a>, 0.0 on mode
+    zero.  ``max_rel_residual`` is max |W u - (2 + term) u| / max |u| and
+    ``fitted_eigenvalue`` the least-squares eigenvalue of the operator;
+    ``gamma_hat`` is that of the orientation-reversed operator minus two,
+    4 <alpha, a> for a root profile on a soliton, and ``gamma_fit`` the
     relative residual of that fit.
     """
-    profile = build_root_function(ctx.potential.polytope, root)
     jet = profile.jet(s)
-    fit = _Fit.of(jet[0], apply_to_jet(s, jet, profile.mode, ctx.a))
+    u, wu = jet[0], apply_to_jet(s, jet, profile.mode, ctx.a)
+    peak, eigenvalue = max_abs(u), dot(u, wu) / dot(u, u)
     term = 2.0 * dot(profile.mode, ctx.a)
+
+    def residual(value: float) -> float:
+        return max_abs([w - value * v for v, w in zip(u, wu)]) / peak
+
     # the orientation-reversed operator W + term fits the eigenvalue 2 + gamma_hat with the residual of W
-    return RootCheck(root=root, profile=profile, max_rel_residual=fit.residual(2.0 + term),
-                     fitted_eigenvalue=fit.eigenvalue - term, gamma_hat=fit.eigenvalue + term - 2.0,
-                     gamma_fit=fit.residual(fit.eigenvalue))
+    return EigenFit(profile, residual(2.0 + term), eigenvalue - term, eigenvalue + term - 2.0, residual(eigenvalue))
 
 
-def affine_block(ctx: OperatorContext, s: Stack) -> list[dict]:
-    """Verify the 2n real affine basis functions are eigenfunctions of eigenvalue two.
+def check_root(ctx: OperatorContext, root: DemazureRoot, s: Stack) -> EigenFit:
+    """The fit of a root's profile."""
+    return fit(ctx, build_root_function(ctx.potential.polytope, root), s)
 
-    The block consists of <x, b1> + i <x, b2>; its basis profiles are the
-    coordinates with torus mode zero, so the real and imaginary parts
+
+def affine_block(ctx: OperatorContext, s: Stack) -> list[EigenFit]:
+    """The fits of the coordinates x_1 and x_2, the real basis of the affine block <x, b1> + i <x, b2>.
+
+    The profiles have torus mode zero, so the real and imaginary parts
     satisfy the same radial equation.
     """
-    records = []
-    for i, f in enumerate(COORDINATES):
-        jet = f.jet(s)
-        fit = _Fit.of(jet[0], apply_to_jet(s, jet, f.mode, ctx.a))
-        records.append({
-            "basis": f"x_{i + 1}",
-            "mode": f.mode,
-            "fitted_eigenvalue": fit.eigenvalue,
-            "max_rel_residual": fit.residual(2.0),
-        })
-    return records
+    return [fit(ctx, f, s) for f in COORDINATES]

@@ -48,7 +48,7 @@ class BoundaryEvaluationError(ToricSolitonError):
 
 
 class LossOfConvexityError(ToricSolitonError):
-    """A quadratic potential's matrix is not positive definite."""
+    """A potential's Hessian G, or its inverse H, is not positive definite at a point."""
 
 
 class UnsupportedDimensionError(ToricSolitonError):

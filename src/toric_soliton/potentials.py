@@ -41,10 +41,6 @@ A stack built with ``gradient=False`` skips the gradient, which only the
 jets of :class:`~toric_soliton.operators.Profile` read; its ``grad`` is
 None.
 
-:func:`gradient_by_line_integral` recovers a gradient from ``G`` alone, on
-the Gauss-Legendre rule of :mod:`toric_soliton.quadrature`; it is kept as
-the independent oracle for closed-form gradients.
-
 Everything here is plain Python on floats, so no command imports numpy.
 """
 
@@ -64,7 +60,7 @@ from .calabi import (
     profile_A,
     profile_B,
 )
-from .errors import BoundaryEvaluationError, MalformedInputError
+from .errors import BoundaryEvaluationError, LossOfConvexityError, MalformedInputError
 from .polytope import DelzantPolytope, require_blowup_trapezoid
 from .quadrature import gauss_legendre
 
@@ -162,9 +158,13 @@ def _inverse_jet(m, dm, d2m=None) -> tuple:
     dD_k = A : dM_k and d2D_kl = A : d2M_kl + dA_l : dM_k, with
     P : Q = p11 q11 + 2 p12 q12 + p22 q22.  Of d2N only the entries
     ``(d11 N11, d12 N12, d22 N22)`` are formed, the ones :func:`_abreu` reads.
+    Raises :class:`LossOfConvexityError` where a determinant is zero or
+    negative; a NaN determinant passes through to the columns.
     """
     m11, m12, m22 = m
     det = [p * r - q * q for p, q, r in zip(m11, m12, m22)]
+    if any(d <= 0.0 for d in det):
+        raise LossOfConvexityError("a 2x2 metric matrix has determinant <= 0 at an interior point")
     n = tuple([sign * a / d for a, d in zip(column, det)] for sign, column in zip(_ADJUGATE_SIGNS, m[::-1]))
 
     def over_det(i, derivative, products):
@@ -364,39 +364,3 @@ class CalabiPotential(HSidePotential):
                 smooth += weight * (u / profile_A(self.soliton, u)[0] - sum(c / (u - end) for end, c in self._poles))
             out.append(half * smooth + sum(c * math.log((t - end) / (t0 - end)) for end, c in self._poles))
         return out
-
-
-def gradient_by_line_integral(potential: SymplecticPotential, x, x0) -> tuple[float, float]:
-    """Recover grad phi(x) - grad phi(x0) from the Hessian field G alone.
-
-    Integrates G(x0 + s (x - x0)) (x - x0) over s in [0, 1] with composite
-    16-node Gauss-Legendre panels, doubling the panel count (at most ten
-    times) until the result is stable to 1e-12 relative.  Each level reads
-    G from one stack on all of its nodes, built without the gradient, so
-    the result is an independent check of closed-form gradients.  Both
-    ends must be interior; by convexity the whole segment then is.
-    """
-    (x1, x2), (a1, a2) = as_pairs([x, x0])
-    potential.require_interior([(a1, a2), (x1, x2)])
-    d1, d2 = x1 - a1, x2 - a2
-    if abs(d1) <= 1e-8 and abs(d2) <= 1e-8:
-        return 0.0, 0.0
-    nodes, weights = gauss_legendre(16)
-
-    def composite(panels: int) -> tuple[float, float]:
-        s = [(p + 0.5 * (node + 1.0)) / panels for p in range(panels) for node in nodes]
-        g11, g12, g22 = potential.stack([(a1 + si * d1, a2 + si * d2) for si in s], gradient=False).G
-        scale = 0.5 / panels
-        w = [wi * scale for wi in weights] * panels
-        return (sum([wi * (p * d1 + q * d2) for wi, p, q in zip(w, g11, g12)]),
-                sum([wi * (q * d1 + r * d2) for wi, q, r in zip(w, g12, g22)]))
-
-    previous = composite(1)
-    for level in range(1, 11):
-        current = composite(2**level)
-        change = max(abs(current[0] - previous[0]), abs(current[1] - previous[1]))
-        if change <= 1e-12 * (1.0 + max(abs(current[0]), abs(current[1]))):
-            return current
-        previous = current
-    return previous
-

@@ -192,13 +192,14 @@ def _peak(*residuals) -> float:
 
 def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: futaki.SolitonData,
                   decomposition: SolitonDecomposition, stack: potentials.Stack
-                  ) -> tuple[list[tuple[str, float, float]], list[eigenbasis.RootCheck], float]:
+                  ) -> tuple[list[tuple[str, float, float]], list[eigenbasis.EigenFit], float]:
     """The ordered ``(name, value, threshold)`` checks of ``verify`` on the grid ``stack``.
 
     ``decomposition`` is that of ``soliton`` over ``rootset``, whose
-    gamma values the positivity check reads.  Also returns the per-root
-    :func:`~toric_soliton.eigenbasis.check_root` results and the mean
-    scalar curvature.  Every check reads the potential through its stack.
+    gamma values the positivity check reads.  Also returns the
+    :func:`~toric_soliton.eigenbasis.check_root` fits, one per root of
+    ``rootset.roots`` in its order, and the mean scalar curvature.  Every
+    check reads the potential through its stack.
     Two run only for the canonical potential (a ``GuilleminPotential``):
     the finite-difference oracle, and the boundary product form, the
     closed form of that potential's root profiles.
@@ -206,21 +207,21 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     affine = eigenbasis.affine_block(ctx, stack)
     scal_mean = _scal_mean(ctx)
     checks = [
-        ("affine_eigenfunctions_max_rel_residual", operators.max_abs(rec["max_rel_residual"] for rec in affine),
+        ("affine_eigenfunctions_max_rel_residual", operators.max_abs(f.max_rel_residual for f in affine),
          1e-6),
         ("abreu_mean_minus_2n_lambda", scal_mean - 2.0 * DIM * soliton.lam, 1e-4),
         ("soliton_pde_max_residual", _peak(operators.soliton_residuals(ctx, stack, scal_mean)), 1e-6),
     ]
 
     results = [eigenbasis.check_root(ctx, root, stack) for root in rootset.roots]
-    for result in results:
-        tag = "_".join(str(c) for c in result.root.alpha)
+    for root, result in zip(rootset.roots, results):
+        tag = "_".join(str(c) for c in root.alpha)
         checks += [
             (f"eigen_residual_root_{tag}", result.max_rel_residual, 1e-6),
             (f"eigen_value_root_{tag}", result.fitted_eigenvalue - 2.0, 1e-6),
             (f"anti_holomorphic_fit_root_{tag}", result.gamma_fit, 1e-6),
             (f"anti_holomorphic_root_{tag}",
-             abs(result.gamma_hat) - 4.0 * abs(operators.dot(result.root.alpha, ctx.a)), 1e-6),
+             abs(result.gamma_hat) - 4.0 * abs(operators.dot(root.alpha, ctx.a)), 1e-6),
         ]
 
     # mode-diagonal identities and the product rule on a sample of grid points
@@ -264,8 +265,8 @@ def verify_checks(ctx: operators.OperatorContext, rootset: RootSet, soliton: fut
     if canonical:
         polygon, points = ctx.potential.polytope, list(zip(*sample.points))
         defects = (
-            [v - u for v, u in zip(eigenbasis.boundary_product_form(polygon, r.root, points), r.profile.jet(sample)[0])]
-            for r in results
+            [v - u for v, u in zip(eigenbasis.boundary_product_form(polygon, root, points), r.profile.jet(sample)[0])]
+            for root, r in zip(rootset.roots, results)
         )
         checks.append(("boundary_form_interior_match", _peak(*defects), 1e-10))
     return checks, results, scal_mean
@@ -320,14 +321,14 @@ def verify_report(p: DelzantPolytope, potential_kind: str = "guillemin", grid_n:
         "grid_points": int(len(grid)),
         "root_records": [
             {
-                "alpha": list(r.root.alpha),
-                "rho_alpha": r.root.distinguished_facet,
+                "alpha": list(root.alpha),
+                "rho_alpha": root.distinguished_facet,
                 "lambda_hat": r.fitted_eigenvalue,
                 "max_rel_residual": r.max_rel_residual,
                 "gamma_hat": r.gamma_hat,
-                "gamma": gamma[r.root.alpha],
+                "gamma": gamma[root.alpha],
             }
-            for r in root_checks
+            for root, r in zip(rootset.roots, root_checks)
         ],
         "decomposition": _decomposition_section(decomposition),
         "checks": checks,

@@ -10,7 +10,6 @@ from toric_soliton.calabi import (
     CalabiSoliton,
     boundary_residuals,
     from_algebraic_coordinates,
-    g_matrix,
     m_constant,
     mean_scalar_curvature,
     ode_residual,
@@ -21,9 +20,10 @@ from toric_soliton.calabi import (
 )
 from toric_soliton.errors import BoundaryEvaluationError, MalformedInputError, NonConvergenceError
 from toric_soliton.polytope import blowup_trapezoid, linspace
-from toric_soliton.potentials import CalabiPotential, gradient_by_line_integral
+from toric_soliton.potentials import CalabiPotential
 from toric_soliton.report import calabi_report
 from conftest import expand, interior_points
+from oracles import g_matrix, gradient_by_line_integral
 
 
 def to_algebraic_coordinates(mu) -> np.ndarray:

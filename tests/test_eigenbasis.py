@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,13 +15,21 @@ from hypothesis import strategies as st
 from toric_soliton.eigenbasis import affine_block, boundary_product_form, build_root_function, check_root
 from toric_soliton.errors import MalformedInputError
 from toric_soliton.futaki import solve_soliton_vector
-from toric_soliton.operators import OperatorContext, Profile, complex_weighted_laplacian
+from toric_soliton.operators import (
+    COORDINATES,
+    OperatorContext,
+    Profile,
+    apply_to_jet,
+    complex_weighted_laplacian,
+    max_abs,
+)
 from toric_soliton.polytope import DelzantPolytope, parse_polytope
-from toric_soliton.potentials import GuilleminPotential
+from toric_soliton.potentials import CalabiPotential, GuilleminPotential
 from toric_soliton.roots import assemble_decomposition, automorphism_dimensions, enumerate_roots
 from conftest import JetFunction, array_jet, column_jet, interior_points
 
 DATA = Path(__file__).parent / "data"
+EPS = sys.float_info.epsilon
 
 
 # the canonical-potential profiles on the simplex, indexed by root
@@ -304,12 +313,34 @@ def test_a_fixed_only_at_zero_gives_one_affine_block(name, s, blowup_soliton):
 @pytest.mark.parametrize("ctx_name", ["cp2_ctx", "blowup_ctx"])
 def test_affine_block_eigenvalue_two(ctx_name, request):
     ctx = request.getfixturevalue(ctx_name)
-    records = affine_block(ctx, ctx.potential.stack(ctx.potential.polytope.interior_grid(21, 0.05)))
-    assert len(records) == 2
-    for record in records:
-        assert record["mode"] == (0, 0)
-        assert record["fitted_eigenvalue"] == pytest.approx(2.0, abs=1e-6)
-        assert record["max_rel_residual"] <= 1e-6
+    fits = affine_block(ctx, ctx.potential.stack(ctx.potential.polytope.interior_grid(21, 0.05)))
+    assert len(fits) == 2
+    for f in fits:
+        assert f.profile.mode == (0, 0)
+        assert f.fitted_eigenvalue == pytest.approx(2.0, abs=1e-6)
+        assert f.max_rel_residual <= 1e-6
+
+
+@pytest.mark.parametrize("name, family", [
+    ("cp2", GuilleminPotential), ("square", GuilleminPotential), ("blowup", GuilleminPotential),
+    ("bl3", GuilleminPotential), ("blowup", CalabiPotential),
+], ids=["cp2", "square", "blowup", "bl3", "blowup-calabi"])
+def test_every_fit_bounds_its_orientation_reversed_residual(name, family):
+    # both fits read one W u: |W u - lambda u| <= |W u - (2 + term) u| + |lambda - 2 - term| |u| with
+    # lambda the least-squares eigenvalue of W, so gamma_fit <= max_rel_residual + |fitted_eigenvalue - 2|
+    # up to rounding in the residuals, a few ulps of max |W u| / max |u|; on mode zero the
+    # orientation-reversed operator is the operator itself
+    p = parse_polytope((DATA / f"{name}.json").read_text())
+    ctx = OperatorContext(potential=family(p), a=solve_soliton_vector(p).a)
+    s = ctx.potential.stack(p.interior_grid(21, 0.05))
+    fits = affine_block(ctx, s) + [check_root(ctx, root, s) for root in enumerate_roots(p).roots]
+    assert [f.profile for f in fits[:2]] == list(COORDINATES)
+    for f in fits:
+        jet = f.profile.jet(s)
+        scale = max_abs(apply_to_jet(s, jet, f.profile.mode, ctx.a)) / max_abs(jet[0])
+        assert f.gamma_fit <= f.max_rel_residual + abs(f.fitted_eigenvalue - 2.0) + 8.0 * EPS * scale
+        if not any(f.profile.mode):
+            assert f.gamma_hat == f.fitted_eigenvalue - 2.0
 
 
 def test_conjugate_root_function_satisfies_conjugate_equation(cp2_ctx, cp2_grid):

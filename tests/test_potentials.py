@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from toric_soliton.errors import BoundaryEvaluationError, LossOfConvexityError, MalformedInputError
-from toric_soliton.polytope import DelzantPolytope, parse_polytope
-from toric_soliton.potentials import CalabiPotential, GuilleminPotential, gradient_by_line_integral
+from toric_soliton.polytope import DelzantPolytope, normalize_algebraic, parse_polytope
+from toric_soliton.potentials import CalabiPotential, GuilleminPotential
 from conftest import expand, interior_points
-from oracles import QuadraticPotential
+from oracles import QuadraticPotential, gradient_by_line_integral
 
 
 def finite_difference_jacobian(field, points, h):
@@ -148,6 +148,14 @@ def test_det_h_degenerates_toward_facet(cp2):
     assert all(d > 0 for d in dets)
     assert all(dets[i + 1] < dets[i] for i in range(len(dets) - 5, len(dets) - 1))
     assert dets[-1] < 1e-2 * dets[0]
+
+
+def test_a_determinant_that_cancels_to_zero_is_a_loss_of_convexity():
+    # on the F(24) image of Bl1P2 the entries of G at the origin reach 7e9 and det G cancels to
+    # exactly 0.0: the stack raises the package's error, which exits 2, not a ZeroDivisionError
+    p = normalize_algebraic(parse_polytope((Path(__file__).parent / "data" / "bl1_deep_image.json").read_text()))
+    with pytest.raises(LossOfConvexityError, match="determinant <= 0"):
+        GuilleminPotential(p).stack([(0.0, 0.0)])
 
 
 def test_line_integral_constant_hessian(square):

@@ -104,7 +104,7 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
         "Stack": stack,
         "Profile": check.profile,
         "OperatorContext": cp2_ctx,
-        "RootCheck": check,
+        "EigenFit": check,
         "CalabiSoliton": calabi_soliton,
     }
 
@@ -112,7 +112,7 @@ def records(cp2, cp2_ctx, cp2_roots, cp2_soliton, calabi_soliton):
 RECORD_TYPES = (
     "Facet", "PrivilegedCenter", "DelzantVerdict", "DemazureRoot", "RootSet", "AutomorphismDimensions",
     "SolitonDecomposition", "SolitonData", "Stack",
-    "Profile", "OperatorContext", "RootCheck",
+    "Profile", "OperatorContext", "EigenFit",
     "CalabiSoliton",
 )
 
